@@ -171,19 +171,7 @@ func main() {
 
 	start := time.Now()
 	for _, d := range docs {
-		if *format != "" {
-			// Adapter formats: the shard worker drives the adapter (one per
-			// document) interned against the serving alphabet.
-			src, err := adapter.New(*format, bytes.NewReader(d.body), pool.Engine().Alphabet())
-			if err != nil {
-				fatal(err)
-			}
-			if _, err := pool.SubmitSource(context.Background(), d.name, src); err != nil {
-				fatal(err)
-			}
-			continue
-		}
-		if _, err := pool.Submit(context.Background(), d.name, bytes.NewReader(d.body)); err != nil {
+		if _, err := pool.Submit(context.Background(), d.name, *format, bytes.NewReader(d.body)); err != nil {
 			fatal(err)
 		}
 	}

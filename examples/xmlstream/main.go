@@ -165,7 +165,7 @@ func serveMany(eng *engine.Engine, docs int) {
 	for d := 0; d < docs; d++ {
 		doc := strings.NewReader(docstream.Render(
 			generator.RandomDocument(rand.New(rand.NewSource(int64(d))), 60, 8, labels)))
-		if _, err := pool.Submit(context.Background(), fmt.Sprintf("doc-%d", d), doc); err != nil {
+		if _, err := pool.Submit(context.Background(), fmt.Sprintf("doc-%d", d), "", doc); err != nil {
 			panic(err)
 		}
 	}

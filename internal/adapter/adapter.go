@@ -7,18 +7,20 @@
 // so one query stack serves all three once each input is adapted to the
 // common event stream.
 //
-// Every adapter satisfies engine.EventSource structurally (Next() (Event,
-// error) ending in io.EOF), interns labels against a query alphabet through
-// the same docstream.NewEvent mapping the tokenizer uses — so out-of-alphabet
-// labels get the identical dedicated symbol ID no matter which source
-// produced them — and sanitizes labels into the tokenizer's token syntax, so
-// that rendering the adapted stream as an XML-like document and re-tokenizing
-// it reproduces the stream event for event.  That round-trip is the
-// differential contract pinned by this package's tests: the adapters extend
-// the oracle chain to real inputs instead of forking it.
+// Each adapter is a hand-written byte scanner over one reusable
+// bufio.Reader.  Labels are spelled into a reused scratch buffer, sanitized
+// into the tokenizer's token syntax in place, and interned through
+// docstream.InternBytes — the mapping the native tokenizer uses — so
+// out-of-alphabet labels get the identical dedicated symbol ID no matter
+// which source produced them, in-alphabet labels cost no allocation, and
+// rendering the adapted stream as an XML-like document and re-tokenizing it
+// reproduces the stream event for event.  That round trip, plus a
+// differential against encoding/xml and encoding/json (kept in this
+// package's tests as oracles), is the contract the tests pin.
 package adapter
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"strings"
@@ -32,16 +34,30 @@ import (
 
 // Source is the event-stream interface every adapter implements: one event
 // per call, io.EOF at the clean end of the input, any other error sticky.
-// It is structurally identical to engine.EventSource, so adapters plug into
-// engine.RunEvents-style consumers and serve.Pool.SubmitSource without this
-// package importing the engine.
+// Its Next is structurally engine.EventSource, so adapters plug into
+// engine.Run-style consumers without this package importing the engine;
+// Reset repoints the adapter at the next input while keeping its buffers,
+// the way docstream.Tokenizer.Reset does, so a long-lived consumer decodes
+// document after document without allocating decoder state.
 type Source interface {
 	Next() (docstream.Event, error)
+	Reset(r io.Reader)
 }
 
 // Formats lists the supported adapter format names accepted by New, in
 // display order.
 func Formats() []string { return []string{"xml", "json", "trace"} }
+
+// CheckFormat reports whether New accepts format, with New's error when it
+// does not.  Callers that build the adapter later (serve.Pool builds one
+// per shard) use it to reject an unknown format up front.
+func CheckFormat(format string) error {
+	switch format {
+	case "xml", "json", "trace":
+		return nil
+	}
+	return fmt.Errorf("adapter: unknown format %q (want one of %s)", format, strings.Join(Formats(), ", "))
+}
 
 // New returns an adapter for the named format reading from r, interning
 // labels against alpha (pass nil for uninterned events).  The names are the
@@ -55,7 +71,22 @@ func New(format string, r io.Reader, alpha *alphabet.Alphabet) (Source, error) {
 	case "trace":
 		return NewTrace(r, alpha), nil
 	}
-	return nil, fmt.Errorf("adapter: unknown format %q (want one of %s)", format, strings.Join(Formats(), ", "))
+	return nil, CheckFormat(format)
+}
+
+// SyntaxError reports malformed input: the format, the input byte offset at
+// which the scanner gave up, and what it found there.  Read errors from the
+// underlying reader (an *http.MaxBytesError, say) are returned as they are,
+// never folded into a SyntaxError.
+type SyntaxError struct {
+	Format string // "xml", "json" or "trace"
+	Offset int64  // input bytes consumed when the error was found
+	Msg    string
+}
+
+// Error formats the error with its format and offset.
+func (e *SyntaxError) Error() string {
+	return fmt.Sprintf("adapter: %s syntax error at byte %d: %s", e.Format, e.Offset, e.Msg)
 }
 
 // Sanitize maps an arbitrary label into the tokenizer's token syntax: every
@@ -63,72 +94,118 @@ func New(format string, r io.Reader, alpha *alphabet.Alphabet) (Source, error) {
 // (its tag delimiters) becomes '_', a leading '/' (which would turn a
 // rendered opening tag into a closing one) becomes '_', invalid UTF-8 bytes
 // become U+FFFD (matching the tokenizer's own normalization), and the empty
-// label becomes "_".  Labels already in token syntax — the overwhelmingly
-// common case for element names, object keys, and procedure names — are
-// returned unchanged, without allocating.  The mapping is what makes the
-// differential contract hold: Render(adapted stream) re-tokenizes to the
-// same events.
+// label becomes "_".  Labels already in token syntax are returned
+// unchanged.  The scanners apply the same mapping in place to their scratch
+// buffer (sanitize); this is its string form.
 func Sanitize(label string) string {
-	clean := utf8.ValidString(label)
-	for _, c := range label {
-		if !clean {
-			break
+	b := []byte(label)
+	if !utf8.Valid(b) {
+		b = []byte(string([]rune(label)))
+	}
+	if s := sanitize(b); string(s) != label {
+		return string(s)
+	}
+	return label
+}
+
+// sanitize is Sanitize over a valid UTF-8 label, rewriting it in place: the
+// result never outgrows the input except for the empty label's "_".
+func sanitize(label []byte) []byte {
+	if len(label) == 0 {
+		return append(label, '_')
+	}
+	w := 0
+	for r := 0; r < len(label); {
+		c := label[r]
+		if c < utf8.RuneSelf {
+			if c == '<' || c == '>' || asciiSpace[c] {
+				c = '_'
+			}
+			label[w] = c
+			w++
+			r++
+			continue
 		}
-		if c == '<' || c == '>' || unicode.IsSpace(c) {
-			clean = false
+		rn, size := utf8.DecodeRune(label[r:])
+		if unicode.IsSpace(rn) {
+			label[w] = '_'
+			w++
+		} else {
+			w += copy(label[w:], label[r:r+size])
 		}
+		r += size
 	}
-	if clean && label != "" && label[0] != '/' {
-		return label
+	label = label[:w]
+	if label[0] == '/' {
+		label[0] = '_'
 	}
-	if label == "" {
-		return "_"
-	}
-	out := make([]rune, 0, len(label))
-	for _, c := range label {
-		if c == '<' || c == '>' || unicode.IsSpace(c) {
-			c = '_'
-		}
-		out = append(out, c)
-	}
-	if out[0] == '/' {
-		out[0] = '_'
-	}
-	return string(out)
+	return label
 }
 
-// source is the state shared by every adapter: the interning alphabet, the
-// queue of decoded-but-undelivered events, and the sticky error.  Adapter
-// Next methods only pop the queue (allocation-free); all decoding and
-// allocation happens in each adapter's refill step.
-type source struct {
-	alpha *alphabet.Alphabet
-	q     []docstream.Event
-	qi    int
-	err   error
-}
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
-// push queues one event, sanitizing and interning the label through the
-// shared docstream.NewEvent mapping.
-func (s *source) push(kind nestedword.Kind, label string) {
-	s.q = append(s.q, docstream.NewEvent(kind, Sanitize(label), s.alpha))
-}
-
-// reset recycles the queue's backing array once it has been fully delivered,
-// so steady-state refills append into already-allocated capacity.
-func (s *source) reset() {
-	if s.qi >= len(s.q) {
-		s.q = s.q[:0]
-		s.qi = 0
+// isSpace is unicode.IsSpace with the ASCII answer from a table.
+func isSpace(c rune) bool {
+	if c < utf8.RuneSelf {
+		return asciiSpace[c]
 	}
+	return unicode.IsSpace(c)
 }
 
-// pop delivers the next queued event; ok is false when the queue is empty.
-func (s *source) pop() (docstream.Event, bool) {
-	if s.qi < len(s.q) {
-		e := s.q[s.qi]
-		s.qi++
-		return e, true
+// countingReader counts the bytes handed to the buffered reader, so the
+// scanners can report input offsets without counting per byte.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// scanner is the state every adapter shares: one reusable buffered reader,
+// the scratch buffer the current label is spelled into, the interning
+// alphabet, and the sticky error.
+type scanner struct {
+	format string
+	in     countingReader
+	r      *bufio.Reader
+	tok    []byte
+	alpha  *alphabet.Alphabet
+	err    error
+}
+
+// reset points the scanner at r, keeping its buffers.
+func (s *scanner) reset(r io.Reader) {
+	s.in = countingReader{r: r}
+	if s.r == nil {
+		s.r = new(bufio.Reader)
 	}
-	return docstream.Event{}, false
+	s.r.Reset(&s.in)
+	s.tok = s.tok[:0]
+	s.err = nil
+}
+
+// emit sanitizes the label spelled in label (a view of scratch memory) in
+// place and interns it: zero allocations for in-alphabet labels, one string
+// for any other.
+func (s *scanner) emit(kind nestedword.Kind, label []byte) docstream.Event {
+	return docstream.InternBytes(kind, sanitize(label), s.alpha)
+}
+
+// syntaxError builds the scanner's SyntaxError at the current offset.
+func (s *scanner) syntaxError(msg string) error {
+	return &SyntaxError{Format: s.format, Offset: s.in.n - int64(s.r.Buffered()), Msg: msg}
+}
+
+// eofError turns the io.EOF of a construct cut short into a SyntaxError and
+// passes any other read error through unchanged.
+func (s *scanner) eofError(err error, msg string) error {
+	if err == io.EOF {
+		return s.syntaxError(msg)
+	}
+	return err
 }

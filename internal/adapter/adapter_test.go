@@ -1,11 +1,13 @@
 package adapter
 
 import (
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/alphabet"
 	"repro/internal/docstream"
@@ -55,6 +57,14 @@ func TestNew(t *testing.T) {
 	}
 	if _, err := New("yaml", strings.NewReader(""), nil); err == nil {
 		t.Error("New(yaml): want error")
+	}
+	for _, f := range Formats() {
+		if err := CheckFormat(f); err != nil {
+			t.Errorf("CheckFormat(%q): %v", f, err)
+		}
+	}
+	if err := CheckFormat("yaml"); err == nil || !strings.Contains(err.Error(), "xml, json, trace") {
+		t.Errorf("CheckFormat(yaml): %v", err)
 	}
 }
 
@@ -167,6 +177,7 @@ func TestSanitize(t *testing.T) {
 		" leading":  "_leading",
 		"trailing ": "trailing_",
 	}
+	cases["a\xff b\xe2\x80"] = "a\uFFFD_b\uFFFD\uFFFD" // each invalid byte, as the tokenizer reads it
 	for in, want := range cases {
 		if got := Sanitize(in); got != want {
 			t.Errorf("Sanitize(%q) = %q, want %q", in, got, want)
@@ -282,6 +293,54 @@ func TestUninternedDifferential(t *testing.T) {
 			if events[i] != retok[i] {
 				t.Fatalf("%s event %d: adapter %+v, retokenized %+v", path, i, events[i], retok[i])
 			}
+		}
+	}
+}
+
+// TestReadErrorPassesThrough pins that a failing reader's own error — an
+// *http.MaxBytesError in the server — reaches the caller unwrapped, never
+// folded into a *SyntaxError, whatever construct the scanner was inside.
+func TestReadErrorPassesThrough(t *testing.T) {
+	boom := errors.New("boom")
+	prefixes := map[string][]string{
+		"xml":   {"", "<a>", "<a>text", `<a x="1`, "<!-- c", "<a><![CDATA[x", "<?pi"},
+		"json":  {"", "[", `{"a`, "[12", `["\u12`, "tr"},
+		"trace": {"", "enter ma", "# comment", "read 1 2"},
+	}
+	for format, docs := range prefixes {
+		for _, doc := range docs {
+			src, err := New(format, io.MultiReader(strings.NewReader(doc), iotest.ErrReader(boom)), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := drainAll(src); !errors.Is(err, boom) {
+				t.Errorf("%s %q: %v, want the reader's error", format, doc, err)
+			}
+		}
+	}
+}
+
+// TestSyntaxErrorAndReset checks the typed error and that Reset clears it:
+// the same adapter then decodes the next document cleanly.
+func TestSyntaxErrorAndReset(t *testing.T) {
+	bad := map[string]string{"xml": "<a><b></a>", "json": `{"a": [1, }`, "trace": strings.Repeat("x", maxTraceLine)}
+	good := map[string]string{"xml": "<a/>", "json": "[]", "trace": "enter a\nexit\n"}
+	for _, format := range Formats() {
+		src, err := New(format, strings.NewReader(bad[format]), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = drainAll(src)
+		var se *SyntaxError
+		if !errors.As(err, &se) || se.Format != format || se.Offset <= 0 || !strings.Contains(err.Error(), format) {
+			t.Fatalf("%s: %v, want a *SyntaxError naming the format and an offset", format, err)
+		}
+		if _, again := src.Next(); again != err {
+			t.Fatalf("%s: error not sticky: %v then %v", format, err, again)
+		}
+		src.Reset(strings.NewReader(good[format]))
+		if events, err := drainAll(src); err != nil || len(events) != 2 {
+			t.Fatalf("%s after Reset: %v, %v", format, events, err)
 		}
 	}
 }

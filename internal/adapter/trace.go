@@ -4,9 +4,9 @@
 package adapter
 
 import (
-	"bufio"
+	"bytes"
 	"io"
-	"strings"
+	"unicode/utf8"
 
 	"repro/internal/alphabet"
 	"repro/internal/docstream"
@@ -26,78 +26,205 @@ import (
 //
 // Blank lines are skipped; tokens after NAME on enter/exit lines are
 // ignored (timestamps, arguments).  Labels are sanitized like every other
-// adapter's.
+// adapter's.  A line of 1 MiB or more, newline excluded, is a *SyntaxError.
 type Trace struct {
-	source
-	sc   *bufio.Scanner
-	open []string // sanitized labels of currently open calls
-	done bool
+	scanner
+	open    []byte // sanitized labels of the open calls, concatenated
+	ends    []int  // ends[i] is where open call i's label ends in open
+	lineLen int    // bytes of the current line read so far
+	mode    traceMode
 }
+
+// maxTraceLine bounds a trace line, newline excluded, at the limit the
+// bufio.Scanner the trace adapter used to read lines with enforced.
+const maxTraceLine = 1 << 20
+
+// traceMode is where the scanner stands in the current line.
+type traceMode uint8
+
+const (
+	traceLineStart traceMode = iota // before the line's first field
+	traceFields                     // the line's remaining fields are internals
+	traceSkip                       // the rest of the line is ignored
+)
 
 // NewTrace returns a trace adapter interning labels against alpha (nil for
 // uninterned events).
 func NewTrace(r io.Reader, alpha *alphabet.Alphabet) *Trace {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	return &Trace{source: source{alpha: alpha}, sc: sc}
+	a := &Trace{scanner: scanner{format: "trace", alpha: alpha}}
+	a.Reset(r)
+	return a
 }
 
-// Next returns the next event, io.EOF at the end of the trace.  A scanner
-// error (for example a line over the 1 MiB limit) is sticky.
+// Reset repoints the adapter at a new trace, clearing the open-call stack
+// and any sticky error while keeping every buffer.
+func (a *Trace) Reset(r io.Reader) {
+	a.reset(r)
+	a.open = a.open[:0]
+	a.ends = a.ends[:0]
+	a.lineLen = 0
+	a.mode = traceLineStart
+}
+
+// enterWord and exitWord are the trace keywords.
+var (
+	enterWord = []byte("enter")
+	exitWord  = []byte("exit")
+)
+
+// Next returns the next event, io.EOF at the end of the trace.  A read
+// error or an over-long line is sticky.
 //
 //nwvet:hotpath
 func (a *Trace) Next() (docstream.Event, error) {
+	if a.err != nil {
+		return docstream.Event{}, a.err
+	}
 	for {
-		if e, ok := a.pop(); ok {
+		e, ok, err := a.step()
+		if err != nil {
+			a.err = err
+			return docstream.Event{}, err
+		}
+		if ok {
 			return e, nil
 		}
-		if a.err != nil {
-			return docstream.Event{}, a.err
-		}
-		a.refill()
 	}
 }
 
-// refill consumes one trace line into zero or more queued events, or sets
-// the sticky error.
-func (a *Trace) refill() {
-	a.reset()
-	if a.done || !a.sc.Scan() {
-		a.done = true
-		if err := a.sc.Err(); err != nil {
-			a.err = err
-		} else {
-			a.err = io.EOF
+// step consumes one field (or the rest of a line), reporting an event when
+// it produced one.
+//
+//nwvet:hotpath
+func (a *Trace) step() (docstream.Event, bool, error) {
+	switch a.mode {
+	case traceSkip:
+		a.mode = traceLineStart
+		return docstream.Event{}, false, a.skipLine()
+	case traceFields:
+		ok, eol, err := a.field()
+		if err != nil || !ok {
+			a.mode = traceLineStart
+			return docstream.Event{}, false, err
 		}
-		return
-	}
-	line := a.sc.Text()
-	fields := strings.Fields(line)
-	if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
-		return
-	}
-	switch fields[0] {
-	case "enter":
-		if len(fields) >= 2 {
-			label := Sanitize(fields[1])
-			a.push(nestedword.Call, label)
-			a.open = append(a.open, label)
-			return
+		if eol {
+			a.mode = traceLineStart
 		}
-	case "exit":
-		label := "_"
-		if len(fields) >= 2 {
-			label = Sanitize(fields[1])
-		} else if len(a.open) > 0 {
-			label = a.open[len(a.open)-1]
-		}
-		if len(a.open) > 0 {
-			a.open = a.open[:len(a.open)-1]
-		}
-		a.push(nestedword.Return, label)
-		return
+		return a.emit(nestedword.Internal, a.tok), true, nil
 	}
-	for _, f := range fields {
-		a.push(nestedword.Internal, f)
+	ok, eol, err := a.field()
+	if err != nil {
+		return docstream.Event{}, false, err
 	}
+	if !ok {
+		if eol {
+			return docstream.Event{}, false, nil // a blank line
+		}
+		return docstream.Event{}, false, io.EOF
+	}
+	if a.tok[0] == '#' {
+		if !eol {
+			a.mode = traceSkip
+		}
+		return docstream.Event{}, false, nil
+	}
+	enter, exit := bytes.Equal(a.tok, enterWord), bytes.Equal(a.tok, exitWord)
+	if !enter && !exit {
+		if !eol {
+			a.mode = traceFields
+		}
+		return a.emit(nestedword.Internal, a.tok), true, nil
+	}
+	named := false
+	if !eol {
+		if named, eol, err = a.field(); err != nil {
+			return docstream.Event{}, false, err
+		}
+	}
+	if !eol {
+		a.mode = traceSkip
+	}
+	if enter {
+		if !named {
+			return docstream.NewEvent(nestedword.Internal, "enter", a.alpha), true, nil
+		}
+		a.tok = sanitize(a.tok)
+		a.open = append(a.open, a.tok...)
+		a.ends = append(a.ends, len(a.open))
+		return a.emit(nestedword.Call, a.tok), true, nil
+	}
+	n := len(a.ends)
+	start := 0
+	if n > 1 {
+		start = a.ends[n-2]
+	}
+	switch {
+	case !named && n > 0:
+		a.tok = append(a.tok[:0], a.open[start:]...)
+	case !named:
+		a.tok = append(a.tok[:0], '_')
+	}
+	if n > 0 {
+		a.open = a.open[:start]
+		a.ends = a.ends[:n-1]
+	}
+	return a.emit(nestedword.Return, a.tok), true, nil
+}
+
+// field reads the line's next whitespace-separated field into tok.  ok
+// reports whether there was one; eol whether the line (or the input) ended
+// right after it.  io.EOF is not an error here: it ends the last line.
+//
+//nwvet:hotpath
+func (a *Trace) field() (ok, eol bool, err error) {
+	a.tok = a.tok[:0]
+	for {
+		c, err := a.readRune()
+		if err != nil {
+			if err == io.EOF {
+				return len(a.tok) > 0, len(a.tok) > 0, nil
+			}
+			return false, false, err
+		}
+		if c == '\n' {
+			return len(a.tok) > 0, true, nil
+		}
+		if isSpace(c) {
+			if len(a.tok) > 0 {
+				return true, false, nil
+			}
+			continue
+		}
+		// An invalid byte reads as a RuneError and is spelled as U+FFFD.
+		a.tok = utf8.AppendRune(a.tok, c)
+	}
+}
+
+// skipLine discards the rest of the current line.
+func (a *Trace) skipLine() error {
+	for {
+		c, err := a.readRune()
+		if err == io.EOF || err == nil && c == '\n' {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// readRune reads one rune, enforcing maxTraceLine.
+func (a *Trace) readRune() (rune, error) {
+	c, size, err := a.r.ReadRune()
+	if err != nil {
+		return 0, err
+	}
+	if c == '\n' {
+		a.lineLen = 0
+		return c, nil
+	}
+	if a.lineLen += size; a.lineLen >= maxTraceLine {
+		return 0, a.syntaxError("line of 1 MiB or more")
+	}
+	return c, nil
 }

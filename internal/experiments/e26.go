@@ -208,7 +208,7 @@ func e26PoolRun(bundlePath string, corpus []string, want [][]bool, shards int, i
 	defer pool.Close()
 
 	return e26Schedule(len(corpus), interval, func(i int) bool {
-		fut, err := pool.Submit(context.Background(), fmt.Sprintf("doc-%d", i), strings.NewReader(corpus[i]))
+		fut, err := pool.Submit(context.Background(), fmt.Sprintf("doc-%d", i), "", strings.NewReader(corpus[i]))
 		if err != nil {
 			return false
 		}

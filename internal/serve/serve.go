@@ -5,9 +5,12 @@
 //
 // A Pool owns a fixed set of shards (default runtime.GOMAXPROCS(0)), each a
 // worker goroutine that has checked one engine.Session out of the shared
-// engine for its lifetime and holds one reusable interning tokenizer, so the
-// steady state serves documents with no per-document allocation beyond the
-// submission bookkeeping.  Incoming documents are routed to shards by the
+// engine for its lifetime and holds one reusable decoder per input format —
+// the interning tokenizer for native documents, an internal/adapter scanner
+// for each of xml, json and trace once one arrives — so the steady state
+// serves documents with no per-document decoder allocation beyond the
+// submission bookkeeping and out-of-alphabet labels.  Incoming documents
+// are routed to shards by the
 // FNV-1a hash of their ID — all submissions of one document ID serialize on
 // one shard, keeping per-document ordering — or round-robined under
 // AffinityNone for maximal balance when IDs are skewed.
@@ -37,6 +40,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/adapter"
+	"repro/internal/alphabet"
 	"repro/internal/docstream"
 	"repro/internal/engine"
 	"repro/internal/query"
@@ -181,12 +186,13 @@ func WithOnResult(fn func(Result)) Option {
 
 // job is one queued document.
 type job struct {
-	id    string
-	ctx   context.Context
-	rd    io.Reader          // tokenized on the shard's reusable tokenizer...
-	src   engine.EventSource // ...or already an event source (exactly one set)
-	fut   *Future
-	start time.Time // submission time, for the latency histogram
+	id     string
+	ctx    context.Context
+	format string             // the decoder for rd: "" native, else an adapter format
+	rd     io.Reader          // decoded on the shard's reusable decoder...
+	src    engine.EventSource // ...unless the document is already events
+	fut    *Future
+	start  time.Time // submission time, for the latency histogram
 }
 
 // shardCounters is one shard's lifetime totals, owned by the shard worker
@@ -310,12 +316,15 @@ func (p *Pool) Stats() Stats {
 	return st
 }
 
-// Submit queues a document read from r — tokenized on the target shard's
-// reusable interning tokenizer — and returns its Future.  It blocks while
-// the shard's queue is full (backpressure) unless ctx is cancelled first,
-// and fails with ErrClosed once Close has begun.
-func (p *Pool) Submit(ctx context.Context, id string, r io.Reader) (*Future, error) {
-	return p.enqueue(job{id: id, ctx: ctx, rd: r}, true)
+// Submit queues a document read from r and returns its Future.  The shard
+// decodes r with its reusable decoder for format: the native interning
+// tokenizer for "", else the adapter.New format of that name ("xml",
+// "json", "trace"), interned against the engine's alphabet.  An unknown
+// format fails here, before anything is queued.  Submit blocks while the
+// shard's queue is full (backpressure) unless ctx is cancelled first, and
+// fails with ErrClosed once Close has begun.
+func (p *Pool) Submit(ctx context.Context, id, format string, r io.Reader) (*Future, error) {
+	return p.submitReader(ctx, id, format, r, true)
 }
 
 // TrySubmit is Submit without the blocking backpressure: when the target
@@ -323,28 +332,17 @@ func (p *Pool) Submit(ctx context.Context, id string, r io.Reader) (*Future, err
 // waiting for a slot.  A network front-end uses it to shed load at the
 // edge — ErrQueueFull maps to 429 Too Many Requests, ErrClosed to 503
 // Service Unavailable — rather than accumulate blocked handlers.
-func (p *Pool) TrySubmit(ctx context.Context, id string, r io.Reader) (*Future, error) {
-	return p.enqueue(job{id: id, ctx: ctx, rd: r}, false)
+func (p *Pool) TrySubmit(ctx context.Context, id, format string, r io.Reader) (*Future, error) {
+	return p.submitReader(ctx, id, format, r, false)
 }
 
-// SubmitSource queues a document already available as an event source.
-// Events carrying a pre-interned Sym must have been interned against the
-// engine's alphabet (see engine.Session.Feed).
-func (p *Pool) SubmitSource(ctx context.Context, id string, src engine.EventSource) (*Future, error) {
-	if src == nil {
-		return nil, errors.New("serve: nil event source")
+func (p *Pool) submitReader(ctx context.Context, id, format string, r io.Reader, wait bool) (*Future, error) {
+	if format != "" {
+		if err := adapter.CheckFormat(format); err != nil {
+			return nil, err
+		}
 	}
-	return p.enqueue(job{id: id, ctx: ctx, src: src}, true)
-}
-
-// TrySubmitSource is SubmitSource with TrySubmit's fail-fast semantics:
-// ErrQueueFull instead of blocking when the target shard's queue is full.
-// The network front-end submits adapter-wrapped request bodies through it.
-func (p *Pool) TrySubmitSource(ctx context.Context, id string, src engine.EventSource) (*Future, error) {
-	if src == nil {
-		return nil, errors.New("serve: nil event source")
-	}
-	return p.enqueue(job{id: id, ctx: ctx, src: src}, false)
+	return p.enqueue(job{id: id, ctx: ctx, format: format, rd: r}, wait)
 }
 
 // SubmitEvents queues an in-memory event slice as a document.
@@ -454,36 +452,26 @@ func (c *ctxSource) Next() (docstream.Event, error) {
 	return c.src.Next()
 }
 
-// worker is one shard: it checks a session out of the engine once, reuses
-// one interning tokenizer, and serves its queue until Close.
+// worker is one shard: it checks a session out of the engine once, keeps
+// one decoder per input format, and serves its queue until Close.
 func (p *Pool) worker(shard int) {
 	defer p.wg.Done()
 	ses := p.eng.Acquire()
 	defer p.eng.Release(ses)
-	// One tokenizer per shard, Reset per document: after the first document
-	// the tokenizer's buffered reader is reused, so reader-submitted
-	// documents tokenize allocation-free too.
-	var tok *docstream.Tokenizer
-	if alpha := p.eng.Alphabet(); alpha != nil {
-		tok = docstream.NewInterningTokenizer(nil, alpha)
-	} else {
-		tok = docstream.NewTokenizer(nil)
-	}
+	decs := decoders{alpha: p.eng.Alphabet(), byFormat: make(map[string]decoder)}
 	counters := &p.perShard[shard]
 	for j := range p.shards[shard] {
 		res := Result{ID: j.id, Shard: shard}
-		if err := j.ctx.Err(); err != nil {
-			// Cancelled while queued: report without touching the session.
-			res.Err = err
-		} else {
-			src := j.src
-			if j.rd != nil {
-				tok.Reset(j.rd)
-				src = tok
-			}
+		// A document cancelled while queued is reported without touching
+		// the session.
+		res.Err = j.ctx.Err()
+		src := j.src
+		if res.Err == nil && src == nil {
+			src, res.Err = decs.open(j.format, j.rd)
+		}
+		if res.Err == nil {
 			ses.Reset()
-			r, err := ses.Run(&ctxSource{ctx: j.ctx, src: src})
-			res.Engine, res.Err = r, err
+			res.Engine, res.Err = ses.Run(&ctxSource{ctx: j.ctx, src: src})
 		}
 		p.served.Add(1)
 		counters.served.Add(1)
@@ -504,4 +492,38 @@ func (p *Pool) worker(shard int) {
 		j.fut.res = res
 		close(j.fut.done)
 	}
+}
+
+// decoder is an event source that can be repointed at the next document:
+// the native tokenizer and every adapter.
+type decoder interface {
+	engine.EventSource
+	Reset(r io.Reader)
+}
+
+// decoders is one shard's decoder per input format.  Each is built on the
+// shard's first document in its format and Reset for every later one, so
+// after that the shard decodes documents without allocating decoder state.
+type decoders struct {
+	alpha    *alphabet.Alphabet
+	byFormat map[string]decoder
+}
+
+// open points the format's decoder ("" is the native tokenizer) at r.
+func (d *decoders) open(format string, r io.Reader) (engine.EventSource, error) {
+	dec := d.byFormat[format]
+	if dec == nil {
+		if format == "" {
+			dec = docstream.NewInterningTokenizer(nil, d.alpha)
+		} else {
+			src, err := adapter.New(format, nil, d.alpha)
+			if err != nil {
+				return nil, err
+			}
+			dec = src
+		}
+		d.byFormat[format] = dec
+	}
+	dec.Reset(r)
+	return dec, nil
 }

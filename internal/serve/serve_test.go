@@ -251,7 +251,7 @@ func TestPoolReaderSubmission(t *testing.T) {
 	// Several rounds so every shard's tokenizer is Reset and reused.
 	for round := 0; round < 50; round++ {
 		for i, d := range docs {
-			f, err := pool.Submit(context.Background(), fmt.Sprintf("r%d-d%d", round, i), strings.NewReader(d))
+			f, err := pool.Submit(context.Background(), fmt.Sprintf("r%d-d%d", round, i), "", strings.NewReader(d))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -278,14 +278,14 @@ func TestPoolTokenizeError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	bad, err := pool.Submit(context.Background(), "bad", strings.NewReader("<a> <unterminated"))
+	bad, err := pool.Submit(context.Background(), "bad", "", strings.NewReader("<a> <unterminated"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res, err := bad.Wait(context.Background()); err == nil || res.Err == nil {
 		t.Fatalf("malformed document: want error, got %+v", res)
 	}
-	good, err := pool.Submit(context.Background(), "good", strings.NewReader("<a> c </a>"))
+	good, err := pool.Submit(context.Background(), "good", "", strings.NewReader("<a> c </a>"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,32 +325,28 @@ func TestPoolContextCancellation(t *testing.T) {
 	// Fill the single shard's queue with slow documents, then watch a
 	// blocked Submit give up when its context is cancelled.
 	block := make(chan struct{})
-	slowSrc := func() engine.EventSource { return &blockingSource{release: block} }
 	for i := 0; i < 2; i++ { // one being served + one queued = queue full
-		if _, err := pool.SubmitSource(context.Background(), fmt.Sprintf("slow-%d", i), slowSrc()); err != nil {
+		if _, err := pool.Submit(context.Background(), fmt.Sprintf("slow-%d", i), "", &blockingReader{release: block}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	ctx, cancel2 := context.WithCancel(context.Background())
 	go cancel2()
-	if _, err := pool.SubmitSource(ctx, "blocked", slowSrc()); err != nil && !errors.Is(err, context.Canceled) {
+	if _, err := pool.Submit(ctx, "blocked", "", &blockingReader{release: block}); err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("blocked submit: %v", err)
 	}
 	close(block)
 }
 
-// blockingSource blocks its first Next until released, then ends the stream.
-type blockingSource struct {
+// blockingReader blocks its first Read until released, then reports an empty
+// document: a body whose bytes have not arrived yet.
+type blockingReader struct {
 	release <-chan struct{}
-	done    bool
 }
 
-func (b *blockingSource) Next() (docstream.Event, error) {
-	if !b.done {
-		<-b.release
-		b.done = true
-	}
-	return docstream.Event{}, io.EOF
+func (b *blockingReader) Read([]byte) (int, error) {
+	<-b.release
+	return 0, io.EOF
 }
 
 // TestPoolCloseDrains submits a batch, closes, and checks that every queued
@@ -478,5 +474,92 @@ func TestNewPoolRejectsEmptyEngine(t *testing.T) {
 	}
 	if _, err := NewPool(engine.New()); err == nil {
 		t.Error("empty engine: want error")
+	}
+}
+
+// TestSubmitFormats checks the format argument: each adapter format is
+// decoded on the shard with the same verdicts as a serial pass, and an
+// unknown format fails at submission, before anything is queued.
+func TestSubmitFormats(t *testing.T) {
+	eng := testEngine(t)
+	pool, err := NewPool(eng, WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	docs := map[string]string{
+		"":      "<a> <b> c </b> </a>",
+		"xml":   "<a><b>c</b></a>",
+		"json":  `{"a": ["b", "c"]}`,
+		"trace": "enter a\nenter b\nc\nexit\nexit\n",
+	}
+	for format, doc := range docs {
+		src, err := decodersFor(eng).open(format, strings.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := eng.Run(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := pool.Submit(context.Background(), "doc-"+format, format, strings.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := f.Wait(context.Background())
+		if err != nil {
+			t.Fatalf("%q: %v", format, err)
+		}
+		if res.Engine.Events != want.Events || fmt.Sprint(res.Engine.Verdicts) != fmt.Sprint(want.Verdicts) {
+			t.Errorf("%q: pool %d events %v, serial %d events %v", format, res.Engine.Events, res.Engine.Verdicts, want.Events, want.Verdicts)
+		}
+	}
+	if _, err := pool.TrySubmit(context.Background(), "yaml", "yaml", strings.NewReader("a: b")); err == nil {
+		t.Fatal("TrySubmit with an unknown format: want an error")
+	}
+	if st := pool.Stats(); st.Served != int64(len(docs)) || st.Rejected != 0 {
+		t.Fatalf("unknown format reached the pool: %+v", st)
+	}
+}
+
+// decodersFor is a fresh decoder cache interning against eng's alphabet.
+func decodersFor(eng *engine.Engine) *decoders {
+	return &decoders{alpha: eng.Alphabet(), byFormat: make(map[string]decoder)}
+}
+
+// TestShardDecodersReuse pins the per-shard decoder contract: after a
+// format's first document, opening and draining another in-alphabet
+// document allocates nothing for decoder state.
+func TestShardDecodersReuse(t *testing.T) {
+	decs := decodersFor(testEngine(t))
+	docs := map[string]string{
+		"":      "<a> <b> c </b> </a>",
+		"xml":   "<a><b>c</b></a>",
+		"json":  `["a", ["b", "c"]]`,
+		"trace": "enter a\nb c\nexit\n",
+	}
+	for format, doc := range docs {
+		rd := strings.NewReader(doc)
+		var decodeErr error
+		run := func() {
+			rd.Reset(doc)
+			src, err := decs.open(format, rd)
+			if err != nil {
+				decodeErr = err
+				return
+			}
+			for {
+				if _, err := src.Next(); err != nil {
+					if err != io.EOF {
+						decodeErr = err
+					}
+					return
+				}
+			}
+		}
+		run()
+		if allocs := testing.AllocsPerRun(20, run); allocs != 0 || decodeErr != nil {
+			t.Errorf("format %q: %v allocs per reused decode (error %v), want 0", format, allocs, decodeErr)
+		}
 	}
 }

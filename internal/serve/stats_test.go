@@ -25,13 +25,13 @@ func TestTrySubmitQueueFull(t *testing.T) {
 	block := make(chan struct{})
 	var futures []*Future
 	for i := 0; i < 2; i++ { // one being served + one queued = queue full
-		f, err := pool.SubmitSource(context.Background(), fmt.Sprintf("slow-%d", i), &blockingSource{release: block})
+		f, err := pool.Submit(context.Background(), fmt.Sprintf("slow-%d", i), "", &blockingReader{release: block})
 		if err != nil {
 			t.Fatal(err)
 		}
 		futures = append(futures, f)
 	}
-	if _, err := pool.TrySubmit(context.Background(), "overflow", nil); !errors.Is(err, ErrQueueFull) {
+	if _, err := pool.TrySubmit(context.Background(), "overflow", "", nil); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("TrySubmit on a full queue: %v, want ErrQueueFull", err)
 	}
 	if _, err := pool.TrySubmitEvents(context.Background(), "overflow-events", nil); !errors.Is(err, ErrQueueFull) {
@@ -52,13 +52,13 @@ func TestTrySubmitQueueFull(t *testing.T) {
 	}
 
 	// After Close every variant reports ErrClosed, never ErrQueueFull.
-	if _, err := pool.TrySubmit(context.Background(), "late", nil); !errors.Is(err, ErrClosed) {
+	if _, err := pool.TrySubmit(context.Background(), "late", "", nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("TrySubmit after close: %v, want ErrClosed", err)
 	}
 	if _, err := pool.TrySubmitEvents(context.Background(), "late", nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("TrySubmitEvents after close: %v, want ErrClosed", err)
 	}
-	if _, err := pool.Submit(context.Background(), "late", nil); !errors.Is(err, ErrClosed) {
+	if _, err := pool.Submit(context.Background(), "late", "", nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after close: %v, want ErrClosed", err)
 	}
 	if st := pool.Stats(); st.Rejected != 2 {
@@ -193,7 +193,7 @@ func TestStatsCanceledCounter(t *testing.T) {
 
 	// Block the worker so the cancelled document is observed at dequeue.
 	block := make(chan struct{})
-	blocker, err := pool.SubmitSource(context.Background(), "blocker", &blockingSource{release: block})
+	blocker, err := pool.Submit(context.Background(), "blocker", "", &blockingReader{release: block})
 	if err != nil {
 		t.Fatal(err)
 	}

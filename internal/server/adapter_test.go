@@ -138,8 +138,7 @@ func adapterSerialVerdicts(t testing.TB, bundlePath string, corpus []formatDoc) 
 }
 
 // TestAdapterPoolAgreesWithSerial: the sharded pool, fed each document
-// through SubmitSource with the matching adapter, reports exactly the
-// serial verdicts.
+// through Submit with its format, reports exactly the serial verdicts.
 func TestAdapterPoolAgreesWithSerial(t *testing.T) {
 	bundlePath := writeAdapterBundle(t)
 	corpus := adapterCorpus(rand.New(rand.NewSource(23)), 60)
@@ -160,11 +159,8 @@ func TestAdapterPoolAgreesWithSerial(t *testing.T) {
 	}
 	futs := make([]*serve.Future, len(corpus))
 	for i, d := range corpus {
-		src, err := adapter.New(d.format, strings.NewReader(d.body), pool.Engine().Alphabet())
-		if err != nil {
-			t.Fatal(err)
-		}
-		futs[i], err = pool.SubmitSource(context.Background(), fmt.Sprintf("doc-%d", i), src)
+		var err error
+		futs[i], err = pool.Submit(context.Background(), fmt.Sprintf("doc-%d", i), d.format, strings.NewReader(d.body))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -128,7 +128,7 @@ func TestFleetSelfProvisioning(t *testing.T) {
 	poolNames := pool.Engine().Names()
 	futs := make([]*serve.Future, docs)
 	for i, doc := range corpus {
-		if futs[i], err = pool.Submit(context.Background(), fmt.Sprintf("doc-%d", i), strings.NewReader(doc)); err != nil {
+		if futs[i], err = pool.Submit(context.Background(), fmt.Sprintf("doc-%d", i), "", strings.NewReader(doc)); err != nil {
 			t.Fatal(err)
 		}
 	}

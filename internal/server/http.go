@@ -12,7 +12,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/adapter"
 	"repro/internal/serve"
 )
 
@@ -146,12 +145,13 @@ func (st *poolState) result(res serve.Result) DocumentResult {
 
 // handleDocument serves POST /v1/documents: the request body is one
 // document in the XML-like syntax — or, with ?format=xml|json|trace, in
-// that real input format, decoded through the matching internal/adapter
-// event source interned against the active generation's alphabet — the
+// that real input format, decoded by the shard's adapter for it — the
 // optional ?id= names it for shard affinity, and the response is its
-// DocumentResult.  Submission is fail-fast (TrySubmit/TrySubmitSource): a
-// full shard queue answers 429 immediately instead of parking the handler
-// goroutine — per-request backpressure belongs to the batch endpoint.
+// DocumentResult.  Submission is fail-fast (TrySubmit): a full shard queue
+// answers 429 immediately instead of parking the handler goroutine —
+// per-request backpressure belongs to the batch endpoint.  The shard
+// worker reads the body while this handler blocks on the future, so the
+// body is read from exactly one goroutine at a time.
 func (s *Server) handleDocument(w http.ResponseWriter, r *http.Request) {
 	st, err := s.acquire()
 	if err != nil {
@@ -160,32 +160,16 @@ func (s *Server) handleDocument(w http.ResponseWriter, r *http.Request) {
 	}
 	defer st.release()
 
-	id := r.URL.Query().Get("id")
+	q := r.URL.Query()
+	id := q.Get("id")
 	if id == "" {
 		id = fmt.Sprintf("doc-%d", s.nextID.Add(1))
 	}
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var fut *serve.Future
-	if format := r.URL.Query().Get("format"); format != "" {
-		// The adapter wraps the request body; the shard worker drives it
-		// while this handler blocks on the future, so the body is read
-		// from exactly one goroutine at a time.
-		src, err := adapter.New(format, body, st.pool.Engine().Alphabet())
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		fut, err = st.pool.TrySubmitSource(r.Context(), id, src)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-	} else {
-		fut, err = st.pool.TrySubmit(r.Context(), id, body)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
+	fut, err := st.pool.TrySubmit(r.Context(), id, q.Get("format"), body)
+	if err != nil {
+		writeError(w, err)
+		return
 	}
 	res, err := fut.Wait(r.Context())
 	if err != nil {
@@ -196,8 +180,8 @@ func (s *Server) handleDocument(w http.ResponseWriter, r *http.Request) {
 }
 
 // batchLine is one NDJSON request line for POST /v1/batch.  Format, when
-// non-empty, decodes Doc through the named internal/adapter event source
-// (xml, json, trace) instead of the native tokenizer.
+// non-empty, decodes Doc with the named adapter (xml, json, trace) instead
+// of the native tokenizer.
 type batchLine struct {
 	ID     string `json:"id"`
 	Doc    string `json:"doc"`
@@ -266,17 +250,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			if in.ID == "" {
 				in.ID = fmt.Sprintf("doc-%d", s.nextID.Add(1))
 			}
-			var fut *serve.Future
-			var err error
-			if in.Format != "" {
-				var src adapter.Source
-				src, err = adapter.New(in.Format, strings.NewReader(in.Doc), st.pool.Engine().Alphabet())
-				if err == nil {
-					fut, err = st.pool.SubmitSource(r.Context(), in.ID, src)
-				}
-			} else {
-				fut, err = st.pool.Submit(r.Context(), in.ID, strings.NewReader(in.Doc))
-			}
+			fut, err := st.pool.Submit(r.Context(), in.ID, in.Format, strings.NewReader(in.Doc))
 			futs <- pending{id: in.ID, fut: fut, err: err}
 		}
 		if err := sc.Err(); err != nil {

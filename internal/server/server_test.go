@@ -16,6 +16,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/alphabet"
 	"repro/internal/docstream"
@@ -124,6 +125,22 @@ func postDocument(t testing.TB, client *http.Client, base, id, doc string) (int,
 	return resp.StatusCode, res, string(body)
 }
 
+// postFormat posts one document with ?format= and returns the status code
+// and response body.
+func postFormat(t testing.TB, client *http.Client, base, format, doc string) (int, string) {
+	t.Helper()
+	resp, err := client.Post(base+"/v1/documents?format="+format, "application/octet-stream", strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(body)
+}
+
 // TestHTTPDifferential is the serving acceptance test: on a 1200-document
 // corpus, verdicts served over HTTP (both the single-document and the
 // NDJSON batch endpoint) and verdicts from direct pool submission must be
@@ -211,7 +228,7 @@ func TestHTTPDifferential(t *testing.T) {
 	poolNames := pool.Engine().Names()
 	futs := make([]*serve.Future, docs)
 	for i, doc := range corpus {
-		futs[i], err = pool.Submit(context.Background(), fmt.Sprintf("doc-%d", i), strings.NewReader(doc))
+		futs[i], err = pool.Submit(context.Background(), fmt.Sprintf("doc-%d", i), "", strings.NewReader(doc))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,8 +335,9 @@ func TestReloadUnderLoad(t *testing.T) {
 
 // TestHTTPErrorMapping pins the serve-sentinel-to-status-code contract:
 // a full shard queue answers 429 with Retry-After, a closed server 503
-// with Retry-After, an oversized body 413, and a malformed document 400 —
-// each with a JSON error envelope.
+// with Retry-After, an oversized body 413 (native, XML and JSON alike), and
+// a malformed document 400 — each with a JSON error envelope — while an
+// unknown format on a batch line fails only that line.
 func TestHTTPErrorMapping(t *testing.T) {
 	srv, ts := testServer(t, Config{Shards: 1, QueueDepth: 1, MaxBodyBytes: 1 << 20})
 	client := ts.Client()
@@ -352,25 +370,20 @@ func TestHTTPErrorMapping(t *testing.T) {
 	}
 
 	// Wait until both held documents are actually inside the pool (one
-	// being served, one queued) before expecting 429.
-	deadlineOK := false
-	for tries := 0; tries < 200; tries++ {
+	// being served, one queued) before expecting 429.  Only the counters
+	// are polled: a probe document could take the queue slot ahead of the
+	// second held request and then wait forever behind the first.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		st, err := srv.Stats()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st.Shards[0].QueueDepth >= 1 {
-			deadlineOK = true
 			break
 		}
-		code, _, _ := postDocument(t, client, ts.URL, "probe", "<a></a>")
-		if code == http.StatusTooManyRequests {
-			deadlineOK = true
-			break
+		if time.Now().After(deadline) {
+			t.Fatal("never saturated the depth-1 queue")
 		}
-	}
-	if !deadlineOK {
-		t.Fatal("never saturated the depth-1 queue")
 	}
 
 	resp, err := client.Post(ts.URL+"/v1/documents?id=overflow", "text/plain", strings.NewReader("<a></a>"))
@@ -405,13 +418,56 @@ func TestHTTPErrorMapping(t *testing.T) {
 		t.Fatalf("malformed document: body %q is not an error envelope", body)
 	}
 
-	// Oversized body: 413.
+	// A malformed ?format=json body is a client error too.
+	if code, body := postFormat(t, client, ts.URL, "json", `{"a": [1, }`); code != http.StatusBadRequest {
+		t.Fatalf("malformed JSON document: status %d, body %s", code, body)
+	}
+
+	// An unknown format on one NDJSON batch line fails that line only: the
+	// lines around it are served and the stream runs to its end.
+	batch := `{"id":"ok-1","doc":"<a> c </a>"}` + "\n" +
+		`{"id":"yaml","doc":"a: b","format":"yaml"}` + "\n" +
+		`{"id":"ok-2","doc":"[1]","format":"json"}` + "\n"
+	resp, err = client.Post(ts.URL+"/v1/batch", "application/x-ndjson", strings.NewReader(batch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch with an unknown format: status %d, read %v", resp.StatusCode, err)
+	}
+	var got []batchResult
+	for _, line := range strings.Split(strings.TrimSpace(string(lines)), "\n") {
+		var res batchResult
+		if err := json.Unmarshal([]byte(line), &res); err != nil {
+			t.Fatalf("batch line %q: %v", line, err)
+		}
+		got = append(got, res)
+	}
+	if len(got) != 3 || got[0].Error != "" || got[2].Error != "" || got[0].Events != 3 || got[2].Events != 3 {
+		t.Fatalf("batch around an unknown format: %+v", got)
+	}
+	if got[1].ID != "yaml" || !strings.Contains(got[1].Error, "unknown format") {
+		t.Fatalf("unknown-format batch line: %+v, want a per-line error", got[1])
+	}
+
+	// Oversized body: 413 on every decode path.  The adapters must hand
+	// back the body reader's *http.MaxBytesError rather than fold it into a
+	// syntax error.
 	srv2, ts2 := testServer(t, Config{Shards: 1, MaxBodyBytes: 64})
 	_ = srv2
 	big := "<a>" + strings.Repeat("x ", 200) + "</a>"
 	code, _, body = postDocument(t, ts2.Client(), ts2.URL, "big", big)
 	if code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: status %d, body %s", code, body)
+	}
+	if code, body := postFormat(t, ts2.Client(), ts2.URL, "xml", big); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized XML body: status %d, body %s", code, body)
+	}
+	bigJSON := "[" + strings.Repeat(`"x", `, 100) + `"x"]`
+	if code, body := postFormat(t, ts2.Client(), ts2.URL, "json", bigJSON); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized JSON body: status %d, body %s", code, body)
 	}
 
 	// Closed server: every endpoint answers 503 with Retry-After.
