@@ -2,11 +2,13 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -96,7 +98,9 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// writeJSON writes one JSON response with the given status code.
+// writeJSON writes one JSON response with the given status code.  It
+// serves the cold endpoints and error envelopes; verdicts go through the
+// generation's verdictTable instead.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -127,22 +131,6 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, code, errorBody{Error: err.Error()})
 }
 
-// result converts one pool Result into the wire schema using the
-// generation's verdict-name table.
-func (st *poolState) result(res serve.Result) DocumentResult {
-	out := DocumentResult{
-		ID:       res.ID,
-		Shard:    res.Shard,
-		Events:   res.Engine.Events,
-		MaxDepth: res.Engine.MaxDepth,
-		Verdicts: make(map[string]bool, len(st.names)),
-	}
-	for i, name := range st.names {
-		out.Verdicts[name] = res.Engine.Verdicts[i]
-	}
-	return out
-}
-
 // handleDocument serves POST /v1/documents: the request body is one
 // document in the XML-like syntax — or, with ?format=xml|json|trace, in
 // that real input format, decoded by the shard's adapter for it — the
@@ -163,7 +151,7 @@ func (s *Server) handleDocument(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	id := q.Get("id")
 	if id == "" {
-		id = fmt.Sprintf("doc-%d", s.nextID.Add(1))
+		id = s.fallbackID()
 	}
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	fut, err := st.pool.TrySubmit(r.Context(), id, q.Get("format"), body)
@@ -176,33 +164,37 @@ func (s *Server) handleDocument(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, st.result(res))
+	out := getBuffer()
+	out.b = st.verdicts.appendResult(out.b, res)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(out.b)
+	out.free()
 }
 
-// batchLine is one NDJSON request line for POST /v1/batch.  Format, when
-// non-empty, decodes Doc with the named adapter (xml, json, trace) instead
-// of the native tokenizer.
-type batchLine struct {
-	ID     string `json:"id"`
-	Doc    string `json:"doc"`
-	Format string `json:"format,omitempty"`
-}
-
-// batchResult is one NDJSON response line: a DocumentResult on success, or
-// the input ID with an error string when that document failed.  Lines come
-// back in input order regardless of which shards ran them.
-type batchResult struct {
-	DocumentResult
-	Error string `json:"error,omitempty"`
+// fallbackID names a document whose client sent no ID.
+func (s *Server) fallbackID() string {
+	return "doc-" + strconv.FormatInt(s.nextID.Add(1), 10)
 }
 
 // handleBatch serves POST /v1/batch: the request body is NDJSON, one
-// {"id","doc"} object per line, and the response is NDJSON with one
-// batchResult per input line, in input order.  Submission uses the
+// {"id","doc","format"} object per line (format, when present, works like
+// ?format= on /v1/documents), and the response is NDJSON with one verdict
+// line per input line, in input order regardless of which shards ran
+// them: the line's DocumentResult, or its ID, null verdicts and an
+// "error" string when that document failed.  Submission uses the
 // blocking path — the pool's bounded queues throttle the body read, so a
 // fast client is slowed to the automaton workers' speed instead of
 // queueing unboundedly.  Per-document failures become error lines; the
 // stream keeps going.
+//
+// Each line is read into a recycled buffer, decoded in place, and its
+// document submitted as a reader over that buffer, so a document's bytes
+// are not copied between the body read and the shard's tokenizer.  The
+// buffer goes back to the pool when the line is blank or malformed, when
+// Submit fails, or once the document's future is done; a document
+// abandoned because the request ended leaves its buffer to the garbage
+// collector, since its shard may still be reading it.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	st, err := s.acquire()
 	if err != nil {
@@ -212,7 +204,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer st.release()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
 
 	// HTTP/1 closes the unread part of the request body at the first
 	// response flush, which would truncate a batch whose lines are still
@@ -225,57 +216,90 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// futures down a bounded channel; this goroutine resolves them in
 	// order and streams response lines.  Total in-flight work is bounded
 	// by the pool queues plus the channel.
-	type pending struct {
-		id  string
-		fut *serve.Future
-		err error
-	}
-	futs := make(chan pending, 2*st.pool.Shards())
+	futs := make(chan batchPending, 2*st.pool.Shards())
 	go func() {
 		defer close(futs)
-		sc := bufio.NewScanner(r.Body)
-		sc.Buffer(make([]byte, 64<<10), int(s.cfg.MaxBodyBytes))
-		n := 0
-		for sc.Scan() {
-			line := strings.TrimSpace(sc.Text())
-			if line == "" {
-				continue
+		br := bufio.NewReaderSize(r.Body, 16<<10)
+		for n := 0; ; {
+			buf := getBuffer()
+			var err error
+			buf.b, err = readLine(br, buf.b, int(s.cfg.MaxBodyBytes))
+			if err == errLineTooLong {
+				buf.free()
+				futs <- batchPending{id: "body", err: err}
+				return
 			}
-			n++
-			var in batchLine
-			if err := json.Unmarshal([]byte(line), &in); err != nil {
-				futs <- pending{id: fmt.Sprintf("line-%d", n), err: fmt.Errorf("malformed batch line: %w", err)}
-				continue
+			if line := bytes.TrimSpace(buf.b); len(line) > 0 {
+				n++
+				futs <- s.submitLine(r.Context(), st, n, line, buf)
+			} else {
+				buf.free()
 			}
-			if in.ID == "" {
-				in.ID = fmt.Sprintf("doc-%d", s.nextID.Add(1))
+			if err != nil {
+				if err != io.EOF {
+					futs <- batchPending{id: "body", err: err}
+				}
+				return
 			}
-			fut, err := st.pool.Submit(r.Context(), in.ID, in.Format, strings.NewReader(in.Doc))
-			futs <- pending{id: in.ID, fut: fut, err: err}
-		}
-		if err := sc.Err(); err != nil {
-			futs <- pending{id: "body", err: err}
 		}
 	}()
 
 	flusher, _ := w.(http.Flusher)
+	out := getBuffer()
+	defer out.free()
 	for p := range futs {
-		line := batchResult{DocumentResult: DocumentResult{ID: p.id}}
 		switch {
 		case p.err != nil:
-			line.Error = p.err.Error()
+			out.b = appendError(out.b[:0], p.id, p.err.Error())
 		default:
 			if res, err := p.fut.Wait(r.Context()); err != nil {
-				line.Error = err.Error()
+				out.b = appendError(out.b[:0], p.id, err.Error())
 			} else {
-				line.DocumentResult = st.result(res)
+				out.b = st.verdicts.appendResult(out.b[:0], res)
+			}
+			select {
+			case <-p.fut.Done():
+				p.buf.free()
+			default: // abandoned: the shard may still read the buffer
 			}
 		}
-		enc.Encode(line)
+		w.Write(out.b)
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
+}
+
+// batchPending is one batch line on its way to the response: the
+// document's ID and future, and the line buffer its shard reads — or the
+// error that already decided the line.
+type batchPending struct {
+	id  string
+	fut *serve.Future
+	buf *buffer
+	err error
+}
+
+// submitLine decodes the batch's nth non-blank line, which buf holds, and
+// submits its document as a reader over buf.  buf is freed here unless a
+// shard now owns it.
+func (s *Server) submitLine(ctx context.Context, st *poolState, n int, line []byte, buf *buffer) batchPending {
+	fields, err := decodeBatchLine(line)
+	if err != nil {
+		buf.free()
+		return batchPending{id: "line-" + strconv.Itoa(n), err: fmt.Errorf("malformed batch line: %w", err)}
+	}
+	id := string(fields[fieldID])
+	if id == "" {
+		id = s.fallbackID()
+	}
+	buf.rd.Reset(fields[fieldDoc])
+	fut, err := st.pool.Submit(ctx, id, string(fields[fieldFormat]), &buf.rd)
+	if err != nil {
+		buf.free()
+		return batchPending{id: id, err: err}
+	}
+	return batchPending{id: id, fut: fut, buf: buf}
 }
 
 // handleReload serves POST /v1/reload: re-open the bundle path, boot a new

@@ -86,11 +86,11 @@ type BundleInfo struct {
 // document finished — the pool is drained and the bundle unmapped, in that
 // order, so no worker ever touches an unmapped table.
 type poolState struct {
-	pool   *serve.Pool
-	info   BundleInfo
-	names  []string // engine verdict names, in Result.Verdicts order
-	refs   atomic.Int64
-	bundle *query.Bundle
+	pool     *serve.Pool
+	info     BundleInfo
+	verdicts verdictTable // the engine's verdict names, pre-encoded
+	refs     atomic.Int64
+	bundle   *query.Bundle
 
 	// Distribution state for GET /v1/bundle: the generation's raw container
 	// bytes (aliasing the bundle's mapped region, valid while a reference
@@ -194,11 +194,11 @@ func (s *Server) load(gen int64) (*poolState, error) {
 		return nil, fmt.Errorf("server: boot pool: %w", err)
 	}
 	st := &poolState{
-		pool:   pool,
-		bundle: b,
-		names:  pool.Engine().Names(),
-		raw:    b.Raw(),
-		sig:    sig,
+		pool:     pool,
+		bundle:   b,
+		verdicts: newVerdictTable(pool.Engine().Names()),
+		raw:      b.Raw(),
+		sig:      sig,
 		info: BundleInfo{
 			Path:       path,
 			Generation: gen,

@@ -620,3 +620,265 @@ func TestReloadBadBundleKeepsServing(t *testing.T) {
 		t.Fatalf("old generation stopped serving: status %d, body %s", code, body)
 	}
 }
+
+// postBatch posts an NDJSON batch and returns its response lines, raw and
+// decoded.
+func postBatch(t testing.TB, client *http.Client, base, body string) ([]string, []batchResult) {
+	t.Helper()
+	resp, err := client.Post(base+"/v1/batch", "application/x-ndjson", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status %d, read %v", resp.StatusCode, err)
+	}
+	var raw []string
+	var res []batchResult
+	for _, line := range strings.SplitAfter(string(out), "\n") {
+		if line == "" {
+			continue
+		}
+		var r batchResult
+		if err := json.Unmarshal([]byte(line), &r); err != nil {
+			t.Fatalf("batch response line %q: %v", line, err)
+		}
+		raw = append(raw, line)
+		res = append(res, r)
+	}
+	return raw, res
+}
+
+// TestBatchEdgeCases pins the batch reader's line handling: malformed
+// lines fail alone, an over-long line ends the stream, blank lines are
+// skipped, a missing ID is filled in, and an escaped document is served
+// exactly like its unescaped form.
+func TestBatchEdgeCases(t *testing.T) {
+	_, ts := testServer(t, Config{Shards: 2, MaxBodyBytes: 1 << 10})
+	client := ts.Client()
+
+	t.Run("malformed line mid-stream", func(t *testing.T) {
+		_, got := postBatch(t, client, ts.URL,
+			`{"id":"ok-1","doc":"<a> c </a>"}`+"\n"+
+				`{"id":"broken","doc":`+"\n"+
+				`{"id":7,"doc":"<a></a>"}`+"\n"+
+				`{"id":"ok-2","doc":"<b></b>"}`+"\n")
+		if len(got) != 4 {
+			t.Fatalf("%d response lines, want 4: %+v", len(got), got)
+		}
+		for i, id := range []string{"line-2", "line-3"} {
+			if r := got[i+1]; r.ID != id || !strings.HasPrefix(r.Error, "malformed batch line: ") || r.Verdicts != nil {
+				t.Errorf("malformed line %d: %+v", i+2, r)
+			}
+		}
+		if got[0].ID != "ok-1" || got[0].Error != "" || got[0].Events != 3 ||
+			got[3].ID != "ok-2" || got[3].Error != "" || got[3].Events != 2 {
+			t.Errorf("lines around the malformed ones: %+v", got)
+		}
+	})
+
+	t.Run("line over MaxBodyBytes", func(t *testing.T) {
+		long := `{"id":"long","doc":"<a>` + strings.Repeat(" x", 600) + ` </a>"}`
+		raw, got := postBatch(t, client, ts.URL,
+			`{"id":"ok-1","doc":"<a></a>"}`+"\n"+
+				`{"id":"ok-2","doc":"<a></a>"}`+"\n"+
+				long+"\n"+
+				`{"id":"never","doc":"<a></a>"}`+"\n")
+		if len(got) != 3 || got[0].ID != "ok-1" || got[1].ID != "ok-2" || got[0].Error != "" || got[1].Error != "" {
+			t.Fatalf("want two verdict lines and the body error: %q", raw)
+		}
+		if got[2].ID != "body" || got[2].Error == "" || got[2].Verdicts != nil {
+			t.Fatalf("over-long line: %q, want an \"id\":\"body\" error line", raw[2])
+		}
+	})
+
+	t.Run("blank lines and missing IDs", func(t *testing.T) {
+		_, got := postBatch(t, client, ts.URL,
+			"\n   \t\r\n"+
+				`{"doc":"<a></a>"}`+"\r\n"+
+				"\r\n\n"+
+				` {"id":"named","doc":"<a> c </a>"} `+"\n"+
+				" \xc2\xa0\n"+
+				"not json\n"+
+				`{"doc":"<c></c>","id":""}`) // no final newline
+		if len(got) != 4 {
+			t.Fatalf("%d response lines, want 4: %+v", len(got), got)
+		}
+		for _, i := range []int{0, 3} {
+			if !strings.HasPrefix(got[i].ID, "doc-") || got[i].Error != "" {
+				t.Errorf("line without an ID: %+v, want a doc-N verdict", got[i])
+			}
+		}
+		if got[0].ID == got[3].ID {
+			t.Errorf("two documents share the fallback ID %q", got[0].ID)
+		}
+		if got[1].ID != "named" || got[1].Events != 3 {
+			t.Errorf("named line: %+v", got[1])
+		}
+		if got[2].ID != "line-3" || got[2].Error == "" {
+			t.Errorf("blank lines are not counted: %+v, want line-3", got[2])
+		}
+	})
+
+	t.Run("escaped document", func(t *testing.T) {
+		plain := "<a> <b> \U0001f600 caf\u00e9 </b> <c> </c> </a>"
+		escaped := `\u003ca> \u003Cb\u003e \ud83d\ude00 caf\u00e9 </b>\t<c>\n</c> <\/a>`
+		_, got := postBatch(t, client, ts.URL,
+			`{"id":"plain","doc":"`+plain+`"}`+"\n"+`{"id":"escaped","doc":"`+escaped+`"}`+"\n")
+		if len(got) != 2 || got[0].Error != "" || got[1].Error != "" {
+			t.Fatalf("escaped batch: %+v", got)
+		}
+		if got[0].Events != got[1].Events || got[0].MaxDepth != got[1].MaxDepth || fmt.Sprint(got[0].Verdicts) != fmt.Sprint(got[1].Verdicts) {
+			t.Errorf("escaped document %+v, unescaped %+v", got[1], got[0])
+		}
+	})
+}
+
+// TestBatchDisconnect abandons batches while shards still hold their line
+// buffers, next to batches that run to completion, whose verdicts must
+// equal serial evaluation.  First deterministically: the only shard is
+// stalled on a document whose body never finishes, a batch's lines queue
+// behind it, and the batch's context ends — the handler must return
+// without waiting for the shard, leaving the queued buffers alone.  Then
+// over the network: clients drop batches of large documents mid-stream
+// while a second client's batch runs.  Under -race this checks that no
+// buffer is recycled while a shard may still read it.
+func TestBatchDisconnect(t *testing.T) {
+	bundle := writeTestBundle(t)
+	rng := rand.New(rand.NewSource(53))
+	corpus := testCorpus(rng, 150)
+	want, names := serialVerdicts(t, bundle, corpus)
+
+	var good strings.Builder
+	enc := json.NewEncoder(&good)
+	for i, doc := range corpus {
+		enc.Encode(batchLine{ID: fmt.Sprintf("doc-%d", i), Doc: doc})
+	}
+	checkGood := func(t *testing.T, got []batchResult) {
+		t.Helper()
+		if len(got) != len(corpus) {
+			t.Fatalf("%d response lines, want %d", len(got), len(corpus))
+		}
+		for i, res := range got {
+			if res.Error != "" || res.ID != fmt.Sprintf("doc-%d", i) {
+				t.Fatalf("line %d: %+v", i, res)
+			}
+			for _, name := range names {
+				if res.Verdicts[name] != want[i][name] {
+					t.Errorf("doc %d query %q: batch %v, serial %v", i, name, res.Verdicts[name], want[i][name])
+				}
+			}
+		}
+	}
+	bigLine, err := json.Marshal(batchLine{Doc: "<a>" + strings.Repeat(" <b> x </b> <c> </c>", 5000) + " </a>"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigLine = append(bigLine, '\n')
+
+	t.Run("stalled shard", func(t *testing.T) {
+		srv, ts := testServer(t, Config{BundlePath: bundle, Shards: 1, QueueDepth: 4})
+		stall, stallDone := holdShard(t, ts)
+		ctx, cancel := context.WithCancel(context.Background())
+		req := httptest.NewRequest("POST", "/v1/batch", strings.NewReader(strings.Repeat(string(bigLine), 3))).WithContext(ctx)
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			srv.Handler().ServeHTTP(httptest.NewRecorder(), req)
+		}()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			st, err := srv.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Shards[0].QueueDepth == 3 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("the batch's lines never queued behind the stalled document")
+			}
+		}
+		cancel()
+		<-served // returns although the shard has not read the queued lines
+
+		// Release the stalled document once the good batch has queued
+		// behind the abandoned lines.
+		go func() {
+			for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+				if st, err := srv.Stats(); err != nil || st.Shards[0].QueueDepth == 4 {
+					break
+				}
+			}
+			stall.Write([]byte("</a>"))
+			stall.Close()
+		}()
+		_, got := postBatch(t, ts.Client(), ts.URL, good.String())
+		checkGood(t, got)
+		<-stallDone
+	})
+
+	t.Run("network disconnect", func(t *testing.T) {
+		_, ts := testServer(t, Config{BundlePath: bundle, Shards: 2, QueueDepth: 2})
+		client := ts.Client()
+		for round := 0; round < 3; round++ {
+			ctx, cancel := context.WithCancel(context.Background())
+			pr, pw := io.Pipe()
+			req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/batch", pr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			firstLine := make(chan struct{})
+			dropped := make(chan struct{})
+			go func() {
+				defer close(dropped)
+				resp, err := client.Do(req)
+				if err != nil {
+					close(firstLine)
+					return
+				}
+				defer resp.Body.Close()
+				bufio.NewReader(resp.Body).ReadString('\n')
+				close(firstLine)
+				io.Copy(io.Discard, resp.Body)
+			}()
+			go func() {
+				for i := 0; i < 40; i++ {
+					if _, err := pw.Write(bigLine); err != nil {
+						return
+					}
+				}
+				pw.Close()
+			}()
+			<-firstLine
+			cancel()
+			pw.CloseWithError(context.Canceled)
+			_, got := postBatch(t, client, ts.URL, good.String())
+			checkGood(t, got)
+			<-dropped
+		}
+	})
+}
+
+// holdShard occupies a shard with a /v1/documents request whose body never
+// finishes arriving until the returned writer is closed; the channel
+// closes when that request has been answered.
+func holdShard(t *testing.T, ts *httptest.Server) (*io.PipeWriter, chan struct{}) {
+	t.Helper()
+	pr, pw := io.Pipe()
+	req, err := http.NewRequest("POST", ts.URL+"/v1/documents?id=hold", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		resp, err := ts.Client().Do(req)
+		if err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}()
+	pw.Write([]byte("<a>"))
+	return pw, done
+}
