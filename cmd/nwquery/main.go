@@ -18,11 +18,12 @@
 // streaming and makes cold starts independent of query complexity.
 //
 // -format routes the input through one of the internal/adapter event
-// sources — real XML via encoding/xml, JSON, or an enter/exit program trace
-// — instead of the native XML-like tokenizer; everything downstream (the
-// engine pass, the queries, the verdicts) is unchanged.  -dsl adds textual
-// queries (see internal/query/dsl), semicolon-separated, to the compiled
-// set; their labels join the alphabet like -order/-path labels do.
+// sources — real XML, JSON, or an enter/exit program trace — instead of the
+// native XML-like tokenizer; everything downstream (the engine pass, the
+// queries, the verdicts) is unchanged.  -dsl adds textual queries (see
+// internal/query/dsl), semicolon-separated, to the compiled set; their
+// labels join the alphabet like -order/-path labels do.  The query-set
+// flags are shared with nwserve and nwtool compile (cmd/internal/queryset).
 package main
 
 import (
@@ -33,22 +34,21 @@ import (
 	"sort"
 	"strings"
 
+	"repro/cmd/internal/queryset"
 	"repro/internal/adapter"
 	"repro/internal/alphabet"
 	"repro/internal/docstream"
 	"repro/internal/engine"
-	"repro/internal/query"
-	"repro/internal/query/dsl"
 )
 
 func main() {
 	file := flag.String("file", "", "document file (default: standard input)")
 	format := flag.String("format", "", "input format: xml, json, or trace (default: the native XML-like token syntax)")
-	labelsFlag := flag.String("labels", "", "comma-separated document alphabet: labels are interned to compiled symbol IDs at the tokenizer and the engine streams the input directly (labels not listed map to the out-of-alphabet ID and are uniformly rejected); without -labels the document is buffered once to discover the alphabet")
-	order := flag.String("order", "", "comma-separated labels for a linear-order query")
-	path := flag.String("path", "", "comma-separated labels for a hierarchical path query")
-	dslFlag := flag.String("dsl", "", "semicolon-separated DSL queries (e.g. 'within book: title before author'); their labels join the alphabet")
-	queryset := flag.String("queryset", "", "serialized query bundle from `nwtool compile`: boot from it instead of compiling (-labels/-order/-path/-dsl must not be given; the bundle fixes the alphabet and the queries)")
+	qf := queryset.Register(flag.CommandLine, queryset.Usage{
+		Labels:   "comma-separated document alphabet: labels are interned to compiled symbol IDs at the tokenizer and the engine streams the input directly (labels not listed map to the out-of-alphabet ID and are uniformly rejected); without -labels the document is buffered once to discover the alphabet",
+		DSL:      "semicolon-separated DSL queries (e.g. 'within book: title before author'); their labels join the alphabet",
+		Queryset: "serialized query bundle from `nwtool compile`: boot from it instead of compiling (-labels/-order/-path/-dsl must not be given; the bundle fixes the alphabet and the queries)",
+	})
 	flag.Parse()
 
 	var in io.Reader = os.Stdin
@@ -61,73 +61,32 @@ func main() {
 		in = f
 	}
 
-	eng := engine.New()
-	var alpha *alphabet.Alphabet
+	// Without -labels (and without -queryset) the alphabet must be
+	// discovered first, which costs one buffered pass over the input; with
+	// either, the engine consumes the reader directly and nothing
+	// proportional to the document is ever stored.
 	var buffered []docstream.Event
-	if *queryset != "" {
-		// Bundle boot: the serialized tables are loaded (zero-copy over the
-		// mapped file) and registered as-is; no automaton is compiled and the
-		// pass is always fully streaming.
-		if *labelsFlag != "" || *order != "" || *path != "" || *dslFlag != "" {
-			fatal(fmt.Errorf("-queryset carries its own alphabet and queries; drop -labels/-order/-path/-dsl"))
-		}
-		bundle, err := query.OpenBundle(*queryset)
-		if err != nil {
-			fatal(err)
-		}
-		defer bundle.Close()
-		if _, err := eng.RegisterBundle(bundle); err != nil {
-			fatal(err)
-		}
-		alpha = bundle.Alphabet()
-	} else {
-		exprs, err := dsl.ParseList(*dslFlag)
-		if err != nil {
-			fatal(err)
-		}
-		labels := query.SplitLabels(*labelsFlag)
-		labels = append(labels, query.SplitLabels(*order)...)
-		labels = append(labels, query.SplitLabels(*path)...)
-		labels = append(labels, dsl.Labels(exprs...)...)
-
-		// Without -labels the alphabet must be discovered first, which costs
-		// one buffered pass over the input; with -labels the engine consumes
-		// the reader directly and nothing proportional to the document is
-		// ever stored.
-		if *labelsFlag == "" {
-			events, err := readEvents(*format, in)
-			if err != nil {
-				fatal(err)
-			}
-			buffered = events
-			seen := map[string]bool{}
-			for _, e := range events {
-				if !seen[e.Label] {
-					seen[e.Label] = true
-					labels = append(labels, e.Label)
-				}
-			}
-		}
-		alpha = alphabet.New(labels...)
-		names, queries := query.StandardSet(alpha, query.SplitLabels(*order), query.SplitLabels(*path))
-		dslNames, dslQueries, err := dsl.Queries(alpha, exprs)
-		if err != nil {
-			fatal(err)
-		}
-		names = append(names, dslNames...)
-		queries = append(queries, dslQueries...)
-		for i, q := range queries {
-			if _, err := eng.RegisterQuery(names[i], q); err != nil {
-				fatal(err)
-			}
-		}
+	streaming := true
+	bundle, err := qf.Build(func() ([]string, error) {
+		streaming = false
+		var err error
+		buffered, err = queryset.Drain(*format, in)
+		return queryset.Labels(buffered), err
+	})
+	if err != nil {
+		fatal(err)
 	}
+	defer bundle.Close()
+	eng := engine.New()
+	if _, err := eng.RegisterBundle(bundle); err != nil {
+		fatal(err)
+	}
+	alpha := bundle.Alphabet()
 
 	var res *engine.Result
-	var err error
 	var unknown *unknownLabelSource
-	if buffered != nil {
-		res, err = eng.RunEvents(buffered)
+	if !streaming {
+		res, err = eng.Run(engine.Events(buffered))
 	} else {
 		// In streaming mode a label missing from -labels maps to the
 		// dedicated out-of-alphabet symbol ID, which drives every automaton
@@ -136,12 +95,9 @@ func main() {
 		// query rejection, so track the out-of-alphabet labels — the
 		// event source has already interned each event, making the check one
 		// integer compare — and summarize them once at exit.
-		var src engine.EventSource = docstream.NewInterningTokenizer(in, alpha)
-		if *format != "" {
-			src, err = adapter.New(*format, in, alpha)
-			if err != nil {
-				fatal(err)
-			}
+		src, serr := adapter.New(*format, in, alpha)
+		if serr != nil {
+			fatal(serr)
 		}
 		unknown = &unknownLabelSource{
 			src:    src,
@@ -217,36 +173,4 @@ func (u *unknownLabelSource) report(w io.Writer) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "nwquery:", err)
 	os.Exit(1)
-}
-
-func readAll(r io.Reader) string {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		fatal(err)
-	}
-	return string(data)
-}
-
-// readEvents buffers the whole input as uninterned events — through the
-// named adapter, or the native tokenizer when format is empty — for the
-// alphabet-discovery path.
-func readEvents(format string, in io.Reader) ([]docstream.Event, error) {
-	if format == "" {
-		return docstream.Tokenize(readAll(in))
-	}
-	src, err := adapter.New(format, in, nil)
-	if err != nil {
-		return nil, err
-	}
-	var events []docstream.Event
-	for {
-		e, err := src.Next()
-		if err == io.EOF {
-			return events, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		events = append(events, e)
-	}
 }

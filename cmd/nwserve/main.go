@@ -31,7 +31,8 @@
 // before serving to discover the alphabet.  With -queryset no automaton is
 // compiled at all: the serialized bundle written by `nwtool compile` is
 // mapped read-only and served as-is — the fleet cold-start path where many
-// front-end processes share one compiled query set on disk.
+// front-end processes share one compiled query set on disk.  The query-set
+// flags are shared with nwquery and nwtool compile (cmd/internal/queryset).
 package main
 
 import (
@@ -40,7 +41,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -50,22 +50,17 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/adapter"
-	"repro/internal/alphabet"
-	"repro/internal/docstream"
-	"repro/internal/engine"
-	"repro/internal/query"
-	"repro/internal/query/dsl"
+	"repro/cmd/internal/queryset"
 	"repro/internal/serve"
 )
 
 func main() {
-	labelsFlag := flag.String("labels", "", "comma-separated document alphabet; without it, documents are tokenized once up front to discover the labels")
-	order := flag.String("order", "", "comma-separated labels for a linear-order query")
-	path := flag.String("path", "", "comma-separated labels for a hierarchical path query")
-	dslFlag := flag.String("dsl", "", "semicolon-separated DSL queries (e.g. 'within book: title before author'); their labels join the alphabet")
+	qf := queryset.Register(flag.CommandLine, queryset.Usage{
+		Labels:   "comma-separated document alphabet; without it, documents are tokenized once up front to discover the labels",
+		DSL:      "semicolon-separated DSL queries (e.g. 'within book: title before author'); their labels join the alphabet",
+		Queryset: "serialized query bundle from `nwtool compile`: boot from it instead of compiling (-labels/-order/-path/-dsl must not be given)",
+	})
 	format := flag.String("format", "", "document format: xml, json, or trace (default: the native XML-like token syntax)")
-	queryset := flag.String("queryset", "", "serialized query bundle from `nwtool compile`: boot from it instead of compiling (-labels/-order/-path/-dsl must not be given)")
 	dir := flag.String("dir", "", "serve every regular file under this directory")
 	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "number of pool shards (worker sessions)")
 	queue := flag.Int("queue", 64, "bounded queue depth per shard (backpressure)")
@@ -85,70 +80,30 @@ func main() {
 		fatal(fmt.Errorf("no documents to serve"))
 	}
 
-	eng := engine.New()
-	if *queryset != "" {
-		// Bundle boot: no compilation; the bundle's tables (zero-copy over
-		// the mapped file) and alphabet serve as-is.
-		if *labelsFlag != "" || *order != "" || *path != "" || *dslFlag != "" {
-			fatal(fmt.Errorf("-queryset carries its own alphabet and queries; drop -labels/-order/-path/-dsl"))
-		}
-		bundle, err := query.OpenBundle(*queryset)
-		if err != nil {
-			fatal(err)
-		}
-		defer bundle.Close()
-		if _, err := eng.RegisterBundle(bundle); err != nil {
-			fatal(err)
-		}
-	} else {
-		exprs, err := dsl.ParseList(*dslFlag)
-		if err != nil {
-			fatal(err)
-		}
-		labels := query.SplitLabels(*labelsFlag)
-		labels = append(labels, query.SplitLabels(*order)...)
-		labels = append(labels, query.SplitLabels(*path)...)
-		labels = append(labels, dsl.Labels(exprs...)...)
-		if *labelsFlag == "" {
-			// Discovery pass: decode every document once, collecting labels.
-			seen := map[string]bool{}
-			for _, l := range labels {
-				seen[l] = true
+	// Without -labels (and without -queryset), the discovery pass decodes
+	// every document once, collecting labels.
+	bundle, err := qf.Build(func() ([]string, error) {
+		var labels []string
+		for _, d := range docs {
+			events, err := queryset.Drain(*format, bytes.NewReader(d.body))
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", d.name, err)
 			}
-			for _, d := range docs {
-				events, err := decodeEvents(*format, d.body)
-				if err != nil {
-					fatal(fmt.Errorf("%s: %w", d.name, err))
-				}
-				for _, e := range events {
-					if !seen[e.Label] {
-						seen[e.Label] = true
-						labels = append(labels, e.Label)
-					}
-				}
-			}
+			labels = append(labels, queryset.Labels(events)...)
 		}
-		alpha := alphabet.New(labels...)
-		names, queries := query.StandardSet(alpha, query.SplitLabels(*order), query.SplitLabels(*path))
-		dslNames, dslQueries, err := dsl.Queries(alpha, exprs)
-		if err != nil {
-			fatal(err)
-		}
-		names = append(names, dslNames...)
-		queries = append(queries, dslQueries...)
-		for i, q := range queries {
-			if _, err := eng.RegisterQuery(names[i], q); err != nil {
-				fatal(err)
-			}
-		}
+		return labels, nil
+	})
+	if err != nil {
+		fatal(err)
 	}
+	defer bundle.Close()
 
 	// Aggregate on the shard workers through the callback, so no future
 	// bookkeeping grows with the corpus.
 	var mu sync.Mutex
-	accepted := make([]int, eng.Len())
+	accepted := make([]int, bundle.Len())
 	var failures []string
-	pool, err := serve.NewPool(eng,
+	pool, err := serve.NewPoolFromBundle(bundle,
 		serve.WithShards(*shards),
 		serve.WithQueueDepth(*queue),
 		serve.WithAffinity(affinity),
@@ -187,7 +142,7 @@ func main() {
 		fmt.Printf("throughput: %.0f docs/s, %.2f Mev/s\n",
 			float64(st.Served)/secs, float64(st.Events)/secs/1e6)
 	}
-	for i, name := range eng.Names() {
+	for i, name := range bundle.Names() {
 		fmt.Printf("%-30s : %d/%d documents\n", name, accepted[i], st.Served-st.Failed)
 	}
 	if len(failures) > 0 {
@@ -263,30 +218,6 @@ func collectDocuments(dir string, files []string) ([]document, error) {
 	}
 	emit()
 	return docs, nil
-}
-
-// decodeEvents buffers one document as uninterned events — through the
-// named adapter, or the native tokenizer when format is empty — for the
-// alphabet-discovery pass.
-func decodeEvents(format string, body []byte) ([]docstream.Event, error) {
-	if format == "" {
-		return docstream.Tokenize(string(body))
-	}
-	src, err := adapter.New(format, bytes.NewReader(body), nil)
-	if err != nil {
-		return nil, err
-	}
-	var events []docstream.Event
-	for {
-		e, err := src.Next()
-		if err == io.EOF {
-			return events, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		events = append(events, e)
-	}
 }
 
 func fatal(err error) {

@@ -43,9 +43,10 @@
 // worker (and automatically in nwserved -pubkey) before a bundle is
 // mapped.
 //
-// The compile subcommand builds exactly the query set nwquery and nwserve
-// build from the same -labels/-order/-path flags (well-formedness always,
-// the order and path queries when given) over the alphabet the flags
+// The compile subcommand builds its query set with the same builder
+// nwquery and nwserve use for the same -labels/-order/-path/-dsl flags
+// (cmd/internal/queryset: well-formedness always, the order and path
+// queries when given, then the DSL queries) over the alphabet the flags
 // determine, so a bundle-booted server answers with verdicts identical to
 // in-process compilation.
 //
@@ -63,11 +64,11 @@ import (
 	"fmt"
 	"os"
 
+	"repro/cmd/internal/queryset"
 	"repro/internal/alphabet"
 	"repro/internal/docstream"
 	"repro/internal/nestedword"
 	"repro/internal/query"
-	"repro/internal/query/dsl"
 	"repro/internal/query/format"
 	"repro/internal/query/plan"
 	"repro/internal/tree"
@@ -133,34 +134,21 @@ func main() {
 // boot from with -queryset.
 func compileBundle(args []string) {
 	fs := flag.NewFlagSet("nwtool compile", flag.ExitOnError)
-	labelsFlag := fs.String("labels", "", "comma-separated document alphabet (labels outside it map to the out-of-alphabet ID at serving time)")
-	order := fs.String("order", "", "comma-separated labels for a linear-order query")
-	path := fs.String("path", "", "comma-separated labels for a hierarchical path query")
-	dslFlag := fs.String("dsl", "", "semicolon-separated DSL queries (e.g. 'within book: title before author; no write after close'); their labels join the alphabet")
+	qf := queryset.Register(fs, queryset.Usage{
+		Labels: "comma-separated document alphabet (labels outside it map to the out-of-alphabet ID at serving time)",
+		DSL:    "semicolon-separated DSL queries (e.g. 'within book: title before author; no write after close'); their labels join the alphabet",
+	})
 	planFlag := fs.Bool("plan", false, "product-compile clusters of structurally similar queries into shared automata before writing")
 	planBudget := fs.Int("plan-budget", 0, "with -plan: per-product state budget (0 = the planner default; over-budget clusters fan out)")
 	planCluster := fs.Int("plan-cluster", 0, "with -plan: maximum queries per product cluster (0 = the planner default)")
 	out := fs.String("o", "queries.nwq", "output bundle file")
 	fs.Parse(args)
 
-	exprs, err := dsl.ParseList(*dslFlag)
+	bundle, err := qf.Build(nil)
 	exitOn(err)
-	labels := query.SplitLabels(*labelsFlag)
-	labels = append(labels, query.SplitLabels(*order)...)
-	labels = append(labels, query.SplitLabels(*path)...)
-	labels = append(labels, dsl.Labels(exprs...)...)
-	if len(labels) == 0 {
+	alpha := bundle.Alphabet()
+	if alpha.Size() == 0 {
 		exitOn(fmt.Errorf("compile: no alphabet — give -labels (and/or -order, -path, -dsl)"))
-	}
-	alpha := alphabet.New(labels...)
-	names, queries := query.StandardSet(alpha, query.SplitLabels(*order), query.SplitLabels(*path))
-	dslNames, dslQueries, err := dsl.Queries(alpha, exprs)
-	exitOn(err)
-	names = append(names, dslNames...)
-	queries = append(queries, dslQueries...)
-	bundle := query.NewBundle(alpha)
-	for i, q := range queries {
-		exitOn(bundle.Add(names[i], q))
 	}
 	if *planFlag {
 		planned, dec, err := plan.Bundle(bundle, plan.Options{

@@ -44,26 +44,30 @@ type Source interface {
 	Reset(r io.Reader)
 }
 
-// Formats lists the supported adapter format names accepted by New, in
-// display order.
+// Formats lists the adapter format names New accepts besides the native
+// empty name, in display order.
 func Formats() []string { return []string{"xml", "json", "trace"} }
 
 // CheckFormat reports whether New accepts format, with New's error when it
-// does not.  Callers that build the adapter later (serve.Pool builds one
+// does not.  Callers that build the decoder later (serve.Pool builds one
 // per shard) use it to reject an unknown format up front.
 func CheckFormat(format string) error {
 	switch format {
-	case "xml", "json", "trace":
+	case "", "xml", "json", "trace":
 		return nil
 	}
 	return fmt.Errorf("adapter: unknown format %q (want one of %s)", format, strings.Join(Formats(), ", "))
 }
 
-// New returns an adapter for the named format reading from r, interning
+// New returns the decoder for the named format reading from r, interning
 // labels against alpha (pass nil for uninterned events).  The names are the
-// ones the CLI -format flags and the HTTP ?format= parameter accept.
+// ones the CLI -format flags and the HTTP ?format= parameter accept; the
+// empty name is the native XML-like token syntax, decoded by the docstream
+// tokenizer itself.
 func New(format string, r io.Reader, alpha *alphabet.Alphabet) (Source, error) {
 	switch format {
+	case "":
+		return docstream.NewInterningTokenizer(r, alpha), nil
 	case "xml":
 		return NewXML(r, alpha), nil
 	case "json":

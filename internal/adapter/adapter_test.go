@@ -50,7 +50,7 @@ func checkEvents(t *testing.T, got []docstream.Event, want []ev) {
 }
 
 func TestNew(t *testing.T) {
-	for _, f := range Formats() {
+	for _, f := range append(Formats(), "") {
 		if _, err := New(f, strings.NewReader(""), nil); err != nil {
 			t.Errorf("New(%q): %v", f, err)
 		}
@@ -58,7 +58,7 @@ func TestNew(t *testing.T) {
 	if _, err := New("yaml", strings.NewReader(""), nil); err == nil {
 		t.Error("New(yaml): want error")
 	}
-	for _, f := range Formats() {
+	for _, f := range append(Formats(), "") {
 		if err := CheckFormat(f); err != nil {
 			t.Errorf("CheckFormat(%q): %v", f, err)
 		}
@@ -292,6 +292,49 @@ func TestUninternedDifferential(t *testing.T) {
 		for i := range events {
 			if events[i] != retok[i] {
 				t.Fatalf("%s event %d: adapter %+v, retokenized %+v", path, i, events[i], retok[i])
+			}
+		}
+	}
+}
+
+// TestNativeFormat pins the empty format name to the native tokenizer: on
+// every fixture rendered in the native syntax, New("", ...) yields exactly
+// docstream.Tokenize's events — uninterned with a nil alphabet, interned
+// like Event.Interned with one.
+func TestNativeFormat(t *testing.T) {
+	alpha := fixtureAlphabet()
+	for _, path := range fixturePaths(t) {
+		format := strings.TrimPrefix(filepath.Ext(path), ".")
+		body, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, err := New(format, strings.NewReader(string(body)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		native := docstream.Render(docstream.ToNestedWord(decodeAll(t, src)))
+		want, err := docstream.Tokenize(native)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		for _, a := range []*alphabet.Alphabet{nil, alpha} {
+			src, err := New("", strings.NewReader(native), a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := decodeAll(t, src)
+			if len(got) != len(want) {
+				t.Fatalf("%s (alphabet %v): %d native events, Tokenize %d", path, a, len(got), len(want))
+			}
+			for i := range got {
+				w := want[i]
+				if a != nil {
+					w = w.Interned(a)
+				}
+				if got[i] != w {
+					t.Fatalf("%s (alphabet %v) event %d: New(\"\") %+v, Tokenize %+v", path, a, i, got[i], w)
+				}
 			}
 		}
 	}

@@ -17,7 +17,7 @@ import (
 // contract.
 func TestSessionStepLoopZeroAlloc(t *testing.T) {
 	alpha := alphabet.New("a", "b")
-	e := New(WithBatchSize(64))
+	e := New()
 	e.MustRegisterQuery("wf", query.Compile(query.WellFormed(alpha)))
 	e.MustRegisterQuery("path", query.Compile(query.PathQuery(alpha, "a", "b")))
 

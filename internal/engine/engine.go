@@ -24,7 +24,6 @@ package engine
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 
 	"repro/internal/alphabet"
@@ -48,8 +47,8 @@ type EventSource interface {
 //
 // Registering a planned bundle (see internal/query/plan) dispatches each
 // product-compiled cluster to one shared ProductRunner whose verdict
-// bitmask is demuxed back to the member names — Result.Verdicts, Names,
-// and name lookup are indistinguishable from per-query fan-out.
+// bitmask is demuxed back to the member names — Result.Verdicts and Names
+// are indistinguishable from per-query fan-out.
 type Engine struct {
 	names   []string
 	byName  map[string]int
@@ -57,9 +56,6 @@ type Engine struct {
 	solo    []int         // verdict indices with their own runner, in order
 	groups  []engineGroup
 	alpha   *alphabet.Alphabet // shared by every registered query
-
-	batchSize int
-	workers   int
 
 	pool sync.Pool // *Session
 }
@@ -71,39 +67,14 @@ type engineGroup struct {
 	product *query.CompiledProduct
 }
 
-// Option configures an Engine.
-type Option func(*Engine)
-
-// WithBatchSize sets how many events are read from the source before being
-// fanned out to the runners (default 1024).  Larger batches amortize the
-// per-batch bookkeeping; the buffer stays constant-size either way.
-func WithBatchSize(n int) Option {
-	return func(e *Engine) {
-		if n > 0 {
-			e.batchSize = n
-		}
-	}
-}
-
-// WithWorkers sets how many goroutines share the runners during fan-out
-// (default 1, i.e. sequential).  Runners are independent, so each batch can
-// be applied to disjoint runner subsets in parallel; this pays off once the
-// per-event automaton work dominates the per-batch synchronization, e.g.
-// for many queries with large automata or nondeterministic runners.
-func WithWorkers(n int) Option {
-	return func(e *Engine) {
-		if n > 0 {
-			e.workers = n
-		}
-	}
-}
+// batchSize is how many events a session buffers before fanning them out to
+// the runners: large enough to amortize the per-batch bookkeeping, small
+// enough that the buffer stays a constant few tens of kilobytes.
+const batchSize = 1024
 
 // New creates an empty engine.
-func New(opts ...Option) *Engine {
-	e := &Engine{batchSize: 1024, workers: 1, byName: make(map[string]int)}
-	for _, o := range opts {
-		o(e)
-	}
+func New() *Engine {
+	e := &Engine{byName: make(map[string]int)}
 	e.pool.New = func() any { return e.newSession() }
 	return e
 }
@@ -252,7 +223,7 @@ func (e *Engine) newSession() *Session {
 	s := &Session{
 		engine:  e,
 		runners: make([]query.Runner, len(e.solo)),
-		batch:   make([]docstream.Event, 0, e.batchSize),
+		batch:   make([]docstream.Event, 0, batchSize),
 	}
 	s.feed = make([]stepper, 0, len(e.solo)+len(e.groups))
 	for i, qi := range e.solo {
@@ -350,34 +321,8 @@ func (s *Session) flush() {
 			}
 		}
 	}
-	w := s.engine.workers
-	if w > len(s.feed) {
-		w = len(s.feed)
-	}
-	if mp := runtime.GOMAXPROCS(0); w > mp {
-		w = mp
-	}
-	if w <= 1 {
-		for _, r := range s.feed {
-			feedRunner(r, s.batch)
-		}
-	} else {
-		var wg sync.WaitGroup
-		chunk := (len(s.feed) + w - 1) / w
-		for lo := 0; lo < len(s.feed); lo += chunk {
-			hi := lo + chunk
-			if hi > len(s.feed) {
-				hi = len(s.feed)
-			}
-			wg.Add(1)
-			go func(rs []stepper) {
-				defer wg.Done()
-				for _, r := range rs {
-					feedRunner(r, s.batch)
-				}
-			}(s.feed[lo:hi])
-		}
-		wg.Wait()
+	for _, r := range s.feed {
+		feedRunner(r, s.batch)
 	}
 	// Depth depends only on the event kinds, so it is tracked once for the
 	// whole session rather than per runner.
@@ -458,25 +403,5 @@ func (e *Engine) Run(src EventSource) (*Result, error) {
 // engine's shared alphabet at the edge — and runs the pass: the end-to-end
 // streaming path from raw bytes to verdicts.
 func (e *Engine) RunReader(r io.Reader) (*Result, error) {
-	if e.alpha == nil {
-		return e.Run(docstream.NewTokenizer(r))
-	}
 	return e.Run(docstream.NewInterningTokenizer(r, e.alpha))
-}
-
-// RunEvents runs the pass over an in-memory event slice.  Events carrying a
-// pre-interned Sym must have been interned against Engine.Alphabet(); see
-// Session.Feed.
-func (e *Engine) RunEvents(events []docstream.Event) (*Result, error) {
-	return e.Run(&sliceSource{events: events})
-}
-
-// Verdict looks up a query's verdict by name through the engine's name
-// index.
-func (r *Result) Verdict(e *Engine, name string) (bool, error) {
-	i, ok := e.byName[name]
-	if !ok {
-		return false, fmt.Errorf("engine: no query named %q", name)
-	}
-	return r.Verdicts[i], nil
 }

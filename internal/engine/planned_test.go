@@ -61,16 +61,12 @@ func TestPlannedBundleDemux(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	prod := engine.New(engine.WithBatchSize(16))
+	prod := engine.New()
 	if _, err := prod.RegisterBundle(loaded); err != nil {
 		t.Fatal(err)
 	}
-	fan := engine.New(engine.WithBatchSize(16))
+	fan := engine.New()
 	if _, err := fan.RegisterBundle(src); err != nil {
-		t.Fatal(err)
-	}
-	par := engine.New(engine.WithWorkers(4), engine.WithBatchSize(32))
-	if _, err := par.RegisterBundle(loaded); err != nil {
 		t.Fatal(err)
 	}
 
@@ -94,10 +90,6 @@ func TestPlannedBundleDemux(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: fan-out engine: %v", trial, err)
 		}
-		wv, err := par.Run(engine.Word(n))
-		if err != nil {
-			t.Fatalf("trial %d: worker engine: %v", trial, err)
-		}
 		for i, name := range prod.Names() {
 			want := query.RunWord(src.Query(i).NewRunner(), src.Alphabet(), n)
 			if pv.Verdicts[i] != want {
@@ -106,9 +98,6 @@ func TestPlannedBundleDemux(t *testing.T) {
 			}
 			if fv.Verdicts[i] != want {
 				t.Fatalf("trial %d, query %q: fan-out %v, serial %v", trial, name, fv.Verdicts[i], want)
-			}
-			if wv.Verdicts[i] != want {
-				t.Fatalf("trial %d, query %q: worker fan-out %v, serial %v", trial, name, wv.Verdicts[i], want)
 			}
 		}
 	}

@@ -203,7 +203,7 @@ func e27Agree(eng *engine.Engine, alpha *alphabet.Alphabet, format, body string)
 		return false
 	}
 
-	adapted, err := eng.RunEvents(events)
+	adapted, err := eng.Run(engine.Events(events))
 	if err != nil {
 		return false
 	}

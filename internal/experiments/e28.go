@@ -102,7 +102,7 @@ func e28Agree(src *query.Bundle, engines []*engine.Engine, timed []*engine.Resul
 			events[i] = docstream.Event{Kind: n.KindAt(i), Label: n.SymbolAt(i)}
 		}
 		for _, eng := range engines {
-			res, err := eng.RunEvents(events)
+			res, err := eng.Run(engine.Events(events))
 			if err != nil {
 				panic(err)
 			}

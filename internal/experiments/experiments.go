@@ -859,7 +859,7 @@ func E23ShardedServing(docs, size int) Table {
 	for rep := 0; rep < reps; rep++ {
 		t0 := time.Now()
 		for d := range corpus {
-			r, err := eng.RunEvents(corpus[d])
+			r, err := eng.Run(engine.Events(corpus[d]))
 			if err != nil {
 				panic(err)
 			}
@@ -883,7 +883,7 @@ func E23ShardedServing(docs, size int) Table {
 			wg.Add(1)
 			go func(d int) {
 				defer wg.Done()
-				r, err := eng.RunEvents(corpus[d])
+				r, err := eng.Run(engine.Events(corpus[d]))
 				if err != nil {
 					panic(err)
 				}

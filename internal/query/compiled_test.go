@@ -151,33 +151,6 @@ func TestBitsetRunnerEdgeWidths(t *testing.T) {
 	}
 }
 
-// TestMatrixRunnerFlag checks the unexported differential-testing flag: with
-// useMatrixRunner set, NewRunner (and therefore the whole engine/serve
-// stack) runs on the []bool reference implementation, and both settings
-// agree on every verdict.
-func TestMatrixRunnerFlag(t *testing.T) {
-	rng := rand.New(rand.NewSource(505))
-	a := randomNNWA(rng, 5)
-	c := CompileN(a)
-	defer func() { useMatrixRunner = false }()
-	useMatrixRunner = true
-	if _, ok := c.NewRunner().(*nnwaMatrixRunner); !ok {
-		t.Fatal("useMatrixRunner should route NewRunner to the matrix implementation")
-	}
-	flagged := c.NewRunner()
-	useMatrixRunner = false
-	if _, ok := c.NewRunner().(*nnwaBitsetRunner); !ok {
-		t.Fatal("NewRunner should default to the bitset implementation")
-	}
-	plain := c.NewRunner()
-	words, _ := randomWords(rng, 120, []string{"a", "b"})
-	for wi, w := range words {
-		if got, want := RunWord(plain, generator.AB, w), RunWord(flagged, generator.AB, w); got != want {
-			t.Fatalf("word %d: bitset %v, flagged matrix %v on %v", wi, got, want, w)
-		}
-	}
-}
-
 // TestCompiledNNWASparseMatchesDense forces the sparse return form on the
 // nondeterministic side and checks it against the dense form.
 func TestCompiledNNWASparseMatchesDense(t *testing.T) {

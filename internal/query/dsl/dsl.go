@@ -203,8 +203,8 @@ func (e Not) addLabels(seen map[string]bool, out *[]string) { e.X.addLabels(seen
 
 // Labels returns the document labels an expression mentions, in
 // first-occurrence order — the alphabet contribution of the query, the way
-// SplitLabels(-order)+SplitLabels(-path) contribute labels for the flag
-// spelling.  Order matters: alphabet order determines compiled symbol IDs.
+// the -order and -path label lists contribute labels for the flag spelling.
+// Order matters: alphabet order determines compiled symbol IDs.
 func Labels(exprs ...Expr) []string {
 	seen := map[string]bool{}
 	var out []string

@@ -157,28 +157,13 @@ func EvaluateAll(queries []*nwa.DNWA, doc *nestedword.NestedWord) []bool {
 	return out
 }
 
-// SplitLabels parses the comma-separated label lists of the CLI flags
-// (-labels/-order/-path), trimming whitespace and dropping empty entries.
-// nwtool compile and nwquery/nwserve must split identically — the alphabet
-// order determines the compiled symbol IDs — so the one implementation
-// lives here next to StandardSet.
-func SplitLabels(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if trimmed := strings.TrimSpace(p); trimmed != "" {
-			out = append(out, trimmed)
-		}
-	}
-	return out
-}
-
 // StandardSet compiles the query set the command-line tools share: the
 // well-formedness check always, plus a linear-order query and a
 // hierarchical path query when their label lists are non-empty, each under
-// the display name the tools print.  nwtool compile serializes exactly this
-// set into a bundle, and nwquery/nwserve build the same set in process, so
-// a bundle-booted server and an in-process one answer identically for the
-// same flags.
+// the display name the tools print.  The tools' shared query-set builder
+// (cmd/internal/queryset) compiles it both for nwtool compile to serialize
+// and for nwquery/nwserve to run in process, so a bundle-booted server and
+// an in-process one answer identically for the same flags.
 func StandardSet(alpha *alphabet.Alphabet, order, path []string) (names []string, queries []Query) {
 	names = append(names, "well-formed")
 	queries = append(queries, Compile(WellFormed(alpha)))

@@ -138,11 +138,11 @@ func TestBundleMatchesFreshCompilation(t *testing.T) {
 			pending++
 		}
 
-		want, err := fresh.RunEvents(events)
+		want, err := fresh.Run(engine.Events(events))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := loaded.RunEvents(events)
+		got, err := loaded.Run(engine.Events(events))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -53,10 +53,10 @@ import (
 // should try again elsewhere.
 var ErrClosed = errors.New("serve: pool closed")
 
-// ErrQueueFull is returned by the TrySubmit variants when the target
-// shard's bounded queue is full.  Unlike ErrClosed this is a transient
-// overload signal — a network front-end maps it to 429 Too Many Requests
-// so load sheds at the edge instead of accumulating blocked handlers.
+// ErrQueueFull is returned by TrySubmit when the target shard's bounded
+// queue is full.  Unlike ErrClosed this is a transient overload signal — a
+// network front-end maps it to 429 Too Many Requests so load sheds at the
+// edge instead of accumulating blocked handlers.
 var ErrQueueFull = errors.New("serve: shard queue full")
 
 // Affinity selects how documents are routed to shards.
@@ -188,7 +188,7 @@ func WithOnResult(fn func(Result)) Option {
 type job struct {
 	id     string
 	ctx    context.Context
-	format string             // the decoder for rd: "" native, else an adapter format
+	format string             // the adapter.New format rd is decoded with
 	rd     io.Reader          // decoded on the shard's reusable decoder...
 	src    engine.EventSource // ...unless the document is already events
 	fut    *Future
@@ -317,12 +317,11 @@ func (p *Pool) Stats() Stats {
 }
 
 // Submit queues a document read from r and returns its Future.  The shard
-// decodes r with its reusable decoder for format: the native interning
-// tokenizer for "", else the adapter.New format of that name ("xml",
-// "json", "trace"), interned against the engine's alphabet.  An unknown
-// format fails here, before anything is queued.  Submit blocks while the
-// shard's queue is full (backpressure) unless ctx is cancelled first, and
-// fails with ErrClosed once Close has begun.
+// decodes r with its reusable adapter.New decoder for format ("" native,
+// "xml", "json", "trace"), interned against the engine's alphabet.  An
+// unknown format fails here, before anything is queued.  Submit blocks
+// while the shard's queue is full (backpressure) unless ctx is cancelled
+// first, and fails with ErrClosed once Close has begun.
 func (p *Pool) Submit(ctx context.Context, id, format string, r io.Reader) (*Future, error) {
 	return p.submitReader(ctx, id, format, r, true)
 }
@@ -337,10 +336,8 @@ func (p *Pool) TrySubmit(ctx context.Context, id, format string, r io.Reader) (*
 }
 
 func (p *Pool) submitReader(ctx context.Context, id, format string, r io.Reader, wait bool) (*Future, error) {
-	if format != "" {
-		if err := adapter.CheckFormat(format); err != nil {
-			return nil, err
-		}
+	if err := adapter.CheckFormat(format); err != nil {
+		return nil, err
 	}
 	return p.enqueue(job{id: id, ctx: ctx, format: format, rd: r}, wait)
 }
@@ -348,12 +345,6 @@ func (p *Pool) submitReader(ctx context.Context, id, format string, r io.Reader,
 // SubmitEvents queues an in-memory event slice as a document.
 func (p *Pool) SubmitEvents(ctx context.Context, id string, events []docstream.Event) (*Future, error) {
 	return p.enqueue(job{id: id, ctx: ctx, src: engine.Events(events)}, true)
-}
-
-// TrySubmitEvents is SubmitEvents with TrySubmit's fail-fast semantics:
-// ErrQueueFull instead of blocking when the target shard's queue is full.
-func (p *Pool) TrySubmitEvents(ctx context.Context, id string, events []docstream.Event) (*Future, error) {
-	return p.enqueue(job{id: id, ctx: ctx, src: engine.Events(events)}, false)
 }
 
 func (p *Pool) route(id string) int {
@@ -415,23 +406,6 @@ func (p *Pool) Close() error {
 	return nil
 }
 
-// Shutdown is Close bounded by a context: it initiates the same graceful
-// drain but gives up waiting when ctx is cancelled, returning ctx.Err()
-// while the workers keep draining in the background.
-func (p *Pool) Shutdown(ctx context.Context) error {
-	done := make(chan struct{})
-	go func() {
-		p.Close()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // ctxSource aborts a pass when its context is cancelled, checking once per
 // checkInterval events so the hot loop stays branch-cheap.
 type ctxSource struct {
@@ -458,7 +432,7 @@ func (p *Pool) worker(shard int) {
 	defer p.wg.Done()
 	ses := p.eng.Acquire()
 	defer p.eng.Release(ses)
-	decs := decoders{alpha: p.eng.Alphabet(), byFormat: make(map[string]decoder)}
+	decs := decoders{alpha: p.eng.Alphabet(), byFormat: make(map[string]adapter.Source)}
 	counters := &p.perShard[shard]
 	for j := range p.shards[shard] {
 		res := Result{ID: j.id, Shard: shard}
@@ -494,33 +468,21 @@ func (p *Pool) worker(shard int) {
 	}
 }
 
-// decoder is an event source that can be repointed at the next document:
-// the native tokenizer and every adapter.
-type decoder interface {
-	engine.EventSource
-	Reset(r io.Reader)
-}
-
 // decoders is one shard's decoder per input format.  Each is built on the
 // shard's first document in its format and Reset for every later one, so
 // after that the shard decodes documents without allocating decoder state.
 type decoders struct {
 	alpha    *alphabet.Alphabet
-	byFormat map[string]decoder
+	byFormat map[string]adapter.Source
 }
 
-// open points the format's decoder ("" is the native tokenizer) at r.
+// open points the format's decoder at r.
 func (d *decoders) open(format string, r io.Reader) (engine.EventSource, error) {
 	dec := d.byFormat[format]
 	if dec == nil {
-		if format == "" {
-			dec = docstream.NewInterningTokenizer(nil, d.alpha)
-		} else {
-			src, err := adapter.New(format, nil, d.alpha)
-			if err != nil {
-				return nil, err
-			}
-			dec = src
+		var err error
+		if dec, err = adapter.New(format, nil, d.alpha); err != nil {
+			return nil, err
 		}
 		d.byFormat[format] = dec
 	}

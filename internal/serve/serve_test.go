@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/adapter"
 	"repro/internal/alphabet"
 	"repro/internal/docstream"
 	"repro/internal/engine"
@@ -84,7 +85,7 @@ func TestPoolMatchesSerialEngine(t *testing.T) {
 
 	serial := make([]*engine.Result, docs)
 	for i, events := range corpus {
-		r, err := eng.RunEvents(events)
+		r, err := eng.Run(engine.Events(events))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,8 +165,8 @@ func TestPoolServesNNWAQuery(t *testing.T) {
 		}
 	}
 	eng := engine.New()
-	eng.MustRegisterQuery("contains a (nnwa)", query.CompileN(n))
-	eng.MustRegister("contains a (dnwa)", query.ContainsLabel(alpha, "a"))
+	nnwaIdx := eng.MustRegisterQuery("contains a (nnwa)", query.CompileN(n))
+	dnwaIdx := eng.MustRegister("contains a (dnwa)", query.ContainsLabel(alpha, "a"))
 
 	pool, err := NewPool(eng, WithShards(3))
 	if err != nil {
@@ -189,7 +190,7 @@ func TestPoolServesNNWAQuery(t *testing.T) {
 		} else {
 			events = randomEvents(rng, 10+rng.Intn(150))
 		}
-		serial, err := eng.RunEvents(events)
+		serial, err := eng.Run(engine.Events(events))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,15 +202,7 @@ func TestPoolServesNNWAQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nv, err := res.Engine.Verdict(eng, "contains a (nnwa)")
-		if err != nil {
-			t.Fatal(err)
-		}
-		dv, err := res.Engine.Verdict(eng, "contains a (dnwa)")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if nv != dv {
+		if nv, dv := res.Engine.Verdicts[nnwaIdx], res.Engine.Verdicts[dnwaIdx]; nv != dv {
 			t.Fatalf("doc %d: NNWA verdict %v, DNWA verdict %v", d, nv, dv)
 		}
 		for q := range serial.Verdicts {
@@ -379,9 +372,6 @@ func TestPoolCloseDrains(t *testing.T) {
 	if err := pool.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
 	}
-	if err := pool.Shutdown(context.Background()); err != nil {
-		t.Fatalf("shutdown after close: %v", err)
-	}
 }
 
 // TestPoolHashAffinitySticksToShard checks that one document ID always
@@ -494,7 +484,7 @@ func TestSubmitFormats(t *testing.T) {
 		"trace": "enter a\nenter b\nc\nexit\nexit\n",
 	}
 	for format, doc := range docs {
-		src, err := decodersFor(eng).open(format, strings.NewReader(doc))
+		src, err := adapter.New(format, strings.NewReader(doc), eng.Alphabet())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -524,7 +514,7 @@ func TestSubmitFormats(t *testing.T) {
 
 // decodersFor is a fresh decoder cache interning against eng's alphabet.
 func decodersFor(eng *engine.Engine) *decoders {
-	return &decoders{alpha: eng.Alphabet(), byFormat: make(map[string]decoder)}
+	return &decoders{alpha: eng.Alphabet(), byFormat: make(map[string]adapter.Source)}
 }
 
 // TestShardDecodersReuse pins the per-shard decoder contract: after a

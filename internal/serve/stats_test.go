@@ -5,14 +5,19 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/docstream"
+	"repro/internal/engine"
 )
 
 // TestTrySubmitQueueFull pins the two submit-error paths an HTTP front-end
 // maps to distinct status codes: a full shard queue fails TrySubmit with
-// ErrQueueFull (429) while a closed pool fails every submit variant with
-// ErrClosed (503), and the rejection is counted in Stats.
+// ErrQueueFull (429) — for native and adapter formats alike — while a
+// closed pool fails every submit with ErrClosed (503), and the rejection is
+// counted in Stats.
 func TestTrySubmitQueueFull(t *testing.T) {
 	eng := testEngine(t)
 	pool, err := NewPool(eng, WithShards(1), WithQueueDepth(1))
@@ -34,8 +39,8 @@ func TestTrySubmitQueueFull(t *testing.T) {
 	if _, err := pool.TrySubmit(context.Background(), "overflow", "", nil); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("TrySubmit on a full queue: %v, want ErrQueueFull", err)
 	}
-	if _, err := pool.TrySubmitEvents(context.Background(), "overflow-events", nil); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("TrySubmitEvents on a full queue: %v, want ErrQueueFull", err)
+	if _, err := pool.TrySubmit(context.Background(), "overflow-xml", "xml", nil); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("TrySubmit(xml) on a full queue: %v, want ErrQueueFull", err)
 	}
 	if got := pool.Stats().Rejected; got != 2 {
 		t.Fatalf("Stats().Rejected = %d, want 2", got)
@@ -51,12 +56,12 @@ func TestTrySubmitQueueFull(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// After Close every variant reports ErrClosed, never ErrQueueFull.
+	// After Close every submit reports ErrClosed, never ErrQueueFull.
 	if _, err := pool.TrySubmit(context.Background(), "late", "", nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("TrySubmit after close: %v, want ErrClosed", err)
 	}
-	if _, err := pool.TrySubmitEvents(context.Background(), "late", nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("TrySubmitEvents after close: %v, want ErrClosed", err)
+	if _, err := pool.TrySubmit(context.Background(), "late-xml", "xml", nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("TrySubmit(xml) after close: %v, want ErrClosed", err)
 	}
 	if _, err := pool.Submit(context.Background(), "late", "", nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after close: %v, want ErrClosed", err)
@@ -66,8 +71,8 @@ func TestTrySubmitQueueFull(t *testing.T) {
 	}
 }
 
-// TestTrySubmitServes checks that the fail-fast variants serve normally when
-// the queue has room — same verdicts as the blocking path.
+// TestTrySubmitServes checks that the fail-fast submit serves normally when
+// the queue has room — the same verdicts as a serial pass.
 func TestTrySubmitServes(t *testing.T) {
 	eng := testEngine(t)
 	pool, err := NewPool(eng, WithShards(2), WithQueueDepth(8))
@@ -78,11 +83,12 @@ func TestTrySubmitServes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 20; i++ {
 		events := randomEvents(rng, 50)
-		want, err := eng.RunEvents(events)
+		want, err := eng.Run(engine.Events(events))
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := pool.TrySubmitEvents(context.Background(), fmt.Sprintf("doc-%d", i), events)
+		doc := docstream.Render(docstream.ToNestedWord(events))
+		f, err := pool.TrySubmit(context.Background(), fmt.Sprintf("doc-%d", i), "", strings.NewReader(doc))
 		if err != nil {
 			t.Fatal(err)
 		}

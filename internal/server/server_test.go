@@ -779,7 +779,7 @@ func TestBatchDisconnect(t *testing.T) {
 
 	t.Run("stalled shard", func(t *testing.T) {
 		srv, ts := testServer(t, Config{BundlePath: bundle, Shards: 1, QueueDepth: 4})
-		stall, stallDone := holdShard(t, ts)
+		stall, stallDone := holdShard(t, srv)
 		ctx, cancel := context.WithCancel(context.Background())
 		req := httptest.NewRequest("POST", "/v1/batch", strings.NewReader(strings.Repeat(string(bigLine), 3))).WithContext(ctx)
 		served := make(chan struct{})
@@ -810,7 +810,7 @@ func TestBatchDisconnect(t *testing.T) {
 					break
 				}
 			}
-			stall.Write([]byte("</a>"))
+			stall.Write([]byte("<a> </a>"))
 			stall.Close()
 		}()
 		_, got := postBatch(t, ts.Client(), ts.URL, good.String())
@@ -861,24 +861,33 @@ func TestBatchDisconnect(t *testing.T) {
 }
 
 // holdShard occupies a shard with a /v1/documents request whose body never
-// finishes arriving until the returned writer is closed; the channel
-// closes when that request has been answered.
-func holdShard(t *testing.T, ts *httptest.Server) (*io.PipeWriter, chan struct{}) {
+// finishes arriving until the returned writer is closed.  It returns once
+// the shard worker has started reading that body, so documents submitted
+// afterwards queue behind it; the channel closes when the request has been
+// answered.
+func holdShard(t *testing.T, srv *Server) (*io.PipeWriter, chan struct{}) {
 	t.Helper()
 	pr, pw := io.Pipe()
-	req, err := http.NewRequest("POST", ts.URL+"/v1/documents?id=hold", pr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := &firstRead{r: pr, reading: make(chan struct{})}
+	req := httptest.NewRequest("POST", "/v1/documents?id=hold", body)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		resp, err := ts.Client().Do(req)
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
+		srv.Handler().ServeHTTP(httptest.NewRecorder(), req)
 	}()
-	pw.Write([]byte("<a>"))
+	<-body.reading
 	return pw, done
+}
+
+// firstRead closes reading on its first Read: the reader has been taken up
+// by whoever consumes the request body.
+type firstRead struct {
+	r       io.Reader
+	reading chan struct{}
+	once    sync.Once
+}
+
+func (f *firstRead) Read(p []byte) (int, error) {
+	f.once.Do(func() { close(f.reading) })
+	return f.r.Read(p)
 }

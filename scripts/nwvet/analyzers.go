@@ -1,5 +1,5 @@
-// Project-specific analyzers: hotpath-alloc, unsafe-confinement,
-// locked-field, and error-discipline.  Each is syntactic at its core and
+// Project-specific analyzers: hotpath-alloc, the import-confinement table
+// (unsafe, crypto, dsl, plan), locked-field, and error-discipline.  Each is syntactic at its core and
 // uses type information opportunistically — where the lenient checker left
 // an expression unresolved, the analyzer stays silent rather than guessing.
 package main
@@ -11,6 +11,7 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
+	"slices"
 	"strings"
 )
 
@@ -223,124 +224,95 @@ func (u *unit) boxedArgument(call *ast.CallExpr) (ast.Expr, int, bool) {
 	return nil, 0, false
 }
 
-// analyzeUnsafeConfinement flags imports of unsafe and uses of reflect's
-// SliceHeader/StringHeader outside the allowed directories.  The zero-copy
-// reinterpretation in internal/query/format is the single audited home for
-// both.
-func analyzeUnsafeConfinement(u *unit, allowed bool, report reportFunc) {
-	if allowed {
-		return
-	}
-	for _, file := range u.files {
-		for _, imp := range file.Imports {
-			if strings.Trim(imp.Path.Value, `"`) == "unsafe" {
-				report("%s: unsafe-confinement: import of unsafe outside internal/query/format", u.position(imp))
-			}
-		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "reflect" &&
-				(sel.Sel.Name == "SliceHeader" || sel.Sel.Name == "StringHeader") {
-				report("%s: unsafe-confinement: reflect.%s reinterpretation outside internal/query/format",
-					u.position(sel), sel.Sel.Name)
-			}
-			return true
-		})
-	}
+// confinement is one import-confinement rule: the packages it covers may be
+// imported only inside its directories (allow) or never inside them (deny),
+// and the selector expressions it bans follow the same scoping.  Test files
+// are exempt (loadUnits never parses them): differential tests legitimately
+// compile DSL queries and plan bundles next to the stack under test.
+type confinement struct {
+	name        string   // diagnostic prefix, e.g. "dsl-confinement"
+	imports     []string // import paths the rule covers
+	dirs        []string // slash-separated directories the rule scopes
+	deny        bool     // true: violations are inside dirs; false: outside
+	importMsg   string   // diagnostic for a covered import; %s is its path
+	selectors   []string // "pkg.Name" selector expressions the rule bans
+	selectorMsg string   // diagnostic for a banned selector; %s is its text
 }
 
-// dslImportPath is the query DSL's import path, confined out of the serving
-// hot path by analyzeDSLConfinement.
-const dslImportPath = "repro/internal/query/dsl"
-
-// analyzeDSLConfinement flags imports of the query DSL compiler from the
-// serving hot-path packages (engine, serve, server).  Parsing and compiling
-// query text are load-time operations: the CLI and the bundle format hand
-// the serving stack compiled automata, so a DSL import there means query
-// text is being interpreted per document.  Test files are exempt (loadUnits
-// never parses them) — differential tests legitimately compile DSL queries
-// next to the stack under test.
-func analyzeDSLConfinement(u *unit, confined bool, report reportFunc) {
-	if !confined {
-		return
-	}
-	for _, file := range u.files {
-		for _, imp := range file.Imports {
-			if strings.Trim(imp.Path.Value, `"`) == dslImportPath {
-				report("%s: dsl-confinement: serving hot path imports %s (parse and compile at load time, serve compiled automata)",
-					u.position(imp), dslImportPath)
-			}
-		}
-	}
+// confinements is the repository's import-confinement table.
+var confinements = []confinement{
+	{
+		// The zero-copy reinterpretation in internal/query/format is the
+		// single audited home for unsafe and reflect's header types.
+		name:        "unsafe-confinement",
+		imports:     []string{"unsafe"},
+		dirs:        []string{"internal/query/format"},
+		importMsg:   "import of %s outside internal/query/format",
+		selectors:   []string{"reflect.SliceHeader", "reflect.StringHeader"},
+		selectorMsg: "%s reinterpretation outside internal/query/format",
+	},
+	{
+		// internal/query/format owns hashing and signing (the NWQ1 content
+		// hash, the NWS1 envelope) and internal/bundlecache verifies
+		// fetched entries; every other package consumes hashes as opaque
+		// values through format.Checksum / ContentHash / VerifyHash.
+		name:      "crypto-confinement",
+		imports:   []string{"crypto/ed25519", "crypto/sha256"},
+		dirs:      []string{"internal/query/format", "internal/bundlecache"},
+		importMsg: "import of %s outside internal/query/format and internal/bundlecache (consume hashes through the format package)",
+	},
+	{
+		// Parsing and compiling query text are load-time operations: a DSL
+		// import in the serving stack means query text is interpreted per
+		// document.
+		name:      "dsl-confinement",
+		imports:   []string{"repro/internal/query/dsl"},
+		dirs:      []string{"internal/engine", "internal/serve", "internal/server"},
+		deny:      true,
+		importMsg: "serving hot path imports %s (parse and compile at load time, serve compiled automata)",
+	},
+	{
+		// Product compilation can blow up exponentially in the member count
+		// (the Section 3.2 product cost), so the serving stack consumes
+		// planned bundles through the bundle API and never builds products.
+		name:        "plan-confinement",
+		imports:     []string{"repro/internal/query/plan"},
+		dirs:        []string{"internal/engine", "internal/serve", "internal/server"},
+		deny:        true,
+		importMsg:   "serving stack imports %s (plan at load time, serve planned bundles through the bundle API)",
+		selectors:   []string{"query.CompileProduct"},
+		selectorMsg: "serving stack calls %s (product automata are built by the planner at load time)",
+	},
 }
 
-// planImportPath is the query planner's import path, confined out of the
-// serving stack by analyzePlanConfinement.
-const planImportPath = "repro/internal/query/plan"
-
-// analyzePlanConfinement flags construction of product automata from the
-// serving-stack packages (engine, serve, server): importing the planner
-// (repro/internal/query/plan) or calling query.CompileProduct there.
-// Product compilation is a load-time planning decision — it can blow up
-// exponentially in the member count (the Section 3.2 product cost), so the
-// serving stack consumes planned bundles through the bundle API (Groups,
-// ProductRunner) and never builds products itself.  Test files are exempt
-// (loadUnits never parses them) — differential tests legitimately plan
-// bundles next to the stack under test.
-func analyzePlanConfinement(u *unit, confined bool, report reportFunc) {
-	if !confined {
-		return
-	}
-	for _, file := range u.files {
-		for _, imp := range file.Imports {
-			if strings.Trim(imp.Path.Value, `"`) == planImportPath {
-				report("%s: plan-confinement: serving stack imports %s (plan at load time, serve planned bundles through the bundle API)",
-					u.position(imp), planImportPath)
-			}
-		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "query" && sel.Sel.Name == "CompileProduct" {
-				report("%s: plan-confinement: serving stack calls query.CompileProduct (product automata are built by the planner at load time)",
-					u.position(sel))
-			}
-			return true
-		})
-	}
-}
-
-// cryptoPackages are the hash and signature primitives of the bundle
-// integrity layer, confined by analyzeCryptoConfinement.
-var cryptoPackages = []string{"crypto/ed25519", "crypto/sha256"}
-
-// analyzeCryptoConfinement flags imports of the content-hash and signature
-// primitives outside their audited homes: internal/query/format owns
-// hashing and signing (the NWQ1 content hash, the NWS1 envelope), and
-// internal/bundlecache verifies fetched entries.  Every other package
-// consumes hashes as opaque [format.HashSize]byte values through
-// format.Checksum / format.ContentHash / format.VerifyHash — direct crypto
-// use anywhere else scatters key handling and verification policy beyond
-// what a review of the two homes can audit.
-func analyzeCryptoConfinement(u *unit, allowed bool, report reportFunc) {
-	if allowed {
+// check reports the rule's violations in u, given whether u's directory is
+// one of the rule's dirs.
+func (c *confinement) check(u *unit, inDirs bool, report reportFunc) {
+	if inDirs != c.deny {
 		return
 	}
 	for _, file := range u.files {
 		for _, imp := range file.Imports {
 			path := strings.Trim(imp.Path.Value, `"`)
-			for _, banned := range cryptoPackages {
-				if path == banned {
-					report("%s: crypto-confinement: import of %s outside internal/query/format and internal/bundlecache (consume hashes through the format package)",
-						u.position(imp), path)
-				}
+			if slices.Contains(c.imports, path) {
+				report("%s: %s: "+c.importMsg, u.position(imp), c.name, path)
 			}
 		}
+		if len(c.selectors) == 0 {
+			continue
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); ok {
+				if text := pkg.Name + "." + sel.Sel.Name; slices.Contains(c.selectors, text) {
+					report("%s: %s: "+c.selectorMsg, u.position(sel), c.name, text)
+				}
+			}
+			return true
+		})
 	}
 }
 

@@ -74,17 +74,11 @@ type unit struct {
 	info  *types.Info
 }
 
-// Analyzer scoping: unsafe is confined to these directories, and the
-// error-discipline analyzer runs over these.  (hotpath-alloc and
-// locked-field need no directory list — they trigger on //nwvet:hotpath
-// annotations and "guarded by" field comments wherever they appear.)
-var (
-	unsafeAllowedDirs   = []string{"internal/query/format"}
-	cryptoAllowedDirs   = []string{"internal/query/format", "internal/bundlecache"}
-	errorDisciplineDirs = []string{"internal/query", "internal/query/format"}
-	dslConfinedDirs     = []string{"internal/engine", "internal/serve", "internal/server"}
-	planConfinedDirs    = []string{"internal/engine", "internal/serve", "internal/server"}
-)
+// errorDisciplineDirs scopes the error-discipline analyzer.  (The
+// confinement rules carry their own directories; hotpath-alloc and
+// locked-field need none — they trigger on //nwvet:hotpath annotations and
+// "guarded by" field comments wherever they appear.)
+var errorDisciplineDirs = []string{"internal/query", "internal/query/format"}
 
 func main() {
 	root := "."
@@ -109,7 +103,7 @@ func main() {
 	fmt.Println("nwvet: ok")
 }
 
-// runNwvet loads every package directory under root, runs the four code
+// runNwvet loads every package directory under root, runs the code
 // analyzers and the folded documentation checks, and returns the collected
 // violation lines.  A non-nil error is infrastructure failure (unparsable
 // tree, unreadable files), not a finding.
@@ -125,10 +119,9 @@ func runNwvet(root string) ([]string, error) {
 	}
 	for _, u := range units {
 		analyzeHotpathAlloc(u, report)
-		analyzeUnsafeConfinement(u, dirIn(u.dir, unsafeAllowedDirs), report)
-		analyzeCryptoConfinement(u, dirIn(u.dir, cryptoAllowedDirs), report)
-		analyzeDSLConfinement(u, dirIn(u.dir, dslConfinedDirs), report)
-		analyzePlanConfinement(u, dirIn(u.dir, planConfinedDirs), report)
+		for i := range confinements {
+			confinements[i].check(u, dirIn(u.dir, confinements[i].dirs), report)
+		}
 		analyzeLockedFields(u, report)
 		if dirIn(u.dir, errorDisciplineDirs) {
 			analyzeErrorDiscipline(u, report)
