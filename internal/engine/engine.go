@@ -209,10 +209,10 @@ type stepper interface {
 // manage it.
 type Session struct {
 	engine  *Engine
-	runners []query.Runner        // parallel to engine.solo
-	prods   []query.ProductRunner // parallel to engine.groups
-	feed    []stepper             // runners then prods: the fan-out list
-	vrow    bitset.Row            // scratch: verdict demux row, widest group
+	runners []query.Runner         // parallel to engine.solo
+	prods   []*query.ProductRunner // parallel to engine.groups
+	feed    []stepper              // runners then prods: the fan-out list
+	vrow    bitset.Row             // scratch: verdict demux row, widest group
 	batch   []docstream.Event
 	events  int
 	depth   int // shared: all runners see the same calls/returns

@@ -24,12 +24,19 @@ import (
 //
 // Dense vs sparse.  Call and internal transitions always live in flat dense
 // slices indexed by state*numSymbols+sym: their size is linear in the number
-// of states.  Return transitions are indexed by (lin*numStates+hier) — a
-// table quadratic in the number of states — so they are stored densely only
-// while numStates²·numSymbols stays at or below denseReturnLimit entries;
-// above the threshold the defined transitions are kept in a key-sorted
-// sparse table probed by binary search, and absent keys fall back to the
-// dead state exactly as the dense form's prefilled entries do.
+// of states.  Return transitions are indexed by a (linear, hierarchical)
+// state pair.  As in the paper, only some states can be hierarchical: the
+// targets of call transitions plus the start state, which labels the edges
+// of pending returns.  A compiled automaton numbers those states first,
+// 0..H-1, so the dense return table has numStates·H·numSymbols entries,
+// indexed (lin*H+hier)*numSymbols+sym.  Compile keeps H = numStates; the
+// product construction renumbers its tuples and usually needs far fewer
+// hierarchical columns.  The table is stored densely only while its size
+// stays at or below denseReturnLimit entries; above the threshold the
+// defined transitions are kept in a key-sorted sparse table, keyed
+// (lin*numStates+hier)*numSymbols+sym and probed by binary search, and absent
+// keys fall back to the dead state exactly as the dense form's prefilled
+// entries do.
 
 // Runner is the streaming face of a compiled query: one Step call per
 // document event, with the symbol already interned to a compiled ID
@@ -62,11 +69,12 @@ type Query interface {
 	NewRunner() Runner
 }
 
-// denseReturnLimit is the largest dense return table Compile and CompileN
-// will allocate, in entries (int32 each, so the default caps the table at
-// 16 MiB).  Automata whose numStates²·(|Σ|+1) exceeds it get the sparse
-// sorted-lookup form instead.  A variable rather than a constant so tests
-// can force the sparse path on small automata.
+// denseReturnLimit is the largest dense return table Compile, CompileN and
+// CompileProduct will allocate, in entries (int32 each, so the default caps
+// the table at 16 MiB).  Automata whose numStates·H·(|Σ|+1) exceeds it (H =
+// numStates outside products) get the sparse sorted-lookup form instead.  A
+// variable rather than a constant so tests can force the sparse path on
+// small automata.
 var denseReturnLimit = 1 << 22
 
 // sparseTable maps packed transition keys to targets via binary search over
@@ -91,6 +99,7 @@ func (t *sparseTable) lookup(key uint64) (int32, bool) {
 type Compiled struct {
 	alpha  *alphabet.Alphabet
 	num    int // states, including the dead state
+	hiers  int // H: states 0..H-1 may be hierarchical (start and every callHier target among them)
 	syms   int // alphabet size + 1 (the out-of-alphabet column)
 	start  int32
 	dead   int32
@@ -101,7 +110,7 @@ type Compiled struct {
 	internT  []int32 // num*syms
 
 	dense   bool
-	returnT []int32     // dense form: num*num*syms, index (lin*num+hier)*syms+sym
+	returnT []int32     // dense form: num*hiers*syms, index (lin*hiers+hier)*syms+sym
 	sparseR sparseTable // sparse form: defined return transitions only
 
 	// fmtVersion is the container version this automaton was decoded from
@@ -120,6 +129,7 @@ func Compile(d *nwa.DNWA) *Compiled {
 	c := &Compiled{
 		alpha:  alpha,
 		num:    num,
+		hiers:  num,
 		syms:   syms,
 		start:  int32(d.Start()),
 		dead:   int32(d.Dead()),
@@ -218,7 +228,7 @@ func clampSym(sym, syms int) int {
 
 func (c *Compiled) stepReturn(lin, hier int32, sym int) int32 {
 	if c.dense {
-		return c.returnT[(int(lin)*c.num+int(hier))*c.syms+sym]
+		return c.returnT[(int(lin)*c.hiers+int(hier))*c.syms+sym]
 	}
 	if v, ok := c.sparseR.lookup(c.returnKey(lin, hier, sym)); ok {
 		return v

@@ -174,7 +174,7 @@ func prefixSums(counts []int32) []int32 {
 
 // buildReturnSpans sorts sparse return entries and packs them into the
 // deduplicated keys / prefix-span / targets triple of the CompiledN sparse
-// form.  Shared by CompileN and the product union builder.
+// form.
 func buildReturnSpans(entries []sparseEntry) (keys []uint64, span, to []int32) {
 	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
 	to = make([]int32, len(entries))
@@ -190,8 +190,8 @@ func buildReturnSpans(entries []sparseEntry) (keys []uint64, span, to []int32) {
 }
 
 // packStateRow packs a list of state IDs into a fresh bitset row over num
-// states — the start-row construction shared by CompileN, the serialized
-// decode path, and the product union builder.
+// states — the start-row construction shared by CompileN and the
+// serialized decode path.
 func packStateRow(num int, states []int32) bitset.Row {
 	r := bitset.New(num)
 	for _, q := range states {
@@ -210,29 +210,6 @@ func packAcceptRow(accept []bool) bitset.Row {
 		}
 	}
 	return r
-}
-
-// eachReturn enumerates every return transition with its target — the
-// relational analogue of EachReturn on the source automaton, reconstructed
-// from whichever adjacency form the table is stored in.  The product union
-// builder re-keys these edges into the concatenated state space.
-func (c *CompiledN) eachReturn(f func(lin, hier int32, sym int, to int32)) {
-	if c.dense {
-		for idx := 0; idx < c.num*c.num*c.syms; idx++ {
-			for _, to := range c.retTo[c.retOff[idx]:c.retOff[idx+1]] {
-				rest := idx / c.syms
-				f(int32(rest/c.num), int32(rest%c.num), idx%c.syms, to)
-			}
-		}
-		return
-	}
-	for i, key := range c.retKeys {
-		idx := int(key)
-		rest := idx / c.syms
-		for _, to := range c.retTo[c.retSpan[i]:c.retSpan[i+1]] {
-			f(int32(rest/c.num), int32(rest%c.num), idx%c.syms, to)
-		}
-	}
 }
 
 // Alphabet returns the alphabet the compiled symbol IDs refer to.
@@ -273,12 +250,6 @@ func (c *CompiledN) returnSucc(lin, hier int32, sym int) []int32 {
 // NewRunner returns a fresh nondeterministic state-set runner, the bitset
 // implementation.
 func (c *CompiledN) NewRunner() Runner {
-	return c.newBitsetRunner()
-}
-
-// newBitsetRunner mints the concrete bitset runner; split from NewRunner so
-// the product layer's joint runner can hold it without the interface hop.
-func (c *CompiledN) newBitsetRunner() *nnwaBitsetRunner {
 	r := &nnwaBitsetRunner{c: c, w: c.w}
 	r.S = make([]uint64, c.num*c.w)
 	r.R = bitset.New(c.num)

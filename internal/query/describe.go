@@ -18,7 +18,7 @@ type QueryDesc struct {
 
 // GroupDesc is the machine-readable description of one product-compiled
 // cluster: the member names in mask-bit order, the shared automaton's kind
-// ("product-dnwa" or "product-nnwa") and state count, and the width in
+// (always "product-dnwa") and state count, and the width in
 // uint64 words of each accept-bitmask row the verdict demux reads.
 type GroupDesc struct {
 	Queries   []string `json:"queries"`
@@ -67,9 +67,6 @@ func Describe(b *Bundle) BundleDesc {
 			Kind:      "product-dnwa",
 			States:    g.Product.NumStates(),
 			MaskWords: g.Product.maskW,
-		}
-		if !g.Product.Deterministic() {
-			gd.Kind = "product-nnwa"
 		}
 		for _, idx := range g.Indices {
 			gd.Queries = append(gd.Queries, b.Name(int(idx)))

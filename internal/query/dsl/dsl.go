@@ -45,9 +45,9 @@
 //	                        for not (within s: y before x)
 //
 // Boolean combinations compose via the closure constructions of the nwa
-// package (intersection, union, complement on deterministic automata;
-// within-scopes determinize first).  A bare "within s: <order>" at the top
-// level stays nondeterministic and compiles with query.CompileN.
+// package (intersection, union, complement on deterministic automata).
+// Every expression, a bare "within s: <order>" included, lowers to one
+// deterministic NWA and compiles with query.Compile.
 //
 // Compilation is a query-set-load-time operation, like query.Compile: parse
 // and compile once, then serve the compiled automaton.  Nothing in the

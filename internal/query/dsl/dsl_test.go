@@ -8,6 +8,7 @@ import (
 	"repro/internal/alphabet"
 	"repro/internal/docstream"
 	"repro/internal/nestedword"
+	"repro/internal/nwa"
 )
 
 // TestParseString pins the canonical spelling and its re-parse stability.
@@ -88,11 +89,6 @@ func TestCompileMissingLabel(t *testing.T) {
 	if _, err := Compile(e, alpha); err == nil || !strings.Contains(err.Error(), "c") {
 		t.Fatalf("Compile with missing label: err = %v, want mention of c", err)
 	}
-}
-
-// accepter is satisfied by both *query.Compiled and *query.CompiledN.
-type accepter interface {
-	Accepts(*nestedword.NestedWord) bool
 }
 
 // oracle evaluates an expression by brute force directly over the nested
@@ -317,12 +313,8 @@ func TestCompileAgainstOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Compile(%q): %v", qs, err)
 		}
-		acc, ok := q.(accepter)
-		if !ok {
-			t.Fatalf("Compile(%q) returned %T without Accepts", qs, q)
-		}
 		for i, d := range docs {
-			got := acc.Accepts(d)
+			got := q.Accepts(d)
 			want := oracle(e, d)
 			if got != want {
 				t.Errorf("query %q doc %d %q: compiled=%v oracle=%v", qs, i, docstream.Render(d), got, want)
@@ -332,10 +324,10 @@ func TestCompileAgainstOracle(t *testing.T) {
 }
 
 // TestWithinConstructionsAgree pins the nondeterministic within automaton
-// (the query.CompileN top-level path) against the direct deterministic
-// construction (the form used under boolean operators) on the whole corpus
-// — the two are independent constructions of the same language, so their
-// agreement is a real differential, not a tautology.
+// (the oracle below) against the direct deterministic construction that
+// Compile serves, on the whole corpus — the two are independent
+// constructions of the same language, so their agreement is a real
+// differential, not a tautology.
 func TestWithinConstructionsAgree(t *testing.T) {
 	alpha := alphabet.New("book", "title", "author", "lib", "file", "a", "b", "open", "close", "write")
 	docs := corpus(t)
@@ -383,4 +375,68 @@ func TestWithinDeterminizeAgrees(t *testing.T) {
 			t.Errorf("doc %d %q: determinized=%v direct=%v", i, docstream.Render(d), gen.Accepts(d), direct.Accepts(d))
 		}
 	}
+}
+
+// withinNNWA builds the existential scope-order automaton: some scope
+// element's span (its own call/return positions excluded) contains the
+// pattern labels in left-to-right order, at positions of any kind.
+//
+// The automaton guesses the witness scope nondeterministically.  A search
+// state loops outside; on a scope-labelled call it may enter match state
+// m_0, pushing a witness marker.  Inside, every position advances the match
+// by one when it carries the next expected label (inner calls and returns
+// push/pop a dummy marker so the scope's own frame stays identifiable), and
+// the witness marker's return from the fully-matched state m_k reaches a
+// sticky accept.  A document that ends inside a fully-matched but unclosed
+// witness scope also accepts: m_k is itself accepting, consistent with the
+// tokenizer's tolerance for unmatched calls.
+//
+// States: search = 0, m_i = 1+i (i = 0..k), accept = k+2, witness marker =
+// k+3, dummy marker = k+4 — k+5 states total, independent of the document.
+func withinNNWA(alpha *alphabet.Alphabet, scope string, pattern []string) *nwa.NNWA {
+	k := len(pattern)
+	const search = 0
+	m := func(i int) int { return 1 + i }
+	acc := k + 2
+	witness := k + 3
+	dummy := k + 4
+	n := nwa.NewNNWA(alpha, k+5)
+	n.AddStart(search)
+	n.AddAccept(acc, m(k))
+	// advance is the match progress after seeing one position labelled sym.
+	advance := func(i int, sym string) int {
+		if i < k && sym == pattern[i] {
+			return i + 1
+		}
+		return i
+	}
+	for s := 0; s < alpha.Size(); s++ {
+		sym := alpha.Symbol(s)
+		// Search: loop, and guess the witness on scope calls.  The search
+		// state doubles as the hierarchical marker for frames opened while
+		// searching — and, being the start state, as the marker the
+		// simulation supplies for the document's own pending returns.
+		n.AddInternal(search, sym, search)
+		n.AddCall(search, sym, search, search)
+		if sym == scope {
+			n.AddCall(search, sym, m(0), witness)
+		}
+		n.AddReturn(search, search, sym, search)
+		// Match states: every position inside the span advances on the
+		// expected label; the span's own closing return is excluded by
+		// routing it through the witness marker instead.
+		for i := 0; i <= k; i++ {
+			n.AddInternal(m(i), sym, m(advance(i, sym)))
+			n.AddCall(m(i), sym, m(advance(i, sym)), dummy)
+			n.AddReturn(m(i), dummy, sym, m(advance(i, sym)))
+		}
+		n.AddReturn(m(k), witness, sym, acc)
+		// Accept is sticky through any suffix, including returns of frames
+		// opened before the witness (marker search) or after it (dummy).
+		n.AddInternal(acc, sym, acc)
+		n.AddCall(acc, sym, acc, dummy)
+		n.AddReturn(acc, dummy, sym, acc)
+		n.AddReturn(acc, search, sym, acc)
+	}
+	return n
 }

@@ -8,12 +8,11 @@
 // per-query accept bitmask — per-event cost then stops scaling with the
 // cluster size.  The same multiplicative bound is the hazard: a bad cluster
 // multiplies to an enormous state space.  The planner therefore works under
-// a state budget.  Queries are grouped by compiled form (deterministic
-// products and joint nondeterministic unions cannot mix), chunked into
-// clusters of at most ClusterSize in bundle order, and each cluster is
-// product-compiled; a cluster whose product exceeds StateBudget falls back
-// to per-query fan-out, verdicts unchanged (TestPlannerBudgetFallback pins
-// this).  Experiment E28 measures where the crossover sits; see
+// a state budget.  Deterministic queries are chunked into clusters of at
+// most ClusterSize in bundle order, and each cluster is product-compiled; a
+// cluster whose product exceeds StateBudget falls back to per-query fan-out,
+// verdicts unchanged (TestPlannerBudgetFallback pins this).
+// Nondeterministic queries have no product form and are served solo.  Experiment E28 measures where the crossover sits; see
 // docs/COMPILATION.md for the pipeline this package sits in the middle of.
 package plan
 
@@ -58,7 +57,7 @@ type Decision struct {
 	States int     // summed state count of all compiled products
 }
 
-// Bundle plans a compiled bundle: structurally compatible queries are
+// Bundle plans a compiled bundle: deterministic queries are
 // chunked into clusters and product-compiled, over-budget clusters fall
 // back to fan-out, and the result is a planned bundle with identical names,
 // order, and verdicts.  The input bundle is not modified and must itself be
@@ -79,50 +78,45 @@ func Bundle(b *query.Bundle, opts Options) (*query.Bundle, Decision, error) {
 	var products []*query.CompiledProduct
 	solo := func(indices ...int) { dec.Solo = append(dec.Solo, indices...) }
 
-	// Partition by compiled form, keeping bundle order within each class so
+	// Only deterministic queries product-compile; bundle order is kept so
 	// DSL-emitted runs of similar queries land in the same cluster.
-	var det, ndet []int
+	var det []int
 	for i := 0; i < b.Len(); i++ {
-		switch b.Query(i).(type) {
-		case *query.Compiled:
+		if _, ok := b.Query(i).(*query.Compiled); ok {
 			det = append(det, i)
-		case *query.CompiledN:
-			ndet = append(ndet, i)
-		default:
+		} else {
 			solo(i)
 		}
 	}
 
-	for _, class := range [][]int{det, ndet} {
-		for len(class) > 0 {
-			n := opts.ClusterSize
-			if n > len(class) {
-				n = len(class)
-			}
-			cluster := class[:n]
-			class = class[n:]
-			if n < 2 || opts.StateBudget < 0 {
-				solo(cluster...)
-				continue
-			}
-			members := make([]query.Query, n)
-			for j, idx := range cluster {
-				members[j] = b.Query(idx)
-			}
-			p, err := query.CompileProduct(members, opts.StateBudget)
-			switch {
-			case errors.Is(err, query.ErrStateBudget):
-				// The multiplicative blow-up case: this cluster is cheaper
-				// fanned out than materialized.
-				solo(cluster...)
-			case err != nil:
-				return nil, Decision{}, fmt.Errorf("plan: cluster %v: %w", cluster, err)
-			default:
-				clusters = append(clusters, cluster)
-				products = append(products, p)
-				dec.Groups = append(dec.Groups, cluster)
-				dec.States += p.NumStates()
-			}
+	for len(det) > 0 {
+		n := opts.ClusterSize
+		if n > len(det) {
+			n = len(det)
+		}
+		cluster := det[:n]
+		det = det[n:]
+		if n < 2 || opts.StateBudget < 0 {
+			solo(cluster...)
+			continue
+		}
+		members := make([]query.Query, n)
+		for j, idx := range cluster {
+			members[j] = b.Query(idx)
+		}
+		p, err := query.CompileProduct(members, opts.StateBudget)
+		switch {
+		case errors.Is(err, query.ErrStateBudget):
+			// The multiplicative blow-up case: this cluster is cheaper
+			// fanned out than materialized.
+			solo(cluster...)
+		case err != nil:
+			return nil, Decision{}, fmt.Errorf("plan: cluster %v: %w", cluster, err)
+		default:
+			clusters = append(clusters, cluster)
+			products = append(products, p)
+			dec.Groups = append(dec.Groups, cluster)
+			dec.States += p.NumStates()
 		}
 	}
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/generator"
 	"repro/internal/nestedword"
 	"repro/internal/query"
+	"repro/internal/query/dsl"
 )
 
 // buildBundle compiles a mixed bundle: n deterministic ContainsLabel-style
@@ -77,7 +78,7 @@ func verdictsAgree(t *testing.T, src, planned *query.Bundle) {
 	}
 }
 
-func runProductWord(r query.ProductRunner, alpha interface {
+func runProductWord(r *query.ProductRunner, alpha interface {
 	Index(string) (int, bool)
 	Size() int
 }, n *nestedword.NestedWord, dst bitset.Row) {
@@ -106,12 +107,13 @@ func TestPlannerClustersByForm(t *testing.T) {
 		t.Fatalf("Bundle: %v", err)
 	}
 	// 5 deterministic + 3 nondeterministic queries at cluster size 8: one
-	// product per form class, nothing solo.
-	if len(dec.Groups) != 2 || len(dec.Solo) != 0 {
-		t.Fatalf("decision = %+v, want 2 groups and 0 solo", dec)
+	// product of the deterministic five; NNWAs have no product form and
+	// stay solo.
+	if len(dec.Groups) != 1 || len(dec.Groups[0]) != 5 || len(dec.Solo) != 3 {
+		t.Fatalf("decision = %+v, want one 5-query group and 3 solo", dec)
 	}
-	if got := len(planned.Groups()); got != 2 {
-		t.Fatalf("planned bundle has %d groups, want 2", got)
+	if got := len(planned.Groups()); got != 1 {
+		t.Fatalf("planned bundle has %d groups, want 1", got)
 	}
 	if dec.States <= 0 {
 		t.Fatalf("decision reports %d product states", dec.States)
@@ -119,10 +121,39 @@ func TestPlannerClustersByForm(t *testing.T) {
 	if planned.Len() != src.Len() {
 		t.Fatalf("planned bundle holds %d names, want %d", planned.Len(), src.Len())
 	}
-	for gi, g := range planned.Groups() {
-		if det := g.Product.Deterministic(); det != (gi == 0) {
-			t.Errorf("group %d: Deterministic = %v (clusters should be det then ndet)", gi, det)
+	for _, idx := range dec.Solo {
+		if _, ok := planned.Query(idx).(*query.CompiledN); !ok {
+			t.Errorf("solo query %q is %T, want the NNWA", planned.Name(idx), planned.Query(idx))
 		}
+	}
+	verdictsAgree(t, src, planned)
+}
+
+// TestPlannerWithinCluster plans DSL within queries, which compile to
+// DNWAs and so form a product whose return table is compacted to its
+// hierarchical states (86 of 171 over {a,b}); the product must agree with
+// fan-out, pending returns included.
+func TestPlannerWithinCluster(t *testing.T) {
+	exprs, err := dsl.ParseList("within a: b before a; within b: a before b; within a: a before b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, queries, err := dsl.Queries(generator.AB, exprs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := buildBundle(t, 0, 1)
+	for i, q := range queries {
+		if err := src.Add(names[i], q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	planned, dec, err := Bundle(src, Options{})
+	if err != nil {
+		t.Fatalf("Bundle: %v", err)
+	}
+	if len(dec.Groups) != 1 || len(dec.Groups[0]) != 3 || len(dec.Solo) != 1 {
+		t.Fatalf("decision = %+v, want the 3 within queries in one group, the NNWA solo", dec)
 	}
 	verdictsAgree(t, src, planned)
 }

@@ -2,10 +2,13 @@ package query
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/bitset"
+	"repro/internal/nwa"
 	"repro/internal/query/format"
 )
 
@@ -45,45 +48,53 @@ func checkProductAgreement(t *testing.T, label string, p *CompiledProduct, membe
 	}
 }
 
-// TestProductMarshalRoundTrip round-trips both product shapes through
-// Marshal/UnmarshalProduct: byte-identical re-encoding, preserved shape, and
-// verdict agreement against the original members.
+// TestProductMarshalRoundTrip round-trips products through
+// Marshal/UnmarshalProduct — one keeping every hierarchical column, one
+// compacted to H < num — checking byte-identical re-encoding, preserved
+// shape, and verdict agreement against the original members.
 func TestProductMarshalRoundTrip(t *testing.T) {
-	members, _ := detProductMembers()
-	det, err := CompileProduct(members, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	joint, err := CompileProduct([]Query{CompileN(goldenNNWA()), CompileN(goldenNNWA())}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name    string
-		p       *CompiledProduct
-		members []Query
-	}{
-		{"det", det, members},
-		{"joint", joint, []Query{CompileN(goldenNNWA()), CompileN(goldenNNWA())}},
-	} {
-		data := tc.p.Marshal()
+	for _, build := range []func() ([]Query, []*nwa.DNWA){detProductMembers, orderProductMembers} {
+		members, _ := build()
+		p, err := CompileProduct(members, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := p.Marshal()
 		dec, err := UnmarshalProduct(data)
 		if err != nil {
-			t.Fatalf("%s: UnmarshalProduct: %v", tc.name, err)
+			t.Fatalf("UnmarshalProduct: %v", err)
 		}
-		if dec.QueryCount() != tc.p.QueryCount() || dec.NumStates() != tc.p.NumStates() ||
-			dec.Deterministic() != tc.p.Deterministic() {
-			t.Fatalf("%s: decoded shape %d/%d/%v, want %d/%d/%v", tc.name,
-				dec.QueryCount(), dec.NumStates(), dec.Deterministic(),
-				tc.p.QueryCount(), tc.p.NumStates(), tc.p.Deterministic())
+		if dec.QueryCount() != p.QueryCount() || dec.NumStates() != p.NumStates() || dec.inner.hiers != p.inner.hiers {
+			t.Fatalf("decoded shape %d/%d/%d, want %d/%d/%d",
+				dec.QueryCount(), dec.NumStates(), dec.inner.hiers,
+				p.QueryCount(), p.NumStates(), p.inner.hiers)
 		}
-		if !dec.Alphabet().Equal(tc.p.Alphabet()) {
-			t.Fatalf("%s: decoded alphabet %v", tc.name, dec.Alphabet())
+		if !dec.Alphabet().Equal(p.Alphabet()) {
+			t.Fatalf("decoded alphabet %v", dec.Alphabet())
 		}
 		if again := dec.Marshal(); !bytes.Equal(again, data) {
-			t.Fatalf("%s: decode→re-encode changed the bytes", tc.name)
+			t.Fatal("decode→re-encode changed the bytes")
 		}
-		checkProductAgreement(t, tc.name, dec, tc.members, 200)
+		checkProductAgreement(t, fmt.Sprintf("%d states, H=%d", p.NumStates(), p.inner.hiers), dec, members, 200)
+	}
+}
+
+// TestProductJointModeRejected pins the format break: a product container
+// in mode 1, the jointly-stepped nondeterministic union older planners
+// wrote, is refused with an error naming the mode.
+func TestProductJointModeRejected(t *testing.T) {
+	members, _ := detProductMembers()
+	p, err := CompileProduct(members, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := format.NewWriter(format.KindProduct)
+	w.Uint64s(secMeta, []uint64{uint64(p.nq), 1})
+	w.Strings(secAlphabet, p.Alphabet().Symbols())
+	w.Uint64s(secAcceptMask, p.mask)
+	w.Bytes(secQuery, p.inner.encode(false, format.Version1))
+	if _, err := UnmarshalProduct(w.Finish()); err == nil || !strings.Contains(err.Error(), "mode 1") {
+		t.Fatalf("mode-1 product: err = %v, want an error naming mode 1", err)
 	}
 }
 

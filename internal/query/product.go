@@ -10,38 +10,31 @@ import (
 )
 
 // This file is the product-compilation layer: it turns a cluster of compiled
-// queries over one shared alphabet into a single automaton that answers all
-// of them in one pass, so per-event cost stops scaling with the number of
-// registered queries (the ROADMAP's "biggest remaining lever on per-event
-// cost at high query counts").
+// deterministic queries over one shared alphabet into a single automaton that
+// answers all of them in one pass, so per-event cost stops scaling with the
+// number of registered queries.
 //
-// Two shapes exist, matching the two compiled forms:
+// The construction is the classic product of Section 3.2: a product state is
+// a tuple of member states, transitions go componentwise, and only the tuples
+// actually reachable through the call/internal/return closure are
+// materialized.  The per-event cost of the product runner is that of ONE
+// deterministic runner — two or three indexed loads — regardless of how many
+// members the cluster has.  Acceptance is a per-query bitmask (a bitset.Row
+// over member indices per product state), and a ProductRunner demuxes that
+// mask back into the member verdicts.  Nondeterministic (*CompiledN) queries
+// have no product form; the planner (internal/query/plan) serves them solo.
 //
-//   - Deterministic clusters (*Compiled members) use the classic product of
-//     Section 3.2: a product state is a tuple of member states, transitions
-//     go componentwise, and only the tuples actually reachable through the
-//     call/internal/return closure are materialized.  The per-event cost of
-//     the product runner is that of ONE deterministic runner — two or three
-//     indexed loads — regardless of how many members the cluster has.
-//   - Nondeterministic clusters (*CompiledN members) use the disjoint union
-//     stepped jointly: the members' state spaces are concatenated into one
-//     CompiledN whose bitset runner advances every member's state set in the
-//     same word-parallel Gather sweeps, amortizing the per-event loop and
-//     the per-element stack bookkeeping across the cluster.  Blocks are
-//     disjoint — no transition crosses a member boundary — so the union run
-//     restricted to member j's block is exactly member j's own run, pending
-//     returns included (the Section 3.1 stitch pairs a block state only
-//     with that block's own initial states, because cross-block (lin, hier)
-//     pairs have no return transitions).
+// The paper keeps hierarchical states apart from linear ones, and the
+// product exploits that: only the start tuple and the hierarchical targets
+// of calls ever appear as hierarchical data on a return edge.  The
+// construction numbers those tuples first, 0..H-1, so the return table has
+// H hierarchical columns rather than one per product state.  On clusters of
+// ContainsLabel-style members H is 2 out of hundreds of states.
 //
-// Either way, acceptance is a per-query bitmask (a bitset.Row over member
-// indices per product state for the deterministic product; one
-// accepting-state row per member for the joint union), and a ProductRunner
-// demuxes that mask back into the member verdicts.  Products carry the
-// multiplicative state cost the paper proves closure under (Section 3.2),
-// which is exactly why CompileProduct takes a state budget: a cluster whose
-// reachable product outgrows the budget is rejected with ErrStateBudget, and
-// the planner (internal/query/plan) falls back to per-query fan-out for it.
+// Products carry the multiplicative state cost the paper proves closure
+// under, which is exactly why CompileProduct takes a state budget: a cluster
+// whose reachable product outgrows the budget is rejected with
+// ErrStateBudget, and the planner falls back to per-query fan-out for it.
 
 // ErrStateBudget is reported by CompileProduct when the product's state
 // space would exceed the caller's budget.  Callers — the planner above all —
@@ -49,43 +42,39 @@ import (
 var ErrStateBudget = errors.New("query: product exceeds the state budget")
 
 // ProductRunner is the streaming face of a product-compiled cluster: the
-// same three Step calls as Runner, but acceptance is a bitmask over the
-// cluster's member queries instead of a single verdict.  Like Runner, a
-// ProductRunner owns its hierarchical stack and is not safe for concurrent
-// use.
-type ProductRunner interface {
-	// StepCall consumes an element-open event.
-	StepCall(sym int)
-	// StepInternal consumes a text event.
-	StepInternal(sym int)
-	// StepReturn consumes an element-close event.  On an empty stack the
-	// event is a pending return for every member at once, per Section 3.1.
-	StepReturn(sym int)
-	// Verdicts overwrites dst — a row of at least QueryCount bits — with
-	// the per-member verdicts for the stream consumed so far, viewed as a
-	// complete nested word: bit j is member j's verdict.
-	Verdicts(dst bitset.Row)
-	// Reset returns the runner to the start of a new document, keeping its
-	// allocations.
-	Reset()
+// product automaton's own deterministic runner, whose Verdicts read the
+// current state's accept-bitmask row instead of a single accept bit.  Like
+// Runner, a ProductRunner owns its hierarchical stack and is not safe for
+// concurrent use.  On an empty stack StepReturn is a pending return for
+// every member at once, per Section 3.1.
+type ProductRunner struct {
+	dnwaRunner
+	p *CompiledProduct
+}
+
+// Verdicts overwrites dst — a row of at least QueryCount bits — with the
+// per-member verdicts for the stream consumed so far, viewed as a complete
+// nested word: bit j is member j's verdict.
+//
+//nwvet:hotpath
+func (r *ProductRunner) Verdicts(dst bitset.Row) {
+	dst.Zero()
+	dst.Or(bitset.Slab(r.p.mask, int(r.state), r.p.maskW))
 }
 
 // CompiledProduct is an immutable product-compiled query cluster: one
-// automaton whose accept structure is a per-query bitmask, answering
-// QueryCount member queries at once.  Build one with CompileProduct, or let
-// the planner (internal/query/plan) cluster a whole bundle; the engine
-// dispatches one ProductRunner per cluster and demuxes the verdict mask back
-// to the member names.
+// deterministic automaton whose accept structure is a per-query bitmask,
+// answering QueryCount member queries at once.  Build one with
+// CompileProduct, or let the planner (internal/query/plan) cluster a whole
+// bundle; the engine dispatches one ProductRunner per cluster and demuxes
+// the verdict mask back to the member names.
 type CompiledProduct struct {
-	inner Query // *Compiled (deterministic product) or *CompiledN (joint union)
-	nq    int   // member query count
+	inner *Compiled // the product automaton over member-state tuples
+	nq    int       // member query count
 
-	// mask is the accept bitmask slab, maskW words per row.  For a
-	// deterministic product it has one row per product state, maskW =
-	// bitset.Words(nq): bit j of row q means member j accepts in product
-	// state q.  For a joint union it has one row per member, maskW =
-	// inner.w: row j holds member j's accepting states within the union
-	// state space.
+	// mask is the accept bitmask slab: one row of maskW = bitset.Words(nq)
+	// words per product state, bit j of row q set when member j accepts in
+	// product state q.
 	mask  []uint64
 	maskW int
 
@@ -95,50 +84,27 @@ type CompiledProduct struct {
 }
 
 // Alphabet returns the shared alphabet the cluster was compiled over.
-func (p *CompiledProduct) Alphabet() *alphabet.Alphabet { return p.inner.Alphabet() }
+func (p *CompiledProduct) Alphabet() *alphabet.Alphabet { return p.inner.alpha }
 
 // QueryCount returns the number of member queries the product answers.
 func (p *CompiledProduct) QueryCount() int { return p.nq }
 
-// NumStates returns the state count of the shared automaton: reachable
-// tuples for a deterministic product, the summed member states for a joint
-// union.
-func (p *CompiledProduct) NumStates() int {
-	switch c := p.inner.(type) {
-	case *Compiled:
-		return c.num
-	case *CompiledN:
-		return c.num
-	}
-	return 0
-}
-
-// Deterministic reports whether the product is a deterministic tuple product
-// (as opposed to a jointly-stepped nondeterministic union).
-func (p *CompiledProduct) Deterministic() bool {
-	_, ok := p.inner.(*Compiled)
-	return ok
-}
+// NumStates returns the number of reachable member-state tuples, the
+// product's state count.
+func (p *CompiledProduct) NumStates() int { return p.inner.num }
 
 // NewProductRunner returns a fresh runner positioned at the document start.
-func (p *CompiledProduct) NewProductRunner() ProductRunner {
-	switch c := p.inner.(type) {
-	case *Compiled:
-		return &detProductRunner{p: p, c: c, state: c.start}
-	case *CompiledN:
-		return &jointProductRunner{p: p, r: c.newBitsetRunner()}
-	}
-	return nil
+func (p *CompiledProduct) NewProductRunner() *ProductRunner {
+	return &ProductRunner{dnwaRunner: dnwaRunner{c: p.inner, state: p.inner.start}, p: p}
 }
 
-// CompileProduct compiles a cluster of member queries over one shared
-// alphabet into a single CompiledProduct.  All members must be the same
-// compiled form: *Compiled members yield the deterministic tuple product,
-// *CompiledN members the jointly-stepped union.  budget caps the product's
-// state count (≤ 0 means the serialization limit); exceeding it returns
-// ErrStateBudget, the signal the planner downgrades on.  Member verdicts are
-// preserved exactly: bit j of the runner's verdict mask always equals what
-// members[j]'s own runner would report on the same stream.
+// CompileProduct compiles a cluster of deterministic member queries over one
+// shared alphabet into a single CompiledProduct.  Every member must be a
+// *Compiled.  budget caps the product's state count (≤ 0 means the
+// serialization limit); exceeding it returns ErrStateBudget, the signal the
+// planner downgrades on.  Member verdicts are preserved exactly: bit j of
+// the runner's verdict mask always equals what members[j]'s own runner would
+// report on the same stream.
 func CompileProduct(members []Query, budget int) (*CompiledProduct, error) {
 	if len(members) == 0 {
 		return nil, errors.New("query: product of zero queries")
@@ -149,38 +115,19 @@ func CompileProduct(members []Query, budget int) (*CompiledProduct, error) {
 	if budget <= 0 || budget > maxStates {
 		budget = maxStates
 	}
-	alpha := members[0].Alphabet()
-	for i, m := range members[1:] {
-		if !alpha.Equal(m.Alphabet()) {
+	ms := make([]*Compiled, len(members))
+	for i, m := range members {
+		c, ok := m.(*Compiled)
+		if !ok {
+			return nil, fmt.Errorf("query: product member %d is %T, only *Compiled queries product-compile", i, m)
+		}
+		if i > 0 && !ms[0].alpha.Equal(c.alpha) {
 			return nil, fmt.Errorf("query: product member %d uses alphabet %v, member 0 uses %v",
-				i+1, m.Alphabet(), alpha)
+				i, c.alpha, ms[0].alpha)
 		}
+		ms[i] = c
 	}
-	switch members[0].(type) {
-	case *Compiled:
-		ms := make([]*Compiled, len(members))
-		for i, m := range members {
-			c, ok := m.(*Compiled)
-			if !ok {
-				return nil, fmt.Errorf("query: product members mix compiled forms (member 0 is %T, member %d is %T)",
-					members[0], i, m)
-			}
-			ms[i] = c
-		}
-		return compileDetProduct(ms, budget)
-	case *CompiledN:
-		ms := make([]*CompiledN, len(members))
-		for i, m := range members {
-			c, ok := m.(*CompiledN)
-			if !ok {
-				return nil, fmt.Errorf("query: product members mix compiled forms (member 0 is %T, member %d is %T)",
-					members[0], i, m)
-			}
-			ms[i] = c
-		}
-		return compileJointProduct(ms, budget)
-	}
-	return nil, fmt.Errorf("query: cannot product-compile %T", members[0])
+	return compileDetProduct(ms, budget)
 }
 
 // --- deterministic tuple product ----------------------------------------
@@ -211,6 +158,15 @@ func (b *detBuilder) tuple(id int32) []int32 {
 	return b.tuples[int(id)*b.k : (int(id)+1)*b.k]
 }
 
+// pack writes a tuple into the scratch key as packed little-endian IDs.
+func (b *detBuilder) pack(t []int32) []byte {
+	b.key = b.key[:0]
+	for _, q := range t {
+		b.key = binary.LittleEndian.AppendUint32(b.key, uint32(q))
+	}
+	return b.key
+}
+
 // intern returns the product state ID of a tuple, discovering it if new.  On
 // budget overflow it records ErrStateBudget and returns 0; the caller's loop
 // terminates via the err field.
@@ -218,11 +174,7 @@ func (b *detBuilder) intern(t []int32) int32 {
 	if b.err != nil {
 		return 0
 	}
-	b.key = b.key[:0]
-	for _, q := range t {
-		b.key = binary.LittleEndian.AppendUint32(b.key, uint32(q))
-	}
-	if id, ok := b.ids[string(b.key)]; ok {
+	if id, ok := b.ids[string(b.pack(t))]; ok {
 		return id
 	}
 	if b.count() >= b.budget {
@@ -247,6 +199,26 @@ func (b *detBuilder) markHier(id int32) {
 	b.hiers = append(b.hiers, id)
 }
 
+// renumber gives the hier-capable tuples the IDs 0..H-1 in discovery order,
+// so the start tuple keeps ID 0, moves every other tuple after them, and
+// returns H.  Every hierarchical value a runner can pop is then below H.
+func (b *detBuilder) renumber() int {
+	order := append([]int32(nil), b.hiers...)
+	for q, h := range b.isHier {
+		if !h {
+			order = append(order, int32(q))
+		}
+	}
+	tuples := make([]int32, 0, len(b.tuples))
+	for id, old := range order {
+		t := b.tuple(old)
+		b.ids[string(b.pack(t))] = int32(id)
+		tuples = append(tuples, t...)
+	}
+	b.tuples = tuples
+	return len(b.hiers)
+}
+
 // pairRet interns the componentwise return targets of one (lin, hier) state
 // pair across every symbol.
 func (b *detBuilder) pairRet(d, h int32) {
@@ -264,9 +236,9 @@ func (b *detBuilder) pairRet(d, h int32) {
 // discovered tuple, and pairs every discovered tuple with every
 // hier-capable tuple for the return relation (new states are paired with
 // all known hiers, new hiers with all processed states, so each pair is
-// covered exactly once).  A second pass rebuilds the componentwise targets
-// into the dense/sparse Compiled tables and packs the per-state accept
-// bitmask.
+// covered exactly once).  The tuples are then renumbered hier-capable
+// first, and a second pass rebuilds the componentwise targets into the
+// dense/sparse Compiled tables and packs the per-state accept bitmask.
 func compileDetProduct(ms []*Compiled, budget int) (*CompiledProduct, error) {
 	k := len(ms)
 	syms := ms[0].syms
@@ -287,12 +259,12 @@ func compileDetProduct(ms []*Compiled, budget int) (*CompiledProduct, error) {
 	for j, m := range ms {
 		b.tmp[j] = m.start
 	}
-	startID := b.intern(b.tmp)
-	b.markHier(startID)
+	b.markHier(b.intern(b.tmp))
+	dead := make([]int32, k)
 	for j, m := range ms {
-		b.tmp[j] = m.dead
+		dead[j] = m.dead
 	}
-	deadID := b.intern(b.tmp)
+	b.intern(dead)
 
 	// Fixpoint: ps states have had their calls/internals expanded and been
 	// paired (as lin) with hiers[0:current]; ph hiers have been paired with
@@ -334,13 +306,15 @@ func compileDetProduct(ms []*Compiled, budget int) (*CompiledProduct, error) {
 	// Second pass: materialize the tables over the now-fixed state space.
 	// Every componentwise target below was already interned by the fixpoint,
 	// so intern only looks up.
+	hiers := b.renumber()
 	num := b.count()
 	c := &Compiled{
 		alpha:  ms[0].alpha,
 		num:    num,
+		hiers:  hiers,
 		syms:   syms,
-		start:  startID,
-		dead:   deadID,
+		start:  0,
+		dead:   b.intern(dead),
 		accept: make([]bool, num),
 	}
 	maskW := bitset.Words(k)
@@ -373,40 +347,32 @@ func compileDetProduct(ms []*Compiled, budget int) (*CompiledProduct, error) {
 			c.internT[i] = b.intern(b.tmp)
 		}
 	}
-	// Return table: only (lin ∈ states, hier ∈ hier-capable) pairs can occur
-	// at run time (the runner's hier is either a pushed call target or the
-	// start state), so all other rows stay at the dead prefill.
-	if size := num * num * syms; size <= denseReturnLimit {
-		c.dense = true
-		c.returnT = filled(size, c.dead)
+	// Return table over (lin, hier < H) pairs, visited in dense index order.
+	eachReturn := func(f func(lin, hier int32, sym int, to int32)) {
 		for q := 0; q < num; q++ {
-			for _, h := range b.hiers {
-				ht := b.tuple(h)
-				t := b.tuple(int32(q))
+			t := b.tuple(int32(q))
+			for h := 0; h < hiers; h++ {
+				ht := b.tuple(int32(h))
 				for sym := 0; sym < syms; sym++ {
 					for j, m := range ms {
 						b.tmp[j] = m.stepReturn(t[j], ht[j], sym)
 					}
-					c.returnT[(q*num+int(h))*syms+sym] = b.intern(b.tmp)
+					f(int32(q), int32(h), sym, b.intern(b.tmp))
 				}
 			}
 		}
+	}
+	if size := num * hiers * syms; size <= denseReturnLimit {
+		c.dense = true
+		c.returnT = make([]int32, 0, size)
+		eachReturn(func(_, _ int32, _ int, to int32) { c.returnT = append(c.returnT, to) })
 	} else {
 		var entries []sparseEntry
-		for q := 0; q < num; q++ {
-			for _, h := range b.hiers {
-				ht := b.tuple(h)
-				t := b.tuple(int32(q))
-				for sym := 0; sym < syms; sym++ {
-					for j, m := range ms {
-						b.tmp[j] = m.stepReturn(t[j], ht[j], sym)
-					}
-					if to := b.intern(b.tmp); to != deadID {
-						entries = append(entries, sparseEntry{c.returnKey(int32(q), h, sym), to})
-					}
-				}
+		eachReturn(func(lin, hier int32, sym int, to int32) {
+			if to != c.dead {
+				entries = append(entries, sparseEntry{c.returnKey(lin, hier, sym), to})
 			}
-		}
+		})
 		c.sparseR = buildSparse(entries)
 	}
 	if b.err != nil {
@@ -416,204 +382,3 @@ func compileDetProduct(ms []*Compiled, budget int) (*CompiledProduct, error) {
 	}
 	return &CompiledProduct{inner: c, nq: k, mask: mask, maskW: maskW}, nil
 }
-
-// --- jointly-stepped nondeterministic union ------------------------------
-
-// compileJointProduct concatenates the members' state spaces into one
-// CompiledN — member j's states shifted by the block base — and packs each
-// member's accepting states into one bitmask row, so a single bitset runner
-// answers all members and Verdicts is one Intersects per member.
-func compileJointProduct(ms []*CompiledN, budget int) (*CompiledProduct, error) {
-	k := len(ms)
-	syms := ms[0].syms
-	num := 0
-	bases := make([]int32, k)
-	for j, m := range ms {
-		bases[j] = int32(num)
-		num += m.num
-	}
-	if num > budget {
-		return nil, ErrStateBudget
-	}
-
-	u := &CompiledN{
-		alpha:  ms[0].alpha,
-		num:    num,
-		syms:   syms,
-		accept: make([]bool, num),
-	}
-	for j, m := range ms {
-		base := bases[j]
-		for _, q := range m.starts {
-			u.starts = append(u.starts, base+q)
-		}
-		copy(u.accept[base:], m.accept)
-	}
-
-	// Call and internal adjacency: member CSR spans concatenate directly,
-	// because the union index (base+q)*syms+sym enumerates in exactly the
-	// member-major, state-major, symbol-major order we iterate in.
-	u.callOff = make([]int32, num*syms+1)
-	u.intOff = make([]int32, num*syms+1)
-	i := 0
-	for j, m := range ms {
-		base := bases[j]
-		for q := 0; q < m.num; q++ {
-			for sym := 0; sym < syms; sym++ {
-				lins, hiers := m.callSucc(q, sym)
-				for t := range lins {
-					u.callLin = append(u.callLin, base+lins[t])
-					u.callHier = append(u.callHier, base+hiers[t])
-				}
-				for _, to := range m.internalSucc(q, sym) {
-					u.intTo = append(u.intTo, base+to)
-				}
-				i++
-				u.callOff[i] = int32(len(u.callLin))
-				u.intOff[i] = int32(len(u.intTo))
-			}
-		}
-	}
-
-	// Return adjacency over the union's quadratic index.  Cross-block
-	// (lin, hier) pairs simply have no entries, which is what makes the
-	// union's pending-return stitch (over all union starts) coincide with
-	// each member's own stitch.
-	if size := num * num * syms; size <= denseReturnLimit {
-		u.dense = true
-		retCount := make([]int32, size)
-		for j, m := range ms {
-			base := int(bases[j])
-			m.eachReturn(func(lin, hier int32, sym int, _ int32) {
-				retCount[((int(lin)+base)*num+int(hier)+base)*syms+sym]++
-			})
-		}
-		u.retOff = prefixSums(retCount)
-		u.retTo = make([]int32, u.retOff[len(u.retOff)-1])
-		retFill := make([]int32, size)
-		for j, m := range ms {
-			base := int(bases[j])
-			m.eachReturn(func(lin, hier int32, sym int, to int32) {
-				idx := ((int(lin)+base)*num + int(hier) + base) * syms
-				idx += sym
-				u.retTo[u.retOff[idx]+retFill[idx]] = int32(base) + to
-				retFill[idx]++
-			})
-		}
-	} else {
-		var entries []sparseEntry
-		for j, m := range ms {
-			base := int(bases[j])
-			m.eachReturn(func(lin, hier int32, sym int, to int32) {
-				key := uint64(((int(lin)+base)*num + int(hier) + base) * syms)
-				key += uint64(sym)
-				entries = append(entries, sparseEntry{key, int32(base) + to})
-			})
-		}
-		u.retKeys, u.retSpan, u.retTo = buildReturnSpans(entries)
-	}
-
-	// Bitset layout: the per-symbol successor masks, the start/accept rows,
-	// and the per-member accept-mask slab all share the union width.
-	u.w = bitset.Words(num)
-	u.startRow = packStateRow(num, u.starts)
-	u.acceptRow = packAcceptRow(u.accept)
-	u.intMask = make([]uint64, syms*num*u.w)
-	u.callMask = make([]uint64, syms*num*u.w)
-	mask := make([]uint64, k*u.w)
-	for j, m := range ms {
-		base := int(bases[j])
-		row := bitset.Slab(mask, j, u.w)
-		for q := 0; q < m.num; q++ {
-			if m.accept[q] {
-				row.Set(base + q)
-			}
-			for sym := 0; sym < syms; sym++ {
-				for _, to := range m.internalSucc(q, sym) {
-					u.maskRow(u.intMask, sym, base+q).Set(base + int(to))
-				}
-				lins, _ := m.callSucc(q, sym)
-				for _, lin := range lins {
-					u.maskRow(u.callMask, sym, base+q).Set(base + int(lin))
-				}
-			}
-		}
-	}
-	return &CompiledProduct{inner: u, nq: k, mask: mask, maskW: u.w}, nil
-}
-
-// --- runners -------------------------------------------------------------
-
-// detProductRunner steps the deterministic product exactly like the
-// single-query dnwaRunner — two or three indexed loads per event — and reads
-// all member verdicts off the current state's accept-mask row.
-type detProductRunner struct {
-	p     *CompiledProduct
-	c     *Compiled
-	state int32
-	stack []int32
-}
-
-//nwvet:hotpath
-func (r *detProductRunner) StepCall(sym int) {
-	c := r.c
-	i := int(r.state)*c.syms + clampSym(sym, c.syms)
-	r.stack = append(r.stack, c.callHier[i])
-	r.state = c.callLin[i]
-}
-
-//nwvet:hotpath
-func (r *detProductRunner) StepInternal(sym int) {
-	c := r.c
-	r.state = c.internT[int(r.state)*c.syms+clampSym(sym, c.syms)]
-}
-
-//nwvet:hotpath
-func (r *detProductRunner) StepReturn(sym int) {
-	hier := r.c.start
-	if n := len(r.stack); n > 0 {
-		hier = r.stack[n-1]
-		r.stack = r.stack[:n-1]
-	}
-	r.state = r.c.stepReturn(r.state, hier, clampSym(sym, r.c.syms))
-}
-
-//nwvet:hotpath
-func (r *detProductRunner) Verdicts(dst bitset.Row) {
-	dst.Zero()
-	dst.Or(bitset.Slab(r.p.mask, int(r.state), r.p.maskW))
-}
-
-func (r *detProductRunner) Reset() {
-	r.state = r.c.start
-	r.stack = r.stack[:0]
-}
-
-// jointProductRunner drives one bitset state-set runner over the member
-// union; verdict j is "does the reachable set meet member j's accepting
-// states" — one Intersects sweep per member.
-type jointProductRunner struct {
-	p *CompiledProduct
-	r *nnwaBitsetRunner
-}
-
-//nwvet:hotpath
-func (j *jointProductRunner) StepCall(sym int) { j.r.StepCall(sym) }
-
-//nwvet:hotpath
-func (j *jointProductRunner) StepInternal(sym int) { j.r.StepInternal(sym) }
-
-//nwvet:hotpath
-func (j *jointProductRunner) StepReturn(sym int) { j.r.StepReturn(sym) }
-
-//nwvet:hotpath
-func (j *jointProductRunner) Verdicts(dst bitset.Row) {
-	dst.Zero()
-	for q := 0; q < j.p.nq; q++ {
-		if j.r.R.Intersects(bitset.Slab(j.p.mask, q, j.p.maskW)) {
-			dst.Set(q)
-		}
-	}
-}
-
-func (j *jointProductRunner) Reset() { j.r.Reset() }

@@ -1,7 +1,6 @@
 package query
 
 import (
-	"math/rand"
 	"sync"
 	"testing"
 
@@ -23,16 +22,13 @@ var (
 )
 
 // fuzzFamily returns the fixed query families the mask byte selects from:
-// family 0 is the deterministic mix from detProductMembers, family 1 a trio
-// of random nondeterministic automata.
+// family 0 is the mix from detProductMembers, family 1 the linear-order trio
+// from orderProductMembers, whose products compact their return tables to
+// fewer hierarchical columns than states.
 func fuzzFamily(which int) []Query {
 	fuzzFamOnce.Do(func() {
-		det, _ := detProductMembers()
-		fuzzFamilies[0] = det
-		rng := rand.New(rand.NewSource(99))
-		for i := 0; i < 3; i++ {
-			fuzzFamilies[1] = append(fuzzFamilies[1], CompileN(randomNNWA(rng, 2+rng.Intn(3))))
-		}
+		fuzzFamilies[0], _ = detProductMembers()
+		fuzzFamilies[1], _ = orderProductMembers()
 	})
 	return fuzzFamilies[which%2]
 }

@@ -15,7 +15,7 @@ import (
 // runProductWord drives a product runner over a whole nested word, interning
 // each symbol against alpha, and leaves the member verdicts in dst — the
 // ProductRunner counterpart of RunWord.
-func runProductWord(r ProductRunner, alpha *alphabet.Alphabet, n *nestedword.NestedWord, dst bitset.Row) {
+func runProductWord(r *ProductRunner, alpha *alphabet.Alphabet, n *nestedword.NestedWord, dst bitset.Row) {
 	r.Reset()
 	ooa := alpha.Size()
 	for i := 0; i < n.Len(); i++ {
@@ -39,13 +39,28 @@ func runProductWord(r ProductRunner, alpha *alphabet.Alphabet, n *nestedword.Nes
 // structurally similar but distinct queries over the shared {a,b} alphabet.
 func detProductMembers() ([]Query, []*nwa.DNWA) {
 	alpha := generator.AB
-	sources := []*nwa.DNWA{
+	return compileMembers(
 		WellFormed(alpha),
 		PathQuery(alpha, "a", "b"),
 		LinearOrder(alpha, "a", "b", "a"),
 		ContainsLabel(alpha, "b"),
 		nwa.Intersect(WellFormed(alpha), ContainsLabel(alpha, "a")),
-	}
+	)
+}
+
+// orderProductMembers is a cluster of linear-order queries: their calls
+// push few distinct hierarchical states, so the product's return table
+// needs fewer hierarchical columns than it has states (H < num).
+func orderProductMembers() ([]Query, []*nwa.DNWA) {
+	alpha := generator.AB
+	return compileMembers(
+		ContainsLabel(alpha, "a"),
+		LinearOrder(alpha, "b", "a"),
+		LinearOrder(alpha, "a", "b", "b"),
+	)
+}
+
+func compileMembers(sources ...*nwa.DNWA) ([]Query, []*nwa.DNWA) {
 	members := make([]Query, len(sources))
 	for i, d := range sources {
 		members[i] = Compile(d)
@@ -53,11 +68,13 @@ func detProductMembers() ([]Query, []*nwa.DNWA) {
 	return members, sources
 }
 
-// TestProductDNWADifferential is the ISSUE's correctness criterion for the
+// TestProductDNWADifferential is the correctness criterion for the
 // deterministic product: 1200 random nested words — pending calls/returns
 // and out-of-alphabet labels included — where every verdict bit of the
 // product runner must equal both the member's own fanned-out runner and the
-// serial source-automaton oracle, for the dense and sparse return forms.
+// serial source-automaton oracle, for the dense and sparse return forms, on
+// a cluster whose return table keeps every hierarchical column and on one
+// compacted to H < num.
 func TestProductDNWADifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(606))
 	alpha := generator.AB
@@ -68,105 +85,59 @@ func TestProductDNWADifferential(t *testing.T) {
 		t.Fatal("no words with pending calls/returns were generated")
 	}
 	defer func(old int) { denseReturnLimit = old }(denseReturnLimit)
-	for _, limit := range []int{denseReturnLimit, 1} {
-		denseReturnLimit = limit
-		members, sources := detProductMembers()
-		p, err := CompileProduct(members, 0)
-		if err != nil {
-			t.Fatalf("limit %d: CompileProduct: %v", limit, err)
-		}
-		if !p.Deterministic() {
-			t.Fatalf("limit %d: product of Compiled members is not Deterministic", limit)
-		}
-		if p.QueryCount() != len(members) {
-			t.Fatalf("limit %d: QueryCount = %d, want %d", limit, p.QueryCount(), len(members))
-		}
-		inner := p.inner.(*Compiled)
-		if want := limit > 1; inner.Dense() != want {
-			t.Fatalf("limit %d: product Dense() = %v, want %v", limit, inner.Dense(), want)
-		}
-		pr := p.NewProductRunner()
-		verdicts := bitset.New(p.QueryCount())
-		fan := make([]Runner, len(members))
-		for j, m := range members {
-			fan[j] = m.NewRunner()
-		}
-		for wi, w := range words {
-			runProductWord(pr, alpha, w, verdicts)
-			for j := range members {
-				got := verdicts.Has(j)
-				if want := RunWord(fan[j], alpha, w); got != want {
-					t.Fatalf("limit %d, word %d, member %d: product %v, fan-out runner %v on %v",
-						limit, wi, j, got, want, w)
-				}
-				if want := sources[j].Accepts(w); got != want {
-					t.Fatalf("limit %d, word %d, member %d: product %v, serial DNWA %v on %v",
-						limit, wi, j, got, want, w)
-				}
-			}
-		}
-	}
-}
-
-// TestProductNNWADifferential mirrors the deterministic differential for the
-// jointly-stepped union: clusters of random nondeterministic automata whose
-// joint runner must agree bit-for-bit with each member's own bitset runner
-// and with the source NNWA oracle — 1200 words across the clusters, pending
-// calls/returns and out-of-alphabet labels included, dense and sparse.
-func TestProductNNWADifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(707))
-	alpha := generator.AB
-	defer func(old int) { denseReturnLimit = old }(denseReturnLimit)
-	for _, limit := range []int{denseReturnLimit, 1} {
-		denseReturnLimit = limit
-		totalPending := 0
-		for cluster := 0; cluster < 4; cluster++ {
-			k := 2 + cluster // cluster sizes 2..5
-			sources := make([]*nwa.NNWA, k)
-			members := make([]Query, k)
-			for j := range sources {
-				sources[j] = randomNNWA(rng, 2+rng.Intn(3))
-				members[j] = CompileN(sources[j])
-			}
+	for _, cluster := range []struct {
+		name      string
+		build     func() ([]Query, []*nwa.DNWA)
+		compacted bool
+	}{
+		{"mixed", detProductMembers, false},
+		{"orders", orderProductMembers, true},
+	} {
+		for _, limit := range []int{denseReturnLimit, 1} {
+			denseReturnLimit = limit
+			members, sources := cluster.build()
 			p, err := CompileProduct(members, 0)
 			if err != nil {
-				t.Fatalf("limit %d, cluster %d: CompileProduct: %v", limit, cluster, err)
+				t.Fatalf("%s, limit %d: CompileProduct: %v", cluster.name, limit, err)
 			}
-			if p.Deterministic() {
-				t.Fatalf("limit %d, cluster %d: product of CompiledN members claims Deterministic", limit, cluster)
+			if p.QueryCount() != len(members) {
+				t.Fatalf("%s, limit %d: QueryCount = %d, want %d", cluster.name, limit, p.QueryCount(), len(members))
+			}
+			inner := p.inner
+			if want := limit > 1; inner.Dense() != want {
+				t.Fatalf("%s, limit %d: product Dense() = %v, want %v", cluster.name, limit, inner.Dense(), want)
+			}
+			if cluster.compacted && inner.hiers >= inner.num {
+				t.Fatalf("%s: product keeps %d hierarchical columns for %d states, want fewer",
+					cluster.name, inner.hiers, inner.num)
 			}
 			pr := p.NewProductRunner()
-			verdicts := bitset.New(k)
-			fan := make([]Runner, k)
+			verdicts := bitset.New(p.QueryCount())
+			fan := make([]Runner, len(members))
 			for j, m := range members {
 				fan[j] = m.NewRunner()
 			}
-			words, pending := randomWords(rng, 300, []string{"a", "b", "zz"})
-			totalPending += pending
 			for wi, w := range words {
 				runProductWord(pr, alpha, w, verdicts)
 				for j := range members {
 					got := verdicts.Has(j)
 					if want := RunWord(fan[j], alpha, w); got != want {
-						t.Fatalf("limit %d, cluster %d, word %d, member %d: joint %v, fan-out %v on %v",
-							limit, cluster, wi, j, got, want, w)
+						t.Fatalf("%s, limit %d, word %d, member %d: product %v, fan-out runner %v on %v",
+							cluster.name, limit, wi, j, got, want, w)
 					}
 					if want := sources[j].Accepts(w); got != want {
-						t.Fatalf("limit %d, cluster %d, word %d, member %d: joint %v, serial NNWA %v on %v",
-							limit, cluster, wi, j, got, want, w)
+						t.Fatalf("%s, limit %d, word %d, member %d: product %v, serial DNWA %v on %v",
+							cluster.name, limit, wi, j, got, want, w)
 					}
 				}
 			}
 		}
-		if totalPending == 0 {
-			t.Fatal("no words with pending calls/returns were generated")
-		}
 	}
 }
 
-// TestCompileProductErrors pins the rejection paths: empty cluster, mixed
-// compiled forms, mismatched alphabets, and — the planner's fallback signal
-// — a state budget smaller than the reachable product.
+// TestCompileProductErrors pins the rejection paths: empty cluster,
+// nondeterministic members, mismatched alphabets, and — the planner's
+// fallback signal — a state budget smaller than the reachable product.
 func TestCompileProductErrors(t *testing.T) {
 	alpha := generator.AB
 	det := Compile(WellFormed(alpha))
@@ -188,8 +159,8 @@ func TestCompileProductErrors(t *testing.T) {
 	if _, err := CompileProduct([]Query{det, det}, 1); !errors.Is(err, ErrStateBudget) {
 		t.Errorf("tiny deterministic budget: err = %v, want ErrStateBudget", err)
 	}
-	if _, err := CompileProduct([]Query{ndet, ndet}, 1); !errors.Is(err, ErrStateBudget) {
-		t.Errorf("tiny joint budget: err = %v, want ErrStateBudget", err)
+	if _, err := CompileProduct([]Query{ndet, ndet}, 0); err == nil || errors.Is(err, ErrStateBudget) {
+		t.Errorf("nondeterministic cluster: err = %v, want a member-form error", err)
 	}
 	if p, err := CompileProduct([]Query{det}, 0); err != nil || p.QueryCount() != 1 {
 		t.Errorf("singleton cluster: p, err = %v, %v", p, err)

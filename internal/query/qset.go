@@ -19,9 +19,10 @@ import (
 //
 // Three object kinds exist:
 //
-//   - a Compiled DNWA (format.KindDNWA): meta, alphabet, accept bytes, the
-//     dense call/internal tables, and either the dense return table or the
-//     sorted sparse key/value pair;
+//   - a Compiled DNWA (format.KindDNWA): meta (with the hierarchical-state
+//     count H as an optional sixth value), alphabet, accept bytes, the dense
+//     call/internal tables, and either the num·H·syms dense return table or
+//     the sorted sparse key/value pair;
 //   - a CompiledN NNWA (format.KindNNWA): meta, alphabet, starts, accept
 //     bytes, the CSR call/internal/return adjacency, and the per-symbol
 //     successor bitmask slabs;
@@ -130,7 +131,13 @@ func (c *Compiled) encode(includeAlpha bool, version uint32) []byte {
 	if c.dense {
 		dense = 1
 	}
-	w.Uint64s(secMeta, []uint64{uint64(c.num), uint64(c.syms), uint64(c.start), uint64(c.dead), dense})
+	meta := []uint64{uint64(c.num), uint64(c.syms), uint64(c.start), uint64(c.dead), dense}
+	if c.hiers != c.num {
+		// Written only for a compacted return table, so every other
+		// container keeps its five-value meta and its bytes.
+		meta = append(meta, uint64(c.hiers))
+	}
+	w.Uint64s(secMeta, meta)
 	if includeAlpha {
 		w.Strings(secAlphabet, c.alpha.Symbols())
 	}
@@ -339,11 +346,20 @@ func decodeCompiled(d *decodeState) (*Compiled, error) {
 	if syms < 1 || syms > maxSymbols {
 		return nil, fmt.Errorf("query: %d symbol columns outside [1, %d]", meta[1], maxSymbols)
 	}
-	if meta[2] >= uint64(num) || meta[3] >= uint64(num) {
-		return nil, fmt.Errorf("query: start %d / dead %d outside the %d states", meta[2], meta[3], num)
+	hiers := num
+	if len(meta) > 5 {
+		if meta[5] < 1 || meta[5] > uint64(num) {
+			return nil, fmt.Errorf("query: %d hierarchical states outside [1, %d]", meta[5], num)
+		}
+		hiers = int(meta[5])
+	}
+	if meta[2] >= uint64(hiers) || meta[3] >= uint64(num) {
+		return nil, fmt.Errorf("query: start %d / dead %d outside the %d hierarchical / %d states",
+			meta[2], meta[3], hiers, num)
 	}
 	c := &Compiled{
 		num:        num,
+		hiers:      hiers,
 		syms:       syms,
 		start:      int32(meta[2]),
 		dead:       int32(meta[3]),
@@ -362,13 +378,14 @@ func decodeCompiled(d *decodeState) (*Compiled, error) {
 		return nil, fmt.Errorf("query: %d×%d transition cells overflow", num, syms)
 	}
 	for _, t := range []struct {
-		tag  uint32
-		what string
-		dst  *[]int32
+		tag   uint32
+		what  string
+		dst   *[]int32
+		limit int // targets lie in [0, limit)
 	}{
-		{secCallLin, "call linear", &c.callLin},
-		{secCallHier, "call hierarchical", &c.callHier},
-		{secInternal, "internal", &c.internT},
+		{secCallLin, "call linear", &c.callLin, num},
+		{secCallHier, "call hierarchical", &c.callHier, hiers},
+		{secInternal, "internal", &c.internT, num},
 	} {
 		v, err := d.int32s(t.tag, t.what)
 		if err != nil {
@@ -377,13 +394,13 @@ func decodeCompiled(d *decodeState) (*Compiled, error) {
 		if len(v) != cells {
 			return nil, fmt.Errorf("query: %s table holds %d cells, want %d", t.what, len(v), cells)
 		}
-		if err := checkTargets(t.what, v, num); err != nil {
+		if err := checkTargets(t.what, v, t.limit); err != nil {
 			return nil, err
 		}
 		*t.dst = v
 	}
 	if c.dense {
-		retCells, ok := mul(num, cells)
+		retCells, ok := mul(hiers, cells)
 		if !ok {
 			return nil, fmt.Errorf("query: dense return table for %d states overflows", num)
 		}
@@ -631,9 +648,8 @@ func UnmarshalQuery(data []byte) (Query, error) { return decodeQuery(data, nil, 
 func LoadQueryMapped(data []byte) (Query, error) { return decodeQuery(data, nil, true) }
 
 // Marshal serializes the product cluster, alphabet included, into a
-// standalone KindProduct container: meta ({query count, joint-mode flag}),
-// the accept bitmask slab, and the shared automaton as an embedded
-// KindDNWA/KindNNWA blob.
+// standalone KindProduct container: meta ({query count, mode 0}), the accept
+// bitmask slab, and the product automaton as an embedded KindDNWA blob.
 func (p *CompiledProduct) Marshal() []byte {
 	return p.encode(true, nil, marshalVersion(p.fmtVersion))
 }
@@ -641,11 +657,7 @@ func (p *CompiledProduct) Marshal() []byte {
 func (p *CompiledProduct) encode(includeAlpha bool, groupIdx []int32, version uint32) []byte {
 	w := format.NewWriter(format.KindProduct)
 	w.SetVersion(version)
-	mode := uint64(0)
-	if !p.Deterministic() {
-		mode = 1
-	}
-	w.Uint64s(secMeta, []uint64{uint64(p.nq), mode})
+	w.Uint64s(secMeta, []uint64{uint64(p.nq), 0})
 	if includeAlpha {
 		w.Strings(secAlphabet, p.Alphabet().Symbols())
 	}
@@ -653,12 +665,7 @@ func (p *CompiledProduct) encode(includeAlpha bool, groupIdx []int32, version ui
 		w.Int32s(secGroupIdx, groupIdx)
 	}
 	w.Uint64s(secAcceptMask, p.mask)
-	switch c := p.inner.(type) {
-	case *Compiled:
-		w.Bytes(secQuery, c.encode(false, format.Version1))
-	case *CompiledN:
-		w.Bytes(secQuery, c.encode(false, format.Version1))
-	}
+	w.Bytes(secQuery, p.inner.encode(false, format.Version1))
 	return w.Finish()
 }
 
@@ -666,9 +673,10 @@ func (p *CompiledProduct) encode(includeAlpha bool, groupIdx []int32, version ui
 // returning the demux indices of its group-index section when present (a
 // bundle-embedded product names the bundle slots its mask bits answer).
 // Beyond the embedded automaton's own validation, the accept mask must have
-// exactly the width the mode implies and no bits beyond the query count
-// (deterministic) or state count (joint) — the "mask width == query count"
-// guarantee nwtool vet relies on.
+// one row of bitset.Words(query count) words per state and no bits beyond
+// the query count — the "mask width == query count" guarantee nwtool vet
+// relies on.  Mode 1, the jointly-stepped nondeterministic union older
+// planners wrote, is refused: such bundles must be re-planned.
 func decodeProduct(d *decodeState) (*CompiledProduct, []int32, error) {
 	if d.r.Kind() != format.KindProduct {
 		return nil, nil, fmt.Errorf("query: container kind %d is not a product cluster", d.r.Kind())
@@ -684,8 +692,8 @@ func decodeProduct(d *decodeState) (*CompiledProduct, []int32, error) {
 	if nq < 1 || nq > maxStates {
 		return nil, nil, fmt.Errorf("query: product over %d queries outside [1, %d]", meta[0], maxStates)
 	}
-	if mode > 1 {
-		return nil, nil, fmt.Errorf("query: product mode %d is neither deterministic (0) nor joint (1)", mode)
+	if mode != 0 {
+		return nil, nil, fmt.Errorf("query: product mode %d is not read, only the deterministic mode 0 (re-plan bundles with joint mode-1 groups)", mode)
 	}
 	if err := d.loadAlphabet(); err != nil {
 		return nil, nil, err
@@ -704,7 +712,11 @@ func decodeProduct(d *decodeState) (*CompiledProduct, []int32, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	inner, err := decodeQuery(blob, d.alpha, d.zeroCopy)
+	ir, err := format.NewReader(blob)
+	if err != nil {
+		return nil, nil, fmt.Errorf("query: product automaton: %w", err)
+	}
+	inner, err := decodeCompiled(&decodeState{r: ir, alpha: d.alpha, zeroCopy: d.zeroCopy})
 	if err != nil {
 		return nil, nil, fmt.Errorf("query: product automaton: %w", err)
 	}
@@ -712,34 +724,14 @@ func decodeProduct(d *decodeState) (*CompiledProduct, []int32, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	p := &CompiledProduct{inner: inner, nq: nq, mask: mask, fmtVersion: d.r.Version()}
-	switch c := inner.(type) {
-	case *Compiled:
-		if mode != 0 {
-			return nil, nil, fmt.Errorf("query: joint-mode product embeds a deterministic automaton")
-		}
-		p.maskW = bitset.Words(nq)
-		want, ok := mul(c.num, p.maskW)
-		if !ok || len(mask) != want {
-			return nil, nil, fmt.Errorf("query: product accept mask holds %d words, want %d (%d states × %d)",
-				len(mask), want, c.num, p.maskW)
-		}
-		if err := checkMaskBits("accept mask", mask, nq, p.maskW); err != nil {
-			return nil, nil, err
-		}
-	case *CompiledN:
-		if mode != 1 {
-			return nil, nil, fmt.Errorf("query: deterministic-mode product embeds a nondeterministic automaton")
-		}
-		p.maskW = c.w
-		want, ok := mul(nq, p.maskW)
-		if !ok || len(mask) != want {
-			return nil, nil, fmt.Errorf("query: product accept mask holds %d words, want %d (%d queries × %d)",
-				len(mask), want, nq, p.maskW)
-		}
-		if err := checkMaskBits("accept mask", mask, c.num, p.maskW); err != nil {
-			return nil, nil, err
-		}
+	p := &CompiledProduct{inner: inner, nq: nq, mask: mask, maskW: bitset.Words(nq), fmtVersion: d.r.Version()}
+	want, ok := mul(inner.num, p.maskW)
+	if !ok || len(mask) != want {
+		return nil, nil, fmt.Errorf("query: product accept mask holds %d words, want %d (%d states × %d)",
+			len(mask), want, inner.num, p.maskW)
+	}
+	if err := checkMaskBits("accept mask", mask, nq, p.maskW); err != nil {
+		return nil, nil, err
 	}
 	return p, groupIdx, nil
 }

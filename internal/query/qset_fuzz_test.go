@@ -49,6 +49,10 @@ func FuzzUnmarshalCompiled(f *testing.F) {
 		f.Fatal(err)
 	}
 	seeds = append(seeds, b.Marshal())
+	// A product automaton whose return table is compacted to H < num, so
+	// the sixth meta value is fuzzed too.
+	compact := goldenPlannedBundle(f).Groups()[0].Product.inner
+	seeds = append(seeds, compact.Marshal(), compact.encode(true, 1))
 	for _, s := range seeds {
 		f.Add(s)
 		if len(s) > 40 {

@@ -63,6 +63,37 @@ func goldenBundle(t *testing.T) *Bundle {
 	return b
 }
 
+// goldenPlannedBundle builds the planned fixture: a two-member product of
+// linear-order queries, whose return table is compacted to 2 hierarchical
+// columns for its 7 states, next to the nondeterministic automaton served
+// solo.
+func goldenPlannedBundle(t testing.TB) *Bundle {
+	t.Helper()
+	alpha := goldenAlphabet()
+	src := NewBundle(alpha)
+	for _, add := range []struct {
+		name string
+		q    Query
+	}{
+		{"a before b", Compile(LinearOrder(alpha, "a", "b"))},
+		{"b before a", Compile(LinearOrder(alpha, "b", "a"))},
+		{"nondet", CompileN(goldenNNWA())},
+	} {
+		if err := src.Add(add.name, add.q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, err := CompileProduct([]Query{src.Query(0), src.Query(1)}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planned, err := NewPlannedBundle(src, [][]int{{0, 1}}, []*CompiledProduct{p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return planned
+}
+
 // checkQueryAgreement replays random words (with pending calls/returns and
 // out-of-alphabet labels) through both queries and fails on any verdict
 // divergence.
@@ -351,6 +382,30 @@ func TestGoldenFixtures(t *testing.T) {
 				for i, name := range fresh.Names() {
 					checkQueryAgreement(t, "golden bundle "+name, fresh.Query(i), dec.Query(i), 120)
 				}
+			},
+		},
+		{
+			file:  "golden_planned.nwq",
+			build: func() []byte { return goldenPlannedBundle(t).Marshal() },
+			verify: func(t *testing.T, data []byte) {
+				dec, err := UnmarshalBundle(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if again := dec.Marshal(); !bytes.Equal(again, data) {
+					t.Fatal("golden planned bundle re-encodes differently")
+				}
+				fresh := goldenPlannedBundle(t)
+				if len(dec.Groups()) != 1 {
+					t.Fatalf("golden planned bundle has %d groups, want 1", len(dec.Groups()))
+				}
+				inner := dec.Groups()[0].Product.inner
+				if inner.hiers != 2 || inner.num != 7 {
+					t.Fatalf("golden product has H=%d of %d states, want 2 of 7", inner.hiers, inner.num)
+				}
+				members := []Query{Compile(LinearOrder(goldenAlphabet(), "a", "b")), Compile(LinearOrder(goldenAlphabet(), "b", "a"))}
+				checkProductAgreement(t, "golden planned product", dec.Groups()[0].Product, members, 120)
+				checkQueryAgreement(t, "golden planned solo", fresh.Query(2), dec.Query(2), 120)
 			},
 		},
 	}

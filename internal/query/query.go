@@ -32,10 +32,11 @@
 // Compile (for DNWAs) and CompileN (for NNWAs) therefore flatten an
 // automaton once, ahead of the stream, into an immutable compiled form whose
 // call/internal/return transitions live in flat dense slices indexed by
-// state*numSymbols+sym.  Because the return index is quadratic in the number
-// of states, its table is dense only while numStates²·numSymbols stays under
-// a threshold (denseReturnLimit, 2²² entries ≈ 16 MiB of int32); larger
-// automata fall back to a key-sorted sparse table probed by binary search.
+// state*numSymbols+sym.  Because the return index pairs a linear state with
+// a hierarchical one, its table is dense only while numStates·H·numSymbols
+// (H hierarchical states, see compiled.go) stays under a threshold
+// (denseReturnLimit, 2²² entries ≈ 16 MiB of int32); larger automata fall
+// back to a key-sorted sparse table probed by binary search.
 // Symbols are interned integer IDs with one dedicated out-of-alphabet ID, so
 // unknown document labels take the same indexed path as known ones (see
 // compiled.go and docstream.NewInterningTokenizer).  Experiment E22 measures

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"os"
@@ -20,7 +21,15 @@ import (
 // declared hash no longer matches the re-computed one); flips in the
 // magic or version fail before hashing with their own typed errors.
 func TestTamperedBundleFailsClosed(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "golden_bundle.nwq"))
+	// golden_planned.nwq adds a product group, so the sweep also covers
+	// the product container and its compacted DNWA meta.
+	for _, file := range []string{"golden_bundle.nwq", "golden_planned.nwq"} {
+		t.Run(file, func(t *testing.T) { tamperBundle(t, file) })
+	}
+}
+
+func tamperBundle(t *testing.T, file string) {
+	data, err := os.ReadFile(filepath.Join("testdata", file))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,5 +132,63 @@ func TestTamperedFileOnDisk(t *testing.T) {
 	}
 	if _, err := OpenBundle(path); !errors.Is(err, format.ErrHashMismatch) {
 		t.Fatalf("OpenBundle on a tampered file: got %v, want ErrHashMismatch", err)
+	}
+}
+
+// TestCompactedReturnTableTamper corrupts the hierarchical-state count of a
+// product automaton (the golden planned fixture's 7-state, H=2 DNWA) in
+// each way the decoder and vet must refuse: H outside [1, num], a start
+// state that cannot be hierarchical, a call pushing a state ≥ H, and a dense
+// return table not sized num·H·syms.
+func TestCompactedReturnTableTamper(t *testing.T) {
+	fresh := func() *Compiled {
+		c := *goldenPlannedBundle(t).Groups()[0].Product.inner
+		c.callHier = append([]int32(nil), c.callHier...)
+		return &c
+	}
+	if c := fresh(); c.hiers >= c.num || !c.dense {
+		t.Fatalf("fixture changed: H=%d of %d states, dense=%v", c.hiers, c.num, c.dense)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(c *Compiled)
+	}{
+		{"H zero", func(c *Compiled) { c.hiers = 0 }},
+		{"H above num", func(c *Compiled) { c.hiers = c.num + 1 }},
+		{"start not hierarchical", func(c *Compiled) { c.start = int32(c.hiers) }},
+		{"call pushes state H", func(c *Compiled) { c.callHier[c.syms] = int32(c.hiers) }},
+		{"dense table one row short", func(c *Compiled) { c.returnT = c.returnT[:len(c.returnT)-c.syms] }},
+	} {
+		c := fresh()
+		tc.mutate(c)
+		if _, err := UnmarshalCompiled(c.Marshal()); err == nil {
+			t.Errorf("%s: decoder accepted the container", tc.name)
+		}
+		rep := &VetReport{}
+		if c.vetStructure(rep, "q") || rep.Errors() == 0 {
+			t.Errorf("%s: vetStructure passed:\n%s", tc.name, rep)
+		}
+	}
+
+	// The pristine compacted automaton round-trips, and its semantic view
+	// has no return edge from a hierarchical state ≥ H.
+	c := fresh()
+	data := c.Marshal()
+	dec, err := UnmarshalCompiled(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.hiers != c.hiers || !bytes.Equal(dec.Marshal(), data) {
+		t.Fatalf("compacted DNWA round trip: H=%d, want %d, or bytes changed", dec.hiers, c.hiers)
+	}
+	g := dnwaGraph{c}
+	for lin := 0; lin < c.num; lin++ {
+		for hier := c.hiers; hier < c.num; hier++ {
+			for sym := 0; sym < c.syms; sym++ {
+				g.EachReturnEdge(lin, hier, sym, func(to int) {
+					t.Fatalf("EachReturnEdge(%d, %d, %d) yielded %d past H=%d", lin, hier, sym, to, c.hiers)
+				})
+			}
+		}
 	}
 }

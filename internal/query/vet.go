@@ -279,10 +279,10 @@ func VetBundle(b *Bundle) *VetReport {
 
 // vetProduct verifies a product-compiled cluster: the accept-bitmask slab
 // dimensions and bit ranges, the cross-representation agreement between the
-// mask and the shared automaton's accept table, and — through vetQuery — the
-// structural and semantic invariants of the automaton itself, reported under
-// the "product-dnwa"/"product-nnwa" forms.  wantMembers is the demux width
-// the containing group expects (-1 for a standalone artifact).
+// mask and the product automaton's accept table, and — through vetQuery —
+// the structural and semantic invariants of the automaton itself, reported
+// under the "product-dnwa" form.  wantMembers is the demux width the
+// containing group expects (-1 for a standalone artifact).
 func vetProduct(rep *VetReport, name string, p *CompiledProduct, wantMembers int) {
 	bad := func(msg string, args ...any) {
 		rep.add(name, VetError, fmt.Sprintf(msg, args...))
@@ -295,59 +295,30 @@ func vetProduct(rep *VetReport, name string, p *CompiledProduct, wantMembers int
 		bad("product answers %d queries, its group demuxes %d", p.nq, wantMembers)
 		return
 	}
-	switch c := p.inner.(type) {
-	case *Compiled:
-		if p.maskW != bitset.Words(p.nq) {
-			bad("mask rows hold %d words, %d queries need %d", p.maskW, p.nq, bitset.Words(p.nq))
-			return
-		}
-		cells, ok := mul(c.num, p.maskW)
-		if !ok || len(p.mask) != cells {
-			bad("accept mask holds %d words, want %d×%d", len(p.mask), c.num, p.maskW)
-			return
-		}
-		if err := checkMaskBits("accept mask", p.mask, p.nq, p.maskW); err != nil {
-			bad("%v", err)
-			return
-		}
-		// Cross-representation: the shared automaton accepts exactly where
-		// some member does, i.e. where the state's mask row is non-empty.
-		for s := 0; s < c.num; s++ {
-			if c.accept[s] != bitset.Slab(p.mask, s, p.maskW).Any() {
-				bad("state %d acceptance disagrees with its accept-mask row", s)
-				return
-			}
-		}
-	case *CompiledN:
-		if p.maskW != c.w {
-			bad("mask rows hold %d words, the union's %d states need %d", p.maskW, c.num, c.w)
-			return
-		}
-		cells, ok := mul(p.nq, p.maskW)
-		if !ok || len(p.mask) != cells {
-			bad("accept mask holds %d words, want %d×%d", len(p.mask), p.nq, p.maskW)
-			return
-		}
-		if err := checkMaskBits("accept mask", p.mask, c.num, p.maskW); err != nil {
-			bad("%v", err)
-			return
-		}
-		// Cross-representation: the union's accept row is exactly the union
-		// of the per-member verdict rows.
-		union := bitset.New(c.num)
-		for q := 0; q < p.nq; q++ {
-			union.Or(bitset.Slab(p.mask, q, p.maskW))
-		}
-		if !union.Equal(c.acceptRow) {
-			bad("the union of the member verdict rows disagrees with the accept row")
-			return
-		}
-	default:
-		bad("cannot vet a %T product interior", p.inner)
+	c := p.inner
+	if p.maskW != bitset.Words(p.nq) {
+		bad("mask rows hold %d words, %d queries need %d", p.maskW, p.nq, bitset.Words(p.nq))
 		return
 	}
+	cells, ok := mul(c.num, p.maskW)
+	if !ok || len(p.mask) != cells {
+		bad("accept mask holds %d words, want %d×%d", len(p.mask), c.num, p.maskW)
+		return
+	}
+	if err := checkMaskBits("accept mask", p.mask, p.nq, p.maskW); err != nil {
+		bad("%v", err)
+		return
+	}
+	// Cross-representation: the product automaton accepts exactly where
+	// some member does, i.e. where the state's mask row is non-empty.
+	for s := 0; s < c.num; s++ {
+		if c.accept[s] != bitset.Slab(p.mask, s, p.maskW).Any() {
+			bad("state %d acceptance disagrees with its accept-mask row", s)
+			return
+		}
+	}
 	before := len(rep.Queries)
-	vetQuery(rep, name, p.inner)
+	vetQuery(rep, name, c)
 	for i := before; i < len(rep.Queries); i++ {
 		rep.Queries[i].Form = "product-" + rep.Queries[i].Form
 	}
@@ -394,8 +365,11 @@ func (c *Compiled) vetStructure(rep *VetReport, name string) bool {
 	if c.alpha.Size()+1 != c.syms {
 		return bad("automaton compiled over %d symbols, alphabet has %d", c.syms-1, c.alpha.Size())
 	}
-	if int(c.start) >= c.num || int(c.dead) >= c.num || c.start < 0 || c.dead < 0 {
-		return bad("start %d / dead %d outside the %d states", c.start, c.dead, c.num)
+	if c.hiers < 1 || c.hiers > c.num {
+		return bad("%d hierarchical states outside [1, %d]", c.hiers, c.num)
+	}
+	if int(c.start) >= c.hiers || int(c.dead) >= c.num || c.start < 0 || c.dead < 0 {
+		return bad("start %d / dead %d outside the %d hierarchical / %d states", c.start, c.dead, c.hiers, c.num)
 	}
 	if len(c.accept) != c.num {
 		return bad("accept table holds %d states, automaton has %d", len(c.accept), c.num)
@@ -405,24 +379,25 @@ func (c *Compiled) vetStructure(rep *VetReport, name string) bool {
 		return bad("%d×%d transition cells overflow", c.num, c.syms)
 	}
 	for _, t := range []struct {
-		what string
-		tab  []int32
+		what  string
+		tab   []int32
+		limit int // targets lie in [0, limit)
 	}{
-		{"call linear", c.callLin},
-		{"call hierarchical", c.callHier},
-		{"internal", c.internT},
+		{"call linear", c.callLin, c.num},
+		{"call hierarchical", c.callHier, c.hiers},
+		{"internal", c.internT, c.num},
 	} {
 		if len(t.tab) != cells {
 			return bad("%s table holds %d cells, want %d", t.what, len(t.tab), cells)
 		}
-		if err := checkTargets(t.what, t.tab, c.num); err != nil {
+		if err := checkTargets(t.what, t.tab, t.limit); err != nil {
 			return bad("%v", err)
 		}
 	}
 	if c.dense {
-		retCells, ok := mul(c.num, cells)
+		retCells, ok := mul(c.hiers, cells)
 		if !ok || len(c.returnT) != retCells {
-			return bad("dense return table holds %d cells, want %d×%d×%d", len(c.returnT), c.num, c.num, c.syms)
+			return bad("dense return table holds %d cells, want %d×%d×%d", len(c.returnT), c.num, c.hiers, c.syms)
 		}
 		if err := checkTargets("dense return", c.returnT, c.num); err != nil {
 			return bad("%v", err)
@@ -469,8 +444,8 @@ func (c *Compiled) vetStructure(rep *VetReport, name string) bool {
 func (c *Compiled) eachReturnEdge(f func(lin, hier, sym, to int)) {
 	if c.dense {
 		for lin := 0; lin < c.num; lin++ {
-			for hier := 0; hier < c.num; hier++ {
-				base := (lin*c.num + hier) * c.syms
+			for hier := 0; hier < c.hiers; hier++ {
+				base := (lin*c.hiers + hier) * c.syms
 				for sym := 0; sym < c.syms; sym++ {
 					if to := c.returnT[base+sym]; to != c.dead {
 						f(lin, hier, sym, int(to))
@@ -644,7 +619,12 @@ func (g dnwaGraph) EachInternalEdge(q, sym int, f func(to int)) {
 	}
 }
 
+// EachReturnEdge yields nothing for hier ≥ H: no run can pop such a state,
+// and the dense return table has no column for it.
 func (g dnwaGraph) EachReturnEdge(lin, hier, sym int, f func(to int)) {
+	if hier >= g.c.hiers {
+		return
+	}
 	if to := g.c.stepReturn(int32(lin), int32(hier), sym); to != g.c.dead {
 		f(int(to))
 	}

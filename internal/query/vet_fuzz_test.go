@@ -36,6 +36,8 @@ func FuzzBundleVet(f *testing.F) {
 	tampered := CompileN(goldenNNWA())
 	tampered.maskRow(tampered.intMask, 0, 0).Unset(1)
 	seeds = append(seeds, tampered.Marshal())
+	// A planned bundle: a product with a compacted return table.
+	seeds = append(seeds, goldenPlannedBundle(f).Marshal())
 	for _, s := range seeds {
 		f.Add(s)
 		if len(s) > 40 {

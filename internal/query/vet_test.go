@@ -233,7 +233,7 @@ func TestVetPlannedBundleClean(t *testing.T) {
 func TestVetCatchesProductMaskDisagreement(t *testing.T) {
 	planned := plannedGoldenBundle(t)
 	p := planned.Groups()[0].Product
-	c := p.inner.(*Compiled)
+	c := p.inner
 	var hit int = -1
 	for s := 0; s < c.num; s++ {
 		if c.accept[s] && bitset.Slab(p.mask, s, p.maskW).Any() {
