@@ -51,11 +51,12 @@
 // in-process compilation.
 //
 // The vet subcommand checks a serialized bundle (or standalone compiled
-// query) before any process maps it: table shapes, target ranges, the
-// CSR/bitmask cross-representation agreement, per-query alphabet agreement,
-// and a reachability/coaccessibility analysis reporting unreachable states
-// and dead transitions.  Structural violations exit 1; dead-weight findings
-// are warnings and exit 0 (see docs/ANALYZERS.md for the report format).
+// query) before any process maps it: the decoder's table shape, range and
+// demux checks, then the dead-sink and CSR/bitmask cross-representation
+// agreement, and a reachability/coaccessibility analysis reporting
+// unreachable states and dead transitions.  Decode failures and violations
+// exit 1; dead-weight findings are warnings and exit 0 (see
+// docs/ANALYZERS.md for the report format).
 package main
 
 import (

@@ -38,10 +38,10 @@ import (
 //
 // Every decode path validates the tables before a runner can touch them —
 // lengths against num/syms, targets against the state range, offsets
-// monotonic, sparse keys strictly ascending, mask bits beyond the state
-// range clear — so arbitrary bytes fail with an error rather than a panic,
-// and no allocation is sized by attacker-controlled fields beyond the input
-// length.
+// monotonic, sparse keys strictly ascending and naming states in range, mask
+// bits beyond the state range clear — so arbitrary bytes fail with an error
+// rather than a panic, and no allocation is sized by attacker-controlled
+// fields beyond the input length.
 
 // Section tags of the serialized compiled-query containers.  Tags are
 // stable; new sections may be added in later versions but existing ones
@@ -327,6 +327,32 @@ func checkAscending(keys []uint64) error {
 	return nil
 }
 
+// checkReturnKeys verifies that every sparse return key
+// (lin·num+hier)·syms+sym names a linear state below num and a hierarchical
+// state below hiers, so no key decomposes to a state outside the tables.
+// Keys are strictly ascending (checkAscending runs first), so the linear
+// bound only needs the last key; the hierarchical bound is implied when
+// hiers = num.
+func checkReturnKeys(keys []uint64, num, hiers, syms int) error {
+	if len(keys) == 0 {
+		return nil
+	}
+	n, s := uint64(num), uint64(syms)
+	if i := len(keys) - 1; keys[i]/s/n >= n {
+		return fmt.Errorf("query: sparse return key %d names linear state %d outside the %d states",
+			i, keys[i]/s/n, num)
+	}
+	if hiers < num {
+		for i, key := range keys {
+			if hier := key / s % n; hier >= uint64(hiers) {
+				return fmt.Errorf("query: sparse return key %d names hierarchical state %d outside the %d hierarchical states",
+					i, hier, hiers)
+			}
+		}
+	}
+	return nil
+}
+
 // decodeCompiled rebuilds a Compiled from a KindDNWA container.
 func decodeCompiled(d *decodeState) (*Compiled, error) {
 	if d.r.Kind() != format.KindDNWA {
@@ -428,6 +454,9 @@ func decodeCompiled(d *decodeState) (*Compiled, error) {
 			return nil, fmt.Errorf("query: %d sparse return keys vs %d values", len(keys), len(vals))
 		}
 		if err := checkAscending(keys); err != nil {
+			return nil, err
+		}
+		if err := checkReturnKeys(keys, num, hiers, syms); err != nil {
 			return nil, err
 		}
 		if err := checkTargets("sparse return", vals, num); err != nil {
@@ -534,6 +563,9 @@ func decodeCompiledN(d *decodeState) (*CompiledN, error) {
 			return nil, err
 		}
 		if err := checkAscending(c.retKeys); err != nil {
+			return nil, err
+		}
+		if err := checkReturnKeys(c.retKeys, num, num, syms); err != nil {
 			return nil, err
 		}
 		if c.retSpan, err = d.int32s(secRetSpan, "sparse return spans"); err != nil {
@@ -969,19 +1001,11 @@ func decodeBundle(data []byte, zeroCopy bool) (*Bundle, error) {
 	if r.Kind() != format.KindBundle {
 		return nil, fmt.Errorf("query: container kind %d is not a bundle", r.Kind())
 	}
-	alphaSec, ok := r.Section(secAlphabet)
-	if !ok {
-		return nil, fmt.Errorf("query: bundle is missing its alphabet section")
+	d := &decodeState{r: r}
+	if err := d.loadAlphabet(); err != nil {
+		return nil, err
 	}
-	symbols, err := format.Strings(alphaSec)
-	if err != nil {
-		return nil, fmt.Errorf("query: bundle alphabet: %w", err)
-	}
-	alpha := alphabet.New(symbols...)
-	if alpha.Size() != len(symbols) {
-		return nil, fmt.Errorf("query: bundle alphabet repeats a symbol (%d listed, %d distinct)",
-			len(symbols), alpha.Size())
-	}
+	alpha := d.alpha
 	namesSec, ok := r.Section(secNames)
 	if !ok {
 		return nil, fmt.Errorf("query: bundle is missing its names section")
@@ -1019,7 +1043,7 @@ func decodeBundle(data []byte, zeroCopy bool) (*Bundle, error) {
 	// Planned layout: the solo-index section pairs positionally with the
 	// embedded query blobs, product containers carry their own demux
 	// indices, and together they must cover every name exactly once — the
-	// demux-table total nwtool vet re-checks.
+	// demux-table total nwtool vet relies on.
 	solo, err := format.Int32s(soloSec, false)
 	if err != nil {
 		return nil, fmt.Errorf("query: bundle solo indices: %w", err)

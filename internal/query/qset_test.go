@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/alphabet"
@@ -324,6 +325,14 @@ func TestUnmarshalErrors(t *testing.T) {
 	}
 	if _, err := UnmarshalCompiled(CompileN(goldenNNWA()).Marshal()); err == nil {
 		t.Error("UnmarshalCompiled accepted an NNWA container")
+	}
+	// A bundle's shared alphabet goes through the same reader as a
+	// standalone query's, duplicate check included.
+	w := format.NewWriter(format.KindBundle)
+	w.Strings(secAlphabet, []string{"a", "b", "a"})
+	w.Strings(secNames, nil)
+	if _, err := UnmarshalBundle(w.Finish()); err == nil || !strings.Contains(err.Error(), "repeats a symbol") {
+		t.Errorf("bundle with a repeated alphabet symbol: got %v, want a repeats-a-symbol error", err)
 	}
 }
 

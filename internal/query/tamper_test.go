@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/query/format"
@@ -137,7 +138,7 @@ func TestTamperedFileOnDisk(t *testing.T) {
 
 // TestCompactedReturnTableTamper corrupts the hierarchical-state count of a
 // product automaton (the golden planned fixture's 7-state, H=2 DNWA) in
-// each way the decoder and vet must refuse: H outside [1, num], a start
+// each way the decoder, and so VetBytes, must refuse: H outside [1, num], a start
 // state that cannot be hierarchical, a call pushing a state ≥ H, and a dense
 // return table not sized num·H·syms.
 func TestCompactedReturnTableTamper(t *testing.T) {
@@ -164,9 +165,8 @@ func TestCompactedReturnTableTamper(t *testing.T) {
 		if _, err := UnmarshalCompiled(c.Marshal()); err == nil {
 			t.Errorf("%s: decoder accepted the container", tc.name)
 		}
-		rep := &VetReport{}
-		if c.vetStructure(rep, "q") || rep.Errors() == 0 {
-			t.Errorf("%s: vetStructure passed:\n%s", tc.name, rep)
+		if rep, err := VetBytes(c.Marshal()); err == nil {
+			t.Errorf("%s: VetBytes accepted the container:\n%s", tc.name, rep)
 		}
 	}
 
@@ -190,5 +190,61 @@ func TestCompactedReturnTableTamper(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestSparseReturnKeyTamper writes sparse return keys that decompose to a
+// state outside the tables — a linear state ≥ num, or a hierarchical state
+// ≥ H of a compacted product — into otherwise valid, correctly hashed
+// containers.  The decoder must refuse each, so VetBytes (whose dead-sink
+// and dead-transition passes index by the key's states) returns the
+// decoder's error instead of panicking.
+func TestSparseReturnKeyTamper(t *testing.T) {
+	defer func(old int) { denseReturnLimit = old }(denseReturnLimit)
+	denseReturnLimit = 1
+	lastKey := func(keys []uint64, key uint64) []uint64 {
+		keys = append([]uint64(nil), keys...)
+		keys[len(keys)-1] = key
+		return keys
+	}
+	for _, tc := range []struct {
+		name  string
+		build func(t *testing.T) []byte
+		want  string
+	}{
+		{"DNWA linear state past num", func(t *testing.T) []byte {
+			c := Compile(PathQuery(goldenAlphabet(), "a", "b"))
+			c.sparseR.keys = lastKey(c.sparseR.keys, uint64(c.num*c.num*c.syms+5))
+			return c.Marshal()
+		}, "names linear state"},
+		{"NNWA linear state past num", func(t *testing.T) []byte {
+			c := CompileN(goldenNNWA())
+			c.retKeys = lastKey(c.retKeys, uint64(c.num*c.num*c.syms))
+			return c.Marshal()
+		}, "names linear state"},
+		{"compacted DNWA hierarchical state past H", func(t *testing.T) []byte {
+			alpha := goldenAlphabet()
+			p, err := CompileProduct([]Query{Compile(LinearOrder(alpha, "a", "b")), Compile(LinearOrder(alpha, "b", "a"))}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := p.inner
+			if c.dense || c.hiers >= c.num {
+				t.Fatalf("fixture changed: dense=%v, H=%d of %d states", c.dense, c.hiers, c.num)
+			}
+			// The largest key any table can hold: lin = hier = num-1.
+			c.sparseR.keys = lastKey(c.sparseR.keys, uint64(c.num*c.num*c.syms-1))
+			return c.Marshal()
+		}, "names hierarchical state"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := tc.build(t)
+			if _, err := UnmarshalQuery(data); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("decoder: got %v, want an error naming %q", err, tc.want)
+			}
+			if rep, err := VetBytes(data); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("VetBytes: got %v (report %v), want an error naming %q", err, rep, tc.want)
+			}
+		})
 	}
 }

@@ -15,9 +15,10 @@ import (
 // compiled artifact is checked before anything maps it, against invariants in
 // three rings.
 //
-//  1. Structural: the table shapes and target ranges the decode path also
-//     enforces, re-checked here so in-memory bundles (never serialized) get
-//     the same guarantees.
+//  1. Structural: decode is the structural gate.  VetBytes vets only what
+//     decodes, and decoding already enforces every table shape, target
+//     range, sparse-key range, mask width and demux rule; vet adds the
+//     dead-sink check, the one structural property the decoder cannot see.
 //  2. Cross-representation: CompiledN stores its transitions twice — CSR
 //     adjacency and per-symbol bitmask slabs — and the runners mix both, so
 //     the two copies must agree bit for bit.  Decoding checks each copy in
@@ -28,13 +29,13 @@ import (
 //     unreachable states, useless transitions, and empty-language queries
 //     are reported with exact counts before a fleet boots the bundle.
 //
-// Structural and cross-representation violations are errors (the artifact is
+// Dead-sink and cross-representation violations are errors (the artifact is
 // rejected); semantic findings are warnings (the artifact works, but carries
 // dead weight).
 
 // Vet issue levels.
 const (
-	// VetError marks a structural or cross-representation violation; the
+	// VetError marks a dead-sink or cross-representation violation; the
 	// artifact must not be served.
 	VetError = "error"
 	// VetWarning marks a semantic finding — dead states or transitions; the
@@ -84,7 +85,7 @@ type VetQueryStats struct {
 }
 
 // VetContainer describes the serialized container a report was vetted
-// from (zero-valued when VetBundle ran on an in-memory bundle).
+// from.
 type VetContainer struct {
 	// Version is the container header version (format.Version1 or
 	// format.VersionHashed).
@@ -100,7 +101,7 @@ type VetContainer struct {
 
 // VetReport is the full result of vetting one artifact.
 type VetReport struct {
-	// Container describes the serialized artifact (zero for in-memory).
+	// Container describes the serialized artifact.
 	Container VetContainer
 	// Queries holds per-query statistics in bundle order.
 	Queries []VetQueryStats
@@ -166,9 +167,8 @@ func (r *VetReport) String() string {
 
 // VetBytes verifies a serialized artifact — a bundle or a standalone
 // compiled query container.  A container that does not decode is rejected
-// with an error; a container that decodes is vetted and the findings
-// returned in the report (structural errors included), never panicking on
-// any input.
+// with the decoder's error; a container that decodes is vetted and the
+// findings returned in the report, never panicking on any input.
 func VetBytes(data []byte) (*VetReport, error) {
 	r, err := format.NewReader(data)
 	if err != nil {
@@ -188,7 +188,7 @@ func VetBytes(data []byte) (*VetReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep = VetBundle(b)
+		rep = vetBundle(b)
 	case format.KindDNWA, format.KindNNWA:
 		q, err := UnmarshalQuery(data)
 		if err != nil {
@@ -202,7 +202,7 @@ func VetBytes(data []byte) (*VetReport, error) {
 			return nil, err
 		}
 		rep = &VetReport{}
-		vetProduct(rep, "product", p, -1)
+		vetProduct(rep, "product", p)
 	default:
 		return nil, fmt.Errorf("query: container kind %d is not a vettable artifact", r.Kind())
 	}
@@ -215,105 +215,38 @@ func VetBytes(data []byte) (*VetReport, error) {
 	return rep, nil
 }
 
-// VetBundle verifies an in-memory bundle: per-query structural and
-// cross-representation checks, alphabet agreement across the bundle, the
-// reachability/coaccessibility analysis, and — for a planned bundle — the
-// product-group demux invariants (every name covered exactly once, mask
-// width matching the group's query count).
-func VetBundle(b *Bundle) *VetReport {
+// vetBundle verifies a decoded bundle: every product group and every solo
+// query through the dead-sink, cross-representation and semantic checks.
+// The demux table and the shared alphabet need no re-check — decodeBundle
+// refuses a bundle that covers a name twice or not at all, and every query
+// it decodes reads the bundle's one alphabet.
+func vetBundle(b *Bundle) *VetReport {
 	rep := &VetReport{}
 	if b.Len() == 0 {
 		rep.add("", VetWarning, "bundle holds no queries")
 	}
-	grouped := make([]int, b.Len()) // 0 = solo, g+1 = covered by group g
 	for gi, g := range b.Groups() {
-		gname := fmt.Sprintf("group %d", gi+1)
-		sound := true
-		for _, idx := range g.Indices {
-			if idx < 0 || int(idx) >= b.Len() {
-				rep.add(gname, VetError, fmt.Sprintf("demux index %d outside the %d bundle queries", idx, b.Len()))
-				sound = false
-				continue
-			}
-			if prev := grouped[idx]; prev != 0 {
-				rep.add(gname, VetError, fmt.Sprintf("query %q is already demuxed by group %d", b.Name(int(idx)), prev))
-				sound = false
-				continue
-			}
-			grouped[idx] = gi + 1
-			if b.Query(int(idx)) != nil {
-				rep.add(gname, VetError, fmt.Sprintf("query %q has both a solo runner and a product demux slot", b.Name(int(idx))))
-			}
-		}
-		if g.Product == nil {
-			rep.add(gname, VetError, "group has no product automaton")
-			continue
-		}
-		if !b.Alphabet().Equal(g.Product.Alphabet()) {
-			rep.add(gname, VetError, fmt.Sprintf("product alphabet %v disagrees with the bundle alphabet %v",
-				g.Product.Alphabet().Symbols(), b.Alphabet().Symbols()))
-			continue
-		}
-		if sound {
-			vetProduct(rep, gname, g.Product, len(g.Indices))
-		}
+		vetProduct(rep, fmt.Sprintf("group %d", gi+1), g.Product)
 	}
 	for i := 0; i < b.Len(); i++ {
-		name := b.Name(i)
-		q := b.Query(i)
-		if q == nil {
-			if grouped[i] == 0 {
-				rep.add(name, VetError, "query is covered by neither a solo runner nor a product group")
-			}
-			continue
+		if q := b.Query(i); q != nil {
+			vetQuery(rep, b.Name(i), q)
 		}
-		if !b.Alphabet().Equal(q.Alphabet()) {
-			rep.add(name, VetError, fmt.Sprintf("query alphabet %v disagrees with the bundle alphabet %v",
-				q.Alphabet().Symbols(), b.Alphabet().Symbols()))
-			continue
-		}
-		vetQuery(rep, name, q)
 	}
 	return rep
 }
 
-// vetProduct verifies a product-compiled cluster: the accept-bitmask slab
-// dimensions and bit ranges, the cross-representation agreement between the
-// mask and the product automaton's accept table, and — through vetQuery —
-// the structural and semantic invariants of the automaton itself, reported
-// under the "product-dnwa" form.  wantMembers is the demux width the
-// containing group expects (-1 for a standalone artifact).
-func vetProduct(rep *VetReport, name string, p *CompiledProduct, wantMembers int) {
-	bad := func(msg string, args ...any) {
-		rep.add(name, VetError, fmt.Sprintf(msg, args...))
-	}
-	if p.nq < 1 || p.nq > maxStates {
-		bad("product answers %d queries, outside [1, %d]", p.nq, maxStates)
-		return
-	}
-	if wantMembers >= 0 && p.nq != wantMembers {
-		bad("product answers %d queries, its group demuxes %d", p.nq, wantMembers)
-		return
-	}
+// vetProduct verifies a product-compiled cluster: the cross-representation
+// agreement between the accept bitmask and the product automaton's accept
+// table, then — through vetQuery — the automaton itself, reported under the
+// "product-dnwa" form.  The mask's width and bit range are the decoder's.
+func vetProduct(rep *VetReport, name string, p *CompiledProduct) {
 	c := p.inner
-	if p.maskW != bitset.Words(p.nq) {
-		bad("mask rows hold %d words, %d queries need %d", p.maskW, p.nq, bitset.Words(p.nq))
-		return
-	}
-	cells, ok := mul(c.num, p.maskW)
-	if !ok || len(p.mask) != cells {
-		bad("accept mask holds %d words, want %d×%d", len(p.mask), c.num, p.maskW)
-		return
-	}
-	if err := checkMaskBits("accept mask", p.mask, p.nq, p.maskW); err != nil {
-		bad("%v", err)
-		return
-	}
-	// Cross-representation: the product automaton accepts exactly where
-	// some member does, i.e. where the state's mask row is non-empty.
+	// The product automaton accepts exactly where some member does, i.e.
+	// where the state's mask row is non-empty.
 	for s := 0; s < c.num; s++ {
 		if c.accept[s] != bitset.Slab(p.mask, s, p.maskW).Any() {
-			bad("state %d acceptance disagrees with its accept-mask row", s)
+			rep.add(name, VetError, fmt.Sprintf("state %d acceptance disagrees with its accept-mask row", s))
 			return
 		}
 	}
@@ -324,17 +257,17 @@ func vetProduct(rep *VetReport, name string, p *CompiledProduct, wantMembers int
 	}
 }
 
-// vetQuery dispatches one compiled query through the structural and semantic
-// checks; unknown Query implementations are rejected (only the serializable
-// compiled forms have vettable tables).
+// vetQuery dispatches one decoded query through the dead-sink or
+// cross-representation check and the semantic analysis; unknown Query
+// implementations are rejected (only the serializable compiled forms have
+// vettable tables).
 func vetQuery(rep *VetReport, name string, q Query) {
 	switch c := q.(type) {
 	case *Compiled:
-		if c.vetStructure(rep, name) {
-			vetSemantics(rep, name, "dnwa", dnwaGraph{c}, int(c.dead), c.countDeadTransitions)
-		}
+		c.vetDeadSink(rep, name)
+		vetSemantics(rep, name, "dnwa", dnwaGraph{c}, int(c.dead), c.countDeadTransitions)
 	case *CompiledN:
-		if c.vetStructure(rep, name) {
+		if c.vetMaskConsistency(rep, name) {
 			vetSemantics(rep, name, "nnwa", nnwaGraph{c}, -1, c.countDeadTransitions)
 		}
 	default:
@@ -342,84 +275,17 @@ func vetQuery(rep *VetReport, name string, q Query) {
 	}
 }
 
-// --- structural checks ---------------------------------------------------
+// --- dead-sink and cross-representation checks ---------------------------
 
-// vetStructure re-verifies the Compiled table invariants the decoder
-// enforces, plus the determinism/totality property the decoder cannot see:
-// the designated dead state must be a sink, or the compiled automaton
-// silently resurrects rejected runs.  (An *accepting* sink is legal — that
-// is what a complemented query looks like — and draws a warning, not an
-// error.)  It reports whether the tables are sound enough for the semantic
-// pass to index them.
-func (c *Compiled) vetStructure(rep *VetReport, name string) bool {
-	bad := func(msg string, args ...any) bool {
-		rep.add(name, VetError, fmt.Sprintf(msg, args...))
-		return false
-	}
-	if c.num < 1 || c.num > maxStates {
-		return bad("%d states outside [1, %d]", c.num, maxStates)
-	}
-	if c.syms < 1 || c.syms > maxSymbols {
-		return bad("%d symbol columns outside [1, %d]", c.syms, maxSymbols)
-	}
-	if c.alpha.Size()+1 != c.syms {
-		return bad("automaton compiled over %d symbols, alphabet has %d", c.syms-1, c.alpha.Size())
-	}
-	if c.hiers < 1 || c.hiers > c.num {
-		return bad("%d hierarchical states outside [1, %d]", c.hiers, c.num)
-	}
-	if int(c.start) >= c.hiers || int(c.dead) >= c.num || c.start < 0 || c.dead < 0 {
-		return bad("start %d / dead %d outside the %d hierarchical / %d states", c.start, c.dead, c.hiers, c.num)
-	}
-	if len(c.accept) != c.num {
-		return bad("accept table holds %d states, automaton has %d", len(c.accept), c.num)
-	}
-	cells, ok := mul(c.num, c.syms)
-	if !ok {
-		return bad("%d×%d transition cells overflow", c.num, c.syms)
-	}
-	for _, t := range []struct {
-		what  string
-		tab   []int32
-		limit int // targets lie in [0, limit)
-	}{
-		{"call linear", c.callLin, c.num},
-		{"call hierarchical", c.callHier, c.hiers},
-		{"internal", c.internT, c.num},
-	} {
-		if len(t.tab) != cells {
-			return bad("%s table holds %d cells, want %d", t.what, len(t.tab), cells)
-		}
-		if err := checkTargets(t.what, t.tab, t.limit); err != nil {
-			return bad("%v", err)
-		}
-	}
-	if c.dense {
-		retCells, ok := mul(c.hiers, cells)
-		if !ok || len(c.returnT) != retCells {
-			return bad("dense return table holds %d cells, want %d×%d×%d", len(c.returnT), c.num, c.hiers, c.syms)
-		}
-		if err := checkTargets("dense return", c.returnT, c.num); err != nil {
-			return bad("%v", err)
-		}
-	} else {
-		if len(c.sparseR.keys) != len(c.sparseR.vals) {
-			return bad("%d sparse return keys vs %d values", len(c.sparseR.keys), len(c.sparseR.vals))
-		}
-		if err := checkAscending(c.sparseR.keys); err != nil {
-			return bad("%v", err)
-		}
-		if err := checkTargets("sparse return", c.sparseR.vals, c.num); err != nil {
-			return bad("%v", err)
-		}
-	}
-	// Determinism/totality of the sink: every transition out of dead must
-	// land in dead.  Acceptance at the sink is legal — a complemented
-	// query (the DSL's "no x after y", or any "not") accepts exactly
-	// where the original automaton died, out-of-alphabet symbols
-	// included, which keeps the complement law not(Q) ≡ !Q exact — but
-	// it is worth surfacing, because on a never-negated query it usually
-	// means a corrupted accept mask.
+// vetDeadSink checks the one structural property the decoder cannot see:
+// the designated dead state must be a sink — every transition out of it
+// lands in it — or the compiled automaton silently resurrects rejected
+// runs.  Acceptance at the sink is legal: a complemented query (the DSL's
+// "no x after y", or any "not") accepts exactly where the original
+// automaton died, out-of-alphabet symbols included, which keeps the
+// complement law not(Q) ≡ !Q exact.  It draws a warning, because on a
+// never-negated query it usually means a corrupted accept mask.
+func (c *Compiled) vetDeadSink(rep *VetReport, name string) {
 	dead := int(c.dead)
 	if c.accept[dead] {
 		rep.add(name, VetWarning, fmt.Sprintf("dead state %d is accepting (complemented query, or a corrupted accept mask)", dead))
@@ -436,7 +302,6 @@ func (c *Compiled) vetStructure(rep *VetReport, name string) bool {
 			rep.add(name, VetError, fmt.Sprintf("dead state %d returns to live state %d (not a sink)", dead, to))
 		}
 	})
-	return true
 }
 
 // eachReturnEdge enumerates the defined (non-dead-target) return transitions
@@ -465,108 +330,11 @@ func (c *Compiled) eachReturnEdge(f func(lin, hier, sym, to int)) {
 	}
 }
 
-// vetStructure re-verifies the CompiledN invariants the decoder enforces and
-// adds the cross-representation check the decoder cannot make: the
-// per-symbol bitmask slabs must agree, row by row and bit by bit, with the
-// CSR adjacency, because the bitset runner steps through the masks while the
-// return stitch enumerates the CSR — a disagreement makes the two halves of
-// one runner simulate different automata.
-func (c *CompiledN) vetStructure(rep *VetReport, name string) bool {
-	bad := func(msg string, args ...any) bool {
-		rep.add(name, VetError, fmt.Sprintf(msg, args...))
-		return false
-	}
-	if c.num < 1 || c.num > maxStates {
-		return bad("%d states outside [1, %d]", c.num, maxStates)
-	}
-	if c.syms < 1 || c.syms > maxSymbols {
-		return bad("%d symbol columns outside [1, %d]", c.syms, maxSymbols)
-	}
-	if c.alpha.Size()+1 != c.syms {
-		return bad("automaton compiled over %d symbols, alphabet has %d", c.syms-1, c.alpha.Size())
-	}
-	if len(c.accept) != c.num {
-		return bad("accept table holds %d states, automaton has %d", len(c.accept), c.num)
-	}
-	if err := checkTargets("start states", c.starts, c.num); err != nil {
-		return bad("%v", err)
-	}
-	cells, ok := mul(c.num, c.syms)
-	if !ok {
-		return bad("%d×%d transition cells overflow", c.num, c.syms)
-	}
-	if len(c.callHier) != len(c.callLin) {
-		return bad("%d call linear targets vs %d hierarchical", len(c.callLin), len(c.callHier))
-	}
-	if err := checkOffsets("call offsets", c.callOff, cells, len(c.callLin)); err != nil {
-		return bad("%v", err)
-	}
-	if err := checkTargets("call linear", c.callLin, c.num); err != nil {
-		return bad("%v", err)
-	}
-	if err := checkTargets("call hierarchical", c.callHier, c.num); err != nil {
-		return bad("%v", err)
-	}
-	if err := checkOffsets("internal offsets", c.intOff, cells, len(c.intTo)); err != nil {
-		return bad("%v", err)
-	}
-	if err := checkTargets("internal targets", c.intTo, c.num); err != nil {
-		return bad("%v", err)
-	}
-	if err := checkTargets("return targets", c.retTo, c.num); err != nil {
-		return bad("%v", err)
-	}
-	if c.dense {
-		retCells, ok := mul(c.num, cells)
-		if !ok {
-			return bad("dense return index for %d states overflows", c.num)
-		}
-		if err := checkOffsets("return offsets", c.retOff, retCells, len(c.retTo)); err != nil {
-			return bad("%v", err)
-		}
-	} else {
-		if err := checkAscending(c.retKeys); err != nil {
-			return bad("%v", err)
-		}
-		if err := checkOffsets("sparse return spans", c.retSpan, len(c.retKeys), len(c.retTo)); err != nil {
-			return bad("%v", err)
-		}
-	}
-	if c.w != bitset.Words(c.num) {
-		return bad("mask rows hold %d words, %d states need %d", c.w, c.num, bitset.Words(c.num))
-	}
-	slab, ok := mul(cells, c.w)
-	if !ok || len(c.intMask) != slab || len(c.callMask) != slab {
-		return bad("mask slabs hold %d/%d words, want %d", len(c.intMask), len(c.callMask), slab)
-	}
-	if err := checkMaskBits("internal mask", c.intMask, c.num, c.w); err != nil {
-		return bad("%v", err)
-	}
-	if err := checkMaskBits("call mask", c.callMask, c.num, c.w); err != nil {
-		return bad("%v", err)
-	}
-	// Start/accept rows must mirror the starts slice and accept table.
-	wantStart := bitset.New(c.num)
-	for _, q := range c.starts {
-		wantStart.Set(int(q))
-	}
-	wantAccept := bitset.New(c.num)
-	for q := 0; q < c.num; q++ {
-		if c.accept[q] {
-			wantAccept.Set(q)
-		}
-	}
-	if !c.startRow.Equal(wantStart) {
-		rep.add(name, VetError, "start row disagrees with the start state list")
-	}
-	if !c.acceptRow.Equal(wantAccept) {
-		rep.add(name, VetError, "accept row disagrees with the accept table")
-	}
-	return c.vetMaskConsistency(rep, name)
-}
-
 // vetMaskConsistency cross-checks the bitmask slabs against the CSR
-// adjacency: for every (symbol, state) the internal mask row must hold
+// adjacency — the check the decoder cannot make, because the bitset runner
+// steps through the masks while the return stitch enumerates the CSR, so a
+// disagreement makes the two halves of one runner simulate different
+// automata.  For every (symbol, state) the internal mask row must hold
 // exactly the internal CSR successors and the call mask row exactly the
 // linear call successors.
 func (c *CompiledN) vetMaskConsistency(rep *VetReport, name string) bool {

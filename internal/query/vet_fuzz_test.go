@@ -3,13 +3,17 @@ package query
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/query/format"
 )
 
 // FuzzBundleVet is the artifact-verifier fuzz target, mirroring
 // FuzzUnmarshalCompiled one layer up: arbitrary bytes and mutated-but-valid
 // marshals pushed through VetBytes must either fail with an error or come
-// back as a renderable report — never a panic — and an input that vets
-// without errors must also decode, since vet gates what a fleet maps.
+// back as a renderable report — never a panic.  Decoding is vet's one
+// structural gate, so VetBytes must fail exactly when the decoder for the
+// container's kind does: no input vets that does not decode, and every
+// input that decodes comes back as a report.
 func FuzzBundleVet(f *testing.F) {
 	alpha := goldenAlphabet()
 	seeds := [][]byte{
@@ -38,6 +42,16 @@ func FuzzBundleVet(f *testing.F) {
 	seeds = append(seeds, tampered.Marshal())
 	// A planned bundle: a product with a compacted return table.
 	seeds = append(seeds, goldenPlannedBundle(f).Marshal())
+	// Sparse return tables, whose keys the decoder must range-check: a
+	// DNWA, an NNWA, and a planned bundle whose product is compacted.
+	old := denseReturnLimit
+	denseReturnLimit = 1
+	seeds = append(seeds,
+		Compile(PathQuery(alpha, "a", "b")).encode(true, 1),
+		CompileN(goldenNNWA()).encode(true, 1),
+		goldenPlannedBundle(f).Marshal(),
+	)
+	denseReturnLimit = old
 	for _, s := range seeds {
 		f.Add(s)
 		if len(s) > 40 {
@@ -53,6 +67,10 @@ func FuzzBundleVet(f *testing.F) {
 			data = data[:1<<18]
 		}
 		rep, err := VetBytes(data)
+		decErr := decodeAsKind(data)
+		if (err == nil) != (decErr == nil) {
+			t.Fatalf("VetBytes error %v, decoder error %v: vet must fail exactly when decoding does", err, decErr)
+		}
 		if err != nil {
 			if rep != nil {
 				t.Fatal("VetBytes returned both a report and an error")
@@ -60,12 +78,22 @@ func FuzzBundleVet(f *testing.F) {
 			return
 		}
 		_ = rep.String() // the report must always render
-		if rep.Errors() == 0 {
-			if _, err := UnmarshalQuery(data); err != nil {
-				if _, err := UnmarshalBundle(data); err != nil {
-					t.Fatalf("input vets clean but does not decode: %v", err)
-				}
-			}
-		}
 	})
+}
+
+// decodeAsKind decodes data with the decoder for its container kind.
+func decodeAsKind(data []byte) error {
+	r, err := format.NewReader(data)
+	if err != nil {
+		return err
+	}
+	switch r.Kind() {
+	case format.KindBundle:
+		_, err = UnmarshalBundle(data)
+	case format.KindProduct:
+		_, err = UnmarshalProduct(data)
+	default:
+		_, err = UnmarshalQuery(data)
+	}
+	return err
 }

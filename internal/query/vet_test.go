@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/alphabet"
 	"repro/internal/bitset"
 	"repro/internal/nwa"
 )
@@ -55,7 +56,7 @@ func TestVetGoldenFixtures(t *testing.T) {
 }
 
 func TestVetBundleClean(t *testing.T) {
-	rep := VetBundle(goldenBundle(t))
+	rep := vetBundle(goldenBundle(t))
 	if rep.Errors() != 0 || rep.Warnings() != 0 {
 		t.Errorf("golden bundle should vet clean, got:\n%s", rep)
 	}
@@ -163,7 +164,7 @@ func TestVetEmptyLanguageWarning(t *testing.T) {
 	if err := b.Add("empty", CompileN(a)); err != nil {
 		t.Fatal(err)
 	}
-	rep := VetBundle(b)
+	rep := vetBundle(b)
 	if rep.Errors() != 0 {
 		t.Fatalf("empty language is a warning, got errors:\n%s", rep)
 	}
@@ -183,7 +184,7 @@ func TestVetComplementedQueryWarns(t *testing.T) {
 	if err := b.Add("no b after a", Compile(Not(LinearOrder(alpha, "a", "b")))); err != nil {
 		t.Fatal(err)
 	}
-	rep := VetBundle(b)
+	rep := vetBundle(b)
 	if rep.Errors() != 0 {
 		t.Fatalf("complemented query must vet without errors, got:\n%s", rep)
 	}
@@ -196,7 +197,7 @@ func TestVetComplementedQueryWarns(t *testing.T) {
 // planner-shaped bundle vets with zero errors, and the group's automaton is
 // reported under the product- form.
 func TestVetPlannedBundleClean(t *testing.T) {
-	rep := VetBundle(plannedGoldenBundle(t))
+	rep := vetBundle(plannedGoldenBundle(t))
 	if rep.Errors() != 0 {
 		t.Errorf("planned golden bundle should vet without errors, got:\n%s", rep)
 	}
@@ -246,7 +247,7 @@ func TestVetCatchesProductMaskDisagreement(t *testing.T) {
 	}
 	row := bitset.Slab(p.mask, hit, p.maskW)
 	row.ForEach(func(j int) { row.Unset(j) })
-	rep := VetBundle(planned)
+	rep := vetBundle(planned)
 	if rep.Errors() == 0 {
 		t.Fatalf("cleared accept-mask row was not caught:\n%s", rep)
 	}
@@ -256,48 +257,43 @@ func TestVetCatchesProductMaskDisagreement(t *testing.T) {
 }
 
 // TestVetCatchesGroupDemuxViolations builds planned bundles with broken
-// demux tables directly (the constructors refuse them) and checks each is
-// reported.
+// demux tables or alphabets directly (the constructors refuse them),
+// serializes each, and checks VetBytes refuses it with the decoder's error —
+// the decoder is the one gate for these rules, so vet must fail exactly
+// where decoding does.
 func TestVetCatchesGroupDemuxViolations(t *testing.T) {
-	fresh := func() (*Bundle, *CompiledProduct) {
-		b := plannedGoldenBundle(t)
-		return b, b.Groups()[0].Product
-	}
-
-	// An index outside the bundle.
-	b, _ := fresh()
-	b.groups[0].Indices[1] = 9
-	if rep := VetBundle(b); rep.Errors() == 0 {
-		t.Error("out-of-range demux index was not caught")
-	}
-
-	// The same query demuxed twice.
-	b, _ = fresh()
-	b.groups[0].Indices[1] = 0
-	if rep := VetBundle(b); rep.Errors() == 0 {
-		t.Error("duplicate demux index was not caught")
-	}
-
-	// A grouped query that also kept its solo runner.
-	b, _ = fresh()
-	b.queries[0] = Compile(WellFormed(goldenAlphabet()))
-	if rep := VetBundle(b); rep.Errors() == 0 {
-		t.Error("solo runner on a grouped query was not caught")
-	}
-
-	// A name covered by nothing at all.
-	b, _ = fresh()
-	b.groups = nil
-	if rep := VetBundle(b); rep.Errors() == 0 {
-		t.Error("uncovered query was not caught")
-	}
-
-	// A group whose product demuxes a different number of queries.
-	b, p := fresh()
-	b.groups[0].Indices = b.groups[0].Indices[:1]
-	b.queries[1] = Compile(PathQuery(goldenAlphabet(), "a", "b"))
-	_ = p
-	if rep := VetBundle(b); rep.Errors() == 0 {
-		t.Error("demux width mismatch was not caught")
+	for _, tc := range []struct {
+		name   string
+		mutate func(b *Bundle)
+		want   string // phrase of the decoder's error
+	}{
+		{"index outside the bundle", func(b *Bundle) { b.groups[0].Indices[1] = 9 },
+			"index 9 outside the 3 queries"},
+		{"query demuxed twice", func(b *Bundle) { b.groups[0].Indices[1] = 0 },
+			"covers query \"well-formed\" twice"},
+		{"grouped query kept its solo runner", func(b *Bundle) { b.queries[0] = Compile(WellFormed(goldenAlphabet())) },
+			"covers query \"well-formed\" twice"},
+		{"solo query dropped", func(b *Bundle) { b.queries[2] = nil },
+			"covers neither solo nor product for query \"nondet\""},
+		{"groups dropped", func(b *Bundle) { b.groups = nil },
+			"names 3 queries but embeds 1"},
+		{"demux width mismatch", func(b *Bundle) {
+			b.groups[0].Indices = b.groups[0].Indices[:1]
+			b.queries[1] = Compile(PathQuery(goldenAlphabet(), "a", "b"))
+		}, "product answers 2 queries but demuxes to 1 bundle slots"},
+		{"solo query over another alphabet", func(b *Bundle) { b.queries[2] = Compile(WellFormed(alphabet.New("a", "b", "c"))) },
+			"compiled over 3 symbols, alphabet has 2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := plannedGoldenBundle(t)
+			tc.mutate(b)
+			rep, err := VetBytes(b.Marshal())
+			if err == nil {
+				t.Fatalf("VetBytes accepted the bundle:\n%s", rep)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not contain %q", err, tc.want)
+			}
+		})
 	}
 }
