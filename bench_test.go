@@ -1,9 +1,9 @@
-// Package repro's root test file hosts the benchmark harness: one benchmark
-// per experiment (E1..E28, excluding E18 which was not implemented — see
-// docs/EXPERIMENTS.md).  Each benchmark recomputes its experiment's
-// table on every iteration, so `go test -bench=. -benchmem` both times the
-// reproduction and regenerates the numbers; run `go run ./cmd/nwbench` to
-// print the tables themselves.
+// Package repro's root test file hosts the benchmark harness: one
+// sub-benchmark per experiments.Registry entry (E1..E28, excluding E18,
+// folded into E17/E19, and E26, retired — see docs/EXPERIMENTS.md).  Each
+// sub-benchmark recomputes its experiment's table on every iteration, so
+// `go test -bench=. -benchmem` both times the reproduction and regenerates
+// the numbers; run `go run ./cmd/nwbench` to print the tables themselves.
 package repro
 
 import (
@@ -26,165 +26,17 @@ func report(b *testing.B, t experiments.Table) {
 	}
 }
 
-func BenchmarkE01_Encodings(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, experiments.E01Encodings())
-	}
-}
-
-func BenchmarkE02_WeakConversion(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, experiments.E02WeakConversion())
-	}
-}
-
-func BenchmarkE03_FlatEquivalence(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, experiments.E03FlatEquivalence())
-	}
-}
-
-func BenchmarkE04_NWAvsDFA(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, experiments.E04NWAvsDFA(10))
-	}
-}
-
-func BenchmarkE05_BottomUpConversion(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, experiments.E05BottomUpConversion())
-	}
-}
-
-func BenchmarkE06_FlatVsBottomUp(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, experiments.E06FlatVsBottomUp(8))
-	}
-}
-
-func BenchmarkE07_JoinlessSeparation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, experiments.E07JoinlessSeparation())
-	}
-}
-
-func BenchmarkE08_JoinlessConversion(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, experiments.E08JoinlessConversion())
-	}
-}
-
-func BenchmarkE09_PathSuccinctness(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, experiments.E09PathSuccinctness(10))
-	}
-}
-
-func BenchmarkE10_LinearOrderQuery(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, experiments.E10LinearOrderQuery(8))
-	}
-}
-
-func BenchmarkE11_TreeAutomataEmbedding(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, experiments.E11TreeAutomataEmbedding())
-	}
-}
-
-func BenchmarkE12_PDAEmbedding(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, experiments.E12PDAEmbedding())
-	}
-}
-
-func BenchmarkE13_PTAEmbedding(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, experiments.E13PTAEmbedding())
-	}
-}
-
-func BenchmarkE14_CountingSeparation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, experiments.E14CountingSeparation(6))
-	}
-}
-
-func BenchmarkE15_MembershipNPReduction(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, experiments.E15MembershipNPReduction())
-	}
-}
-
-func BenchmarkE16_PNWAEmptiness(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, experiments.E16PNWAEmptiness())
-	}
-}
-
-func BenchmarkE17_Determinization(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, experiments.E17Determinization())
-	}
-}
-
-func BenchmarkE19_DecisionProcedures(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, experiments.E19DecisionProcedures())
-	}
-}
-
-func BenchmarkE20_Streaming(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, experiments.E20Streaming())
-	}
-}
-
-func BenchmarkE21_MultiQueryStreaming(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, experiments.E21MultiQueryStreaming(200000, 32))
-	}
-}
-
-func BenchmarkE22_CompiledVsMap(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, experiments.E22CompiledVsMap(200000, 32))
-	}
-}
-
-func BenchmarkE23_ShardedServing(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, experiments.E23ShardedServing(100, 2000))
-	}
-}
-
-func BenchmarkE24_BitsetRunner(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, experiments.E24BitsetRunner(256))
-	}
-}
-
-func BenchmarkE25_ColdStart(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, experiments.E25ColdStart(64))
-	}
-}
-
-func BenchmarkE26_HTTPServing(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, experiments.E26HTTPServing(150, 2000))
-	}
-}
-
-func BenchmarkE27_AdapterThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, experiments.E27AdapterThroughput(100000))
-	}
-}
-
-func BenchmarkE28_ProductCompilation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, experiments.E28ProductCompilation(150000))
+// BenchmarkExperiments runs one sub-benchmark per experiments.Registry
+// entry, at the full parameters `nwbench` uses, so both compute the same
+// tables: `go test -run '^$' -bench 'Experiments/E21$' -benchtime=1x .`
+// times E21 alone.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.Registry {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				report(b, e.Run())
+			}
+		})
 	}
 }
 
@@ -295,15 +147,6 @@ func TestExperimentsSanity(t *testing.T) {
 	for _, row := range e25.Rows {
 		if row[len(row)-1] != "true" {
 			t.Errorf("E25: bundle-loaded verdicts diverge from freshly compiled queries on row %v", row)
-		}
-	}
-	e26 := experiments.E26HTTPServing(60, 800)
-	if len(e26.Rows) == 0 {
-		t.Error("E26 produced no rows")
-	}
-	for _, row := range e26.Rows {
-		if row[len(row)-1] != "true" {
-			t.Errorf("E26: HTTP or pool verdicts diverge from serial evaluation on row %v", row)
 		}
 	}
 	e27 := experiments.E27AdapterThroughput(20000)

@@ -1,13 +1,16 @@
 // Command nwbench regenerates every experiment table of docs/EXPERIMENTS.md
 // — one per theorem, lemma, or figure of "Marrying Words and Trees", plus
 // the engineering experiments of the serving stack — and prints them with
-// wall-clock timings.  The same computations are exposed as Go benchmarks in
-// the repository root (go test -bench=.).  Run with -list to print the
+// wall-clock timings.  The same computations, at the same full parameters,
+// are the sub-benchmarks of BenchmarkExperiments in the repository root
+// (go test -bench=.).  Run with -list to print the
 // one-line summary of each experiment instead of computing anything, and
 // with -json DIR to additionally write one machine-readable BENCH_<ID>.json
-// file per serving-stack experiment (experiments.ArtifactIDs(), E21–E28) —
-// the per-PR perf trajectory CI uploads as a workflow artifact and guards
-// with the scripts/benchcmp regression gate.
+// file per serving-stack experiment (the experiments.Registry entries marked
+// Artifact) — the per-PR perf trajectory CI uploads as a workflow artifact
+// and guards with the scripts/benchcmp regression gate.  Which experiments
+// run, at which parameters, comes from experiments.Registry: -quick runs
+// each entry's Quick function and skips the entries without one.
 package main
 
 import (
@@ -40,28 +43,11 @@ type benchRecord struct {
 	Metrics    []map[string]string `json:"metrics"`
 }
 
-// jsonIDs selects the experiments whose tables are benchmark trajectories
-// worth recording per PR — experiments.ArtifactIDs(), the same list
-// scripts/nwvet and scripts/benchcmp key on.
-var jsonIDs = func() map[string]bool {
-	ids := map[string]bool{}
-	for _, id := range experiments.ArtifactIDs() {
-		ids[id] = true
-	}
-	return ids
-}()
-
-func writeBenchJSON(dir, id string, table experiments.Table, wall time.Duration) error {
-	summary := ""
-	for _, info := range experiments.Index() {
-		if info.ID == id {
-			summary = info.Summary
-		}
-	}
+func writeBenchJSON(dir string, e experiments.Experiment, table experiments.Table, wall time.Duration) error {
 	rec := benchRecord{
-		ID:         id,
+		ID:         e.ID,
 		Name:       table.Name,
-		Summary:    summary,
+		Summary:    e.Summary,
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		UnixTime:   time.Now().Unix(),
@@ -82,18 +68,18 @@ func writeBenchJSON(dir, id string, table experiments.Table, wall time.Duration)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(dir, "BENCH_"+id+".json"), append(body, '\n'), 0o644)
+	return os.WriteFile(filepath.Join(dir, "BENCH_"+e.ID+".json"), append(body, '\n'), 0o644)
 }
 
 func main() {
 	quick := flag.Bool("quick", false, "use smaller parameter ranges for a fast smoke run")
 	list := flag.Bool("list", false, "print one line per experiment (the docs/EXPERIMENTS.md summaries) and exit")
-	jsonDir := flag.String("json", "", "write BENCH_<ID>.json files for the serving-stack experiments (E21–E28) into this directory")
+	jsonDir := flag.String("json", "", "write BENCH_<ID>.json files for the serving-stack experiments into this directory")
 	flag.Parse()
 
 	if *list {
-		for _, info := range experiments.Index() {
-			fmt.Printf("%-5s %s\n", info.ID, info.Summary)
+		for _, e := range experiments.Registry {
+			fmt.Printf("%-5s %s\n", e.ID, e.Summary)
 		}
 		return
 	}
@@ -104,68 +90,22 @@ func main() {
 		}
 	}
 
-	type entry struct {
-		name string
-		run  func() experiments.Table
-	}
-	full := []entry{
-		{"E1", experiments.E01Encodings},
-		{"E2", experiments.E02WeakConversion},
-		{"E3", experiments.E03FlatEquivalence},
-		{"E4", func() experiments.Table { return experiments.E04NWAvsDFA(10) }},
-		{"E5", experiments.E05BottomUpConversion},
-		{"E6", func() experiments.Table { return experiments.E06FlatVsBottomUp(8) }},
-		{"E7", experiments.E07JoinlessSeparation},
-		{"E8", experiments.E08JoinlessConversion},
-		{"E9", func() experiments.Table { return experiments.E09PathSuccinctness(10) }},
-		{"E10", func() experiments.Table { return experiments.E10LinearOrderQuery(8) }},
-		{"E11", experiments.E11TreeAutomataEmbedding},
-		{"E12", experiments.E12PDAEmbedding},
-		{"E13", experiments.E13PTAEmbedding},
-		{"E14", func() experiments.Table { return experiments.E14CountingSeparation(6) }},
-		{"E15", experiments.E15MembershipNPReduction},
-		{"E16", experiments.E16PNWAEmptiness},
-		{"E17", experiments.E17Determinization},
-		{"E19", experiments.E19DecisionProcedures},
-		{"E20", experiments.E20Streaming},
-		{"E21", func() experiments.Table { return experiments.E21MultiQueryStreaming(1000000, 32) }},
-		{"E22", func() experiments.Table { return experiments.E22CompiledVsMap(1000000, 32) }},
-		{"E23", func() experiments.Table { return experiments.E23ShardedServing(200, 5000) }},
-		{"E24", func() experiments.Table { return experiments.E24BitsetRunner(256) }},
-		{"E25", func() experiments.Table { return experiments.E25ColdStart(64) }},
-		{"E26", func() experiments.Table { return experiments.E26HTTPServing(400, 4000) }},
-		{"E27", func() experiments.Table { return experiments.E27AdapterThroughput(200000) }},
-		{"E28", func() experiments.Table { return experiments.E28ProductCompilation(300000) }},
-	}
-	entries := full
-	if *quick {
-		entries = []entry{
-			{"E1", experiments.E01Encodings},
-			{"E4", func() experiments.Table { return experiments.E04NWAvsDFA(6) }},
-			{"E6", func() experiments.Table { return experiments.E06FlatVsBottomUp(5) }},
-			{"E9", func() experiments.Table { return experiments.E09PathSuccinctness(6) }},
-			{"E10", func() experiments.Table { return experiments.E10LinearOrderQuery(5) }},
-			{"E15", experiments.E15MembershipNPReduction},
-			{"E21", func() experiments.Table { return experiments.E21MultiQueryStreaming(100000, 24) }},
-			{"E22", func() experiments.Table { return experiments.E22CompiledVsMap(100000, 24) }},
-			{"E23", func() experiments.Table { return experiments.E23ShardedServing(50, 1000) }},
-			{"E24", func() experiments.Table { return experiments.E24BitsetRunner(256) }},
-			{"E25", func() experiments.Table { return experiments.E25ColdStart(64) }},
-			{"E26", func() experiments.Table { return experiments.E26HTTPServing(100, 1000) }},
-			{"E27", func() experiments.Table { return experiments.E27AdapterThroughput(50000) }},
-			{"E28", func() experiments.Table { return experiments.E28ProductCompilation(60000) }},
-		}
-	}
-
 	start := time.Now()
-	for _, e := range entries {
+	for _, e := range experiments.Registry {
+		run := e.Run
+		if *quick {
+			run = e.Quick
+		}
+		if run == nil {
+			continue
+		}
 		t0 := time.Now()
-		table := e.run()
+		table := run()
 		wall := time.Since(t0)
 		fmt.Println(table)
-		fmt.Printf("(%s regenerated in %v)\n\n", e.name, wall.Round(time.Millisecond))
-		if *jsonDir != "" && jsonIDs[e.name] {
-			if err := writeBenchJSON(*jsonDir, e.name, table, wall); err != nil {
+		fmt.Printf("(%s regenerated in %v)\n\n", e.ID, wall.Round(time.Millisecond))
+		if *jsonDir != "" && e.Artifact {
+			if err := writeBenchJSON(*jsonDir, e, table, wall); err != nil {
 				fmt.Fprintln(os.Stderr, "nwbench:", err)
 				os.Exit(1)
 			}

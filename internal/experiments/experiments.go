@@ -3,9 +3,8 @@
 // figure of "Marrying Words and Trees" — or one engineering claim of the
 // serving stack built on top of the reproduction — on the concrete instance
 // families from the internal/generator package and returns a printable
-// table.  The root bench_test.go times these computations and cmd/nwbench
-// prints them; Index carries the one-line summary of each experiment shared
-// by `nwbench -list` and the documentation.
+// table.  Registry lists them with their parameters: cmd/nwbench prints the
+// tables and the root bench_test.go times the same computations.
 package experiments
 
 import (
@@ -1249,89 +1248,95 @@ func E25ColdStart(maxQueries int) Table {
 	}
 }
 
-// Info is one entry of the experiment index: the ID accepted by cmd/nwbench
-// and a one-line summary.  `nwbench -list` prints these lines, and
-// docs/EXPERIMENTS.md repeats them, so the index is the single source of
-// truth for what each experiment measures.
-type Info struct {
-	ID      string
-	Summary string
+// Experiment is one entry of the experiment registry.  Run computes the
+// table at the full parameters (the default `nwbench` run and the root
+// BenchmarkExperiments); Quick computes it at the smaller `nwbench -quick`
+// parameters, and a nil Quick leaves the experiment out of the quick run.
+// Artifact marks the serving-stack experiments whose tables `nwbench -json`
+// records as BENCH_<ID>.json, the files scripts/benchcmp gates on.
+type Experiment struct {
+	ID       string
+	Summary  string
+	Run      func() Table
+	Quick    func() Table
+	Artifact bool
 }
 
-// Index lists every experiment in ID order with its one-line summary.
-func Index() []Info {
-	return []Info{
-		{"E1", "nested-word and tree-word encodings round-trip (Figure 1)"},
-		{"E2", "weak NWA conversion hits the s(|Σ|+1) state bound (Theorem 1)"},
-		{"E3", "flat NWAs coincide with word DFAs over the tagged alphabet (Theorem 2)"},
-		{"E4", "NWAs with O(s) states vs minimal word DFAs with ≥2^s states (Theorem 3)"},
-		{"E5", "bottom-up conversion: reachable states vs the s^s·|Σ| bound (Theorem 4)"},
-		{"E6", "flat NWAs O(s²) vs ≥2^s congruence classes for bottom-up NWAs (Theorem 5)"},
-		{"E7", "a conjunction query needs a join; an NWA product answers it (Theorem 6)"},
-		{"E8", "nondeterministic joinless NWAs with O(s²|Σ|) states (Theorem 7)"},
-		{"E9", "path family: NWA O(s) vs deterministic tree automata ≥2^s (Theorem 8)"},
-		{"E10", "linear-order query: linear DFA/flat NWA vs ≥2^n bottom-up classes (introduction)"},
-		{"E11", "tree automata embed into bottom-up / top-down NWAs (Lemmas 1–3)"},
-		{"E12", "pushdown word automata embed into pushdown NWAs (Lemma 4)"},
-		{"E13", "a context-free tree language as a PTA and as a pushdown NWA (Lemma 5)"},
-		{"E14", "equal-count language on stem and full-binary-tree families (Theorem 9)"},
-		{"E15", "CNF satisfiability via pushdown-NWA membership vs DPLL (Theorem 10)"},
-		{"E16", "pushdown-NWA emptiness by summary saturation (Theorem 11)"},
-		{"E17", "determinization: reachable states vs the 2^(s²) bound (Section 3.2)"},
-		{"E19", "membership is single-pass with stack bounded by depth (Section 3.2)"},
-		{"E20", "streaming documents as nested words, memory bounded by depth (Section 1)"},
-		{"E21", "engine: N simultaneous queries in one pass vs one re-scan per query"},
-		{"E22", "query API: compiled dense tables + interned symbols vs map-keyed stepping"},
-		{"E23", "serve: sharded multi-document pool vs serial and goroutine-per-document"},
-		{"E24", "bitset: packed uint64 summary rows vs []bool matrix NNWA runner, 4–256 states"},
-		{"E25", "qset: serialized bundle load / mmap cold start vs parse+compile, 1–64 queries"},
-		{"E26", "server: open-loop HTTP serving vs direct pool submission, latency vs shard count"},
-		{"E27", "adapter: XML/JSON/trace decode throughput vs the native tokenizer"},
-		{"E28", "plan: product-compiled query clusters vs fan-out, state-budget fallback at 16 queries"},
-	}
-}
-
-// ArtifactIDs lists the experiments whose tables cmd/nwbench -json records
-// as BENCH_<ID>.json benchmark artifacts — the serving-stack experiments
-// with timing columns.  scripts/nwvet cross-checks the committed
-// BENCH_E*.json files at the repository root against this list, and
-// scripts/benchcmp compares fresh artifacts against previous ones, so the
-// list is the single source of truth for what the perf trajectory tracks.
-func ArtifactIDs() []string {
-	return []string{"E21", "E22", "E23", "E24", "E25", "E26", "E27", "E28"}
-}
-
-// All returns every experiment table with moderate default parameters.
-func All() []Table {
-	return []Table{
-		E01Encodings(),
-		E02WeakConversion(),
-		E03FlatEquivalence(),
-		E04NWAvsDFA(10),
-		E05BottomUpConversion(),
-		E06FlatVsBottomUp(8),
-		E07JoinlessSeparation(),
-		E08JoinlessConversion(),
-		E09PathSuccinctness(10),
-		E10LinearOrderQuery(8),
-		E11TreeAutomataEmbedding(),
-		E12PDAEmbedding(),
-		E13PTAEmbedding(),
-		E14CountingSeparation(6),
-		E15MembershipNPReduction(),
-		E16PNWAEmptiness(),
-		E17Determinization(),
-		E19DecisionProcedures(),
-		E20Streaming(),
-		E21MultiQueryStreaming(200000, 32),
-		E22CompiledVsMap(200000, 32),
-		E23ShardedServing(100, 2000),
-		E24BitsetRunner(256),
-		E25ColdStart(64),
-		E26HTTPServing(150, 2000),
-		E27AdapterThroughput(100000),
-		E28ProductCompilation(150000),
-	}
+// Registry lists every experiment in ID order.  It is the one list of
+// experiments: cmd/nwbench, the root Go benchmarks and scripts/nwvet's
+// checks of the docs/EXPERIMENTS.md index and the committed BENCH_E*.json
+// baselines all derive from it.
+var Registry = []Experiment{
+	{ID: "E1", Summary: "nested-word and tree-word encodings round-trip (Figure 1)",
+		Run: E01Encodings, Quick: E01Encodings},
+	{ID: "E2", Summary: "weak NWA conversion hits the s(|Σ|+1) state bound (Theorem 1)",
+		Run: E02WeakConversion},
+	{ID: "E3", Summary: "flat NWAs coincide with word DFAs over the tagged alphabet (Theorem 2)",
+		Run: E03FlatEquivalence},
+	{ID: "E4", Summary: "NWAs with O(s) states vs minimal word DFAs with ≥2^s states (Theorem 3)",
+		Run:   func() Table { return E04NWAvsDFA(10) },
+		Quick: func() Table { return E04NWAvsDFA(6) }},
+	{ID: "E5", Summary: "bottom-up conversion: reachable states vs the s^s·|Σ| bound (Theorem 4)",
+		Run: E05BottomUpConversion},
+	{ID: "E6", Summary: "flat NWAs O(s²) vs ≥2^s congruence classes for bottom-up NWAs (Theorem 5)",
+		Run:   func() Table { return E06FlatVsBottomUp(8) },
+		Quick: func() Table { return E06FlatVsBottomUp(5) }},
+	{ID: "E7", Summary: "a conjunction query needs a join; an NWA product answers it (Theorem 6)",
+		Run: E07JoinlessSeparation},
+	{ID: "E8", Summary: "nondeterministic joinless NWAs with O(s²|Σ|) states (Theorem 7)",
+		Run: E08JoinlessConversion},
+	{ID: "E9", Summary: "path family: NWA O(s) vs deterministic tree automata ≥2^s (Theorem 8)",
+		Run:   func() Table { return E09PathSuccinctness(10) },
+		Quick: func() Table { return E09PathSuccinctness(6) }},
+	{ID: "E10", Summary: "linear-order query: linear DFA/flat NWA vs ≥2^n bottom-up classes (introduction)",
+		Run:   func() Table { return E10LinearOrderQuery(8) },
+		Quick: func() Table { return E10LinearOrderQuery(5) }},
+	{ID: "E11", Summary: "tree automata embed into bottom-up / top-down NWAs (Lemmas 1–3)",
+		Run: E11TreeAutomataEmbedding},
+	{ID: "E12", Summary: "pushdown word automata embed into pushdown NWAs (Lemma 4)",
+		Run: E12PDAEmbedding},
+	{ID: "E13", Summary: "a context-free tree language as a PTA and as a pushdown NWA (Lemma 5)",
+		Run: E13PTAEmbedding},
+	{ID: "E14", Summary: "equal-count language on stem and full-binary-tree families (Theorem 9)",
+		Run: func() Table { return E14CountingSeparation(6) }},
+	{ID: "E15", Summary: "CNF satisfiability via pushdown-NWA membership vs DPLL (Theorem 10)",
+		Run: E15MembershipNPReduction, Quick: E15MembershipNPReduction},
+	{ID: "E16", Summary: "pushdown-NWA emptiness by summary saturation (Theorem 11)",
+		Run: E16PNWAEmptiness},
+	{ID: "E17", Summary: "determinization: reachable states vs the 2^(s²) bound (Section 3.2)",
+		Run: E17Determinization},
+	{ID: "E19", Summary: "membership is single-pass with stack bounded by depth (Section 3.2)",
+		Run: E19DecisionProcedures},
+	{ID: "E20", Summary: "streaming documents as nested words, memory bounded by depth (Section 1)",
+		Run: E20Streaming},
+	{ID: "E21", Summary: "engine: N simultaneous queries in one pass vs one re-scan per query",
+		Run:      func() Table { return E21MultiQueryStreaming(1000000, 32) },
+		Quick:    func() Table { return E21MultiQueryStreaming(100000, 24) },
+		Artifact: true},
+	{ID: "E22", Summary: "query API: compiled dense tables + interned symbols vs map-keyed stepping",
+		Run:      func() Table { return E22CompiledVsMap(1000000, 32) },
+		Quick:    func() Table { return E22CompiledVsMap(100000, 24) },
+		Artifact: true},
+	{ID: "E23", Summary: "serve: sharded multi-document pool vs serial and goroutine-per-document",
+		Run:      func() Table { return E23ShardedServing(200, 5000) },
+		Quick:    func() Table { return E23ShardedServing(50, 1000) },
+		Artifact: true},
+	{ID: "E24", Summary: "bitset: packed uint64 summary rows vs []bool matrix NNWA runner, 4–256 states",
+		Run:      func() Table { return E24BitsetRunner(256) },
+		Quick:    func() Table { return E24BitsetRunner(256) },
+		Artifact: true},
+	{ID: "E25", Summary: "qset: serialized bundle load / mmap cold start vs parse+compile, 1–64 queries",
+		Run:      func() Table { return E25ColdStart(64) },
+		Quick:    func() Table { return E25ColdStart(64) },
+		Artifact: true},
+	{ID: "E27", Summary: "adapter: XML/JSON/trace decode throughput vs the native tokenizer",
+		Run:      func() Table { return E27AdapterThroughput(200000) },
+		Quick:    func() Table { return E27AdapterThroughput(50000) },
+		Artifact: true},
+	{ID: "E28", Summary: "plan: product-compiled query clusters vs fan-out, state-budget fallback at 16 queries",
+		Run:      func() Table { return E28ProductCompilation(300000) },
+		Quick:    func() Table { return E28ProductCompilation(60000) },
+		Artifact: true},
 }
 
 // --- helpers -----------------------------------------------------------

@@ -143,7 +143,8 @@ func postFormat(t testing.TB, client *http.Client, base, format, doc string) (in
 
 // TestHTTPDifferential is the serving acceptance test: on a 1200-document
 // corpus, verdicts served over HTTP (both the single-document and the
-// NDJSON batch endpoint) and verdicts from direct pool submission must be
+// NDJSON batch endpoint, and single documents submitted all at once to a 1-
+// and an 8-shard server) and verdicts from direct pool submission must be
 // identical to serial engine evaluation of the same bytes.
 func TestHTTPDifferential(t *testing.T) {
 	bundle := writeTestBundle(t)
@@ -243,6 +244,41 @@ func TestHTTPDifferential(t *testing.T) {
 				t.Errorf("pool doc %d query %q: pool %v, serial %v", i, name, res.Engine.Verdicts[q], want[i][name])
 			}
 		}
+	}
+
+	// Path 4: every document of a prefix in flight at once over HTTP, on a
+	// single-shard server (the whole prefix queues behind one worker) and
+	// an 8-shard one.  Queues hold the prefix, so saturation shows up as
+	// waiting, never as a 429.
+	const inFlight = 150
+	for _, shards := range []int{1, 8} {
+		_, ts := testServer(t, Config{BundlePath: bundle, Shards: shards, QueueDepth: inFlight})
+		client := ts.Client()
+		var wg sync.WaitGroup
+		for i, doc := range corpus[:inFlight] {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := client.Post(fmt.Sprintf("%s/v1/documents?id=doc-%d", ts.URL, i), "text/plain", strings.NewReader(doc))
+				if err != nil {
+					t.Errorf("%d shards, doc %d: %v", shards, i, err)
+					return
+				}
+				defer resp.Body.Close()
+				var res DocumentResult
+				if err := json.NewDecoder(resp.Body).Decode(&res); err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("%d shards, doc %d: status %d, decode %v", shards, i, resp.StatusCode, err)
+					return
+				}
+				for _, name := range names {
+					if res.Verdicts[name] != want[i][name] {
+						t.Errorf("%d shards, concurrent doc %d query %q: HTTP %v, serial %v",
+							shards, i, name, res.Verdicts[name], want[i][name])
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 

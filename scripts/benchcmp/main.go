@@ -1,8 +1,9 @@
 // Command benchcmp is the benchmark-regression gate: it compares two
 // directories of BENCH_<ID>.json files (the machine-readable experiment
-// tables cmd/nwbench -json writes for experiments.ArtifactIDs(), E21–E28)
-// and fails when the fresh run regresses past a threshold against the
-// previous one.
+// tables cmd/nwbench -json writes for the experiments.Registry entries
+// marked Artifact) and fails when the fresh run regresses past a threshold
+// against the previous one, or when a fresh row's verdicts disagree with
+// its experiment's oracle.
 //
 // Usage:
 //
@@ -16,10 +17,12 @@
 //     the row's first (key) column;
 //
 // and reports any new/old ratio above the threshold (default 2.0×, wide
-// enough for CI scheduling noise).  Rows or experiments present on only one
-// side are reported as informational skips, never failures, so adding an
-// experiment or a row does not break the gate.  Exit status is 1 when any
-// regression is found, 0 otherwise.
+// enough for CI scheduling noise).  Every fresh row whose "agree" cell is
+// not "true" is a failure too, whether or not it has a baseline.  Rows or
+// experiments present on only one side are reported as informational
+// skips, never failures, so adding or retiring an experiment or a row does
+// not break the gate.  Exit status is 1 when any regression or
+// disagreement is found, 2 on usage or read errors, 0 otherwise.
 //
 // CI runs it in the bench-json job against the previous run's artifacts
 // (falling back to the BENCH_*.json copies committed at the repository
@@ -33,9 +36,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -50,8 +55,8 @@ type record struct {
 }
 
 // timingColumn reports whether a header names a wall-clock column — the
-// only columns whose regressions the gate judges (counts, speedups, and
-// agreement flags are informational).
+// only columns whose ratios the gate judges (counts and speedups are
+// informational; the agree column is checked on its own).
 func timingColumn(header string) bool {
 	h := strings.ToLower(header)
 	for _, unit := range []string{"ns", "µs", "us/", " us", "ms"} {
@@ -93,52 +98,70 @@ func rowKey(row []string) string {
 }
 
 func main() {
-	oldDir := flag.String("old", "", "directory of previous BENCH_*.json files (the baseline)")
-	newDir := flag.String("new", "", "directory of fresh BENCH_*.json files (the run under test)")
-	threshold := flag.Float64("threshold", 2.0, "fail when new/old exceeds this ratio on wall_ns or any timing cell")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command with its arguments and output streams; it returns the
+// exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("benchcmp", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	oldDir := flags.String("old", "", "directory of previous BENCH_*.json files (the baseline)")
+	newDir := flags.String("new", "", "directory of fresh BENCH_*.json files (the run under test)")
+	threshold := flags.Float64("threshold", 2.0, "fail when new/old exceeds this ratio on wall_ns or any timing cell")
+	if err := flags.Parse(args); err != nil {
+		return 2
+	}
 	if *oldDir == "" || *newDir == "" {
-		fmt.Fprintln(os.Stderr, "usage: benchcmp -old PREV_DIR -new FRESH_DIR [-threshold 2.0]")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "usage: benchcmp -old PREV_DIR -new FRESH_DIR [-threshold 2.0]")
+		return 2
 	}
 
 	oldRecs, err := loadDir(*oldDir)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchcmp:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchcmp:", err)
+		return 2
 	}
 	newRecs, err := loadDir(*newDir)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchcmp:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchcmp:", err)
+		return 2
 	}
 	if len(newRecs) == 0 {
-		fmt.Fprintf(os.Stderr, "benchcmp: no BENCH_*.json files in %s\n", *newDir)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "benchcmp: no BENCH_*.json files in %s\n", *newDir)
+		return 2
 	}
 
-	names := make([]string, 0, len(newRecs))
-	for name := range newRecs {
-		names = append(names, name)
+	for _, name := range slices.Sorted(maps.Keys(oldRecs)) {
+		if _, ok := newRecs[name]; !ok {
+			fmt.Fprintf(stdout, "%-18s baseline only, not in the fresh run — skipped\n", oldRecs[name].ID)
+		}
 	}
-	sort.Strings(names)
 
-	var regressions []string
+	var failures []string
 	compared := 0
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(newRecs)) {
 		fresh := newRecs[name]
+		if agree := slices.Index(fresh.Header, "agree"); agree >= 0 {
+			for _, row := range fresh.Rows {
+				if agree >= len(row) || row[agree] != "true" {
+					failures = append(failures,
+						fmt.Sprintf("%s row %q: verdicts disagree with the oracle (agree is not true)", fresh.ID, rowKey(row)))
+				}
+			}
+		}
 		prev, ok := oldRecs[name]
 		if !ok {
-			fmt.Printf("%-18s new experiment, no baseline — skipped\n", fresh.ID)
+			fmt.Fprintf(stdout, "%-18s new experiment, no baseline — skipped\n", fresh.ID)
 			continue
 		}
 		compared++
 		if prev.WallNS > 0 {
 			ratio := float64(fresh.WallNS) / float64(prev.WallNS)
-			fmt.Printf("%-18s wall %8.2fms -> %8.2fms  (%.2fx)\n",
+			fmt.Fprintf(stdout, "%-18s wall %8.2fms -> %8.2fms  (%.2fx)\n",
 				fresh.ID, float64(prev.WallNS)/1e6, float64(fresh.WallNS)/1e6, ratio)
 			if ratio > *threshold {
-				regressions = append(regressions,
+				failures = append(failures,
 					fmt.Sprintf("%s: wall_ns %.2fx (%d -> %d ns)", fresh.ID, ratio, prev.WallNS, fresh.WallNS))
 			}
 		}
@@ -149,7 +172,7 @@ func main() {
 		for _, row := range fresh.Rows {
 			base, ok := prevRows[rowKey(row)]
 			if !ok {
-				fmt.Printf("%-18s row %q has no baseline — skipped\n", fresh.ID, rowKey(row))
+				fmt.Fprintf(stdout, "%-18s row %q has no baseline — skipped\n", fresh.ID, rowKey(row))
 				continue
 			}
 			for col, header := range fresh.Header {
@@ -162,7 +185,7 @@ func main() {
 					continue
 				}
 				if ratio := newVal / oldVal; ratio > *threshold {
-					regressions = append(regressions,
+					failures = append(failures,
 						fmt.Sprintf("%s row %q: %q %.3g -> %.3g (%.2fx)",
 							fresh.ID, rowKey(row), header, oldVal, newVal, ratio))
 				}
@@ -170,12 +193,13 @@ func main() {
 		}
 	}
 
-	if len(regressions) > 0 {
-		fmt.Printf("\nbenchcmp: %d regressions past %.1fx:\n", len(regressions), *threshold)
-		for _, r := range regressions {
-			fmt.Println("  " + r)
+	if len(failures) > 0 {
+		fmt.Fprintf(stdout, "\nbenchcmp: %d failures (regressions past %.1fx or disagreeing rows):\n", len(failures), *threshold)
+		for _, r := range failures {
+			fmt.Fprintln(stdout, "  "+r)
 		}
-		os.Exit(1)
+		return 1
 	}
-	fmt.Printf("benchcmp: ok (%d experiments compared, threshold %.1fx)\n", compared, *threshold)
+	fmt.Fprintf(stdout, "benchcmp: ok (%d experiments compared, threshold %.1fx)\n", compared, *threshold)
+	return 0
 }

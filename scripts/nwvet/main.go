@@ -41,8 +41,8 @@
 // The driver also carries the repository's documentation invariants, folded
 // in from the retired repolint command: package doc comments, exported-
 // identifier doc comments, relative Markdown link targets, the
-// docs/EXPERIMENTS.md index table against experiments.Index(), and the
-// committed BENCH_E*.json baselines against experiments.ArtifactIDs().
+// docs/EXPERIMENTS.md index table and the committed BENCH_E*.json baselines
+// against experiments.Registry.
 //
 // It prints one line per violation and exits 1 if there are any, 2 on
 // infrastructure errors, and prints "nwvet: ok" otherwise.

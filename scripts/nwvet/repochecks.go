@@ -119,65 +119,75 @@ func receiverIsExported(recv *ast.FieldList, exported map[string]bool) bool {
 	}
 }
 
-// experimentRow matches the ID cell of one docs/EXPERIMENTS.md index table
-// row ("| E21 | ... |").
-var experimentRow = regexp.MustCompile(`(?m)^\|\s*(E\d+)\s*\|`)
+// experimentRow matches one docs/EXPERIMENTS.md index table row
+// ("| E21 | summary |"), capturing the ID and the summary cell.
+var experimentRow = regexp.MustCompile(`(?m)^\|\s*(E\d+)\s*\|(.*)\|\s*$`)
 
-// lintExperimentIndex cross-checks experiments.Index() against the index
-// table of docs/EXPERIMENTS.md: every ID the code knows must be documented,
-// and every documented ID must exist in the code.
+// mdUnescape undoes the backslash escapes the index table needs for
+// summaries containing table or link punctuation.
+var mdUnescape = strings.NewReplacer(`\|`, `|`, `\[`, `[`, `\]`, `]`)
+
+// lintExperimentIndex cross-checks experiments.Registry against the index
+// table of docs/EXPERIMENTS.md: every registered experiment must be
+// documented with its registry summary (the line `nwbench -list` prints),
+// and every documented ID must be registered.
 func lintExperimentIndex(root string, report reportFunc) error {
 	path := filepath.Join(root, "docs", "EXPERIMENTS.md")
 	body, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("experiment index: %w", err)
 	}
-	documented := map[string]bool{}
+	documented := map[string]string{}
 	for _, m := range experimentRow.FindAllStringSubmatch(string(body), -1) {
-		documented[m[1]] = true
+		documented[m[1]] = mdUnescape.Replace(strings.TrimSpace(m[2]))
 	}
-	coded := map[string]bool{}
-	for _, info := range experiments.Index() {
-		coded[info.ID] = true
-		if !documented[info.ID] {
-			report("%s: experiment %s is in experiments.Index() but missing from the index table", path, info.ID)
+	registered := map[string]bool{}
+	for _, e := range experiments.Registry {
+		registered[e.ID] = true
+		summary, ok := documented[e.ID]
+		switch {
+		case !ok:
+			report("%s: experiment %s is in experiments.Registry but missing from the index table", path, e.ID)
+		case summary != e.Summary:
+			report("%s: experiment %s is documented as %q but its registry summary is %q", path, e.ID, summary, e.Summary)
 		}
 	}
 	for id := range documented {
-		if !coded[id] {
-			report("%s: experiment %s is documented but missing from experiments.Index()", path, id)
+		if !registered[id] {
+			report("%s: experiment %s is documented but missing from experiments.Registry", path, id)
 		}
 	}
 	return nil
 }
 
 // lintBenchArtifacts cross-checks the committed BENCH_E*.json benchmark
-// baselines at the repository root against experiments.ArtifactIDs(): a
-// file whose experiment no longer records an artifact is stale, and an
-// artifact-recording experiment without a committed baseline leaves the
-// bench-regression gate's fallback without a point of comparison.
+// baselines at the repository root against the experiments.Registry entries
+// marked Artifact: a file whose experiment no longer records an artifact is
+// stale, and an artifact-recording experiment without a committed baseline
+// leaves the bench-regression gate's fallback without a point of
+// comparison.
 func lintBenchArtifacts(root string, report reportFunc) error {
 	files, err := filepath.Glob(filepath.Join(root, "BENCH_E*.json"))
 	if err != nil {
 		return fmt.Errorf("bench artifacts: %w", err)
 	}
-	coded := map[string]bool{}
-	for _, id := range experiments.ArtifactIDs() {
-		coded[id] = true
-	}
 	committed := map[string]bool{}
 	for _, f := range files {
-		id := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(f), "BENCH_"), ".json")
-		committed[id] = true
-		if !coded[id] {
-			report("%s: stale benchmark artifact — %s is not in experiments.ArtifactIDs()", f, id)
-		}
+		committed[strings.TrimSuffix(strings.TrimPrefix(filepath.Base(f), "BENCH_"), ".json")] = true
 	}
-	for _, id := range experiments.ArtifactIDs() {
-		if !committed[id] {
-			report("%s: experiment %s records a benchmark artifact but BENCH_%s.json is not committed at the repository root",
-				root, id, id)
+	for _, e := range experiments.Registry {
+		if !e.Artifact {
+			continue
 		}
+		if !committed[e.ID] {
+			report("%s: experiment %s records a benchmark artifact but BENCH_%s.json is not committed at the repository root",
+				root, e.ID, e.ID)
+		}
+		delete(committed, e.ID)
+	}
+	for id := range committed {
+		report("%s: stale benchmark artifact — %s is not an experiments.Registry artifact",
+			filepath.Join(root, "BENCH_"+id+".json"), id)
 	}
 	return nil
 }
