@@ -141,7 +141,7 @@ func compileBundle(args []string) {
 	})
 	planFlag := fs.Bool("plan", false, "product-compile clusters of structurally similar queries into shared automata before writing")
 	planBudget := fs.Int("plan-budget", 0, "with -plan: per-product state budget (0 = the planner default; over-budget clusters fan out)")
-	planCluster := fs.Int("plan-cluster", 0, "with -plan: maximum queries per product cluster (0 = the planner default)")
+	planCluster := fs.Int("plan-cluster", 0, "with -plan: maximum queries per product cluster (0 = the planner default; below 2 = no clustering)")
 	out := fs.String("o", "queries.nwq", "output bundle file")
 	fs.Parse(args)
 

@@ -236,6 +236,30 @@ func (c *Compiled) stepReturn(lin, hier int32, sym int) int32 {
 	return c.dead
 }
 
+// returnRow returns the return targets of the (lin, hier) pair for every
+// symbol, indexed by symbol: a view into the dense table, or dst (of length
+// at least syms) filled from the sparse one, whose keys for one pair are
+// consecutive.
+func (c *Compiled) returnRow(lin, hier int32, dst []int32) []int32 {
+	if c.dense {
+		i := (int(lin)*c.hiers + int(hier)) * c.syms
+		return c.returnT[i : i+c.syms]
+	}
+	base := c.returnKey(lin, hier, 0)
+	keys := c.sparseR.keys
+	i := sort.Search(len(keys), func(i int) bool { return keys[i] >= base })
+	dst = dst[:c.syms]
+	for sym := range dst {
+		if i < len(keys) && keys[i] == base+uint64(sym) {
+			dst[sym] = c.sparseR.vals[i]
+			i++
+		} else {
+			dst[sym] = c.dead
+		}
+	}
+	return dst
+}
+
 // NewRunner returns a fresh deterministic runner.
 func (c *Compiled) NewRunner() Runner {
 	return &dnwaRunner{c: c, state: c.start}

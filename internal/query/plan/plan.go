@@ -12,8 +12,9 @@
 // most ClusterSize in bundle order, and each cluster is product-compiled; a
 // cluster whose product exceeds StateBudget falls back to per-query fan-out,
 // verdicts unchanged (TestPlannerBudgetFallback pins this).
-// Nondeterministic queries have no product form and are served solo.  Experiment E28 measures where the crossover sits; see
-// docs/COMPILATION.md for the pipeline this package sits in the middle of.
+// Nondeterministic queries have no product form and are served solo.
+// Experiment E28 measures where the crossover sits; see docs/COMPILATION.md
+// for the pipeline this package sits in the middle of.
 package plan
 
 import (
@@ -89,6 +90,11 @@ func Bundle(b *query.Bundle, opts Options) (*query.Bundle, Decision, error) {
 		}
 	}
 
+	if opts.ClusterSize < 2 || opts.StateBudget < 0 {
+		// No clustering, or no product compilation: every query is solo.
+		solo(det...)
+		det = nil
+	}
 	for len(det) > 0 {
 		n := opts.ClusterSize
 		if n > len(det) {
@@ -96,7 +102,7 @@ func Bundle(b *query.Bundle, opts Options) (*query.Bundle, Decision, error) {
 		}
 		cluster := det[:n]
 		det = det[n:]
-		if n < 2 || opts.StateBudget < 0 {
+		if n < 2 {
 			solo(cluster...)
 			continue
 		}

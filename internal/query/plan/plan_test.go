@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -220,6 +221,26 @@ func TestPlannerDisabled(t *testing.T) {
 		t.Fatalf("cluster size 1 decision = %+v, want all solo", dec)
 	}
 	_ = planned
+}
+
+// TestPlannerNegativeClusterSize pins the ClusterSize contract below zero:
+// like 1, every value below 2 disables clustering, so every query is served
+// solo, in bundle order, with verdicts unchanged.
+func TestPlannerNegativeClusterSize(t *testing.T) {
+	src := buildBundle(t, 4, 1)
+	for _, size := range []int{-1, math.MinInt} {
+		planned, dec, err := Bundle(src, Options{ClusterSize: size})
+		if err != nil {
+			t.Fatalf("cluster size %d: Bundle: %v", size, err)
+		}
+		if len(dec.Groups) != 0 || len(dec.Solo) != src.Len() || dec.States != 0 {
+			t.Fatalf("cluster size %d: decision = %+v, want all %d solo", size, dec, src.Len())
+		}
+		if got := len(planned.Groups()); got != 0 {
+			t.Fatalf("cluster size %d: planned bundle has %d groups, want 0", size, got)
+		}
+		verdictsAgree(t, src, planned)
+	}
 }
 
 func TestPlannerRejectsPlannedInput(t *testing.T) {

@@ -1,9 +1,10 @@
 package query
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/alphabet"
 	"repro/internal/bitset"
@@ -132,49 +133,140 @@ func CompileProduct(members []Query, budget int) (*CompiledProduct, error) {
 
 // --- deterministic tuple product ----------------------------------------
 
-// detBuilder is the working state of the deterministic product construction:
-// an interning table from packed member-state tuples to product state IDs,
-// the list of tuples discovered so far, and the subset of them that can
-// appear as hierarchical data on a return edge.
+// detBuilder is the working state of the deterministic product construction.
+// A product state is a tuple of member states, kept packed: member j's state
+// takes bits.Len(num_j-1) bits at bit shift[j] of word word[j] of a w-word
+// key, and no member straddles a word (eight members of up to 256 states fit
+// one word).  One open-addressing table of product IDs interns those keys.
+// The builder also tracks the subset of tuples that can appear as
+// hierarchical data on a return edge.
 type detBuilder struct {
 	ms     []*Compiled
-	k      int // member count
 	syms   int
 	budget int
 	err    error
 
-	ids    map[string]int32
-	tuples []int32 // flat: tuple of state id at [id*k : (id+1)*k]
-	key    []byte  // scratch: packed little-endian tuple key
-	isHier []bool
-	hiers  []int32 // hier-capable ids in discovery order (start tuple first)
+	w     int      // words per key
+	word  []int    // member j's word within a key
+	shift []uint   // member j's bit offset within that word
+	mask  []uint64 // member j's state mask, before the shift
 
-	lin, hier, tmp []int32 // scratch tuples
+	keys      []uint64 // flat: key of product state id at [id*w : (id+1)*w]
+	slots     []int32  // open addressing over keys: product ID + 1, 0 when empty
+	slotShift uint     // 64 - log2(len(slots)): a hash's top bits pick the slot
+	isHier    []bool
+	hiers     []int32 // hier-capable ids in discovery order (start tuple first)
+
+	// Scratch: one key per symbol (syms*w words, see keyAt) for the
+	// call-linear, call-hierarchical, internal and return targets of one
+	// state or pair, one gathered key, a sparse member's return row, and two
+	// unpacked tuples.
+	lin, hier, internal, ret []uint64
+	gathered                 []uint64
+	row                      []int32
+	dt, ht                   []int32
 }
 
-func (b *detBuilder) count() int { return len(b.tuples) / b.k }
-
-func (b *detBuilder) tuple(id int32) []int32 {
-	return b.tuples[int(id)*b.k : (int(id)+1)*b.k]
-}
-
-// pack writes a tuple into the scratch key as packed little-endian IDs.
-func (b *detBuilder) pack(t []int32) []byte {
-	b.key = b.key[:0]
-	for _, q := range t {
-		b.key = binary.LittleEndian.AppendUint32(b.key, uint32(q))
+func newDetBuilder(ms []*Compiled, budget int) *detBuilder {
+	k, syms := len(ms), ms[0].syms
+	b := &detBuilder{
+		ms:     ms,
+		syms:   syms,
+		budget: budget,
+		word:   make([]int, k),
+		shift:  make([]uint, k),
+		mask:   make([]uint64, k),
+		row:    make([]int32, syms),
+		dt:     make([]int32, k),
+		ht:     make([]int32, k),
 	}
-	return b.key
+	var off uint
+	for j, m := range ms {
+		n := uint(bits.Len32(uint32(m.num - 1)))
+		if off+n > 64 {
+			b.w++
+			off = 0
+		}
+		b.word[j], b.shift[j], b.mask[j] = b.w, off, 1<<n-1
+		off += n
+	}
+	b.w++
+	b.lin = make([]uint64, syms*b.w)
+	b.hier = make([]uint64, syms*b.w)
+	b.internal = make([]uint64, syms*b.w)
+	b.ret = make([]uint64, syms*b.w)
+	b.gathered = make([]uint64, b.w)
+	b.rehash(64)
+	return b
 }
 
-// intern returns the product state ID of a tuple, discovering it if new.  On
+func (b *detBuilder) count() int { return len(b.isHier) }
+
+func (b *detBuilder) key(id int32) []uint64 {
+	return b.keys[int(id)*b.w : (int(id)+1)*b.w]
+}
+
+// keyAt gathers symbol sym's key out of a per-symbol buffer, which holds
+// word i of every symbol's key at [i*syms : (i+1)*syms].
+func (b *detBuilder) keyAt(buf []uint64, sym int) []uint64 {
+	for i := range b.gathered {
+		b.gathered[i] = buf[i*b.syms+sym]
+	}
+	return b.gathered
+}
+
+// keyOf packs a tuple of member states into a fresh key.
+func (b *detBuilder) keyOf(t []int32) []uint64 {
+	key := make([]uint64, b.w)
+	for j, q := range t {
+		key[b.word[j]] |= uint64(q) << b.shift[j]
+	}
+	return key
+}
+
+// unpack writes product state id's member states into dst.
+func (b *detBuilder) unpack(id int32, dst []int32) []int32 {
+	key := b.key(id)
+	for j := range dst {
+		dst[j] = int32(key[b.word[j]] >> b.shift[j] & b.mask[j])
+	}
+	return dst
+}
+
+// find returns key's slot: the one holding its product ID, or the empty slot
+// where it belongs.
+func (b *detBuilder) find(key []uint64) int {
+	var h uint64
+	for _, x := range key {
+		h = (bits.RotateLeft64(h, 29) ^ x) * 0x9e3779b97f4a7c15
+	}
+	last := len(b.slots) - 1
+	for i := int(h >> b.slotShift); ; i = (i + 1) & last {
+		id := b.slots[i] - 1
+		if id < 0 || slices.Equal(b.key(id), key) {
+			return i
+		}
+	}
+}
+
+// rehash rebuilds the slot table at size n, a power of two.
+func (b *detBuilder) rehash(n int) {
+	b.slots = make([]int32, n)
+	b.slotShift = uint(65 - bits.Len(uint(n)))
+	for id := int32(0); int(id) < b.count(); id++ {
+		b.slots[b.find(b.key(id))] = id + 1
+	}
+}
+
+// intern returns the product state ID of a key, discovering it if new.  On
 // budget overflow it records ErrStateBudget and returns 0; the caller's loop
 // terminates via the err field.
-func (b *detBuilder) intern(t []int32) int32 {
+func (b *detBuilder) intern(key []uint64) int32 {
 	if b.err != nil {
 		return 0
 	}
-	if id, ok := b.ids[string(b.pack(t))]; ok {
+	i := b.find(key)
+	if id := b.slots[i] - 1; id >= 0 {
 		return id
 	}
 	if b.count() >= b.budget {
@@ -182,9 +274,12 @@ func (b *detBuilder) intern(t []int32) int32 {
 		return 0
 	}
 	id := int32(b.count())
-	b.ids[string(b.key)] = id
-	b.tuples = append(b.tuples, t...)
+	b.slots[i] = id + 1
+	b.keys = append(b.keys, key...)
 	b.isHier = append(b.isHier, false)
+	if 2*b.count() > len(b.slots) {
+		b.rehash(2 * len(b.slots))
+	}
 	return id
 }
 
@@ -209,25 +304,62 @@ func (b *detBuilder) renumber() int {
 			order = append(order, int32(q))
 		}
 	}
-	tuples := make([]int32, 0, len(b.tuples))
+	renamed := make([]int32, len(order))
+	keys := make([]uint64, 0, len(b.keys))
 	for id, old := range order {
-		t := b.tuple(old)
-		b.ids[string(b.pack(t))] = int32(id)
-		tuples = append(tuples, t...)
+		renamed[old] = int32(id)
+		keys = append(keys, b.key(old)...)
 	}
-	b.tuples = tuples
+	for i, s := range b.slots {
+		if s != 0 {
+			b.slots[i] = renamed[s-1] + 1
+		}
+	}
+	b.keys = keys
 	return len(b.hiers)
 }
 
-// pairRet interns the componentwise return targets of one (lin, hier) state
-// pair across every symbol.
-func (b *detBuilder) pairRet(d, h int32) {
-	dt, ht := b.tuple(d), b.tuple(h)
+// orRow packs one member's row of targets, indexed by symbol, into the
+// per-symbol keys of buf.
+func (b *detBuilder) orRow(buf []uint64, j int, row []int32) {
+	w, sh := b.word[j]*b.syms, b.shift[j]
+	dst := buf[w : w+len(row)]
+	for sym, q := range row {
+		dst[sym] |= uint64(q) << sh
+	}
+}
+
+// expand packs the componentwise call and internal targets of state d into
+// the lin, hier and internal keys, one per symbol, and leaves d's unpacked
+// tuple in dt.
+func (b *detBuilder) expand(d int32) {
+	clear(b.lin)
+	clear(b.hier)
+	clear(b.internal)
+	for j, q := range b.unpack(d, b.dt) {
+		m := b.ms[j]
+		i := int(q) * b.syms
+		b.orRow(b.lin, j, m.callLin[i:i+b.syms])
+		b.orRow(b.hier, j, m.callHier[i:i+b.syms])
+		b.orRow(b.internal, j, m.internT[i:i+b.syms])
+	}
+}
+
+// expandRet packs the componentwise return targets of a (lin, hier) pair of
+// unpacked tuples into the ret keys, one per symbol.
+func (b *detBuilder) expandRet(dt, ht []int32) {
+	clear(b.ret)
+	for j, m := range b.ms {
+		b.orRow(b.ret, j, m.returnRow(dt[j], ht[j], b.row))
+	}
+}
+
+// pairRet interns the componentwise return targets of one (lin, hier) pair
+// of unpacked tuples across every symbol.
+func (b *detBuilder) pairRet(dt, ht []int32) {
+	b.expandRet(dt, ht)
 	for sym := 0; sym < b.syms; sym++ {
-		for j, m := range b.ms {
-			b.tmp[j] = m.stepReturn(dt[j], ht[j], sym)
-		}
-		b.intern(b.tmp)
+		b.intern(b.keyAt(b.ret, sym))
 	}
 }
 
@@ -242,29 +374,18 @@ func (b *detBuilder) pairRet(d, h int32) {
 func compileDetProduct(ms []*Compiled, budget int) (*CompiledProduct, error) {
 	k := len(ms)
 	syms := ms[0].syms
-	b := &detBuilder{
-		ms:     ms,
-		k:      k,
-		syms:   syms,
-		budget: budget,
-		ids:    make(map[string]int32),
-		lin:    make([]int32, k),
-		hier:   make([]int32, k),
-		tmp:    make([]int32, k),
-	}
+	b := newDetBuilder(ms, budget)
 
 	// Seed: the start tuple (ID 0, hier-capable for pending returns) and
 	// the all-dead tuple (the product's dead state; every componentwise
 	// step out of it stays in it because member tables are dead-completed).
+	start, dead := make([]int32, k), make([]int32, k)
 	for j, m := range ms {
-		b.tmp[j] = m.start
+		start[j], dead[j] = m.start, m.dead
 	}
-	b.markHier(b.intern(b.tmp))
-	dead := make([]int32, k)
-	for j, m := range ms {
-		dead[j] = m.dead
-	}
-	b.intern(dead)
+	b.markHier(b.intern(b.keyOf(start)))
+	deadKey := b.keyOf(dead)
+	b.intern(deadKey)
 
 	// Fixpoint: ps states have had their calls/internals expanded and been
 	// paired (as lin) with hiers[0:current]; ph hiers have been paired with
@@ -275,27 +396,21 @@ func compileDetProduct(ms []*Compiled, budget int) (*CompiledProduct, error) {
 		for ps < b.count() && b.err == nil {
 			d := int32(ps)
 			ps++
-			dt := b.tuple(d)
+			b.expand(d)
 			for sym := 0; sym < syms; sym++ {
-				for j, m := range ms {
-					i := int(dt[j])*syms + sym
-					b.lin[j] = m.callLin[i]
-					b.hier[j] = m.callHier[i]
-					b.tmp[j] = m.internT[i]
-				}
-				b.intern(b.lin)
-				b.markHier(b.intern(b.hier))
-				b.intern(b.tmp)
+				b.intern(b.keyAt(b.lin, sym))
+				b.markHier(b.intern(b.keyAt(b.hier, sym)))
+				b.intern(b.keyAt(b.internal, sym))
 			}
 			for hi := 0; hi < ph; hi++ {
-				b.pairRet(d, b.hiers[hi])
+				b.pairRet(b.dt, b.unpack(b.hiers[hi], b.ht))
 			}
 		}
 		for ph < len(b.hiers) && b.err == nil {
-			h := b.hiers[ph]
+			b.unpack(b.hiers[ph], b.ht)
 			ph++
-			for d := 0; d < ps; d++ {
-				b.pairRet(int32(d), h)
+			for d := int32(0); int(d) < ps; d++ {
+				b.pairRet(b.unpack(d, b.dt), b.ht)
 			}
 		}
 	}
@@ -314,16 +429,15 @@ func compileDetProduct(ms []*Compiled, budget int) (*CompiledProduct, error) {
 		hiers:  hiers,
 		syms:   syms,
 		start:  0,
-		dead:   b.intern(dead),
+		dead:   b.intern(deadKey),
 		accept: make([]bool, num),
 	}
 	maskW := bitset.Words(k)
 	mask := make([]uint64, num*maskW)
 	for q := 0; q < num; q++ {
-		t := b.tuple(int32(q))
 		row := bitset.Slab(mask, q, maskW)
-		for j, m := range ms {
-			if m.accept[t[j]] {
+		for j, s := range b.unpack(int32(q), b.dt) {
+			if ms[j].accept[s] {
 				row.Set(j)
 				c.accept[q] = true
 			}
@@ -333,31 +447,22 @@ func compileDetProduct(ms []*Compiled, budget int) (*CompiledProduct, error) {
 	c.callHier = make([]int32, num*syms)
 	c.internT = make([]int32, num*syms)
 	for q := 0; q < num; q++ {
-		t := b.tuple(int32(q))
+		b.expand(int32(q))
 		for sym := 0; sym < syms; sym++ {
-			for j, m := range ms {
-				i := int(t[j])*syms + sym
-				b.lin[j] = m.callLin[i]
-				b.hier[j] = m.callHier[i]
-				b.tmp[j] = m.internT[i]
-			}
 			i := q*syms + sym
-			c.callLin[i] = b.intern(b.lin)
-			c.callHier[i] = b.intern(b.hier)
-			c.internT[i] = b.intern(b.tmp)
+			c.callLin[i] = b.intern(b.keyAt(b.lin, sym))
+			c.callHier[i] = b.intern(b.keyAt(b.hier, sym))
+			c.internT[i] = b.intern(b.keyAt(b.internal, sym))
 		}
 	}
 	// Return table over (lin, hier < H) pairs, visited in dense index order.
 	eachReturn := func(f func(lin, hier int32, sym int, to int32)) {
-		for q := 0; q < num; q++ {
-			t := b.tuple(int32(q))
-			for h := 0; h < hiers; h++ {
-				ht := b.tuple(int32(h))
+		for q := int32(0); int(q) < num; q++ {
+			b.unpack(q, b.dt)
+			for h := int32(0); int(h) < hiers; h++ {
+				b.expandRet(b.dt, b.unpack(h, b.ht))
 				for sym := 0; sym < syms; sym++ {
-					for j, m := range ms {
-						b.tmp[j] = m.stepReturn(t[j], ht[j], sym)
-					}
-					f(int32(q), int32(h), sym, b.intern(b.tmp))
+					f(q, h, sym, b.intern(b.keyAt(b.ret, sym)))
 				}
 			}
 		}

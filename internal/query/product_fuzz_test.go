@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -34,9 +35,10 @@ func fuzzFamily(which int) []Query {
 }
 
 // fuzzProductFor compiles (and caches) the product of the family members
-// whose bits are set in mask.  Returns nil when fewer than one member is
+// whose bits are set in mask, checking on first build that its state count
+// is exactly the budget it needs.  Returns nil when fewer than one member is
 // selected.
-func fuzzProductFor(which int, mask uint8) *fuzzProduct {
+func fuzzProductFor(t testing.TB, which int, mask uint8) *fuzzProduct {
 	key := uint16(which%2)<<8 | uint16(mask)
 	fuzzProdMu.Lock()
 	defer fuzzProdMu.Unlock()
@@ -56,8 +58,9 @@ func fuzzProductFor(which int, mask uint8) *fuzzProduct {
 	}
 	p, err := CompileProduct(members, 0)
 	if err != nil {
-		panic(err) // fixed family under the default budget: cannot happen
+		t.Fatalf("family %d, mask %08b: CompileProduct: %v", which%2, mask, err)
 	}
+	checkBudgetExact(t, fmt.Sprintf("family %d, mask %08b", which%2, mask), members, p)
 	fp := &fuzzProduct{p: p, members: members}
 	fuzzProds[key] = fp
 	return fp
@@ -79,7 +82,7 @@ func FuzzProductDifferential(f *testing.F) {
 		if len(word) > 4096 {
 			word = word[:4096] // bound stack depth and per-input runtime
 		}
-		fp := fuzzProductFor(int(which), mask)
+		fp := fuzzProductFor(t, int(which), mask)
 		if fp == nil {
 			t.Skip("empty member subset")
 		}

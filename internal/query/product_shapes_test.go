@@ -1,0 +1,124 @@
+package query_test
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"testing"
+
+	"repro/internal/alphabet"
+	"repro/internal/experiments"
+	"repro/internal/nwa"
+	"repro/internal/query"
+	"repro/internal/query/dsl"
+	"repro/internal/query/plan"
+)
+
+// The clusters below are the shapes the batch-reload benchmark workload
+// plans (benchmark/workload.go), built with the same constructors: the E21
+// mix, the 16-member ContainsLabel family and three DSL within queries, all
+// over sixteen labels.
+
+var sixteen = []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l", "m", "n", "o", "p"}
+
+func compileAll(ds []*nwa.DNWA) []query.Query {
+	qs := make([]query.Query, len(ds))
+	for i, d := range ds {
+		qs[i] = query.Compile(d)
+	}
+	return qs
+}
+
+func e21Mix(alpha *alphabet.Alphabet) []query.Query {
+	_, ds := experiments.E21Queries(alpha, 8)
+	return compileAll(ds)
+}
+
+func hasFamily(alpha *alphabet.Alphabet, labels []string) []query.Query {
+	qs := make([]query.Query, len(labels))
+	for i, l := range labels {
+		qs[i] = query.Compile(query.ContainsLabel(alpha, l))
+	}
+	return qs
+}
+
+func withinTrio(tb testing.TB, alpha *alphabet.Alphabet) []query.Query {
+	tb.Helper()
+	exprs, err := dsl.ParseList("within a: b before c; within d: e before f; within g: h before i")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	_, qs, err := dsl.Queries(alpha, exprs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return qs
+}
+
+// TestProductBytesPinned pins the bytes of every product the batch-reload
+// shapes compile to under the planner's default budget, as SHA-256 of
+// Marshal(), so a change to the construction that renumbers a single state
+// fails here.  Beside the planned families it covers two larger E21
+// products: the 16-label mix without well-formed (H = 151) and the 3-label
+// mix (H = 742, a sparse return table).  It also pins the over-budget
+// decision for the 16-label E21 mix, the cluster the planner rejects.
+func TestProductBytesPinned(t *testing.T) {
+	a16 := alphabet.New(sixteen...)
+	a3 := alphabet.New("a", "b", "c")
+	for _, c := range []struct {
+		name    string
+		members []query.Query
+		states  int
+		sha     string
+	}{
+		{"has a-h", hasFamily(a16, sixteen[:8]), 257,
+			"ecd6a0af114db7173946bfafc8bf152b851cedef8e4b7f9bb68dc3d1d2eeea9c"},
+		{"has i-p", hasFamily(a16, sixteen[8:]), 257,
+			"01c3945403406fc64e2b2ed2765a64934df02f9d0ce7f12f5f2110d803b4481e"},
+		{"within-3", withinTrio(t, a16), 229,
+			"2cd5ae7aee9dcfa160424be632cb250649c8b03aefd39cd3b003bff60980d21c"},
+		{"e21-16 without well-formed", e21Mix(a16)[1:], 1409,
+			"96bbd3c9fa031e1baf1f1df853ce9490daa0e9fb979c94c90705e82186a08b8e"},
+		{"e21-3", e21Mix(a3), 3634,
+			"d1174bd5a47d93fee69033f1551a53d736b19a166093f97f4e9f4a41b3503db2"},
+	} {
+		p, err := query.CompileProduct(c.members, plan.DefaultStateBudget)
+		if err != nil {
+			t.Fatalf("%s: CompileProduct: %v", c.name, err)
+		}
+		if p.NumStates() != c.states {
+			t.Errorf("%s: %d states, want %d", c.name, p.NumStates(), c.states)
+		}
+		sum := sha256.Sum256(p.Marshal())
+		if got := hex.EncodeToString(sum[:]); got != c.sha {
+			t.Errorf("%s: Marshal() SHA-256 = %s, want %s", c.name, got, c.sha)
+		}
+	}
+	if _, err := query.CompileProduct(e21Mix(a16), plan.DefaultStateBudget); !errors.Is(err, query.ErrStateBudget) {
+		t.Errorf("e21-16: err = %v, want ErrStateBudget", err)
+	}
+}
+
+// BenchmarkCompileProduct times the product construction on the
+// batch-reload shapes: the over-budget E21 cluster the planner pays for and
+// then rejects, one 8-member ContainsLabel family, and the within trio.
+func BenchmarkCompileProduct(b *testing.B) {
+	a16 := alphabet.New(sixteen...)
+	for _, c := range []struct {
+		name    string
+		members []query.Query
+		wantErr error
+	}{
+		{"e21-16-over-budget", e21Mix(a16), query.ErrStateBudget},
+		{"has-8", hasFamily(a16, sixteen[:8]), nil},
+		{"within-3", withinTrio(b, a16), nil},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := query.CompileProduct(c.members, plan.DefaultStateBudget); !errors.Is(err, c.wantErr) {
+					b.Fatalf("err = %v, want %v", err, c.wantErr)
+				}
+			}
+		})
+	}
+}

@@ -1,7 +1,9 @@
 package query
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"repro/internal/generator"
 	"repro/internal/nestedword"
 	"repro/internal/nwa"
+	"repro/internal/word"
 )
 
 // runProductWord drives a product runner over a whole nested word, interning
@@ -58,6 +61,25 @@ func orderProductMembers() ([]Query, []*nwa.DNWA) {
 		LinearOrder(alpha, "b", "a"),
 		LinearOrder(alpha, "a", "b", "b"),
 	)
+}
+
+// wideProductMembers is a cluster whose packed tuple keys need two words:
+// eight flat "at least n a's" counters, n = 256..263 — the automaton
+// LinearOrder compiles a run of n a's to, built straight from its word DFA.
+// Every member has more than 256 states, so each takes 9 bits of a key and
+// the eighth starts a second word.
+func wideProductMembers() ([]Query, []*nwa.DNWA) {
+	alpha := generator.AB
+	sources := make([]*nwa.DNWA, 8)
+	for j := range sources {
+		n := 256 + j
+		dfa := word.NewDFABuilder(alpha, n+1).SetAccept(n)
+		for q := 0; q <= n; q++ {
+			dfa.AddTransition(q, "a", min(q+1, n)).AddTransition(q, "b", q)
+		}
+		sources[j] = nwa.FlatFromWordDFAOverPlainAlphabet(dfa.Build(), alpha)
+	}
+	return compileMembers(sources...)
 }
 
 func compileMembers(sources ...*nwa.DNWA) ([]Query, []*nwa.DNWA) {
@@ -132,6 +154,94 @@ func TestProductDNWADifferential(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// checkBudgetExact asserts that a product's state count n is exactly the
+// budget its cluster needs: CompileProduct at budget n rebuilds the same
+// bytes, and at n-1 reports ErrStateBudget.
+func checkBudgetExact(t testing.TB, name string, members []Query, p *CompiledProduct) {
+	t.Helper()
+	n := p.NumStates()
+	again, err := CompileProduct(members, n)
+	if err != nil {
+		t.Fatalf("%s: budget %d (the product's own size): %v", name, n, err)
+	}
+	if !bytes.Equal(again.Marshal(), p.Marshal()) {
+		t.Fatalf("%s: budget %d built different bytes than the unbudgeted product", name, n)
+	}
+	if n > 1 {
+		if _, err := CompileProduct(members, n-1); !errors.Is(err, ErrStateBudget) {
+			t.Fatalf("%s: budget %d, one below the product's size: err = %v, want ErrStateBudget", name, n-1, err)
+		}
+	}
+}
+
+// TestProductBudgetExact checks that the state budget is exact on every
+// member subset of the two differential clusters, and on the wide cluster
+// whose keys span two words; the wide product must also agree with its
+// members' own runners.
+func TestProductBudgetExact(t *testing.T) {
+	for _, cluster := range []struct {
+		name  string
+		build func() ([]Query, []*nwa.DNWA)
+	}{
+		{"mixed", detProductMembers},
+		{"orders", orderProductMembers},
+	} {
+		family, _ := cluster.build()
+		for mask := 1; mask < 1<<len(family); mask++ {
+			var members []Query
+			for j, q := range family {
+				if mask&(1<<j) != 0 {
+					members = append(members, q)
+				}
+			}
+			p, err := CompileProduct(members, 0)
+			if err != nil {
+				t.Fatalf("%s, mask %b: CompileProduct: %v", cluster.name, mask, err)
+			}
+			checkBudgetExact(t, fmt.Sprintf("%s, mask %b", cluster.name, mask), members, p)
+		}
+	}
+
+	members, sources := wideProductMembers()
+	ms := make([]*Compiled, len(members))
+	for j, m := range members {
+		ms[j] = m.(*Compiled)
+	}
+	if w := newDetBuilder(ms, 0).w; w < 2 {
+		t.Fatalf("wide cluster packs into %d key word(s), want at least 2", w)
+	}
+	p, err := CompileProduct(members, 0)
+	if err != nil {
+		t.Fatalf("wide: CompileProduct: %v", err)
+	}
+	checkBudgetExact(t, "wide", members, p)
+	// Words of 400-459 events, three fifths of them labelled a, straddle
+	// the members' thresholds, so every member both accepts and rejects.
+	rng := rand.New(rand.NewSource(909))
+	labels := []string{"a", "a", "a", "b", "b"}
+	verdicts := bitset.New(len(members))
+	pr := p.NewProductRunner()
+	var seen [2]int
+	for wi := 0; wi < 200; wi++ {
+		w := generator.RandomNestedWord(rng, 400+rng.Intn(60), labels)
+		runProductWord(pr, generator.AB, w, verdicts)
+		for j := range members {
+			got := verdicts.Has(j)
+			if want := sources[j].Accepts(w); got != want {
+				t.Fatalf("wide, word %d, member %d: product %v, serial DNWA %v", wi, j, got, want)
+			}
+			if j == len(members)-1 && got {
+				seen[1]++
+			} else if j == 0 && !got {
+				seen[0]++
+			}
+		}
+	}
+	if seen[0] == 0 || seen[1] == 0 {
+		t.Fatalf("wide: first member rejected %d words, last member accepted %d; want both nonzero", seen[0], seen[1])
 	}
 }
 
