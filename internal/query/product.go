@@ -133,38 +133,206 @@ func CompileProduct(members []Query, budget int) (*CompiledProduct, error) {
 
 // --- deterministic tuple product ----------------------------------------
 
+// errUndiscovered is reported when the product's materialization pass meets
+// a tuple the fixpoint never discovered.  It means the fixpoint skipped work
+// it needed; the construction fails rather than ship a table whose targets
+// name states outside it.
+var errUndiscovered = errors.New("query: product construction met a tuple its fixpoint never discovered")
+
+// packing lays out a tuple of small non-negative integers in uint64 words:
+// field j, whose values are below n_j, takes bits.Len(n_j-1) bits at bit
+// shift[j] of word word[j], and no field straddles a word (eight fields of
+// up to 256 values fit one word).
+type packing struct {
+	w     int      // words per key
+	word  []int    // field j's word within a key
+	shift []uint   // field j's bit offset within that word
+	mask  []uint64 // field j's mask, before the shift
+}
+
+func newPacking(sizes []int) packing {
+	p := packing{
+		word:  make([]int, len(sizes)),
+		shift: make([]uint, len(sizes)),
+		mask:  make([]uint64, len(sizes)),
+	}
+	var off uint
+	for j, n := range sizes {
+		width := uint(bits.Len32(uint32(n - 1)))
+		if off+width > 64 {
+			p.w++
+			off = 0
+		}
+		p.word[j], p.shift[j], p.mask[j] = p.w, off, 1<<width-1
+		off += width
+	}
+	p.w++
+	return p
+}
+
+// pack overwrites key, of w words, with the packed tuple t.
+func (p *packing) pack(key []uint64, t []int32) {
+	clear(key)
+	for j, v := range t {
+		key[p.word[j]] |= uint64(v) << p.shift[j]
+	}
+}
+
+// unpack writes key's fields into dst.
+func (p *packing) unpack(key []uint64, dst []int32) []int32 {
+	for j := range dst {
+		dst[j] = int32(key[p.word[j]] >> p.shift[j] & p.mask[j])
+	}
+	return dst
+}
+
+// internTable numbers distinct keys of w words 0, 1, 2, ... in order of
+// first insertion.  The keys live in one flat slab, and an open-addressing
+// table of IDs, kept at most half full, finds them.
+type internTable struct {
+	w     int
+	keys  []uint64 // key of ID id at [id*w : (id+1)*w]
+	slots []int32  // ID + 1, 0 when empty
+	shift uint     // 64 - log2(len(slots)): a hash's top bits pick the slot
+}
+
+func newInternTable(w int) *internTable {
+	t := &internTable{w: w}
+	t.rehash(64)
+	return t
+}
+
+func (t *internTable) len() int { return len(t.keys) / t.w }
+
+func (t *internTable) key(id int32) []uint64 {
+	return t.keys[int(id)*t.w : (int(id)+1)*t.w]
+}
+
+// find returns key's slot and ID, or the empty slot where it belongs and -1.
+func (t *internTable) find(key []uint64) (int, int32) {
+	var h uint64
+	for _, x := range key {
+		h = (bits.RotateLeft64(h, 29) ^ x) * 0x9e3779b97f4a7c15
+	}
+	last := len(t.slots) - 1
+	for i := int(h >> t.shift); ; i = (i + 1) & last {
+		id := t.slots[i] - 1
+		if id < 0 || slices.Equal(t.key(id), key) {
+			return i, id
+		}
+	}
+}
+
+// add stores key, which find placed at the empty slot i, and returns its ID.
+func (t *internTable) add(i int, key []uint64) int32 {
+	id := int32(t.len())
+	t.slots[i] = id + 1
+	t.keys = append(t.keys, key...)
+	if 2*t.len() > len(t.slots) {
+		t.rehash(2 * len(t.slots))
+	}
+	return id
+}
+
+// rehash rebuilds the slot table at size n, a power of two.
+func (t *internTable) rehash(n int) {
+	t.slots = make([]int32, n)
+	t.shift = uint(65 - bits.Len(uint(n)))
+	for id := int32(0); int(id) < t.len(); id++ {
+		i, _ := t.find(t.key(id))
+		t.slots[i] = id + 1
+	}
+}
+
+// reorder renumbers the keys: order[id] is the old ID of new ID id.
+func (t *internTable) reorder(order []int32) {
+	renamed := make([]int32, len(order))
+	keys := make([]uint64, 0, len(t.keys))
+	for id, old := range order {
+		renamed[old] = int32(id)
+		keys = append(keys, t.key(old)...)
+	}
+	for i, s := range t.slots {
+		if s != 0 {
+			t.slots[i] = renamed[s-1] + 1
+		}
+	}
+	t.keys = keys
+}
+
+// classify numbers member m's distinct return rows.  The (lin, hier) pair
+// (q, h) gets class cls[q*m.hiers+h], and class c's targets, indexed by
+// symbol, are rows[c*m.syms : (c+1)*m.syms].  Rows are interned packed, one
+// field per symbol.
+func classify(m *Compiled) (cls, rows []int32) {
+	sizes := make([]int, m.syms)
+	for sym := range sizes {
+		sizes[sym] = m.num
+	}
+	p := newPacking(sizes)
+	t := newInternTable(p.w)
+	key := make([]uint64, p.w)
+	scratch := make([]int32, m.syms)
+	cls = make([]int32, m.num*m.hiers)
+	for q := int32(0); int(q) < m.num; q++ {
+		for h := int32(0); int(h) < m.hiers; h++ {
+			row := m.returnRow(q, h, scratch)
+			p.pack(key, row)
+			i, c := t.find(key)
+			if c < 0 {
+				c = t.add(i, key)
+				rows = append(rows, row...)
+			}
+			cls[int(q)*m.hiers+int(h)] = c
+		}
+	}
+	return cls, rows
+}
+
+// classCol is one member's column of a class key: the class of its pair
+// (q, h), cls[q*hiers+h], packed at bit shift of word word.
+type classCol struct {
+	cls   []int32
+	hiers int
+	word  int
+	shift uint
+}
+
 // detBuilder is the working state of the deterministic product construction.
-// A product state is a tuple of member states, kept packed: member j's state
-// takes bits.Len(num_j-1) bits at bit shift[j] of word word[j] of a w-word
-// key, and no member straddles a word (eight members of up to 256 states fit
-// one word).  One open-addressing table of product IDs interns those keys.
-// The builder also tracks the subset of tuples that can appear as
-// hierarchical data on a return edge.
+// A product state is a tuple of member states, packed with tp and numbered
+// by states in discovery order.  The builder also tracks the subset of
+// tuples that can appear as hierarchical data on a return edge.
+//
+// Return pairing is memoized.  Member j's return row for its (lin, hier)
+// pair depends on that pair only through the row's class (see classify), so
+// a (lin, hier) pair of product tuples has the same return targets as any
+// other pair with the same tuple of member classes.  Those class tuples are
+// packed with cp, and pairs numbers the ones already expanded.
 type detBuilder struct {
 	ms     []*Compiled
 	syms   int
 	budget int
 	err    error
 
-	w     int      // words per key
-	word  []int    // member j's word within a key
-	shift []uint   // member j's bit offset within that word
-	mask  []uint64 // member j's state mask, before the shift
+	tp     packing
+	states *internTable
+	isHier []bool
+	hiers  []int32 // hier-capable ids in discovery order (start tuple first)
+	hierT  []int32 // their unpacked tuples, len(ms) members each, same order
 
-	keys      []uint64 // flat: key of product state id at [id*w : (id+1)*w]
-	slots     []int32  // open addressing over keys: product ID + 1, 0 when empty
-	slotShift uint     // 64 - log2(len(slots)): a hash's top bits pick the slot
-	isHier    []bool
-	hiers     []int32 // hier-capable ids in discovery order (start tuple first)
+	cols              []classCol // classify's classes, per member
+	rows              [][]int32  // classify's rows, per member
+	cp                packing
+	pairs             *internTable
+	visited, expanded int // (lin, hier) pairs the fixpoint paired, and expanded
 
-	// Scratch: one key per symbol (syms*w words, see keyAt) for the
+	// Scratch: one key per symbol (syms*tp.w words, see keyAt) for the
 	// call-linear, call-hierarchical, internal and return targets of one
-	// state or pair, one gathered key, a sparse member's return row, and two
-	// unpacked tuples.
+	// state or class tuple, one gathered key, one class key, a linear
+	// tuple and a class tuple.
 	lin, hier, internal, ret []uint64
-	gathered                 []uint64
-	row                      []int32
-	dt, ht                   []int32
+	gathered, ckey           []uint64
+	dt, ct                   []int32
 }
 
 func newDetBuilder(ms []*Compiled, budget int) *detBuilder {
@@ -173,38 +341,32 @@ func newDetBuilder(ms []*Compiled, budget int) *detBuilder {
 		ms:     ms,
 		syms:   syms,
 		budget: budget,
-		word:   make([]int, k),
-		shift:  make([]uint, k),
-		mask:   make([]uint64, k),
-		row:    make([]int32, syms),
+		cols:   make([]classCol, k),
+		rows:   make([][]int32, k),
 		dt:     make([]int32, k),
-		ht:     make([]int32, k),
+		ct:     make([]int32, k),
 	}
-	var off uint
+	nums, classes := make([]int, k), make([]int, k)
 	for j, m := range ms {
-		n := uint(bits.Len32(uint32(m.num - 1)))
-		if off+n > 64 {
-			b.w++
-			off = 0
-		}
-		b.word[j], b.shift[j], b.mask[j] = b.w, off, 1<<n-1
-		off += n
+		b.cols[j].cls, b.rows[j] = classify(m)
+		b.cols[j].hiers = m.hiers
+		nums[j], classes[j] = m.num, len(b.rows[j])/syms
 	}
-	b.w++
-	b.lin = make([]uint64, syms*b.w)
-	b.hier = make([]uint64, syms*b.w)
-	b.internal = make([]uint64, syms*b.w)
-	b.ret = make([]uint64, syms*b.w)
-	b.gathered = make([]uint64, b.w)
-	b.rehash(64)
+	b.tp, b.cp = newPacking(nums), newPacking(classes)
+	for j := range b.cols {
+		b.cols[j].word, b.cols[j].shift = b.cp.word[j], b.cp.shift[j]
+	}
+	b.states, b.pairs = newInternTable(b.tp.w), newInternTable(b.cp.w)
+	b.lin = make([]uint64, syms*b.tp.w)
+	b.hier = make([]uint64, syms*b.tp.w)
+	b.internal = make([]uint64, syms*b.tp.w)
+	b.ret = make([]uint64, syms*b.tp.w)
+	b.gathered = make([]uint64, b.tp.w)
+	b.ckey = make([]uint64, b.cp.w)
 	return b
 }
 
-func (b *detBuilder) count() int { return len(b.isHier) }
-
-func (b *detBuilder) key(id int32) []uint64 {
-	return b.keys[int(id)*b.w : (int(id)+1)*b.w]
-}
+func (b *detBuilder) count() int { return b.states.len() }
 
 // keyAt gathers symbol sym's key out of a per-symbol buffer, which holds
 // word i of every symbol's key at [i*syms : (i+1)*syms].
@@ -215,47 +377,9 @@ func (b *detBuilder) keyAt(buf []uint64, sym int) []uint64 {
 	return b.gathered
 }
 
-// keyOf packs a tuple of member states into a fresh key.
-func (b *detBuilder) keyOf(t []int32) []uint64 {
-	key := make([]uint64, b.w)
-	for j, q := range t {
-		key[b.word[j]] |= uint64(q) << b.shift[j]
-	}
-	return key
-}
-
 // unpack writes product state id's member states into dst.
 func (b *detBuilder) unpack(id int32, dst []int32) []int32 {
-	key := b.key(id)
-	for j := range dst {
-		dst[j] = int32(key[b.word[j]] >> b.shift[j] & b.mask[j])
-	}
-	return dst
-}
-
-// find returns key's slot: the one holding its product ID, or the empty slot
-// where it belongs.
-func (b *detBuilder) find(key []uint64) int {
-	var h uint64
-	for _, x := range key {
-		h = (bits.RotateLeft64(h, 29) ^ x) * 0x9e3779b97f4a7c15
-	}
-	last := len(b.slots) - 1
-	for i := int(h >> b.slotShift); ; i = (i + 1) & last {
-		id := b.slots[i] - 1
-		if id < 0 || slices.Equal(b.key(id), key) {
-			return i
-		}
-	}
-}
-
-// rehash rebuilds the slot table at size n, a power of two.
-func (b *detBuilder) rehash(n int) {
-	b.slots = make([]int32, n)
-	b.slotShift = uint(65 - bits.Len(uint(n)))
-	for id := int32(0); int(id) < b.count(); id++ {
-		b.slots[b.find(b.key(id))] = id + 1
-	}
+	return b.tp.unpack(b.states.key(id), dst)
 }
 
 // intern returns the product state ID of a key, discovering it if new.  On
@@ -265,20 +389,25 @@ func (b *detBuilder) intern(key []uint64) int32 {
 	if b.err != nil {
 		return 0
 	}
-	i := b.find(key)
-	if id := b.slots[i] - 1; id >= 0 {
+	i, id := b.states.find(key)
+	if id >= 0 {
 		return id
 	}
 	if b.count() >= b.budget {
 		b.err = ErrStateBudget
 		return 0
 	}
-	id := int32(b.count())
-	b.slots[i] = id + 1
-	b.keys = append(b.keys, key...)
 	b.isHier = append(b.isHier, false)
-	if 2*b.count() > len(b.slots) {
-		b.rehash(2 * len(b.slots))
+	return b.states.add(i, key)
+}
+
+// lookup returns the ID of a key the fixpoint interned in t.  On a miss it
+// records errUndiscovered and returns 0.
+func (b *detBuilder) lookup(t *internTable, key []uint64) int32 {
+	_, id := t.find(key)
+	if id < 0 {
+		b.err = errUndiscovered
+		return 0
 	}
 	return id
 }
@@ -292,11 +421,21 @@ func (b *detBuilder) markHier(id int32) {
 	}
 	b.isHier[id] = true
 	b.hiers = append(b.hiers, id)
+	n := len(b.hierT)
+	b.hierT = slices.Grow(b.hierT, len(b.ms))[:n+len(b.ms)]
+	b.unpack(id, b.hierT[n:])
+}
+
+// hierTuple returns the unpacked tuple of the i-th hier-capable state.
+func (b *detBuilder) hierTuple(i int) []int32 {
+	k := len(b.ms)
+	return b.hierT[i*k : (i+1)*k]
 }
 
 // renumber gives the hier-capable tuples the IDs 0..H-1 in discovery order,
 // so the start tuple keeps ID 0, moves every other tuple after them, and
-// returns H.  Every hierarchical value a runner can pop is then below H.
+// returns H.  Every hierarchical value a runner can pop is then below H, and
+// hierTuple(h) is the tuple of ID h.
 func (b *detBuilder) renumber() int {
 	order := append([]int32(nil), b.hiers...)
 	for q, h := range b.isHier {
@@ -304,25 +443,14 @@ func (b *detBuilder) renumber() int {
 			order = append(order, int32(q))
 		}
 	}
-	renamed := make([]int32, len(order))
-	keys := make([]uint64, 0, len(b.keys))
-	for id, old := range order {
-		renamed[old] = int32(id)
-		keys = append(keys, b.key(old)...)
-	}
-	for i, s := range b.slots {
-		if s != 0 {
-			b.slots[i] = renamed[s-1] + 1
-		}
-	}
-	b.keys = keys
+	b.states.reorder(order)
 	return len(b.hiers)
 }
 
 // orRow packs one member's row of targets, indexed by symbol, into the
 // per-symbol keys of buf.
 func (b *detBuilder) orRow(buf []uint64, j int, row []int32) {
-	w, sh := b.word[j]*b.syms, b.shift[j]
+	w, sh := b.tp.word[j]*b.syms, b.tp.shift[j]
 	dst := buf[w : w+len(row)]
 	for sym, q := range row {
 		dst[sym] |= uint64(q) << sh
@@ -345,82 +473,122 @@ func (b *detBuilder) expand(d int32) {
 	}
 }
 
-// expandRet packs the componentwise return targets of a (lin, hier) pair of
-// unpacked tuples into the ret keys, one per symbol.
-func (b *detBuilder) expandRet(dt, ht []int32) {
+// classKey packs the member classes of a (lin, hier) pair of unpacked
+// tuples into ckey.
+func (b *detBuilder) classKey(dt, ht []int32) []uint64 {
+	key := b.ckey
+	clear(key)
+	for j := range b.cols {
+		col := &b.cols[j]
+		c := col.cls[int(dt[j])*col.hiers+int(ht[j])]
+		key[col.word] |= uint64(c) << col.shift
+	}
+	return key
+}
+
+// expandRet packs the componentwise return targets of a tuple of member
+// classes into the ret keys, one per symbol.
+func (b *detBuilder) expandRet(ct []int32) {
 	clear(b.ret)
-	for j, m := range b.ms {
-		b.orRow(b.ret, j, m.returnRow(dt[j], ht[j], b.row))
+	for j, c := range ct {
+		i := int(c) * b.syms
+		b.orRow(b.ret, j, b.rows[j][i:i+b.syms])
 	}
 }
 
 // pairRet interns the componentwise return targets of one (lin, hier) pair
-// of unpacked tuples across every symbol.
+// of unpacked tuples across every symbol, unless a pair with the same member
+// classes was expanded before: every target it would intern is then
+// interned already.
 func (b *detBuilder) pairRet(dt, ht []int32) {
-	b.expandRet(dt, ht)
+	b.visited++
+	key := b.classKey(dt, ht)
+	i, id := b.pairs.find(key)
+	if id >= 0 {
+		return
+	}
+	b.pairs.add(i, key)
+	b.expanded++
+	b.expandRet(b.cp.unpack(key, b.ct))
 	for sym := 0; sym < b.syms; sym++ {
 		b.intern(b.keyAt(b.ret, sym))
 	}
 }
 
-// compileDetProduct runs the reachable-product construction: a worklist
-// fixpoint that expands call and internal transitions componentwise per
-// discovered tuple, and pairs every discovered tuple with every
-// hier-capable tuple for the return relation (new states are paired with
-// all known hiers, new hiers with all processed states, so each pair is
-// covered exactly once).  The tuples are then renumbered hier-capable
-// first, and a second pass rebuilds the componentwise targets into the
-// dense/sparse Compiled tables and packs the per-state accept bitmask.
+// compileDetProduct runs the reachable-product construction: fixpoint
+// discovers the tuples, and materialize builds the tables over them.
 func compileDetProduct(ms []*Compiled, budget int) (*CompiledProduct, error) {
-	k := len(ms)
-	syms := ms[0].syms
 	b := newDetBuilder(ms, budget)
+	if err := b.fixpoint(); err != nil {
+		return nil, err
+	}
+	return b.materialize()
+}
 
+// fixpoint is a worklist that expands call and internal transitions
+// componentwise per discovered tuple, and pairs every discovered tuple with
+// every hier-capable tuple for the return relation (new states are paired
+// with all known hiers, new hiers with all processed states, so each pair is
+// covered exactly once).  It returns ErrStateBudget when the tuples outgrow
+// the budget.
+func (b *detBuilder) fixpoint() error {
 	// Seed: the start tuple (ID 0, hier-capable for pending returns) and
 	// the all-dead tuple (the product's dead state; every componentwise
 	// step out of it stays in it because member tables are dead-completed).
-	start, dead := make([]int32, k), make([]int32, k)
-	for j, m := range ms {
-		start[j], dead[j] = m.start, m.dead
+	for j, m := range b.ms {
+		b.dt[j] = m.start
 	}
-	b.markHier(b.intern(b.keyOf(start)))
-	deadKey := b.keyOf(dead)
-	b.intern(deadKey)
+	b.tp.pack(b.gathered, b.dt)
+	b.markHier(b.intern(b.gathered))
+	b.intern(b.deadKey())
 
-	// Fixpoint: ps states have had their calls/internals expanded and been
-	// paired (as lin) with hiers[0:current]; ph hiers have been paired with
-	// states [0, ps).  Both inner loops grow the other's frontier, so the
-	// outer loop runs until neither has work left.
+	// ps states have had their calls/internals expanded and been paired (as
+	// lin) with hiers[0:current]; ph hiers have been paired with states
+	// [0, ps).  Both inner loops grow the other's frontier, so the outer
+	// loop runs until neither has work left.
 	ps, ph := 0, 0
 	for b.err == nil && (ps < b.count() || ph < len(b.hiers)) {
 		for ps < b.count() && b.err == nil {
 			d := int32(ps)
 			ps++
 			b.expand(d)
-			for sym := 0; sym < syms; sym++ {
+			for sym := 0; sym < b.syms; sym++ {
 				b.intern(b.keyAt(b.lin, sym))
 				b.markHier(b.intern(b.keyAt(b.hier, sym)))
 				b.intern(b.keyAt(b.internal, sym))
 			}
 			for hi := 0; hi < ph; hi++ {
-				b.pairRet(b.dt, b.unpack(b.hiers[hi], b.ht))
+				b.pairRet(b.dt, b.hierTuple(hi))
 			}
 		}
 		for ph < len(b.hiers) && b.err == nil {
-			b.unpack(b.hiers[ph], b.ht)
+			ht := b.hierTuple(ph)
 			ph++
 			for d := int32(0); int(d) < ps; d++ {
-				b.pairRet(b.unpack(d, b.dt), b.ht)
+				b.pairRet(b.unpack(d, b.dt), ht)
 			}
 		}
 	}
-	if b.err != nil {
-		return nil, b.err
-	}
+	return b.err
+}
 
-	// Second pass: materialize the tables over the now-fixed state space.
-	// Every componentwise target below was already interned by the fixpoint,
-	// so intern only looks up.
+// deadKey packs the all-dead tuple into the gathered key.
+func (b *detBuilder) deadKey() []uint64 {
+	for j, m := range b.ms {
+		b.dt[j] = m.dead
+	}
+	b.tp.pack(b.gathered, b.dt)
+	return b.gathered
+}
+
+// materialize renumbers the tuples hier-capable first and builds the
+// dense/sparse Compiled tables and the per-state accept bitmask over the
+// now-fixed state space.  Every target, and every pair's class tuple, was
+// discovered by the fixpoint, so it only looks them up; a miss fails with
+// errUndiscovered.  Return targets are computed once per class tuple and
+// copied to every pair that has it.
+func (b *detBuilder) materialize() (*CompiledProduct, error) {
+	ms, k, syms := b.ms, len(b.ms), b.syms
 	hiers := b.renumber()
 	num := b.count()
 	c := &Compiled{
@@ -429,7 +597,7 @@ func compileDetProduct(ms []*Compiled, budget int) (*CompiledProduct, error) {
 		hiers:  hiers,
 		syms:   syms,
 		start:  0,
-		dead:   b.intern(deadKey),
+		dead:   b.lookup(b.states, b.deadKey()),
 		accept: make([]bool, num),
 	}
 	maskW := bitset.Words(k)
@@ -450,39 +618,44 @@ func compileDetProduct(ms []*Compiled, budget int) (*CompiledProduct, error) {
 		b.expand(int32(q))
 		for sym := 0; sym < syms; sym++ {
 			i := q*syms + sym
-			c.callLin[i] = b.intern(b.keyAt(b.lin, sym))
-			c.callHier[i] = b.intern(b.keyAt(b.hier, sym))
-			c.internT[i] = b.intern(b.keyAt(b.internal, sym))
+			c.callLin[i] = b.lookup(b.states, b.keyAt(b.lin, sym))
+			c.callHier[i] = b.lookup(b.states, b.keyAt(b.hier, sym))
+			c.internT[i] = b.lookup(b.states, b.keyAt(b.internal, sym))
+		}
+	}
+	targets := make([]int32, b.pairs.len()*syms)
+	for id := int32(0); int(id) < b.pairs.len(); id++ {
+		b.expandRet(b.cp.unpack(b.pairs.key(id), b.ct))
+		for sym := 0; sym < syms; sym++ {
+			targets[int(id)*syms+sym] = b.lookup(b.states, b.keyAt(b.ret, sym))
 		}
 	}
 	// Return table over (lin, hier < H) pairs, visited in dense index order.
-	eachReturn := func(f func(lin, hier int32, sym int, to int32)) {
+	eachReturn := func(f func(lin, hier int32, row []int32)) {
 		for q := int32(0); int(q) < num; q++ {
 			b.unpack(q, b.dt)
-			for h := int32(0); int(h) < hiers; h++ {
-				b.expandRet(b.dt, b.unpack(h, b.ht))
-				for sym := 0; sym < syms; sym++ {
-					f(q, h, sym, b.intern(b.keyAt(b.ret, sym)))
-				}
+			for h := 0; h < hiers; h++ {
+				i := int(b.lookup(b.pairs, b.classKey(b.dt, b.hierTuple(h)))) * syms
+				f(q, int32(h), targets[i:i+syms])
 			}
 		}
 	}
 	if size := num * hiers * syms; size <= denseReturnLimit {
 		c.dense = true
 		c.returnT = make([]int32, 0, size)
-		eachReturn(func(_, _ int32, _ int, to int32) { c.returnT = append(c.returnT, to) })
+		eachReturn(func(_, _ int32, row []int32) { c.returnT = append(c.returnT, row...) })
 	} else {
 		var entries []sparseEntry
-		eachReturn(func(lin, hier int32, sym int, to int32) {
-			if to != c.dead {
-				entries = append(entries, sparseEntry{c.returnKey(lin, hier, sym), to})
+		eachReturn(func(lin, hier int32, row []int32) {
+			for sym, to := range row {
+				if to != c.dead {
+					entries = append(entries, sparseEntry{c.returnKey(lin, hier, sym), to})
+				}
 			}
 		})
 		c.sparseR = buildSparse(entries)
 	}
 	if b.err != nil {
-		// Unreachable unless the fixpoint missed a pair; surface rather
-		// than ship a table with dangling targets.
 		return nil, b.err
 	}
 	return &CompiledProduct{inner: c, nq: k, mask: mask, maskW: maskW}, nil

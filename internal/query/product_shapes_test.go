@@ -99,9 +99,40 @@ func TestProductBytesPinned(t *testing.T) {
 	}
 }
 
+// TestProductPairPruning pins how much of the return pairing the class memo
+// skips: of the (lin, hier) pairs the fixpoint visits, only those whose
+// tuple of member return-row classes is new are expanded.  The counts are
+// exact, so a change that expands a pair twice, or stops skipping, fails
+// here even when the product's bytes do not move.
+func TestProductPairPruning(t *testing.T) {
+	a16 := alphabet.New(sixteen...)
+	for _, c := range []struct {
+		name              string
+		members           []query.Query
+		expanded, visited int
+		wantErr           error
+	}{
+		{"e21-16 over budget", e21Mix(a16), 19184, 607886, query.ErrStateBudget},
+		{"e21-16 without well-formed", e21Mix(a16)[1:], 1261, 212759, nil},
+		{"within-3", withinTrio(t, a16), 125, 25648, nil},
+		{"has a-h", hasFamily(a16, sixteen[:8]), 257, 514, nil},
+	} {
+		expanded, visited, err := query.ProductPairCounts(c.members, plan.DefaultStateBudget)
+		if !errors.Is(err, c.wantErr) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.wantErr)
+		}
+		if expanded != c.expanded || visited != c.visited {
+			t.Errorf("%s: expanded %d of %d pairs, want %d of %d", c.name, expanded, visited, c.expanded, c.visited)
+		}
+	}
+}
+
 // BenchmarkCompileProduct times the product construction on the
 // batch-reload shapes: the over-budget E21 cluster the planner pays for and
 // then rejects, one 8-member ContainsLabel family, and the within trio.
+// e21-7, the 16-label mix without well-formed (1409 states, H = 151), is
+// the largest 16-label product pinned above, so it also times the
+// materialization pass.
 func BenchmarkCompileProduct(b *testing.B) {
 	a16 := alphabet.New(sixteen...)
 	for _, c := range []struct {
@@ -110,6 +141,7 @@ func BenchmarkCompileProduct(b *testing.B) {
 		wantErr error
 	}{
 		{"e21-16-over-budget", e21Mix(a16), query.ErrStateBudget},
+		{"e21-7", e21Mix(a16)[1:], nil},
 		{"has-8", hasFamily(a16, sixteen[:8]), nil},
 		{"within-3", withinTrio(b, a16), nil},
 	} {

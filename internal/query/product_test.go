@@ -179,8 +179,8 @@ func checkBudgetExact(t testing.TB, name string, members []Query, p *CompiledPro
 
 // TestProductBudgetExact checks that the state budget is exact on every
 // member subset of the two differential clusters, and on the wide cluster
-// whose keys span two words; the wide product must also agree with its
-// members' own runners.
+// whose state and class keys span two words; the wide product must also
+// agree with its members' own runners.
 func TestProductBudgetExact(t *testing.T) {
 	for _, cluster := range []struct {
 		name  string
@@ -210,8 +210,9 @@ func TestProductBudgetExact(t *testing.T) {
 	for j, m := range members {
 		ms[j] = m.(*Compiled)
 	}
-	if w := newDetBuilder(ms, 0).w; w < 2 {
-		t.Fatalf("wide cluster packs into %d key word(s), want at least 2", w)
+	if b := newDetBuilder(ms, 0); b.tp.w < 2 || b.cp.w < 2 {
+		t.Fatalf("wide cluster packs state tuples into %d word(s) and class tuples into %d, want at least 2 each",
+			b.tp.w, b.cp.w)
 	}
 	p, err := CompileProduct(members, 0)
 	if err != nil {
@@ -242,6 +243,55 @@ func TestProductBudgetExact(t *testing.T) {
 	}
 	if seen[0] == 0 || seen[1] == 0 {
 		t.Fatalf("wide: first member rejected %d words, last member accepted %d; want both nonzero", seen[0], seen[1])
+	}
+}
+
+// TestProductMaterializeMisses checks that the materialization pass only
+// looks tuples up: with one discovered state tuple, or one expanded class
+// tuple, dropped from its table after the fixpoint, the build fails with
+// errUndiscovered instead of interning the tuple as a new state outside the
+// tables.
+func TestProductMaterializeMisses(t *testing.T) {
+	family, _ := orderProductMembers()
+	ms := make([]*Compiled, len(family))
+	for j, m := range family {
+		ms[j] = m.(*Compiled)
+	}
+	build := func() *detBuilder {
+		b := newDetBuilder(ms, maxStates)
+		if err := b.fixpoint(); err != nil {
+			t.Fatalf("fixpoint: %v", err)
+		}
+		return b
+	}
+	if _, err := build().materialize(); err != nil {
+		t.Fatalf("intact build: %v", err)
+	}
+	// drop rebuilds tab's slots without one key, keeping every other ID.
+	drop := func(tab *internTable, victim int32) {
+		clear(tab.slots)
+		for id := int32(0); int(id) < tab.len(); id++ {
+			if id != victim {
+				i, _ := tab.find(tab.key(id))
+				tab.slots[i] = id + 1
+			}
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		table func(*detBuilder) *internTable
+	}{
+		{"state", func(b *detBuilder) *internTable { return b.states }},
+		{"class", func(b *detBuilder) *internTable { return b.pairs }},
+	} {
+		n := c.table(build()).len()
+		for victim := int32(0); int(victim) < n; victim++ {
+			b := build()
+			drop(c.table(b), victim)
+			if p, err := b.materialize(); !errors.Is(err, errUndiscovered) {
+				t.Fatalf("%s tuple %d of %d dropped: p, err = %v, %v, want errUndiscovered", c.name, victim, n, p, err)
+			}
+		}
 	}
 }
 
