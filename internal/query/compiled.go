@@ -1,7 +1,8 @@
 package query
 
 import (
-	"sort"
+	"fmt"
+	"slices"
 
 	"repro/internal/alphabet"
 	"repro/internal/nestedword"
@@ -22,21 +23,19 @@ import (
 // at the edge (docstream.NewInterningTokenizer), so N fanned-out queries pay
 // one map lookup per event in total instead of one per event per query.
 //
-// Dense vs sparse.  Call and internal transitions always live in flat dense
+// Factored return tables.  Call and internal transitions live in flat dense
 // slices indexed by state*numSymbols+sym: their size is linear in the number
 // of states.  Return transitions are indexed by a (linear, hierarchical)
 // state pair.  As in the paper, only some states can be hierarchical: the
 // targets of call transitions plus the start state, which labels the edges
 // of pending returns.  A compiled automaton numbers those states first,
-// 0..H-1, so the dense return table has numStates·H·numSymbols entries,
-// indexed (lin*H+hier)*numSymbols+sym.  Compile keeps H = numStates; the
-// product construction renumbers its tuples and usually needs far fewer
-// hierarchical columns.  The table is stored densely only while its size
-// stays at or below denseReturnLimit entries; above the threshold the
-// defined transitions are kept in a key-sorted sparse table, keyed
-// (lin*numStates+hier)*numSymbols+sym and probed by binary search, and absent
-// keys fall back to the dead state exactly as the dense form's prefilled
-// entries do.
+// 0..H-1, so only num·H pairs can occur.  Most pairs repeat a few distinct
+// rows of targets, so the table is factored through them: the pair (lin,
+// hier) holds a row ID at rowID[lin*H+hier], and row r's targets, indexed by
+// symbol, are rows[r*numSymbols : (r+1)*numSymbols].  A return step is two
+// dependent loads.  Compile numbers rows in order of first occurrence over
+// the pairs in index order; the product construction writes one row per
+// tuple of member rows (see product.go).
 
 // Runner is the streaming face of a compiled query: one Step call per
 // document event, with the symbol already interned to a compiled ID
@@ -69,30 +68,6 @@ type Query interface {
 	NewRunner() Runner
 }
 
-// denseReturnLimit is the largest dense return table Compile, CompileN and
-// CompileProduct will allocate, in entries (int32 each, so the default caps
-// the table at 16 MiB).  Automata whose numStates·H·(|Σ|+1) exceeds it (H =
-// numStates outside products) get the sparse sorted-lookup form instead.  A
-// variable rather than a constant so tests can force the sparse path on
-// small automata.
-var denseReturnLimit = 1 << 22
-
-// sparseTable maps packed transition keys to targets via binary search over
-// a sorted key slice — the compiled fallback for return tables too large to
-// store densely.
-type sparseTable struct {
-	keys []uint64
-	vals []int32
-}
-
-func (t *sparseTable) lookup(key uint64) (int32, bool) {
-	i := sort.Search(len(t.keys), func(i int) bool { return t.keys[i] >= key })
-	if i < len(t.keys) && t.keys[i] == key {
-		return t.vals[i], true
-	}
-	return 0, false
-}
-
 // Compiled is an immutable compiled deterministic NWA.  It implements Query;
 // its runners step with two or three indexed loads per event and no
 // allocation beyond amortized stack growth.
@@ -109,9 +84,13 @@ type Compiled struct {
 	callHier []int32 // num*syms
 	internT  []int32 // num*syms
 
-	dense   bool
-	returnT []int32     // dense form: num*hiers*syms, index (lin*hiers+hier)*syms+sym
-	sparseR sparseTable // sparse form: defined return transitions only
+	rowID []int32 // num*hiers row IDs, index lin*hiers+hier
+	rows  []int32 // one syms-wide row of return targets per distinct row
+
+	// legacy holds the return sections of a container written before the
+	// factored layout; Marshal re-emits them so the container round-trips
+	// byte-identically.  nil for a freshly compiled automaton.
+	legacy *legacyReturn
 
 	// fmtVersion is the container version this automaton was decoded from
 	// (0 for a freshly compiled one).  Marshal re-emits it, so a decoded
@@ -121,66 +100,119 @@ type Compiled struct {
 
 // Compile flattens a deterministic NWA into its compiled form.  The source
 // automaton is not retained; compiled automata are immutable and safe for
-// concurrent use.
+// concurrent use.  States are renumbered hier-capable first (see hierFirst).
 func Compile(d *nwa.DNWA) *Compiled {
 	alpha := d.Alphabet()
 	num := d.NumStates()
 	syms := alpha.Size() + 1
+	id, hiers := hierFirst(d)
 	c := &Compiled{
 		alpha:  alpha,
 		num:    num,
-		hiers:  num,
+		hiers:  hiers,
 		syms:   syms,
-		start:  int32(d.Start()),
-		dead:   int32(d.Dead()),
+		start:  id[d.Start()],
+		dead:   id[d.Dead()],
 		accept: make([]bool, num),
 	}
-	for q := 0; q < num; q++ {
-		c.accept[q] = d.IsAccepting(q)
+	for q, nq := range id {
+		c.accept[nq] = d.IsAccepting(q)
 	}
 	c.callLin = filled(num*syms, c.dead)
 	c.callHier = filled(num*syms, c.dead)
 	c.internT = filled(num*syms, c.dead)
 	d.EachCall(func(state, sym, linear, hier int) {
-		i := state*syms + sym
-		c.callLin[i] = int32(linear)
-		c.callHier[i] = int32(hier)
+		i := int(id[state])*syms + sym
+		c.callLin[i] = id[linear]
+		c.callHier[i] = id[hier]
 	})
 	d.EachInternal(func(state, sym, to int) {
-		c.internT[state*syms+sym] = int32(to)
+		c.internT[int(id[state])*syms+sym] = id[to]
 	})
-	if size := num * num * syms; size <= denseReturnLimit {
-		c.dense = true
-		c.returnT = filled(size, c.dead)
-		d.EachReturn(func(lin, hier, sym, to int) {
-			c.returnT[(lin*num+hier)*syms+sym] = int32(to)
-		})
-	} else {
-		entries := make([]sparseEntry, 0, d.NumReturnTransitions())
-		d.EachReturn(func(lin, hier, sym, to int) {
-			entries = append(entries, sparseEntry{c.returnKey(int32(lin), int32(hier), sym), int32(to)})
-		})
-		c.sparseR = buildSparse(entries)
+
+	// Return transitions, grouped by linear state (a counting sort); a
+	// transition whose hier component is not hier-capable can never fire
+	// and is dropped.
+	type entry struct {
+		lin, cell, to int32 // cell = hier*syms + sym
 	}
+	entries := make([]entry, 0, d.NumReturnTransitions())
+	first := make([]int32, num+1) // lin's transitions at [first[lin], first[lin+1])
+	d.EachReturn(func(lin, hier, sym, to int) {
+		if h := int(id[hier]); h < hiers {
+			entries = append(entries, entry{id[lin], int32(h*syms + sym), id[to]})
+			first[id[lin]+1]++
+		}
+	})
+	for q := 0; q < num; q++ {
+		first[q+1] += first[q]
+	}
+	byLin := make([]entry, len(entries))
+	next := slices.Clone(first)
+	for _, e := range entries {
+		byLin[next[e.lin]] = e
+		next[e.lin]++
+	}
+	// At most one row per pair, so the row bound cannot trip.
+	_ = c.factorReturns(func(lin int, block []int32) []int32 {
+		for i := range block {
+			block[i] = c.dead
+		}
+		for _, e := range byLin[first[lin]:first[lin+1]] {
+			block[e.cell] = e.to
+		}
+		return block
+	}, num*hiers*syms)
 	return c
 }
 
-type sparseEntry struct {
-	key uint64
-	val int32
+// factorReturns fills rowID and rows from the return table, given one
+// linear state at a time: block(lin, buf) returns lin's rows against the
+// hier-capable states in order, hiers*syms targets, written into buf (of
+// that length) or a view of them.  Rows are numbered in order of first
+// occurrence over the pairs in index order.  It fails once the distinct rows
+// hold more than maxCells targets.
+func (c *Compiled) factorReturns(block func(lin int, buf []int32) []int32, maxCells int) error {
+	rs := newRowSet(c.num, c.syms)
+	buf := make([]int32, c.hiers*c.syms)
+	c.rowID = make([]int32, c.num*c.hiers)
+	for lin := 0; lin < c.num; lin++ {
+		rows := block(lin, buf)
+		for h := 0; h < c.hiers; h++ {
+			c.rowID[lin*c.hiers+h] = rs.id(rows[h*c.syms : (h+1)*c.syms])
+		}
+		if len(rs.rows) > maxCells {
+			return fmt.Errorf("query: return table factors into more than %d row cells", maxCells)
+		}
+	}
+	c.rows = rs.rows
+	return nil
 }
 
-func buildSparse(entries []sparseEntry) sparseTable {
-	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
-	t := sparseTable{
-		keys: make([]uint64, len(entries)),
-		vals: make([]int32, len(entries)),
+// hierFirst numbers d's states hier-capable first, in source order, then the
+// rest in source order, and returns each source state's new ID and the
+// hier-capable count H.  The hier-capable states are those a return can
+// pop: the start state, which stands in for −∞ on pending returns, the dead
+// state, which every out-of-alphabet call pushes, and every call's
+// hierarchical target.
+func hierFirst(d *nwa.DNWA) (id []int32, hiers int) {
+	isHier := make([]bool, d.NumStates())
+	isHier[d.Start()], isHier[d.Dead()] = true, true
+	d.EachCall(func(_, _, _, hier int) { isHier[hier] = true })
+	id = make([]int32, len(isHier))
+	next := int32(0)
+	for _, hier := range []bool{true, false} {
+		for q := range id {
+			if isHier[q] == hier {
+				id[q] = next
+				next++
+			}
+		}
+		if hier {
+			hiers = int(next)
+		}
 	}
-	for i, e := range entries {
-		t.keys[i] = e.key
-		t.vals[i] = e.val
-	}
-	return t
+	return id, hiers
 }
 
 func filled(n int, v int32) []int32 {
@@ -191,19 +223,11 @@ func filled(n int, v int32) []int32 {
 	return s
 }
 
-func (c *Compiled) returnKey(lin, hier int32, sym int) uint64 {
-	return uint64((int(lin)*c.num+int(hier))*c.syms + sym)
-}
-
 // Alphabet returns the alphabet the compiled symbol IDs refer to.
 func (c *Compiled) Alphabet() *alphabet.Alphabet { return c.alpha }
 
 // NumStates returns the number of states, including the dead state.
 func (c *Compiled) NumStates() int { return c.num }
-
-// Dense reports whether the return table is stored densely (it is sparse
-// above the size threshold described in the package documentation).
-func (c *Compiled) Dense() bool { return c.dense }
 
 // OutOfAlphabet returns the dedicated symbol ID assigned to labels outside
 // the alphabet; it equals Alphabet().Size().
@@ -227,37 +251,45 @@ func clampSym(sym, syms int) int {
 }
 
 func (c *Compiled) stepReturn(lin, hier int32, sym int) int32 {
-	if c.dense {
-		return c.returnT[(int(lin)*c.hiers+int(hier))*c.syms+sym]
-	}
-	if v, ok := c.sparseR.lookup(c.returnKey(lin, hier, sym)); ok {
-		return v
-	}
-	return c.dead
+	return c.rows[int(c.rowID[int(lin)*c.hiers+int(hier)])*c.syms+sym]
 }
 
 // returnRow returns the return targets of the (lin, hier) pair for every
-// symbol, indexed by symbol: a view into the dense table, or dst (of length
-// at least syms) filled from the sparse one, whose keys for one pair are
-// consecutive.
-func (c *Compiled) returnRow(lin, hier int32, dst []int32) []int32 {
-	if c.dense {
-		i := (int(lin)*c.hiers + int(hier)) * c.syms
-		return c.returnT[i : i+c.syms]
+// symbol, indexed by symbol: a view into the shared rows.
+func (c *Compiled) returnRow(lin, hier int32) []int32 {
+	i := int(c.rowID[int(lin)*c.hiers+int(hier)]) * c.syms
+	return c.rows[i : i+c.syms]
+}
+
+// rowSet numbers distinct rows of syms values below n, in order of first
+// insertion: the return rows of a compiled automaton, or the classes the
+// product construction derives from them (see product.go).  Rows are
+// interned packed, one field per column.
+type rowSet struct {
+	p    packing
+	t    *internTable
+	key  []uint64
+	rows []int32 // row r at [r*syms : (r+1)*syms]
+}
+
+func newRowSet(n, syms int) *rowSet {
+	sizes := make([]int, syms)
+	for i := range sizes {
+		sizes[i] = n
 	}
-	base := c.returnKey(lin, hier, 0)
-	keys := c.sparseR.keys
-	i := sort.Search(len(keys), func(i int) bool { return keys[i] >= base })
-	dst = dst[:c.syms]
-	for sym := range dst {
-		if i < len(keys) && keys[i] == base+uint64(sym) {
-			dst[sym] = c.sparseR.vals[i]
-			i++
-		} else {
-			dst[sym] = c.dead
-		}
+	p := newPacking(sizes)
+	return &rowSet{p: p, t: newInternTable(p.w), key: make([]uint64, p.w)}
+}
+
+// id returns row's ID, numbering it if new.
+func (s *rowSet) id(row []int32) int32 {
+	s.p.pack(s.key, row)
+	i, id := s.t.find(s.key)
+	if id < 0 {
+		id = s.t.add(i, s.key)
+		s.rows = append(s.rows, row...)
 	}
-	return dst
+	return id
 }
 
 // NewRunner returns a fresh deterministic runner.
@@ -274,9 +306,9 @@ func (c *Compiled) Accepts(n *nestedword.NestedWord) bool {
 }
 
 // dnwaRunner is the compiled deterministic runner: a linear state plus one
-// hierarchical state per open element.  Every step is a slice load (or a
-// binary search in the sparse form); nothing allocates once the stack has
-// grown to the document depth.
+// hierarchical state per open element.  Every step is one slice load, or two
+// for a return; nothing allocates once the stack has grown to the document
+// depth.
 type dnwaRunner struct {
 	c     *Compiled
 	state int32

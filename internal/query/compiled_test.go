@@ -48,7 +48,8 @@ func randomNNWA(rng *rand.Rand, states int) *nwa.NNWA {
 
 // TestCompiledDNWADifferential checks that the compiled deterministic runner
 // agrees with the source DNWA on random words, including words with pending
-// calls and returns, for both the dense and the sparse return form.
+// calls and returns, both as compiled and decoded from containers in the
+// dense and sparse return layouts written before the factored one.
 func TestCompiledDNWADifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	alpha := generator.AB
@@ -62,19 +63,91 @@ func TestCompiledDNWADifferential(t *testing.T) {
 	if pending == 0 {
 		t.Fatal("no words with pending calls/returns were generated")
 	}
-	defer func(old int) { denseReturnLimit = old }(denseReturnLimit)
-	for _, limit := range []int{denseReturnLimit, 1} {
-		denseReturnLimit = limit
-		for qi, d := range queries {
-			c := Compile(d)
-			if want := limit > 1; c.Dense() != want {
-				t.Fatalf("limit %d: Dense() = %v, want %v", limit, c.Dense(), want)
-			}
-			r := c.NewRunner()
+	for qi, d := range queries {
+		c := Compile(d)
+		for _, form := range []struct {
+			name string
+			q    *Compiled
+		}{
+			{"factored", c},
+			{"legacy dense", decodeLegacy(t, c, false)},
+			{"legacy sparse", decodeLegacy(t, c, true)},
+		} {
+			r := form.q.NewRunner()
 			for wi, w := range words {
 				if got, want := RunWord(r, alpha, w), d.Accepts(w); got != want {
-					t.Fatalf("query %d (dense=%v), word %d: compiled %v, DNWA %v on %v",
-						qi, c.Dense(), wi, got, want, w)
+					t.Fatalf("query %d (%s), word %d: compiled %v, DNWA %v on %v",
+						qi, form.name, wi, got, want, w)
+				}
+			}
+		}
+	}
+}
+
+// decodeLegacy marshals c in a return layout written before the factored
+// one and decodes it, which factors the table on load.
+func decodeLegacy(t testing.TB, c *Compiled, sparse bool) *Compiled {
+	t.Helper()
+	dec, err := UnmarshalCompiled(withLegacyReturn(c, sparse).Marshal())
+	if err != nil {
+		t.Fatalf("legacy container (sparse=%v): %v", sparse, err)
+	}
+	if dec.legacy == nil || dec.legacy.dense == sparse {
+		t.Fatalf("decoded legacy container (sparse=%v) kept layout %+v", sparse, dec.legacy)
+	}
+	return dec
+}
+
+// TestCompileReturnTable is the property test of the factored layout on
+// single DNWAs: for random determinized automata and the query library,
+// every (lin, hier, sym) of the compiled return step equals the source
+// automaton's transition (the dead state where it has none), under
+// Compile's hier-first renumbering, and so does every call and internal
+// cell.  Hier-capable states come first, and only they have return rows.
+func TestCompileReturnTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(112))
+	alpha := generator.AB
+	sources := []*nwa.DNWA{
+		WellFormed(alpha),
+		PathQuery(alpha, "a", "b"),
+		LinearOrder(alpha, "a", "b", "a"),
+		nwa.Intersect(WellFormed(alpha), ContainsLabel(alpha, "b")),
+	}
+	for len(sources) < 16 {
+		// Determinization can reach a thousand states; keep the
+		// cell-by-cell check fast.
+		if d := randomNNWA(rng, 2+rng.Intn(2)).Determinize(); d.NumStates() <= 500 {
+			sources = append(sources, d)
+		}
+	}
+	for di, d := range sources {
+		c := Compile(d)
+		id, hiers := hierFirst(d)
+		if c.hiers != hiers || int(c.start) >= hiers || int(c.dead) >= hiers {
+			t.Fatalf("automaton %d: H = %d (hierFirst %d), start %d, dead %d", di, c.hiers, hiers, c.start, c.dead)
+		}
+		if len(c.rowID) != c.num*c.hiers || len(c.rows)%c.syms != 0 {
+			t.Fatalf("automaton %d: %d row IDs and %d row cells for %d×%d pairs of %d symbols",
+				di, len(c.rowID), len(c.rows), c.num, c.hiers, c.syms)
+		}
+		for q := 0; q < d.NumStates(); q++ {
+			for sym := 0; sym < c.syms; sym++ {
+				label := "\x00" // outside the alphabet: the out-of-alphabet column
+				if sym < alpha.Size() {
+					label = alpha.Symbol(sym)
+				}
+				lin, hier := d.StepCall(q, label)
+				i := int(id[q])*c.syms + sym
+				if c.callLin[i] != id[lin] || c.callHier[i] != id[hier] || c.internT[i] != id[d.StepInternal(q, label)] {
+					t.Fatalf("automaton %d: state %d, symbol %d: call/internal cell differs from the source", di, q, sym)
+				}
+				for h := 0; h < d.NumStates(); h++ {
+					if int(id[h]) >= hiers {
+						continue
+					}
+					if got, want := c.stepReturn(id[q], id[h], sym), id[d.StepReturn(q, h, label)]; got != want {
+						t.Fatalf("automaton %d: return (%d, %d, %d) = %d, want %d", di, q, h, sym, got, want)
+					}
 				}
 			}
 		}

@@ -65,6 +65,20 @@ type CompiledN struct {
 	fmtVersion uint32
 }
 
+// denseReturnLimit is the largest dense return index CompileN will
+// allocate, in entries (int32 each, so the default caps the index at
+// 16 MiB).  Automata whose numStates²·(|Σ|+1) exceeds it get the sparse
+// sorted-key form instead.  A variable rather than a constant so tests can
+// force the sparse path on small automata.
+var denseReturnLimit = 1 << 22
+
+// sparseEntry is one return transition of the sparse form, keyed
+// (lin*numStates+hier)*numSymbols+sym.
+type sparseEntry struct {
+	key uint64
+	val int32
+}
+
 // CompileN flattens a nondeterministic NWA into its compiled form.  Like
 // Compile, the result is immutable and safe for concurrent use.
 func CompileN(n *nwa.NNWA) *CompiledN {

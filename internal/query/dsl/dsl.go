@@ -1,7 +1,7 @@
 // Package dsl is the textual query language over nested-word documents: a
 // small surface of paths with nesting predicates that parses to an AST and
-// compiles to the same compiled automata (query.Compile / query.CompileN)
-// every other query source produces, so DSL-authored queries run in the
+// compiles to the same deterministic compiled automata (query.Compile) every
+// other query source produces, so DSL-authored queries run in the
 // engine, serialize into NWQ1 bundles, and serve over HTTP unchanged.
 //
 // # Grammar

@@ -260,42 +260,91 @@ func (t *internTable) reorder(order []int32) {
 	t.keys = keys
 }
 
-// classify numbers member m's distinct return rows.  The (lin, hier) pair
-// (q, h) gets class cls[q*m.hiers+h], and class c's targets, indexed by
-// symbol, are rows[c*m.syms : (c+1)*m.syms].  Rows are interned packed, one
-// field per symbol.
-func classify(m *Compiled) (cls, rows []int32) {
-	sizes := make([]int, m.syms)
-	for sym := range sizes {
-		sizes[sym] = m.num
-	}
-	p := newPacking(sizes)
-	t := newInternTable(p.w)
-	key := make([]uint64, p.w)
-	scratch := make([]int32, m.syms)
-	cls = make([]int32, m.num*m.hiers)
-	for q := int32(0); int(q) < m.num; q++ {
-		for h := int32(0); int(h) < m.hiers; h++ {
-			row := m.returnRow(q, h, scratch)
-			p.pack(key, row)
-			i, c := t.find(key)
-			if c < 0 {
-				c = t.add(i, key)
-				rows = append(rows, row...)
-			}
-			cls[int(q)*m.hiers+int(h)] = c
-		}
-	}
-	return cls, rows
+// memberClasses factors member m's return-row IDs.  Two states are in one
+// lin-class when they have the same row against every hier-capable state,
+// and two hier-capable states are in one hier-class when they have the same
+// row against every state; the row of a pair is then a function of its
+// (lin-class, hier-class).  Classes are numbered in order of first
+// occurrence.
+type memberClasses struct {
+	lin  []int32 // lin-class of each state
+	hier []int32 // hier-class of each hier-capable state
+	nh   int     // hier-class count
+	row  []int32 // row ID of (lin-class l, hier-class h) at l*nh+h
 }
 
-// classCol is one member's column of a class key: the class of its pair
-// (q, h), cls[q*hiers+h], packed at bit shift of word word.
-type classCol struct {
-	cls   []int32
-	hiers int
-	word  int
-	shift uint
+func classesOf(m *Compiled) memberClasses {
+	nrows := len(m.rows) / m.syms
+	mc := memberClasses{lin: make([]int32, m.num), hier: make([]int32, m.hiers)}
+	var linRep, hierRep []int // first state of each class
+	lins := newRowSet(nrows, m.hiers)
+	for q := range mc.lin {
+		if mc.lin[q] = lins.id(m.rowID[q*m.hiers : (q+1)*m.hiers]); int(mc.lin[q]) == len(linRep) {
+			linRep = append(linRep, q)
+		}
+	}
+	hiers := newRowSet(nrows, m.num)
+	col := make([]int32, m.num)
+	for h := range mc.hier {
+		for q := range col {
+			col[q] = m.rowID[q*m.hiers+h]
+		}
+		if mc.hier[h] = hiers.id(col); int(mc.hier[h]) == len(hierRep) {
+			hierRep = append(hierRep, h)
+		}
+	}
+	mc.nh = len(hierRep)
+	mc.row = make([]int32, 0, len(linRep)*mc.nh)
+	for _, q := range linRep {
+		for _, h := range hierRep {
+			mc.row = append(mc.row, m.rowID[q*m.hiers+h])
+		}
+	}
+	return mc
+}
+
+// classIndex numbers the tuples of member classes of the tuples the
+// fixpoint processes, in order of first occurrence: the LIDs of states, or
+// the HIDs of hier-capable tuples (see detBuilder).
+type classIndex struct {
+	cls    [][]int32 // member j's class of each of its states
+	p      packing
+	t      *internTable
+	tuples []int32 // the unpacked class tuple of each ID, one value per member
+	of     []int32 // the ID of each processed tuple, in processing order
+	key    []uint64
+}
+
+func newClassIndex(cls [][]int32, sizes []int) *classIndex {
+	p := newPacking(sizes)
+	return &classIndex{cls: cls, p: p, t: newInternTable(p.w), key: make([]uint64, p.w)}
+}
+
+// add numbers the class tuple of the unpacked tuple t, records it as t's
+// ID, and reports whether it is new.
+func (x *classIndex) add(t []int32) (int32, bool) {
+	clear(x.key)
+	for j, q := range t {
+		x.key[x.p.word[j]] |= uint64(x.cls[j][q]) << x.p.shift[j]
+	}
+	i, id := x.t.find(x.key)
+	isNew := id < 0
+	if isNew {
+		id = x.t.add(i, x.key)
+		for j, q := range t {
+			x.tuples = append(x.tuples, x.cls[j][q])
+		}
+	}
+	x.of = append(x.of, id)
+	return id, isNew
+}
+
+func (x *classIndex) len() int { return x.t.len() }
+
+// tuple returns the unpacked class tuple of ID id.
+func (x *classIndex) tuple(id int32) []int32 {
+	k := len(x.cls)
+	return x.tuples[int(id)*k : int(id+1)*k]
 }
 
 // detBuilder is the working state of the deterministic product construction.
@@ -303,11 +352,14 @@ type classCol struct {
 // by states in discovery order.  The builder also tracks the subset of
 // tuples that can appear as hierarchical data on a return edge.
 //
-// Return pairing is memoized.  Member j's return row for its (lin, hier)
-// pair depends on that pair only through the row's class (see classify), so
-// a (lin, hier) pair of product tuples has the same return targets as any
-// other pair with the same tuple of member classes.  Those class tuples are
-// packed with cp, and pairs numbers the ones already expanded.
+// Return pairing is factored through member classes (see memberClasses).
+// A processed state's tuple of member lin-classes gets a lin ID (LID, in
+// lids), and a processed hier-capable tuple's tuple of member hier-classes
+// a hier ID (HID, in hids).  The tuple of member rows of a (lin, hier)
+// pair, its class tuple, depends only on the pair's (LID, HID), so the
+// fixpoint pairs only the first state of each LID with the first hier of
+// each HID.  Class tuples are packed with cp and numbered by pairs, and
+// pairRow[l][h] is the class tuple of (LID l, HID h).
 type detBuilder struct {
 	ms     []*Compiled
 	syms   int
@@ -320,11 +372,13 @@ type detBuilder struct {
 	hiers  []int32 // hier-capable ids in discovery order (start tuple first)
 	hierT  []int32 // their unpacked tuples, len(ms) members each, same order
 
-	cols              []classCol // classify's classes, per member
-	rows              [][]int32  // classify's rows, per member
+	mc         []memberClasses
+	lids, hids *classIndex
+
 	cp                packing
 	pairs             *internTable
-	visited, expanded int // (lin, hier) pairs the fixpoint paired, and expanded
+	pairRow           [][]int32
+	visited, expanded int // (LID, HID) pairs the fixpoint paired, and class tuples it expanded
 
 	// Scratch: one key per symbol (syms*tp.w words, see keyAt) for the
 	// call-linear, call-hierarchical, internal and return targets of one
@@ -341,22 +395,23 @@ func newDetBuilder(ms []*Compiled, budget int) *detBuilder {
 		ms:     ms,
 		syms:   syms,
 		budget: budget,
-		cols:   make([]classCol, k),
-		rows:   make([][]int32, k),
+		mc:     make([]memberClasses, k),
 		dt:     make([]int32, k),
 		ct:     make([]int32, k),
 	}
-	nums, classes := make([]int, k), make([]int, k)
+	nums, rows := make([]int, k), make([]int, k)
+	lins, hiers := make([][]int32, k), make([][]int32, k)
+	lcs, hcs := make([]int, k), make([]int, k)
 	for j, m := range ms {
-		b.cols[j].cls, b.rows[j] = classify(m)
-		b.cols[j].hiers = m.hiers
-		nums[j], classes[j] = m.num, len(b.rows[j])/syms
+		mc := classesOf(m)
+		b.mc[j] = mc
+		nums[j], rows[j] = m.num, len(m.rows)/syms
+		lins[j], hiers[j] = mc.lin, mc.hier
+		lcs[j], hcs[j] = len(mc.row)/mc.nh, mc.nh
 	}
-	b.tp, b.cp = newPacking(nums), newPacking(classes)
-	for j := range b.cols {
-		b.cols[j].word, b.cols[j].shift = b.cp.word[j], b.cp.shift[j]
-	}
+	b.tp, b.cp = newPacking(nums), newPacking(rows)
 	b.states, b.pairs = newInternTable(b.tp.w), newInternTable(b.cp.w)
+	b.lids, b.hids = newClassIndex(lins, lcs), newClassIndex(hiers, hcs)
 	b.lin = make([]uint64, syms*b.tp.w)
 	b.hier = make([]uint64, syms*b.tp.w)
 	b.internal = make([]uint64, syms*b.tp.w)
@@ -435,7 +490,7 @@ func (b *detBuilder) hierTuple(i int) []int32 {
 // renumber gives the hier-capable tuples the IDs 0..H-1 in discovery order,
 // so the start tuple keeps ID 0, moves every other tuple after them, and
 // returns H.  Every hierarchical value a runner can pop is then below H, and
-// hierTuple(h) is the tuple of ID h.
+// hierTuple(h) is the tuple of ID h.  The states' LIDs follow the new IDs.
 func (b *detBuilder) renumber() int {
 	order := append([]int32(nil), b.hiers...)
 	for q, h := range b.isHier {
@@ -444,6 +499,11 @@ func (b *detBuilder) renumber() int {
 		}
 	}
 	b.states.reorder(order)
+	lidOf := make([]int32, len(order))
+	for id, old := range order {
+		lidOf[id] = b.lids.of[old]
+	}
+	b.lids.of = lidOf
 	return len(b.hiers)
 }
 
@@ -473,46 +533,46 @@ func (b *detBuilder) expand(d int32) {
 	}
 }
 
-// classKey packs the member classes of a (lin, hier) pair of unpacked
-// tuples into ckey.
-func (b *detBuilder) classKey(dt, ht []int32) []uint64 {
+// classKey packs the class tuple of (LID l, HID h) into ckey.
+func (b *detBuilder) classKey(l, h int32) []uint64 {
+	lt, ht := b.lids.tuple(l), b.hids.tuple(h)
 	key := b.ckey
 	clear(key)
-	for j := range b.cols {
-		col := &b.cols[j]
-		c := col.cls[int(dt[j])*col.hiers+int(ht[j])]
-		key[col.word] |= uint64(c) << col.shift
+	for j := range b.mc {
+		m := &b.mc[j]
+		r := m.row[int(lt[j])*m.nh+int(ht[j])]
+		key[b.cp.word[j]] |= uint64(r) << b.cp.shift[j]
 	}
 	return key
 }
 
-// expandRet packs the componentwise return targets of a tuple of member
-// classes into the ret keys, one per symbol.
+// expandRet packs the componentwise return targets of a class tuple into
+// the ret keys, one per symbol.
 func (b *detBuilder) expandRet(ct []int32) {
 	clear(b.ret)
-	for j, c := range ct {
-		i := int(c) * b.syms
-		b.orRow(b.ret, j, b.rows[j][i:i+b.syms])
+	for j, r := range ct {
+		i := int(r) * b.syms
+		b.orRow(b.ret, j, b.ms[j].rows[i:i+b.syms])
 	}
 }
 
-// pairRet interns the componentwise return targets of one (lin, hier) pair
-// of unpacked tuples across every symbol, unless a pair with the same member
-// classes was expanded before: every target it would intern is then
-// interned already.
-func (b *detBuilder) pairRet(dt, ht []int32) {
+// pairRet records the class tuple of (LID l, HID h) as pairRow[l][h], and
+// interns its componentwise return targets across every symbol unless an
+// earlier pair had the same class tuple: every target it would intern is
+// then interned already.
+func (b *detBuilder) pairRet(l, h int32) {
 	b.visited++
-	key := b.classKey(dt, ht)
+	key := b.classKey(l, h)
 	i, id := b.pairs.find(key)
-	if id >= 0 {
-		return
+	if id < 0 {
+		id = b.pairs.add(i, key)
+		b.expanded++
+		b.expandRet(b.cp.unpack(key, b.ct))
+		for sym := 0; sym < b.syms; sym++ {
+			b.intern(b.keyAt(b.ret, sym))
+		}
 	}
-	b.pairs.add(i, key)
-	b.expanded++
-	b.expandRet(b.cp.unpack(key, b.ct))
-	for sym := 0; sym < b.syms; sym++ {
-		b.intern(b.keyAt(b.ret, sym))
-	}
+	b.pairRow[l] = append(b.pairRow[l], id)
 }
 
 // compileDetProduct runs the reachable-product construction: fixpoint
@@ -526,11 +586,16 @@ func compileDetProduct(ms []*Compiled, budget int) (*CompiledProduct, error) {
 }
 
 // fixpoint is a worklist that expands call and internal transitions
-// componentwise per discovered tuple, and pairs every discovered tuple with
-// every hier-capable tuple for the return relation (new states are paired
-// with all known hiers, new hiers with all processed states, so each pair is
-// covered exactly once).  It returns ErrStateBudget when the tuples outgrow
-// the budget.
+// componentwise per discovered tuple, and pairs LIDs with HIDs for the
+// return relation: a state with a new LID is paired with every HID known so
+// far, and a hier-capable tuple with a new HID with every LID (all of them
+// belong to processed states).  A state or hier whose class tuple was seen
+// before skips its loop, since every pair it would form has the class tuple
+// of a pair already visited.  The pairs visited are the first occurrences of
+// each (LID, HID) in the loop that pairs every state with every hier, in
+// that loop's order, so discovery order, and with it the budget check and
+// the product's bytes, do not depend on the skipping.  It returns
+// ErrStateBudget when the tuples outgrow the budget.
 func (b *detBuilder) fixpoint() error {
 	// Seed: the start tuple (ID 0, hier-capable for pending returns) and
 	// the all-dead tuple (the product's dead state; every componentwise
@@ -542,10 +607,9 @@ func (b *detBuilder) fixpoint() error {
 	b.markHier(b.intern(b.gathered))
 	b.intern(b.deadKey())
 
-	// ps states have had their calls/internals expanded and been paired (as
-	// lin) with hiers[0:current]; ph hiers have been paired with states
-	// [0, ps).  Both inner loops grow the other's frontier, so the outer
-	// loop runs until neither has work left.
+	// ps states have been expanded and given LIDs; ph hiers have been
+	// given HIDs.  Both inner loops grow the other's frontier, so the
+	// outer loop runs until neither has work left.
 	ps, ph := 0, 0
 	for b.err == nil && (ps < b.count() || ph < len(b.hiers)) {
 		for ps < b.count() && b.err == nil {
@@ -557,15 +621,20 @@ func (b *detBuilder) fixpoint() error {
 				b.markHier(b.intern(b.keyAt(b.hier, sym)))
 				b.intern(b.keyAt(b.internal, sym))
 			}
-			for hi := 0; hi < ph; hi++ {
-				b.pairRet(b.dt, b.hierTuple(hi))
+			if l, ok := b.lids.add(b.dt); ok {
+				b.pairRow = append(b.pairRow, nil)
+				for h := int32(0); int(h) < b.hids.len(); h++ {
+					b.pairRet(l, h)
+				}
 			}
 		}
 		for ph < len(b.hiers) && b.err == nil {
 			ht := b.hierTuple(ph)
 			ph++
-			for d := int32(0); int(d) < ps; d++ {
-				b.pairRet(b.unpack(d, b.dt), ht)
+			if h, ok := b.hids.add(ht); ok {
+				for l := int32(0); int(l) < b.lids.len(); l++ {
+					b.pairRet(l, h)
+				}
 			}
 		}
 	}
@@ -582,11 +651,12 @@ func (b *detBuilder) deadKey() []uint64 {
 }
 
 // materialize renumbers the tuples hier-capable first and builds the
-// dense/sparse Compiled tables and the per-state accept bitmask over the
-// now-fixed state space.  Every target, and every pair's class tuple, was
-// discovered by the fixpoint, so it only looks them up; a miss fails with
-// errUndiscovered.  Return targets are computed once per class tuple and
-// copied to every pair that has it.
+// Compiled tables and the per-state accept bitmask over the now-fixed state
+// space.  Every target was discovered by the fixpoint, so it only looks
+// them up; a miss, or a (LID, HID) pair the fixpoint never visited, fails
+// with errUndiscovered.  The product has one return row per class tuple,
+// and the row ID of (lin, hier) is read from pairRow through their LID and
+// HID.
 func (b *detBuilder) materialize() (*CompiledProduct, error) {
 	ms, k, syms := b.ms, len(b.ms), b.syms
 	hiers := b.renumber()
@@ -623,37 +693,24 @@ func (b *detBuilder) materialize() (*CompiledProduct, error) {
 			c.internT[i] = b.lookup(b.states, b.keyAt(b.internal, sym))
 		}
 	}
-	targets := make([]int32, b.pairs.len()*syms)
+	c.rows = make([]int32, b.pairs.len()*syms)
 	for id := int32(0); int(id) < b.pairs.len(); id++ {
 		b.expandRet(b.cp.unpack(b.pairs.key(id), b.ct))
 		for sym := 0; sym < syms; sym++ {
-			targets[int(id)*syms+sym] = b.lookup(b.states, b.keyAt(b.ret, sym))
+			c.rows[int(id)*syms+sym] = b.lookup(b.states, b.keyAt(b.ret, sym))
 		}
 	}
-	// Return table over (lin, hier < H) pairs, visited in dense index order.
-	eachReturn := func(f func(lin, hier int32, row []int32)) {
-		for q := int32(0); int(q) < num; q++ {
-			b.unpack(q, b.dt)
-			for h := 0; h < hiers; h++ {
-				i := int(b.lookup(b.pairs, b.classKey(b.dt, b.hierTuple(h)))) * syms
-				f(q, int32(h), targets[i:i+syms])
-			}
+	for _, ids := range b.pairRow {
+		if len(ids) != b.hids.len() {
+			return nil, errUndiscovered
 		}
 	}
-	if size := num * hiers * syms; size <= denseReturnLimit {
-		c.dense = true
-		c.returnT = make([]int32, 0, size)
-		eachReturn(func(_, _ int32, row []int32) { c.returnT = append(c.returnT, row...) })
-	} else {
-		var entries []sparseEntry
-		eachReturn(func(lin, hier int32, row []int32) {
-			for sym, to := range row {
-				if to != c.dead {
-					entries = append(entries, sparseEntry{c.returnKey(lin, hier, sym), to})
-				}
-			}
-		})
-		c.sparseR = buildSparse(entries)
+	c.rowID = make([]int32, num*hiers)
+	for q := 0; q < num; q++ {
+		ids, dst := b.pairRow[b.lids.of[q]], c.rowID[q*hiers:(q+1)*hiers]
+		for h, hid := range b.hids.of {
+			dst[h] = ids[hid]
+		}
 	}
 	if b.err != nil {
 		return nil, b.err

@@ -36,7 +36,8 @@ func fuzzFamily(which int) []Query {
 
 // fuzzProductFor compiles (and caches) the product of the family members
 // whose bits are set in mask, checking on first build that its state count
-// is exactly the budget it needs.  Returns nil when fewer than one member is
+// is exactly the budget it needs and that every (lin, hier, sym) of its
+// factored return table is the members' componentwise return step.  Returns nil when fewer than one member is
 // selected.
 func fuzzProductFor(t testing.TB, which int, mask uint8) *fuzzProduct {
 	key := uint16(which%2)<<8 | uint16(mask)
@@ -60,7 +61,13 @@ func fuzzProductFor(t testing.TB, which int, mask uint8) *fuzzProduct {
 	if err != nil {
 		t.Fatalf("family %d, mask %08b: CompileProduct: %v", which%2, mask, err)
 	}
-	checkBudgetExact(t, fmt.Sprintf("family %d, mask %08b", which%2, mask), members, p)
+	name := fmt.Sprintf("family %d, mask %08b", which%2, mask)
+	checkBudgetExact(t, name, members, p)
+	ms := make([]*Compiled, len(members))
+	for j, m := range members {
+		ms[j] = m.(*Compiled)
+	}
+	checkProductReturns(t, name, ms)
 	fp := &fuzzProduct{p: p, members: members}
 	fuzzProds[key] = fp
 	return fp

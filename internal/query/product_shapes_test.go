@@ -60,27 +60,38 @@ func withinTrio(tb testing.TB, alpha *alphabet.Alphabet) []query.Query {
 // Marshal(), so a change to the construction that renumbers a single state
 // fails here.  Beside the planned families it covers two larger E21
 // products: the 16-label mix without well-formed (H = 151) and the 3-label
-// mix (H = 742, a sparse return table).  It also pins the over-budget
-// decision for the 16-label E21 mix, the cluster the planner rejects.
+// mix (H = 742).  It also pins the over-budget decision for the 16-label
+// E21 mix, the cluster the planner rejects.
+//
+// Each product is pinned twice.  legacy is the hash of LegacyMarshal, the
+// dense (sparse for e21-3) return layout written before the factored one;
+// those hashes predate factoring, so they prove the factored table holds
+// every (lin, hier, sym) target the old one did.  factored pins Marshal.
 func TestProductBytesPinned(t *testing.T) {
 	a16 := alphabet.New(sixteen...)
 	a3 := alphabet.New("a", "b", "c")
 	for _, c := range []struct {
-		name    string
-		members []query.Query
-		states  int
-		sha     string
+		name     string
+		members  []query.Query
+		states   int
+		legacy   string
+		factored string
 	}{
 		{"has a-h", hasFamily(a16, sixteen[:8]), 257,
-			"ecd6a0af114db7173946bfafc8bf152b851cedef8e4b7f9bb68dc3d1d2eeea9c"},
+			"ecd6a0af114db7173946bfafc8bf152b851cedef8e4b7f9bb68dc3d1d2eeea9c",
+			"3b3821e8f6492fd6042d8d34dd5198364732fed0440791aaf28e5f753e66fade"},
 		{"has i-p", hasFamily(a16, sixteen[8:]), 257,
-			"01c3945403406fc64e2b2ed2765a64934df02f9d0ce7f12f5f2110d803b4481e"},
+			"01c3945403406fc64e2b2ed2765a64934df02f9d0ce7f12f5f2110d803b4481e",
+			"38e397035f6d8443495165f62a66987b967ee6eeac75f8f7de15bc45e51519e0"},
 		{"within-3", withinTrio(t, a16), 229,
-			"2cd5ae7aee9dcfa160424be632cb250649c8b03aefd39cd3b003bff60980d21c"},
+			"2cd5ae7aee9dcfa160424be632cb250649c8b03aefd39cd3b003bff60980d21c",
+			"d36a58736f42e4d23fc3381f0eccac93aa7b042c057185d44b8a0a7042ebddb2"},
 		{"e21-16 without well-formed", e21Mix(a16)[1:], 1409,
-			"96bbd3c9fa031e1baf1f1df853ce9490daa0e9fb979c94c90705e82186a08b8e"},
+			"96bbd3c9fa031e1baf1f1df853ce9490daa0e9fb979c94c90705e82186a08b8e",
+			"8ea81acdb7c951230dfb0cf479ddbd74fd9a94707d2263183fc7c51a8910e290"},
 		{"e21-3", e21Mix(a3), 3634,
-			"d1174bd5a47d93fee69033f1551a53d736b19a166093f97f4e9f4a41b3503db2"},
+			"d1174bd5a47d93fee69033f1551a53d736b19a166093f97f4e9f4a41b3503db2",
+			"bcca5ff2c90f406c1560522fb5b3eee173632d7130a5e42866348fcf41b30b51"},
 	} {
 		p, err := query.CompileProduct(c.members, plan.DefaultStateBudget)
 		if err != nil {
@@ -89,9 +100,17 @@ func TestProductBytesPinned(t *testing.T) {
 		if p.NumStates() != c.states {
 			t.Errorf("%s: %d states, want %d", c.name, p.NumStates(), c.states)
 		}
-		sum := sha256.Sum256(p.Marshal())
-		if got := hex.EncodeToString(sum[:]); got != c.sha {
-			t.Errorf("%s: Marshal() SHA-256 = %s, want %s", c.name, got, c.sha)
+		for _, pin := range []struct {
+			what, want string
+			data       []byte
+		}{
+			{"LegacyMarshal", c.legacy, query.LegacyMarshal(p)},
+			{"Marshal", c.factored, p.Marshal()},
+		} {
+			sum := sha256.Sum256(pin.data)
+			if got := hex.EncodeToString(sum[:]); got != pin.want {
+				t.Errorf("%s: %s() SHA-256 = %s, want %s", c.name, pin.what, got, pin.want)
+			}
 		}
 	}
 	if _, err := query.CompileProduct(e21Mix(a16), plan.DefaultStateBudget); !errors.Is(err, query.ErrStateBudget) {
@@ -99,11 +118,13 @@ func TestProductBytesPinned(t *testing.T) {
 	}
 }
 
-// TestProductPairPruning pins how much of the return pairing the class memo
-// skips: of the (lin, hier) pairs the fixpoint visits, only those whose
-// tuple of member return-row classes is new are expanded.  The counts are
-// exact, so a change that expands a pair twice, or stops skipping, fails
-// here even when the product's bytes do not move.
+// TestProductPairPruning pins how much of the return pairing the fixpoint
+// skips.  It pairs only the first state of each tuple of member lin-classes
+// (LID) with the first hier of each tuple of member hier-classes (HID), so
+// visited pairs number exactly LIDs × HIDs, and of those it expands only
+// the ones whose tuple of member return rows is new.  The counts are exact,
+// so a change that pairs a non-representative, expands a pair twice, or
+// stops skipping fails here even when the product's bytes do not move.
 func TestProductPairPruning(t *testing.T) {
 	a16 := alphabet.New(sixteen...)
 	for _, c := range []struct {
@@ -112,17 +133,20 @@ func TestProductPairPruning(t *testing.T) {
 		expanded, visited int
 		wantErr           error
 	}{
-		{"e21-16 over budget", e21Mix(a16), 19184, 607886, query.ErrStateBudget},
-		{"e21-16 without well-formed", e21Mix(a16)[1:], 1261, 212759, nil},
-		{"within-3", withinTrio(t, a16), 125, 25648, nil},
-		{"has a-h", hasFamily(a16, sixteen[:8]), 257, 514, nil},
+		{"e21-16 over budget", e21Mix(a16), 19184, 150870, query.ErrStateBudget},
+		{"e21-16 without well-formed", e21Mix(a16)[1:], 1261, 60345, nil},
+		{"within-3", withinTrio(t, a16), 125, 14000, nil},
+		{"has a-h", hasFamily(a16, sixteen[:8]), 257, 257, nil},
 	} {
-		expanded, visited, err := query.ProductPairCounts(c.members, plan.DefaultStateBudget)
+		n, err := query.ProductPairCounts(c.members, plan.DefaultStateBudget)
 		if !errors.Is(err, c.wantErr) {
 			t.Errorf("%s: err = %v, want %v", c.name, err, c.wantErr)
 		}
-		if expanded != c.expanded || visited != c.visited {
-			t.Errorf("%s: expanded %d of %d pairs, want %d of %d", c.name, expanded, visited, c.expanded, c.visited)
+		if n.Expanded != c.expanded || n.Visited != c.visited {
+			t.Errorf("%s: expanded %d of %d pairs, want %d of %d", c.name, n.Expanded, n.Visited, c.expanded, c.visited)
+		}
+		if n.Visited != n.LinIDs*n.HierIDs {
+			t.Errorf("%s: visited %d pairs, want %d LIDs × %d HIDs = %d", c.name, n.Visited, n.LinIDs, n.HierIDs, n.LinIDs*n.HierIDs)
 		}
 	}
 }

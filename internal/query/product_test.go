@@ -94,9 +94,10 @@ func compileMembers(sources ...*nwa.DNWA) ([]Query, []*nwa.DNWA) {
 // deterministic product: 1200 random nested words — pending calls/returns
 // and out-of-alphabet labels included — where every verdict bit of the
 // product runner must equal both the member's own fanned-out runner and the
-// serial source-automaton oracle, for the dense and sparse return forms, on
-// a cluster whose return table keeps every hierarchical column and on one
-// compacted to H < num.
+// serial source-automaton oracle, on a cluster whose return table keeps
+// every hierarchical column and on one compacted to H < num.  Each product
+// runs as compiled, and decoded from containers in the dense and sparse
+// return layouts written before the factored one.
 func TestProductDNWADifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(606))
 	alpha := generator.AB
@@ -106,7 +107,6 @@ func TestProductDNWADifferential(t *testing.T) {
 	if pending == 0 {
 		t.Fatal("no words with pending calls/returns were generated")
 	}
-	defer func(old int) { denseReturnLimit = old }(denseReturnLimit)
 	for _, cluster := range []struct {
 		name      string
 		build     func() ([]Query, []*nwa.DNWA)
@@ -115,25 +115,32 @@ func TestProductDNWADifferential(t *testing.T) {
 		{"mixed", detProductMembers, false},
 		{"orders", orderProductMembers, true},
 	} {
-		for _, limit := range []int{denseReturnLimit, 1} {
-			denseReturnLimit = limit
-			members, sources := cluster.build()
-			p, err := CompileProduct(members, 0)
-			if err != nil {
-				t.Fatalf("%s, limit %d: CompileProduct: %v", cluster.name, limit, err)
-			}
-			if p.QueryCount() != len(members) {
-				t.Fatalf("%s, limit %d: QueryCount = %d, want %d", cluster.name, limit, p.QueryCount(), len(members))
-			}
-			inner := p.inner
-			if want := limit > 1; inner.Dense() != want {
-				t.Fatalf("%s, limit %d: product Dense() = %v, want %v", cluster.name, limit, inner.Dense(), want)
-			}
-			if cluster.compacted && inner.hiers >= inner.num {
-				t.Fatalf("%s: product keeps %d hierarchical columns for %d states, want fewer",
-					cluster.name, inner.hiers, inner.num)
-			}
-			pr := p.NewProductRunner()
+		members, sources := cluster.build()
+		p, err := CompileProduct(members, 0)
+		if err != nil {
+			t.Fatalf("%s: CompileProduct: %v", cluster.name, err)
+		}
+		if p.QueryCount() != len(members) {
+			t.Fatalf("%s: QueryCount = %d, want %d", cluster.name, p.QueryCount(), len(members))
+		}
+		if cluster.compacted && p.inner.hiers >= p.inner.num {
+			t.Fatalf("%s: product keeps %d hierarchical columns for %d states, want fewer",
+				cluster.name, p.inner.hiers, p.inner.num)
+		}
+		ms := make([]*Compiled, len(members))
+		for j, m := range members {
+			ms[j] = m.(*Compiled)
+		}
+		checkProductReturns(t, cluster.name, ms)
+		for _, form := range []struct {
+			name string
+			p    *CompiledProduct
+		}{
+			{"factored", p},
+			{"legacy dense", decodeLegacyProduct(t, p, false)},
+			{"legacy sparse", decodeLegacyProduct(t, p, true)},
+		} {
+			pr := form.p.NewProductRunner()
 			verdicts := bitset.New(p.QueryCount())
 			fan := make([]Runner, len(members))
 			for j, m := range members {
@@ -144,17 +151,32 @@ func TestProductDNWADifferential(t *testing.T) {
 				for j := range members {
 					got := verdicts.Has(j)
 					if want := RunWord(fan[j], alpha, w); got != want {
-						t.Fatalf("%s, limit %d, word %d, member %d: product %v, fan-out runner %v on %v",
-							cluster.name, limit, wi, j, got, want, w)
+						t.Fatalf("%s (%s), word %d, member %d: product %v, fan-out runner %v on %v",
+							cluster.name, form.name, wi, j, got, want, w)
 					}
 					if want := sources[j].Accepts(w); got != want {
-						t.Fatalf("%s, limit %d, word %d, member %d: product %v, serial DNWA %v on %v",
-							cluster.name, limit, wi, j, got, want, w)
+						t.Fatalf("%s (%s), word %d, member %d: product %v, serial DNWA %v on %v",
+							cluster.name, form.name, wi, j, got, want, w)
 					}
 				}
 			}
 		}
 	}
+}
+
+// decodeLegacyProduct marshals p with its automaton in a return layout
+// written before the factored one and decodes it, which factors the table on
+// load.
+func decodeLegacyProduct(t testing.TB, p *CompiledProduct, sparse bool) *CompiledProduct {
+	t.Helper()
+	dec, err := UnmarshalProduct(legacyProduct(p, sparse).Marshal())
+	if err != nil {
+		t.Fatalf("legacy product container (sparse=%v): %v", sparse, err)
+	}
+	if l := dec.inner.legacy; l == nil || l.dense == sparse {
+		t.Fatalf("decoded legacy product (sparse=%v) kept layout %+v", sparse, l)
+	}
+	return dec
 }
 
 // checkBudgetExact asserts that a product's state count n is exactly the
@@ -247,10 +269,10 @@ func TestProductBudgetExact(t *testing.T) {
 }
 
 // TestProductMaterializeMisses checks that the materialization pass only
-// looks tuples up: with one discovered state tuple, or one expanded class
-// tuple, dropped from its table after the fixpoint, the build fails with
-// errUndiscovered instead of interning the tuple as a new state outside the
-// tables.
+// looks tuples up: with one discovered state tuple dropped from its table
+// after the fixpoint, or one (LID, HID) pair missing from a LID's row of
+// class tuples, the build fails with errUndiscovered instead of interning
+// the tuple as a new state outside the tables or reading past the row.
 func TestProductMaterializeMisses(t *testing.T) {
 	family, _ := orderProductMembers()
 	ms := make([]*Compiled, len(family))
@@ -267,29 +289,61 @@ func TestProductMaterializeMisses(t *testing.T) {
 	if _, err := build().materialize(); err != nil {
 		t.Fatalf("intact build: %v", err)
 	}
-	// drop rebuilds tab's slots without one key, keeping every other ID.
-	drop := func(tab *internTable, victim int32) {
-		clear(tab.slots)
-		for id := int32(0); int(id) < tab.len(); id++ {
+	n := build().states.len()
+	for victim := int32(0); int(victim) < n; victim++ {
+		b := build()
+		// Rebuild the slots without one key, keeping every other ID.
+		clear(b.states.slots)
+		for id := int32(0); int(id) < n; id++ {
 			if id != victim {
-				i, _ := tab.find(tab.key(id))
-				tab.slots[i] = id + 1
+				i, _ := b.states.find(b.states.key(id))
+				b.states.slots[i] = id + 1
 			}
 		}
+		if p, err := b.materialize(); !errors.Is(err, errUndiscovered) {
+			t.Fatalf("state tuple %d of %d dropped: p, err = %v, %v, want errUndiscovered", victim, n, p, err)
+		}
 	}
-	for _, c := range []struct {
-		name  string
-		table func(*detBuilder) *internTable
-	}{
-		{"state", func(b *detBuilder) *internTable { return b.states }},
-		{"class", func(b *detBuilder) *internTable { return b.pairs }},
-	} {
-		n := c.table(build()).len()
-		for victim := int32(0); int(victim) < n; victim++ {
-			b := build()
-			drop(c.table(b), victim)
-			if p, err := b.materialize(); !errors.Is(err, errUndiscovered) {
-				t.Fatalf("%s tuple %d of %d dropped: p, err = %v, %v, want errUndiscovered", c.name, victim, n, p, err)
+	lids := build().lids.len()
+	for l := 0; l < lids; l++ {
+		b := build()
+		b.pairRow[l] = b.pairRow[l][:len(b.pairRow[l])-1]
+		if p, err := b.materialize(); !errors.Is(err, errUndiscovered) {
+			t.Fatalf("last pair of LID %d of %d dropped: p, err = %v, %v, want errUndiscovered", l, lids, p, err)
+		}
+	}
+}
+
+// checkProductReturns is the return-table oracle of the factored product:
+// it rebuilds the product of ms and checks that, for every (lin, hier < H,
+// sym), the return step goes to the product state whose tuple is the
+// members' own return steps on the pair's member states.  It does not use
+// the member classes, LIDs or HIDs the construction pairs through.
+func checkProductReturns(t testing.TB, name string, ms []*Compiled) {
+	t.Helper()
+	b := newDetBuilder(ms, maxStates)
+	if err := b.fixpoint(); err != nil {
+		t.Fatalf("%s: fixpoint: %v", name, err)
+	}
+	p, err := b.materialize()
+	if err != nil {
+		t.Fatalf("%s: materialize: %v", name, err)
+	}
+	c := p.inner
+	dt, target := make([]int32, len(ms)), make([]int32, len(ms))
+	key := make([]uint64, b.tp.w)
+	for q := int32(0); int(q) < c.num; q++ {
+		b.unpack(q, dt)
+		for h := int32(0); int(h) < c.hiers; h++ {
+			ht := b.hierTuple(int(h))
+			for sym := 0; sym < c.syms; sym++ {
+				for j, m := range ms {
+					target[j] = m.stepReturn(dt[j], ht[j], sym)
+				}
+				b.tp.pack(key, target)
+				if _, want := b.states.find(key); c.stepReturn(q, h, sym) != want || want < 0 {
+					t.Fatalf("%s: return (%d, %d, %d) = %d, want %d", name, q, h, sym, c.stepReturn(q, h, sym), want)
+				}
 			}
 		}
 	}

@@ -21,8 +21,10 @@ import (
 //
 //   - a Compiled DNWA (format.KindDNWA): meta (with the hierarchical-state
 //     count H as an optional sixth value), alphabet, accept bytes, the dense
-//     call/internal tables, and either the num·H·syms dense return table or
-//     the sorted sparse key/value pair;
+//     call/internal tables, and the factored return table: num·H row IDs and
+//     the distinct rows.  Containers written before the factored layout hold
+//     the num·H·syms dense return table or the sorted sparse key/value pair
+//     instead; the decoder factors those on load;
 //   - a CompiledN NNWA (format.KindNNWA): meta, alphabet, starts, accept
 //     bytes, the CSR call/internal/return adjacency, and the per-symbol
 //     successor bitmask slabs;
@@ -37,11 +39,12 @@ import (
 // path experiment E25 measures against parse+compile.
 //
 // Every decode path validates the tables before a runner can touch them —
-// lengths against num/syms, targets against the state range, offsets
-// monotonic, sparse keys strictly ascending and naming states in range, mask
-// bits beyond the state range clear — so arbitrary bytes fail with an error
-// rather than a panic, and no allocation is sized by attacker-controlled
-// fields beyond the input length.
+// lengths against num/syms, targets against the state range, return row IDs
+// against the row count, offsets monotonic, sparse keys strictly ascending
+// and naming states in range, mask bits beyond the state range clear — so
+// arbitrary bytes fail with an error rather than a panic, and no allocation
+// is sized by attacker-controlled fields beyond the input length (or, for a
+// legacy sparse return table, beyond maxLegacyCells).
 
 // Section tags of the serialized compiled-query containers.  Tags are
 // stable; new sections may be added in later versions but existing ones
@@ -53,9 +56,9 @@ const (
 	secCallLin  = 4  // int32s: linear call targets
 	secCallHier = 5  // int32s: hierarchical call targets
 	secInternal = 6  // int32s: internal targets (DNWA dense table)
-	secReturnT  = 7  // int32s: DNWA dense return table
-	secRetKeys  = 8  // uint64s: sparse return keys, strictly ascending
-	secRetVals  = 9  // int32s: DNWA sparse return values
+	secReturnT  = 7  // int32s: DNWA dense return table (legacy layout)
+	secRetKeys  = 8  // uint64s: sparse return keys, strictly ascending (NNWA, legacy DNWA)
+	secRetVals  = 9  // int32s: DNWA sparse return values (legacy layout)
 	secStarts   = 10 // int32s: NNWA start states
 	secCallOff  = 11 // int32s: NNWA call CSR prefix offsets
 	secIntOff   = 12 // int32s: NNWA internal CSR prefix offsets
@@ -73,7 +76,29 @@ const (
 	secGroupIdx   = 22 // int32s: bundle indices the product's mask bits demux to
 	secSolo       = 23 // int32s: bundle indices served by fanned-out secQuery blobs
 	secProduct    = 24 // bytes: one embedded KindProduct container per cluster
+
+	// Factored DNWA return table (meta[4] = returnFactored).
+	secRowIDs = 25 // int32s: return row ID per (lin, hier) pair, index lin·H+hier
+	secRows   = 26 // int32s: distinct return rows, syms targets each
 )
+
+// DNWA return-table layouts, the fifth meta value.  Containers written
+// before the factored layout hold the sparse or the dense form.
+const (
+	returnSparse   = 0
+	returnDense    = 1
+	returnFactored = 2
+)
+
+// legacyReturn is the return table of a container written before the
+// factored layout, kept as decoded: the dense num·H·syms table, or the
+// sparse key/value pair.
+type legacyReturn struct {
+	dense   bool
+	returnT []int32
+	keys    []uint64
+	vals    []int32
+}
 
 // Decode limits: far beyond any automaton this repository compiles, but
 // small enough that no validation product overflows and no runner index
@@ -81,6 +106,11 @@ const (
 const (
 	maxStates  = 1 << 22
 	maxSymbols = 1 << 20
+
+	// maxLegacyCells caps both the (lin, hier) pairs and the distinct row
+	// cells a sparse legacy return table factors into on load, since
+	// neither is bounded by the input length.
+	maxLegacyCells = 1 << 22
 )
 
 // mul returns a*b, reporting overflow or a negative operand as !ok.
@@ -127,14 +157,18 @@ func (c *Compiled) Marshal() []byte { return c.encode(true, marshalVersion(c.fmt
 func (c *Compiled) encode(includeAlpha bool, version uint32) []byte {
 	w := format.NewWriter(format.KindDNWA)
 	w.SetVersion(version)
-	dense := uint64(0)
-	if c.dense {
-		dense = 1
+	layout := uint64(returnFactored)
+	if c.legacy != nil {
+		layout = returnSparse
+		if c.legacy.dense {
+			layout = returnDense
+		}
 	}
-	meta := []uint64{uint64(c.num), uint64(c.syms), uint64(c.start), uint64(c.dead), dense}
+	meta := []uint64{uint64(c.num), uint64(c.syms), uint64(c.start), uint64(c.dead), layout}
 	if c.hiers != c.num {
-		// Written only for a compacted return table, so every other
-		// container keeps its five-value meta and its bytes.
+		// Written only when H < num, so a container with H = num (every
+		// single DNWA written before Compile numbered hier-capable states
+		// first) keeps its five-value meta and its bytes.
 		meta = append(meta, uint64(c.hiers))
 	}
 	w.Uint64s(secMeta, meta)
@@ -145,11 +179,15 @@ func (c *Compiled) encode(includeAlpha bool, version uint32) []byte {
 	w.Int32s(secCallLin, c.callLin)
 	w.Int32s(secCallHier, c.callHier)
 	w.Int32s(secInternal, c.internT)
-	if c.dense {
-		w.Int32s(secReturnT, c.returnT)
-	} else {
-		w.Uint64s(secRetKeys, c.sparseR.keys)
-		w.Int32s(secRetVals, c.sparseR.vals)
+	switch l := c.legacy; {
+	case l == nil:
+		w.Int32s(secRowIDs, c.rowID)
+		w.Int32s(secRows, c.rows)
+	case l.dense:
+		w.Int32s(secReturnT, l.returnT)
+	default:
+		w.Uint64s(secRetKeys, l.keys)
+		w.Int32s(secRetVals, l.vals)
 	}
 	return w.Finish()
 }
@@ -383,13 +421,15 @@ func decodeCompiled(d *decodeState) (*Compiled, error) {
 		return nil, fmt.Errorf("query: start %d / dead %d outside the %d hierarchical / %d states",
 			meta[2], meta[3], hiers, num)
 	}
+	if meta[4] > returnFactored {
+		return nil, fmt.Errorf("query: return table layout %d unknown (0 sparse, 1 dense, 2 factored)", meta[4])
+	}
 	c := &Compiled{
 		num:        num,
 		hiers:      hiers,
 		syms:       syms,
 		start:      int32(meta[2]),
 		dead:       int32(meta[3]),
-		dense:      meta[4] == 1,
 		fmtVersion: d.r.Version(),
 	}
 	if err := d.resolveAlphabet(syms); err != nil {
@@ -425,8 +465,39 @@ func decodeCompiled(d *decodeState) (*Compiled, error) {
 		}
 		*t.dst = v
 	}
-	if c.dense {
-		retCells, ok := mul(hiers, cells)
+	pairs, ok := mul(num, hiers)
+	if !ok {
+		return nil, fmt.Errorf("query: %d×%d return pairs overflow", num, hiers)
+	}
+	switch meta[4] {
+	case returnFactored:
+		rowID, err := d.int32s(secRowIDs, "return row IDs")
+		if err != nil {
+			return nil, err
+		}
+		if len(rowID) != pairs {
+			return nil, fmt.Errorf("query: return row-ID table holds %d pairs, want %d (%d states × %d hierarchical)",
+				len(rowID), pairs, num, hiers)
+		}
+		rows, err := d.int32s(secRows, "return rows")
+		if err != nil {
+			return nil, err
+		}
+		if len(rows)%syms != 0 {
+			return nil, fmt.Errorf("query: return rows hold %d targets, not a multiple of %d symbols", len(rows), syms)
+		}
+		for i, r := range rowID {
+			if r < 0 || int(r) >= len(rows)/syms {
+				return nil, fmt.Errorf("query: return row ID %d = %d outside the %d rows", i, r, len(rows)/syms)
+			}
+		}
+		if err := checkTargets("return row", rows, num); err != nil {
+			return nil, err
+		}
+		c.rowID, c.rows = rowID, rows
+		return c, nil
+	case returnDense:
+		retCells, ok := mul(pairs, syms)
 		if !ok {
 			return nil, fmt.Errorf("query: dense return table for %d states overflows", num)
 		}
@@ -440,8 +511,8 @@ func decodeCompiled(d *decodeState) (*Compiled, error) {
 		if err := checkTargets("dense return", v, num); err != nil {
 			return nil, err
 		}
-		c.returnT = v
-	} else {
+		c.legacy = &legacyReturn{dense: true, returnT: v}
+	default:
 		keys, err := d.uint64s(secRetKeys, "sparse return keys")
 		if err != nil {
 			return nil, err
@@ -462,9 +533,39 @@ func decodeCompiled(d *decodeState) (*Compiled, error) {
 		if err := checkTargets("sparse return", vals, num); err != nil {
 			return nil, err
 		}
-		c.sparseR = sparseTable{keys: keys, vals: vals}
+		if pairs > maxLegacyCells {
+			return nil, fmt.Errorf("query: sparse return table over %d pairs exceeds %d", pairs, maxLegacyCells)
+		}
+		c.legacy = &legacyReturn{keys: keys, vals: vals}
+	}
+	if err := c.factorLegacy(); err != nil {
+		return nil, err
 	}
 	return c, nil
+}
+
+// factorLegacy fills the factored return table from a legacy one, numbering
+// rows as Compile does.  A sparse table's absent keys are the dead state.
+func (c *Compiled) factorLegacy() error {
+	l, n := c.legacy, c.hiers*c.syms
+	if l.dense {
+		return c.factorReturns(func(lin int, _ []int32) []int32 {
+			return l.returnT[lin*n : (lin+1)*n]
+		}, len(l.returnT))
+	}
+	keys := l.keys
+	i := 0
+	return c.factorReturns(func(lin int, block []int32) []int32 {
+		for j := range block {
+			block[j] = c.dead
+		}
+		// Keys ascend, and checkReturnKeys has put every hier below H.
+		for ; i < len(keys) && int(keys[i])/c.syms/c.num == lin; i++ {
+			lh := int(keys[i]) / c.syms
+			block[lh%c.num*c.syms+int(keys[i])%c.syms] = l.vals[i]
+		}
+		return block
+	}, maxLegacyCells)
 }
 
 // decodeCompiledN rebuilds a CompiledN from a KindNNWA container.

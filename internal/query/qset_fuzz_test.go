@@ -53,6 +53,14 @@ func FuzzUnmarshalCompiled(f *testing.F) {
 	// the sixth meta value is fuzzed too.
 	compact := goldenPlannedBundle(f).Groups()[0].Product.inner
 	seeds = append(seeds, compact.Marshal(), compact.encode(true, 1))
+	// The committed fixtures of both return layouts, and legacy dense and
+	// sparse tables the decoder factors on load.
+	seeds = append(seeds, goldenFiles(f, "golden_dnwa.nwq", "golden_dnwa_factored.nwq", "golden_planned_factored.nwq")...)
+	seeds = append(seeds,
+		withLegacyReturn(compact, false).encode(true, 1),
+		withLegacyReturn(compact, true).encode(true, 1),
+		withLegacyReturn(Compile(WellFormed(alpha)), true).Marshal(),
+	)
 	for _, s := range seeds {
 		f.Add(s)
 		if len(s) > 40 {
@@ -87,24 +95,38 @@ func FuzzUnmarshalCompiled(f *testing.F) {
 			exerciseDecoded(q)
 		}
 		if bdl, err := UnmarshalBundle(data); err == nil {
-			for i := 0; i < bdl.Len(); i++ {
-				exerciseDecoded(bdl.Query(i))
-			}
+			exerciseBundle(bdl)
 			if _, err := UnmarshalBundle(rebuildBundleRaw(bdl).Marshal()); err != nil {
 				t.Fatalf("decoded bundle failed to round-trip: %v", err)
 			}
 		}
 		if bdl, err := LoadBundleMapped(bytes.Clone(data)); err == nil {
-			for i := 0; i < bdl.Len(); i++ {
-				exerciseDecoded(bdl.Query(i))
-			}
+			exerciseBundle(bdl)
 		}
 	})
 }
 
+// exerciseBundle drives every solo query and every product automaton of a
+// decoded bundle.
+func exerciseBundle(b *Bundle) {
+	for i := 0; i < b.Len(); i++ {
+		if q := b.Query(i); q != nil {
+			exerciseDecoded(q)
+		}
+	}
+	for _, g := range b.Groups() {
+		exerciseDecoded(g.Product.inner)
+	}
+}
+
 // rebuildBundleRaw is rebuildBundle without the testing.T plumbing, for the
-// fuzz path where Add cannot fail on a just-decoded bundle.
+// fuzz path where Add cannot fail on a just-decoded bundle.  A planned
+// bundle, whose product members have no query of their own, is returned as
+// decoded.
 func rebuildBundleRaw(b *Bundle) *Bundle {
+	if len(b.Groups()) > 0 {
+		return b
+	}
 	out := NewBundle(b.Alphabet())
 	for i, name := range b.Names() {
 		if err := out.Add(name, b.Query(i)); err != nil {

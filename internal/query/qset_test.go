@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -95,6 +96,18 @@ func goldenPlannedBundle(t testing.TB) *Bundle {
 	return planned
 }
 
+// legacyPlannedBundle returns a copy of b whose product groups marshal
+// their automata in a return layout written before the factored one (see
+// withLegacyReturn).
+func legacyPlannedBundle(b *Bundle, sparse bool) *Bundle {
+	legacy := *b
+	legacy.groups = slices.Clone(b.groups)
+	for i, g := range legacy.groups {
+		legacy.groups[i].Product = legacyProduct(g.Product, sparse)
+	}
+	return &legacy
+}
+
 // checkQueryAgreement replays random words (with pending calls/returns and
 // out-of-alphabet labels) through both queries and fails on any verdict
 // divergence.
@@ -114,34 +127,40 @@ func checkQueryAgreement(t *testing.T, label string, want, got Query, trials int
 	}
 }
 
-// TestMarshalRoundTripCompiled round-trips compiled DNWAs — dense and
-// sparse return forms — through Marshal/UnmarshalCompiled and the
-// zero-copy LoadQueryMapped path, checking byte-identical re-encoding and
-// verdict agreement.
+// TestMarshalRoundTripCompiled round-trips compiled DNWAs — in the factored
+// return layout, and in the dense and sparse layouts written before it —
+// through Marshal/UnmarshalCompiled and the zero-copy LoadQueryMapped path,
+// checking byte-identical re-encoding and verdict agreement.
 func TestMarshalRoundTripCompiled(t *testing.T) {
 	alpha := goldenAlphabet()
-	defer func(old int) { denseReturnLimit = old }(denseReturnLimit)
-	for _, limit := range []int{denseReturnLimit, 1} {
-		denseReturnLimit = limit
-		for _, d := range []*nwa.DNWA{
-			WellFormed(alpha),
-			PathQuery(alpha, "a", "b"),
-			LinearOrder(alpha, "a", "b", "a"),
+	for _, d := range []*nwa.DNWA{
+		WellFormed(alpha),
+		PathQuery(alpha, "a", "b"),
+		LinearOrder(alpha, "a", "b", "a"),
+	} {
+		c := Compile(d)
+		for _, form := range []struct {
+			name string
+			q    *Compiled
+		}{
+			{"factored", c},
+			{"legacy dense", withLegacyReturn(c, false)},
+			{"legacy sparse", withLegacyReturn(c, true)},
 		} {
-			c := Compile(d)
-			data := c.Marshal()
+			data := form.q.Marshal()
 			dec, err := UnmarshalCompiled(data)
 			if err != nil {
-				t.Fatalf("UnmarshalCompiled (dense=%v): %v", c.Dense(), err)
+				t.Fatalf("UnmarshalCompiled (%s): %v", form.name, err)
 			}
-			if dec.Dense() != c.Dense() || dec.NumStates() != c.NumStates() {
-				t.Fatalf("decoded shape %v/%d, want %v/%d", dec.Dense(), dec.NumStates(), c.Dense(), c.NumStates())
+			if dec.NumStates() != c.NumStates() || dec.hiers != c.hiers || !slices.Equal(dec.rowID, c.rowID) || !slices.Equal(dec.rows, c.rows) {
+				t.Fatalf("%s: decoded %d states, H=%d and %d rows, want %d, %d and %d",
+					form.name, dec.NumStates(), dec.hiers, len(dec.rows)/dec.syms, c.NumStates(), c.hiers, len(c.rows)/c.syms)
 			}
 			if !dec.Alphabet().Equal(alpha) {
 				t.Fatalf("decoded alphabet %v, want %v", dec.Alphabet(), alpha)
 			}
 			if again := dec.Marshal(); !bytes.Equal(again, data) {
-				t.Fatalf("decode→re-encode changed the bytes (dense=%v): %d vs %d", c.Dense(), len(again), len(data))
+				t.Fatalf("decode→re-encode changed the bytes (%s): %d vs %d", form.name, len(again), len(data))
 			}
 			checkQueryAgreement(t, "copied", c, dec, 200)
 
@@ -150,6 +169,45 @@ func TestMarshalRoundTripCompiled(t *testing.T) {
 				t.Fatalf("LoadQueryMapped: %v", err)
 			}
 			checkQueryAgreement(t, "mapped", c, mapped, 200)
+		}
+	}
+}
+
+// TestLegacySparseDeadEntries checks that a legacy sparse return table
+// keeps the entries whose target is the dead state, which older encoders
+// wrote for a DNWA's explicit transitions to it: the table factors to the
+// same rows as without them, and the container re-marshals with every
+// entry in place, byte-identically.
+func TestLegacySparseDeadEntries(t *testing.T) {
+	c := Compile(PathQuery(goldenAlphabet(), "a", "b"))
+	legacy := withLegacyReturn(c, true)
+	keys, vals := slices.Clone(legacy.legacy.keys), slices.Clone(legacy.legacy.vals)
+	added := 0
+	for lin := 0; lin < c.num; lin++ {
+		for sym, to := range c.returnRow(int32(lin), 0) {
+			key := uint64(lin*c.num*c.syms + sym)
+			if i, found := slices.BinarySearch(keys, key); to == c.dead && !found {
+				keys, vals = slices.Insert(keys, i, key), slices.Insert(vals, i, c.dead)
+				added++
+			}
+		}
+	}
+	if added == 0 {
+		t.Fatal("fixture changed: no dead return cell to write explicitly")
+	}
+	legacy.legacy.keys, legacy.legacy.vals = keys, vals
+	data := legacy.Marshal()
+	for _, load := range []func([]byte) (Query, error){UnmarshalQuery, LoadQueryMapped} {
+		q, err := load(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec := q.(*Compiled)
+		if !slices.Equal(dec.rowID, c.rowID) || !slices.Equal(dec.rows, c.rows) {
+			t.Fatal("explicit dead entries changed the factored table")
+		}
+		if !slices.Equal(dec.legacy.keys, keys) || !bytes.Equal(dec.Marshal(), data) {
+			t.Fatalf("decode→re-encode dropped or changed the %d explicit dead entries", added)
 		}
 	}
 }
@@ -338,10 +396,15 @@ func TestUnmarshalErrors(t *testing.T) {
 
 // TestGoldenFixtures round-trips the committed fixtures: each must decode,
 // re-encode byte-identically (the format cannot drift silently), and agree
-// with a freshly built copy of the same object on random words.  Run with
-// -update to regenerate the fixtures after a deliberate format change —
-// which must also bump the format version (see format.Version1/VersionHashed
-// and the byte-level reference in docs/FORMAT.md).
+// with a freshly built copy of the same object on random words.  A fixture
+// with a build function must also equal what it builds today; run with
+// -update to regenerate those after a deliberate format change — which must
+// also bump the format version (see format.Version1/VersionHashed and the
+// byte-level reference in docs/FORMAT.md).  golden_dnwa.nwq and
+// golden_bundle.nwq hold single DNWAs written before the factored return
+// layout, numbered as Compile then numbered them, and are never
+// regenerated; golden_planned.nwq is rebuilt in that layout by
+// legacyPlannedBundle, which proves the legacy encoder reproduces it.
 func TestGoldenFixtures(t *testing.T) {
 	fixtures := []struct {
 		file   string
@@ -349,8 +412,7 @@ func TestGoldenFixtures(t *testing.T) {
 		verify func(t *testing.T, data []byte)
 	}{
 		{
-			file:  "golden_dnwa.nwq",
-			build: func() []byte { return Compile(PathQuery(goldenAlphabet(), "a", "b")).Marshal() },
+			file: "golden_dnwa.nwq",
 			verify: func(t *testing.T, data []byte) {
 				dec, err := UnmarshalCompiled(data)
 				if err != nil {
@@ -377,8 +439,7 @@ func TestGoldenFixtures(t *testing.T) {
 			},
 		},
 		{
-			file:  "golden_bundle.nwq",
-			build: func() []byte { return goldenBundle(t).Marshal() },
+			file: "golden_bundle.nwq",
 			verify: func(t *testing.T, data []byte) {
 				dec, err := UnmarshalBundle(data)
 				if err != nil {
@@ -395,7 +456,7 @@ func TestGoldenFixtures(t *testing.T) {
 		},
 		{
 			file:  "golden_planned.nwq",
-			build: func() []byte { return goldenPlannedBundle(t).Marshal() },
+			build: func() []byte { return legacyPlannedBundle(goldenPlannedBundle(t), false).Marshal() },
 			verify: func(t *testing.T, data []byte) {
 				dec, err := UnmarshalBundle(data)
 				if err != nil {
@@ -417,11 +478,47 @@ func TestGoldenFixtures(t *testing.T) {
 				checkQueryAgreement(t, "golden planned solo", fresh.Query(2), dec.Query(2), 120)
 			},
 		},
+		{
+			file:  "golden_dnwa_factored.nwq",
+			build: func() []byte { return Compile(PathQuery(goldenAlphabet(), "a", "b")).Marshal() },
+			verify: func(t *testing.T, data []byte) {
+				dec, err := UnmarshalCompiled(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if dec.legacy != nil || dec.hiers >= dec.num {
+					t.Fatalf("golden factored DNWA decoded with legacy layout %+v, H=%d of %d states", dec.legacy, dec.hiers, dec.num)
+				}
+				if again := dec.Marshal(); !bytes.Equal(again, data) {
+					t.Fatal("golden factored DNWA re-encodes differently")
+				}
+				checkQueryAgreement(t, "golden factored dnwa", Compile(PathQuery(goldenAlphabet(), "a", "b")), dec, 200)
+			},
+		},
+		{
+			file:  "golden_planned_factored.nwq",
+			build: func() []byte { return goldenPlannedBundle(t).Marshal() },
+			verify: func(t *testing.T, data []byte) {
+				dec, err := UnmarshalBundle(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if again := dec.Marshal(); !bytes.Equal(again, data) {
+					t.Fatal("golden factored planned bundle re-encodes differently")
+				}
+				if len(dec.Groups()) != 1 || dec.Groups()[0].Product.inner.legacy != nil {
+					t.Fatalf("golden factored planned bundle has %d groups, want 1 in the factored layout", len(dec.Groups()))
+				}
+				members := []Query{Compile(LinearOrder(goldenAlphabet(), "a", "b")), Compile(LinearOrder(goldenAlphabet(), "b", "a"))}
+				checkProductAgreement(t, "golden factored planned product", dec.Groups()[0].Product, members, 120)
+				checkQueryAgreement(t, "golden factored planned solo", goldenPlannedBundle(t).Query(2), dec.Query(2), 120)
+			},
+		},
 	}
 	for _, fx := range fixtures {
 		t.Run(fx.file, func(t *testing.T) {
 			path := filepath.Join("testdata", fx.file)
-			if *updateGolden {
+			if *updateGolden && fx.build != nil {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
 				}
@@ -435,6 +532,9 @@ func TestGoldenFixtures(t *testing.T) {
 			}
 			if v := binary.LittleEndian.Uint32(data[4:]); v != format.VersionHashed {
 				t.Fatalf("golden fixture is version %d, want %d", v, format.VersionHashed)
+			}
+			if fx.build != nil && !bytes.Equal(fx.build(), data) {
+				t.Fatal("a fresh build encodes differently from the committed fixture")
 			}
 			fx.verify(t, data)
 		})

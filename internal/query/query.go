@@ -31,12 +31,13 @@
 //
 // Compile (for DNWAs) and CompileN (for NNWAs) therefore flatten an
 // automaton once, ahead of the stream, into an immutable compiled form whose
-// call/internal/return transitions live in flat dense slices indexed by
-// state*numSymbols+sym.  Because the return index pairs a linear state with
-// a hierarchical one, its table is dense only while numStates·H·numSymbols
-// (H hierarchical states, see compiled.go) stays under a threshold
-// (denseReturnLimit, 2²² entries ≈ 16 MiB of int32); larger automata fall
-// back to a key-sorted sparse table probed by binary search.
+// call and internal transitions live in flat dense slices indexed by
+// state*numSymbols+sym.  The return index pairs a linear state with one of
+// the H hierarchical states, and most pairs repeat a few distinct rows of
+// targets, so a Compiled stores one row ID per pair and each distinct row
+// once (see compiled.go); a return step is two loads.  CompileN keeps a
+// dense return index up to denseReturnLimit (2²² entries ≈ 16 MiB of
+// int32) and a key-sorted sparse one, probed by binary search, above it.
 // Symbols are interned integer IDs with one dedicated out-of-alphabet ID, so
 // unknown document labels take the same indexed path as known ones (see
 // compiled.go and docstream.NewInterningTokenizer).  Experiment E22 measures

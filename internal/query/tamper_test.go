@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -23,8 +24,9 @@ import (
 // magic or version fail before hashing with their own typed errors.
 func TestTamperedBundleFailsClosed(t *testing.T) {
 	// golden_planned.nwq adds a product group, so the sweep also covers
-	// the product container and its compacted DNWA meta.
-	for _, file := range []string{"golden_bundle.nwq", "golden_planned.nwq"} {
+	// the product container and its compacted DNWA meta; the factored
+	// fixture covers the row-ID and row sections.
+	for _, file := range []string{"golden_bundle.nwq", "golden_planned.nwq", "golden_planned_factored.nwq"} {
 		t.Run(file, func(t *testing.T) { tamperBundle(t, file) })
 	}
 }
@@ -89,9 +91,10 @@ func tamperBundle(t *testing.T, file string) {
 }
 
 // TestTamperedStandaloneQueries runs the same flip-every-byte check over
-// the golden standalone DNWA and NNWA fixtures through UnmarshalQuery.
+// the golden standalone DNWA (legacy and factored) and NNWA fixtures
+// through UnmarshalQuery.
 func TestTamperedStandaloneQueries(t *testing.T) {
-	for _, file := range []string{"golden_dnwa.nwq", "golden_nnwa.nwq"} {
+	for _, file := range []string{"golden_dnwa.nwq", "golden_dnwa_factored.nwq", "golden_nnwa.nwq"} {
 		t.Run(file, func(t *testing.T) {
 			data, err := os.ReadFile(filepath.Join("testdata", file))
 			if err != nil {
@@ -138,30 +141,33 @@ func TestTamperedFileOnDisk(t *testing.T) {
 
 // TestCompactedReturnTableTamper corrupts the hierarchical-state count of a
 // product automaton (the golden planned fixture's 7-state, H=2 DNWA) in
-// each way the decoder, and so VetBytes, must refuse: H outside [1, num], a start
-// state that cannot be hierarchical, a call pushing a state ≥ H, and a dense
-// return table not sized num·H·syms.
+// each way the decoder, and so VetBytes, must refuse: H outside [1, num], a
+// start state that cannot be hierarchical, a call pushing a state ≥ H, and
+// a legacy dense return table not sized num·H·syms.
 func TestCompactedReturnTableTamper(t *testing.T) {
 	fresh := func() *Compiled {
 		c := *goldenPlannedBundle(t).Groups()[0].Product.inner
 		c.callHier = append([]int32(nil), c.callHier...)
 		return &c
 	}
-	if c := fresh(); c.hiers >= c.num || !c.dense {
-		t.Fatalf("fixture changed: H=%d of %d states, dense=%v", c.hiers, c.num, c.dense)
+	if c := fresh(); c.hiers >= c.num {
+		t.Fatalf("fixture changed: H=%d of %d states", c.hiers, c.num)
 	}
 	for _, tc := range []struct {
 		name   string
-		mutate func(c *Compiled)
+		mutate func(c *Compiled) *Compiled
 	}{
-		{"H zero", func(c *Compiled) { c.hiers = 0 }},
-		{"H above num", func(c *Compiled) { c.hiers = c.num + 1 }},
-		{"start not hierarchical", func(c *Compiled) { c.start = int32(c.hiers) }},
-		{"call pushes state H", func(c *Compiled) { c.callHier[c.syms] = int32(c.hiers) }},
-		{"dense table one row short", func(c *Compiled) { c.returnT = c.returnT[:len(c.returnT)-c.syms] }},
+		{"H zero", func(c *Compiled) *Compiled { c.hiers = 0; return c }},
+		{"H above num", func(c *Compiled) *Compiled { c.hiers = c.num + 1; return c }},
+		{"start not hierarchical", func(c *Compiled) *Compiled { c.start = int32(c.hiers); return c }},
+		{"call pushes state H", func(c *Compiled) *Compiled { c.callHier[c.syms] = int32(c.hiers); return c }},
+		{"legacy dense table one row short", func(c *Compiled) *Compiled {
+			l := withLegacyReturn(c, false)
+			l.legacy.returnT = l.legacy.returnT[:len(l.legacy.returnT)-c.syms]
+			return l
+		}},
 	} {
-		c := fresh()
-		tc.mutate(c)
+		c := tc.mutate(fresh())
 		if _, err := UnmarshalCompiled(c.Marshal()); err == nil {
 			t.Errorf("%s: decoder accepted the container", tc.name)
 		}
@@ -193,15 +199,64 @@ func TestCompactedReturnTableTamper(t *testing.T) {
 	}
 }
 
+// TestFactoredReturnTableTamper writes factored return tables that would
+// index outside themselves into otherwise valid, correctly hashed
+// containers: a row ID at or past the row count, a row target at or past
+// num, a row-ID table not sized num·H, rows not a whole number of
+// syms-wide rows, and a call pushing a state ≥ H on a single DNWA whose
+// states Compile renumbered hier-first.  The decoder, and so VetBytes, must
+// refuse each.
+func TestFactoredReturnTableTamper(t *testing.T) {
+	product := func() *Compiled { return goldenPlannedBundle(t).Groups()[0].Product.inner }
+	solo := func() *Compiled { return Compile(LinearOrder(goldenAlphabet(), "a", "b")) }
+	if c := solo(); c.hiers >= c.num {
+		t.Fatalf("fixture changed: the solo DNWA has H=%d of %d states", c.hiers, c.num)
+	}
+	for _, tc := range []struct {
+		name   string
+		build  func() *Compiled
+		mutate func(c *Compiled)
+		want   string
+	}{
+		{"row ID past the rows", product, func(c *Compiled) {
+			c.rowID = slices.Clone(c.rowID)
+			c.rowID[len(c.rowID)-1] = int32(len(c.rows) / c.syms)
+		}, "return row ID"},
+		{"row target past num", product, func(c *Compiled) {
+			c.rows = slices.Clone(c.rows)
+			c.rows[len(c.rows)-1] = int32(c.num)
+		}, "return row["},
+		{"row IDs one pair short", product, func(c *Compiled) { c.rowID = c.rowID[:len(c.rowID)-1] }, "return row-ID table"},
+		{"row IDs one pair long", product, func(c *Compiled) { c.rowID = append(slices.Clone(c.rowID), 0) }, "return row-ID table"},
+		{"rows not a multiple of syms", product, func(c *Compiled) { c.rows = c.rows[:len(c.rows)-1] }, "not a multiple"},
+		{"solo call pushes state H", solo, func(c *Compiled) {
+			c.callHier = slices.Clone(c.callHier)
+			c.callHier[0] = int32(c.hiers)
+		}, "call hierarchical"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.build()
+			tc.mutate(c)
+			data := c.Marshal()
+			if _, err := UnmarshalQuery(data); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("decoder: got %v, want an error naming %q", err, tc.want)
+			}
+			if _, err := LoadQueryMapped(data); err == nil {
+				t.Error("zero-copy decoder accepted the container")
+			}
+			if rep, err := VetBytes(data); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("VetBytes: got %v (report %v), want an error naming %q", err, rep, tc.want)
+			}
+		})
+	}
+}
+
 // TestSparseReturnKeyTamper writes sparse return keys that decompose to a
 // state outside the tables — a linear state ≥ num, or a hierarchical state
 // ≥ H of a compacted product — into otherwise valid, correctly hashed
-// containers.  The decoder must refuse each, so VetBytes (whose dead-sink
-// and dead-transition passes index by the key's states) returns the
-// decoder's error instead of panicking.
+// legacy sparse containers.  The decoder must refuse each, so VetBytes
+// returns the decoder's error instead of panicking.
 func TestSparseReturnKeyTamper(t *testing.T) {
-	defer func(old int) { denseReturnLimit = old }(denseReturnLimit)
-	denseReturnLimit = 1
 	lastKey := func(keys []uint64, key uint64) []uint64 {
 		keys = append([]uint64(nil), keys...)
 		keys[len(keys)-1] = key
@@ -213,11 +268,13 @@ func TestSparseReturnKeyTamper(t *testing.T) {
 		want  string
 	}{
 		{"DNWA linear state past num", func(t *testing.T) []byte {
-			c := Compile(PathQuery(goldenAlphabet(), "a", "b"))
-			c.sparseR.keys = lastKey(c.sparseR.keys, uint64(c.num*c.num*c.syms+5))
+			c := withLegacyReturn(Compile(PathQuery(goldenAlphabet(), "a", "b")), true)
+			c.legacy.keys = lastKey(c.legacy.keys, uint64(c.num*c.num*c.syms+5))
 			return c.Marshal()
 		}, "names linear state"},
 		{"NNWA linear state past num", func(t *testing.T) []byte {
+			defer func(old int) { denseReturnLimit = old }(denseReturnLimit)
+			denseReturnLimit = 1
 			c := CompileN(goldenNNWA())
 			c.retKeys = lastKey(c.retKeys, uint64(c.num*c.num*c.syms))
 			return c.Marshal()
@@ -228,12 +285,12 @@ func TestSparseReturnKeyTamper(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c := p.inner
-			if c.dense || c.hiers >= c.num {
-				t.Fatalf("fixture changed: dense=%v, H=%d of %d states", c.dense, c.hiers, c.num)
+			c := withLegacyReturn(p.inner, true)
+			if c.hiers >= c.num {
+				t.Fatalf("fixture changed: H=%d of %d states", c.hiers, c.num)
 			}
 			// The largest key any table can hold: lin = hier = num-1.
-			c.sparseR.keys = lastKey(c.sparseR.keys, uint64(c.num*c.num*c.syms-1))
+			c.legacy.keys = lastKey(c.legacy.keys, uint64(c.num*c.num*c.syms-1))
 			return c.Marshal()
 		}, "names hierarchical state"},
 	} {

@@ -304,28 +304,16 @@ func (c *Compiled) vetDeadSink(rep *VetReport, name string) {
 	})
 }
 
-// eachReturnEdge enumerates the defined (non-dead-target) return transitions
-// of either return representation.
+// eachReturnEdge enumerates the defined (non-dead-target) return
+// transitions.
 func (c *Compiled) eachReturnEdge(f func(lin, hier, sym, to int)) {
-	if c.dense {
-		for lin := 0; lin < c.num; lin++ {
-			for hier := 0; hier < c.hiers; hier++ {
-				base := (lin*c.hiers + hier) * c.syms
-				for sym := 0; sym < c.syms; sym++ {
-					if to := c.returnT[base+sym]; to != c.dead {
-						f(lin, hier, sym, int(to))
-					}
+	for lin := 0; lin < c.num; lin++ {
+		for hier := 0; hier < c.hiers; hier++ {
+			for sym, to := range c.returnRow(int32(lin), int32(hier)) {
+				if to != c.dead {
+					f(lin, hier, sym, int(to))
 				}
 			}
-		}
-		return
-	}
-	for i, key := range c.sparseR.keys {
-		if to := c.sparseR.vals[i]; to != c.dead {
-			idx := int(key)
-			sym := idx % c.syms
-			lh := idx / c.syms
-			f(lh/c.num, lh%c.num, sym, int(to))
 		}
 	}
 }
@@ -388,7 +376,7 @@ func (g dnwaGraph) EachInternalEdge(q, sym int, f func(to int)) {
 }
 
 // EachReturnEdge yields nothing for hier ≥ H: no run can pop such a state,
-// and the dense return table has no column for it.
+// and the return table has no column for it.
 func (g dnwaGraph) EachReturnEdge(lin, hier, sym int, f func(to int)) {
 	if hier >= g.c.hiers {
 		return

@@ -2,6 +2,8 @@ package query
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/query/format"
@@ -40,17 +42,23 @@ func FuzzBundleVet(f *testing.F) {
 	tampered := CompileN(goldenNNWA())
 	tampered.maskRow(tampered.intMask, 0, 0).Unset(1)
 	seeds = append(seeds, tampered.Marshal())
-	// A planned bundle: a product with a compacted return table.
+	// A planned bundle: a product with a compacted, factored return table,
+	// and the committed fixtures of both layouts.
 	seeds = append(seeds, goldenPlannedBundle(f).Marshal())
-	// Sparse return tables, whose keys the decoder must range-check: a
-	// DNWA, an NNWA, and a planned bundle whose product is compacted.
+	seeds = append(seeds, goldenFiles(f, "golden_dnwa_factored.nwq", "golden_planned_factored.nwq", "golden_planned.nwq")...)
+	// Legacy return tables the decoder factors on load, dense and sparse
+	// (whose keys it must range-check): a DNWA, and a planned bundle whose
+	// product is compacted.  An NNWA with a sparse return index.
+	pathQuery := Compile(PathQuery(alpha, "a", "b"))
+	seeds = append(seeds,
+		withLegacyReturn(pathQuery, false).encode(true, 1),
+		withLegacyReturn(pathQuery, true).encode(true, 1),
+		legacyPlannedBundle(goldenPlannedBundle(f), false).Marshal(),
+		legacyPlannedBundle(goldenPlannedBundle(f), true).Marshal(),
+	)
 	old := denseReturnLimit
 	denseReturnLimit = 1
-	seeds = append(seeds,
-		Compile(PathQuery(alpha, "a", "b")).encode(true, 1),
-		CompileN(goldenNNWA()).encode(true, 1),
-		goldenPlannedBundle(f).Marshal(),
-	)
+	seeds = append(seeds, CompileN(goldenNNWA()).encode(true, 1))
 	denseReturnLimit = old
 	for _, s := range seeds {
 		f.Add(s)
@@ -79,6 +87,20 @@ func FuzzBundleVet(f *testing.F) {
 		}
 		_ = rep.String() // the report must always render
 	})
+}
+
+// goldenFiles reads committed fixtures from testdata/.
+func goldenFiles(tb testing.TB, files ...string) [][]byte {
+	tb.Helper()
+	out := make([][]byte, len(files))
+	for i, file := range files {
+		data, err := os.ReadFile(filepath.Join("testdata", file))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out[i] = data
+	}
+	return out
 }
 
 // decodeAsKind decodes data with the decoder for its container kind.
