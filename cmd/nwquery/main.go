@@ -92,10 +92,11 @@ func main() {
 		// dedicated out-of-alphabet symbol ID, which drives every automaton
 		// to its dead state.  That is uniform and correct, but a false
 		// verdict caused by an incomplete -labels list looks exactly like a
-		// query rejection, so track the out-of-alphabet labels — the
-		// event source has already interned each event, making the check one
-		// integer compare — and summarize them once at exit.
-		src, serr := adapter.New(*format, in, alpha)
+		// query rejection, so track the out-of-alphabet labels and
+		// summarize them once at exit.  An interning source does not spell
+		// out-of-alphabet labels, so the source decodes uninterned and each
+		// event is interned here, keeping its label.
+		src, serr := adapter.New(*format, in, nil)
 		if serr != nil {
 			fatal(serr)
 		}
@@ -117,8 +118,9 @@ func main() {
 	unknown.report(os.Stderr)
 }
 
-// unknownLabelSource passes pre-interned events through while tallying, per
-// distinct label, the events that carry the out-of-alphabet symbol ID.
+// unknownLabelSource interns the events of an uninterned source against
+// alpha while tallying, per distinct label, the events that get the
+// out-of-alphabet symbol ID.
 type unknownLabelSource struct {
 	src    engine.EventSource
 	alpha  *alphabet.Alphabet
@@ -128,11 +130,15 @@ type unknownLabelSource struct {
 
 func (u *unknownLabelSource) Next() (docstream.Event, error) {
 	e, err := u.src.Next()
-	if err == nil && e.OutOfAlphabet(u.alpha) {
+	if err != nil {
+		return e, err
+	}
+	e = e.Interned(u.alpha)
+	if e.OutOfAlphabet(u.alpha) {
 		u.counts[e.Label]++
 		u.total++
 	}
-	return e, err
+	return e, nil
 }
 
 // report prints one deduplicated summary of the out-of-alphabet traffic: the

@@ -12,11 +12,15 @@
 // into the tokenizer's token syntax in place, and interned through
 // docstream.InternBytes — the mapping the native tokenizer uses — so
 // out-of-alphabet labels get the identical dedicated symbol ID no matter
-// which source produced them, in-alphabet labels cost no allocation, and
-// rendering the adapted stream as an XML-like document and re-tokenizing it
-// reproduces the stream event for event.  That round trip, plus a
-// differential against encoding/xml and encoding/json (kept in this
-// package's tests as oracles), is the contract the tests pin.
+// which source produced them, and no label costs an allocation: an
+// in-alphabet label reuses the alphabet's canonical string, and an
+// out-of-alphabet one is reported by its symbol ID alone, with an empty
+// Label.  Decoded with a nil alphabet instead, every label is spelled, and
+// rendering that stream as an XML-like document and re-tokenizing it
+// against an alphabet reproduces the alphabet's interning decode event for
+// event.  That round trip, plus a differential against encoding/xml and
+// encoding/json (kept in this package's tests as oracles), is the contract
+// the tests pin.
 package adapter
 
 import (
@@ -182,6 +186,14 @@ type scanner struct {
 	err    error
 }
 
+// maxKeptDepth bounds the open-element entries an adapter keeps across
+// Reset.  A deeper document grows the adapter's element stack as far as it
+// must, but Reset then drops the stack instead of pinning it for the
+// adapter's life: a serve.Pool shard keeps one adapter per format, and one
+// deep document must not hold its memory while the shard serves shallow
+// ones after it.
+const maxKeptDepth = 1 << 16
+
 // reset points the scanner at r, keeping its buffers.
 func (s *scanner) reset(r io.Reader) {
 	s.in = countingReader{r: r}
@@ -194,8 +206,7 @@ func (s *scanner) reset(r io.Reader) {
 }
 
 // emit sanitizes the label spelled in label (a view of scratch memory) in
-// place and interns it: zero allocations for in-alphabet labels, one string
-// for any other.
+// place and interns it: zero allocations unless the adapter is uninterned.
 func (s *scanner) emit(kind nestedword.Kind, label []byte) docstream.Event {
 	return docstream.InternBytes(kind, sanitize(label), s.alpha)
 }

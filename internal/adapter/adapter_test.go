@@ -31,6 +31,20 @@ func decodeAll(t *testing.T, src Source) []docstream.Event {
 	}
 }
 
+// internedImage is the event an interning source reports where a
+// nil-alphabet decode reports e: e interned against alpha, with its label
+// dropped when it lies outside alpha.  With a nil alpha it is e itself.
+func internedImage(e docstream.Event, alpha *alphabet.Alphabet) docstream.Event {
+	if alpha == nil {
+		return e
+	}
+	e = e.Interned(alpha)
+	if e.OutOfAlphabet(alpha) {
+		e.Label = ""
+	}
+	return e
+}
+
 // ev is the kind/label shorthand the golden tables compare against.
 type ev struct {
 	kind  nestedword.Kind
@@ -216,9 +230,11 @@ func fixtureAlphabet() *alphabet.Alphabet {
 // TestFixturesDifferential is the adapter half of the differential contract:
 // for every committed fixture, rendering the adapted stream as an XML-like
 // document and re-tokenizing it through the interning tokenizer reproduces
-// the stream exactly — kind, label, and interned symbol ID per event.  The
-// tokenizer chain is the repo's original oracle, so agreement here extends
-// that oracle to the real input formats.
+// the interned stream exactly — kind, label, and interned symbol ID per
+// event.  The rendering comes from a nil-alphabet decode, because interned
+// events do not spell out-of-alphabet labels.  The tokenizer chain is the
+// repo's original oracle, so agreement here extends that oracle to the real
+// input formats.
 func TestFixturesDifferential(t *testing.T) {
 	paths := fixturePaths(t)
 	alpha := fixtureAlphabet()
@@ -229,19 +245,25 @@ func TestFixturesDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			src, err := New(format, strings.NewReader(string(body)), alpha)
-			if err != nil {
-				t.Fatal(err)
+			decode := func(a *alphabet.Alphabet) []docstream.Event {
+				src, err := New(format, strings.NewReader(string(body)), a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return decodeAll(t, src)
 			}
-			events := decodeAll(t, src)
-			if len(events) == 0 {
-				t.Fatal("fixture produced no events")
+			plain, events := decode(nil), decode(alpha)
+			if len(events) == 0 || len(plain) != len(events) {
+				t.Fatalf("fixture produced %d events, %d without an alphabet", len(events), len(plain))
 			}
 
-			rendered := docstream.Render(docstream.ToNestedWord(events))
+			rendered := docstream.Render(docstream.ToNestedWord(plain))
 			retok := docstream.NewInterningTokenizer(strings.NewReader(rendered), alpha)
 			inAlpha, outAlpha := 0, 0
 			for i, e := range events {
+				if w := internedImage(plain[i], alpha); e != w {
+					t.Fatalf("event %d: interned decode %+v, want %+v", i, e, w)
+				}
 				g, err := retok.Next()
 				if err != nil {
 					t.Fatalf("retokenize event %d: %v", i, err)
@@ -299,8 +321,8 @@ func TestUninternedDifferential(t *testing.T) {
 
 // TestNativeFormat pins the empty format name to the native tokenizer: on
 // every fixture rendered in the native syntax, New("", ...) yields exactly
-// docstream.Tokenize's events — uninterned with a nil alphabet, interned
-// like Event.Interned with one.
+// docstream.Tokenize's events — uninterned with a nil alphabet, their
+// interned image (internedImage) with one.
 func TestNativeFormat(t *testing.T) {
 	alpha := fixtureAlphabet()
 	for _, path := range fixturePaths(t) {
@@ -328,12 +350,8 @@ func TestNativeFormat(t *testing.T) {
 				t.Fatalf("%s (alphabet %v): %d native events, Tokenize %d", path, a, len(got), len(want))
 			}
 			for i := range got {
-				w := want[i]
-				if a != nil {
-					w = w.Interned(a)
-				}
-				if got[i] != w {
-					t.Fatalf("%s (alphabet %v) event %d: New(\"\") %+v, Tokenize %+v", path, a, i, got[i], w)
+				if w := internedImage(want[i], a); got[i] != w {
+					t.Fatalf("%s (alphabet %v) event %d: New(\"\") %+v, Tokenize %+v", path, a, i, got[i], internedImage(want[i], a))
 				}
 			}
 		}

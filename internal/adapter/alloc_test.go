@@ -68,10 +68,12 @@ func TestAdapterResetDecodeZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestAdapterOutOfAlphabetAllocs pins the remaining cost: each
-// out-of-alphabet label materializes exactly one string (Go interns
-// one-byte strings, and JSON's true, false and null are constants, so the
-// documents avoid those).
+// TestAdapterOutOfAlphabetAllocs pins that out-of-alphabet labels cost
+// nothing either: an interning adapter reports them by the out-of-alphabet
+// symbol ID alone, so a document with labels outside the alphabet decodes
+// with 0 allocs/op too.  (Go interns one-byte strings, and JSON's true,
+// false and null are constants, so the documents avoid those: a spelled
+// label would show up here as one allocation.)
 func TestAdapterOutOfAlphabetAllocs(t *testing.T) {
 	docs := map[string]string{ // three labels outside allocAlpha each
 		"xml":   `<library><book id="2">nested nestling pages</book></library>`,
@@ -79,8 +81,58 @@ func TestAdapterOutOfAlphabetAllocs(t *testing.T) {
 		"trace": "enter main\nread 37\nenter close\nexit\nexit main\n",
 	}
 	for _, format := range Formats() {
-		if allocs := decodeAllocs(t, format, docs[format], allocAlpha); allocs != 3 {
-			t.Errorf("%s: %v allocs/op for 3 out-of-alphabet labels, want 3", format, allocs)
+		if allocs := decodeAllocs(t, format, docs[format], allocAlpha); allocs != 0 {
+			t.Errorf("%s: %v allocs/op for 3 out-of-alphabet labels, want 0", format, allocs)
+		}
+	}
+}
+
+// TestResetBoundsKeptDepth pins the memory an adapter keeps after a deep
+// document: once Reset, its element stack holds at most maxKeptDepth
+// entries, and the next document decodes as on a fresh adapter.
+func TestResetBoundsKeptDepth(t *testing.T) {
+	const depth = 2*maxKeptDepth + 1
+	deep := map[string]string{
+		"xml":   strings.Repeat("<a>", depth) + strings.Repeat("</a>", depth),
+		"json":  strings.Repeat("[", depth) + strings.Repeat("]", depth),
+		"trace": strings.Repeat("enter a\n", depth) + strings.Repeat("exit\n", depth),
+	}
+	kept := func(src Source) int {
+		switch a := src.(type) {
+		case *XML:
+			return cap(a.ends)
+		case *JSON:
+			return cap(a.stack)
+		case *Trace:
+			return cap(a.ends)
+		}
+		t.Fatalf("no stack accounting for %T", src)
+		return 0
+	}
+	for _, format := range Formats() {
+		src, err := New(format, strings.NewReader(deep[format]), allocAlpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(decodeAll(t, src)); n != 2*depth {
+			t.Fatalf("%s: deep document decoded to %d events, want %d", format, n, 2*depth)
+		}
+		if got := kept(src); got < depth {
+			t.Fatalf("%s: element stack grew to %d entries at depth %d", format, got, depth)
+		}
+		src.Reset(strings.NewReader(allocDocs[format]))
+		if got := kept(src); got > maxKeptDepth {
+			t.Errorf("%s: Reset after depth %d kept %d stack entries, bound %d", format, depth, got, maxKeptDepth)
+		}
+		fresh, _ := New(format, strings.NewReader(allocDocs[format]), allocAlpha)
+		got, want := decodeAll(t, src), decodeAll(t, fresh)
+		if len(got) != len(want) {
+			t.Fatalf("%s: after the deep document %d events, a fresh adapter %d", format, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s event %d: after the deep document %+v, a fresh adapter %+v", format, i, got[i], want[i])
+			}
 		}
 	}
 }

@@ -31,19 +31,31 @@ func drain(src Source) ([]docstream.Event, bool) {
 	return events, false
 }
 
-// checkStream is the shared fuzz property: every label is in token syntax
-// (so the stream renders and re-tokenizes losslessly) and the re-tokenized
-// stream matches event for event.  balanced asserts returns never outnumber
-// calls (both decoders enforce closer matching); closed additionally asserts
-// a clean EOF closes every call — true only for XML, since json.Decoder's
-// Token reports io.EOF even inside an open container (a pending call, which
-// nested words represent fine), and traces allow anything.
-func checkStream(t *testing.T, alpha *alphabet.Alphabet, events []docstream.Event, clean, balanced, closed bool) {
+// checkStream is the shared fuzz property, run on the stream open decodes
+// from one input: every label of the nil-alphabet decode is in token syntax
+// (so the stream renders and re-tokenizes losslessly), the decode interned
+// against alpha is that stream's interned image event for event, and the
+// rendered stream re-tokenized against alpha reproduces the interned decode.
+// balanced asserts returns never outnumber calls (both decoders enforce
+// closer matching); closed additionally asserts a clean EOF closes every
+// call — true only for XML, since json.Decoder's Token reports io.EOF even
+// inside an open container (a pending call, which nested words represent
+// fine), and traces allow anything.
+func checkStream(t *testing.T, alpha *alphabet.Alphabet, open func(*alphabet.Alphabet) Source, balanced, closed bool) {
 	t.Helper()
+	events, clean := drain(open(nil))
+	interned, internedClean := drain(open(alpha))
+	if clean != internedClean || len(events) != len(interned) {
+		t.Fatalf("interning changed the decode: %d events (clean %v), interned %d (clean %v)",
+			len(events), clean, len(interned), internedClean)
+	}
 	depth := 0
 	for i, e := range events {
 		if s := Sanitize(e.Label); s != e.Label {
 			t.Fatalf("event %d: label %q not in token syntax (Sanitize → %q)", i, e.Label, s)
+		}
+		if w := internedImage(e, alpha); interned[i] != w {
+			t.Fatalf("event %d: interned decode %+v, want %+v", i, interned[i], w)
 		}
 		switch e.Kind {
 		case nestedword.Call:
@@ -63,13 +75,13 @@ func checkStream(t *testing.T, alpha *alphabet.Alphabet, events []docstream.Even
 	}
 	rendered := docstream.Render(docstream.ToNestedWord(events))
 	retok := docstream.NewInterningTokenizer(strings.NewReader(rendered), alpha)
-	for i := range events {
+	for i := range interned {
 		g, err := retok.Next()
 		if err != nil {
 			t.Fatalf("re-tokenize event %d: %v", i, err)
 		}
-		if events[i] != g {
-			t.Fatalf("round trip event %d: %+v vs %+v", i, events[i], g)
+		if interned[i] != g {
+			t.Fatalf("round trip event %d: %+v vs %+v", i, interned[i], g)
 		}
 	}
 	if _, err := retok.Next(); err != io.EOF {
@@ -90,10 +102,12 @@ func FuzzXMLAdapter(f *testing.F) {
 		if len(doc) > 1<<12 {
 			return
 		}
-		events, clean := drain(NewXML(strings.NewReader(doc), fuzzAlpha))
-		checkStream(t, fuzzAlpha, events, clean, true, true)
-		attrEvents, attrClean := drain(NewXMLOptions(strings.NewReader(doc), nil, XMLOptions{Attributes: true}))
-		checkStream(t, nil, attrEvents, attrClean, true, true)
+		checkStream(t, fuzzAlpha, func(a *alphabet.Alphabet) Source {
+			return NewXML(strings.NewReader(doc), a)
+		}, true, true)
+		checkStream(t, fuzzAlpha, func(a *alphabet.Alphabet) Source {
+			return NewXMLOptions(strings.NewReader(doc), a, XMLOptions{Attributes: true})
+		}, true, true)
 	})
 }
 
@@ -106,8 +120,9 @@ func FuzzJSONAdapter(f *testing.F) {
 		if len(doc) > 1<<12 {
 			return
 		}
-		events, clean := drain(NewJSON(strings.NewReader(doc), fuzzAlpha))
-		checkStream(t, fuzzAlpha, events, clean, true, false)
+		checkStream(t, fuzzAlpha, func(a *alphabet.Alphabet) Source {
+			return NewJSON(strings.NewReader(doc), a)
+		}, true, false)
 	})
 }
 
@@ -120,7 +135,8 @@ func FuzzTraceAdapter(f *testing.F) {
 		}
 		// Traces represent unmatched returns on purpose, so only the no-panic
 		// and round-trip properties apply.
-		events, clean := drain(NewTrace(strings.NewReader(doc), fuzzAlpha))
-		checkStream(t, fuzzAlpha, events, clean, false, false)
+		checkStream(t, fuzzAlpha, func(a *alphabet.Alphabet) Source {
+			return NewTrace(strings.NewReader(doc), a)
+		}, false, false)
 	})
 }

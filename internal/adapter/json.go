@@ -65,10 +65,14 @@ func NewJSON(r io.Reader, alpha *alphabet.Alphabet) *JSON {
 }
 
 // Reset repoints the adapter at a new input, clearing the container stack
-// and any sticky error while keeping every buffer.
+// and any sticky error while keeping every buffer (the container stack only
+// within maxKeptDepth).
 func (a *JSON) Reset(r io.Reader) {
 	a.reset(r)
 	a.state = jsonTop
+	if cap(a.stack) > maxKeptDepth {
+		a.stack = nil
+	}
 	a.stack = a.stack[:0]
 }
 

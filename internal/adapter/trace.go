@@ -57,9 +57,13 @@ func NewTrace(r io.Reader, alpha *alphabet.Alphabet) *Trace {
 }
 
 // Reset repoints the adapter at a new trace, clearing the open-call stack
-// and any sticky error while keeping every buffer.
+// and any sticky error while keeping every buffer (the open-call stack only
+// within maxKeptDepth).
 func (a *Trace) Reset(r io.Reader) {
 	a.reset(r)
+	if cap(a.ends) > maxKeptDepth {
+		a.open, a.ends = nil, nil
+	}
 	a.open = a.open[:0]
 	a.ends = a.ends[:0]
 	a.lineLen = 0

@@ -76,10 +76,14 @@ func NewXMLOptions(r io.Reader, alpha *alphabet.Alphabet, opts XMLOptions) *XML 
 }
 
 // Reset repoints the adapter at a new document, clearing the element stack
-// and any sticky error while keeping every buffer.
+// and any sticky error while keeping every buffer (the element stack only
+// within maxKeptDepth).
 func (a *XML) Reset(r io.Reader) {
 	a.reset(r)
 	a.state = xmlContent
+	if cap(a.ends) > maxKeptDepth {
+		a.names, a.ends = nil, nil
+	}
 	a.names = a.names[:0]
 	a.ends = a.ends[:0]
 }

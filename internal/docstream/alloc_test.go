@@ -9,14 +9,16 @@ import (
 )
 
 // TestTokenizerRetokenizeZeroAlloc pins the claim the //nwvet:hotpath
-// annotation on the tokenizer loop makes: an interning tokenizer whose
-// labels all belong to the alphabet retokenizes document after document —
-// Reset plus a full drain — without allocating, because tokens are spelled
-// into the reused scratch buffer, interned via alphabet.IndexBytes, and
-// labelled with the alphabet's canonical strings.
+// annotation on the tokenizer loop makes: an interning tokenizer
+// retokenizes document after document — Reset plus a full drain — without
+// allocating, because tokens are spelled into the reused scratch buffer,
+// interned via alphabet.IndexBytes, and labelled with the alphabet's
+// canonical strings, or reported by the out-of-alphabet symbol ID alone
+// (the multi-byte labels outside the alphabet below would otherwise each
+// cost a string).
 func TestTokenizerRetokenizeZeroAlloc(t *testing.T) {
 	alpha := alphabet.New("a", "b", "c")
-	doc := strings.Repeat("<a> b <c> b b </c> <b></b> c </a> ", 16)
+	doc := strings.Repeat("<a> b <c> b bb </c> <b></b> c <dd> zzz </dd> </a> ", 16)
 	rd := strings.NewReader(doc)
 	tk := NewInterningTokenizer(rd, alpha)
 

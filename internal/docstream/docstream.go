@@ -34,6 +34,14 @@ import (
 // Interned rather than decoding Sym by hand, and never mix events interned
 // against different alphabets in one stream: a consumer trusts Sym relative
 // to its own alphabet (compiled symbol IDs are only meaningful there).
+//
+// Label spells the event's label, with one exception: an event an interning
+// source (NewEvent, InternBytes, the interning tokenizer, the adapters)
+// reports outside its alphabet carries the out-of-alphabet Sym only and an
+// empty Label.  Every automaton reads such a position as the one dead
+// out-of-alphabet column, so its spelling is never needed to run queries.
+// A caller that wants the spelling decodes with a nil alphabet and interns
+// each event with Interned, which keeps the label.
 type Event struct {
 	Kind  nestedword.Kind
 	Label string
@@ -66,34 +74,35 @@ func (e Event) OutOfAlphabet(alpha *alphabet.Alphabet) bool {
 }
 
 // NewEvent builds an event for a label, interned against alpha when one is
-// given: in-alphabet labels get their alphabet index, anything else the
-// dedicated out-of-alphabet ID alpha.Size().  With a nil alpha the event is
-// uninterned (Sym stays 0).  This is THE out-of-alphabet mapping — the
-// tokenizer and every adapter route through here (or InternBytes), so a
-// label the queries have never heard of gets the same compiled symbol ID no
-// matter which event source produced it.
+// given: an in-alphabet label gets its alphabet index and the alphabet's
+// canonical spelling, anything else the dedicated out-of-alphabet ID
+// alpha.Size() and an empty Label (see Event).  With a nil alpha the event
+// is uninterned (Sym stays 0) and spells its label.  This is THE
+// out-of-alphabet mapping — the tokenizer and every adapter route through
+// here (or InternBytes), so a label the queries have never heard of gets the
+// same compiled symbol ID no matter which event source produced it.
 func NewEvent(kind nestedword.Kind, label string, alpha *alphabet.Alphabet) Event {
 	if alpha != nil {
 		if i, ok := alpha.Index(label); ok {
 			return Event{Kind: kind, Label: alpha.Symbol(i), Sym: i + 1}
 		}
-		return Event{Kind: kind, Label: label, Sym: alpha.Size() + 1}
+		return Event{Kind: kind, Sym: alpha.Size() + 1}
 	}
 	return Event{Kind: kind, Label: label}
 }
 
-// InternBytes is NewEvent for a label spelled in a reusable byte buffer: the
-// in-alphabet fast path looks the name up allocation-free
-// (alphabet.IndexBytes) and reuses the alphabet's canonical string, so a
-// caller that recycles its scratch buffer pays zero allocations per
-// in-alphabet event; out-of-alphabet and uninterned labels materialize one
-// fresh string each.
+// InternBytes is NewEvent for a label spelled in a reusable byte buffer.  It
+// looks the name up allocation-free (alphabet.IndexBytes): an in-alphabet
+// label reuses the alphabet's canonical string and an out-of-alphabet one
+// is reported by its symbol ID alone, so with a non-nil alpha a caller that
+// recycles its scratch buffer pays zero allocations per event.  Only an
+// uninterned label (nil alpha) materializes a fresh string.
 func InternBytes(kind nestedword.Kind, name []byte, alpha *alphabet.Alphabet) Event {
 	if alpha != nil {
 		if i, ok := alpha.IndexBytes(name); ok {
 			return Event{Kind: kind, Label: alpha.Symbol(i), Sym: i + 1}
 		}
-		return Event{Kind: kind, Label: string(name), Sym: alpha.Size() + 1}
+		return Event{Kind: kind, Sym: alpha.Size() + 1}
 	}
 	return Event{Kind: kind, Label: string(name)}
 }
@@ -110,11 +119,10 @@ func InternBytes(kind nestedword.Kind, name []byte, alpha *alphabet.Alphabet) Ev
 // depth-bounded evaluation claim end to end.  An interning tokenizer goes
 // further: tokens are spelled into a reused scratch buffer and looked up
 // allocation-free (alphabet.IndexBytes), and in-alphabet labels reuse the
-// alphabet's canonical strings, so retokenizing documents whose labels the
-// queries know costs zero allocations per token after the first document
-// (the claim pinned by the hotpath-alloc analyzer and the AllocsPerRun
-// regression tests; labels outside the alphabet still materialize one
-// string each).
+// alphabet's canonical strings, and labels outside the alphabet are reported
+// by the out-of-alphabet symbol ID alone, so retokenizing any document costs
+// zero allocations per token after the first document (the claim pinned by
+// the hotpath-alloc analyzer and the AllocsPerRun regression tests).
 type Tokenizer struct {
 	r     *bufio.Reader
 	tok   []byte // scratch for the token currently being read, reused across tokens
@@ -132,7 +140,7 @@ func NewTokenizer(r io.Reader) *Tokenizer {
 // NewInterningTokenizer returns a tokenizer that additionally resolves every
 // event's label against alpha at tokenize time, setting Event.Sym to the
 // compiled symbol ID (labels outside alpha get the dedicated out-of-alphabet
-// ID).  This pushes symbol interning to the edge of the pipeline: downstream
+// ID and an empty Label).  This pushes symbol interning to the edge of the pipeline: downstream
 // compiled runners index their transition tables directly and never look a
 // string up again.
 func NewInterningTokenizer(r io.Reader, alpha *alphabet.Alphabet) *Tokenizer {

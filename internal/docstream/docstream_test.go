@@ -216,21 +216,22 @@ func TestRandomRenderRoundTrip(t *testing.T) {
 
 // TestInterningTokenizer checks edge interning: every event of an interning
 // tokenizer carries the compiled symbol ID of its label, with labels outside
-// the alphabet mapped to the dedicated out-of-alphabet ID.
+// the alphabet mapped to the dedicated out-of-alphabet ID and left unspelled.
 func TestInterningTokenizer(t *testing.T) {
 	alpha := alphabet.New("a", "b")
 	tk := docstream.NewInterningTokenizer(strings.NewReader("<a> b stray </a> x"), alpha)
 	type want struct {
-		kind nestedword.Kind
-		sym  int
-		ooa  bool
+		kind  nestedword.Kind
+		label string
+		sym   int
+		ooa   bool
 	}
 	wants := []want{
-		{nestedword.Call, 0, false},
-		{nestedword.Internal, 1, false},
-		{nestedword.Internal, 2, true},
-		{nestedword.Return, 0, false},
-		{nestedword.Internal, 2, true},
+		{nestedword.Call, "a", 0, false},
+		{nestedword.Internal, "b", 1, false},
+		{nestedword.Internal, "", 2, true},
+		{nestedword.Return, "a", 0, false},
+		{nestedword.Internal, "", 2, true},
 	}
 	for i, w := range wants {
 		e, err := tk.Next()
@@ -243,8 +244,8 @@ func TestInterningTokenizer(t *testing.T) {
 		if got := e.SymID(alpha); got != w.sym {
 			t.Errorf("event %d (%q): SymID = %d, want %d", i, e.Label, got, w.sym)
 		}
-		if e.Kind != w.kind {
-			t.Errorf("event %d (%q): kind = %v, want %v", i, e.Label, e.Kind, w.kind)
+		if e.Kind != w.kind || e.Label != w.label {
+			t.Errorf("event %d: kind %v, label %q; want %v, %q", i, e.Kind, e.Label, w.kind, w.label)
 		}
 		if got := e.OutOfAlphabet(alpha); got != w.ooa {
 			t.Errorf("event %d (%q): OutOfAlphabet = %v, want %v", i, e.Label, got, w.ooa)

@@ -125,20 +125,9 @@ func E27AdapterThroughput(events int) Table {
 	eng := e27Engine(alpha)
 
 	// Native ceiling: the tokenizer decoding the rendered XML stream.
-	xmlSrc, err := adapter.New("xml", strings.NewReader(corpus["xml"]), alpha)
+	xmlEvents, err := e27Decode("xml", corpus["xml"], nil)
 	if err != nil {
 		panic(err)
-	}
-	xmlEvents := []docstream.Event{}
-	for {
-		e, err := xmlSrc.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			panic(err)
-		}
-		xmlEvents = append(xmlEvents, e)
 	}
 	nativeText := docstream.Render(docstream.ToNestedWord(xmlEvents))
 	nativeRate, nativeN := e27Measure(func() adapter.Source {
@@ -171,27 +160,41 @@ func E27AdapterThroughput(events int) Table {
 	}
 }
 
-// e27Agree re-runs the differential contract for one body: adapter events
-// must equal the Render+retokenize image exactly (kind, label, and interned
-// symbol), and the engine's verdicts over the adapted stream must equal its
-// verdicts over the rendered text.
-func e27Agree(eng *engine.Engine, alpha *alphabet.Alphabet, format, body string) bool {
+// e27Decode decodes one whole body in format, interning against alpha (nil
+// for spelled, uninterned events).
+func e27Decode(format, body string, alpha *alphabet.Alphabet) ([]docstream.Event, error) {
 	src, err := adapter.New(format, strings.NewReader(body), alpha)
 	if err != nil {
-		return false
+		return nil, err
 	}
 	var events []docstream.Event
 	for {
 		e, err := src.Next()
 		if err == io.EOF {
-			break
+			return events, nil
 		}
 		if err != nil {
-			return false
+			return nil, err
 		}
 		events = append(events, e)
 	}
-	rendered := docstream.Render(docstream.ToNestedWord(events))
+}
+
+// e27Agree re-runs the differential contract for one body: adapter events
+// must equal the Render+retokenize image exactly (kind, label, and interned
+// symbol), and the engine's verdicts over the adapted stream must equal its
+// verdicts over the rendered text.  The text is rendered from a nil-alphabet
+// decode, because interned events do not spell out-of-alphabet labels.
+func e27Agree(eng *engine.Engine, alpha *alphabet.Alphabet, format, body string) bool {
+	events, err := e27Decode(format, body, alpha)
+	if err != nil {
+		return false
+	}
+	plain, err := e27Decode(format, body, nil)
+	if err != nil {
+		return false
+	}
+	rendered := docstream.Render(docstream.ToNestedWord(plain))
 	retok := docstream.NewInterningTokenizer(strings.NewReader(rendered), alpha)
 	for _, e := range events {
 		g, err := retok.Next()

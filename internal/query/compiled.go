@@ -344,8 +344,21 @@ func (r *dnwaRunner) Accepting() bool { return r.c.accept[r.state] }
 
 func (r *dnwaRunner) Reset() {
 	r.state = r.c.start
+	if cap(r.stack) > maxKeptStack {
+		r.stack = nil
+	}
 	r.stack = r.stack[:0]
 }
+
+// maxKeptStack bounds the stack entries a runner keeps across Reset: one
+// hierarchical state for a deterministic runner, one frame for a state-set
+// runner.  A document deeper than this grows the stack as far as it must —
+// streaming space is O(depth) — but Reset then drops the stack instead of
+// pinning it for the runner's life, so one deep document does not hold its
+// memory in a pooled session that serves shallow ones after it.  Below the
+// bound Reset keeps the capacity, and steady-state steps stay
+// allocation-free.
+const maxKeptStack = 1 << 16
 
 // RunWord drives a runner over a whole nested word, interning every symbol
 // against alpha, and reports acceptance.  The runner is reset first, so it

@@ -475,6 +475,9 @@ func (r *nnwaBitsetRunner) Accepting() bool {
 }
 
 func (r *nnwaBitsetRunner) Reset() {
+	if cap(r.stack) > maxKeptStack || cap(r.free) > maxKeptStack {
+		r.stack, r.free = nil, nil // the recycled frames go with the stack
+	}
 	for n := len(r.stack); n > 0; n = len(r.stack) {
 		f := r.stack[n-1]
 		r.stack = r.stack[:n-1]
@@ -678,6 +681,9 @@ func (r *nnwaMatrixRunner) Accepting() bool {
 }
 
 func (r *nnwaMatrixRunner) Reset() {
+	if cap(r.stack) > maxKeptStack || cap(r.free) > maxKeptStack {
+		r.stack, r.free = nil, nil // the recycled frames go with the stack
+	}
 	for n := len(r.stack); n > 0; n = len(r.stack) {
 		f := r.stack[n-1]
 		r.stack = r.stack[:n-1]

@@ -8,12 +8,12 @@
 // engine for its lifetime and holds one reusable decoder per input format —
 // the interning tokenizer for native documents, an internal/adapter scanner
 // for each of xml, json and trace once one arrives — so the steady state
-// serves documents with no per-document decoder allocation beyond the
-// submission bookkeeping and out-of-alphabet labels.  Incoming documents
-// are routed to shards by the
-// FNV-1a hash of their ID — all submissions of one document ID serialize on
-// one shard, keeping per-document ordering — or round-robined under
-// AffinityNone for maximal balance when IDs are skewed.
+// serves a document with four allocations: its Future, the Future's
+// channel, and the engine Result with its verdict slice.  Incoming
+// documents are routed to shards by the FNV-1a hash of their ID — all
+// submissions of one document ID serialize on one shard, keeping
+// per-document ordering — or round-robined under AffinityNone for maximal
+// balance when IDs are skewed.
 //
 // Backpressure is a bounded queue per shard: Submit blocks once the target
 // shard's queue is full, which throttles the producer (typically a
@@ -33,7 +33,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"runtime"
 	"sync"
@@ -347,13 +346,23 @@ func (p *Pool) SubmitEvents(ctx context.Context, id string, events []docstream.E
 	return p.enqueue(job{id: id, ctx: ctx, src: engine.Events(events)}, true)
 }
 
+// route picks the shard for a document ID: round-robin, or the 64-bit
+// FNV-1a hash of the ID (the hash/fnv New64a sum, computed inline so routing
+// allocates nothing) modulo the shard count.
 func (p *Pool) route(id string) int {
 	if p.affinity == AffinityNone || len(p.shards) == 1 {
 		return int((p.rr.Add(1) - 1) % uint64(len(p.shards)))
 	}
-	h := fnv.New64a()
-	io.WriteString(h, id)
-	return int(h.Sum64() % uint64(len(p.shards)))
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(id); i++ {
+		h ^= uint64(id[i])
+		h *= prime64
+	}
+	return int(h % uint64(len(p.shards)))
 }
 
 func (p *Pool) enqueue(j job, wait bool) (*Future, error) {
@@ -426,46 +435,77 @@ func (c *ctxSource) Next() (docstream.Event, error) {
 	return c.src.Next()
 }
 
+// shardWorker is one shard's state: the engine session it checked out for
+// its lifetime, its decoder per input format, its counters, and the
+// cancellation wrapper it reuses for every document.
+type shardWorker struct {
+	p        *Pool
+	shard    int
+	ses      *engine.Session
+	decs     decoders
+	counters *shardCounters
+	cs       ctxSource
+	csrc     engine.EventSource // &cs, converted to the interface once
+}
+
 // worker is one shard: it checks a session out of the engine once, keeps
 // one decoder per input format, and serves its queue until Close.
 func (p *Pool) worker(shard int) {
 	defer p.wg.Done()
-	ses := p.eng.Acquire()
-	defer p.eng.Release(ses)
-	decs := decoders{alpha: p.eng.Alphabet(), byFormat: make(map[string]adapter.Source)}
-	counters := &p.perShard[shard]
-	for j := range p.shards[shard] {
-		res := Result{ID: j.id, Shard: shard}
-		// A document cancelled while queued is reported without touching
-		// the session.
-		res.Err = j.ctx.Err()
-		src := j.src
-		if res.Err == nil && src == nil {
-			src, res.Err = decs.open(j.format, j.rd)
-		}
-		if res.Err == nil {
-			ses.Reset()
-			res.Engine, res.Err = ses.Run(&ctxSource{ctx: j.ctx, src: src})
-		}
-		p.served.Add(1)
-		counters.served.Add(1)
-		if res.Err != nil {
-			p.failed.Add(1)
-			counters.failed.Add(1)
-			if errors.Is(res.Err, context.Canceled) || errors.Is(res.Err, context.DeadlineExceeded) {
-				p.canceled.Add(1)
-			}
-		} else {
-			p.events.Add(int64(res.Engine.Events))
-			counters.events.Add(int64(res.Engine.Events))
-		}
-		p.hist.observe(time.Since(j.start))
-		if p.onResult != nil {
-			p.onResult(res)
-		}
-		j.fut.res = res
-		close(j.fut.done)
+	w := &shardWorker{
+		p:        p,
+		shard:    shard,
+		ses:      p.eng.Acquire(),
+		decs:     decoders{alpha: p.eng.Alphabet(), byFormat: make(map[string]adapter.Source)},
+		counters: &p.perShard[shard],
 	}
+	w.csrc = &w.cs
+	defer p.eng.Release(w.ses)
+	for j := range p.shards[shard] {
+		w.serve(j)
+	}
+}
+
+// serve runs one document through the shard's session and resolves its
+// Future.  Past the decoder a format's first document builds, the only
+// allocations are the engine Result and its verdict slice, made by the
+// session.
+//
+//nwvet:hotpath
+func (w *shardWorker) serve(j job) {
+	p := w.p
+	res := Result{ID: j.id, Shard: w.shard}
+	// A document cancelled while queued is reported without touching the
+	// session.
+	res.Err = j.ctx.Err()
+	src := j.src
+	if res.Err == nil && src == nil {
+		src, res.Err = w.decs.open(j.format, j.rd)
+	}
+	if res.Err == nil {
+		w.ses.Reset()
+		w.cs = ctxSource{ctx: j.ctx, src: src}
+		res.Engine, res.Err = w.ses.Run(w.csrc)
+		w.cs = ctxSource{} // hold no reference to the document past its pass
+	}
+	p.served.Add(1)
+	w.counters.served.Add(1)
+	if res.Err != nil {
+		p.failed.Add(1)
+		w.counters.failed.Add(1)
+		if errors.Is(res.Err, context.Canceled) || errors.Is(res.Err, context.DeadlineExceeded) {
+			p.canceled.Add(1)
+		}
+	} else {
+		p.events.Add(int64(res.Engine.Events))
+		w.counters.events.Add(int64(res.Engine.Events))
+	}
+	p.hist.observe(time.Since(j.start))
+	if p.onResult != nil {
+		p.onResult(res)
+	}
+	j.fut.res = res
+	close(j.fut.done)
 }
 
 // decoders is one shard's decoder per input format.  Each is built on the

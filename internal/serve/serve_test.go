@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math/rand"
 	"strings"
@@ -404,6 +405,34 @@ func TestPoolHashAffinitySticksToShard(t *testing.T) {
 	}
 	if got := run(AffinityNone); len(got) != 4 {
 		t.Errorf("AffinityNone: 64 submissions hit %d of 4 shards", len(got))
+	}
+}
+
+// TestRouteMatchesFNV pins hash routing to the hash/fnv New64a sum it
+// computes inline: every ID lands on the shard the sum picks, for several
+// shard counts, so no ID changes shard.
+func TestRouteMatchesFNV(t *testing.T) {
+	eng := testEngine(t)
+	ids := []string{"", "a", "doc-1", "doc-17", "same-id", "héllo wörld", "\x00\xff", strings.Repeat("long-", 40)}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 200; i++ {
+		b := make([]byte, rng.Intn(24))
+		rng.Read(b)
+		ids = append(ids, string(b))
+	}
+	for _, shards := range []int{2, 3, 4, 7, 16} {
+		pool, err := NewPool(eng, WithShards(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range ids {
+			h := fnv.New64a()
+			io.WriteString(h, id)
+			if got, want := pool.route(id), int(h.Sum64()%uint64(shards)); got != want {
+				t.Errorf("%d shards: route(%q) = %d, FNV-1a picks %d", shards, id, got, want)
+			}
+		}
+		pool.Close()
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 )
@@ -59,4 +60,52 @@ func FuzzHTTPDocument(f *testing.F) {
 			t.Fatalf("undocumented status %d for doc %q", rec.Code, doc)
 		}
 	})
+}
+
+// FuzzQueryValue holds handleDocument's allocation-free query scan to the
+// url.ParseQuery(q).Get it replaces, for both parameters it reads: the
+// first value wins, '+' and %XX unescape the same way, and pairs with a
+// semicolon or a malformed escape are skipped the same way.
+func FuzzQueryValue(f *testing.F) {
+	for _, q := range []string{
+		"",
+		"id=doc-1&format=xml",
+		"format=json&id=a+b%2Fc",
+		"id=first&id=second&format=trace&format=xml",
+		"id=%zz&id=ok&format=%4&format=json",
+		"id=semi;colon&id=plain;&format=x;y&format=xml",
+		"%69d=escaped-key&f%6Frmat=json",
+		"&&id&format=&id=late",
+		"id=%E2%82%AC+%2B&format=%",
+		"=&id==x=&format=a=b",
+	} {
+		f.Add(q)
+	}
+	f.Fuzz(func(t *testing.T, q string) {
+		if len(q) > 1<<12 {
+			return
+		}
+		want, _ := url.ParseQuery(q)
+		for _, key := range []string{"id", "format"} {
+			if got := queryValue(q, key); got != want.Get(key) {
+				t.Fatalf("queryValue(%q, %q) = %q, url.ParseQuery says %q", q, key, got, want.Get(key))
+			}
+		}
+	})
+}
+
+// TestQueryValueZeroAlloc pins the point of the scan: reading a request's
+// unescaped id and format allocates nothing.
+func TestQueryValueZeroAlloc(t *testing.T) {
+	const q = "id=doc-17&format=xml"
+	var id, format string
+	allocs := testing.AllocsPerRun(100, func() {
+		id, format = queryValue(q, "id"), queryValue(q, "format")
+	})
+	if id != "doc-17" || format != "xml" {
+		t.Fatalf("queryValue: id %q, format %q", id, format)
+	}
+	if allocs != 0 {
+		t.Errorf("queryValue: %v allocs/op, want 0", allocs)
+	}
 }

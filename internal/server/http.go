@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -148,13 +149,12 @@ func (s *Server) handleDocument(w http.ResponseWriter, r *http.Request) {
 	}
 	defer st.release()
 
-	q := r.URL.Query()
-	id := q.Get("id")
+	id := queryValue(r.URL.RawQuery, "id")
 	if id == "" {
 		id = s.fallbackID()
 	}
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	fut, err := st.pool.TrySubmit(r.Context(), id, q.Get("format"), body)
+	fut, err := st.pool.TrySubmit(r.Context(), id, queryValue(r.URL.RawQuery, "format"), body)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -170,6 +170,32 @@ func (s *Server) handleDocument(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	w.Write(out.b)
 	out.free()
+}
+
+// queryValue returns url.ParseQuery(rawQuery).Get(key) without building the
+// map of every parameter: the first pair whose unescaped key is key wins,
+// and pairs holding a semicolon or a malformed escape are skipped, as
+// ParseQuery skips them.  QueryUnescape returns a key or value with nothing
+// to unescape as it is, a substring of rawQuery, so the usual request
+// allocates nothing here.
+//
+//nwvet:hotpath
+func queryValue(rawQuery, key string) string {
+	for rawQuery != "" {
+		var pair string
+		pair, rawQuery, _ = strings.Cut(rawQuery, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
 }
 
 // fallbackID names a document whose client sent no ID.
