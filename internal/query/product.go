@@ -360,6 +360,10 @@ func (x *classIndex) tuple(id int32) []int32 {
 // fixpoint pairs only the first state of each LID with the first hier of
 // each HID.  Class tuples are packed with cp and numbered by pairs, and
 // pairRow[l][h] is the class tuple of (LID l, HID h).
+//
+// Every member table the loops read is built once per construction with
+// its values already shifted into the member's packed field, so packing a
+// key takes no shifts.
 type detBuilder struct {
 	ms     []*Compiled
 	syms   int
@@ -372,21 +376,49 @@ type detBuilder struct {
 	hiers  []int32 // hier-capable ids in discovery order (start tuple first)
 	hierT  []int32 // their unpacked tuples, len(ms) members each, same order
 
-	mc         []memberClasses
+	// tgt[j] holds member j's call-linear, call-hierarchical and internal
+	// targets of state q at [q*syms : (q+1)*syms], and its return targets
+	// of row r at [r*syms : (r+1)*syms], shifted into field j of tp.
+	tgt []memberTargets
+
 	lids, hids *classIndex
 
+	// byLin and byHier hold every member's row IDs of (lin-class, hier-
+	// class) pairs, shifted into the member's field of cp.  Member j's
+	// pair (l, h) is at byLin[linAt[j] + l*nh[j] + h] and at
+	// byHier[hierAt[j] + h*nl[j] + l], so pairing one side with every ID
+	// of the other reads one run per member (see pairKey).
+	byLin, byHier     []uint64
+	linAt, hierAt     []int32
+	nl, nh            []int32
+	off               []int32 // pairKey's per-member offsets for the fixed side
 	cp                packing
 	pairs             *internTable
 	pairRow           [][]int32
 	visited, expanded int // (LID, HID) pairs the fixpoint paired, and class tuples it expanded
 
-	// Scratch: one key per symbol (syms*tp.w words, see keyAt) for the
-	// call-linear, call-hierarchical, internal and return targets of one
-	// state or class tuple, one gathered key, one class key, a linear
-	// tuple and a class tuple.
+	// Scratch: one key per symbol, symbol-major (symbol sym's tp.w words
+	// at [sym*tp.w : (sym+1)*tp.w]), for the call-linear, call-
+	// hierarchical, internal and return targets of one state or class
+	// tuple; one tuple key, one class key, a member-state tuple and a
+	// class tuple.
 	lin, hier, internal, ret []uint64
-	gathered, ckey           []uint64
+	heldQ, heldR             []int32 // the member states and rows the keys hold, -1 for none
+	key, ckey                []uint64
 	dt, ct                   []int32
+}
+
+// memberTargets is one member's transition tables with every target
+// shifted into the member's field of the packed tuple key.
+type memberTargets struct{ lin, hier, internal, ret []uint64 }
+
+// shifted returns the targets of tbl shifted left by sh.
+func shifted(tbl []int32, sh uint) []uint64 {
+	out := make([]uint64, len(tbl))
+	for i, q := range tbl {
+		out[i] = uint64(q) << sh
+	}
+	return out
 }
 
 func newDetBuilder(ms []*Compiled, budget int) *detBuilder {
@@ -395,16 +427,22 @@ func newDetBuilder(ms []*Compiled, budget int) *detBuilder {
 		ms:     ms,
 		syms:   syms,
 		budget: budget,
-		mc:     make([]memberClasses, k),
+		tgt:    make([]memberTargets, k),
+		linAt:  make([]int32, k),
+		hierAt: make([]int32, k),
+		nl:     make([]int32, k),
+		nh:     make([]int32, k),
+		off:    make([]int32, k),
 		dt:     make([]int32, k),
 		ct:     make([]int32, k),
 	}
+	mcs := make([]memberClasses, k)
 	nums, rows := make([]int, k), make([]int, k)
 	lins, hiers := make([][]int32, k), make([][]int32, k)
 	lcs, hcs := make([]int, k), make([]int, k)
 	for j, m := range ms {
 		mc := classesOf(m)
-		b.mc[j] = mc
+		mcs[j] = mc
 		nums[j], rows[j] = m.num, len(m.rows)/syms
 		lins[j], hiers[j] = mc.lin, mc.hier
 		lcs[j], hcs[j] = len(mc.row)/mc.nh, mc.nh
@@ -412,24 +450,55 @@ func newDetBuilder(ms []*Compiled, budget int) *detBuilder {
 	b.tp, b.cp = newPacking(nums), newPacking(rows)
 	b.states, b.pairs = newInternTable(b.tp.w), newInternTable(b.cp.w)
 	b.lids, b.hids = newClassIndex(lins, lcs), newClassIndex(hiers, hcs)
+	for j, m := range ms {
+		sh := b.tp.shift[j]
+		b.tgt[j] = memberTargets{
+			lin:      shifted(m.callLin, sh),
+			hier:     shifted(m.callHier, sh),
+			internal: shifted(m.internT, sh),
+			ret:      shifted(m.rows, sh),
+		}
+		b.addPairRows(j, &mcs[j])
+	}
 	b.lin = make([]uint64, syms*b.tp.w)
 	b.hier = make([]uint64, syms*b.tp.w)
 	b.internal = make([]uint64, syms*b.tp.w)
 	b.ret = make([]uint64, syms*b.tp.w)
-	b.gathered = make([]uint64, b.tp.w)
+	b.heldQ, b.heldR = slices.Repeat([]int32{-1}, k), slices.Repeat([]int32{-1}, k)
+	b.key = make([]uint64, b.tp.w)
 	b.ckey = make([]uint64, b.cp.w)
 	return b
 }
 
+// addPairRows lays member j's row IDs of (lin-class, hier-class) pairs out
+// in byLin and byHier.
+func (b *detBuilder) addPairRows(j int, mc *memberClasses) {
+	sh, nh := b.cp.shift[j], mc.nh
+	nl := len(mc.row) / nh
+	b.nl[j], b.nh[j] = int32(nl), int32(nh)
+	b.linAt[j], b.hierAt[j] = int32(len(b.byLin)), int32(len(b.byHier))
+	b.byLin = append(b.byLin, shifted(mc.row, sh)...)
+	for h := 0; h < nh; h++ {
+		for l := 0; l < nl; l++ {
+			b.byHier = append(b.byHier, uint64(mc.row[l*nh+h])<<sh)
+		}
+	}
+}
+
 func (b *detBuilder) count() int { return b.states.len() }
 
-// keyAt gathers symbol sym's key out of a per-symbol buffer, which holds
-// word i of every symbol's key at [i*syms : (i+1)*syms].
-func (b *detBuilder) keyAt(buf []uint64, sym int) []uint64 {
-	for i := range b.gathered {
-		b.gathered[i] = buf[i*b.syms+sym]
-	}
-	return b.gathered
+// symKey returns symbol sym's key in a per-symbol buffer.
+func (b *detBuilder) symKey(buf []uint64, sym int) []uint64 {
+	w := b.tp.w
+	return buf[sym*w : (sym+1)*w]
+}
+
+// repeats reports whether symbol sym's key in a per-symbol buffer equals
+// symbol sym-1's.  The loops skip such a key: interning or looking up the
+// previous one already did all the work it would do.
+func (b *detBuilder) repeats(buf []uint64, sym int) bool {
+	w := b.tp.w
+	return sym > 0 && slices.Equal(buf[sym*w:(sym+1)*w], buf[(sym-1)*w:sym*w])
 }
 
 // unpack writes product state id's member states into dst.
@@ -465,6 +534,18 @@ func (b *detBuilder) lookup(t *internTable, key []uint64) int32 {
 		return 0
 	}
 	return id
+}
+
+// lookupRow writes the state IDs of the per-symbol keys of buf into dst,
+// one per symbol.
+func (b *detBuilder) lookupRow(dst []int32, buf []uint64) {
+	for sym := range dst {
+		if b.repeats(buf, sym) {
+			dst[sym] = dst[sym-1]
+		} else {
+			dst[sym] = b.lookup(b.states, b.symKey(buf, sym))
+		}
+	}
 }
 
 // markHier records that a tuple can appear as hierarchical data on a return
@@ -507,69 +588,94 @@ func (b *detBuilder) renumber() int {
 	return len(b.hiers)
 }
 
-// orRow packs one member's row of targets, indexed by symbol, into the
-// per-symbol keys of buf.
-func (b *detBuilder) orRow(buf []uint64, j int, row []int32) {
-	w, sh := b.tp.word[j]*b.syms, b.tp.shift[j]
-	dst := buf[w : w+len(row)]
-	for sym, q := range row {
-		dst[sym] |= uint64(q) << sh
+// setRow overwrites member j's field of the per-symbol keys of buf with its
+// row of shifted targets, indexed by symbol.
+func (b *detBuilder) setRow(buf []uint64, j int, row []uint64) {
+	w, o, keep := b.tp.w, b.tp.word[j], ^(b.tp.mask[j] << b.tp.shift[j])
+	for sym, x := range row {
+		buf[sym*w+o] = buf[sym*w+o]&keep | x
 	}
 }
 
 // expand packs the componentwise call and internal targets of state d into
 // the lin, hier and internal keys, one per symbol, and leaves d's unpacked
-// tuple in dt.
+// tuple in dt.  The keys still hold the previous expansion's targets, so
+// only the members whose state differs from it are rewritten.
 func (b *detBuilder) expand(d int32) {
-	clear(b.lin)
-	clear(b.hier)
-	clear(b.internal)
 	for j, q := range b.unpack(d, b.dt) {
-		m := b.ms[j]
-		i := int(q) * b.syms
-		b.orRow(b.lin, j, m.callLin[i:i+b.syms])
-		b.orRow(b.hier, j, m.callHier[i:i+b.syms])
-		b.orRow(b.internal, j, m.internT[i:i+b.syms])
+		if q == b.heldQ[j] {
+			continue
+		}
+		b.heldQ[j] = q
+		t, i := &b.tgt[j], int(q)*b.syms
+		b.setRow(b.lin, j, t.lin[i:i+b.syms])
+		b.setRow(b.hier, j, t.hier[i:i+b.syms])
+		b.setRow(b.internal, j, t.internal[i:i+b.syms])
 	}
 }
 
-// classKey packs the class tuple of (LID l, HID h) into ckey.
-func (b *detBuilder) classKey(l, h int32) []uint64 {
-	lt, ht := b.lids.tuple(l), b.hids.tuple(h)
+// expandRet packs the componentwise return targets of a class tuple into
+// the ret keys, one per symbol, rewriting only the members whose row
+// differs from the previous expansion's.
+func (b *detBuilder) expandRet(ct []int32) {
+	for j, r := range ct {
+		if r == b.heldR[j] {
+			continue
+		}
+		b.heldR[j] = r
+		i := int(r) * b.syms
+		b.setRow(b.ret, j, b.tgt[j].ret[i:i+b.syms])
+	}
+}
+
+// pairKey packs into ckey the class tuple of a pair whose fixed side set
+// off (see pairLID and pairHID) and whose other side has the class tuple
+// t: member j's field is slab[off[j]+t[j]].
+func (b *detBuilder) pairKey(slab []uint64, t []int32) []uint64 {
 	key := b.ckey
 	clear(key)
-	for j := range b.mc {
-		m := &b.mc[j]
-		r := m.row[int(lt[j])*m.nh+int(ht[j])]
-		key[b.cp.word[j]] |= uint64(r) << b.cp.shift[j]
+	for j, o := range b.off {
+		key[b.cp.word[j]] |= slab[o+t[j]]
 	}
 	return key
 }
 
-// expandRet packs the componentwise return targets of a class tuple into
-// the ret keys, one per symbol.
-func (b *detBuilder) expandRet(ct []int32) {
-	clear(b.ret)
-	for j, r := range ct {
-		i := int(r) * b.syms
-		b.orRow(b.ret, j, b.ms[j].rows[i:i+b.syms])
+// pairLID pairs the new LID l with every HID so far.
+func (b *detBuilder) pairLID(l int32) {
+	for j, c := range b.lids.tuple(l) {
+		b.off[j] = b.linAt[j] + c*b.nh[j]
+	}
+	b.pairRow = append(b.pairRow, make([]int32, 0, b.hids.len()))
+	for h := int32(0); int(h) < b.hids.len(); h++ {
+		b.pairRet(l, b.pairKey(b.byLin, b.hids.tuple(h)))
 	}
 }
 
-// pairRet records the class tuple of (LID l, HID h) as pairRow[l][h], and
-// interns its componentwise return targets across every symbol unless an
-// earlier pair had the same class tuple: every target it would intern is
-// then interned already.
-func (b *detBuilder) pairRet(l, h int32) {
+// pairHID pairs the new HID h with every LID so far.
+func (b *detBuilder) pairHID(h int32) {
+	for j, c := range b.hids.tuple(h) {
+		b.off[j] = b.hierAt[j] + c*b.nl[j]
+	}
+	for l := int32(0); int(l) < b.lids.len(); l++ {
+		b.pairRet(l, b.pairKey(b.byHier, b.lids.tuple(l)))
+	}
+}
+
+// pairRet records key, the class tuple of (LID l, HID h), as pairRow[l][h],
+// and interns its componentwise return targets across every symbol unless
+// an earlier pair had the same class tuple: every target it would intern
+// is then interned already.
+func (b *detBuilder) pairRet(l int32, key []uint64) {
 	b.visited++
-	key := b.classKey(l, h)
 	i, id := b.pairs.find(key)
 	if id < 0 {
 		id = b.pairs.add(i, key)
 		b.expanded++
 		b.expandRet(b.cp.unpack(key, b.ct))
 		for sym := 0; sym < b.syms; sym++ {
-			b.intern(b.keyAt(b.ret, sym))
+			if !b.repeats(b.ret, sym) {
+				b.intern(b.symKey(b.ret, sym))
+			}
 		}
 	}
 	b.pairRow[l] = append(b.pairRow[l], id)
@@ -594,8 +700,10 @@ func compileDetProduct(ms []*Compiled, budget int) (*CompiledProduct, error) {
 // of a pair already visited.  The pairs visited are the first occurrences of
 // each (LID, HID) in the loop that pairs every state with every hier, in
 // that loop's order, so discovery order, and with it the budget check and
-// the product's bytes, do not depend on the skipping.  It returns
-// ErrStateBudget when the tuples outgrow the budget.
+// the product's bytes, do not depend on the skipping.  Nor do they depend
+// on skipping a target equal to the previous symbol's, which interning
+// would find.  It returns ErrStateBudget when the tuples outgrow the
+// budget.
 func (b *detBuilder) fixpoint() error {
 	// Seed: the start tuple (ID 0, hier-capable for pending returns) and
 	// the all-dead tuple (the product's dead state; every componentwise
@@ -603,8 +711,8 @@ func (b *detBuilder) fixpoint() error {
 	for j, m := range b.ms {
 		b.dt[j] = m.start
 	}
-	b.tp.pack(b.gathered, b.dt)
-	b.markHier(b.intern(b.gathered))
+	b.tp.pack(b.key, b.dt)
+	b.markHier(b.intern(b.key))
 	b.intern(b.deadKey())
 
 	// ps states have been expanded and given LIDs; ph hiers have been
@@ -617,37 +725,38 @@ func (b *detBuilder) fixpoint() error {
 			ps++
 			b.expand(d)
 			for sym := 0; sym < b.syms; sym++ {
-				b.intern(b.keyAt(b.lin, sym))
-				b.markHier(b.intern(b.keyAt(b.hier, sym)))
-				b.intern(b.keyAt(b.internal, sym))
+				if !b.repeats(b.lin, sym) {
+					b.intern(b.symKey(b.lin, sym))
+				}
+				if !b.repeats(b.hier, sym) {
+					b.markHier(b.intern(b.symKey(b.hier, sym)))
+				}
+				if !b.repeats(b.internal, sym) {
+					b.intern(b.symKey(b.internal, sym))
+				}
 			}
 			if l, ok := b.lids.add(b.dt); ok {
-				b.pairRow = append(b.pairRow, nil)
-				for h := int32(0); int(h) < b.hids.len(); h++ {
-					b.pairRet(l, h)
-				}
+				b.pairLID(l)
 			}
 		}
 		for ph < len(b.hiers) && b.err == nil {
 			ht := b.hierTuple(ph)
 			ph++
 			if h, ok := b.hids.add(ht); ok {
-				for l := int32(0); int(l) < b.lids.len(); l++ {
-					b.pairRet(l, h)
-				}
+				b.pairHID(h)
 			}
 		}
 	}
 	return b.err
 }
 
-// deadKey packs the all-dead tuple into the gathered key.
+// deadKey packs the all-dead tuple into the tuple key.
 func (b *detBuilder) deadKey() []uint64 {
 	for j, m := range b.ms {
 		b.dt[j] = m.dead
 	}
-	b.tp.pack(b.gathered, b.dt)
-	return b.gathered
+	b.tp.pack(b.key, b.dt)
+	return b.key
 }
 
 // materialize renumbers the tuples hier-capable first and builds the
@@ -686,19 +795,15 @@ func (b *detBuilder) materialize() (*CompiledProduct, error) {
 	c.internT = make([]int32, num*syms)
 	for q := 0; q < num; q++ {
 		b.expand(int32(q))
-		for sym := 0; sym < syms; sym++ {
-			i := q*syms + sym
-			c.callLin[i] = b.lookup(b.states, b.keyAt(b.lin, sym))
-			c.callHier[i] = b.lookup(b.states, b.keyAt(b.hier, sym))
-			c.internT[i] = b.lookup(b.states, b.keyAt(b.internal, sym))
-		}
+		row := q * syms
+		b.lookupRow(c.callLin[row:row+syms], b.lin)
+		b.lookupRow(c.callHier[row:row+syms], b.hier)
+		b.lookupRow(c.internT[row:row+syms], b.internal)
 	}
 	c.rows = make([]int32, b.pairs.len()*syms)
-	for id := int32(0); int(id) < b.pairs.len(); id++ {
-		b.expandRet(b.cp.unpack(b.pairs.key(id), b.ct))
-		for sym := 0; sym < syms; sym++ {
-			c.rows[int(id)*syms+sym] = b.lookup(b.states, b.keyAt(b.ret, sym))
-		}
+	for id := 0; id < b.pairs.len(); id++ {
+		b.expandRet(b.cp.unpack(b.pairs.key(int32(id)), b.ct))
+		b.lookupRow(c.rows[id*syms:(id+1)*syms], b.ret)
 	}
 	for _, ids := range b.pairRow {
 		if len(ids) != b.hids.len() {

@@ -151,6 +151,71 @@ func TestProductPairPruning(t *testing.T) {
 	}
 }
 
+// batchShape is the bundle the batch-reload workload plans, in its order:
+// the E21 mix, the "has" family over all sixteen labels and the within trio.
+func batchShape(tb testing.TB) *query.Bundle {
+	tb.Helper()
+	alpha := alphabet.New(sixteen...)
+	b := query.NewBundle(alpha)
+	add := func(name string, q query.Query) {
+		if err := b.Add(name, q); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	names, ds := experiments.E21Queries(alpha, 8)
+	for i, q := range compileAll(ds) {
+		add(names[i], q)
+	}
+	for i, q := range hasFamily(alpha, sixteen) {
+		add("has "+sixteen[i], q)
+	}
+	exprs, err := dsl.ParseList("within a: b before c; within d: e before f; within g: h before i")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	names, qs, err := dsl.Queries(alpha, exprs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i, q := range qs {
+		add(names[i], q)
+	}
+	return b
+}
+
+// TestPlannedShapePinned pins the planner's decision on the batch-reload
+// shape and the SHA-256 of the planned bundle's Marshal(), so a drift in
+// either the product construction or the subset construction behind the
+// LinearOrder and ContainsLabel members fails here.  The E21 cluster
+// overflows the default budget and stays solo; the two "has" families and
+// the within trio are products.
+func TestPlannedShapePinned(t *testing.T) {
+	planned, dec, err := plan.Bundle(batchShape(t), plan.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dec.Groups) != 3 || len(dec.Solo) != 8 || dec.States != 743 {
+		t.Errorf("decision: %d groups, %d solo, %d states; want 3, 8, 743", len(dec.Groups), len(dec.Solo), dec.States)
+	}
+	const want = "504d72a1f8b627968aae2d760d967b9a2c261b60e10d510594cc2f16716b092e"
+	sum := sha256.Sum256(planned.Marshal())
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("planned bundle Marshal() SHA-256 = %s, want %s", got, want)
+	}
+}
+
+// BenchmarkPlanBundle times plan.Bundle on the batch-reload shape, compile
+// excluded: the rejected E21 product, the two "has" products and the within
+// trio's product.
+func BenchmarkPlanBundle(b *testing.B) {
+	src := batchShape(b)
+	for b.Loop() {
+		if _, _, err := plan.Bundle(src, plan.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCompileProduct times the product construction on the
 // batch-reload shapes: the over-budget E21 cluster the planner pays for and
 // then rejects, one 8-member ContainsLabel family, and the within trio.

@@ -1,6 +1,7 @@
 package word
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/alphabet"
@@ -160,53 +161,102 @@ func copySet(m map[int]bool) map[int]bool {
 	return out
 }
 
-// setKey builds a canonical string key for a state set.
-func setKey(set map[int]bool) string {
-	keys := sortedKeys(set)
-	buf := make([]byte, 0, 4*len(keys))
-	for _, q := range keys {
-		buf = append(buf, byte(q), byte(q>>8), byte(q>>16), byte(q>>24))
-	}
-	return string(buf)
-}
-
 // Determinize performs the subset construction and returns an equivalent
 // complete DFA.  Only reachable subsets become states, so the result has at
-// most 2^s states.
+// most 2^s states.  Subsets are numbered in order of discovery: the start
+// set's ε-closure is 0, and each set's successors are found symbol by
+// symbol in set order.
+//
+// A subset is a sorted slice of states.  Each step gathers the successors
+// from precomputed per-(state, symbol) and ε lists, deduplicating with one
+// reusable mark array, and looks the subset up by its canonical key (its
+// states in ascending order, four little-endian bytes each) without
+// allocating unless the subset is new.
 func (n *NFA) Determinize() *DFA {
-	start := n.closure(copySet(n.starts))
-	index := map[string]int{setKey(start): 0}
-	sets := []map[int]bool{start}
+	size := n.alpha.Size()
+	succ, eps := n.lists()
+	mark := make([]uint32, len(eps)) // mark[q] == gen: q is in cur
+	var gen uint32
+	var cur []int32
+	reset := func() {
+		if gen++; gen == 0 {
+			clear(mark)
+			gen = 1
+		}
+		cur = cur[:0]
+	}
+	add := func(q int32) {
+		if mark[q] != gen {
+			mark[q] = gen
+			cur = append(cur, q)
+		}
+	}
+	index := make(map[string]int)
+	var sets [][]int32
+	var key []byte
+	// number closes cur under ε, sorts it, and returns its ID, numbering
+	// it if it is new.
+	number := func() int {
+		for i := 0; i < len(cur); i++ {
+			for _, to := range eps[cur[i]] {
+				add(to)
+			}
+		}
+		slices.Sort(cur)
+		key = key[:0]
+		for _, q := range cur {
+			key = append(key, byte(q), byte(q>>8), byte(q>>16), byte(q>>24))
+		}
+		if id, ok := index[string(key)]; ok {
+			return id
+		}
+		index[string(key)] = len(sets)
+		sets = append(sets, slices.Clone(cur))
+		return len(sets) - 1
+	}
+
+	reset()
+	for q := range n.starts {
+		add(int32(q))
+	}
+	number()
 	var delta [][]int
 	var accept []bool
-
-	acceptsSet := func(set map[int]bool) bool {
-		for q := range set {
-			if n.accept[q] {
-				return true
-			}
-		}
-		return false
-	}
-
 	for i := 0; i < len(sets); i++ {
-		cur := sets[i]
-		row := make([]int, n.alpha.Size())
-		for s := 0; s < n.alpha.Size(); s++ {
-			next := n.step(cur, s)
-			key := setKey(next)
-			id, ok := index[key]
-			if !ok {
-				id = len(sets)
-				index[key] = id
-				sets = append(sets, next)
+		row := make([]int, size)
+		for s := range row {
+			reset()
+			for _, q := range sets[i] {
+				for _, to := range succ[int(q)*size+s] {
+					add(to)
+				}
 			}
-			row[s] = id
+			row[s] = number()
 		}
 		delta = append(delta, row)
-		accept = append(accept, acceptsSet(cur))
+		accept = append(accept, slices.ContainsFunc(sets[i], func(q int32) bool { return n.accept[int(q)] }))
 	}
 	return &DFA{alpha: n.alpha, start: 0, accept: accept, delta: delta}
+}
+
+// lists returns the transition relation as slices: succ[q*Size+s] lists
+// q's successors on symbol index s and eps[q] its ε-successors.
+func (n *NFA) lists() (succ, eps [][]int32) {
+	size := n.alpha.Size()
+	succ, eps = make([][]int32, n.numStates*size), make([][]int32, n.numStates)
+	for q, bySym := range n.delta {
+		for s, tos := range bySym {
+			for to := range tos {
+				succ[q*size+s] = append(succ[q*size+s], int32(to))
+			}
+		}
+	}
+	for q, tos := range n.eps {
+		for to := range tos {
+			eps[q] = append(eps[q], int32(to))
+		}
+	}
+	return succ, eps
 }
 
 // Reverse returns an NFA accepting the reversal language: transitions are

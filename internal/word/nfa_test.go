@@ -1,7 +1,9 @@
 package word
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -187,5 +189,127 @@ func randomNFA(rng *rand.Rand, n int) *NFA {
 			nfa.AddEpsilon(from, to)
 		}
 	}
+	return nfa
+}
+
+// mapDeterminize is the map-based subset construction Determinize replaced,
+// kept as the reference of TestDeterminizeExactStructure: map[int]bool state
+// sets, an ε-closure and a successor set allocated per step, and the same
+// canonical set key.
+func mapDeterminize(n *NFA) *DFA {
+	start := n.closure(copySet(n.starts))
+	index := map[string]int{setKey(start): 0}
+	sets := []map[int]bool{start}
+	var delta [][]int
+	var accept []bool
+
+	acceptsSet := func(set map[int]bool) bool {
+		for q := range set {
+			if n.accept[q] {
+				return true
+			}
+		}
+		return false
+	}
+
+	for i := 0; i < len(sets); i++ {
+		cur := sets[i]
+		row := make([]int, n.alpha.Size())
+		for s := 0; s < n.alpha.Size(); s++ {
+			next := n.step(cur, s)
+			key := setKey(next)
+			id, ok := index[key]
+			if !ok {
+				id = len(sets)
+				index[key] = id
+				sets = append(sets, next)
+			}
+			row[s] = id
+		}
+		delta = append(delta, row)
+		accept = append(accept, acceptsSet(cur))
+	}
+	return &DFA{alpha: n.alpha, start: 0, accept: accept, delta: delta}
+}
+
+// setKey builds a canonical string key for a state set.
+func setKey(set map[int]bool) string {
+	keys := sortedKeys(set)
+	buf := make([]byte, 0, 4*len(keys))
+	for _, q := range keys {
+		buf = append(buf, byte(q), byte(q>>8), byte(q>>16), byte(q>>24))
+	}
+	return string(buf)
+}
+
+// sameStructure fails unless got and want have the same start state,
+// accepting states and transition table: the same DFA, numbered alike.
+func sameStructure(t *testing.T, name string, got, want *DFA) {
+	t.Helper()
+	if got.start != want.start || !slices.Equal(got.accept, want.accept) ||
+		!slices.EqualFunc(got.delta, want.delta, slices.Equal[[]int]) {
+		t.Fatalf("%s: Determinize built %d states (start %d, accept %v, delta %v), reference %d (start %d, accept %v, delta %v)",
+			name, got.NumStates(), got.start, got.accept, got.delta, want.NumStates(), want.start, want.accept, want.delta)
+	}
+}
+
+// TestDeterminizeExactStructure holds Determinize to the map-based
+// reference state for state: the query library's regular expressions over
+// 3 and 16 labels, and seeded random NFAs with ε-cycles, several start
+// states, and unreachable and dead states.
+func TestDeterminizeExactStructure(t *testing.T) {
+	for _, labels := range [][]string{
+		{"a", "b", "c"},
+		{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l", "m", "n", "o", "p"},
+	} {
+		alpha := alphabet.New(labels...)
+		for _, patterns := range [][]string{
+			{"a"}, {"c"}, {"b", "b"}, {"c", "a"}, {"a", "b", "c"}, {"a", "c", "b"}, {"c", "c", "c"},
+		} {
+			n := CompileRegex(LinearOrderQuery(patterns...), alpha)
+			sameStructure(t, fmt.Sprintf("%d labels, order %v", len(labels), patterns), n.Determinize(), mapDeterminize(n))
+		}
+	}
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 600; i++ {
+		n := randomWideNFA(rng, 1+rng.Intn(12))
+		sameStructure(t, fmt.Sprintf("random NFA %d", i), n.Determinize(), mapDeterminize(n))
+	}
+}
+
+// randomWideNFA builds a random NFA over {a,b,c} with n random states
+// 0..n-1 and two more: state n, which has edges out and none in, so no
+// start reaches it, and state n+1, which has edges in and none out and
+// does not accept, so it is dead.  It has one to three start states and an
+// ε-cycle through up to three states, besides random symbol and ε-edges.
+func randomWideNFA(rng *rand.Rand, n int) *NFA {
+	syms := []string{"a", "b", "c"}
+	nfa := NewNFA(alphabet.New(syms...), n+2)
+	unreachable, dead := n, n+1
+	for i := rng.Intn(3); i >= 0; i-- {
+		nfa.AddStart(rng.Intn(n))
+	}
+	for i := rng.Intn(3); i >= 0; i-- {
+		nfa.AddAccept(rng.Intn(n))
+	}
+	cycle := make([]int, 1+rng.Intn(3))
+	for i := range cycle {
+		cycle[i] = rng.Intn(n)
+	}
+	for i, q := range cycle {
+		nfa.AddEpsilon(q, cycle[(i+1)%len(cycle)])
+	}
+	for i := rng.Intn(3 * n); i >= 0; i-- {
+		from, to := rng.Intn(n), rng.Intn(n)
+		if rng.Intn(4) == 0 {
+			nfa.AddEpsilon(from, to)
+		} else {
+			nfa.AddTransition(from, syms[rng.Intn(3)], to)
+		}
+	}
+	nfa.AddTransition(unreachable, syms[rng.Intn(3)], rng.Intn(n))
+	nfa.AddEpsilon(unreachable, rng.Intn(n))
+	nfa.AddTransition(rng.Intn(n), syms[rng.Intn(3)], dead)
+	nfa.AddEpsilon(rng.Intn(n), dead)
 	return nfa
 }

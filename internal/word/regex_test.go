@@ -159,3 +159,14 @@ func TestRegexEquivalences(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkCompileRegexDFA times the minimal DFA of the query library's
+// linear-order regular expression over sixteen labels: the Thompson NFA,
+// its subset construction and minimization.
+func BenchmarkCompileRegexDFA(b *testing.B) {
+	alpha := alphabet.New("a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l", "m", "n", "o", "p")
+	r := LinearOrderQuery("a", "b", "c")
+	for b.Loop() {
+		CompileRegexDFA(r, alpha)
+	}
+}
