@@ -131,15 +131,6 @@ func TestExperimentsSanity(t *testing.T) {
 			t.Errorf("E23: pool or naive fan-out verdicts diverge from serial on row %v", row)
 		}
 	}
-	e24 := experiments.E24BitsetRunner(64)
-	if len(e24.Rows) == 0 {
-		t.Error("E24 produced no rows")
-	}
-	for _, row := range e24.Rows {
-		if row[len(row)-1] != "true" {
-			t.Errorf("E24: bitset runner verdicts diverge from the matrix runner on row %v", row)
-		}
-	}
 	e25 := experiments.E25ColdStart(16)
 	if len(e25.Rows) == 0 {
 		t.Error("E25 produced no rows")

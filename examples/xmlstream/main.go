@@ -2,11 +2,9 @@
 // the SAX event stream of an XML-like document is already a nested word, so
 // validation and querying run in a single streaming pass with memory bounded
 // by the document depth — no tree needs to be built.  The engine package
-// extends the argument from one query to many, and — through the compiled
-// query API — from deterministic automata to nondeterministic ones: every
-// registered query.Query is answered by the same single pass over compiled
-// transition tables, with each label interned to a symbol ID once at the
-// tokenizer.
+// extends the argument from one query to many: every registered query is
+// answered by the same single pass over compiled transition tables, with
+// each label interned to a symbol ID once at the tokenizer.
 //
 // Run with -many N to continue into the multi-document serving layer: the
 // same engine, wrapped in a sharded serve.Pool, answers the same query set
@@ -27,7 +25,6 @@ import (
 	"repro/internal/docstream"
 	"repro/internal/engine"
 	"repro/internal/generator"
-	"repro/internal/nwa"
 	"repro/internal/query"
 	"repro/internal/serve"
 )
@@ -40,41 +37,6 @@ const document = `
 </catalog>`
 
 const brokenDocument = `<catalog> <book> <title> dangling </book> </catalog>`
-
-// containsNNWA builds a deliberately nondeterministic automaton for "some
-// position carries the given label": it guesses the witnessing position.
-// The engine runs its compiled state-set runner next to the deterministic
-// ones through the same query.Runner interface.
-func containsNNWA(alpha *alphabet.Alphabet, label string) *nwa.NNWA {
-	a := nwa.NewNNWA(alpha, 2)
-	const searching, found = 0, 1
-	a.AddStart(searching)
-	a.AddAccept(found)
-	both := []int{searching, found}
-	for _, sym := range alpha.Symbols() {
-		// searching keeps looking at every position kind...
-		a.AddInternal(searching, sym, searching)
-		a.AddCall(searching, sym, searching, searching)
-		for _, hier := range both {
-			a.AddReturn(searching, hier, sym, searching)
-		}
-		// ...and may guess this position as the witness.
-		if sym == label {
-			a.AddInternal(searching, sym, found)
-			a.AddCall(searching, sym, found, searching)
-			for _, hier := range both {
-				a.AddReturn(searching, hier, sym, found)
-			}
-		}
-		// found is absorbing.
-		a.AddInternal(found, sym, found)
-		a.AddCall(found, sym, found, found)
-		for _, hier := range both {
-			a.AddReturn(found, hier, sym, found)
-		}
-	}
-	return a
-}
 
 func main() {
 	many := flag.Int("many", 0, "also serve this many generated documents through a sharded serve.Pool")
@@ -90,16 +52,16 @@ func main() {
 
 	alpha := alphabet.New(append(doc.Alphabet(), "missing")...)
 
-	// One engine, five queries — four deterministic, one nondeterministic —
-	// one pass: the interning tokenizer resolves each label to a symbol ID
-	// once, and the compiled runners index their transition tables with it,
-	// so the memory in play is the five runner stacks — never the document.
+	// One engine, five queries, one pass: the interning tokenizer resolves
+	// each label to a symbol ID once, and the compiled runners index their
+	// transition tables with it, so the memory in play is the five runner
+	// stacks — never the document.
 	eng := engine.New()
 	eng.MustRegister("well-formed", query.WellFormed(alpha))
 	eng.MustRegister("//book//title", query.PathQuery(alpha, "book", "title"))
 	eng.MustRegister("//report//year", query.PathQuery(alpha, "report", "year"))
 	eng.MustRegister("'words' before '2007'", query.LinearOrder(alpha, "words", "2007"))
-	eng.MustRegisterQuery("contains 'pushdown' (NNWA)", query.CompileN(containsNNWA(alpha, "pushdown")))
+	eng.MustRegister("contains 'pushdown'", query.ContainsLabel(alpha, "pushdown"))
 
 	res, err := eng.RunReader(strings.NewReader(document))
 	if err != nil {

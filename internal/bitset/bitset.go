@@ -1,16 +1,11 @@
 // Package bitset provides fixed-width bit rows packed into uint64 words —
-// the representation behind the query package's nondeterministic state-set
-// runner.  A Row stands for a subset of states 0..n-1; unions, intersection
-// tests, and "OR a table row for every set bit" sweeps all run word-wise
-// (64 states per machine operation), which is what turns the per-event
-// inner loops of the subset-of-pairs simulation from per-state branches
-// into a handful of AND/OR instructions.
+// the representation behind a product automaton's per-query accept masks
+// and the engine's verdict demux row.  A Row stands for a subset of
+// 0..n-1; a union runs word-wise, 64 elements per machine operation.
 //
 // Rows are plain slices, so a matrix of rows can live in one flat []uint64
 // allocation and be re-sliced without copying; no operation here allocates.
 package bitset
-
-import "math/bits"
 
 // Words returns the number of 64-bit words needed to hold n bits.
 func Words(n int) int { return (n + 63) >> 6 }
@@ -27,9 +22,6 @@ func New(n int) Row { return make(Row, Words(n)) }
 // Set adds element i to the row.
 func (r Row) Set(i int) { r[i>>6] |= 1 << (uint(i) & 63) }
 
-// Unset removes element i from the row.
-func (r Row) Unset(i int) { r[i>>6] &^= 1 << (uint(i) & 63) }
-
 // Has reports whether element i is in the row.
 func (r Row) Has(i int) bool { return r[i>>6]&(1<<(uint(i)&63)) != 0 }
 
@@ -37,18 +29,6 @@ func (r Row) Has(i int) bool { return r[i>>6]&(1<<(uint(i)&63)) != 0 }
 func (r Row) Zero() {
 	for i := range r {
 		r[i] = 0
-	}
-}
-
-// Fill sets elements 0..n-1, leaving higher bits of the row clear; n must
-// not exceed the row's capacity in bits.
-func (r Row) Fill(n int) {
-	r.Zero()
-	for i := 0; i < n>>6; i++ {
-		r[i] = ^uint64(0)
-	}
-	if rem := uint(n) & 63; rem != 0 {
-		r[n>>6] = (1 << rem) - 1
 	}
 }
 
@@ -61,27 +41,6 @@ func (r Row) Or(other Row) {
 	}
 }
 
-// And keeps only the elements shared with other (r &= other).
-func (r Row) And(other Row) {
-	for i, w := range other {
-		r[i] &= w
-	}
-}
-
-// Intersects reports whether the rows share an element.  The test is a
-// word-wise AND sweep — no per-bit shifting — which is how the runner asks
-// "is any reachable state accepting" in ⌈n/64⌉ operations.
-//
-//nwvet:hotpath
-func (r Row) Intersects(other Row) bool {
-	for i, w := range other {
-		if r[i]&w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Any reports whether the row is non-empty.
 func (r Row) Any() bool {
 	for _, w := range r {
@@ -92,89 +51,12 @@ func (r Row) Any() bool {
 	return false
 }
 
-// Count returns the number of elements in the row.
-func (r Row) Count() int {
-	n := 0
-	for _, w := range r {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// Equal reports whether the rows hold exactly the same elements.
-func (r Row) Equal(other Row) bool {
-	if len(r) != len(other) {
-		return false
-	}
-	for i, w := range other {
-		if r[i] != w {
-			return false
-		}
-	}
-	return true
-}
-
-// NextSet returns the smallest element ≥ i, or -1 when no such element
-// exists.  It is the closure-free iteration form for hot loops:
-//
-//	for i := r.NextSet(0); i >= 0; i = r.NextSet(i + 1) { ... }
-func (r Row) NextSet(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	wi := i >> 6
-	if wi >= len(r) {
-		return -1
-	}
-	if w := r[wi] >> (uint(i) & 63); w != 0 {
-		return i + bits.TrailingZeros64(w)
-	}
-	for wi++; wi < len(r); wi++ {
-		if r[wi] != 0 {
-			return wi<<6 + bits.TrailingZeros64(r[wi])
-		}
-	}
-	return -1
-}
-
-// ForEach calls f for every element in ascending order.
-func (r Row) ForEach(f func(i int)) {
-	for wi, w := range r {
-		base := wi << 6
-		for w != 0 {
-			f(base + bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
-}
-
 // Slab returns row i of a flat table of equal-width rows (w words each)
 // without copying: table[i*w : (i+1)*w].  A "word slab" — one []uint64
-// backing many rows — is how compiled automata store their per-symbol
-// successor masks, and because a Row is a plain slice the same view works
+// backing many rows — is how a product automaton stores its per-state
+// accept masks, and because a Row is a plain slice the same view works
 // whether the slab was built in memory or points into a serialized query
 // set mapped read-only from disk (see internal/query/qset.go).
 func Slab(table []uint64, i, w int) Row {
 	return Row(table[i*w : i*w+w : i*w+w])
-}
-
-// Gather ORs into dst the w-word row table[i*w:(i+1)*w] for every element i
-// of sel: dst |= ⋃_{i∈sel} table[i].  It is the word-parallel composition
-// step of the state-set runner — advancing a set through precomputed
-// per-symbol successor masks costs one w-word OR per set bit instead of one
-// branch per (state, successor) pair.
-//
-//nwvet:hotpath
-func Gather(dst, sel Row, table []uint64, w int) {
-	for wi, word := range sel {
-		base := wi << 6
-		for word != 0 {
-			i := base + bits.TrailingZeros64(word)
-			word &= word - 1
-			row := table[i*w : i*w+w]
-			for k, v := range row {
-				dst[k] |= v
-			}
-		}
-	}
 }

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// edgeWidths are the widths the ISSUE calls out: both sides of every word
-// boundary plus the single-bit and two-word cases.
+// edgeWidths are both sides of every word boundary plus the single-bit and
+// two-word cases.
 var edgeWidths = []int{1, 63, 64, 65, 128}
 
 func TestWords(t *testing.T) {
@@ -33,59 +33,29 @@ func TestSetHasUnset(t *testing.T) {
 				t.Fatalf("width %d: Set(%d) did not stick", n, i)
 			}
 		}
-		if r.Count() != n {
-			t.Fatalf("width %d: full row counts %d", n, r.Count())
-		}
-		for i := 0; i < n; i++ {
-			r.Unset(i)
-			if r.Has(i) {
-				t.Fatalf("width %d: Unset(%d) did not stick", n, i)
-			}
-		}
+		r.Zero()
 		if r.Any() {
-			t.Fatalf("width %d: row not empty after unsetting everything", n)
-		}
-	}
-}
-
-func TestFillMatchesFullRow(t *testing.T) {
-	for _, n := range edgeWidths {
-		filled := New(n)
-		filled.Fill(n)
-		manual := New(n)
-		for i := 0; i < n; i++ {
-			manual.Set(i)
-		}
-		if !filled.Equal(manual) {
-			t.Fatalf("width %d: Fill disagrees with element-wise Set", n)
-		}
-		if filled.Count() != n {
-			t.Fatalf("width %d: Fill(%d) counts %d", n, n, filled.Count())
-		}
-		// Partial fill leaves the tail clear.
-		filled.Fill(n / 2)
-		for i := n / 2; i < n; i++ {
-			if filled.Has(i) {
-				t.Fatalf("width %d: Fill(%d) set element %d", n, n/2, i)
-			}
+			t.Fatalf("width %d: row not empty after Zero", n)
 		}
 	}
 }
 
 func TestZeroKeepsWidth(t *testing.T) {
 	r := New(65)
-	r.Fill(65)
+	for i := 0; i < 65; i++ {
+		r.Set(i)
+	}
 	r.Zero()
 	if len(r) != Words(65) {
 		t.Fatalf("Zero changed the width: %d words", len(r))
 	}
-	if r.Any() || r.Count() != 0 {
+	if r.Any() {
 		t.Fatal("Zero left elements behind")
 	}
 }
 
-// TestSetOperations cross-checks Or/And/Intersects against a map-based
-// reference on random rows at every edge width.
+// TestSetOperations cross-checks Or and Any against a map-based reference on
+// random rows at every edge width.
 func TestSetOperations(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range edgeWidths {
@@ -102,162 +72,47 @@ func TestSetOperations(t *testing.T) {
 					inB[i] = true
 				}
 			}
-			wantIntersects := false
-			for i := range inA {
-				if inB[i] {
-					wantIntersects = true
-				}
-			}
-			if got := a.Intersects(b); got != wantIntersects {
-				t.Fatalf("width %d: Intersects = %v, want %v", n, got, wantIntersects)
-			}
 			union := New(n)
 			union.Or(a)
 			union.Or(b)
-			both := New(n)
-			both.Or(a)
-			both.And(b)
+			if union.Any() != (len(inA)+len(inB) > 0) {
+				t.Fatalf("width %d: Any = %v on a union of %d and %d elements", n, union.Any(), len(inA), len(inB))
+			}
 			for i := 0; i < n; i++ {
 				if union.Has(i) != (inA[i] || inB[i]) {
 					t.Fatalf("width %d: union wrong at %d", n, i)
 				}
-				if both.Has(i) != (inA[i] && inB[i]) {
-					t.Fatalf("width %d: intersection wrong at %d", n, i)
-				}
 			}
 		}
 	}
 }
 
-// TestForEachOrder checks that iteration visits exactly the set elements in
-// ascending order, including across word boundaries.
-func TestForEachOrder(t *testing.T) {
-	for _, n := range edgeWidths {
-		want := []int{}
-		r := New(n)
-		for i := 0; i < n; i += 3 {
-			r.Set(i)
-			want = append(want, i)
-		}
-		// Always include the boundary bits when they exist.
-		for _, i := range []int{0, 62, 63, 64, n - 1} {
-			if i >= 0 && i < n && !r.Has(i) {
-				r.Set(i)
-			}
-		}
-		got := []int{}
-		r.ForEach(func(i int) { got = append(got, i) })
-		last := -1
-		for _, i := range got {
-			if i <= last {
-				t.Fatalf("width %d: ForEach out of order: %v", n, got)
-			}
-			last = i
-			if !r.Has(i) {
-				t.Fatalf("width %d: ForEach visited unset element %d", n, i)
-			}
-		}
-		if len(got) != r.Count() {
-			t.Fatalf("width %d: ForEach visited %d elements, Count says %d", n, len(got), r.Count())
-		}
-	}
-}
-
-// TestNextSet checks the closure-free iterator against ForEach at every
-// edge width, including starts inside words, at boundaries, and past the
-// end.
-func TestNextSet(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, n := range edgeWidths {
-		r := New(n)
-		for i := 0; i < n; i++ {
-			if rng.Intn(3) == 0 {
-				r.Set(i)
-			}
-		}
-		want := []int{}
-		r.ForEach(func(i int) { want = append(want, i) })
-		got := []int{}
-		for i := r.NextSet(0); i >= 0; i = r.NextSet(i + 1) {
-			got = append(got, i)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("width %d: NextSet walked %v, ForEach %v", n, got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("width %d: NextSet walked %v, ForEach %v", n, got, want)
-			}
-		}
-		if r.NextSet(n) != -1 || r.NextSet(n+100) != -1 {
-			t.Fatalf("width %d: NextSet past the end should be -1", n)
-		}
-		if r.NextSet(-5) != r.NextSet(0) {
-			t.Fatalf("width %d: negative start should clamp to 0", n)
-		}
-	}
-}
-
-func TestForEachEmptyAndFull(t *testing.T) {
-	for _, n := range edgeWidths {
-		empty := New(n)
-		calls := 0
-		empty.ForEach(func(int) { calls++ })
-		if calls != 0 {
-			t.Fatalf("width %d: ForEach on empty row made %d calls", n, calls)
-		}
-		full := New(n)
-		full.Fill(n)
-		next := 0
-		full.ForEach(func(i int) {
-			if i != next {
-				t.Fatalf("width %d: full row iteration hit %d, want %d", n, i, next)
-			}
-			next++
-		})
-		if next != n {
-			t.Fatalf("width %d: full row iterated %d elements", n, next)
-		}
-	}
-}
-
-// TestGather checks the table-OR sweep against an element-wise reference.
-func TestGather(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
+// TestSlab checks that Slab views one row of a flat table in place.
+func TestSlab(t *testing.T) {
 	for _, n := range edgeWidths {
 		w := Words(n)
-		table := make([]uint64, n*w)
-		for i := 0; i < n; i++ {
-			row := Row(table[i*w : (i+1)*w])
-			for j := 0; j < n; j++ {
-				if rng.Intn(4) == 0 {
-					row.Set(j)
-				}
+		table := make([]uint64, 3*w)
+		Slab(table, 1, w).Set(n - 1)
+		for i := 0; i < 3; i++ {
+			row := Slab(table, i, w)
+			if len(row) != w || cap(row) != w {
+				t.Fatalf("width %d: row %d has len %d cap %d, want %d", n, i, len(row), cap(row), w)
 			}
-		}
-		sel := New(n)
-		for i := 0; i < n; i++ {
-			if rng.Intn(2) == 0 {
-				sel.Set(i)
+			if row.Has(n-1) != (i == 1) || row.Any() != (i == 1) {
+				t.Fatalf("width %d: Set through row 1's slab leaked into row %d", n, i)
 			}
-		}
-		got := New(n)
-		Gather(got, sel, table, w)
-		want := New(n)
-		sel.ForEach(func(i int) { want.Or(table[i*w : (i+1)*w]) })
-		if !got.Equal(want) {
-			t.Fatalf("width %d: Gather disagrees with element-wise ORs", n)
 		}
 	}
 }
 
 func TestZeroWidthRow(t *testing.T) {
 	r := New(0)
-	if len(r) != 0 || r.Any() || r.Count() != 0 {
+	if len(r) != 0 || r.Any() {
 		t.Fatal("zero-width row should be empty")
 	}
 	r.Zero()
-	r.Fill(0)
-	r.ForEach(func(int) { t.Fatal("zero-width row iterated") })
-	Gather(r, r, nil, 0)
+	r.Or(New(0))
+	if r.Any() {
+		t.Fatal("zero-width row gained an element")
+	}
 }

@@ -3,16 +3,15 @@
 //
 // The paper's headline systems claim (Section 3.2) is that a deterministic
 // NWA answers a document query in one streaming pass with memory bounded by
-// the document depth.  This package lifts that claim from one query to N,
-// and from deterministic automata to nondeterministic ones: an Engine holds
-// N registered query.Query values — compiled DNWAs (query.Compile) and
-// compiled NNWAs (query.CompileN) side by side — and a Session holds one
-// query.Runner per query.  Events read from the source are interned once
-// against the engine's shared alphabet and fanned out to every runner in
-// fixed-size batches, so each query observes the same single pass, no runner
-// ever hashes a label, and the stream is never materialized; total memory is
-// O(depth · N) plus one constant-size batch buffer, independent of the
-// document length.
+// the document depth.  This package lifts that claim from one query to N:
+// an Engine holds N registered query.Query values — compiled DNWAs
+// (query.Compile), and the product clusters of a planned bundle — and a
+// Session holds one query.Runner per query.  Events read from the source
+// are interned once against the engine's shared alphabet and fanned out to
+// every runner in fixed-size batches, so each query observes the same
+// single pass, no runner ever hashes a label, and the stream is never
+// materialized; total memory is O(depth · N) plus one constant-size batch
+// buffer, independent of the document length.
 //
 // Sessions are pooled: serving many documents against the same query set
 // reuses the runner state and batch buffer allocation-free, which is what a

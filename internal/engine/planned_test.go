@@ -13,8 +13,8 @@ import (
 	"repro/internal/query/plan"
 )
 
-// plannedTestBundle builds an unplanned bundle of 6 deterministic and 3
-// nondeterministic queries over {a, b, c}.
+// plannedTestBundle builds an unplanned bundle of 6 hand-built queries and
+// 3 determinized random NNWAs over {a, b, c}.
 func plannedTestBundle(t *testing.T) *query.Bundle {
 	t.Helper()
 	alpha := alphabet.New("a", "b", "c")
@@ -34,7 +34,7 @@ func plannedTestBundle(t *testing.T) *query.Bundle {
 	}
 	rng := rand.New(rand.NewSource(19))
 	for i := 0; i < 3; i++ {
-		add(fmt.Sprintf("nnwa-%d", i), query.CompileN(randomNNWA(rng, alpha, 2+rng.Intn(3))))
+		add(fmt.Sprintf("determinized-%d", i), query.Compile(randomNNWA(rng, alpha, 2+rng.Intn(3)).Determinize()))
 	}
 	return b
 }

@@ -959,141 +959,6 @@ func E23ShardedServing(docs, size int) Table {
 	}
 }
 
-// e24Sizes pairs each NNWA size with a document length scaled down as the
-// size grows, because the matrix baseline's per-event cost is Θ(states²)
-// regardless of how many states are live — exactly the cost the bitset rows
-// remove.
-var e24Sizes = []struct{ states, events int }{
-	{4, 60000},
-	{16, 30000},
-	{64, 12000},
-	{128, 6000},
-	{256, 3000},
-}
-
-// e24RandomNNWA builds a random nondeterministic automaton dense enough
-// that the summary and reachable sets stay non-trivially populated at every
-// size: one or two internal successors and one call successor per (state,
-// symbol), several starts and accepts, and ~4·states return transitions per
-// symbol.
-func e24RandomNNWA(rng *rand.Rand, states int) *nwa.NNWA {
-	a := nwa.NewNNWA(generator.AB, states)
-	a.AddStart(0)
-	a.AddStart(rng.Intn(states))
-	for i := 0; i < 1+states/8; i++ {
-		a.AddAccept(rng.Intn(states))
-	}
-	for q := 0; q < states; q++ {
-		for _, sym := range []string{"a", "b"} {
-			a.AddInternal(q, sym, rng.Intn(states))
-			if rng.Intn(2) == 0 {
-				a.AddInternal(q, sym, rng.Intn(states))
-			}
-			a.AddCall(q, sym, rng.Intn(states), rng.Intn(states))
-		}
-	}
-	for _, sym := range []string{"a", "b"} {
-		for i := 0; i < 4*states; i++ {
-			a.AddReturn(rng.Intn(states), rng.Intn(states), sym, rng.Intn(states))
-		}
-	}
-	return a
-}
-
-// e24RunEvents drives one runner over a pre-interned event stream and
-// reports the final verdict.
-func e24RunEvents(r query.Runner, alpha *alphabet.Alphabet, events []docstream.Event) bool {
-	r.Reset()
-	for _, e := range events {
-		sym := e.SymID(alpha)
-		switch e.Kind {
-		case nestedword.Call:
-			r.StepCall(sym)
-		case nestedword.Return:
-			r.StepReturn(sym)
-		default:
-			r.StepInternal(sym)
-		}
-	}
-	return r.Accepting()
-}
-
-// E24BitsetRunner measures the bitset NNWA state-set runner against the
-// []bool matrix reference implementation on random nondeterministic
-// automata of 4 up to maxStates states.  Both runners consume the same
-// pre-interned generated document; the table reports per-event times and
-// the speedup, and every row additionally replays 100 short random nested
-// words (with pending calls and returns) through both runners — any verdict
-// disagreement, on the document or on the words, fails the row's agree
-// column.
-func E24BitsetRunner(maxStates int) Table {
-	rng := rand.New(rand.NewSource(24))
-	rows := [][]string{}
-	for _, size := range e24Sizes {
-		if size.states > maxStates {
-			continue
-		}
-		a := e24RandomNNWA(rng, size.states)
-		c := query.CompileN(a)
-		alpha := c.Alphabet()
-		events := make([]docstream.Event, 0, size.events)
-		stream := generator.NewDocumentStream(24, size.events, 16, e21Labels[:2])
-		for {
-			e, err := stream.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				panic(err)
-			}
-			events = append(events, e.Interned(alpha))
-		}
-
-		bit := c.NewRunner()
-		matrix := c.NewReferenceRunner()
-		const reps = 3
-		var bitTime, matrixTime time.Duration
-		var bitVerdict, matrixVerdict bool
-		for rep := 0; rep < reps; rep++ {
-			t0 := time.Now()
-			bitVerdict = e24RunEvents(bit, alpha, events)
-			if d := time.Since(t0); rep == 0 || d < bitTime {
-				bitTime = d
-			}
-			t0 = time.Now()
-			matrixVerdict = e24RunEvents(matrix, alpha, events)
-			if d := time.Since(t0); rep == 0 || d < matrixTime {
-				matrixTime = d
-			}
-		}
-		agree := bitVerdict == matrixVerdict
-		for i := 0; i < 100; i++ {
-			var w *nestedword.NestedWord
-			if i%3 == 0 {
-				w = generator.RandomNestedWord(rng, 2+rng.Intn(40), []string{"a", "b"})
-			} else {
-				w = generator.RandomDocument(rng, 2+rng.Intn(40), 6, []string{"a", "b"})
-			}
-			if query.RunWord(bit, alpha, w) != query.RunWord(matrix, alpha, w) {
-				agree = false
-			}
-		}
-		perEvent := func(d time.Duration) string {
-			return ftoa(float64(d.Nanoseconds()) / float64(len(events)))
-		}
-		rows = append(rows, []string{
-			itoa(size.states), itoa(len(events)),
-			perEvent(bitTime), perEvent(matrixTime),
-			ftoa(float64(matrixTime) / float64(bitTime)), btoa(agree),
-		})
-	}
-	return Table{
-		Name:   "E24 (bitset): packed uint64 summary rows vs []bool matrix state-set runner",
-		Header: []string{"states", "events", "bitset ns/ev", "matrix ns/ev", "speedup", "agree"},
-		Rows:   rows,
-	}
-}
-
 // e25QuerySpecs builds a deterministic family of n distinct deterministic
 // queries over the three-letter alphabet — path, linear-order, longer path,
 // and well-formedness variants cycling through label combinations — large
@@ -1320,10 +1185,6 @@ var Registry = []Experiment{
 	{ID: "E23", Summary: "serve: sharded multi-document pool vs serial and goroutine-per-document",
 		Run:      func() Table { return E23ShardedServing(200, 5000) },
 		Quick:    func() Table { return E23ShardedServing(50, 1000) },
-		Artifact: true},
-	{ID: "E24", Summary: "bitset: packed uint64 summary rows vs []bool matrix NNWA runner, 4–256 states",
-		Run:      func() Table { return E24BitsetRunner(256) },
-		Quick:    func() Table { return E24BitsetRunner(256) },
 		Artifact: true},
 	{ID: "E25", Summary: "qset: serialized bundle load / mmap cold start vs parse+compile, 1–64 queries",
 		Run:      func() Table { return E25ColdStart(64) },

@@ -6,30 +6,30 @@ import (
 	"repro/internal/alphabet"
 )
 
-// nnwaGraph adapts an NNWA to the StateGraph interface for testing the
+// nnwaStateGraph adapts an NNWA to the StateGraph interface for testing the
 // exported reachability analysis against a hand-built automaton.
-type nnwaGraph struct{ n *NNWA }
+type nnwaStateGraph struct{ n *NNWA }
 
-func (g nnwaGraph) NumStates() int     { return g.n.NumStates() }
-func (g nnwaGraph) NumSymbols() int    { return g.n.Alphabet().Size() }
-func (g nnwaGraph) StartStates() []int { return g.n.StartStates() }
-func (g nnwaGraph) IsAccepting(q int) bool {
+func (g nnwaStateGraph) NumStates() int     { return g.n.NumStates() }
+func (g nnwaStateGraph) NumSymbols() int    { return g.n.Alphabet().Size() }
+func (g nnwaStateGraph) StartStates() []int { return g.n.StartStates() }
+func (g nnwaStateGraph) IsAccepting(q int) bool {
 	return g.n.IsAccepting(q)
 }
 
-func (g nnwaGraph) EachCallEdge(q, sym int, f func(linear, hier int)) {
+func (g nnwaStateGraph) EachCallEdge(q, sym int, f func(linear, hier int)) {
 	for _, t := range g.n.CallSuccessors(q, g.n.Alphabet().Symbol(sym)) {
 		f(t.Linear, t.Hier)
 	}
 }
 
-func (g nnwaGraph) EachInternalEdge(q, sym int, f func(to int)) {
+func (g nnwaStateGraph) EachInternalEdge(q, sym int, f func(to int)) {
 	for _, to := range g.n.InternalSuccessors(q, g.n.Alphabet().Symbol(sym)) {
 		f(to)
 	}
 }
 
-func (g nnwaGraph) EachReturnEdge(lin, hier, sym int, f func(to int)) {
+func (g nnwaStateGraph) EachReturnEdge(lin, hier, sym int, f func(to int)) {
 	for _, to := range g.n.ReturnSuccessors(lin, hier, g.n.Alphabet().Symbol(sym)) {
 		f(to)
 	}
@@ -46,7 +46,7 @@ func TestReachableStates(t *testing.T) {
 	n.AddReturn(2, 3, "b", 4)
 	n.AddInternal(5, "b", 5)
 
-	reach := ReachableStates(nnwaGraph{n})
+	reach := ReachableStates(nnwaStateGraph{n})
 	want := []bool{true, true, true, false, true, false}
 	for q, w := range want {
 		if reach[q] != w {
@@ -54,7 +54,7 @@ func TestReachableStates(t *testing.T) {
 		}
 	}
 
-	hier := HierarchicalTargets(nnwaGraph{n}, reach)
+	hier := HierarchicalTargets(nnwaStateGraph{n}, reach)
 	if !hier[3] {
 		t.Errorf("HierarchicalTargets[3] = false, want true (call edge from reachable state 1)")
 	}
@@ -72,10 +72,10 @@ func TestCoaccessibleStates(t *testing.T) {
 	n.AddReturn(2, 3, "b", 4)
 	n.AddInternal(5, "b", 5)
 
-	reach := ReachableStates(nnwaGraph{n})
-	hierOK := HierarchicalTargets(nnwaGraph{n}, reach)
+	reach := ReachableStates(nnwaStateGraph{n})
+	hierOK := HierarchicalTargets(nnwaStateGraph{n}, reach)
 	hierOK[0] = true // start state, for pending returns
-	co := CoaccessibleStates(nnwaGraph{n}, hierOK)
+	co := CoaccessibleStates(nnwaStateGraph{n}, hierOK)
 	// 4 is accepting (trivially coaccessible); 0 and 1 reach it; 2 reaches
 	// it over the return edge gated on hierarchical state 3, which a call
 	// from reachable state 1 supplies; 5 loops on itself and never reaches
@@ -90,7 +90,7 @@ func TestCoaccessibleStates(t *testing.T) {
 	// With the return's hierarchical component unavailable, state 2 loses
 	// its only path to acceptance.
 	none := make([]bool, n.NumStates())
-	co = CoaccessibleStates(nnwaGraph{n}, none)
+	co = CoaccessibleStates(nnwaStateGraph{n}, none)
 	if co[2] {
 		t.Errorf("CoaccessibleStates[2] = true with no hierarchical states available, want false")
 	}

@@ -173,15 +173,6 @@ func (n *NNWA) EachReturn(f func(lin, hier, sym, to int)) {
 	}
 }
 
-// NumReturnTransitions returns the number of return transitions in δr.
-func (n *NNWA) NumReturnTransitions() int {
-	total := 0
-	for _, targets := range n.returnR {
-		total += len(targets)
-	}
-	return total
-}
-
 func sortedStates(m map[int]bool) []int {
 	out := make([]int, 0, len(m))
 	for q, v := range m {

@@ -8,52 +8,8 @@ import (
 	"repro/internal/nwa"
 )
 
-// bigNNWA builds a 64-state nondeterministic automaton — one full bitset
-// word — with call, internal, and return transitions out of every state, so
-// a step exercises Gather, the return stitch, and the frame free list.
-func bigNNWA() *nwa.NNWA {
-	alpha := alphabet.New("a", "b")
-	const n = 64
-	a := nwa.NewNNWA(alpha, n)
-	a.AddStart(0)
-	a.AddAccept(n - 1)
-	for q := 0; q < n; q++ {
-		a.AddInternal(q, "a", (q+1)%n)
-		a.AddInternal(q, "b", q)
-		a.AddCall(q, "a", (q+3)%n, q)
-		a.AddReturn((q+3)%n, q, "b", (q+1)%n)
-	}
-	return a
-}
-
-// TestBitsetRunnerZeroAlloc pins the claim the //nwvet:hotpath annotations
-// on the bitset runner make: once the frame free list has grown to the
-// working depth, stepping the 64-state state-set simulation — calls,
-// internals, matched and pending returns — allocates nothing.
-func TestBitsetRunnerZeroAlloc(t *testing.T) {
-	c := CompileN(bigNNWA())
-	r := c.NewRunner()
-	run := func() {
-		r.Reset()
-		for depth := 0; depth < 8; depth++ {
-			r.StepCall(0)
-			r.StepInternal(0)
-			r.StepInternal(1)
-		}
-		for depth := 0; depth < 8; depth++ {
-			r.StepReturn(1)
-		}
-		r.StepReturn(1) // pending return on a drained stack
-		_ = r.Accepting()
-	}
-	run() // grow the stack and free list to the working depth
-	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
-		t.Errorf("bitset NNWA runner: %v allocs/op, want 0", allocs)
-	}
-}
-
-// TestDNWARunnerZeroAlloc is the deterministic counterpart: a compiled DNWA
-// runner steps with zero allocations once its stack has grown.
+// TestDNWARunnerZeroAlloc pins that a compiled DNWA runner steps with zero
+// allocations once its stack has grown.
 func TestDNWARunnerZeroAlloc(t *testing.T) {
 	c := Compile(WellFormed(alphabet.New("a", "b")))
 	r := c.NewRunner()
@@ -75,7 +31,7 @@ func TestDNWARunnerZeroAlloc(t *testing.T) {
 }
 
 // keptEntries is the stack capacity a runner holds between documents: its
-// stack, and for the state-set runners the larger of the stack and the
+// stack, and for the state-set runner the larger of the stack and the
 // recycled-frame free list.
 func keptEntries(t *testing.T, r Runner) int {
 	switch r := r.(type) {
@@ -83,9 +39,7 @@ func keptEntries(t *testing.T, r Runner) int {
 		return cap(r.stack)
 	case *ProductRunner:
 		return cap(r.stack)
-	case *nnwaBitsetRunner:
-		return max(cap(r.stack), cap(r.free))
-	case *nnwaMatrixRunner:
+	case *nnwaRunner:
 		return max(cap(r.stack), cap(r.free))
 	}
 	t.Fatalf("no stack accounting for %T", r)
@@ -97,7 +51,7 @@ func keptEntries(t *testing.T, r Runner) int {
 // most maxKeptStack stack entries, and answers the next document as a
 // fresh runner does.  The deterministic runners read a document of depth
 // 1,200,000 (an 8 MiB document of nested one-letter elements); the
-// state-set runners, whose entries are whole frames, read one of depth
+// state-set runner, whose entries are whole frames, reads one of depth
 // 2·maxKeptStack to keep the test's memory small.
 func TestResetBoundsKeptStack(t *testing.T) {
 	alpha := alphabet.New("a", "b")
@@ -113,8 +67,7 @@ func TestResetBoundsKeptStack(t *testing.T) {
 	}{
 		{"dnwa", 1_200_000, func() Runner { return Compile(WellFormed(alpha)).NewRunner() }},
 		{"product", 1_200_000, func() Runner { return product.NewProductRunner() }},
-		{"nnwa bitset", 2 * maxKeptStack, nnwa.NewRunner},
-		{"nnwa matrix", 2 * maxKeptStack, nnwa.NewReferenceRunner},
+		{"nnwa", 2 * maxKeptStack, nnwa.NewRunner},
 	}
 	shallow := func(r Runner) bool {
 		r.StepCall(0)

@@ -4,11 +4,10 @@ import "encoding/hex"
 
 // QueryDesc is the machine-readable description of one compiled query in a
 // bundle: its bundle name, its runner kind ("dnwa" for deterministic
-// compiled tables, "nnwa" for the nondeterministic state-set runner,
-// "product-member" for a query answered by a shared product automaton), and
-// its state count.  A product member carries no states of its own — its
-// group does — so States is 0 and Group points (1-based) at the
-// BundleDesc.Groups entry that answers it.
+// compiled tables, "product-member" for a query answered by a shared
+// product automaton), and its state count.  A product member carries no
+// states of its own — its group does — so States is 0 and Group points
+// (1-based) at the BundleDesc.Groups entry that answers it.
 type QueryDesc struct {
 	Name   string `json:"name"`
 	Kind   string `json:"kind"`
@@ -79,8 +78,6 @@ func Describe(b *Bundle) BundleDesc {
 		switch c := b.Query(i).(type) {
 		case *Compiled:
 			q.States = c.NumStates()
-		case *CompiledN:
-			q.Kind, q.States = "nnwa", c.NumStates()
 		case nil:
 			q.Kind, q.Group = "product-member", groupOf[i]
 		}

@@ -4,12 +4,16 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"repro/internal/nestedword"
+	"repro/internal/nwa"
 )
 
-// fuzzAut is one cached fuzz subject: a random NNWA compiled both ways plus
+// fuzzAut is one cached fuzz subject: a random NNWA, its compiled form, and
 // its determinized DNWA, so every fuzz iteration reuses the (comparatively
 // expensive) Determinize call.
 type fuzzAut struct {
+	n   *nwa.NNWA
 	c   *CompiledN
 	det *Compiled
 }
@@ -39,18 +43,18 @@ func fuzzAutomaton(seed uint8) *fuzzAut {
 	if rng.Intn(2) == 0 {
 		n.AddAccept(rng.Intn(states))
 	}
-	a := &fuzzAut{c: CompileN(n), det: Compile(n.Determinize())}
+	a := &fuzzAut{n: n, c: CompileN(n), det: Compile(n.Determinize())}
 	fuzzAuts[seed] = a
 	return a
 }
 
-// FuzzNNWARunnerDifferential is the ISSUE's differential fuzz target: an
+// FuzzNNWARunnerDifferential is the NNWA differential fuzz target: an
 // arbitrary byte string decodes to an arbitrary nested word — each byte
 // picks an event kind (call / internal / return) and a symbol (two
 // in-alphabet labels plus the out-of-alphabet ID), so well-matched words,
-// pending calls, and pending returns all occur — and the bitset state-set
-// runner, the []bool matrix reference runner, and Determinize+DNWA must
-// report the same verdict after every prefix.
+// pending calls, and pending returns all occur — and the compiled state-set
+// runner and Determinize+DNWA must report the same verdict after every
+// prefix, and NNWA.Accepts the same verdict on the whole word.
 func FuzzNNWARunnerDifferential(f *testing.F) {
 	f.Add(uint8(0), []byte{})
 	f.Add(uint8(1), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8})
@@ -62,13 +66,16 @@ func FuzzNNWARunnerDifferential(f *testing.F) {
 			word = word[:4096] // bound stack depth and per-input runtime
 		}
 		aut := fuzzAutomaton(seed)
-		bit := aut.c.NewRunner()
-		matrix := aut.c.NewReferenceRunner()
+		nnwa := aut.c.NewRunner()
 		det := aut.det.NewRunner()
+		labels := []string{"a", "b", "out-of-alphabet"}
+		kinds := []nestedword.Kind{nestedword.Call, nestedword.Internal, nestedword.Return}
+		positions := make([]nestedword.Position, len(word))
 		for pos, b := range word {
 			kind := int(b) % 3
 			sym := int(b/3) % 3 // 0,1 are in-alphabet; 2 is the out-of-alphabet ID
-			for _, r := range []Runner{bit, matrix, det} {
+			positions[pos] = nestedword.Position{Symbol: labels[sym], Kind: kinds[kind]}
+			for _, r := range []Runner{nnwa, det} {
 				switch kind {
 				case 0:
 					r.StepCall(sym)
@@ -78,11 +85,13 @@ func FuzzNNWARunnerDifferential(f *testing.F) {
 					r.StepReturn(sym)
 				}
 			}
-			bv, mv, dv := bit.Accepting(), matrix.Accepting(), det.Accepting()
-			if bv != mv || bv != dv {
-				t.Fatalf("seed %d, prefix %d (kind %d, sym %d): bitset %v, matrix %v, Determinize+DNWA %v",
-					seed, pos+1, kind, sym, bv, mv, dv)
+			if nv, dv := nnwa.Accepting(), det.Accepting(); nv != dv {
+				t.Fatalf("seed %d, prefix %d (kind %d, sym %d): compiled NNWA %v, Determinize+DNWA %v",
+					seed, pos+1, kind, sym, nv, dv)
 			}
+		}
+		if got, want := nnwa.Accepting(), aut.n.Accepts(nestedword.New(positions...)); got != want {
+			t.Fatalf("seed %d: compiled NNWA %v, NNWA.Accepts %v on the whole word", seed, got, want)
 		}
 	})
 }

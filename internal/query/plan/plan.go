@@ -8,11 +8,10 @@
 // per-query accept bitmask — per-event cost then stops scaling with the
 // cluster size.  The same multiplicative bound is the hazard: a bad cluster
 // multiplies to an enormous state space.  The planner therefore works under
-// a state budget.  Deterministic queries are chunked into clusters of at
-// most ClusterSize in bundle order, and each cluster is product-compiled; a
+// a state budget.  Queries are chunked into clusters of at most
+// ClusterSize in bundle order, and each cluster is product-compiled; a
 // cluster whose product exceeds StateBudget falls back to per-query fan-out,
 // verdicts unchanged (TestPlannerBudgetFallback pins this).
-// Nondeterministic queries have no product form and are served solo.
 // Experiment E28 measures where the crossover sits; see docs/COMPILATION.md
 // for the pipeline this package sits in the middle of.
 package plan
@@ -58,11 +57,10 @@ type Decision struct {
 	States int     // summed state count of all compiled products
 }
 
-// Bundle plans a compiled bundle: deterministic queries are
-// chunked into clusters and product-compiled, over-budget clusters fall
-// back to fan-out, and the result is a planned bundle with identical names,
-// order, and verdicts.  The input bundle is not modified and must itself be
-// unplanned.
+// Bundle plans a compiled bundle: queries are chunked into clusters and
+// product-compiled, over-budget clusters fall back to fan-out, and the
+// result is a planned bundle with identical names, order, and verdicts.
+// The input bundle is not modified and must itself be unplanned.
 func Bundle(b *query.Bundle, opts Options) (*query.Bundle, Decision, error) {
 	if len(b.Groups()) != 0 {
 		return nil, Decision{}, fmt.Errorf("plan: bundle is already planned (%d groups)", len(b.Groups()))
@@ -79,29 +77,25 @@ func Bundle(b *query.Bundle, opts Options) (*query.Bundle, Decision, error) {
 	var products []*query.CompiledProduct
 	solo := func(indices ...int) { dec.Solo = append(dec.Solo, indices...) }
 
-	// Only deterministic queries product-compile; bundle order is kept so
-	// DSL-emitted runs of similar queries land in the same cluster.
-	var det []int
-	for i := 0; i < b.Len(); i++ {
-		if _, ok := b.Query(i).(*query.Compiled); ok {
-			det = append(det, i)
-		} else {
-			solo(i)
-		}
+	// Bundle order is kept so DSL-emitted runs of similar queries land in
+	// the same cluster.
+	rest := make([]int, b.Len())
+	for i := range rest {
+		rest[i] = i
 	}
 
 	if opts.ClusterSize < 2 || opts.StateBudget < 0 {
 		// No clustering, or no product compilation: every query is solo.
-		solo(det...)
-		det = nil
+		solo(rest...)
+		rest = nil
 	}
-	for len(det) > 0 {
+	for len(rest) > 0 {
 		n := opts.ClusterSize
-		if n > len(det) {
-			n = len(det)
+		if n > len(rest) {
+			n = len(rest)
 		}
-		cluster := det[:n]
-		det = det[n:]
+		cluster := rest[:n]
+		rest = rest[n:]
 		if n < 2 {
 			solo(cluster...)
 			continue

@@ -12,30 +12,27 @@ import (
 	"repro/internal/query/dsl"
 )
 
-// buildBundle compiles a mixed bundle: n deterministic ContainsLabel-style
-// queries followed by m nondeterministic ones, all over the {a,b} alphabet.
-func buildBundle(t *testing.T, det, ndet int) *query.Bundle {
+// buildBundle compiles a mixed bundle: order linear-order queries followed
+// by paths hierarchical path queries, all over the {a,b} alphabet.
+func buildBundle(t *testing.T, order, paths int) *query.Bundle {
 	t.Helper()
 	alpha := generator.AB
 	b := query.NewBundle(alpha)
 	labels := []string{"a", "b"}
-	for i := 0; i < det; i++ {
+	for i := 0; i < order; i++ {
 		q := query.Compile(query.LinearOrder(alpha, labels[i%2], labels[(i+1)%2]))
-		if err := b.Add(detName(i), q); err != nil {
-			t.Fatalf("Add det %d: %v", i, err)
+		if err := b.Add("order-"+string(rune('a'+i)), q); err != nil {
+			t.Fatalf("Add order %d: %v", i, err)
 		}
 	}
-	for i := 0; i < ndet; i++ {
-		q := query.CompileN(query.PathQuery(alpha, labels[i%2], labels[(i+1)%2]).ToNondeterministic())
-		if err := b.Add(ndetName(i), q); err != nil {
-			t.Fatalf("Add ndet %d: %v", i, err)
+	for i := 0; i < paths; i++ {
+		q := query.Compile(query.PathQuery(alpha, labels[i%2], labels[(i+1)%2]))
+		if err := b.Add("path-"+string(rune('a'+i)), q); err != nil {
+			t.Fatalf("Add path %d: %v", i, err)
 		}
 	}
 	return b
 }
-
-func detName(i int) string  { return "det-" + string(rune('a'+i)) }
-func ndetName(i int) string { return "ndet-" + string(rune('a'+i)) }
 
 // verdictsAgree runs every query of the planned bundle — products and solo
 // alike — against the unplanned per-query oracle on random words.
@@ -107,11 +104,11 @@ func TestPlannerClustersByForm(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Bundle: %v", err)
 	}
-	// 5 deterministic + 3 nondeterministic queries at cluster size 8: one
-	// product of the deterministic five; NNWAs have no product form and
-	// stay solo.
-	if len(dec.Groups) != 1 || len(dec.Groups[0]) != 5 || len(dec.Solo) != 3 {
-		t.Fatalf("decision = %+v, want one 5-query group and 3 solo", dec)
+	// 5 linear-order + 3 path queries at cluster size 8: whatever
+	// construction built them, every query is a compiled DNWA, so all eight
+	// form one product.
+	if len(dec.Groups) != 1 || len(dec.Groups[0]) != 8 || len(dec.Solo) != 0 {
+		t.Fatalf("decision = %+v, want one 8-query group and none solo", dec)
 	}
 	if got := len(planned.Groups()); got != 1 {
 		t.Fatalf("planned bundle has %d groups, want 1", got)
@@ -121,11 +118,6 @@ func TestPlannerClustersByForm(t *testing.T) {
 	}
 	if planned.Len() != src.Len() {
 		t.Fatalf("planned bundle holds %d names, want %d", planned.Len(), src.Len())
-	}
-	for _, idx := range dec.Solo {
-		if _, ok := planned.Query(idx).(*query.CompiledN); !ok {
-			t.Errorf("solo query %q is %T, want the NNWA", planned.Name(idx), planned.Query(idx))
-		}
 	}
 	verdictsAgree(t, src, planned)
 }
@@ -143,7 +135,7 @@ func TestPlannerWithinCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := buildBundle(t, 0, 1)
+	src := buildBundle(t, 0, 0)
 	for i, q := range queries {
 		if err := src.Add(names[i], q); err != nil {
 			t.Fatal(err)
@@ -153,8 +145,8 @@ func TestPlannerWithinCluster(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Bundle: %v", err)
 	}
-	if len(dec.Groups) != 1 || len(dec.Groups[0]) != 3 || len(dec.Solo) != 1 {
-		t.Fatalf("decision = %+v, want the 3 within queries in one group, the NNWA solo", dec)
+	if len(dec.Groups) != 1 || len(dec.Groups[0]) != 3 || len(dec.Solo) != 0 {
+		t.Fatalf("decision = %+v, want the 3 within queries in one group", dec)
 	}
 	verdictsAgree(t, src, planned)
 }

@@ -12,8 +12,8 @@ import (
 	"repro/internal/query/format"
 )
 
-// plannedGoldenBundle product-compiles the golden bundle's two deterministic
-// queries into one group, leaving the nondeterministic query solo.
+// plannedGoldenBundle product-compiles the golden bundle's first two
+// queries into one group, leaving the third solo.
 func plannedGoldenBundle(t *testing.T) *Bundle {
 	t.Helper()
 	src := goldenBundle(t)

@@ -22,8 +22,7 @@ import (
 // deterministic runner — two or three indexed loads — regardless of how many
 // members the cluster has.  Acceptance is a per-query bitmask (a bitset.Row
 // over member indices per product state), and a ProductRunner demuxes that
-// mask back into the member verdicts.  Nondeterministic (*CompiledN) queries
-// have no product form; the planner (internal/query/plan) serves them solo.
+// mask back into the member verdicts.
 //
 // The paper keeps hierarchical states apart from linear ones, and the
 // product exploits that: only the start tuple and the hierarchical targets

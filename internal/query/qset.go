@@ -1,6 +1,7 @@
 package query
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -17,7 +18,7 @@ import (
 // directory, 8-byte-aligned payloads) lives in the format subpackage; this
 // file owns the section registry and the semantic validation.
 //
-// Three object kinds exist:
+// Three object kinds are served:
 //
 //   - a Compiled DNWA (format.KindDNWA): meta (with the hierarchical-state
 //     count H as an optional sixth value), alphabet, accept bytes, the dense
@@ -25,12 +26,15 @@ import (
 //     the distinct rows.  Containers written before the factored layout hold
 //     the num·H·syms dense return table or the sorted sparse key/value pair
 //     instead; the decoder factors those on load;
-//   - a CompiledN NNWA (format.KindNNWA): meta, alphabet, starts, accept
-//     bytes, the CSR call/internal/return adjacency, and the per-symbol
-//     successor bitmask slabs;
+//   - a CompiledProduct (format.KindProduct): see product.go;
 //   - a Bundle (format.KindBundle): one shared alphabet, the query names,
-//     and one embedded per-query blob (a full KindDNWA/KindNNWA container
-//     minus its alphabet section) per query.
+//     and one embedded per-query blob (a full KindDNWA container minus its
+//     alphabet section) per query, plus the product clusters of a planned
+//     bundle.
+//
+// A compiled NNWA container (format.KindNNWA), standalone or embedded in a
+// bundle, decodes to ErrNNWANotServed: every NNWA has an equivalent DNWA
+// (Section 3.2), so such a query is determinized and recompiled instead.
 //
 // Unmarshal* copy every table out of the input; LoadQueryMapped /
 // LoadBundleMapped point the int32/uint64 table slices directly into the
@@ -40,8 +44,8 @@ import (
 //
 // Every decode path validates the tables before a runner can touch them —
 // lengths against num/syms, targets against the state range, return row IDs
-// against the row count, offsets monotonic, sparse keys strictly ascending
-// and naming states in range, mask bits beyond the state range clear — so
+// against the row count, sparse keys strictly ascending and naming states in
+// range, accept-mask bits beyond the query count clear — so
 // arbitrary bytes fail with an error rather than a panic, and no allocation
 // is sized by attacker-controlled fields beyond the input length (or, for a
 // legacy sparse return table, beyond maxLegacyCells).
@@ -50,26 +54,22 @@ import (
 // stable; new sections may be added in later versions but existing ones
 // never change meaning.
 const (
-	secMeta     = 1  // uint64s: kind-specific dimensions and flags
-	secAlphabet = 2  // string list: alphabet symbols in index order
-	secAccept   = 3  // bytes: one 0/1 byte per state
-	secCallLin  = 4  // int32s: linear call targets
-	secCallHier = 5  // int32s: hierarchical call targets
-	secInternal = 6  // int32s: internal targets (DNWA dense table)
-	secReturnT  = 7  // int32s: DNWA dense return table (legacy layout)
-	secRetKeys  = 8  // uint64s: sparse return keys, strictly ascending (NNWA, legacy DNWA)
-	secRetVals  = 9  // int32s: DNWA sparse return values (legacy layout)
-	secStarts   = 10 // int32s: NNWA start states
-	secCallOff  = 11 // int32s: NNWA call CSR prefix offsets
-	secIntOff   = 12 // int32s: NNWA internal CSR prefix offsets
-	secIntTo    = 13 // int32s: NNWA internal CSR targets
-	secRetOff   = 14 // int32s: NNWA dense return CSR prefix offsets
-	secRetTo    = 15 // int32s: NNWA return CSR targets
-	secRetSpan  = 16 // int32s: NNWA sparse return key spans
-	secIntMask  = 17 // uint64s: NNWA per-symbol internal successor slab
-	secCallMask = 18 // uint64s: NNWA per-symbol call successor slab
-	secNames    = 19 // string list: bundle query names
-	secQuery    = 20 // bytes: one embedded query container per bundle query
+	secMeta     = 1 // uint64s: kind-specific dimensions and flags
+	secAlphabet = 2 // string list: alphabet symbols in index order
+	secAccept   = 3 // bytes: one 0/1 byte per state
+	secCallLin  = 4 // int32s: linear call targets
+	secCallHier = 5 // int32s: hierarchical call targets
+	secInternal = 6 // int32s: internal targets (DNWA dense table)
+	secReturnT  = 7 // int32s: DNWA dense return table (legacy layout)
+	secRetKeys  = 8 // uint64s: DNWA sparse return keys, strictly ascending (legacy layout)
+	secRetVals  = 9 // int32s: DNWA sparse return values (legacy layout)
+
+	// Tags 10–18 held the sections of compiled NNWA containers (start
+	// states, CSR adjacency, successor bitmask slabs).  NNWA containers are
+	// no longer read or written; the tags are retired and never reused.
+
+	secNames = 19 // string list: bundle query names
+	secQuery = 20 // bytes: one embedded query container per bundle query
 
 	// Product-compiled cluster sections (format.KindProduct, PR 9).
 	secAcceptMask = 21 // uint64s: per-query accept bitmask slab
@@ -192,40 +192,6 @@ func (c *Compiled) encode(includeAlpha bool, version uint32) []byte {
 	return w.Finish()
 }
 
-// Marshal serializes the compiled automaton, alphabet included, into a
-// standalone KindNNWA container (hashed, unless decoded from a v1 one).
-func (c *CompiledN) Marshal() []byte { return c.encode(true, marshalVersion(c.fmtVersion)) }
-
-func (c *CompiledN) encode(includeAlpha bool, version uint32) []byte {
-	w := format.NewWriter(format.KindNNWA)
-	w.SetVersion(version)
-	dense := uint64(0)
-	if c.dense {
-		dense = 1
-	}
-	w.Uint64s(secMeta, []uint64{uint64(c.num), uint64(c.syms), dense})
-	if includeAlpha {
-		w.Strings(secAlphabet, c.alpha.Symbols())
-	}
-	w.Int32s(secStarts, c.starts)
-	w.Bytes(secAccept, boolBytes(c.accept))
-	w.Int32s(secCallOff, c.callOff)
-	w.Int32s(secCallLin, c.callLin)
-	w.Int32s(secCallHier, c.callHier)
-	w.Int32s(secIntOff, c.intOff)
-	w.Int32s(secIntTo, c.intTo)
-	if c.dense {
-		w.Int32s(secRetOff, c.retOff)
-	} else {
-		w.Uint64s(secRetKeys, c.retKeys)
-		w.Int32s(secRetSpan, c.retSpan)
-	}
-	w.Int32s(secRetTo, c.retTo)
-	w.Uint64s(secIntMask, c.intMask)
-	w.Uint64s(secCallMask, c.callMask)
-	return w.Finish()
-}
-
 // decodeState holds what a single query decode needs: the parsed container,
 // the alphabet (shared by a bundle, or read from the blob's own section),
 // and whether table slices may alias the input bytes.
@@ -330,26 +296,6 @@ func checkTargets(what string, t []int32, num int) error {
 		if v < 0 || int(v) >= num {
 			return fmt.Errorf("query: %s[%d] = %d outside the %d states", what, i, v, num)
 		}
-	}
-	return nil
-}
-
-// checkOffsets verifies a CSR prefix-offset table: the right length,
-// starting at zero, monotone, and ending exactly at the target count.
-func checkOffsets(what string, off []int32, cells, targets int) error {
-	if len(off) != cells+1 {
-		return fmt.Errorf("query: %s has %d offsets, want %d", what, len(off), cells+1)
-	}
-	if off[0] != 0 {
-		return fmt.Errorf("query: %s starts at %d, want 0", what, off[0])
-	}
-	for i := 1; i < len(off); i++ {
-		if off[i] < off[i-1] {
-			return fmt.Errorf("query: %s decreases at %d (%d < %d)", what, i, off[i], off[i-1])
-		}
-	}
-	if int(off[len(off)-1]) != targets {
-		return fmt.Errorf("query: %s ends at %d, targets hold %d entries", what, off[len(off)-1], targets)
 	}
 	return nil
 }
@@ -568,174 +514,21 @@ func (c *Compiled) factorLegacy() error {
 	}, maxLegacyCells)
 }
 
-// decodeCompiledN rebuilds a CompiledN from a KindNNWA container.
-func decodeCompiledN(d *decodeState) (*CompiledN, error) {
-	if d.r.Kind() != format.KindNNWA {
-		return nil, fmt.Errorf("query: container kind %d is not a compiled NNWA", d.r.Kind())
-	}
-	meta, err := d.uint64s(secMeta, "meta")
-	if err != nil {
-		return nil, err
-	}
-	if len(meta) < 3 {
-		return nil, fmt.Errorf("query: NNWA meta section holds %d values, want 3", len(meta))
-	}
-	num, syms := int(meta[0]), int(meta[1])
-	if num < 1 || num > maxStates {
-		return nil, fmt.Errorf("query: %d states outside [1, %d]", meta[0], maxStates)
-	}
-	if syms < 1 || syms > maxSymbols {
-		return nil, fmt.Errorf("query: %d symbol columns outside [1, %d]", meta[1], maxSymbols)
-	}
-	c := &CompiledN{num: num, syms: syms, dense: meta[2] == 1, w: bitset.Words(num), fmtVersion: d.r.Version()}
-	if err := d.resolveAlphabet(syms); err != nil {
-		return nil, err
-	}
-	c.alpha = d.alpha
-	if c.accept, err = d.decodeAccept(num); err != nil {
-		return nil, err
-	}
-	if c.starts, err = d.int32s(secStarts, "start states"); err != nil {
-		return nil, err
-	}
-	if err := checkTargets("start states", c.starts, num); err != nil {
-		return nil, err
-	}
-	cells, ok := mul(num, syms)
-	if !ok {
-		return nil, fmt.Errorf("query: %d×%d transition cells overflow", num, syms)
-	}
-
-	// Call and internal CSR adjacency.
-	if c.callLin, err = d.int32s(secCallLin, "call linear"); err != nil {
-		return nil, err
-	}
-	if c.callHier, err = d.int32s(secCallHier, "call hierarchical"); err != nil {
-		return nil, err
-	}
-	if len(c.callHier) != len(c.callLin) {
-		return nil, fmt.Errorf("query: %d call linear targets vs %d hierarchical", len(c.callLin), len(c.callHier))
-	}
-	if c.callOff, err = d.int32s(secCallOff, "call offsets"); err != nil {
-		return nil, err
-	}
-	if err := checkOffsets("call offsets", c.callOff, cells, len(c.callLin)); err != nil {
-		return nil, err
-	}
-	if err := checkTargets("call linear", c.callLin, num); err != nil {
-		return nil, err
-	}
-	if err := checkTargets("call hierarchical", c.callHier, num); err != nil {
-		return nil, err
-	}
-	if c.intTo, err = d.int32s(secIntTo, "internal targets"); err != nil {
-		return nil, err
-	}
-	if c.intOff, err = d.int32s(secIntOff, "internal offsets"); err != nil {
-		return nil, err
-	}
-	if err := checkOffsets("internal offsets", c.intOff, cells, len(c.intTo)); err != nil {
-		return nil, err
-	}
-	if err := checkTargets("internal targets", c.intTo, num); err != nil {
-		return nil, err
-	}
-
-	// Return adjacency, dense prefix offsets or sorted key spans.
-	if c.retTo, err = d.int32s(secRetTo, "return targets"); err != nil {
-		return nil, err
-	}
-	if err := checkTargets("return targets", c.retTo, num); err != nil {
-		return nil, err
-	}
-	if c.dense {
-		retCells, ok := mul(num, cells)
-		if !ok {
-			return nil, fmt.Errorf("query: dense return index for %d states overflows", num)
-		}
-		if c.retOff, err = d.int32s(secRetOff, "return offsets"); err != nil {
-			return nil, err
-		}
-		if err := checkOffsets("return offsets", c.retOff, retCells, len(c.retTo)); err != nil {
-			return nil, err
-		}
-	} else {
-		if c.retKeys, err = d.uint64s(secRetKeys, "sparse return keys"); err != nil {
-			return nil, err
-		}
-		if err := checkAscending(c.retKeys); err != nil {
-			return nil, err
-		}
-		if err := checkReturnKeys(c.retKeys, num, num, syms); err != nil {
-			return nil, err
-		}
-		if c.retSpan, err = d.int32s(secRetSpan, "sparse return spans"); err != nil {
-			return nil, err
-		}
-		if err := checkOffsets("sparse return spans", c.retSpan, len(c.retKeys), len(c.retTo)); err != nil {
-			return nil, err
-		}
-	}
-
-	// Per-symbol successor mask slabs, plus the derived start/accept rows.
-	slab, ok := mul(cells, c.w)
-	if !ok {
-		return nil, fmt.Errorf("query: %d×%d mask slab overflows", cells, c.w)
-	}
-	for _, t := range []struct {
-		tag  uint32
-		what string
-		dst  *[]uint64
-	}{
-		{secIntMask, "internal mask", &c.intMask},
-		{secCallMask, "call mask", &c.callMask},
-	} {
-		v, err := d.uint64s(t.tag, t.what)
-		if err != nil {
-			return nil, err
-		}
-		if len(v) != slab {
-			return nil, fmt.Errorf("query: %s slab holds %d words, want %d", t.what, len(v), slab)
-		}
-		if err := checkMaskBits(t.what, v, num, c.w); err != nil {
-			return nil, err
-		}
-		*t.dst = v
-	}
-	c.startRow = packStateRow(num, c.starts)
-	c.acceptRow = packAcceptRow(c.accept)
-	return c, nil
-}
-
-// checkMaskBits rejects mask slabs with bits set beyond the state range:
-// a phantom high bit would make NextSet yield a state ≥ num and index the
-// adjacency tables out of range.
-func checkMaskBits(what string, slab []uint64, num, w int) error {
-	rem := uint(num) & 63
-	if rem == 0 {
-		return nil
-	}
-	high := ^uint64(0) << rem
-	for row := 0; row < len(slab)/w; row++ {
-		if slab[row*w+w-1]&high != 0 {
-			return fmt.Errorf("query: %s row %d sets bits beyond the %d states", what, row, num)
-		}
-	}
-	return nil
-}
+// ErrNNWANotServed is the error every decode path returns for a compiled
+// NNWA container (format.KindNNWA), standalone or embedded in a bundle.
+var ErrNNWANotServed = errors.New("query: NNWA containers are not served; determinize and recompile")
 
 // decodeQuery dispatches on the container kind.
-func decodeQuery(data []byte, alpha *alphabet.Alphabet, zeroCopy bool) (Query, error) {
+func decodeQuery(data []byte, alpha *alphabet.Alphabet, zeroCopy bool) (*Compiled, error) {
 	r, err := format.NewReader(data)
 	if err != nil {
 		return nil, err
 	}
-	d := &decodeState{r: r, alpha: alpha, zeroCopy: zeroCopy}
 	switch r.Kind() {
 	case format.KindDNWA:
-		return decodeCompiled(d)
+		return decodeCompiled(&decodeState{r: r, alpha: alpha, zeroCopy: zeroCopy})
 	case format.KindNNWA:
-		return decodeCompiledN(d)
+		return nil, ErrNNWANotServed
 	default:
 		return nil, fmt.Errorf("query: container kind %d is not a compiled query", r.Kind())
 	}
@@ -743,42 +536,26 @@ func decodeQuery(data []byte, alpha *alphabet.Alphabet, zeroCopy bool) (Query, e
 
 // UnmarshalCompiled decodes a standalone serialized compiled DNWA, copying
 // every table out of data (data may be reused or mutated afterwards).
-func UnmarshalCompiled(data []byte) (*Compiled, error) {
-	q, err := decodeQuery(data, nil, false)
+func UnmarshalCompiled(data []byte) (*Compiled, error) { return decodeQuery(data, nil, false) }
+
+// UnmarshalQuery is UnmarshalCompiled returning the Query interface.
+func UnmarshalQuery(data []byte) (Query, error) { return asQuery(decodeQuery(data, nil, false)) }
+
+// LoadQueryMapped decodes a standalone serialized compiled DNWA zero-copy:
+// the transition tables alias data directly (checked reinterpretation of
+// the little-endian sections), so data must stay valid and unmodified —
+// typically an mmap'd read-only region — for as long as the query is in
+// use.
+func LoadQueryMapped(data []byte) (Query, error) { return asQuery(decodeQuery(data, nil, true)) }
+
+// asQuery keeps a failed decode's nil *Compiled from becoming a non-nil
+// Query.
+func asQuery(c *Compiled, err error) (Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, ok := q.(*Compiled)
-	if !ok {
-		return nil, fmt.Errorf("query: container holds a nondeterministic automaton, want a compiled DNWA")
-	}
 	return c, nil
 }
-
-// UnmarshalCompiledN decodes a standalone serialized compiled NNWA, copying
-// every table out of data.
-func UnmarshalCompiledN(data []byte) (*CompiledN, error) {
-	q, err := decodeQuery(data, nil, false)
-	if err != nil {
-		return nil, err
-	}
-	c, ok := q.(*CompiledN)
-	if !ok {
-		return nil, fmt.Errorf("query: container holds a deterministic automaton, want a compiled NNWA")
-	}
-	return c, nil
-}
-
-// UnmarshalQuery decodes either serialized compiled form, copying every
-// table out of data.
-func UnmarshalQuery(data []byte) (Query, error) { return decodeQuery(data, nil, false) }
-
-// LoadQueryMapped decodes either serialized compiled form zero-copy: the
-// transition tables and mask slabs alias data directly (checked
-// reinterpretation of the little-endian sections), so data must stay valid
-// and unmodified — typically an mmap'd read-only region — for as long as
-// the query is in use.
-func LoadQueryMapped(data []byte) (Query, error) { return decodeQuery(data, nil, true) }
 
 // Marshal serializes the product cluster, alphabet included, into a
 // standalone KindProduct container: meta ({query count, mode 0}), the accept
@@ -863,8 +640,15 @@ func decodeProduct(d *decodeState) (*CompiledProduct, []int32, error) {
 		return nil, nil, fmt.Errorf("query: product accept mask holds %d words, want %d (%d states × %d)",
 			len(mask), want, inner.num, p.maskW)
 	}
-	if err := checkMaskBits("accept mask", mask, nq, p.maskW); err != nil {
-		return nil, nil, err
+	// A bit beyond the query count would demux a verdict to a bundle slot
+	// the product does not answer.
+	if rem := uint(nq) & 63; rem != 0 {
+		high := ^uint64(0) << rem
+		for s := 0; s < inner.num; s++ {
+			if mask[s*p.maskW+p.maskW-1]&high != 0 {
+				return nil, nil, fmt.Errorf("query: accept mask row %d sets bits beyond the %d queries", s, nq)
+			}
+		}
 	}
 	return p, groupIdx, nil
 }
@@ -923,13 +707,11 @@ func NewBundle(alpha *alphabet.Alphabet) *Bundle { return &Bundle{alpha: alpha} 
 // Add appends a compiled query under a display name.  The name must be new
 // and the query's alphabet must equal the bundle's (the same invariant
 // engine.RegisterQuery enforces, checked here so a bundle cannot be
-// serialized in an unbootable state).  Only the serializable compiled forms
-// — *Compiled and *CompiledN — are accepted.
+// serialized in an unbootable state).  Only *Compiled, the one served
+// compiled form, is accepted: a CompiledN is determinized and compiled first.
 func (b *Bundle) Add(name string, q Query) error {
-	switch q.(type) {
-	case *Compiled, *CompiledN:
-	default:
-		return fmt.Errorf("query: bundle cannot serialize %T (want *Compiled or *CompiledN)", q)
+	if _, ok := q.(*Compiled); !ok {
+		return fmt.Errorf("query: bundle cannot serialize %T (want *Compiled)", q)
 	}
 	for _, n := range b.names {
 		if n == name {
@@ -1065,10 +847,7 @@ func (b *Bundle) Marshal() []byte {
 		if q != nil && len(b.groups) > 0 {
 			solo = append(solo, int32(i))
 		}
-		switch c := q.(type) {
-		case *Compiled:
-			w.Bytes(secQuery, c.encode(false, format.Version1))
-		case *CompiledN:
+		if c, ok := q.(*Compiled); ok {
 			w.Bytes(secQuery, c.encode(false, format.Version1))
 		}
 	}

@@ -36,8 +36,6 @@ func FuzzUnmarshalCompiled(f *testing.F) {
 		Compile(PathQuery(alpha, "a", "b")).Marshal(),
 		Compile(PathQuery(alpha, "a", "b")).encode(true, 1),
 		Compile(WellFormed(alpha)).Marshal(),
-		CompileN(goldenNNWA()).Marshal(),
-		CompileN(goldenNNWA()).encode(true, 1),
 		{},
 		[]byte("NWQ1"),
 	}
@@ -45,7 +43,7 @@ func FuzzUnmarshalCompiled(f *testing.F) {
 	if err := b.Add("wf", Compile(WellFormed(alpha))); err != nil {
 		f.Fatal(err)
 	}
-	if err := b.Add("nn", CompileN(goldenNNWA())); err != nil {
+	if err := b.Add("//a//b", Compile(PathQuery(alpha, "a", "b"))); err != nil {
 		f.Fatal(err)
 	}
 	seeds = append(seeds, b.Marshal())
@@ -53,9 +51,11 @@ func FuzzUnmarshalCompiled(f *testing.F) {
 	// the sixth meta value is fuzzed too.
 	compact := goldenPlannedBundle(f).Groups()[0].Product.inner
 	seeds = append(seeds, compact.Marshal(), compact.encode(true, 1))
-	// The committed fixtures of both return layouts, and legacy dense and
-	// sparse tables the decoder factors on load.
-	seeds = append(seeds, goldenFiles(f, "golden_dnwa.nwq", "golden_dnwa_factored.nwq", "golden_planned_factored.nwq")...)
+	// The committed fixtures of both return layouts, the NNWA rejection
+	// fixtures, and legacy dense and sparse tables the decoder factors on
+	// load.
+	seeds = append(seeds, goldenFiles(f, "golden_dnwa.nwq", "golden_dnwa_factored.nwq", "golden_planned_factored.nwq",
+		"golden_nnwa.nwq", "golden_nnwa_v1.nwq")...)
 	seeds = append(seeds,
 		withLegacyReturn(compact, false).encode(true, 1),
 		withLegacyReturn(compact, true).encode(true, 1),
@@ -75,16 +75,9 @@ func FuzzUnmarshalCompiled(f *testing.F) {
 		if len(data) > 1<<18 {
 			data = data[:1<<18]
 		}
-		if q, err := UnmarshalQuery(data); err == nil {
-			exerciseDecoded(q)
-			var again []byte
-			switch c := q.(type) {
-			case *Compiled:
-				again = c.Marshal()
-			case *CompiledN:
-				again = c.Marshal()
-			}
-			if _, err := UnmarshalQuery(again); err != nil {
+		if c, err := UnmarshalCompiled(data); err == nil {
+			exerciseDecoded(c)
+			if _, err := UnmarshalCompiled(c.Marshal()); err != nil {
 				t.Fatalf("decoded query failed to round-trip: %v", err)
 			}
 		}

@@ -3,7 +3,9 @@ package query
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"flag"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -23,29 +25,8 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden fixtures under
 // goldenAlphabet is the fixtures' shared two-symbol alphabet.
 func goldenAlphabet() *alphabet.Alphabet { return alphabet.New("a", "b") }
 
-// goldenNNWA builds the fixtures' nondeterministic automaton.  Every
-// (state, symbol) adjacency bucket holds at most one transition, so the
-// compiled CSR layout — and therefore the marshaled bytes — are identical
-// on every run and Go version, which is what lets the fixture bytes be
-// committed.
-func goldenNNWA() *nwa.NNWA {
-	a := nwa.NewNNWA(goldenAlphabet(), 4)
-	a.AddStart(0)
-	a.AddStart(2)
-	a.AddAccept(3)
-	a.AddInternal(0, "a", 1)
-	a.AddInternal(1, "b", 2)
-	a.AddInternal(2, "a", 3)
-	a.AddCall(0, "a", 1, 2)
-	a.AddCall(2, "b", 3, 0)
-	a.AddReturn(1, 2, "a", 3)
-	a.AddReturn(3, 0, "b", 3)
-	a.AddReturn(0, 0, "a", 1)
-	return a
-}
-
-// goldenBundle builds the fixtures' three-query bundle: two deterministic
-// queries and the nondeterministic automaton over one shared alphabet.
+// goldenBundle builds the fixtures' three-query bundle over one shared
+// alphabet.
 func goldenBundle(t *testing.T) *Bundle {
 	t.Helper()
 	alpha := goldenAlphabet()
@@ -56,7 +37,7 @@ func goldenBundle(t *testing.T) *Bundle {
 	}{
 		{"well-formed", Compile(WellFormed(alpha))},
 		{"//a//b", Compile(PathQuery(alpha, "a", "b"))},
-		{"nondet", CompileN(goldenNNWA())},
+		{"//b//a", Compile(PathQuery(alpha, "b", "a"))},
 	} {
 		if err := b.Add(add.name, add.q); err != nil {
 			t.Fatal(err)
@@ -67,8 +48,7 @@ func goldenBundle(t *testing.T) *Bundle {
 
 // goldenPlannedBundle builds the planned fixture: a two-member product of
 // linear-order queries, whose return table is compacted to 2 hierarchical
-// columns for its 7 states, next to the nondeterministic automaton served
-// solo.
+// columns for its 7 states, next to a well-formedness query served solo.
 func goldenPlannedBundle(t testing.TB) *Bundle {
 	t.Helper()
 	alpha := goldenAlphabet()
@@ -79,7 +59,7 @@ func goldenPlannedBundle(t testing.TB) *Bundle {
 	}{
 		{"a before b", Compile(LinearOrder(alpha, "a", "b"))},
 		{"b before a", Compile(LinearOrder(alpha, "b", "a"))},
-		{"nondet", CompileN(goldenNNWA())},
+		{"well-formed", Compile(WellFormed(alpha))},
 	} {
 		if err := src.Add(add.name, add.q); err != nil {
 			t.Fatal(err)
@@ -212,45 +192,7 @@ func TestLegacySparseDeadEntries(t *testing.T) {
 	}
 }
 
-// TestMarshalRoundTripCompiledN does the same for compiled NNWAs, over
-// random automata in both return forms.
-func TestMarshalRoundTripCompiledN(t *testing.T) {
-	rng := rand.New(rand.NewSource(555))
-	defer func(old int) { denseReturnLimit = old }(denseReturnLimit)
-	for _, limit := range []int{denseReturnLimit, 1} {
-		denseReturnLimit = limit
-		for trial := 0; trial < 6; trial++ {
-			c := CompileN(randomNNWA(rng, 2+rng.Intn(6)))
-			data := c.Marshal()
-			dec, err := UnmarshalCompiledN(data)
-			if err != nil {
-				t.Fatalf("UnmarshalCompiledN (dense=%v): %v", c.Dense(), err)
-			}
-			if again := dec.Marshal(); !bytes.Equal(again, data) {
-				t.Fatalf("decode→re-encode changed the bytes (dense=%v)", c.Dense())
-			}
-			checkQueryAgreement(t, "copied", c, dec, 120)
-
-			mapped, err := LoadQueryMapped(data)
-			if err != nil {
-				t.Fatalf("LoadQueryMapped: %v", err)
-			}
-			checkQueryAgreement(t, "mapped", c, mapped, 120)
-			// The mapped runner's reference oracle must agree too.
-			mc := mapped.(*CompiledN)
-			checkQueryAgreement(t, "mapped reference runner", c, referenceQuery{mc}, 60)
-		}
-	}
-}
-
-// referenceQuery adapts a CompiledN so checkQueryAgreement exercises the
-// []bool matrix runner of a decoded automaton.
-type referenceQuery struct{ c *CompiledN }
-
-func (r referenceQuery) Alphabet() *alphabet.Alphabet { return r.c.Alphabet() }
-func (r referenceQuery) NewRunner() Runner            { return r.c.NewReferenceRunner() }
-
-// TestBundleRoundTrip round-trips a mixed bundle through Marshal and both
+// TestBundleRoundTrip round-trips a bundle through Marshal and both
 // load paths, and checks the bundle-level invariants.
 func TestBundleRoundTrip(t *testing.T) {
 	b := goldenBundle(t)
@@ -300,8 +242,8 @@ func rebuildBundle(t *testing.T, b *Bundle) *Bundle {
 }
 
 // TestBundleAddErrors pins the bundle construction invariants: duplicate
-// names, alphabet mismatches, and unserializable query implementations are
-// rejected.
+// names, alphabet mismatches, and unserializable query implementations —
+// a CompiledN among them — are rejected.
 func TestBundleAddErrors(t *testing.T) {
 	alpha := goldenAlphabet()
 	b := NewBundle(alpha)
@@ -315,8 +257,8 @@ func TestBundleAddErrors(t *testing.T) {
 	if err := b.Add("mismatch", Compile(WellFormed(other))); err == nil {
 		t.Error("alphabet mismatch accepted")
 	}
-	if err := b.Add("alien", referenceQuery{CompileN(goldenNNWA())}); err == nil {
-		t.Error("unserializable query implementation accepted")
+	if err := b.Add("nondet", CompileN(WellFormed(alpha).ToNondeterministic())); err == nil {
+		t.Error("compiled NNWA accepted")
 	}
 }
 
@@ -378,12 +320,6 @@ func TestUnmarshalErrors(t *testing.T) {
 	if _, err := UnmarshalQuery(goldenBundle(t).Marshal()); err == nil {
 		t.Error("UnmarshalQuery accepted a bundle container")
 	}
-	if _, err := UnmarshalCompiledN(data); err == nil {
-		t.Error("UnmarshalCompiledN accepted a DNWA container")
-	}
-	if _, err := UnmarshalCompiled(CompileN(goldenNNWA()).Marshal()); err == nil {
-		t.Error("UnmarshalCompiled accepted an NNWA container")
-	}
 	// A bundle's shared alphabet goes through the same reader as a
 	// standalone query's, duplicate check included.
 	w := format.NewWriter(format.KindBundle)
@@ -401,10 +337,10 @@ func TestUnmarshalErrors(t *testing.T) {
 // -update to regenerate those after a deliberate format change — which must
 // also bump the format version (see format.Version1/VersionHashed and the
 // byte-level reference in docs/FORMAT.md).  golden_dnwa.nwq and
-// golden_bundle.nwq hold single DNWAs written before the factored return
-// layout, numbered as Compile then numbered them, and are never
-// regenerated; golden_planned.nwq is rebuilt in that layout by
-// legacyPlannedBundle, which proves the legacy encoder reproduces it.
+// golden_bundle.nwq hold DNWAs written before the factored return layout,
+// numbered as Compile then numbered them, and are never regenerated;
+// golden_planned.nwq is rebuilt in that layout by legacyPlannedBundle,
+// which proves the legacy encoder reproduces it.
 func TestGoldenFixtures(t *testing.T) {
 	fixtures := []struct {
 		file   string
@@ -425,17 +361,13 @@ func TestGoldenFixtures(t *testing.T) {
 			},
 		},
 		{
-			file:  "golden_nnwa.nwq",
-			build: func() []byte { return CompileN(goldenNNWA()).Marshal() },
+			// A compiled NNWA written before NNWAs stopped being served: a
+			// rejection fixture.
+			file: "golden_nnwa.nwq",
 			verify: func(t *testing.T, data []byte) {
-				dec, err := UnmarshalCompiledN(data)
-				if err != nil {
-					t.Fatal(err)
+				if _, err := UnmarshalQuery(data); !errors.Is(err, ErrNNWANotServed) {
+					t.Fatalf("golden NNWA decoded with %v, want ErrNNWANotServed", err)
 				}
-				if again := dec.Marshal(); !bytes.Equal(again, data) {
-					t.Fatal("golden NNWA re-encodes differently")
-				}
-				checkQueryAgreement(t, "golden nnwa", CompileN(goldenNNWA()), dec, 200)
 			},
 		},
 		{
@@ -542,10 +474,10 @@ func TestGoldenFixtures(t *testing.T) {
 }
 
 // TestGoldenFixturesV1 pins backward compatibility: the committed
-// version-1 fixtures (the exact bytes PR 5 shipped, never regenerated)
-// must still decode, report themselves unhashed, and — because Marshal
-// re-emits the version an object was decoded from — re-encode
-// byte-identically.
+// version-1 fixtures must still decode, report themselves unhashed, and —
+// because Marshal re-emits the version an object was decoded from —
+// re-encode byte-identically.  The NNWA fixture is a rejection fixture: it
+// must fail with ErrNNWANotServed, and has nothing to re-encode.
 func TestGoldenFixturesV1(t *testing.T) {
 	remarshal := map[string]func(t *testing.T, data []byte) []byte{
 		"golden_dnwa_v1.nwq": func(t *testing.T, data []byte) []byte {
@@ -556,11 +488,10 @@ func TestGoldenFixturesV1(t *testing.T) {
 			return dec.Marshal()
 		},
 		"golden_nnwa_v1.nwq": func(t *testing.T, data []byte) []byte {
-			dec, err := UnmarshalCompiledN(data)
-			if err != nil {
-				t.Fatal(err)
+			if _, err := UnmarshalQuery(data); !errors.Is(err, ErrNNWANotServed) {
+				t.Fatalf("v1 NNWA decoded with %v, want ErrNNWANotServed", err)
 			}
-			return dec.Marshal()
+			return data
 		},
 		"golden_bundle_v1.nwq": func(t *testing.T, data []byte) []byte {
 			dec, err := UnmarshalBundle(data)
@@ -586,5 +517,41 @@ func TestGoldenFixturesV1(t *testing.T) {
 				t.Fatal("v1 fixture re-encodes differently")
 			}
 		})
+	}
+}
+
+// TestNNWAContainersRejected feeds compiled NNWA containers — the committed
+// rejection fixtures standalone, and embedded in a bundle next to a served
+// DNWA — to every decode entry: each must fail with ErrNNWANotServed.  The
+// bundle embeds the standalone container whole; the decoder rejects it on
+// the header kind before reading any section.
+func TestNNWAContainersRejected(t *testing.T) {
+	alpha := goldenAlphabet()
+	standalone := goldenFiles(t, "golden_nnwa.nwq", "golden_nnwa_v1.nwq")
+	w := format.NewWriter(format.KindBundle)
+	w.Strings(secAlphabet, alpha.Symbols())
+	w.Strings(secNames, []string{"well-formed", "nondet"})
+	w.Bytes(secQuery, Compile(WellFormed(alpha)).encode(false, format.Version1))
+	w.Bytes(secQuery, standalone[1])
+	bundle := w.Finish()
+	path := filepath.Join(t.TempDir(), "nnwa.nwq")
+	if err := os.WriteFile(path, bundle, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	errs := map[string]error{}
+	_, errs["OpenBundle"] = OpenBundle(path)
+	_, errs["UnmarshalBundle"] = UnmarshalBundle(bundle)
+	_, errs["LoadBundleMapped"] = LoadBundleMapped(bundle)
+	_, errs["VetBytes bundle"] = VetBytes(bundle)
+	for i, data := range standalone {
+		_, errs[fmt.Sprint("UnmarshalQuery ", i)] = UnmarshalQuery(data)
+		_, errs[fmt.Sprint("UnmarshalCompiled ", i)] = UnmarshalCompiled(data)
+		_, errs[fmt.Sprint("LoadQueryMapped ", i)] = LoadQueryMapped(data)
+		_, errs[fmt.Sprint("VetBytes ", i)] = VetBytes(data)
+	}
+	for entry, err := range errs {
+		if !errors.Is(err, ErrNNWANotServed) {
+			t.Errorf("%s: got %v, want ErrNNWANotServed", entry, err)
+		}
 	}
 }

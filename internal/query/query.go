@@ -29,24 +29,24 @@
 // serving hot path: experiment E21 showed the per-event map lookups of
 // DNWA.Step* dominating multi-query fan-out throughput.
 //
-// Compile (for DNWAs) and CompileN (for NNWAs) therefore flatten an
-// automaton once, ahead of the stream, into an immutable compiled form whose
-// call and internal transitions live in flat dense slices indexed by
-// state*numSymbols+sym.  The return index pairs a linear state with one of
-// the H hierarchical states, and most pairs repeat a few distinct rows of
-// targets, so a Compiled stores one row ID per pair and each distinct row
-// once (see compiled.go); a return step is two loads.  CompileN keeps a
-// dense return index up to denseReturnLimit (2²² entries ≈ 16 MiB of
-// int32) and a key-sorted sparse one, probed by binary search, above it.
+// Compile therefore flattens a DNWA once, ahead of the stream, into an
+// immutable compiled form whose call and internal transitions live in flat
+// dense slices indexed by state*numSymbols+sym.  The return index pairs a
+// linear state with one of the H hierarchical states, and most pairs repeat
+// a few distinct rows of targets, so a Compiled stores one row ID per pair
+// and each distinct row once (see compiled.go); a return step is two loads.
 // Symbols are interned integer IDs with one dedicated out-of-alphabet ID, so
 // unknown document labels take the same indexed path as known ones (see
 // compiled.go and docstream.NewInterningTokenizer).  Experiment E22 measures
 // the compiled path against the map-backed one.
 //
-// Both compiled forms implement Query — mint a Runner per concurrent pass —
-// which is what the engine package registers and fans out: deterministic
-// runners step one state, nondeterministic ones run the subset-of-pairs
-// simulation with one summary set per stack frame.
+// Compiled implements Query — mint a Runner per concurrent pass — which is
+// what the engine package registers and fans out; a deterministic runner
+// steps one state per event.  Only deterministic automata are served:
+// an NNWA is determinized (Section 3.2) and compiled.  CompileN keeps an
+// in-process runner for NNWAs, the subset-of-pairs simulation with one
+// summary set per stack frame, which the differential tests check against
+// NNWA.Accepts and Determinize+Compile.
 package query
 
 import (

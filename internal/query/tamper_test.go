@@ -92,7 +92,8 @@ func tamperBundle(t *testing.T, file string) {
 
 // TestTamperedStandaloneQueries runs the same flip-every-byte check over
 // the golden standalone DNWA (legacy and factored) and NNWA fixtures
-// through UnmarshalQuery.
+// through UnmarshalQuery.  The pristine NNWA fixture fails with
+// ErrNNWANotServed; a tampered one fails the hash check first.
 func TestTamperedStandaloneQueries(t *testing.T) {
 	for _, file := range []string{"golden_dnwa.nwq", "golden_dnwa_factored.nwq", "golden_nnwa.nwq"} {
 		t.Run(file, func(t *testing.T) {
@@ -100,8 +101,12 @@ func TestTamperedStandaloneQueries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := UnmarshalQuery(data); err != nil {
-				t.Fatalf("pristine fixture does not load: %v", err)
+			var pristine error
+			if file == "golden_nnwa.nwq" {
+				pristine = ErrNNWANotServed
+			}
+			if _, err := UnmarshalQuery(data); !errors.Is(err, pristine) {
+				t.Fatalf("pristine fixture: got %v, want %v", err, pristine)
 			}
 			mut := make([]byte, len(data))
 			for i := range data {
@@ -270,13 +275,6 @@ func TestSparseReturnKeyTamper(t *testing.T) {
 		{"DNWA linear state past num", func(t *testing.T) []byte {
 			c := withLegacyReturn(Compile(PathQuery(goldenAlphabet(), "a", "b")), true)
 			c.legacy.keys = lastKey(c.legacy.keys, uint64(c.num*c.num*c.syms+5))
-			return c.Marshal()
-		}, "names linear state"},
-		{"NNWA linear state past num", func(t *testing.T) []byte {
-			defer func(old int) { denseReturnLimit = old }(denseReturnLimit)
-			denseReturnLimit = 1
-			c := CompileN(goldenNNWA())
-			c.retKeys = lastKey(c.retKeys, uint64(c.num*c.num*c.syms))
 			return c.Marshal()
 		}, "names linear state"},
 		{"compacted DNWA hierarchical state past H", func(t *testing.T) []byte {

@@ -13,30 +13,25 @@ import (
 
 // This file is the automaton-level static analyzer behind `nwtool vet`: a
 // compiled artifact is checked before anything maps it, against invariants in
-// three rings.
+// two rings.
 //
 //  1. Structural: decode is the structural gate.  VetBytes vets only what
 //     decodes, and decoding already enforces every table shape, target
-//     range, sparse-key range, mask width and demux rule; vet adds the
-//     dead-sink check, the one structural property the decoder cannot see.
-//  2. Cross-representation: CompiledN stores its transitions twice — CSR
-//     adjacency and per-symbol bitmask slabs — and the runners mix both, so
-//     the two copies must agree bit for bit.  Decoding checks each copy in
-//     isolation; only vet cross-checks them, which makes this the one
-//     corruption a valid-looking container can smuggle past Unmarshal.
-//  3. Semantic: reachability and coaccessibility over the compiled tables,
+//     range, sparse-key range, mask width and demux rule; vet adds what the
+//     decoder cannot see: the dead state must be a sink, and a product's
+//     accept mask must agree with its automaton's accept table.
+//  2. Semantic: reachability and coaccessibility over the compiled tables,
 //     computed by the emptiness machinery of internal/nwa (Section 3.2), so
 //     unreachable states, useless transitions, and empty-language queries
 //     are reported with exact counts before a fleet boots the bundle.
 //
-// Dead-sink and cross-representation violations are errors (the artifact is
-// rejected); semantic findings are warnings (the artifact works, but carries
-// dead weight).
+// Structural violations are errors (the artifact is rejected); semantic
+// findings are warnings (the artifact works, but carries dead weight).
 
 // Vet issue levels.
 const (
-	// VetError marks a dead-sink or cross-representation violation; the
-	// artifact must not be served.
+	// VetError marks a dead-sink or accept-mask violation; the artifact
+	// must not be served.
 	VetError = "error"
 	// VetWarning marks a semantic finding — dead states or transitions; the
 	// artifact is safe but bloated.
@@ -64,8 +59,8 @@ type VetIssue struct {
 type VetQueryStats struct {
 	// Name is the query's display name in the bundle ("query" standalone).
 	Name string
-	// Form is "dnwa" or "nnwa", prefixed with "product-" when the automaton
-	// is the shared interior of a product-compiled cluster.
+	// Form is "dnwa", or "product-dnwa" when the automaton is the shared
+	// interior of a product-compiled cluster.
 	Form string
 	// States is the exact state count, dead sink included for DNWAs.
 	States int
@@ -190,12 +185,12 @@ func VetBytes(data []byte) (*VetReport, error) {
 		}
 		rep = vetBundle(b)
 	case format.KindDNWA, format.KindNNWA:
-		q, err := UnmarshalQuery(data)
+		c, err := UnmarshalCompiled(data)
 		if err != nil {
 			return nil, err
 		}
 		rep = &VetReport{}
-		vetQuery(rep, "query", q)
+		vetQuery(rep, "query", c)
 	case format.KindProduct:
 		p, err := UnmarshalProduct(data)
 		if err != nil {
@@ -216,7 +211,7 @@ func VetBytes(data []byte) (*VetReport, error) {
 }
 
 // vetBundle verifies a decoded bundle: every product group and every solo
-// query through the dead-sink, cross-representation and semantic checks.
+// query through the structural and semantic checks.
 // The demux table and the shared alphabet need no re-check — decodeBundle
 // refuses a bundle that covers a name twice or not at all, and every query
 // it decodes reads the bundle's one alphabet.
@@ -229,8 +224,8 @@ func vetBundle(b *Bundle) *VetReport {
 		vetProduct(rep, fmt.Sprintf("group %d", gi+1), g.Product)
 	}
 	for i := 0; i < b.Len(); i++ {
-		if q := b.Query(i); q != nil {
-			vetQuery(rep, b.Name(i), q)
+		if c, ok := b.Query(i).(*Compiled); ok {
+			vetQuery(rep, b.Name(i), c)
 		}
 	}
 	return rep
@@ -257,28 +252,17 @@ func vetProduct(rep *VetReport, name string, p *CompiledProduct) {
 	}
 }
 
-// vetQuery dispatches one decoded query through the dead-sink or
-// cross-representation check and the semantic analysis; unknown Query
-// implementations are rejected (only the serializable compiled forms have
-// vettable tables).
-func vetQuery(rep *VetReport, name string, q Query) {
-	switch c := q.(type) {
-	case *Compiled:
-		c.vetDeadSink(rep, name)
-		vetSemantics(rep, name, "dnwa", dnwaGraph{c}, int(c.dead), c.countDeadTransitions)
-	case *CompiledN:
-		if c.vetMaskConsistency(rep, name) {
-			vetSemantics(rep, name, "nnwa", nnwaGraph{c}, -1, c.countDeadTransitions)
-		}
-	default:
-		rep.add(name, VetError, fmt.Sprintf("cannot vet a %T (want *Compiled or *CompiledN)", q))
-	}
+// vetQuery runs one decoded automaton through the dead-sink check and the
+// semantic analysis.
+func vetQuery(rep *VetReport, name string, c *Compiled) {
+	c.vetDeadSink(rep, name)
+	vetSemantics(rep, name, c)
 }
 
-// --- dead-sink and cross-representation checks ---------------------------
+// --- dead-sink check -----------------------------------------------------
 
-// vetDeadSink checks the one structural property the decoder cannot see:
-// the designated dead state must be a sink — every transition out of it
+// vetDeadSink checks a structural property the decoder cannot see: the
+// designated dead state must be a sink — every transition out of it
 // lands in it — or the compiled automaton silently resurrects rejected
 // runs.  Acceptance at the sink is legal: a complemented query (the DSL's
 // "no x after y", or any "not") accepts exactly where the original
@@ -318,39 +302,6 @@ func (c *Compiled) eachReturnEdge(f func(lin, hier, sym, to int)) {
 	}
 }
 
-// vetMaskConsistency cross-checks the bitmask slabs against the CSR
-// adjacency — the check the decoder cannot make, because the bitset runner
-// steps through the masks while the return stitch enumerates the CSR, so a
-// disagreement makes the two halves of one runner simulate different
-// automata.  For every (symbol, state) the internal mask row must hold
-// exactly the internal CSR successors and the call mask row exactly the
-// linear call successors.
-func (c *CompiledN) vetMaskConsistency(rep *VetReport, name string) bool {
-	ok := true
-	row := bitset.New(c.num)
-	check := func(what string, mask []uint64, succ func(q, sym int) []int32) {
-		for sym := 0; sym < c.syms; sym++ {
-			for q := 0; q < c.num; q++ {
-				row.Zero()
-				for _, to := range succ(q, sym) {
-					row.Set(int(to))
-				}
-				if !row.Equal(c.maskRow(mask, sym, q)) {
-					rep.add(name, VetError, fmt.Sprintf(
-						"%s mask row (sym %d, state %d) disagrees with the CSR adjacency", what, sym, q))
-					ok = false
-				}
-			}
-		}
-	}
-	check("internal", c.intMask, func(q, sym int) []int32 { return c.internalSucc(q, sym) })
-	check("call", c.callMask, func(q, sym int) []int32 {
-		lin, _ := c.callSucc(q, sym)
-		return lin
-	})
-	return ok
-}
-
 // --- semantic analysis ---------------------------------------------------
 
 // dnwaGraph exposes a Compiled's defined transitions (dead-sink targets
@@ -386,44 +337,11 @@ func (g dnwaGraph) EachReturnEdge(lin, hier, sym int, f func(to int)) {
 	}
 }
 
-// nnwaGraph exposes a CompiledN's CSR adjacency as a StateGraph.
-type nnwaGraph struct{ c *CompiledN }
-
-func (g nnwaGraph) NumStates() int  { return g.c.num }
-func (g nnwaGraph) NumSymbols() int { return g.c.syms }
-func (g nnwaGraph) StartStates() []int {
-	out := make([]int, len(g.c.starts))
-	for i, q := range g.c.starts {
-		out[i] = int(q)
-	}
-	return out
-}
-func (g nnwaGraph) IsAccepting(q int) bool { return g.c.accept[q] }
-
-func (g nnwaGraph) EachCallEdge(q, sym int, f func(linear, hier int)) {
-	lins, hiers := g.c.callSucc(q, sym)
-	for i, lin := range lins {
-		f(int(lin), int(hiers[i]))
-	}
-}
-
-func (g nnwaGraph) EachInternalEdge(q, sym int, f func(to int)) {
-	for _, to := range g.c.internalSucc(q, sym) {
-		f(int(to))
-	}
-}
-
-func (g nnwaGraph) EachReturnEdge(lin, hier, sym int, f func(to int)) {
-	for _, to := range g.c.returnSucc(int32(lin), int32(hier), sym) {
-		f(int(to))
-	}
-}
-
 // liveSets runs the reachability analysis and derives the hierarchical
-// usage and return-edge eligibility sets shared by both compiled forms:
-// hierOK[h] is true when a return edge with hierarchical component h can
-// fire — h is the hierarchical target of a call from a reachable state, or
-// an initial state (pending returns, Section 3.1).
+// usage and return-edge eligibility sets: hierOK[h] is true when a return
+// edge with hierarchical component h can fire — h is the hierarchical
+// target of a call from a reachable state, or an initial state (pending
+// returns, Section 3.1).
 func liveSets(g nwa.StateGraph) (reach, hier, hierOK []bool) {
 	reach = nwa.ReachableStates(g)
 	hier = nwa.HierarchicalTargets(g, reach)
@@ -438,12 +356,13 @@ func liveSets(g nwa.StateGraph) (reach, hier, hierOK []bool) {
 }
 
 // vetSemantics runs the reachability/coaccessibility analysis of one query
-// and appends its stats and warnings.  deadState is the designated DNWA sink
-// (excluded from the dead-weight warnings; -1 for NNWAs), and deadTrans
-// counts the defined transitions that cannot fire given the live sets.
-func vetSemantics(rep *VetReport, name, form string, g nwa.StateGraph, deadState int, deadTrans func(reach, hierOK []bool) int) {
+// and appends its stats and warnings.  The designated dead sink is excluded
+// from the dead-weight warnings.
+func vetSemantics(rep *VetReport, name string, c *Compiled) {
+	g := dnwaGraph{c}
+	deadState := int(c.dead)
 	reach, hier, hierOK := liveSets(g)
-	stats := VetQueryStats{Name: name, Form: form, States: g.NumStates(), NonCoaccessible: -1}
+	stats := VetQueryStats{Name: name, Form: "dnwa", States: g.NumStates(), NonCoaccessible: -1}
 	for q, r := range reach {
 		if r {
 			stats.Reachable++
@@ -455,7 +374,7 @@ func vetSemantics(rep *VetReport, name, form string, g nwa.StateGraph, deadState
 	for _, q := range stats.Unreachable {
 		rep.add(name, VetWarning, fmt.Sprintf("state %d is unreachable", q))
 	}
-	stats.DeadTransitions = deadTrans(reach, hierOK)
+	stats.DeadTransitions = c.countDeadTransitions(reach, hierOK)
 	if stats.DeadTransitions > 0 {
 		rep.add(name, VetWarning, fmt.Sprintf("%d dead transitions can never fire", stats.DeadTransitions))
 	}
@@ -507,51 +426,4 @@ func (c *Compiled) countDeadTransitions(reach, hierOK []bool) int {
 		}
 	})
 	return dead
-}
-
-// countDeadTransitions counts the CSR entries of a CompiledN that cannot
-// fire, under the same definition as the Compiled form.
-func (c *CompiledN) countDeadTransitions(reach, hierOK []bool) int {
-	dead := 0
-	for q := 0; q < c.num; q++ {
-		if reach[q] {
-			continue
-		}
-		for sym := 0; sym < c.syms; sym++ {
-			i := q*c.syms + sym
-			dead += int(c.callOff[i+1] - c.callOff[i])
-			dead += int(c.intOff[i+1] - c.intOff[i])
-		}
-	}
-	c.eachReturnIndex(func(lin, hier, sym, n int) {
-		if !reach[lin] || !hierOK[hier] {
-			dead += n
-		}
-	})
-	return dead
-}
-
-// eachReturnIndex enumerates the populated return index cells of either
-// return representation, with the number of targets per cell.
-func (c *CompiledN) eachReturnIndex(f func(lin, hier, sym, n int)) {
-	decompose := func(idx int) (lin, hier, sym int) {
-		sym = idx % c.syms
-		lh := idx / c.syms
-		return lh / c.num, lh % c.num, sym
-	}
-	if c.dense {
-		for i := 0; i+1 < len(c.retOff); i++ {
-			if n := int(c.retOff[i+1] - c.retOff[i]); n > 0 {
-				lin, hier, sym := decompose(i)
-				f(lin, hier, sym, n)
-			}
-		}
-		return
-	}
-	for i, key := range c.retKeys {
-		if n := int(c.retSpan[i+1] - c.retSpan[i]); n > 0 {
-			lin, hier, sym := decompose(int(key))
-			f(lin, hier, sym, n)
-		}
-	}
 }

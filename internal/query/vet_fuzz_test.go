@@ -24,9 +24,7 @@ func FuzzBundleVet(f *testing.F) {
 		Compile(PathQuery(alpha, "a", "b")).Marshal(),
 		Compile(PathQuery(alpha, "a", "b")).encode(true, 1),
 		Compile(WellFormed(alpha)).Marshal(),
-		CompileN(goldenNNWA()).Marshal(),
-		CompileN(goldenNNWA()).encode(true, 1),
-		CompileN(unreachableNNWA()).Marshal(),
+		Compile(unreachableDNWA()).Marshal(),
 		{},
 		[]byte("NWQ1"),
 	}
@@ -34,21 +32,19 @@ func FuzzBundleVet(f *testing.F) {
 	if err := b.Add("wf", Compile(WellFormed(alpha))); err != nil {
 		f.Fatal(err)
 	}
-	if err := b.Add("nn", CompileN(goldenNNWA())); err != nil {
+	if err := b.Add("//a//b", Compile(PathQuery(alpha, "a", "b"))); err != nil {
 		f.Fatal(err)
 	}
 	seeds = append(seeds, b.Marshal())
-	// A mask/CSR disagreement: the corruption only vet can see.
-	tampered := CompileN(goldenNNWA())
-	tampered.maskRow(tampered.intMask, 0, 0).Unset(1)
-	seeds = append(seeds, tampered.Marshal())
 	// A planned bundle: a product with a compacted, factored return table,
-	// and the committed fixtures of both layouts.
+	// the committed fixtures of both layouts, the legacy-layout bundles at
+	// both versions, and the NNWA rejection fixtures.
 	seeds = append(seeds, goldenPlannedBundle(f).Marshal())
-	seeds = append(seeds, goldenFiles(f, "golden_dnwa_factored.nwq", "golden_planned_factored.nwq", "golden_planned.nwq")...)
+	seeds = append(seeds, goldenFiles(f, "golden_dnwa_factored.nwq", "golden_planned_factored.nwq", "golden_planned.nwq",
+		"golden_bundle.nwq", "golden_bundle_v1.nwq", "golden_nnwa.nwq", "golden_nnwa_v1.nwq")...)
 	// Legacy return tables the decoder factors on load, dense and sparse
 	// (whose keys it must range-check): a DNWA, and a planned bundle whose
-	// product is compacted.  An NNWA with a sparse return index.
+	// product is compacted.
 	pathQuery := Compile(PathQuery(alpha, "a", "b"))
 	seeds = append(seeds,
 		withLegacyReturn(pathQuery, false).encode(true, 1),
@@ -56,10 +52,6 @@ func FuzzBundleVet(f *testing.F) {
 		legacyPlannedBundle(goldenPlannedBundle(f), false).Marshal(),
 		legacyPlannedBundle(goldenPlannedBundle(f), true).Marshal(),
 	)
-	old := denseReturnLimit
-	denseReturnLimit = 1
-	seeds = append(seeds, CompileN(goldenNNWA()).encode(true, 1))
-	denseReturnLimit = old
 	for _, s := range seeds {
 		f.Add(s)
 		if len(s) > 40 {

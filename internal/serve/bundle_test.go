@@ -40,8 +40,8 @@ func bundleNNWA(rng *rand.Rand, alpha *alphabet.Alphabet, states int) *nwa.NNWA 
 	return a
 }
 
-// bundleTestSet builds the differential query set — deterministic and
-// nondeterministic side by side — and the bundle serializing it.
+// bundleTestSet builds the differential query set — hand-built DNWAs next
+// to determinized random NNWAs — and the bundle serializing it.
 func bundleTestSet(t *testing.T, rng *rand.Rand) (names []string, queries []query.Query, bundle *query.Bundle) {
 	t.Helper()
 	alpha := alphabet.New("a", "b", "c")
@@ -50,8 +50,8 @@ func bundleTestSet(t *testing.T, rng *rand.Rand) (names []string, queries []quer
 		query.Compile(query.WellFormed(alpha)),
 		query.Compile(query.PathQuery(alpha, "a", "b")),
 		query.Compile(query.LinearOrder(alpha, "a", "b", "c")),
-		query.CompileN(bundleNNWA(rng, alpha, 3+rng.Intn(4))),
-		query.CompileN(bundleNNWA(rng, alpha, 3+rng.Intn(4))),
+		query.Compile(bundleNNWA(rng, alpha, 3+rng.Intn(4)).Determinize()),
+		query.Compile(bundleNNWA(rng, alpha, 3+rng.Intn(4)).Determinize()),
 	}
 	bundle = query.NewBundle(alpha)
 	for i, q := range queries {

@@ -137,8 +137,8 @@ func TestPoolMatchesSerialEngine(t *testing.T) {
 	}
 }
 
-// TestPoolServesNNWAQuery threads the nondeterministic bitset state-set
-// runner through the whole serving stack: a CompileN'd NNWA registered next
+// TestPoolServesNNWAQuery threads the nondeterministic state-set runner
+// through the whole serving stack: a CompileN'd NNWA registered next
 // to a compiled DNWA for the same language ("contains label a"), served
 // through a sharded pool, must agree with the deterministic query and with
 // serial engine evaluation on every document — including adversarial
