@@ -1,9 +1,13 @@
 package engine_test
 
 import (
+	"io"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/alphabet"
 	"repro/internal/docstream"
 	"repro/internal/engine"
 	"repro/internal/generator"
@@ -17,6 +21,14 @@ import (
 // and several batches plus a tail must get the same verdicts from Run, from
 // Feed+Result, and from each query's own runner (query.RunWord) — for a
 // bundle of solo runners and for its planned form with product runners.
+// Each document is fed three ways: as uninterned events, as events the
+// interning tokenizer pre-interned, and as a mix of the two within every
+// batch, the out-of-alphabet zz included both ways.
+//
+// The session packs each event's symbol ID above two kind bits of a 32-bit
+// word.  Every in-range ID fits there: the decoder caps a compiled query's
+// symbol columns at maxSymbols = 2^20, far below the 2^30 IDs the word
+// holds.
 func TestBatchBoundaries(t *testing.T) {
 	src := plannedTestBundle(t)
 	planned, dec, err := plan.Bundle(src, plan.Options{ClusterSize: 4})
@@ -50,30 +62,85 @@ func TestBatchBoundaries(t *testing.T) {
 				want[i] = query.RunWord(src.Query(i).NewRunner(), src.Alphabet(), n)
 			}
 			depth := maxOpen(n)
+			inputs := batchInputs(t, n, src.Alphabet())
 			for kind, eng := range engines {
-				run, err := eng.Run(engine.Word(n))
-				if err != nil {
-					t.Fatalf("%s, %d-event %s: Run: %v", kind, size, shape, err)
-				}
-				s := eng.Acquire()
-				for i := 0; i < n.Len(); i++ {
-					s.Feed(docstream.Event{Kind: n.KindAt(i), Label: n.SymbolAt(i)})
-				}
-				fed := s.Result()
-				eng.Release(s)
-				if run.Events != size || fed.Events != size || run.MaxDepth != depth || fed.MaxDepth != depth {
-					t.Fatalf("%s, %d-event %s: Run %d events depth %d, Feed %d events depth %d, want depth %d",
-						kind, size, shape, run.Events, run.MaxDepth, fed.Events, fed.MaxDepth, depth)
-				}
-				for i, name := range eng.Names() {
-					if run.Verdicts[i] != want[i] || fed.Verdicts[i] != want[i] {
-						t.Fatalf("%s, %d-event %s, query %q: Run %v, Feed %v, RunWord %v",
-							kind, size, shape, name, run.Verdicts[i], fed.Verdicts[i], want[i])
+				for input, events := range inputs {
+					var run *engine.Result
+					if input == "uninterned" {
+						run, err = eng.Run(engine.Word(n))
+					} else {
+						run, err = eng.Run(engine.Events(events))
+					}
+					if err != nil {
+						t.Fatalf("%s, %d-event %s, %s: Run: %v", kind, size, shape, input, err)
+					}
+					s := eng.Acquire()
+					for _, e := range events {
+						s.Feed(e)
+					}
+					fed := s.Result()
+					eng.Release(s)
+					if run.Events != size || fed.Events != size || run.MaxDepth != depth || fed.MaxDepth != depth {
+						t.Fatalf("%s, %d-event %s, %s: Run %d events depth %d, Feed %d events depth %d, want depth %d",
+							kind, size, shape, input, run.Events, run.MaxDepth, fed.Events, fed.MaxDepth, depth)
+					}
+					for i, name := range eng.Names() {
+						if run.Verdicts[i] != want[i] || fed.Verdicts[i] != want[i] {
+							t.Fatalf("%s, %d-event %s, %s, query %q: Run %v, Feed %v, RunWord %v",
+								kind, size, shape, input, name, run.Verdicts[i], fed.Verdicts[i], want[i])
+						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// batchInputs spells n as event streams for TestBatchBoundaries:
+// "uninterned" events carry their labels only, "interned" ones come from
+// the interning tokenizer over the rendered word, and "mixed" takes every
+// other event from each.  When n holds the out-of-alphabet zz, the first
+// batch of the mixed stream must hold it both pre-interned and uninterned.
+func batchInputs(t *testing.T, n *nestedword.NestedWord, alpha *alphabet.Alphabet) map[string][]docstream.Event {
+	t.Helper()
+	uninterned := make([]docstream.Event, n.Len())
+	for i := range uninterned {
+		uninterned[i] = docstream.Event{Kind: n.KindAt(i), Label: n.SymbolAt(i)}
+	}
+	tk := docstream.NewInterningTokenizer(strings.NewReader(docstream.Render(n)), alpha)
+	var interned []docstream.Event
+	for {
+		e, err := tk.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Sym == 0 {
+			t.Fatalf("interning tokenizer left event %d uninterned", len(interned))
+		}
+		interned = append(interned, e)
+	}
+	if len(interned) != n.Len() {
+		t.Fatalf("tokenizer read %d events from a %d-event word", len(interned), n.Len())
+	}
+	mixed := make([]docstream.Event, n.Len())
+	var oov [2]int // out-of-alphabet events, uninterned and pre-interned
+	for i := range mixed {
+		mixed[i] = uninterned[i]
+		if i%2 == 1 {
+			mixed[i] = interned[i]
+		}
+		if _, ok := alpha.Index(uninterned[i].Label); !ok && i < engine.BatchSize {
+			oov[i%2]++
+		}
+	}
+	if slices.Contains(n.Alphabet(), "zz") && (oov[0] == 0 || oov[1] == 0) {
+		t.Fatalf("first batch holds %d uninterned and %d pre-interned out-of-alphabet events, want both",
+			oov[0], oov[1])
+	}
+	return map[string][]docstream.Event{"uninterned": uninterned, "interned": interned, "mixed": mixed}
 }
 
 // maxOpen is the most elements simultaneously open in n, pending returns

@@ -7,11 +7,12 @@
 // an Engine holds N registered query.Query values — compiled DNWAs
 // (query.Compile), and the product clusters of a planned bundle — and a
 // Session holds one query.Runner per query.  Events read from the source
-// are interned once against the engine's shared alphabet and fanned out to
-// every runner in fixed-size batches, so each query observes the same
-// single pass, no runner ever hashes a label, and the stream is never
-// materialized; total memory is O(depth · N) plus one constant-size batch
-// buffer, independent of the document length.
+// are interned once against the engine's shared alphabet as they are
+// appended to the session's batch, packed into one 4-byte word each, and
+// fanned out to every runner in fixed-size batches, so each query observes
+// the same single pass, no runner ever hashes a label, and the stream is
+// never materialized; total memory is O(depth · N) plus one constant-size
+// 4 KiB batch buffer, independent of the document length.
 //
 // Sessions are pooled: serving many documents against the same query set
 // reuses the runner state and batch buffer allocation-free, which is what a
@@ -68,8 +69,47 @@ type engineGroup struct {
 
 // batchSize is how many events a session buffers before fanning them out to
 // the runners: large enough to amortize the per-batch bookkeeping, small
-// enough that the buffer stays a constant few tens of kilobytes.
+// enough that the buffer of packed words stays a constant 4 KiB.
 const batchSize = 1024
+
+// A batch word packs one interned event: its 0-based compiled symbol ID
+// above kindBits bits of nestedword.Kind.  The query decoder caps a
+// compiled query's symbol columns at 2^20, so every in-range ID fits the 30
+// bits above the kind with room to spare, and maxWordSym — an ID no query
+// compiles — stands for any stray one: the runners fold every ID outside
+// their range onto the out-of-alphabet column, so the fold loses nothing.
+const (
+	kindBits   = 2
+	kindMask   = 1<<kindBits - 1
+	maxWordSym = 1<<(32-kindBits) - 1
+)
+
+// packEvent packs an interned event into a batch word.  A kind other than
+// Call or Return packs as Internal, which is how the runners step it.
+//
+//nwvet:hotpath
+func packEvent(kind nestedword.Kind, sym int) uint32 {
+	if uint(sym) > maxWordSym {
+		sym = maxWordSym
+	}
+	if kind > nestedword.Return {
+		kind = nestedword.Internal
+	}
+	return uint32(sym)<<kindBits | uint32(kind)
+}
+
+// symID is the 0-based symbol ID of an event: its own when it is
+// pre-interned (Sym != 0), its label's in the shared alphabet otherwise.
+// Before any query is registered there is no alphabet and an uninterned
+// event gets -1, which packs as a stray ID.
+//
+//nwvet:hotpath
+func (e *Engine) symID(ev *docstream.Event) int {
+	if ev.Sym != 0 || e.alpha == nil {
+		return ev.Sym - 1
+	}
+	return ev.SymID(e.alpha)
+}
 
 // New creates an empty engine.
 func New() *Engine {
@@ -212,7 +252,7 @@ type Session struct {
 	prods   []*query.ProductRunner // parallel to engine.groups
 	feed    []stepper              // runners then prods: the fan-out list
 	vrow    bitset.Row             // scratch: verdict demux row, widest group
-	batch   []docstream.Event
+	batch   []uint32               // packed interned events (packEvent)
 	events  int
 	depth   int // shared: all runners see the same calls/returns
 	max     int
@@ -222,7 +262,7 @@ func (e *Engine) newSession() *Session {
 	s := &Session{
 		engine:  e,
 		runners: make([]query.Runner, len(e.solo)),
-		batch:   make([]docstream.Event, 0, batchSize),
+		batch:   make([]uint32, 0, batchSize),
 	}
 	s.feed = make([]stepper, 0, len(e.solo)+len(e.groups))
 	for i, qi := range e.solo {
@@ -273,27 +313,27 @@ func (s *Session) Reset() {
 // see every event fed so far.
 //
 // Uninterned events (Sym == 0) are interned against the engine's shared
-// alphabet at flush time.  Pre-interned events are trusted as-is: they must
-// have been interned against Engine.Alphabet() (an interning tokenizer bound
-// to any other alphabet yields in-range but wrong symbol IDs, and silently
-// wrong verdicts).
+// alphabet as they are buffered.  Pre-interned events are trusted as-is:
+// they must have been interned against Engine.Alphabet() (an interning
+// tokenizer bound to any other alphabet yields in-range but wrong symbol
+// IDs, and silently wrong verdicts).
 //
 //nwvet:hotpath
 func (s *Session) Feed(e docstream.Event) {
-	s.batch = append(s.batch, e)
+	s.batch = append(s.batch, packEvent(e.Kind, s.engine.symID(&e)))
 	if len(s.batch) >= cap(s.batch) {
 		s.flush()
 	}
 }
 
-// feedRunner replays the interned batch into one runner — per-query or
+// feedRunner replays the packed batch into one runner — per-query or
 // product, the dispatch is identical.
 //
 //nwvet:hotpath
-func feedRunner(r stepper, batch []docstream.Event) {
-	for _, e := range batch {
-		sym := e.Sym - 1
-		switch e.Kind {
+func feedRunner(r stepper, batch []uint32) {
+	for _, w := range batch {
+		sym := int(w >> kindBits)
+		switch nestedword.Kind(w & kindMask) {
 		case nestedword.Call:
 			r.StepCall(sym)
 		case nestedword.Return:
@@ -304,29 +344,19 @@ func feedRunner(r stepper, batch []docstream.Event) {
 	}
 }
 
-// flush interns the buffered batch against the shared alphabet, applies it
-// to every runner, updates the shared depth tracking, and empties the
-// buffer.
+// flush applies the buffered batch to every runner, updates the shared
+// depth tracking, and empties the buffer.
 func (s *Session) flush() {
 	if len(s.batch) == 0 {
 		return
-	}
-	// Intern once per event; sources that pre-intern (the engine's own
-	// tokenizers, generators bound to the alphabet) skip even this lookup.
-	if alpha := s.engine.alpha; alpha != nil {
-		for i := range s.batch {
-			if s.batch[i].Sym == 0 {
-				s.batch[i] = s.batch[i].Interned(alpha)
-			}
-		}
 	}
 	for _, r := range s.feed {
 		feedRunner(r, s.batch)
 	}
 	// Depth depends only on the event kinds, so it is tracked once for the
 	// whole session rather than per runner.
-	for _, e := range s.batch {
-		switch e.Kind {
+	for _, w := range s.batch {
+		switch nestedword.Kind(w & kindMask) {
 		case nestedword.Call:
 			s.depth++
 			if s.depth > s.max {
@@ -372,6 +402,7 @@ func (s *Session) Result() *Result {
 //
 //nwvet:hotpath
 func (s *Session) Run(src EventSource) (*Result, error) {
+	e := s.engine
 	for {
 		ev, err := src.Next()
 		if err == io.EOF {
@@ -380,7 +411,7 @@ func (s *Session) Run(src EventSource) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.batch = append(s.batch, ev)
+		s.batch = append(s.batch, packEvent(ev.Kind, e.symID(&ev)))
 		if len(s.batch) == cap(s.batch) {
 			s.flush()
 		}

@@ -36,11 +36,11 @@ import (
 // bundle, decodes to ErrNNWANotServed: every NNWA has an equivalent DNWA
 // (Section 3.2), so such a query is determinized and recompiled instead.
 //
-// Unmarshal* copy every table out of the input; LoadQueryMapped /
-// LoadBundleMapped point the int32/uint64 table slices directly into the
-// provided byte region via checked reinterpretation, and OpenBundle maps a
-// file read-only (mmap where available) and loads zero-copy — the cold-boot
-// path experiment E25 measures against parse+compile.
+// Unmarshal* copy every table out of the input; LoadBundleMapped points
+// the int32/uint64 table slices directly into the provided byte region via
+// checked reinterpretation, and OpenBundle maps a file read-only (mmap
+// where available) and loads zero-copy — the cold-boot path experiment E25
+// measures against parse+compile.
 //
 // Every decode path validates the tables before a runner can touch them —
 // lengths against num/syms, targets against the state range, return row IDs
@@ -538,25 +538,6 @@ func decodeQuery(data []byte, alpha *alphabet.Alphabet, zeroCopy bool) (*Compile
 // every table out of data (data may be reused or mutated afterwards).
 func UnmarshalCompiled(data []byte) (*Compiled, error) { return decodeQuery(data, nil, false) }
 
-// UnmarshalQuery is UnmarshalCompiled returning the Query interface.
-func UnmarshalQuery(data []byte) (Query, error) { return asQuery(decodeQuery(data, nil, false)) }
-
-// LoadQueryMapped decodes a standalone serialized compiled DNWA zero-copy:
-// the transition tables alias data directly (checked reinterpretation of
-// the little-endian sections), so data must stay valid and unmodified —
-// typically an mmap'd read-only region — for as long as the query is in
-// use.
-func LoadQueryMapped(data []byte) (Query, error) { return asQuery(decodeQuery(data, nil, true)) }
-
-// asQuery keeps a failed decode's nil *Compiled from becoming a non-nil
-// Query.
-func asQuery(c *Compiled, err error) (Query, error) {
-	if err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 // Marshal serializes the product cluster, alphabet included, into a
 // standalone KindProduct container: meta ({query count, mode 0}), the accept
 // bitmask slab, and the product automaton as an embedded KindDNWA blob.
@@ -996,8 +977,9 @@ func firstDuplicate(names []string) string {
 func UnmarshalBundle(data []byte) (*Bundle, error) { return decodeBundle(data, false) }
 
 // LoadBundleMapped decodes a serialized bundle zero-copy: every query's
-// tables alias data directly, so data must stay valid and unmodified for
-// the bundle's lifetime (see LoadQueryMapped).
+// tables alias data directly (checked reinterpretation of the
+// little-endian sections), so data must stay valid and unmodified —
+// typically an mmap'd read-only region — for the bundle's lifetime.
 func LoadBundleMapped(data []byte) (*Bundle, error) { return decodeBundle(data, true) }
 
 // OpenBundle maps the file read-only (mmap where the platform provides it,

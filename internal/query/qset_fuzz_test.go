@@ -84,7 +84,7 @@ func FuzzUnmarshalCompiled(f *testing.F) {
 		// The zero-copy path must accept and reject exactly the same inputs;
 		// decode from a private copy so table aliasing cannot leak into the
 		// next iteration.
-		if q, err := LoadQueryMapped(bytes.Clone(data)); err == nil {
+		if q, err := unmarshalMapped(bytes.Clone(data)); err == nil {
 			exerciseDecoded(q)
 		}
 		if bdl, err := UnmarshalBundle(data); err == nil {

@@ -107,9 +107,14 @@ func checkQueryAgreement(t *testing.T, label string, want, got Query, trials int
 	}
 }
 
+// unmarshalMapped decodes a standalone compiled DNWA zero-copy, through the
+// decoder every query of a mapped bundle goes through: the tables alias
+// data.
+func unmarshalMapped(data []byte) (*Compiled, error) { return decodeQuery(data, nil, true) }
+
 // TestMarshalRoundTripCompiled round-trips compiled DNWAs — in the factored
 // return layout, and in the dense and sparse layouts written before it —
-// through Marshal/UnmarshalCompiled and the zero-copy LoadQueryMapped path,
+// through Marshal/UnmarshalCompiled and the zero-copy decoder,
 // checking byte-identical re-encoding and verdict agreement.
 func TestMarshalRoundTripCompiled(t *testing.T) {
 	alpha := goldenAlphabet()
@@ -144,9 +149,9 @@ func TestMarshalRoundTripCompiled(t *testing.T) {
 			}
 			checkQueryAgreement(t, "copied", c, dec, 200)
 
-			mapped, err := LoadQueryMapped(data)
+			mapped, err := unmarshalMapped(data)
 			if err != nil {
-				t.Fatalf("LoadQueryMapped: %v", err)
+				t.Fatalf("zero-copy decode: %v", err)
 			}
 			checkQueryAgreement(t, "mapped", c, mapped, 200)
 		}
@@ -177,12 +182,11 @@ func TestLegacySparseDeadEntries(t *testing.T) {
 	}
 	legacy.legacy.keys, legacy.legacy.vals = keys, vals
 	data := legacy.Marshal()
-	for _, load := range []func([]byte) (Query, error){UnmarshalQuery, LoadQueryMapped} {
-		q, err := load(data)
+	for _, load := range []func([]byte) (*Compiled, error){UnmarshalCompiled, unmarshalMapped} {
+		dec, err := load(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec := q.(*Compiled)
 		if !slices.Equal(dec.rowID, c.rowID) || !slices.Equal(dec.rows, c.rows) {
 			t.Fatal("explicit dead entries changed the factored table")
 		}
@@ -294,7 +298,7 @@ func TestUnmarshalErrors(t *testing.T) {
 	c := Compile(PathQuery(goldenAlphabet(), "a", "b"))
 	data := c.Marshal()
 	for i := 0; i < len(data); i += 7 {
-		if _, err := UnmarshalQuery(data[:i]); err == nil {
+		if _, err := UnmarshalCompiled(data[:i]); err == nil {
 			t.Fatalf("truncation to %d bytes decoded successfully", i)
 		}
 	}
@@ -309,7 +313,7 @@ func TestUnmarshalErrors(t *testing.T) {
 		"bad kind":    corrupt(func(b []byte) { b[8] = 77 }),
 	}
 	for name, b := range cases {
-		if _, err := UnmarshalQuery(b); err == nil {
+		if _, err := UnmarshalCompiled(b); err == nil {
 			t.Errorf("%s decoded successfully", name)
 		}
 	}
@@ -317,8 +321,8 @@ func TestUnmarshalErrors(t *testing.T) {
 	if _, err := UnmarshalBundle(data); err == nil {
 		t.Error("UnmarshalBundle accepted a bare query container")
 	}
-	if _, err := UnmarshalQuery(goldenBundle(t).Marshal()); err == nil {
-		t.Error("UnmarshalQuery accepted a bundle container")
+	if _, err := UnmarshalCompiled(goldenBundle(t).Marshal()); err == nil {
+		t.Error("UnmarshalCompiled accepted a bundle container")
 	}
 	// A bundle's shared alphabet goes through the same reader as a
 	// standalone query's, duplicate check included.
@@ -365,7 +369,7 @@ func TestGoldenFixtures(t *testing.T) {
 			// rejection fixture.
 			file: "golden_nnwa.nwq",
 			verify: func(t *testing.T, data []byte) {
-				if _, err := UnmarshalQuery(data); !errors.Is(err, ErrNNWANotServed) {
+				if _, err := UnmarshalCompiled(data); !errors.Is(err, ErrNNWANotServed) {
 					t.Fatalf("golden NNWA decoded with %v, want ErrNNWANotServed", err)
 				}
 			},
@@ -488,7 +492,7 @@ func TestGoldenFixturesV1(t *testing.T) {
 			return dec.Marshal()
 		},
 		"golden_nnwa_v1.nwq": func(t *testing.T, data []byte) []byte {
-			if _, err := UnmarshalQuery(data); !errors.Is(err, ErrNNWANotServed) {
+			if _, err := UnmarshalCompiled(data); !errors.Is(err, ErrNNWANotServed) {
 				t.Fatalf("v1 NNWA decoded with %v, want ErrNNWANotServed", err)
 			}
 			return data
@@ -544,9 +548,7 @@ func TestNNWAContainersRejected(t *testing.T) {
 	_, errs["LoadBundleMapped"] = LoadBundleMapped(bundle)
 	_, errs["VetBytes bundle"] = VetBytes(bundle)
 	for i, data := range standalone {
-		_, errs[fmt.Sprint("UnmarshalQuery ", i)] = UnmarshalQuery(data)
 		_, errs[fmt.Sprint("UnmarshalCompiled ", i)] = UnmarshalCompiled(data)
-		_, errs[fmt.Sprint("LoadQueryMapped ", i)] = LoadQueryMapped(data)
 		_, errs[fmt.Sprint("VetBytes ", i)] = VetBytes(data)
 	}
 	for entry, err := range errs {

@@ -92,7 +92,7 @@ func tamperBundle(t *testing.T, file string) {
 
 // TestTamperedStandaloneQueries runs the same flip-every-byte check over
 // the golden standalone DNWA (legacy and factored) and NNWA fixtures
-// through UnmarshalQuery.  The pristine NNWA fixture fails with
+// through UnmarshalCompiled.  The pristine NNWA fixture fails with
 // ErrNNWANotServed; a tampered one fails the hash check first.
 func TestTamperedStandaloneQueries(t *testing.T) {
 	for _, file := range []string{"golden_dnwa.nwq", "golden_dnwa_factored.nwq", "golden_nnwa.nwq"} {
@@ -105,18 +105,18 @@ func TestTamperedStandaloneQueries(t *testing.T) {
 			if file == "golden_nnwa.nwq" {
 				pristine = ErrNNWANotServed
 			}
-			if _, err := UnmarshalQuery(data); !errors.Is(err, pristine) {
+			if _, err := UnmarshalCompiled(data); !errors.Is(err, pristine) {
 				t.Fatalf("pristine fixture: got %v, want %v", err, pristine)
 			}
 			mut := make([]byte, len(data))
 			for i := range data {
 				copy(mut, data)
 				mut[i] ^= 1
-				if _, err := UnmarshalQuery(mut); err == nil {
+				if _, err := UnmarshalCompiled(mut); err == nil {
 					t.Fatalf("byte %d flipped: query still loaded", i)
 				}
 				if i >= 8 {
-					if _, err := UnmarshalQuery(mut); !errors.Is(err, format.ErrHashMismatch) {
+					if _, err := UnmarshalCompiled(mut); !errors.Is(err, format.ErrHashMismatch) {
 						t.Fatalf("byte %d flipped: want ErrHashMismatch", i)
 					}
 				}
@@ -243,10 +243,10 @@ func TestFactoredReturnTableTamper(t *testing.T) {
 			c := tc.build()
 			tc.mutate(c)
 			data := c.Marshal()
-			if _, err := UnmarshalQuery(data); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if _, err := UnmarshalCompiled(data); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("decoder: got %v, want an error naming %q", err, tc.want)
 			}
-			if _, err := LoadQueryMapped(data); err == nil {
+			if _, err := unmarshalMapped(data); err == nil {
 				t.Error("zero-copy decoder accepted the container")
 			}
 			if rep, err := VetBytes(data); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -294,7 +294,7 @@ func TestSparseReturnKeyTamper(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			data := tc.build(t)
-			if _, err := UnmarshalQuery(data); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if _, err := UnmarshalCompiled(data); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("decoder: got %v, want an error naming %q", err, tc.want)
 			}
 			if rep, err := VetBytes(data); err == nil || !strings.Contains(err.Error(), tc.want) {

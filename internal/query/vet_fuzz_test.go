@@ -107,7 +107,7 @@ func decodeAsKind(data []byte) error {
 	case format.KindProduct:
 		_, err = UnmarshalProduct(data)
 	default:
-		_, err = UnmarshalQuery(data)
+		_, err = UnmarshalCompiled(data)
 	}
 	return err
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"io"
 	"strconv"
 	"sync"
 	"unicode"
@@ -12,13 +13,17 @@ import (
 )
 
 // buffer is a recycled byte buffer: one NDJSON batch line, whose decoded
-// document a shard reads through rd, or one response being encoded.
+// document a shard reads through rd, or one response being encoded.  A
+// buffer that has read a batch request body also keeps that body's
+// buffered reader, br, for the next batch request that gets it.
 type buffer struct {
 	b  []byte
 	rd bytes.Reader
+	br *bufio.Reader
 }
 
-// buffers recycles line and response buffers across requests.
+// buffers recycles line and response buffers and batch body readers across
+// requests.
 var buffers = sync.Pool{New: func() any { return new(buffer) }}
 
 // maxRecycled caps the capacity of a buffer returned to buffers, so one
@@ -35,7 +40,24 @@ func (buf *buffer) free() {
 	}
 	buf.b = buf.b[:0]
 	buf.rd.Reset(nil)
+	if buf.br != nil {
+		buf.br.Reset(nil)
+	}
 	buffers.Put(buf)
+}
+
+// batchReadSize is the buffered reader size of a batch request body.
+const batchReadSize = 16 << 10
+
+// bodyReader returns buf's buffered reader, switched to read r; it is made
+// on first use and recycled with buf.
+func (buf *buffer) bodyReader(r io.Reader) *bufio.Reader {
+	if buf.br == nil {
+		buf.br = bufio.NewReaderSize(r, batchReadSize)
+	} else {
+		buf.br.Reset(r)
+	}
+	return buf.br
 }
 
 // errLineTooLong ends a batch whose next line, newline included, would

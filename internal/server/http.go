@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -214,13 +213,15 @@ func (s *Server) fallbackID() string {
 // queueing unboundedly.  Per-document failures become error lines; the
 // stream keeps going.
 //
-// Each line is read into a recycled buffer, decoded in place, and its
-// document submitted as a reader over that buffer, so a document's bytes
-// are not copied between the body read and the shard's tokenizer.  The
-// buffer goes back to the pool when the line is blank or malformed, when
-// Submit fails, or once the document's future is done; a document
-// abandoned because the request ended leaves its buffer to the garbage
-// collector, since its shard may still be reading it.
+// The body is read through a buffered reader that the line buffers' pool
+// recycles, returned once the body is read.  Each line is read into a
+// recycled buffer, decoded in place, and its document submitted as a
+// reader over that buffer, so a document's bytes are not copied between
+// the body read and the shard's tokenizer.  The buffer goes back to the
+// pool when the line is blank or malformed, when Submit fails, or once the
+// document's future is done; a document abandoned because the request
+// ended leaves its buffer to the garbage collector, since its shard may
+// still be reading it.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	st, err := s.acquire()
 	if err != nil {
@@ -245,7 +246,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	futs := make(chan batchPending, 2*st.pool.Shards())
 	go func() {
 		defer close(futs)
-		br := bufio.NewReaderSize(r.Body, 16<<10)
+		in := getBuffer()
+		defer in.free()
+		br := in.bodyReader(r.Body)
 		for n := 0; ; {
 			buf := getBuffer()
 			var err error
