@@ -25,6 +25,7 @@ import (
 	"repro/internal/docstream"
 	"repro/internal/engine"
 	"repro/internal/generator"
+	"repro/internal/nwa"
 	"repro/internal/query"
 	"repro/internal/serve"
 )
@@ -57,11 +58,20 @@ func main() {
 	// transition tables with it, so the memory in play is the five runner
 	// stacks — never the document.
 	eng := engine.New()
-	eng.MustRegister("well-formed", query.WellFormed(alpha))
-	eng.MustRegister("//book//title", query.PathQuery(alpha, "book", "title"))
-	eng.MustRegister("//report//year", query.PathQuery(alpha, "report", "year"))
-	eng.MustRegister("'words' before '2007'", query.LinearOrder(alpha, "words", "2007"))
-	eng.MustRegister("contains 'pushdown'", query.ContainsLabel(alpha, "pushdown"))
+	for _, q := range []struct {
+		name string
+		d    *nwa.DNWA
+	}{
+		{"well-formed", query.WellFormed(alpha)},
+		{"//book//title", query.PathQuery(alpha, "book", "title")},
+		{"//report//year", query.PathQuery(alpha, "report", "year")},
+		{"'words' before '2007'", query.LinearOrder(alpha, "words", "2007")},
+		{"contains 'pushdown'", query.ContainsLabel(alpha, "pushdown")},
+	} {
+		if _, err := eng.RegisterQuery(q.name, query.Compile(q.d)); err != nil {
+			panic(err)
+		}
+	}
 
 	res, err := eng.RunReader(strings.NewReader(document))
 	if err != nil {

@@ -18,8 +18,12 @@ import (
 func TestSessionStepLoopZeroAlloc(t *testing.T) {
 	alpha := alphabet.New("a", "b")
 	e := New()
-	e.MustRegisterQuery("wf", query.Compile(query.WellFormed(alpha)))
-	e.MustRegisterQuery("path", query.Compile(query.PathQuery(alpha, "a", "b")))
+	if _, err := e.RegisterQuery("wf", query.Compile(query.WellFormed(alpha))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RegisterQuery("path", query.Compile(query.PathQuery(alpha, "a", "b"))); err != nil {
+		t.Fatal(err)
+	}
 
 	// A nested document, interned against the engine's alphabet up front —
 	// the state a serve shard is in after its interning tokenizer.

@@ -3,22 +3,26 @@
 //
 // The paper's headline systems claim (Section 3.2) is that a deterministic
 // NWA answers a document query in one streaming pass with memory bounded by
-// the document depth.  This package lifts that claim from one query to N:
-// an Engine holds N registered query.Query values — compiled DNWAs
-// (query.Compile), and the product clusters of a planned bundle — and a
-// Session holds one query.Runner per query.  Events read from the source
-// are interned once against the engine's shared alphabet as they are
-// appended to the session's batch, packed into one 4-byte word each, and
-// fanned out to every runner in fixed-size batches, so each query observes
-// the same single pass, no runner ever hashes a label, and the stream is
-// never materialized; total memory is O(depth · N) plus one constant-size
-// 4 KiB batch buffer, independent of the document length.
+// the document depth.  This package lifts that claim from one query to N.
+// DNWAs are closed under product, so an Engine holds N registered queries
+// as deterministic product groups: the product clusters of a planned
+// bundle, and every solo compiled DNWA (query.Compile) as the one-member
+// product of itself (query.SoloProduct).  A Session holds one
+// query.ProductRunner per group — one runner kind, one fan-out loop, one
+// verdict demux.  Events read from the source are interned once against the
+// engine's shared alphabet as they are appended to the session's batch,
+// packed into one 4-byte word each, and fanned out to every runner in
+// fixed-size batches, so each query observes the same single pass, no
+// runner ever hashes a label, and the stream is never materialized; total
+// memory is O(depth · N) plus one constant-size 4 KiB batch buffer,
+// independent of the document length.
 //
 // Sessions are pooled: serving many documents against the same query set
 // reuses the runner state and batch buffer allocation-free, which is what a
 // production front-end answering repeated requests needs.  All registered
 // queries must share one alphabet — that is what makes edge interning sound
-// — and Register reports duplicate names and alphabet mismatches as errors.
+// — and RegisterQuery and RegisterBundle report duplicate names and
+// alphabet mismatches as errors.
 package engine
 
 import (
@@ -27,10 +31,8 @@ import (
 	"sync"
 
 	"repro/internal/alphabet"
-	"repro/internal/bitset"
 	"repro/internal/docstream"
 	"repro/internal/nestedword"
-	"repro/internal/nwa"
 	"repro/internal/query"
 )
 
@@ -42,25 +44,23 @@ type EventSource interface {
 }
 
 // Engine is an immutable set of registered queries.  Build it once with
-// Register / RegisterQuery / RegisterBundle, then call Run (safe for
-// concurrent use) for each document.
+// RegisterQuery / RegisterBundle, then call Run (safe for concurrent use)
+// for each document.
 //
-// Registering a planned bundle (see internal/query/plan) dispatches each
-// product-compiled cluster to one shared ProductRunner whose verdict
-// bitmask is demuxed back to the member names — Result.Verdicts and Names
-// are indistinguishable from per-query fan-out.
+// Every registered query is answered by a product group: a planned
+// bundle's cluster shares one ProductRunner whose verdict bits are demuxed
+// back to the member names, and a solo query is a one-member group —
+// Result.Verdicts and Names are indistinguishable from per-query fan-out.
 type Engine struct {
-	names   []string
-	byName  map[string]int
-	queries []query.Query // parallel to names; nil where a product group answers
-	solo    []int         // verdict indices with their own runner, in order
-	groups  []engineGroup
-	alpha   *alphabet.Alphabet // shared by every registered query
+	names  []string
+	byName map[string]int
+	groups []engineGroup
+	alpha  *alphabet.Alphabet // shared by every registered query
 
 	pool sync.Pool // *Session
 }
 
-// engineGroup is one registered product cluster: the shared automaton plus
+// engineGroup is one registered product group: the shared automaton plus
 // the verdict slots its mask bits demux to.
 type engineGroup struct {
 	indices []int // verdict slots, mask-bit order
@@ -118,54 +118,40 @@ func New() *Engine {
 	return e
 }
 
-// RegisterQuery adds any compiled query — deterministic or nondeterministic
-// — under a display name and returns its index into Result.Verdicts.  The
-// name must be new and the query's alphabet must equal the alphabet of every
-// previously registered query (the first registration fixes it).
-// RegisterQuery must not be called concurrently with Run.
+// RegisterQuery adds a compiled query under a display name and returns its
+// index into Result.Verdicts.  Only a *query.Compiled is served: any other
+// query — a CompiledN above all — is refused with an error wrapping
+// query.ErrNNWANotServed (determinize and recompile it).  The name must be
+// new and the query's alphabet must equal the alphabet of every previously
+// registered query (the first registration fixes it).  RegisterQuery must
+// not be called concurrently with Run.
 func (e *Engine) RegisterQuery(name string, q query.Query) (int, error) {
+	c, ok := q.(*query.Compiled)
+	if !ok {
+		return 0, fmt.Errorf("engine: query %q is %T: %w", name, q, query.ErrNNWANotServed)
+	}
 	if _, dup := e.byName[name]; dup {
 		return 0, fmt.Errorf("engine: query %q already registered", name)
 	}
 	if e.alpha == nil {
-		e.alpha = q.Alphabet()
-	} else if !e.alpha.Equal(q.Alphabet()) {
+		e.alpha = c.Alphabet()
+	} else if !e.alpha.Equal(c.Alphabet()) {
 		return 0, fmt.Errorf("engine: query %q uses alphabet %v, engine interns against %v",
-			name, q.Alphabet(), e.alpha)
+			name, c.Alphabet(), e.alpha)
 	}
-	idx := len(e.names)
-	e.byName[name] = idx
-	e.names = append(e.names, name)
-	e.queries = append(e.queries, q)
-	e.solo = append(e.solo, idx)
+	idx := e.add(name)
+	e.groups = append(e.groups, engineGroup{indices: []int{idx}, product: query.SoloProduct(c)})
 	// Sessions created for the old query set are stale; drop them.
 	e.pool = sync.Pool{New: func() any { return e.newSession() }}
 	return idx, nil
 }
 
-// Register compiles a deterministic NWA and registers it — the thin wrapper
-// keeping the pre-compile API working.
-func (e *Engine) Register(name string, d *nwa.DNWA) (int, error) {
-	return e.RegisterQuery(name, query.Compile(d))
-}
-
-// MustRegister is Register for statically known-good query sets; it panics
-// on duplicate names or alphabet mismatches.
-func (e *Engine) MustRegister(name string, d *nwa.DNWA) int {
-	i, err := e.Register(name, d)
-	if err != nil {
-		panic(err)
-	}
-	return i
-}
-
-// MustRegisterQuery is RegisterQuery for statically known-good query sets.
-func (e *Engine) MustRegisterQuery(name string, q query.Query) int {
-	i, err := e.RegisterQuery(name, q)
-	if err != nil {
-		panic(err)
-	}
-	return i
+// add appends a verdict slot under name and returns its index.
+func (e *Engine) add(name string) int {
+	idx := len(e.names)
+	e.byName[name] = idx
+	e.names = append(e.names, name)
+	return idx
 }
 
 // RegisterBundle registers every query of a loaded bundle under its bundle
@@ -174,8 +160,9 @@ func (e *Engine) MustRegisterQuery(name string, q query.Query) int {
 // compiling per process: the bundle's tables — possibly aliasing an mmap'd
 // read-only region — are used as-is.  A planned bundle's product groups are
 // registered as shared runners with their verdicts demuxed to the same
-// indices per-query registration would have used.  On error the engine may
-// be left with a prefix of the bundle registered; treat it as unusable.
+// indices per-query registration would have used, and each solo query as a
+// one-member group.  On error the engine may be left with a prefix of the
+// bundle registered; treat it as unusable.
 func (e *Engine) RegisterBundle(b *query.Bundle) ([]int, error) {
 	if b.Len() > 0 {
 		if e.alpha == nil {
@@ -187,18 +174,15 @@ func (e *Engine) RegisterBundle(b *query.Bundle) ([]int, error) {
 	}
 	base := len(e.names)
 	indices := make([]int, b.Len())
-	for i := 0; i < b.Len(); i++ {
+	for i := range indices {
 		name := b.Name(i)
 		if _, dup := e.byName[name]; dup {
 			return nil, fmt.Errorf("engine: bundle query %q: already registered", name)
 		}
-		e.byName[name] = base + i
-		e.names = append(e.names, name)
-		e.queries = append(e.queries, b.Query(i))
-		if b.Query(i) != nil {
-			e.solo = append(e.solo, base+i)
+		indices[i] = e.add(name)
+		if c := b.Compiled(i); c != nil {
+			e.groups = append(e.groups, engineGroup{indices: []int{indices[i]}, product: query.SoloProduct(c)})
 		}
-		indices[i] = base + i
 	}
 	for _, g := range b.Groups() {
 		eg := engineGroup{indices: make([]int, len(g.Indices)), product: g.Product}
@@ -225,61 +209,35 @@ func (e *Engine) Names() []string { return append([]string(nil), e.names...) }
 func (e *Engine) Alphabet() *alphabet.Alphabet { return e.alpha }
 
 // Result reports one document pass: the per-query verdicts (indexed as
-// returned by Register), the number of events consumed, and the maximum
-// number of simultaneously open elements — the streaming memory bound.
+// returned by RegisterQuery and RegisterBundle), the number of events
+// consumed, and the maximum number of simultaneously open elements — the
+// streaming memory bound.
 type Result struct {
 	Verdicts []bool
 	Events   int
 	MaxDepth int
 }
 
-// stepper is the event-consuming face shared by per-query runners and
-// product runners: what the fan-out loop needs, acceptance excluded.
-type stepper interface {
-	StepCall(sym int)
-	StepInternal(sym int)
-	StepReturn(sym int)
-	Reset()
-}
-
-// Session is the reusable per-pass state: one runner per solo query, one
-// shared product runner per registered cluster, plus the shared batch
-// buffer.  Obtain one with Acquire for manual event feeding, or let Run
-// manage it.
+// Session is the reusable per-pass state: one product runner per registered
+// group, plus the shared batch buffer.  Obtain one with Acquire for manual
+// event feeding, or let Run manage it.
 type Session struct {
-	engine  *Engine
-	runners []query.Runner         // parallel to engine.solo
-	prods   []*query.ProductRunner // parallel to engine.groups
-	feed    []stepper              // runners then prods: the fan-out list
-	vrow    bitset.Row             // scratch: verdict demux row, widest group
-	batch   []uint32               // packed interned events (packEvent)
-	events  int
-	depth   int // shared: all runners see the same calls/returns
-	max     int
+	engine *Engine
+	prods  []*query.ProductRunner // parallel to engine.groups
+	batch  []uint32               // packed interned events (packEvent)
+	events int
+	depth  int // shared: all runners see the same calls/returns
+	max    int
 }
 
 func (e *Engine) newSession() *Session {
 	s := &Session{
-		engine:  e,
-		runners: make([]query.Runner, len(e.solo)),
-		batch:   make([]uint32, 0, batchSize),
+		engine: e,
+		prods:  make([]*query.ProductRunner, len(e.groups)),
+		batch:  make([]uint32, 0, batchSize),
 	}
-	s.feed = make([]stepper, 0, len(e.solo)+len(e.groups))
-	for i, qi := range e.solo {
-		s.runners[i] = e.queries[qi].NewRunner()
-		s.feed = append(s.feed, s.runners[i])
-	}
-	maxNq := 0
-	for _, g := range e.groups {
-		pr := g.product.NewProductRunner()
-		s.prods = append(s.prods, pr)
-		s.feed = append(s.feed, pr)
-		if nq := g.product.QueryCount(); nq > maxNq {
-			maxNq = nq
-		}
-	}
-	if maxNq > 0 {
-		s.vrow = bitset.New(maxNq)
+	for i, g := range e.groups {
+		s.prods[i] = g.product.NewProductRunner()
 	}
 	return s
 }
@@ -301,7 +259,7 @@ func (e *Engine) Release(s *Session) { e.pool.Put(s) }
 // Reset returns the session to the start of a new document, keeping every
 // runner and buffer allocation.  Sessions from Acquire are already reset.
 func (s *Session) Reset() {
-	for _, r := range s.feed {
+	for _, r := range s.prods {
 		r.Reset()
 	}
 	s.batch = s.batch[:0]
@@ -326,11 +284,10 @@ func (s *Session) Feed(e docstream.Event) {
 	}
 }
 
-// feedRunner replays the packed batch into one runner — per-query or
-// product, the dispatch is identical.
+// feedRunner replays the packed batch into one product runner.
 //
 //nwvet:hotpath
-func feedRunner(r stepper, batch []uint32) {
+func feedRunner(r *query.ProductRunner, batch []uint32) {
 	for _, w := range batch {
 		sym := int(w >> kindBits)
 		switch nestedword.Kind(w & kindMask) {
@@ -350,7 +307,7 @@ func (s *Session) flush() {
 	if len(s.batch) == 0 {
 		return
 	}
-	for _, r := range s.feed {
+	for _, r := range s.prods {
 		feedRunner(r, s.batch)
 	}
 	// Depth depends only on the event kinds, so it is tracked once for the
@@ -382,13 +339,9 @@ func (s *Session) Result() *Result {
 		Events:   s.events,
 		MaxDepth: s.max,
 	}
-	for i, r := range s.runners {
-		res.Verdicts[e.solo[i]] = r.Accepting()
-	}
-	for gi, pr := range s.prods {
-		pr.Verdicts(s.vrow)
+	for gi, r := range s.prods {
 		for j, idx := range e.groups[gi].indices {
-			res.Verdicts[idx] = s.vrow.Has(j)
+			res.Verdicts[idx] = r.Verdict(j)
 		}
 	}
 	return res

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -14,6 +15,17 @@ import (
 	"repro/internal/nwa"
 	"repro/internal/query"
 )
+
+// register compiles and registers each DNWA under its name, failing the
+// test on a registration error.
+func register(tb testing.TB, eng *engine.Engine, names []string, queries []*nwa.DNWA) {
+	tb.Helper()
+	for i, q := range queries {
+		if _, err := eng.RegisterQuery(names[i], query.Compile(q)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
 
 // testQueries builds a small mixed query set over {a, b, c}.
 func testQueries(alpha *alphabet.Alphabet) (names []string, queries []*nwa.DNWA) {
@@ -36,9 +48,7 @@ func TestDifferentialAgainstAccepts(t *testing.T) {
 	alpha := alphabet.New("a", "b", "c")
 	names, queries := testQueries(alpha)
 	eng := engine.New()
-	for i, q := range queries {
-		eng.Register(names[i], q)
-	}
+	register(t, eng, names, queries)
 	labels := []string{"a", "b", "c"}
 	const trials = 1200
 	pending := 0
@@ -90,9 +100,7 @@ func TestMillionEventSinglePass(t *testing.T) {
 	alpha := alphabet.New("a", "b", "c")
 	names, queries := testQueries(alpha)
 	eng := engine.New()
-	for i, q := range queries {
-		eng.Register(names[i], q)
-	}
+	register(t, eng, names, queries)
 	labels := []string{"a", "b", "c"}
 	const size = 1_000_000
 	res, err := eng.Run(generator.NewDocumentStream(99, size, 40, labels))
@@ -143,9 +151,11 @@ func TestRunReader(t *testing.T) {
 	doc := `<catalog> <book> <title> nested words </title> </book> <misc> stray </misc> </catalog>`
 	alpha := alphabet.New("catalog", "book", "title", "misc", "nested", "words", "stray")
 	eng := engine.New()
-	eng.Register("well-formed", query.WellFormed(alpha))
-	eng.Register("//book//title", query.PathQuery(alpha, "book", "title"))
-	eng.Register("//misc//title", query.PathQuery(alpha, "misc", "title"))
+	register(t, eng, []string{"well-formed", "//book//title", "//misc//title"}, []*nwa.DNWA{
+		query.WellFormed(alpha),
+		query.PathQuery(alpha, "book", "title"),
+		query.PathQuery(alpha, "misc", "title"),
+	})
 	res, err := eng.RunReader(strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
@@ -158,25 +168,30 @@ func TestRunReader(t *testing.T) {
 	}
 }
 
-// TestRegisterErrors checks the registration invariants: duplicate names and
-// alphabet mismatches are rejected, and a rejected registration leaves the
-// engine unchanged.
+// TestRegisterErrors checks the registration invariants: duplicate names,
+// alphabet mismatches and queries other than *query.Compiled — an NNWA
+// runner is refused with query.ErrNNWANotServed — are rejected, and a
+// rejected registration leaves the engine unchanged.
 func TestRegisterErrors(t *testing.T) {
 	alpha := alphabet.New("a", "b")
 	other := alphabet.New("a", "b", "c")
 	eng := engine.New()
-	if _, err := eng.Register("well-formed", query.WellFormed(alpha)); err != nil {
+	if _, err := eng.RegisterQuery("well-formed", query.Compile(query.WellFormed(alpha))); err != nil {
 		t.Fatalf("first registration failed: %v", err)
 	}
-	if _, err := eng.Register("well-formed", query.ContainsLabel(alpha, "a")); err == nil {
+	if _, err := eng.RegisterQuery("well-formed", query.Compile(query.ContainsLabel(alpha, "a"))); err == nil {
 		t.Fatal("duplicate query name was accepted")
 	}
-	if _, err := eng.Register("other-alphabet", query.WellFormed(other)); err == nil {
+	if _, err := eng.RegisterQuery("other-alphabet", query.Compile(query.WellFormed(other))); err == nil {
 		t.Fatal("query over a different alphabet was accepted")
 	}
 	if _, err := eng.RegisterQuery("nnwa-other-alphabet",
 		query.CompileN(query.WellFormed(other).ToNondeterministic())); err == nil {
 		t.Fatal("NNWA query over a different alphabet was accepted")
+	}
+	_, err := eng.RegisterQuery("nnwa", query.CompileN(query.ContainsLabel(alpha, "a").ToNondeterministic()))
+	if !errors.Is(err, query.ErrNNWANotServed) {
+		t.Fatalf("NNWA query over the engine's alphabet: got %v, want ErrNNWANotServed", err)
 	}
 	if eng.Len() != 1 {
 		t.Fatalf("failed registrations changed the engine: Len = %d, want 1", eng.Len())
@@ -207,21 +222,27 @@ func randomNNWA(rng *rand.Rand, alpha *alphabet.Alphabet, states int) *nwa.NNWA 
 	return a
 }
 
-// TestNNWAQueriesInEngine is the ISSUE's NNWA-in-engine differential: each
-// nondeterministic query is registered twice — as a compiled NNWA state-set
-// runner and as its determinization compiled to a DNWA runner — and ≥1000
-// random nested words (including words with pending calls and returns) must
-// get identical verdicts from both, in the same fan-out pass.
+// TestNNWAQueriesInEngine is the NNWA-in-engine differential: each
+// nondeterministic query is served as its determinization compiled to a
+// DNWA (the only form the engine serves), and on ≥1000 random nested words
+// (including words with pending calls and returns) every engine verdict
+// must equal the in-process NNWA state-set runner's and NNWA.Accepts.
 func TestNNWAQueriesInEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	alpha := alphabet.New("a", "b")
 	eng := engine.New()
 	const automata = 4
-	var nnwaIdx, detIdx [automata]int
-	for i := 0; i < automata; i++ {
+	var nnwas [automata]*nwa.NNWA
+	var runners [automata]query.Runner
+	var detIdx [automata]int
+	for i := range nnwas {
 		a := randomNNWA(rng, alpha, 2+rng.Intn(3))
-		nnwaIdx[i] = eng.MustRegisterQuery(fmt.Sprintf("nnwa-%d", i), query.CompileN(a))
-		detIdx[i] = eng.MustRegister(fmt.Sprintf("det-%d", i), a.Determinize())
+		nnwas[i], runners[i] = a, query.CompileN(a).NewRunner()
+		idx, err := eng.RegisterQuery(fmt.Sprintf("det-%d", i), query.Compile(a.Determinize()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		detIdx[i] = idx
 	}
 	labels := []string{"a", "b"}
 	const trials = 1100
@@ -238,10 +259,15 @@ func TestNNWAQueriesInEngine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		for i := 0; i < automata; i++ {
-			if nv, dv := res.Verdicts[nnwaIdx[i]], res.Verdicts[detIdx[i]]; nv != dv {
-				t.Fatalf("trial %d, automaton %d: NNWA runner %v, Determinize+DNWA %v on %v",
+		for i, a := range nnwas {
+			dv := res.Verdicts[detIdx[i]]
+			if nv := query.RunWord(runners[i], alpha, n); nv != dv {
+				t.Fatalf("trial %d, automaton %d: NNWA runner %v, served Determinize+Compile %v on %v",
 					trial, i, nv, dv, n)
+			}
+			if av := a.Accepts(n); av != dv {
+				t.Fatalf("trial %d, automaton %d: NNWA.Accepts %v, served Determinize+Compile %v on %v",
+					trial, i, av, dv, n)
 			}
 		}
 	}
@@ -257,9 +283,7 @@ func TestCompiledSessionAllocationFree(t *testing.T) {
 	alpha := alphabet.New("a", "b", "c")
 	names, queries := testQueries(alpha)
 	eng := engine.New()
-	for i, q := range queries {
-		eng.MustRegister(names[i], q)
-	}
+	register(t, eng, names, queries)
 	// Pre-interned in-memory events, as an edge tokenizer would hand over.
 	const size = 20000
 	src := generator.NewDocumentStream(5, size, 16, []string{"a", "b", "c"})
@@ -299,9 +323,7 @@ func TestSessionFeed(t *testing.T) {
 	alpha := alphabet.New("a", "b", "c")
 	names, queries := testQueries(alpha)
 	eng := engine.New()
-	for i, q := range queries {
-		eng.Register(names[i], q)
-	}
+	register(t, eng, names, queries)
 	n := generator.RandomDocument(rand.New(rand.NewSource(3)), 120, 6, []string{"a", "b", "c"})
 	s := eng.Acquire()
 	defer eng.Release(s)

@@ -4,7 +4,6 @@ import (
 	"io"
 
 	"repro/internal/docstream"
-	"repro/internal/nestedword"
 )
 
 // sliceSource streams an in-memory event slice.
@@ -25,25 +24,4 @@ func (s *sliceSource) Next() (docstream.Event, error) {
 // Events wraps an in-memory event slice as an EventSource.
 func Events(events []docstream.Event) EventSource {
 	return &sliceSource{events: events}
-}
-
-// wordSource streams a nested word position by position.
-type wordSource struct {
-	n   *nestedword.NestedWord
-	pos int
-}
-
-func (s *wordSource) Next() (docstream.Event, error) {
-	if s.pos >= s.n.Len() {
-		return docstream.Event{}, io.EOF
-	}
-	e := docstream.Event{Kind: s.n.KindAt(s.pos), Label: s.n.SymbolAt(s.pos)}
-	s.pos++
-	return e, nil
-}
-
-// Word wraps a nested word as an EventSource; its positions stream through
-// the engine exactly as the equivalent document would.
-func Word(n *nestedword.NestedWord) EventSource {
-	return &wordSource{n: n}
 }

@@ -626,6 +626,19 @@ var e21Labels = []string{"a", "b", "c"}
 
 const e21Seed = 21
 
+// dnwaEngine compiles and registers each DNWA under its name on a fresh
+// engine.  The experiments build their query sets in code, so a
+// registration error is a bug.
+func dnwaEngine(names []string, ds []*nwa.DNWA) *engine.Engine {
+	eng := engine.New()
+	for i, d := range ds {
+		if _, err := eng.RegisterQuery(names[i], query.Compile(d)); err != nil {
+			panic(err)
+		}
+	}
+	return eng
+}
+
 // E21MultiQueryStreaming measures the engine package's extension of the
 // Section 3.2 streaming claim to N simultaneous queries: a single pass fans
 // every event out to N per-query runners, versus re-scanning (re-generating)
@@ -639,10 +652,7 @@ func E21MultiQueryStreaming(size, maxDepth int) Table {
 	rows := [][]string{}
 	for _, n := range []int{1, 2, 4, 8, 16} {
 		names, queries := E21Queries(alpha, n)
-		eng := engine.New()
-		for i, q := range queries {
-			eng.MustRegister(names[i], q)
-		}
+		eng := dnwaEngine(names, queries)
 		stream := func() *generator.DocumentStream {
 			return generator.NewDocumentStream(e21Seed, size, maxDepth, e21Labels)
 		}
@@ -734,10 +744,7 @@ func E22CompiledVsMap(size, maxDepth int) Table {
 	rows := [][]string{}
 	for _, n := range []int{1, 2, 4, 8, 16} {
 		names, queries := E21Queries(alpha, n)
-		eng := engine.New()
-		for i, q := range queries {
-			eng.MustRegister(names[i], q)
-		}
+		eng := dnwaEngine(names, queries)
 		stream := func() *generator.DocumentStream {
 			return generator.NewDocumentStream(e21Seed, size, maxDepth, e21Labels)
 		}
@@ -828,10 +835,7 @@ func E22CompiledVsMap(size, maxDepth int) Table {
 func E23ShardedServing(docs, size int) Table {
 	alpha := alphabet.New(e21Labels...)
 	names, queries := E21Queries(alpha, 8)
-	eng := engine.New()
-	for i, q := range queries {
-		eng.MustRegister(names[i], q)
-	}
+	eng := dnwaEngine(names, queries)
 	// Materialize and intern the corpus once, so every serving mode measures
 	// automaton work rather than document generation.
 	corpus := make([][]docstream.Event, docs)
@@ -1025,12 +1029,7 @@ func E25ColdStart(maxQueries int) Table {
 			continue
 		}
 		compiledEng, compile := e25Boot(func() *engine.Engine {
-			eng := engine.New()
-			names, ds := e25QuerySpecs(alpha, n)
-			for i, d := range ds {
-				eng.MustRegisterQuery(names[i], query.Compile(d))
-			}
-			return eng
+			return dnwaEngine(e25QuerySpecs(alpha, n))
 		})
 
 		names, ds := e25QuerySpecs(alpha, n)

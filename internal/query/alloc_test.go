@@ -55,7 +55,7 @@ func keptEntries(t *testing.T, r Runner) int {
 // 2·maxKeptStack to keep the test's memory small.
 func TestResetBoundsKeptStack(t *testing.T) {
 	alpha := alphabet.New("a", "b")
-	product, err := CompileProduct([]Query{Compile(WellFormed(alpha)), Compile(ContainsLabel(alpha, "b"))}, 0)
+	product, err := CompileProduct([]*Compiled{Compile(WellFormed(alpha)), Compile(ContainsLabel(alpha, "b"))}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,8 +59,11 @@ type Runner interface {
 	Reset()
 }
 
-// Query is what the engine registers: any compiled automaton — deterministic
-// or nondeterministic — that can mint fresh runners over a fixed alphabet.
+// Query is any compiled automaton that can mint fresh runners over a fixed
+// alphabet: Compiled, and the test-only NNWA runner CompiledN.  Only a
+// *Compiled is served — Bundle.Add and engine.RegisterQuery refuse every
+// other Query — and Bundle.Query returns one, or nil at a product-grouped
+// slot.
 type Query interface {
 	// Alphabet returns the alphabet the compiled symbol IDs refer to.
 	Alphabet() *alphabet.Alphabet
@@ -68,9 +71,9 @@ type Query interface {
 	NewRunner() Runner
 }
 
-// Compiled is an immutable compiled deterministic NWA.  It implements Query;
-// its runners step with two or three indexed loads per event and no
-// allocation beyond amortized stack growth.
+// Compiled is an immutable compiled deterministic NWA, the one served
+// automaton type.  It implements Query; its runners step with two or three
+// indexed loads per event and no allocation beyond amortized stack growth.
 type Compiled struct {
 	alpha  *alphabet.Alphabet
 	num    int // states, including the dead state

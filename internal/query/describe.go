@@ -75,10 +75,9 @@ func Describe(b *Bundle) BundleDesc {
 	}
 	for i := 0; i < b.Len(); i++ {
 		q := QueryDesc{Name: b.Name(i), Kind: "dnwa"}
-		switch c := b.Query(i).(type) {
-		case *Compiled:
+		if c := b.queries[i]; c != nil {
 			q.States = c.NumStates()
-		case nil:
+		} else {
 			q.Kind, q.Group = "product-member", groupOf[i]
 		}
 		d.Queries = append(d.Queries, q)

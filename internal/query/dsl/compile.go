@@ -40,7 +40,7 @@ func Compile(e Expr, alpha *alphabet.Alphabet) (*query.Compiled, error) {
 // definition both the bundle compiler (nwtool) and the in-process tools
 // (nwquery, nwserve) share, so a bundle-booted server and an in-process one
 // answer identically for the same -dsl string.
-func Queries(alpha *alphabet.Alphabet, exprs []Expr) (names []string, queries []query.Query, err error) {
+func Queries(alpha *alphabet.Alphabet, exprs []Expr) (names []string, queries []*query.Compiled, err error) {
 	for _, e := range exprs {
 		q, err := Compile(e, alpha)
 		if err != nil {

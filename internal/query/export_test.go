@@ -8,19 +8,15 @@ type PairCounts struct {
 	LinIDs, HierIDs   int
 }
 
-// ProductPairCounts runs the product fixpoint over a cluster of *Compiled
-// members and reports its PairCounts, with the fixpoint's error (nil or
+// ProductPairCounts runs the product fixpoint over a cluster of members and
+// reports its PairCounts, with the fixpoint's error (nil or
 // ErrStateBudget).  A budget ≤ 0 means the serialization limit, as in
 // CompileProduct.
-func ProductPairCounts(members []Query, budget int) (PairCounts, error) {
+func ProductPairCounts(members []*Compiled, budget int) (PairCounts, error) {
 	if budget <= 0 || budget > maxStates {
 		budget = maxStates
 	}
-	ms := make([]*Compiled, len(members))
-	for j, m := range members {
-		ms[j] = m.(*Compiled)
-	}
-	b := newDetBuilder(ms, budget)
+	b := newDetBuilder(members, budget)
 	err := b.fixpoint()
 	return PairCounts{b.expanded, b.visited, b.lids.len(), b.hids.len()}, err
 }

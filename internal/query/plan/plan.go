@@ -100,9 +100,9 @@ func Bundle(b *query.Bundle, opts Options) (*query.Bundle, Decision, error) {
 			solo(cluster...)
 			continue
 		}
-		members := make([]query.Query, n)
+		members := make([]*query.Compiled, n)
 		for j, idx := range cluster {
-			members[j] = b.Query(idx)
+			members[j] = b.Compiled(idx)
 		}
 		p, err := query.CompileProduct(members, opts.StateBudget)
 		switch {

@@ -3,9 +3,10 @@ package plan
 import (
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
-	"repro/internal/bitset"
 	"repro/internal/generator"
 	"repro/internal/nestedword"
 	"repro/internal/query"
@@ -54,16 +55,15 @@ func verdictsAgree(t *testing.T, src, planned *query.Bundle) {
 			got[i] = false
 		}
 		for i := 0; i < planned.Len(); i++ {
-			if q := planned.Query(i); q != nil {
+			if q := planned.Compiled(i); q != nil {
 				got[i] = query.RunWord(q.NewRunner(), alpha, w)
 			}
 		}
 		for _, g := range planned.Groups() {
 			pr := g.Product.NewProductRunner()
-			row := bitset.New(g.Product.QueryCount())
-			runProductWord(pr, alpha, w, row)
+			query.RunWord(pr, alpha, w)
 			for j, idx := range g.Indices {
-				got[idx] = row.Has(j)
+				got[idx] = pr.Verdict(j)
 			}
 		}
 		for i := 0; i < src.Len(); i++ {
@@ -74,28 +74,6 @@ func verdictsAgree(t *testing.T, src, planned *query.Bundle) {
 			}
 		}
 	}
-}
-
-func runProductWord(r *query.ProductRunner, alpha interface {
-	Index(string) (int, bool)
-	Size() int
-}, n *nestedword.NestedWord, dst bitset.Row) {
-	r.Reset()
-	for i := 0; i < n.Len(); i++ {
-		sym, ok := alpha.Index(n.SymbolAt(i))
-		if !ok {
-			sym = alpha.Size()
-		}
-		switch n.KindAt(i) {
-		case nestedword.Call:
-			r.StepCall(sym)
-		case nestedword.Return:
-			r.StepReturn(sym)
-		default:
-			r.StepInternal(sym)
-		}
-	}
-	r.Verdicts(dst)
 }
 
 func TestPlannerClustersByForm(t *testing.T) {
@@ -163,6 +141,46 @@ func TestPlannerClusterSizeChunks(t *testing.T) {
 		t.Fatalf("decision = %+v, want 2 groups and 1 solo", dec)
 	}
 	verdictsAgree(t, src, planned)
+}
+
+// TestPlannedQuerySlots checks a planner-built bundle's slots as built and
+// as decoded by UnmarshalBundle and OpenBundle: Query is an untyped nil
+// interface at every product-grouped slot — Describe and the benchmark's
+// per-kind engines read it that way — and a *query.Compiled at every solo
+// one.
+func TestPlannedQuerySlots(t *testing.T) {
+	planned, dec, err := Bundle(buildBundle(t, 5, 4), Options{})
+	if err != nil {
+		t.Fatalf("Bundle: %v", err)
+	}
+	if len(dec.Groups) != 1 || len(dec.Solo) != 1 {
+		t.Fatalf("decision = %+v, want one group and one solo query", dec)
+	}
+	path := filepath.Join(t.TempDir(), "planned.nwq")
+	if err := os.WriteFile(path, planned.Marshal(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	unmarshaled, err := query.UnmarshalBundle(planned.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened, err := query.OpenBundle(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer opened.Close()
+	for name, b := range map[string]*query.Bundle{"planned": planned, "UnmarshalBundle": unmarshaled, "OpenBundle": opened} {
+		for _, i := range dec.Groups[0] {
+			if q := b.Query(i); q != nil {
+				t.Errorf("%s: grouped slot %d holds %#v, want an untyped nil", name, i, q)
+			}
+		}
+		for _, i := range dec.Solo {
+			if _, ok := b.Query(i).(*query.Compiled); !ok {
+				t.Errorf("%s: solo slot %d holds %T, want *query.Compiled", name, i, b.Query(i))
+			}
+		}
+	}
 }
 
 // TestPlannerBudgetFallback is the satellite criterion: a cluster whose

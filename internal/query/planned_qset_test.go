@@ -4,10 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
-	"repro/internal/bitset"
 	"repro/internal/nwa"
 	"repro/internal/query/format"
 )
@@ -17,7 +18,7 @@ import (
 func plannedGoldenBundle(t *testing.T) *Bundle {
 	t.Helper()
 	src := goldenBundle(t)
-	p, err := CompileProduct([]Query{src.Query(0), src.Query(1)}, 0)
+	p, err := CompileProduct([]*Compiled{src.Compiled(0), src.Compiled(1)}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,19 +31,18 @@ func plannedGoldenBundle(t *testing.T) *Bundle {
 
 // checkProductAgreement replays random words through a product runner and the
 // member queries, failing on any demuxed verdict divergence.
-func checkProductAgreement(t *testing.T, label string, p *CompiledProduct, members []Query, trials int) {
+func checkProductAgreement(t *testing.T, label string, p *CompiledProduct, members []*Compiled, trials int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(321))
 	words, _ := randomWords(rng, trials, []string{"a", "b", "zz"})
 	alpha := p.Alphabet()
 	r := p.NewProductRunner()
-	row := bitset.New(p.QueryCount())
 	for wi, w := range words {
-		runProductWord(r, alpha, w, row)
+		RunWord(r, alpha, w)
 		for j, m := range members {
-			if want := RunWord(m.NewRunner(), alpha, w); row.Has(j) != want {
+			if want := RunWord(m.NewRunner(), alpha, w); r.Verdict(j) != want {
 				t.Fatalf("%s: word %d, member %d: product %v, member %v on %v",
-					label, wi, j, row.Has(j), want, w)
+					label, wi, j, r.Verdict(j), want, w)
 			}
 		}
 	}
@@ -53,7 +53,7 @@ func checkProductAgreement(t *testing.T, label string, p *CompiledProduct, membe
 // compacted to H < num — checking byte-identical re-encoding, preserved
 // shape, and verdict agreement against the original members.
 func TestProductMarshalRoundTrip(t *testing.T) {
-	for _, build := range []func() ([]Query, []*nwa.DNWA){detProductMembers, orderProductMembers} {
+	for _, build := range []func() ([]*Compiled, []*nwa.DNWA){detProductMembers, orderProductMembers} {
 		members, _ := build()
 		p, err := CompileProduct(members, 0)
 		if err != nil {
@@ -99,11 +99,12 @@ func TestProductJointModeRejected(t *testing.T) {
 }
 
 // TestPlannedBundleRoundTrip round-trips a planned bundle — one product
-// group plus a solo query — through Marshal and both load paths.
+// group plus a solo query — through Marshal and every load path.
 func TestPlannedBundleRoundTrip(t *testing.T) {
 	planned := plannedGoldenBundle(t)
 	src := goldenBundle(t)
 	data := planned.Marshal()
+	checkQuerySlots(t, "in memory", planned)
 
 	for _, load := range []struct {
 		name string
@@ -111,6 +112,17 @@ func TestPlannedBundleRoundTrip(t *testing.T) {
 	}{
 		{"UnmarshalBundle", UnmarshalBundle},
 		{"LoadBundleMapped", LoadBundleMapped},
+		{"OpenBundle", func(data []byte) (*Bundle, error) {
+			path := filepath.Join(t.TempDir(), "planned.nwq")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				return nil, err
+			}
+			b, err := OpenBundle(path)
+			if err == nil {
+				t.Cleanup(func() { b.Close() })
+			}
+			return b, err
+		}},
 	} {
 		dec, err := load.fn(data)
 		if err != nil {
@@ -127,17 +139,32 @@ func TestPlannedBundleRoundTrip(t *testing.T) {
 		if len(g.Indices) != 2 || g.Indices[0] != 0 || g.Indices[1] != 1 {
 			t.Fatalf("%s: group indices %v, want [0 1]", load.name, g.Indices)
 		}
-		// Grouped names have no solo query; the solo one keeps its runner.
-		if dec.Query(0) != nil || dec.Query(1) != nil {
-			t.Fatalf("%s: grouped queries still have solo runners", load.name)
-		}
-		if dec.Query(2) == nil {
-			t.Fatalf("%s: solo query lost its runner", load.name)
-		}
-		checkProductAgreement(t, load.name, g.Product, []Query{src.Query(0), src.Query(1)}, 150)
+		checkQuerySlots(t, load.name, dec)
+		checkProductAgreement(t, load.name, g.Product, []*Compiled{src.Compiled(0), src.Compiled(1)}, 150)
 		checkQueryAgreement(t, load.name+" solo", src.Query(2), dec.Query(2), 120)
 		if again := dec.Marshal(); !bytes.Equal(again, data) {
 			t.Fatalf("%s: decode→re-encode changed the bytes", load.name)
+		}
+	}
+}
+
+// checkQuerySlots checks the slots of a planned golden bundle, whose
+// queries 0 and 1 are product-grouped and 2 is solo: Query is an untyped
+// nil interface at a grouped slot — Describe and the benchmark's per-kind
+// engines read it that way — and a *Compiled, as Compiled returns it, at
+// the solo one.
+func checkQuerySlots(t *testing.T, label string, b *Bundle) {
+	t.Helper()
+	for i := 0; i < b.Len(); i++ {
+		q, c := b.Query(i), b.Compiled(i)
+		if i < 2 {
+			if q != nil || c != nil {
+				t.Fatalf("%s: grouped slot %d holds Query %#v, Compiled %p; want untyped nil and nil", label, i, q, c)
+			}
+			continue
+		}
+		if got, ok := q.(*Compiled); !ok || got == nil || got != c {
+			t.Fatalf("%s: solo slot %d holds Query %T, Compiled %p; want the same *Compiled", label, i, q, c)
 		}
 	}
 }
@@ -146,7 +173,7 @@ func TestPlannedBundleRoundTrip(t *testing.T) {
 // invariants.
 func TestNewPlannedBundleErrors(t *testing.T) {
 	src := goldenBundle(t)
-	p, err := CompileProduct([]Query{src.Query(0), src.Query(1)}, 0)
+	p, err := CompileProduct([]*Compiled{src.Compiled(0), src.Compiled(1)}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

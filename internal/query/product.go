@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"repro/internal/alphabet"
-	"repro/internal/bitset"
 )
 
 // This file is the product-compilation layer: it turns a cluster of compiled
@@ -20,9 +19,11 @@ import (
 // actually reachable through the call/internal/return closure are
 // materialized.  The per-event cost of the product runner is that of ONE
 // deterministic runner — two or three indexed loads — regardless of how many
-// members the cluster has.  Acceptance is a per-query bitmask (a bitset.Row
-// over member indices per product state), and a ProductRunner demuxes that
-// mask back into the member verdicts.
+// members the cluster has.  Acceptance is a per-query bitmask (one row of
+// ⌈k/64⌉ words over member indices per product state), and a ProductRunner
+// reads a member's verdict as one bit of the current state's row.  A solo
+// query is the one-member product (SoloProduct): its mask row is the
+// automaton's own accept bit, so the engine steps one runner kind.
 //
 // The paper keeps hierarchical states apart from linear ones, and the
 // product exploits that: only the start tuple and the hierarchical targets
@@ -42,24 +43,23 @@ import (
 var ErrStateBudget = errors.New("query: product exceeds the state budget")
 
 // ProductRunner is the streaming face of a product-compiled cluster: the
-// product automaton's own deterministic runner, whose Verdicts read the
-// current state's accept-bitmask row instead of a single accept bit.  Like
-// Runner, a ProductRunner owns its hierarchical stack and is not safe for
-// concurrent use.  On an empty stack StepReturn is a pending return for
+// product automaton's own deterministic runner, whose Verdict reads one bit
+// of the current state's accept-bitmask row instead of a single accept bit.
+// Like Runner, a ProductRunner owns its hierarchical stack and is not safe
+// for concurrent use.  On an empty stack StepReturn is a pending return for
 // every member at once, per Section 3.1.
 type ProductRunner struct {
 	dnwaRunner
 	p *CompiledProduct
 }
 
-// Verdicts overwrites dst — a row of at least QueryCount bits — with the
-// per-member verdicts for the stream consumed so far, viewed as a complete
-// nested word: bit j is member j's verdict.
+// Verdict reports member j's verdict for the stream consumed so far, viewed
+// as a complete nested word: bit j of the current state's mask row.  j must
+// be below QueryCount.
 //
 //nwvet:hotpath
-func (r *ProductRunner) Verdicts(dst bitset.Row) {
-	dst.Zero()
-	dst.Or(bitset.Slab(r.p.mask, int(r.state), r.p.maskW))
+func (r *ProductRunner) Verdict(j int) bool {
+	return r.p.mask[int(r.state)*r.p.maskW+j>>6]&(1<<(uint(j)&63)) != 0
 }
 
 // CompiledProduct is an immutable product-compiled query cluster: one
@@ -72,7 +72,7 @@ type CompiledProduct struct {
 	inner *Compiled // the product automaton over member-state tuples
 	nq    int       // member query count
 
-	// mask is the accept bitmask slab: one row of maskW = bitset.Words(nq)
+	// mask is the accept bitmask slab: one row of maskW = maskWords(nq)
 	// words per product state, bit j of row q set when member j accepts in
 	// product state q.
 	mask  []uint64
@@ -93,19 +93,35 @@ func (p *CompiledProduct) QueryCount() int { return p.nq }
 // product's state count.
 func (p *CompiledProduct) NumStates() int { return p.inner.num }
 
+// maskWords returns the words in one accept-mask row over nq members.
+func maskWords(nq int) int { return (nq + 63) >> 6 }
+
 // NewProductRunner returns a fresh runner positioned at the document start.
 func (p *CompiledProduct) NewProductRunner() *ProductRunner {
 	return &ProductRunner{dnwaRunner: dnwaRunner{c: p.inner, state: p.inner.start}, p: p}
 }
 
+// SoloProduct wraps one compiled query as the product of itself: the same
+// automaton, whose one-word mask row per state is its accept bit.  No
+// product is constructed — the engine registers every solo query this way,
+// so it steps one runner kind.
+func SoloProduct(c *Compiled) *CompiledProduct {
+	mask := make([]uint64, c.num)
+	for s, ok := range c.accept {
+		if ok {
+			mask[s] = 1
+		}
+	}
+	return &CompiledProduct{inner: c, nq: 1, mask: mask, maskW: 1}
+}
+
 // CompileProduct compiles a cluster of deterministic member queries over one
-// shared alphabet into a single CompiledProduct.  Every member must be a
-// *Compiled.  budget caps the product's state count (≤ 0 means the
-// serialization limit); exceeding it returns ErrStateBudget, the signal the
-// planner downgrades on.  Member verdicts are preserved exactly: bit j of
-// the runner's verdict mask always equals what members[j]'s own runner would
-// report on the same stream.
-func CompileProduct(members []Query, budget int) (*CompiledProduct, error) {
+// shared alphabet into a single CompiledProduct.  budget caps the product's
+// state count (≤ 0 means the serialization limit); exceeding it returns
+// ErrStateBudget, the signal the planner downgrades on.  Member verdicts are
+// preserved exactly: the runner's Verdict(j) always equals what members[j]'s
+// own runner would report on the same stream.
+func CompileProduct(members []*Compiled, budget int) (*CompiledProduct, error) {
 	if len(members) == 0 {
 		return nil, errors.New("query: product of zero queries")
 	}
@@ -115,19 +131,13 @@ func CompileProduct(members []Query, budget int) (*CompiledProduct, error) {
 	if budget <= 0 || budget > maxStates {
 		budget = maxStates
 	}
-	ms := make([]*Compiled, len(members))
-	for i, m := range members {
-		c, ok := m.(*Compiled)
-		if !ok {
-			return nil, fmt.Errorf("query: product member %d is %T, only *Compiled queries product-compile", i, m)
-		}
-		if i > 0 && !ms[0].alpha.Equal(c.alpha) {
+	for i, c := range members[1:] {
+		if !members[0].alpha.Equal(c.alpha) {
 			return nil, fmt.Errorf("query: product member %d uses alphabet %v, member 0 uses %v",
-				i, c.alpha, ms[0].alpha)
+				i+1, c.alpha, members[0].alpha)
 		}
-		ms[i] = c
 	}
-	return compileDetProduct(ms, budget)
+	return compileDetProduct(members, budget)
 }
 
 // --- deterministic tuple product ----------------------------------------
@@ -778,13 +788,12 @@ func (b *detBuilder) materialize() (*CompiledProduct, error) {
 		dead:   b.lookup(b.states, b.deadKey()),
 		accept: make([]bool, num),
 	}
-	maskW := bitset.Words(k)
+	maskW := maskWords(k)
 	mask := make([]uint64, num*maskW)
 	for q := 0; q < num; q++ {
-		row := bitset.Slab(mask, q, maskW)
 		for j, s := range b.unpack(int32(q), b.dt) {
 			if ms[j].accept[s] {
-				row.Set(j)
+				mask[q*maskW+j>>6] |= 1 << (uint(j) & 63)
 				c.accept[q] = true
 			}
 		}

@@ -4,21 +4,19 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-
-	"repro/internal/bitset"
 )
 
 // fuzzProduct is one cached product-fuzz subject: the member subset selected
 // by a mask byte, product-compiled, next to the members' own runners.
 type fuzzProduct struct {
 	p       *CompiledProduct
-	members []Query
+	members []*Compiled
 }
 
 var (
 	fuzzProdMu   sync.Mutex
 	fuzzProds    = map[uint16]*fuzzProduct{}
-	fuzzFamilies [2][]Query
+	fuzzFamilies [2][]*Compiled
 	fuzzFamOnce  sync.Once
 )
 
@@ -26,7 +24,7 @@ var (
 // family 0 is the mix from detProductMembers, family 1 the linear-order trio
 // from orderProductMembers, whose products compact their return tables to
 // fewer hierarchical columns than states.
-func fuzzFamily(which int) []Query {
+func fuzzFamily(which int) []*Compiled {
 	fuzzFamOnce.Do(func() {
 		fuzzFamilies[0], _ = detProductMembers()
 		fuzzFamilies[1], _ = orderProductMembers()
@@ -47,7 +45,7 @@ func fuzzProductFor(t testing.TB, which int, mask uint8) *fuzzProduct {
 		return p
 	}
 	family := fuzzFamily(which)
-	var members []Query
+	var members []*Compiled
 	for j, q := range family {
 		if mask&(1<<j) != 0 {
 			members = append(members, q)
@@ -63,11 +61,7 @@ func fuzzProductFor(t testing.TB, which int, mask uint8) *fuzzProduct {
 	}
 	name := fmt.Sprintf("family %d, mask %08b", which%2, mask)
 	checkBudgetExact(t, name, members, p)
-	ms := make([]*Compiled, len(members))
-	for j, m := range members {
-		ms[j] = m.(*Compiled)
-	}
-	checkProductReturns(t, name, ms)
+	checkProductReturns(t, name, members)
 	fp := &fuzzProduct{p: p, members: members}
 	fuzzProds[key] = fp
 	return fp
@@ -98,7 +92,6 @@ func FuzzProductDifferential(f *testing.F) {
 		for j, m := range fp.members {
 			runners[j] = m.NewRunner()
 		}
-		row := bitset.New(fp.p.QueryCount())
 		for pos, b := range word {
 			kind := int(b) % 3
 			sym := int(b/3) % 3 // 0,1 are in-alphabet; 2 is the out-of-alphabet ID
@@ -120,11 +113,10 @@ func FuzzProductDifferential(f *testing.F) {
 					r.StepReturn(sym)
 				}
 			}
-			pr.Verdicts(row)
 			for j, r := range runners {
-				if row.Has(j) != r.Accepting() {
+				if pr.Verdict(j) != r.Accepting() {
 					t.Fatalf("family %d, mask %08b, prefix %d: product member %d = %v, own runner = %v",
-						which%2, mask, pos+1, j, row.Has(j), r.Accepting())
+						which%2, mask, pos+1, j, pr.Verdict(j), r.Accepting())
 				}
 			}
 		}

@@ -21,28 +21,28 @@ import (
 
 var sixteen = []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l", "m", "n", "o", "p"}
 
-func compileAll(ds []*nwa.DNWA) []query.Query {
-	qs := make([]query.Query, len(ds))
+func compileAll(ds []*nwa.DNWA) []*query.Compiled {
+	qs := make([]*query.Compiled, len(ds))
 	for i, d := range ds {
 		qs[i] = query.Compile(d)
 	}
 	return qs
 }
 
-func e21Mix(alpha *alphabet.Alphabet) []query.Query {
+func e21Mix(alpha *alphabet.Alphabet) []*query.Compiled {
 	_, ds := experiments.E21Queries(alpha, 8)
 	return compileAll(ds)
 }
 
-func hasFamily(alpha *alphabet.Alphabet, labels []string) []query.Query {
-	qs := make([]query.Query, len(labels))
+func hasFamily(alpha *alphabet.Alphabet, labels []string) []*query.Compiled {
+	qs := make([]*query.Compiled, len(labels))
 	for i, l := range labels {
 		qs[i] = query.Compile(query.ContainsLabel(alpha, l))
 	}
 	return qs
 }
 
-func withinTrio(tb testing.TB, alpha *alphabet.Alphabet) []query.Query {
+func withinTrio(tb testing.TB, alpha *alphabet.Alphabet) []*query.Compiled {
 	tb.Helper()
 	exprs, err := dsl.ParseList("within a: b before c; within d: e before f; within g: h before i")
 	if err != nil {
@@ -72,7 +72,7 @@ func TestProductBytesPinned(t *testing.T) {
 	a3 := alphabet.New("a", "b", "c")
 	for _, c := range []struct {
 		name     string
-		members  []query.Query
+		members  []*query.Compiled
 		states   int
 		legacy   string
 		factored string
@@ -129,7 +129,7 @@ func TestProductPairPruning(t *testing.T) {
 	a16 := alphabet.New(sixteen...)
 	for _, c := range []struct {
 		name              string
-		members           []query.Query
+		members           []*query.Compiled
 		expanded, visited int
 		wantErr           error
 	}{
@@ -157,7 +157,7 @@ func batchShape(tb testing.TB) *query.Bundle {
 	tb.Helper()
 	alpha := alphabet.New(sixteen...)
 	b := query.NewBundle(alpha)
-	add := func(name string, q query.Query) {
+	add := func(name string, q *query.Compiled) {
 		if err := b.Add(name, q); err != nil {
 			tb.Fatal(err)
 		}
@@ -226,7 +226,7 @@ func BenchmarkCompileProduct(b *testing.B) {
 	a16 := alphabet.New(sixteen...)
 	for _, c := range []struct {
 		name    string
-		members []query.Query
+		members []*query.Compiled
 		wantErr error
 	}{
 		{"e21-16-over-budget", e21Mix(a16), query.ErrStateBudget},

@@ -8,39 +8,14 @@ import (
 	"testing"
 
 	"repro/internal/alphabet"
-	"repro/internal/bitset"
 	"repro/internal/generator"
-	"repro/internal/nestedword"
 	"repro/internal/nwa"
 	"repro/internal/word"
 )
 
-// runProductWord drives a product runner over a whole nested word, interning
-// each symbol against alpha, and leaves the member verdicts in dst — the
-// ProductRunner counterpart of RunWord.
-func runProductWord(r *ProductRunner, alpha *alphabet.Alphabet, n *nestedword.NestedWord, dst bitset.Row) {
-	r.Reset()
-	ooa := alpha.Size()
-	for i := 0; i < n.Len(); i++ {
-		sym, ok := alpha.Index(n.SymbolAt(i))
-		if !ok {
-			sym = ooa
-		}
-		switch n.KindAt(i) {
-		case nestedword.Call:
-			r.StepCall(sym)
-		case nestedword.Return:
-			r.StepReturn(sym)
-		default:
-			r.StepInternal(sym)
-		}
-	}
-	r.Verdicts(dst)
-}
-
 // detProductMembers is the deterministic cluster the differentials run on:
 // structurally similar but distinct queries over the shared {a,b} alphabet.
-func detProductMembers() ([]Query, []*nwa.DNWA) {
+func detProductMembers() ([]*Compiled, []*nwa.DNWA) {
 	alpha := generator.AB
 	return compileMembers(
 		WellFormed(alpha),
@@ -54,7 +29,7 @@ func detProductMembers() ([]Query, []*nwa.DNWA) {
 // orderProductMembers is a cluster of linear-order queries: their calls
 // push few distinct hierarchical states, so the product's return table
 // needs fewer hierarchical columns than it has states (H < num).
-func orderProductMembers() ([]Query, []*nwa.DNWA) {
+func orderProductMembers() ([]*Compiled, []*nwa.DNWA) {
 	alpha := generator.AB
 	return compileMembers(
 		ContainsLabel(alpha, "a"),
@@ -68,7 +43,7 @@ func orderProductMembers() ([]Query, []*nwa.DNWA) {
 // LinearOrder compiles a run of n a's to, built straight from its word DFA.
 // Every member has more than 256 states, so each takes 9 bits of a key and
 // the eighth starts a second word.
-func wideProductMembers() ([]Query, []*nwa.DNWA) {
+func wideProductMembers() ([]*Compiled, []*nwa.DNWA) {
 	alpha := generator.AB
 	sources := make([]*nwa.DNWA, 8)
 	for j := range sources {
@@ -82,8 +57,8 @@ func wideProductMembers() ([]Query, []*nwa.DNWA) {
 	return compileMembers(sources...)
 }
 
-func compileMembers(sources ...*nwa.DNWA) ([]Query, []*nwa.DNWA) {
-	members := make([]Query, len(sources))
+func compileMembers(sources ...*nwa.DNWA) ([]*Compiled, []*nwa.DNWA) {
+	members := make([]*Compiled, len(sources))
 	for i, d := range sources {
 		members[i] = Compile(d)
 	}
@@ -109,7 +84,7 @@ func TestProductDNWADifferential(t *testing.T) {
 	}
 	for _, cluster := range []struct {
 		name      string
-		build     func() ([]Query, []*nwa.DNWA)
+		build     func() ([]*Compiled, []*nwa.DNWA)
 		compacted bool
 	}{
 		{"mixed", detProductMembers, false},
@@ -127,11 +102,7 @@ func TestProductDNWADifferential(t *testing.T) {
 			t.Fatalf("%s: product keeps %d hierarchical columns for %d states, want fewer",
 				cluster.name, p.inner.hiers, p.inner.num)
 		}
-		ms := make([]*Compiled, len(members))
-		for j, m := range members {
-			ms[j] = m.(*Compiled)
-		}
-		checkProductReturns(t, cluster.name, ms)
+		checkProductReturns(t, cluster.name, members)
 		for _, form := range []struct {
 			name string
 			p    *CompiledProduct
@@ -141,15 +112,14 @@ func TestProductDNWADifferential(t *testing.T) {
 			{"legacy sparse", decodeLegacyProduct(t, p, true)},
 		} {
 			pr := form.p.NewProductRunner()
-			verdicts := bitset.New(p.QueryCount())
 			fan := make([]Runner, len(members))
 			for j, m := range members {
 				fan[j] = m.NewRunner()
 			}
 			for wi, w := range words {
-				runProductWord(pr, alpha, w, verdicts)
+				RunWord(pr, alpha, w)
 				for j := range members {
-					got := verdicts.Has(j)
+					got := pr.Verdict(j)
 					if want := RunWord(fan[j], alpha, w); got != want {
 						t.Fatalf("%s (%s), word %d, member %d: product %v, fan-out runner %v on %v",
 							cluster.name, form.name, wi, j, got, want, w)
@@ -182,7 +152,7 @@ func decodeLegacyProduct(t testing.TB, p *CompiledProduct, sparse bool) *Compile
 // checkBudgetExact asserts that a product's state count n is exactly the
 // budget its cluster needs: CompileProduct at budget n rebuilds the same
 // bytes, and at n-1 reports ErrStateBudget.
-func checkBudgetExact(t testing.TB, name string, members []Query, p *CompiledProduct) {
+func checkBudgetExact(t testing.TB, name string, members []*Compiled, p *CompiledProduct) {
 	t.Helper()
 	n := p.NumStates()
 	again, err := CompileProduct(members, n)
@@ -206,14 +176,14 @@ func checkBudgetExact(t testing.TB, name string, members []Query, p *CompiledPro
 func TestProductBudgetExact(t *testing.T) {
 	for _, cluster := range []struct {
 		name  string
-		build func() ([]Query, []*nwa.DNWA)
+		build func() ([]*Compiled, []*nwa.DNWA)
 	}{
 		{"mixed", detProductMembers},
 		{"orders", orderProductMembers},
 	} {
 		family, _ := cluster.build()
 		for mask := 1; mask < 1<<len(family); mask++ {
-			var members []Query
+			var members []*Compiled
 			for j, q := range family {
 				if mask&(1<<j) != 0 {
 					members = append(members, q)
@@ -228,11 +198,7 @@ func TestProductBudgetExact(t *testing.T) {
 	}
 
 	members, sources := wideProductMembers()
-	ms := make([]*Compiled, len(members))
-	for j, m := range members {
-		ms[j] = m.(*Compiled)
-	}
-	if b := newDetBuilder(ms, 0); b.tp.w < 2 || b.cp.w < 2 {
+	if b := newDetBuilder(members, 0); b.tp.w < 2 || b.cp.w < 2 {
 		t.Fatalf("wide cluster packs state tuples into %d word(s) and class tuples into %d, want at least 2 each",
 			b.tp.w, b.cp.w)
 	}
@@ -245,14 +211,13 @@ func TestProductBudgetExact(t *testing.T) {
 	// the members' thresholds, so every member both accepts and rejects.
 	rng := rand.New(rand.NewSource(909))
 	labels := []string{"a", "a", "a", "b", "b"}
-	verdicts := bitset.New(len(members))
 	pr := p.NewProductRunner()
 	var seen [2]int
 	for wi := 0; wi < 200; wi++ {
 		w := generator.RandomNestedWord(rng, 400+rng.Intn(60), labels)
-		runProductWord(pr, generator.AB, w, verdicts)
+		RunWord(pr, generator.AB, w)
 		for j := range members {
-			got := verdicts.Has(j)
+			got := pr.Verdict(j)
 			if want := sources[j].Accepts(w); got != want {
 				t.Fatalf("wide, word %d, member %d: product %v, serial DNWA %v", wi, j, got, want)
 			}
@@ -274,11 +239,7 @@ func TestProductBudgetExact(t *testing.T) {
 // class tuples, the build fails with errUndiscovered instead of interning
 // the tuple as a new state outside the tables or reading past the row.
 func TestProductMaterializeMisses(t *testing.T) {
-	family, _ := orderProductMembers()
-	ms := make([]*Compiled, len(family))
-	for j, m := range family {
-		ms[j] = m.(*Compiled)
-	}
+	ms, _ := orderProductMembers()
 	build := func() *detBuilder {
 		b := newDetBuilder(ms, maxStates)
 		if err := b.fixpoint(); err != nil {
@@ -350,56 +311,114 @@ func checkProductReturns(t testing.TB, name string, ms []*Compiled) {
 }
 
 // TestCompileProductErrors pins the rejection paths: empty cluster,
-// nondeterministic members, mismatched alphabets, and — the planner's
-// fallback signal — a state budget smaller than the reachable product.
+// mismatched alphabets, and — the planner's fallback signal — a state
+// budget smaller than the reachable product.
 func TestCompileProductErrors(t *testing.T) {
 	alpha := generator.AB
 	det := Compile(WellFormed(alpha))
-	ndet := CompileN(PathQuery(alpha, "a", "b").ToNondeterministic())
 	other := Compile(WellFormed(alphabet.New("x", "y")))
 
 	if _, err := CompileProduct(nil, 0); err == nil {
 		t.Error("CompileProduct(nil) did not fail")
 	}
-	if _, err := CompileProduct([]Query{det, ndet}, 0); err == nil {
-		t.Error("mixed Compiled/CompiledN cluster did not fail")
-	}
-	if _, err := CompileProduct([]Query{ndet, det}, 0); err == nil {
-		t.Error("mixed CompiledN/Compiled cluster did not fail")
-	}
-	if _, err := CompileProduct([]Query{det, other}, 0); err == nil {
+	if _, err := CompileProduct([]*Compiled{det, other}, 0); err == nil {
 		t.Error("mismatched alphabets did not fail")
 	}
-	if _, err := CompileProduct([]Query{det, det}, 1); !errors.Is(err, ErrStateBudget) {
+	if _, err := CompileProduct([]*Compiled{det, det}, 1); !errors.Is(err, ErrStateBudget) {
 		t.Errorf("tiny deterministic budget: err = %v, want ErrStateBudget", err)
 	}
-	if _, err := CompileProduct([]Query{ndet, ndet}, 0); err == nil || errors.Is(err, ErrStateBudget) {
-		t.Errorf("nondeterministic cluster: err = %v, want a member-form error", err)
-	}
-	if p, err := CompileProduct([]Query{det}, 0); err != nil || p.QueryCount() != 1 {
+	if p, err := CompileProduct([]*Compiled{det}, 0); err != nil || p.QueryCount() != 1 {
 		t.Errorf("singleton cluster: p, err = %v, %v", p, err)
 	}
 }
 
-// TestProductSingleMemberMatchesQuery sanity-checks the degenerate product:
-// a one-member cluster's verdict bit equals the member's own verdict on a
+// TestProductSingleMemberMatchesQuery sanity-checks the degenerate
+// products: a one-member cluster's verdict bit, and the verdict of the
+// one-member product SoloProduct wraps around the query (the form the
+// engine serves solo queries in), equal the member's own verdict on a
 // spread of documents.
 func TestProductSingleMemberMatchesQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(808))
 	alpha := generator.AB
 	member := Compile(PathQuery(alpha, "a", "b"))
-	p, err := CompileProduct([]Query{member}, 0)
+	p, err := CompileProduct([]*Compiled{member}, 0)
 	if err != nil {
 		t.Fatalf("CompileProduct: %v", err)
 	}
-	pr := p.NewProductRunner()
-	verdicts := bitset.New(1)
+	prs := []*ProductRunner{p.NewProductRunner(), SoloProduct(member).NewProductRunner()}
 	r := member.NewRunner()
-	words, _ := randomWords(rng, 200, []string{"a", "b"})
+	words, _ := randomWords(rng, 200, []string{"a", "b", "zz"})
 	for wi, w := range words {
-		runProductWord(pr, alpha, w, verdicts)
-		if got, want := verdicts.Has(0), RunWord(r, alpha, w); got != want {
-			t.Fatalf("word %d: product %v, member %v on %v", wi, got, want, w)
+		want := RunWord(r, alpha, w)
+		for k, pr := range prs {
+			RunWord(pr, alpha, w)
+			if got := pr.Verdict(0); got != want {
+				t.Fatalf("word %d, product %d: verdict %v, member %v on %v", wi, k, got, want, w)
+			}
+		}
+	}
+}
+
+// TestProductWideMask checks verdict rows of more than one word: a product
+// of 67 members — copies of three small DNWAs, so the reachable product
+// stays small — must answer Verdict(j) for every j, across the word
+// boundary at 63/64 and at the last member, as each member's own runner
+// does on random words with pending calls and returns, both as compiled
+// and after a Marshal/UnmarshalProduct round trip.
+func TestProductWideMask(t *testing.T) {
+	alpha := generator.AB
+	shapes := []*Compiled{
+		Compile(ContainsLabel(alpha, "a")),
+		Compile(PathQuery(alpha, "a", "b")),
+		Compile(WellFormed(alpha)),
+	}
+	const k = 67
+	members := make([]*Compiled, k)
+	for j := range members {
+		members[j] = shapes[j%len(shapes)]
+	}
+	p, err := CompileProduct(members, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.maskW != 2 {
+		t.Fatalf("%d members use %d mask words, want 2", k, p.maskW)
+	}
+	dec, err := UnmarshalProduct(p.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(6464))
+	words, pending := randomWords(rng, 300, []string{"a", "b", "zz"})
+	if pending == 0 {
+		t.Fatal("no words with pending calls/returns were generated")
+	}
+	fan := make([]Runner, k)
+	for j, m := range members {
+		fan[j] = m.NewRunner()
+	}
+	var accepted, rejected [k]bool
+	for _, form := range []struct {
+		name string
+		p    *CompiledProduct
+	}{{"compiled", p}, {"decoded", dec}} {
+		pr := form.p.NewProductRunner()
+		for wi, w := range words {
+			RunWord(pr, alpha, w)
+			for j := range members {
+				want := RunWord(fan[j], alpha, w)
+				if got := pr.Verdict(j); got != want {
+					t.Fatalf("%s, word %d, member %d: product %v, member runner %v on %v",
+						form.name, wi, j, got, want, w)
+				}
+				accepted[j] = accepted[j] || want
+				rejected[j] = rejected[j] || !want
+			}
+		}
+	}
+	for _, j := range []int{63, 64, k - 1} {
+		if !accepted[j] || !rejected[j] {
+			t.Errorf("member %d never both accepted and rejected; the row's word boundary is untested", j)
 		}
 	}
 }

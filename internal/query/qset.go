@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/alphabet"
-	"repro/internal/bitset"
 	"repro/internal/query/format"
 )
 
@@ -564,7 +563,7 @@ func (p *CompiledProduct) encode(includeAlpha bool, groupIdx []int32, version ui
 // returning the demux indices of its group-index section when present (a
 // bundle-embedded product names the bundle slots its mask bits answer).
 // Beyond the embedded automaton's own validation, the accept mask must have
-// one row of bitset.Words(query count) words per state and no bits beyond
+// one row of maskWords(query count) words per state and no bits beyond
 // the query count — the "mask width == query count" guarantee nwtool vet
 // relies on.  Mode 1, the jointly-stepped nondeterministic union older
 // planners wrote, is refused: such bundles must be re-planned.
@@ -615,7 +614,7 @@ func decodeProduct(d *decodeState) (*CompiledProduct, []int32, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	p := &CompiledProduct{inner: inner, nq: nq, mask: mask, maskW: bitset.Words(nq), fmtVersion: d.r.Version()}
+	p := &CompiledProduct{inner: inner, nq: nq, mask: mask, maskW: maskWords(nq), fmtVersion: d.r.Version()}
 	want, ok := mul(inner.num, p.maskW)
 	if !ok || len(mask) != want {
 		return nil, nil, fmt.Errorf("query: product accept mask holds %d words, want %d (%d states × %d)",
@@ -653,13 +652,13 @@ func UnmarshalProduct(data []byte) (*CompiledProduct, error) {
 //
 // A bundle may additionally be planned (plan.Bundle or NewPlannedBundle):
 // some queries then live inside product-compiled clusters instead of the
-// per-query slice — Query returns nil at those indices and Groups says
-// which product answers them — while names, order, and verdict semantics
-// stay exactly those of the unplanned bundle.
+// per-query slice — Query and Compiled return nil at those indices and
+// Groups says which product answers them — while names, order, and verdict
+// semantics stay exactly those of the unplanned bundle.
 type Bundle struct {
 	alpha   *alphabet.Alphabet
 	names   []string
-	queries []Query // nil at indices covered by a product group
+	queries []*Compiled // nil at indices covered by a product group
 	groups  []ProductGroup
 	close   func() error
 
@@ -691,7 +690,8 @@ func NewBundle(alpha *alphabet.Alphabet) *Bundle { return &Bundle{alpha: alpha} 
 // serialized in an unbootable state).  Only *Compiled, the one served
 // compiled form, is accepted: a CompiledN is determinized and compiled first.
 func (b *Bundle) Add(name string, q Query) error {
-	if _, ok := q.(*Compiled); !ok {
+	c, ok := q.(*Compiled)
+	if !ok {
 		return fmt.Errorf("query: bundle cannot serialize %T (want *Compiled)", q)
 	}
 	for _, n := range b.names {
@@ -699,11 +699,11 @@ func (b *Bundle) Add(name string, q Query) error {
 			return fmt.Errorf("query: bundle already holds a query named %q", name)
 		}
 	}
-	if !b.alpha.Equal(q.Alphabet()) {
-		return fmt.Errorf("query: query %q uses alphabet %v, bundle is over %v", name, q.Alphabet(), b.alpha)
+	if !b.alpha.Equal(c.alpha) {
+		return fmt.Errorf("query: query %q uses alphabet %v, bundle is over %v", name, c.alpha, b.alpha)
 	}
 	b.names = append(b.names, name)
-	b.queries = append(b.queries, q)
+	b.queries = append(b.queries, c)
 	return nil
 }
 
@@ -719,9 +719,18 @@ func (b *Bundle) Names() []string { return append([]string(nil), b.names...) }
 // Name returns the i-th query's display name.
 func (b *Bundle) Name(i int) string { return b.names[i] }
 
-// Query returns the i-th compiled query, or nil when index i is answered by
-// a product group of a planned bundle (see Groups).
-func (b *Bundle) Query(i int) Query { return b.queries[i] }
+// Query returns the i-th compiled query, or an untyped nil when index i is
+// answered by a product group of a planned bundle (see Groups).
+func (b *Bundle) Query(i int) Query {
+	if c := b.queries[i]; c != nil {
+		return c
+	}
+	return nil
+}
+
+// Compiled returns the i-th compiled query, or nil when index i is answered
+// by a product group of a planned bundle (see Groups).
+func (b *Bundle) Compiled(i int) *Compiled { return b.queries[i] }
 
 // Groups returns the product-compiled clusters of a planned bundle (empty
 // for an unplanned one).  The returned slice is shared; treat it as
@@ -775,7 +784,7 @@ func NewPlannedBundle(src *Bundle, clusters [][]int, products []*CompiledProduct
 	b := &Bundle{
 		alpha:   src.alpha,
 		names:   append([]string(nil), src.names...),
-		queries: append([]Query(nil), src.queries...),
+		queries: append([]*Compiled(nil), src.queries...),
 	}
 	grouped := make([]bool, len(b.queries))
 	for gi, cluster := range clusters {
@@ -824,13 +833,14 @@ func (b *Bundle) Marshal() []byte {
 	w.Strings(secAlphabet, b.alpha.Symbols())
 	w.Strings(secNames, b.names)
 	var solo []int32
-	for i, q := range b.queries {
-		if q != nil && len(b.groups) > 0 {
+	for i, c := range b.queries {
+		if c == nil {
+			continue
+		}
+		if len(b.groups) > 0 {
 			solo = append(solo, int32(i))
 		}
-		if c, ok := q.(*Compiled); ok {
-			w.Bytes(secQuery, c.encode(false, format.Version1))
-		}
+		w.Bytes(secQuery, c.encode(false, format.Version1))
 	}
 	if len(b.groups) > 0 {
 		w.Int32s(secSolo, solo)
@@ -912,7 +922,7 @@ func decodeBundle(data []byte, zeroCopy bool) (*Bundle, error) {
 	if len(blobs) != len(solo) {
 		return nil, fmt.Errorf("query: bundle lists %d solo queries but embeds %d", len(solo), len(blobs))
 	}
-	b.queries = make([]Query, len(names))
+	b.queries = make([]*Compiled, len(names))
 	covered := make([]bool, len(names))
 	claim := func(idx int32, what string) error {
 		if idx < 0 || int(idx) >= len(names) {

@@ -65,7 +65,7 @@ func goldenPlannedBundle(t testing.TB) *Bundle {
 			t.Fatal(err)
 		}
 	}
-	p, err := CompileProduct([]Query{src.Query(0), src.Query(1)}, 0)
+	p, err := CompileProduct([]*Compiled{src.Compiled(0), src.Compiled(1)}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +409,7 @@ func TestGoldenFixtures(t *testing.T) {
 				if inner.hiers != 2 || inner.num != 7 {
 					t.Fatalf("golden product has H=%d of %d states, want 2 of 7", inner.hiers, inner.num)
 				}
-				members := []Query{Compile(LinearOrder(goldenAlphabet(), "a", "b")), Compile(LinearOrder(goldenAlphabet(), "b", "a"))}
+				members := []*Compiled{Compile(LinearOrder(goldenAlphabet(), "a", "b")), Compile(LinearOrder(goldenAlphabet(), "b", "a"))}
 				checkProductAgreement(t, "golden planned product", dec.Groups()[0].Product, members, 120)
 				checkQueryAgreement(t, "golden planned solo", fresh.Query(2), dec.Query(2), 120)
 			},
@@ -445,7 +445,7 @@ func TestGoldenFixtures(t *testing.T) {
 				if len(dec.Groups()) != 1 || dec.Groups()[0].Product.inner.legacy != nil {
 					t.Fatalf("golden factored planned bundle has %d groups, want 1 in the factored layout", len(dec.Groups()))
 				}
-				members := []Query{Compile(LinearOrder(goldenAlphabet(), "a", "b")), Compile(LinearOrder(goldenAlphabet(), "b", "a"))}
+				members := []*Compiled{Compile(LinearOrder(goldenAlphabet(), "a", "b")), Compile(LinearOrder(goldenAlphabet(), "b", "a"))}
 				checkProductAgreement(t, "golden factored planned product", dec.Groups()[0].Product, members, 120)
 				checkQueryAgreement(t, "golden factored planned solo", goldenPlannedBundle(t).Query(2), dec.Query(2), 120)
 			},

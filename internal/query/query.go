@@ -40,20 +40,22 @@
 // compiled.go and docstream.NewInterningTokenizer).  Experiment E22 measures
 // the compiled path against the map-backed one.
 //
-// Compiled implements Query — mint a Runner per concurrent pass — which is
-// what the engine package registers and fans out; a deterministic runner
-// steps one state per event.  Only deterministic automata are served:
-// an NNWA is determinized (Section 3.2) and compiled.  CompileN keeps an
-// in-process runner for NNWAs, the subset-of-pairs simulation with one
-// summary set per stack frame, which the differential tests check against
-// NNWA.Accepts and Determinize+Compile.
+// Compiled is the one automaton type the engine serves.  DNWAs are closed
+// under product and every NNWA can be determinized (Section 3.2), so a
+// served query set is a set of deterministic products: a planned cluster is
+// a CompileProduct over several Compiled members, and a solo query is the
+// one-member product SoloProduct wraps around one Compiled.  The engine
+// steps every one with the same ProductRunner, one state per event.
+// CompileN keeps an in-process runner for NNWAs, the subset-of-pairs
+// simulation with one summary set per stack frame, which the differential
+// tests check against NNWA.Accepts and Determinize+Compile; it is not
+// served.
 package query
 
 import (
 	"strings"
 
 	"repro/internal/alphabet"
-	"repro/internal/nestedword"
 	"repro/internal/nwa"
 	"repro/internal/word"
 )
@@ -146,19 +148,6 @@ func ContainsLabel(alpha *alphabet.Alphabet, label string) *nwa.DNWA {
 	return LinearOrder(alpha, label)
 }
 
-// Evaluate runs a compiled query over a document.
-func Evaluate(q *nwa.DNWA, doc *nestedword.NestedWord) bool { return q.Accepts(doc) }
-
-// EvaluateAll runs several compiled queries over a document in one pass
-// each and reports the individual verdicts.
-func EvaluateAll(queries []*nwa.DNWA, doc *nestedword.NestedWord) []bool {
-	out := make([]bool, len(queries))
-	for i, q := range queries {
-		out[i] = q.Accepts(doc)
-	}
-	return out
-}
-
 // StandardSet compiles the query set the command-line tools share: the
 // well-formedness check always, plus a linear-order query and a
 // hierarchical path query when their label lists are non-empty, each under
@@ -166,7 +155,7 @@ func EvaluateAll(queries []*nwa.DNWA, doc *nestedword.NestedWord) []bool {
 // (cmd/internal/queryset) compiles it both for nwtool compile to serialize
 // and for nwquery/nwserve to run in process, so a bundle-booted server and
 // an in-process one answer identically for the same flags.
-func StandardSet(alpha *alphabet.Alphabet, order, path []string) (names []string, queries []Query) {
+func StandardSet(alpha *alphabet.Alphabet, order, path []string) (names []string, queries []*Compiled) {
 	names = append(names, "well-formed")
 	queries = append(queries, Compile(WellFormed(alpha)))
 	if len(order) > 0 {

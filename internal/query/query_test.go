@@ -7,7 +7,6 @@ import (
 	"repro/internal/alphabet"
 	"repro/internal/generator"
 	"repro/internal/nestedword"
-	"repro/internal/nwa"
 )
 
 var docAlpha = alphabet.New("lib", "book", "title", "t1", "t2", "x")
@@ -26,7 +25,7 @@ func TestLinearOrderQuery(t *testing.T) {
 		"t2 t1":       false,
 	}
 	for in, want := range cases {
-		if got := Evaluate(q, doc(in)); got != want {
+		if got := q.Accepts(doc(in)); got != want {
 			t.Errorf("LinearOrder(%q) = %v, want %v", in, got, want)
 		}
 	}
@@ -43,7 +42,7 @@ func TestWellFormed(t *testing.T) {
 		"":                      true,
 	}
 	for in, want := range cases {
-		if got := Evaluate(q, doc(in)); got != want {
+		if got := q.Accepts(doc(in)); got != want {
 			t.Errorf("WellFormed(%q) = %v, want %v", in, got, want)
 		}
 	}
@@ -83,7 +82,7 @@ func TestPathQuery(t *testing.T) {
 		"<lib <book book> <book <title title> book> lib>": true,
 	}
 	for in, want := range cases {
-		if got := Evaluate(q, doc(in)); got != want {
+		if got := q.Accepts(doc(in)); got != want {
 			t.Errorf("PathQuery(%q) = %v, want %v", in, got, want)
 		}
 	}
@@ -94,7 +93,7 @@ func TestPathQuerySiblingScopes(t *testing.T) {
 	// siblings: lib > book closes before title opens, so lib//book//title
 	// must NOT match.
 	q := PathQuery(docAlpha, "lib", "book", "title")
-	if Evaluate(q, doc("<lib <book book> <title title> lib>")) {
+	if q.Accepts(doc("<lib <book book> <title title> lib>")) {
 		t.Errorf("the chain must be nested, not merely in document order")
 	}
 }
@@ -115,12 +114,11 @@ func TestContainsLabelAndCombinators(t *testing.T) {
 	}
 	for _, c := range cases {
 		d := doc(c.in)
-		if Evaluate(both, d) != c.wantBoth || Evaluate(either, d) != c.wantEither || Evaluate(neither, d) != c.wantNone {
+		if both.Accepts(d) != c.wantBoth || either.Accepts(d) != c.wantEither || neither.Accepts(d) != c.wantNone {
 			t.Errorf("combinators wrong on %q", c.in)
 		}
 	}
-	verdicts := EvaluateAll([]*nwa.DNWA{hasT1, hasT2}, doc("<lib t1 lib>"))
-	if !verdicts[0] || verdicts[1] {
-		t.Errorf("EvaluateAll = %v, want [true false]", verdicts)
+	if d := doc("<lib t1 lib>"); !hasT1.Accepts(d) || hasT2.Accepts(d) {
+		t.Errorf("ContainsLabel on <lib t1 lib>: t1 %v, t2 %v, want true false", hasT1.Accepts(d), hasT2.Accepts(d))
 	}
 }

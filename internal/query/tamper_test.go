@@ -279,7 +279,7 @@ func TestSparseReturnKeyTamper(t *testing.T) {
 		}, "names linear state"},
 		{"compacted DNWA hierarchical state past H", func(t *testing.T) []byte {
 			alpha := goldenAlphabet()
-			p, err := CompileProduct([]Query{Compile(LinearOrder(alpha, "a", "b")), Compile(LinearOrder(alpha, "b", "a"))}, 0)
+			p, err := CompileProduct([]*Compiled{Compile(LinearOrder(alpha, "a", "b")), Compile(LinearOrder(alpha, "b", "a"))}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/bitset"
 	"repro/internal/nwa"
 	"repro/internal/query/format"
 )
@@ -223,8 +222,8 @@ func vetBundle(b *Bundle) *VetReport {
 	for gi, g := range b.Groups() {
 		vetProduct(rep, fmt.Sprintf("group %d", gi+1), g.Product)
 	}
-	for i := 0; i < b.Len(); i++ {
-		if c, ok := b.Query(i).(*Compiled); ok {
+	for i, c := range b.queries {
+		if c != nil {
 			vetQuery(rep, b.Name(i), c)
 		}
 	}
@@ -240,7 +239,11 @@ func vetProduct(rep *VetReport, name string, p *CompiledProduct) {
 	// The product automaton accepts exactly where some member does, i.e.
 	// where the state's mask row is non-empty.
 	for s := 0; s < c.num; s++ {
-		if c.accept[s] != bitset.Slab(p.mask, s, p.maskW).Any() {
+		var row uint64
+		for _, w := range p.mask[s*p.maskW : (s+1)*p.maskW] {
+			row |= w
+		}
+		if c.accept[s] != (row != 0) {
 			rep.add(name, VetError, fmt.Sprintf("state %d acceptance disagrees with its accept-mask row", s))
 			return
 		}

@@ -4,11 +4,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/alphabet"
-	"repro/internal/bitset"
 	"repro/internal/nwa"
 )
 
@@ -213,9 +213,10 @@ func TestVetCatchesProductMaskDisagreement(t *testing.T) {
 	planned := plannedGoldenBundle(t)
 	p := planned.Groups()[0].Product
 	c := p.inner
+	row := func(s int) []uint64 { return p.mask[s*p.maskW : (s+1)*p.maskW] }
 	var hit int = -1
 	for s := 0; s < c.num; s++ {
-		if c.accept[s] && bitset.Slab(p.mask, s, p.maskW).Any() {
+		if c.accept[s] && slices.ContainsFunc(row(s), func(w uint64) bool { return w != 0 }) {
 			hit = s
 			break
 		}
@@ -223,7 +224,7 @@ func TestVetCatchesProductMaskDisagreement(t *testing.T) {
 	if hit < 0 {
 		t.Fatal("fixture changed: the product has no accepting state")
 	}
-	bitset.Slab(p.mask, hit, p.maskW).Zero()
+	clear(row(hit))
 	rep := vetBundle(planned)
 	if rep.Errors() == 0 {
 		t.Fatalf("cleared accept-mask row was not caught:\n%s", rep)

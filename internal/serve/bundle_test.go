@@ -74,7 +74,9 @@ func TestBundleMatchesFreshCompilation(t *testing.T) {
 
 	fresh := engine.New()
 	for i, q := range queries {
-		fresh.MustRegisterQuery(names[i], q)
+		if _, err := fresh.RegisterQuery(names[i], q); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Serialize to disk and load back through the zero-copy mmap path.

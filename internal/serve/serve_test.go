@@ -28,11 +28,20 @@ func testEngine(t testing.TB) *engine.Engine {
 	t.Helper()
 	alpha := alphabet.New("a", "b", "c")
 	eng := engine.New()
-	eng.MustRegister("well-formed", query.WellFormed(alpha))
-	eng.MustRegister("//a//b", query.PathQuery(alpha, "a", "b"))
-	eng.MustRegister("order a,b,c", query.LinearOrder(alpha, "a", "b", "c"))
-	eng.MustRegister("contains c", query.ContainsLabel(alpha, "c"))
-	eng.MustRegister("//c//b//a", query.PathQuery(alpha, "c", "b", "a"))
+	for _, q := range []struct {
+		name string
+		d    *nwa.DNWA
+	}{
+		{"well-formed", query.WellFormed(alpha)},
+		{"//a//b", query.PathQuery(alpha, "a", "b")},
+		{"order a,b,c", query.LinearOrder(alpha, "a", "b", "c")},
+		{"contains c", query.ContainsLabel(alpha, "c")},
+		{"//c//b//a", query.PathQuery(alpha, "c", "b", "a")},
+	} {
+		if _, err := eng.RegisterQuery(q.name, query.Compile(q.d)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	return eng
 }
 
@@ -137,12 +146,13 @@ func TestPoolMatchesSerialEngine(t *testing.T) {
 	}
 }
 
-// TestPoolServesNNWAQuery threads the nondeterministic state-set runner
-// through the whole serving stack: a CompileN'd NNWA registered next
-// to a compiled DNWA for the same language ("contains label a"), served
-// through a sharded pool, must agree with the deterministic query and with
-// serial engine evaluation on every document — including adversarial
-// streams with pending calls/returns and out-of-alphabet labels.
+// TestPoolServesNNWAQuery threads a nondeterministic query through the
+// whole serving stack: an NNWA is served as its determinization compiled to
+// a DNWA, next to a hand-built DNWA for the same language ("contains label
+// a"), and through a sharded pool it must agree with the NNWA's in-process
+// state-set runner, with the hand-built query and with serial engine
+// evaluation on every document — including adversarial streams with
+// pending calls/returns and out-of-alphabet labels.
 func TestPoolServesNNWAQuery(t *testing.T) {
 	alpha := alphabet.New("a", "b", "c")
 	// State 0 = "a not seen", 1 = "a seen"; the linear state carries the
@@ -166,8 +176,15 @@ func TestPoolServesNNWAQuery(t *testing.T) {
 		}
 	}
 	eng := engine.New()
-	nnwaIdx := eng.MustRegisterQuery("contains a (nnwa)", query.CompileN(n))
-	dnwaIdx := eng.MustRegister("contains a (dnwa)", query.ContainsLabel(alpha, "a"))
+	nnwaIdx, err := eng.RegisterQuery("contains a (determinized nnwa)", query.Compile(n.Determinize()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dnwaIdx, err := eng.RegisterQuery("contains a (dnwa)", query.Compile(query.ContainsLabel(alpha, "a")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := query.CompileN(n).NewRunner()
 
 	pool, err := NewPool(eng, WithShards(3))
 	if err != nil {
@@ -204,7 +221,10 @@ func TestPoolServesNNWAQuery(t *testing.T) {
 			t.Fatal(err)
 		}
 		if nv, dv := res.Engine.Verdicts[nnwaIdx], res.Engine.Verdicts[dnwaIdx]; nv != dv {
-			t.Fatalf("doc %d: NNWA verdict %v, DNWA verdict %v", d, nv, dv)
+			t.Fatalf("doc %d: determinized NNWA verdict %v, DNWA verdict %v", d, nv, dv)
+		}
+		if want := query.RunWord(oracle, alpha, docstream.ToNestedWord(events)); res.Engine.Verdicts[nnwaIdx] != want {
+			t.Fatalf("doc %d: served determinized NNWA %v, NNWA runner %v", d, res.Engine.Verdicts[nnwaIdx], want)
 		}
 		for q := range serial.Verdicts {
 			if res.Engine.Verdicts[q] != serial.Verdicts[q] {

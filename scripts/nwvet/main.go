@@ -5,8 +5,8 @@
 // Project-specific analyzers (documented in docs/ANALYZERS.md):
 //
 //   - hotpath-alloc: functions annotated //nwvet:hotpath — the DNWA runner
-//     step loop, the product verdict demux and its bitset Or, the engine
-//     feed path, the tokenizer loop —
+//     step loop, the product runner's Verdict bit read, the engine feed
+//     path, the tokenizer loop —
 //     may not contain allocating constructs: make/new, map or slice
 //     composite literals, closures, fmt calls, string or []T conversions,
 //     appends that do not feed back into their source slice, assignments

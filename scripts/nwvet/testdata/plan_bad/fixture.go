@@ -14,7 +14,7 @@ func Register(b *query.Bundle) (*query.Bundle, error) {
 	if err != nil {
 		return nil, err
 	}
-	members := []query.Query{planned.Query(0), planned.Query(1)}
+	members := []*query.Compiled{planned.Compiled(0), planned.Compiled(1)}
 	if _, err := query.CompileProduct(members, 0); err != nil {
 		return nil, err
 	}
