@@ -1,7 +1,6 @@
 package query
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/alphabet"
@@ -89,16 +88,6 @@ type Compiled struct {
 
 	rowID []int32 // num*hiers row IDs, index lin*hiers+hier
 	rows  []int32 // one syms-wide row of return targets per distinct row
-
-	// legacy holds the return sections of a container written before the
-	// factored layout; Marshal re-emits them so the container round-trips
-	// byte-identically.  nil for a freshly compiled automaton.
-	legacy *legacyReturn
-
-	// fmtVersion is the container version this automaton was decoded from
-	// (0 for a freshly compiled one).  Marshal re-emits it, so a decoded
-	// container round-trips byte-identically across format versions.
-	fmtVersion uint32
 }
 
 // Compile flattens a deterministic NWA into its compiled form.  The source
@@ -156,40 +145,25 @@ func Compile(d *nwa.DNWA) *Compiled {
 		byLin[next[e.lin]] = e
 		next[e.lin]++
 	}
-	// At most one row per pair, so the row bound cannot trip.
-	_ = c.factorReturns(func(lin int, block []int32) []int32 {
+	// Factor the table one linear state at a time: fill lin's block of
+	// hiers rows, then number each row in order of first occurrence over
+	// the pairs in index order.
+	rs := newRowSet(num, syms)
+	block := make([]int32, hiers*syms)
+	c.rowID = make([]int32, num*hiers)
+	for lin := 0; lin < num; lin++ {
 		for i := range block {
 			block[i] = c.dead
 		}
 		for _, e := range byLin[first[lin]:first[lin+1]] {
 			block[e.cell] = e.to
 		}
-		return block
-	}, num*hiers*syms)
-	return c
-}
-
-// factorReturns fills rowID and rows from the return table, given one
-// linear state at a time: block(lin, buf) returns lin's rows against the
-// hier-capable states in order, hiers*syms targets, written into buf (of
-// that length) or a view of them.  Rows are numbered in order of first
-// occurrence over the pairs in index order.  It fails once the distinct rows
-// hold more than maxCells targets.
-func (c *Compiled) factorReturns(block func(lin int, buf []int32) []int32, maxCells int) error {
-	rs := newRowSet(c.num, c.syms)
-	buf := make([]int32, c.hiers*c.syms)
-	c.rowID = make([]int32, c.num*c.hiers)
-	for lin := 0; lin < c.num; lin++ {
-		rows := block(lin, buf)
-		for h := 0; h < c.hiers; h++ {
-			c.rowID[lin*c.hiers+h] = rs.id(rows[h*c.syms : (h+1)*c.syms])
-		}
-		if len(rs.rows) > maxCells {
-			return fmt.Errorf("query: return table factors into more than %d row cells", maxCells)
+		for h := 0; h < hiers; h++ {
+			c.rowID[lin*hiers+h] = rs.id(block[h*syms : (h+1)*syms])
 		}
 	}
 	c.rows = rs.rows
-	return nil
+	return c
 }
 
 // hierFirst numbers d's states hier-capable first, in source order, then the

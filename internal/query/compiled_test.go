@@ -48,8 +48,8 @@ func randomNNWA(rng *rand.Rand, states int) *nwa.NNWA {
 
 // TestCompiledDNWADifferential checks that the compiled deterministic runner
 // agrees with the source DNWA on random words, including words with pending
-// calls and returns, both as compiled and decoded from containers in the
-// dense and sparse return layouts written before the factored one.
+// calls and returns, both as compiled and decoded from its container,
+// copied and mapped.
 func TestCompiledDNWADifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	alpha := generator.AB
@@ -65,13 +65,21 @@ func TestCompiledDNWADifferential(t *testing.T) {
 	}
 	for qi, d := range queries {
 		c := Compile(d)
+		copied, err := UnmarshalCompiled(c.Marshal())
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapped, err := DecodeQuery(c.Marshal(), true)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, form := range []struct {
 			name string
 			q    *Compiled
 		}{
-			{"factored", c},
-			{"legacy dense", decodeLegacy(t, c, false)},
-			{"legacy sparse", decodeLegacy(t, c, true)},
+			{"compiled", c},
+			{"decoded", copied},
+			{"mapped", mapped},
 		} {
 			r := form.q.NewRunner()
 			for wi, w := range words {
@@ -82,20 +90,6 @@ func TestCompiledDNWADifferential(t *testing.T) {
 			}
 		}
 	}
-}
-
-// decodeLegacy marshals c in a return layout written before the factored
-// one and decodes it, which factors the table on load.
-func decodeLegacy(t testing.TB, c *Compiled, sparse bool) *Compiled {
-	t.Helper()
-	dec, err := UnmarshalCompiled(withLegacyReturn(c, sparse).Marshal())
-	if err != nil {
-		t.Fatalf("legacy container (sparse=%v): %v", sparse, err)
-	}
-	if dec.legacy == nil || dec.legacy.dense == sparse {
-		t.Fatalf("decoded legacy container (sparse=%v) kept layout %+v", sparse, dec.legacy)
-	}
-	return dec
 }
 
 // TestCompileReturnTable is the property test of the factored layout on

@@ -49,7 +49,7 @@ func checkProductAgreement(t *testing.T, label string, p *CompiledProduct, membe
 }
 
 // TestProductMarshalRoundTrip round-trips products through
-// Marshal/UnmarshalProduct — one keeping every hierarchical column, one
+// Marshal/unmarshalProduct — one keeping every hierarchical column, one
 // compacted to H < num — checking byte-identical re-encoding, preserved
 // shape, and verdict agreement against the original members.
 func TestProductMarshalRoundTrip(t *testing.T) {
@@ -60,9 +60,9 @@ func TestProductMarshalRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		data := p.Marshal()
-		dec, err := UnmarshalProduct(data)
+		dec, err := unmarshalProduct(data)
 		if err != nil {
-			t.Fatalf("UnmarshalProduct: %v", err)
+			t.Fatalf("unmarshalProduct: %v", err)
 		}
 		if dec.QueryCount() != p.QueryCount() || dec.NumStates() != p.NumStates() || dec.inner.hiers != p.inner.hiers {
 			t.Fatalf("decoded shape %d/%d/%d, want %d/%d/%d",
@@ -93,7 +93,7 @@ func TestProductJointModeRejected(t *testing.T) {
 	w.Strings(secAlphabet, p.Alphabet().Symbols())
 	w.Uint64s(secAcceptMask, p.mask)
 	w.Bytes(secQuery, p.inner.encode(false, format.Version1))
-	if _, err := UnmarshalProduct(w.Finish()); err == nil || !strings.Contains(err.Error(), "mode 1") {
+	if _, err := unmarshalProduct(w.Finish()); err == nil || !strings.Contains(err.Error(), "mode 1") {
 		t.Fatalf("mode-1 product: err = %v, want an error naming mode 1", err)
 	}
 }
@@ -111,7 +111,7 @@ func TestPlannedBundleRoundTrip(t *testing.T) {
 		fn   func([]byte) (*Bundle, error)
 	}{
 		{"UnmarshalBundle", UnmarshalBundle},
-		{"LoadBundleMapped", LoadBundleMapped},
+		{"mapped", func(data []byte) (*Bundle, error) { return decodeBundle(data, true) }},
 		{"OpenBundle", func(data []byte) (*Bundle, error) {
 			path := filepath.Join(t.TempDir(), "planned.nwq")
 			if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -209,8 +209,8 @@ func TestPlannedBundleDecodeErrors(t *testing.T) {
 		}
 	}
 	// A planned container is still a bundle: the per-query loaders reject it.
-	if _, err := UnmarshalProduct(data); err == nil {
-		t.Error("UnmarshalProduct accepted a planned bundle container")
+	if _, err := unmarshalProduct(data); err == nil {
+		t.Error("unmarshalProduct accepted a planned bundle container")
 	}
 	// A bare product container is not a bundle.
 	members, _ := detProductMembers()
@@ -222,7 +222,7 @@ func TestPlannedBundleDecodeErrors(t *testing.T) {
 		t.Error("UnmarshalBundle accepted a bare product container")
 	}
 	// A bare product blob has no alphabet section of its own.
-	if _, err := UnmarshalProduct(p.encode(false, nil, format.VersionHashed)); err == nil {
-		t.Error("UnmarshalProduct accepted a product with no alphabet")
+	if _, err := unmarshalProduct(p.encode(false, nil, format.VersionHashed)); err == nil {
+		t.Error("unmarshalProduct accepted a product with no alphabet")
 	}
 }

@@ -77,10 +77,6 @@ type CompiledProduct struct {
 	// product state q.
 	mask  []uint64
 	maskW int
-
-	// fmtVersion is the container version this product was decoded from
-	// (0 for a freshly compiled one); Marshal re-emits it.
-	fmtVersion uint32
 }
 
 // Alphabet returns the shared alphabet the cluster was compiled over.

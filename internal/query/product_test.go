@@ -71,8 +71,7 @@ func compileMembers(sources ...*nwa.DNWA) ([]*Compiled, []*nwa.DNWA) {
 // product runner must equal both the member's own fanned-out runner and the
 // serial source-automaton oracle, on a cluster whose return table keeps
 // every hierarchical column and on one compacted to H < num.  Each product
-// runs as compiled, and decoded from containers in the dense and sparse
-// return layouts written before the factored one.
+// runs as compiled, and decoded from its container.
 func TestProductDNWADifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(606))
 	alpha := generator.AB
@@ -107,9 +106,8 @@ func TestProductDNWADifferential(t *testing.T) {
 			name string
 			p    *CompiledProduct
 		}{
-			{"factored", p},
-			{"legacy dense", decodeLegacyProduct(t, p, false)},
-			{"legacy sparse", decodeLegacyProduct(t, p, true)},
+			{"compiled", p},
+			{"decoded", roundTripProduct(t, p)},
 		} {
 			pr := form.p.NewProductRunner()
 			fan := make([]Runner, len(members))
@@ -134,17 +132,12 @@ func TestProductDNWADifferential(t *testing.T) {
 	}
 }
 
-// decodeLegacyProduct marshals p with its automaton in a return layout
-// written before the factored one and decodes it, which factors the table on
-// load.
-func decodeLegacyProduct(t testing.TB, p *CompiledProduct, sparse bool) *CompiledProduct {
+// roundTripProduct decodes p from its own container.
+func roundTripProduct(t testing.TB, p *CompiledProduct) *CompiledProduct {
 	t.Helper()
-	dec, err := UnmarshalProduct(legacyProduct(p, sparse).Marshal())
+	dec, err := unmarshalProduct(p.Marshal())
 	if err != nil {
-		t.Fatalf("legacy product container (sparse=%v): %v", sparse, err)
-	}
-	if l := dec.inner.legacy; l == nil || l.dense == sparse {
-		t.Fatalf("decoded legacy product (sparse=%v) kept layout %+v", sparse, l)
+		t.Fatal(err)
 	}
 	return dec
 }
@@ -364,7 +357,7 @@ func TestProductSingleMemberMatchesQuery(t *testing.T) {
 // stays small — must answer Verdict(j) for every j, across the word
 // boundary at 63/64 and at the last member, as each member's own runner
 // does on random words with pending calls and returns, both as compiled
-// and after a Marshal/UnmarshalProduct round trip.
+// and after a Marshal/unmarshalProduct round trip.
 func TestProductWideMask(t *testing.T) {
 	alpha := generator.AB
 	shapes := []*Compiled{
@@ -384,7 +377,7 @@ func TestProductWideMask(t *testing.T) {
 	if p.maskW != 2 {
 		t.Fatalf("%d members use %d mask words, want 2", k, p.maskW)
 	}
-	dec, err := UnmarshalProduct(p.Marshal())
+	dec, err := unmarshalProduct(p.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,9 +22,7 @@ import (
 //   - a Compiled DNWA (format.KindDNWA): meta (with the hierarchical-state
 //     count H as an optional sixth value), alphabet, accept bytes, the dense
 //     call/internal tables, and the factored return table: num·H row IDs and
-//     the distinct rows.  Containers written before the factored layout hold
-//     the num·H·syms dense return table or the sorted sparse key/value pair
-//     instead; the decoder factors those on load;
+//     the distinct rows;
 //   - a CompiledProduct (format.KindProduct): see product.go;
 //   - a Bundle (format.KindBundle): one shared alphabet, the query names,
 //     and one embedded per-query blob (a full KindDNWA container minus its
@@ -33,21 +31,22 @@ import (
 //
 // A compiled NNWA container (format.KindNNWA), standalone or embedded in a
 // bundle, decodes to ErrNNWANotServed: every NNWA has an equivalent DNWA
-// (Section 3.2), so such a query is determinized and recompiled instead.
+// (Section 3.2), so such a query is determinized and recompiled instead.  A
+// DNWA whose return table predates the factored layout decodes to
+// ErrLegacyLayout, refused on its meta section before any table is read.
 //
-// Unmarshal* copy every table out of the input; LoadBundleMapped points
-// the int32/uint64 table slices directly into the provided byte region via
-// checked reinterpretation, and OpenBundle maps a file read-only (mmap
-// where available) and loads zero-copy — the cold-boot path experiment E25
-// measures against parse+compile.
+// Unmarshal* copy every table out of the input; OpenBundle maps a file
+// read-only (mmap where available) and points the int32/uint64 table slices
+// directly into the mapped region via checked reinterpretation — the
+// cold-boot path experiment E25 measures against parse+compile.
 //
 // Every decode path validates the tables before a runner can touch them —
 // lengths against num/syms, targets against the state range, return row IDs
-// against the row count, sparse keys strictly ascending and naming states in
-// range, accept-mask bits beyond the query count clear — so
-// arbitrary bytes fail with an error rather than a panic, and no allocation
-// is sized by attacker-controlled fields beyond the input length (or, for a
-// legacy sparse return table, beyond maxLegacyCells).
+// against the row count, accept-mask bits beyond the query count clear — so
+// arbitrary bytes fail with an error rather than a panic.  Every table a
+// decode allocates is a copy of, or a view sized by, a section of the input,
+// so decoding allocates at most a small multiple of its input's length,
+// accepted or refused (TestDecodeAllocBoundedByInput pins it).
 
 // Section tags of the serialized compiled-query containers.  Tags are
 // stable; new sections may be added in later versions but existing ones
@@ -59,13 +58,12 @@ const (
 	secCallLin  = 4 // int32s: linear call targets
 	secCallHier = 5 // int32s: hierarchical call targets
 	secInternal = 6 // int32s: internal targets (DNWA dense table)
-	secReturnT  = 7 // int32s: DNWA dense return table (legacy layout)
-	secRetKeys  = 8 // uint64s: DNWA sparse return keys, strictly ascending (legacy layout)
-	secRetVals  = 9 // int32s: DNWA sparse return values (legacy layout)
 
-	// Tags 10–18 held the sections of compiled NNWA containers (start
-	// states, CSR adjacency, successor bitmask slabs).  NNWA containers are
-	// no longer read or written; the tags are retired and never reused.
+	// Tags 7–9 held the dense and sparse DNWA return tables written before
+	// the factored layout, and tags 10–18 the sections of compiled NNWA
+	// containers (start states, CSR adjacency, successor bitmask slabs).
+	// Neither is read or written any more; the tags are retired and never
+	// reused.
 
 	secNames = 19 // string list: bundle query names
 	secQuery = 20 // bytes: one embedded query container per bundle query
@@ -81,23 +79,15 @@ const (
 	secRows   = 26 // int32s: distinct return rows, syms targets each
 )
 
-// DNWA return-table layouts, the fifth meta value.  Containers written
-// before the factored layout hold the sparse or the dense form.
-const (
-	returnSparse   = 0
-	returnDense    = 1
-	returnFactored = 2
-)
+// returnFactored is the DNWA return-table layout, the fifth meta value.
+// Containers written before it hold layout 0 (sparse) or 1 (dense), which
+// decode to ErrLegacyLayout.
+const returnFactored = 2
 
-// legacyReturn is the return table of a container written before the
-// factored layout, kept as decoded: the dense num·H·syms table, or the
-// sparse key/value pair.
-type legacyReturn struct {
-	dense   bool
-	returnT []int32
-	keys    []uint64
-	vals    []int32
-}
+// ErrLegacyLayout is the error every decode path returns for a DNWA whose
+// return table is in a layout written before the factored one, standalone
+// or embedded in a product or bundle.  Such a query is recompiled instead.
+var ErrLegacyLayout = errors.New("query: return-table layout predates the factored layout; recompile the bundle")
 
 // Decode limits: far beyond any automaton this repository compiles, but
 // small enough that no validation product overflows and no runner index
@@ -105,11 +95,6 @@ type legacyReturn struct {
 const (
 	maxStates  = 1 << 22
 	maxSymbols = 1 << 20
-
-	// maxLegacyCells caps both the (lin, hier) pairs and the distinct row
-	// cells a sparse legacy return table factors into on load, since
-	// neither is bounded by the input length.
-	maxLegacyCells = 1 << 22
 )
 
 // mul returns a*b, reporting overflow or a negative operand as !ok.
@@ -137,33 +122,14 @@ func boolBytes(v []bool) []byte {
 	return b
 }
 
-// marshalVersion maps a decoded-from container version to the version
-// Marshal should emit: a freshly built object (0) serializes as
-// VersionHashed so every new artifact carries a content hash, while a
-// decoded object re-emits the version it came from so golden v1 bytes
-// round-trip byte-identically.
-func marshalVersion(v uint32) uint32 {
-	if v == 0 {
-		return format.VersionHashed
-	}
-	return v
-}
-
 // Marshal serializes the compiled automaton, alphabet included, into a
-// standalone KindDNWA container (hashed, unless decoded from a v1 one).
-func (c *Compiled) Marshal() []byte { return c.encode(true, marshalVersion(c.fmtVersion)) }
+// standalone, hashed KindDNWA container (format.VersionHashed).
+func (c *Compiled) Marshal() []byte { return c.encode(true, format.VersionHashed) }
 
 func (c *Compiled) encode(includeAlpha bool, version uint32) []byte {
 	w := format.NewWriter(format.KindDNWA)
 	w.SetVersion(version)
-	layout := uint64(returnFactored)
-	if c.legacy != nil {
-		layout = returnSparse
-		if c.legacy.dense {
-			layout = returnDense
-		}
-	}
-	meta := []uint64{uint64(c.num), uint64(c.syms), uint64(c.start), uint64(c.dead), layout}
+	meta := []uint64{uint64(c.num), uint64(c.syms), uint64(c.start), uint64(c.dead), returnFactored}
 	if c.hiers != c.num {
 		// Written only when H < num, so a container with H = num (every
 		// single DNWA written before Compile numbered hier-capable states
@@ -178,16 +144,8 @@ func (c *Compiled) encode(includeAlpha bool, version uint32) []byte {
 	w.Int32s(secCallLin, c.callLin)
 	w.Int32s(secCallHier, c.callHier)
 	w.Int32s(secInternal, c.internT)
-	switch l := c.legacy; {
-	case l == nil:
-		w.Int32s(secRowIDs, c.rowID)
-		w.Int32s(secRows, c.rows)
-	case l.dense:
-		w.Int32s(secReturnT, l.returnT)
-	default:
-		w.Uint64s(secRetKeys, l.keys)
-		w.Int32s(secRetVals, l.vals)
-	}
+	w.Int32s(secRowIDs, c.rowID)
+	w.Int32s(secRows, c.rows)
 	return w.Finish()
 }
 
@@ -299,43 +257,6 @@ func checkTargets(what string, t []int32, num int) error {
 	return nil
 }
 
-// checkAscending verifies sparse return keys are strictly ascending (the
-// binary-search invariant).
-func checkAscending(keys []uint64) error {
-	for i := 1; i < len(keys); i++ {
-		if keys[i] <= keys[i-1] {
-			return fmt.Errorf("query: sparse return keys not strictly ascending at %d", i)
-		}
-	}
-	return nil
-}
-
-// checkReturnKeys verifies that every sparse return key
-// (lin·num+hier)·syms+sym names a linear state below num and a hierarchical
-// state below hiers, so no key decomposes to a state outside the tables.
-// Keys are strictly ascending (checkAscending runs first), so the linear
-// bound only needs the last key; the hierarchical bound is implied when
-// hiers = num.
-func checkReturnKeys(keys []uint64, num, hiers, syms int) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	n, s := uint64(num), uint64(syms)
-	if i := len(keys) - 1; keys[i]/s/n >= n {
-		return fmt.Errorf("query: sparse return key %d names linear state %d outside the %d states",
-			i, keys[i]/s/n, num)
-	}
-	if hiers < num {
-		for i, key := range keys {
-			if hier := key / s % n; hier >= uint64(hiers) {
-				return fmt.Errorf("query: sparse return key %d names hierarchical state %d outside the %d hierarchical states",
-					i, hier, hiers)
-			}
-		}
-	}
-	return nil
-}
-
 // decodeCompiled rebuilds a Compiled from a KindDNWA container.
 func decodeCompiled(d *decodeState) (*Compiled, error) {
 	if d.r.Kind() != format.KindDNWA {
@@ -347,6 +268,12 @@ func decodeCompiled(d *decodeState) (*Compiled, error) {
 	}
 	if len(meta) < 5 {
 		return nil, fmt.Errorf("query: DNWA meta section holds %d values, want 5", len(meta))
+	}
+	if meta[4] < returnFactored {
+		return nil, fmt.Errorf("%w (layout %d)", ErrLegacyLayout, meta[4])
+	}
+	if meta[4] > returnFactored {
+		return nil, fmt.Errorf("query: return table layout %d unknown (want %d, factored)", meta[4], returnFactored)
 	}
 	num, syms := int(meta[0]), int(meta[1])
 	if num < 1 || num > maxStates {
@@ -366,16 +293,12 @@ func decodeCompiled(d *decodeState) (*Compiled, error) {
 		return nil, fmt.Errorf("query: start %d / dead %d outside the %d hierarchical / %d states",
 			meta[2], meta[3], hiers, num)
 	}
-	if meta[4] > returnFactored {
-		return nil, fmt.Errorf("query: return table layout %d unknown (0 sparse, 1 dense, 2 factored)", meta[4])
-	}
 	c := &Compiled{
-		num:        num,
-		hiers:      hiers,
-		syms:       syms,
-		start:      int32(meta[2]),
-		dead:       int32(meta[3]),
-		fmtVersion: d.r.Version(),
+		num:   num,
+		hiers: hiers,
+		syms:  syms,
+		start: int32(meta[2]),
+		dead:  int32(meta[3]),
 	}
 	if err := d.resolveAlphabet(syms); err != nil {
 		return nil, err
@@ -414,103 +337,31 @@ func decodeCompiled(d *decodeState) (*Compiled, error) {
 	if !ok {
 		return nil, fmt.Errorf("query: %d×%d return pairs overflow", num, hiers)
 	}
-	switch meta[4] {
-	case returnFactored:
-		rowID, err := d.int32s(secRowIDs, "return row IDs")
-		if err != nil {
-			return nil, err
-		}
-		if len(rowID) != pairs {
-			return nil, fmt.Errorf("query: return row-ID table holds %d pairs, want %d (%d states × %d hierarchical)",
-				len(rowID), pairs, num, hiers)
-		}
-		rows, err := d.int32s(secRows, "return rows")
-		if err != nil {
-			return nil, err
-		}
-		if len(rows)%syms != 0 {
-			return nil, fmt.Errorf("query: return rows hold %d targets, not a multiple of %d symbols", len(rows), syms)
-		}
-		for i, r := range rowID {
-			if r < 0 || int(r) >= len(rows)/syms {
-				return nil, fmt.Errorf("query: return row ID %d = %d outside the %d rows", i, r, len(rows)/syms)
-			}
-		}
-		if err := checkTargets("return row", rows, num); err != nil {
-			return nil, err
-		}
-		c.rowID, c.rows = rowID, rows
-		return c, nil
-	case returnDense:
-		retCells, ok := mul(pairs, syms)
-		if !ok {
-			return nil, fmt.Errorf("query: dense return table for %d states overflows", num)
-		}
-		v, err := d.int32s(secReturnT, "dense return")
-		if err != nil {
-			return nil, err
-		}
-		if len(v) != retCells {
-			return nil, fmt.Errorf("query: dense return table holds %d cells, want %d", len(v), retCells)
-		}
-		if err := checkTargets("dense return", v, num); err != nil {
-			return nil, err
-		}
-		c.legacy = &legacyReturn{dense: true, returnT: v}
-	default:
-		keys, err := d.uint64s(secRetKeys, "sparse return keys")
-		if err != nil {
-			return nil, err
-		}
-		vals, err := d.int32s(secRetVals, "sparse return values")
-		if err != nil {
-			return nil, err
-		}
-		if len(keys) != len(vals) {
-			return nil, fmt.Errorf("query: %d sparse return keys vs %d values", len(keys), len(vals))
-		}
-		if err := checkAscending(keys); err != nil {
-			return nil, err
-		}
-		if err := checkReturnKeys(keys, num, hiers, syms); err != nil {
-			return nil, err
-		}
-		if err := checkTargets("sparse return", vals, num); err != nil {
-			return nil, err
-		}
-		if pairs > maxLegacyCells {
-			return nil, fmt.Errorf("query: sparse return table over %d pairs exceeds %d", pairs, maxLegacyCells)
-		}
-		c.legacy = &legacyReturn{keys: keys, vals: vals}
-	}
-	if err := c.factorLegacy(); err != nil {
+	rowID, err := d.int32s(secRowIDs, "return row IDs")
+	if err != nil {
 		return nil, err
 	}
-	return c, nil
-}
-
-// factorLegacy fills the factored return table from a legacy one, numbering
-// rows as Compile does.  A sparse table's absent keys are the dead state.
-func (c *Compiled) factorLegacy() error {
-	l, n := c.legacy, c.hiers*c.syms
-	if l.dense {
-		return c.factorReturns(func(lin int, _ []int32) []int32 {
-			return l.returnT[lin*n : (lin+1)*n]
-		}, len(l.returnT))
+	if len(rowID) != pairs {
+		return nil, fmt.Errorf("query: return row-ID table holds %d pairs, want %d (%d states × %d hierarchical)",
+			len(rowID), pairs, num, hiers)
 	}
-	keys := l.keys
-	i := 0
-	return c.factorReturns(func(lin int, block []int32) []int32 {
-		for j := range block {
-			block[j] = c.dead
+	rows, err := d.int32s(secRows, "return rows")
+	if err != nil {
+		return nil, err
+	}
+	if len(rows)%syms != 0 {
+		return nil, fmt.Errorf("query: return rows hold %d targets, not a multiple of %d symbols", len(rows), syms)
+	}
+	for i, r := range rowID {
+		if r < 0 || int(r) >= len(rows)/syms {
+			return nil, fmt.Errorf("query: return row ID %d = %d outside the %d rows", i, r, len(rows)/syms)
 		}
-		// Keys ascend, and checkReturnKeys has put every hier below H.
-		for ; i < len(keys) && int(keys[i])/c.syms/c.num == lin; i++ {
-			lh := int(keys[i]) / c.syms
-			block[lh%c.num*c.syms+int(keys[i])%c.syms] = l.vals[i]
-		}
-		return block
-	}, maxLegacyCells)
+	}
+	if err := checkTargets("return row", rows, num); err != nil {
+		return nil, err
+	}
+	c.rowID, c.rows = rowID, rows
+	return c, nil
 }
 
 // ErrNNWANotServed is the error every decode path returns for a compiled
@@ -541,7 +392,7 @@ func UnmarshalCompiled(data []byte) (*Compiled, error) { return decodeQuery(data
 // standalone KindProduct container: meta ({query count, mode 0}), the accept
 // bitmask slab, and the product automaton as an embedded KindDNWA blob.
 func (p *CompiledProduct) Marshal() []byte {
-	return p.encode(true, nil, marshalVersion(p.fmtVersion))
+	return p.encode(true, nil, format.VersionHashed)
 }
 
 func (p *CompiledProduct) encode(includeAlpha bool, groupIdx []int32, version uint32) []byte {
@@ -614,7 +465,7 @@ func decodeProduct(d *decodeState) (*CompiledProduct, []int32, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	p := &CompiledProduct{inner: inner, nq: nq, mask: mask, maskW: maskWords(nq), fmtVersion: d.r.Version()}
+	p := &CompiledProduct{inner: inner, nq: nq, mask: mask, maskW: maskWords(nq)}
 	want, ok := mul(inner.num, p.maskW)
 	if !ok || len(mask) != want {
 		return nil, nil, fmt.Errorf("query: product accept mask holds %d words, want %d (%d states × %d)",
@@ -633,9 +484,9 @@ func decodeProduct(d *decodeState) (*CompiledProduct, []int32, error) {
 	return p, groupIdx, nil
 }
 
-// UnmarshalProduct decodes a standalone serialized product cluster, copying
+// unmarshalProduct decodes a standalone serialized product cluster, copying
 // every table out of data.
-func UnmarshalProduct(data []byte) (*CompiledProduct, error) {
+func unmarshalProduct(data []byte) (*CompiledProduct, error) {
 	r, err := format.NewReader(data)
 	if err != nil {
 		return nil, err
@@ -646,8 +497,8 @@ func UnmarshalProduct(data []byte) (*CompiledProduct, error) {
 
 // Bundle is a named, ordered set of compiled queries over one shared
 // alphabet — the serializable unit a fleet of front-ends boots from.  Build
-// one with NewBundle/Add and Marshal it, or load one with UnmarshalBundle,
-// LoadBundleMapped, or OpenBundle and hand it to engine.RegisterBundle (or
+// one with NewBundle/Add and Marshal it, or load one with UnmarshalBundle or
+// OpenBundle and hand it to engine.RegisterBundle (or
 // serve.NewPoolFromBundle).
 //
 // A bundle may additionally be planned (plan.Bundle or NewPlannedBundle):
@@ -667,10 +518,9 @@ type Bundle struct {
 	// OpenBundle), hash is the verified content hash for a VersionHashed
 	// container or the plain checksum of the bytes for a Version1 one, and
 	// hashed says which.  All three are zero for a bundle built in memory.
-	raw        []byte
-	hash       [format.HashSize]byte
-	hashed     bool
-	fmtVersion uint32
+	raw    []byte
+	hash   [format.HashSize]byte
+	hashed bool
 }
 
 // ProductGroup is one planned cluster of a bundle: a product-compiled
@@ -762,7 +612,7 @@ func (b *Bundle) Verify(pub, envelope []byte) error {
 		return fmt.Errorf("query: bundle was built in memory, nothing to verify")
 	}
 	if !b.hashed {
-		return fmt.Errorf("query: version %d bundle carries no content hash to verify", b.fmtVersion)
+		return fmt.Errorf("query: version %d bundle carries no content hash to verify", format.Version1)
 	}
 	return format.VerifyHash(pub, envelope, b.hash)
 }
@@ -824,12 +674,12 @@ func NewPlannedBundle(src *Bundle, clusters [][]int, products []*CompiledProduct
 // embedded KindProduct container per cluster, each carrying its demux
 // indices; an unplanned bundle's layout is byte-identical to what it was
 // before planning existed.
-// Embedded blobs always stay at Version1: the outer container's content
-// hash covers their bytes, so a per-blob hash would add 32 bytes per query
-// for no extra integrity.
+// The bundle is written at VersionHashed; embedded blobs always stay at
+// Version1: the outer container's content hash covers their bytes, so a
+// per-blob hash would add 32 bytes per query for no extra integrity.
 func (b *Bundle) Marshal() []byte {
 	w := format.NewWriter(format.KindBundle)
-	w.SetVersion(marshalVersion(b.fmtVersion))
+	w.SetVersion(format.VersionHashed)
 	w.Strings(secAlphabet, b.alpha.Symbols())
 	w.Strings(secNames, b.names)
 	var solo []int32
@@ -889,35 +739,27 @@ func decodeBundle(data []byte, zeroCopy bool) (*Bundle, error) {
 		return nil, fmt.Errorf("query: bundle names repeat %q", dup)
 	}
 	blobs := r.Sections(secQuery)
-	b := &Bundle{alpha: alpha, names: names, raw: data, fmtVersion: r.Version()}
+	b := &Bundle{alpha: alpha, names: names, raw: data}
 	if h, ok := r.ContentHash(); ok {
 		b.hash, b.hashed = h, true
 	} else {
 		b.hash = format.Checksum(data)
 	}
-	soloSec, planned := r.Section(secSolo)
-	if !planned {
-		// Unplanned layout: one embedded query per name, in order.
-		if len(blobs) != len(names) {
-			return nil, fmt.Errorf("query: bundle names %d queries but embeds %d", len(names), len(blobs))
+	// The solo-index section pairs positionally with the embedded query
+	// blobs, product containers carry their own demux indices, and together
+	// they must cover every name exactly once — the demux-table total nwtool
+	// vet relies on.  An unplanned bundle has no solo section: its blobs
+	// answer every name, in order.
+	var solo []int32
+	if soloSec, planned := r.Section(secSolo); planned {
+		if solo, err = format.Int32s(soloSec, false); err != nil {
+			return nil, fmt.Errorf("query: bundle solo indices: %w", err)
 		}
-		for i, blob := range blobs {
-			q, err := decodeQuery(blob, alpha, zeroCopy)
-			if err != nil {
-				return nil, fmt.Errorf("query: bundle query %q: %w", names[i], err)
-			}
-			b.queries = append(b.queries, q)
+	} else {
+		solo = make([]int32, len(names))
+		for i := range solo {
+			solo[i] = int32(i)
 		}
-		return b, nil
-	}
-
-	// Planned layout: the solo-index section pairs positionally with the
-	// embedded query blobs, product containers carry their own demux
-	// indices, and together they must cover every name exactly once — the
-	// demux-table total nwtool vet relies on.
-	solo, err := format.Int32s(soloSec, false)
-	if err != nil {
-		return nil, fmt.Errorf("query: bundle solo indices: %w", err)
 	}
 	if len(blobs) != len(solo) {
 		return nil, fmt.Errorf("query: bundle lists %d solo queries but embeds %d", len(solo), len(blobs))
@@ -986,23 +828,18 @@ func firstDuplicate(names []string) string {
 // data.
 func UnmarshalBundle(data []byte) (*Bundle, error) { return decodeBundle(data, false) }
 
-// LoadBundleMapped decodes a serialized bundle zero-copy: every query's
-// tables alias data directly (checked reinterpretation of the
-// little-endian sections), so data must stay valid and unmodified —
-// typically an mmap'd read-only region — for the bundle's lifetime.
-func LoadBundleMapped(data []byte) (*Bundle, error) { return decodeBundle(data, true) }
-
 // OpenBundle maps the file read-only (mmap where the platform provides it,
 // a plain read otherwise) and loads the bundle zero-copy: the transition
-// tables of every query point straight into the mapped region, so N
-// processes opening one bundle share a single resident copy of the compiled
-// tables.  Call Close on the bundle to release the mapping.
+// tables of every query point straight into the mapped region (checked
+// reinterpretation of the little-endian sections), so N processes opening
+// one bundle share a single resident copy of the compiled tables.  Call
+// Close on the bundle to release the mapping.
 func OpenBundle(path string) (*Bundle, error) {
 	data, closeFn, err := format.Map(path)
 	if err != nil {
 		return nil, err
 	}
-	b, err := LoadBundleMapped(data)
+	b, err := decodeBundle(data, true)
 	if err != nil {
 		closeFn()
 		return nil, err

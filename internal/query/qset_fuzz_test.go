@@ -3,6 +3,8 @@ package query
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/query/format"
 )
 
 // exerciseDecoded drives a decoded query hard enough to hit every table:
@@ -51,15 +53,15 @@ func FuzzUnmarshalCompiled(f *testing.F) {
 	// the sixth meta value is fuzzed too.
 	compact := goldenPlannedBundle(f).Groups()[0].Product.inner
 	seeds = append(seeds, compact.Marshal(), compact.encode(true, 1))
-	// The committed fixtures of both return layouts, the NNWA rejection
-	// fixtures, and legacy dense and sparse tables the decoder factors on
-	// load.
+	// The committed factored fixtures, and the legacy-layout and NNWA
+	// rejection fixtures and legacy dense and sparse tables, which the
+	// decoder must refuse.
 	seeds = append(seeds, goldenFiles(f, "golden_dnwa.nwq", "golden_dnwa_factored.nwq", "golden_planned_factored.nwq",
 		"golden_nnwa.nwq", "golden_nnwa_v1.nwq")...)
 	seeds = append(seeds,
-		withLegacyReturn(compact, false).encode(true, 1),
-		withLegacyReturn(compact, true).encode(true, 1),
-		withLegacyReturn(Compile(WellFormed(alpha)), true).Marshal(),
+		legacyEncode(compact, false, true, 1),
+		legacyEncode(compact, true, true, 1),
+		legacyEncode(Compile(WellFormed(alpha)), true, true, format.VersionHashed),
 	)
 	for _, s := range seeds {
 		f.Add(s)
@@ -84,7 +86,7 @@ func FuzzUnmarshalCompiled(f *testing.F) {
 		// The zero-copy path must accept and reject exactly the same inputs;
 		// decode from a private copy so table aliasing cannot leak into the
 		// next iteration.
-		if q, err := unmarshalMapped(bytes.Clone(data)); err == nil {
+		if q, err := DecodeQuery(bytes.Clone(data), true); err == nil {
 			exerciseDecoded(q)
 		}
 		if bdl, err := UnmarshalBundle(data); err == nil {
@@ -93,7 +95,7 @@ func FuzzUnmarshalCompiled(f *testing.F) {
 				t.Fatalf("decoded bundle failed to round-trip: %v", err)
 			}
 		}
-		if bdl, err := LoadBundleMapped(bytes.Clone(data)); err == nil {
+		if bdl, err := decodeBundle(bytes.Clone(data), true); err == nil {
 			exerciseBundle(bdl)
 		}
 	})

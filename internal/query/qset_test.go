@@ -76,18 +76,6 @@ func goldenPlannedBundle(t testing.TB) *Bundle {
 	return planned
 }
 
-// legacyPlannedBundle returns a copy of b whose product groups marshal
-// their automata in a return layout written before the factored one (see
-// withLegacyReturn).
-func legacyPlannedBundle(b *Bundle, sparse bool) *Bundle {
-	legacy := *b
-	legacy.groups = slices.Clone(b.groups)
-	for i, g := range legacy.groups {
-		legacy.groups[i].Product = legacyProduct(g.Product, sparse)
-	}
-	return &legacy
-}
-
 // checkQueryAgreement replays random words (with pending calls/returns and
 // out-of-alphabet labels) through both queries and fails on any verdict
 // divergence.
@@ -107,15 +95,9 @@ func checkQueryAgreement(t *testing.T, label string, want, got Query, trials int
 	}
 }
 
-// unmarshalMapped decodes a standalone compiled DNWA zero-copy, through the
-// decoder every query of a mapped bundle goes through: the tables alias
-// data.
-func unmarshalMapped(data []byte) (*Compiled, error) { return decodeQuery(data, nil, true) }
-
-// TestMarshalRoundTripCompiled round-trips compiled DNWAs — in the factored
-// return layout, and in the dense and sparse layouts written before it —
-// through Marshal/UnmarshalCompiled and the zero-copy decoder,
-// checking byte-identical re-encoding and verdict agreement.
+// TestMarshalRoundTripCompiled round-trips compiled DNWAs through
+// Marshal/UnmarshalCompiled and the zero-copy decoder, checking
+// byte-identical re-encoding and verdict agreement.
 func TestMarshalRoundTripCompiled(t *testing.T) {
 	alpha := goldenAlphabet()
 	for _, d := range []*nwa.DNWA{
@@ -124,75 +106,71 @@ func TestMarshalRoundTripCompiled(t *testing.T) {
 		LinearOrder(alpha, "a", "b", "a"),
 	} {
 		c := Compile(d)
-		for _, form := range []struct {
-			name string
-			q    *Compiled
-		}{
-			{"factored", c},
-			{"legacy dense", withLegacyReturn(c, false)},
-			{"legacy sparse", withLegacyReturn(c, true)},
-		} {
-			data := form.q.Marshal()
-			dec, err := UnmarshalCompiled(data)
-			if err != nil {
-				t.Fatalf("UnmarshalCompiled (%s): %v", form.name, err)
-			}
-			if dec.NumStates() != c.NumStates() || dec.hiers != c.hiers || !slices.Equal(dec.rowID, c.rowID) || !slices.Equal(dec.rows, c.rows) {
-				t.Fatalf("%s: decoded %d states, H=%d and %d rows, want %d, %d and %d",
-					form.name, dec.NumStates(), dec.hiers, len(dec.rows)/dec.syms, c.NumStates(), c.hiers, len(c.rows)/c.syms)
-			}
-			if !dec.Alphabet().Equal(alpha) {
-				t.Fatalf("decoded alphabet %v, want %v", dec.Alphabet(), alpha)
-			}
-			if again := dec.Marshal(); !bytes.Equal(again, data) {
-				t.Fatalf("decode→re-encode changed the bytes (%s): %d vs %d", form.name, len(again), len(data))
-			}
-			checkQueryAgreement(t, "copied", c, dec, 200)
-
-			mapped, err := unmarshalMapped(data)
-			if err != nil {
-				t.Fatalf("zero-copy decode: %v", err)
-			}
-			checkQueryAgreement(t, "mapped", c, mapped, 200)
+		data := c.Marshal()
+		dec, err := UnmarshalCompiled(data)
+		if err != nil {
+			t.Fatalf("UnmarshalCompiled: %v", err)
 		}
+		if dec.NumStates() != c.NumStates() || dec.hiers != c.hiers || !slices.Equal(dec.rowID, c.rowID) || !slices.Equal(dec.rows, c.rows) {
+			t.Fatalf("decoded %d states, H=%d and %d rows, want %d, %d and %d",
+				dec.NumStates(), dec.hiers, len(dec.rows)/dec.syms, c.NumStates(), c.hiers, len(c.rows)/c.syms)
+		}
+		if !dec.Alphabet().Equal(alpha) {
+			t.Fatalf("decoded alphabet %v, want %v", dec.Alphabet(), alpha)
+		}
+		if again := dec.Marshal(); !bytes.Equal(again, data) {
+			t.Fatalf("decode→re-encode changed the bytes: %d vs %d", len(again), len(data))
+		}
+		checkQueryAgreement(t, "copied", c, dec, 200)
+
+		mapped, err := DecodeQuery(data, true)
+		if err != nil {
+			t.Fatalf("zero-copy decode: %v", err)
+		}
+		checkQueryAgreement(t, "mapped", c, mapped, 200)
 	}
 }
 
-// TestLegacySparseDeadEntries checks that a legacy sparse return table
-// keeps the entries whose target is the dead state, which older encoders
-// wrote for a DNWA's explicit transitions to it: the table factors to the
-// same rows as without them, and the container re-marshals with every
-// entry in place, byte-identically.
-func TestLegacySparseDeadEntries(t *testing.T) {
+// TestMarshalIgnoresSourceVersion pins that Marshal is a function of the
+// tables alone: a DNWA, a product and a bundle decoded from version-1
+// containers — the version every embedded blob keeps — re-marshal at
+// VersionHashed, byte-identical to the freshly built object's Marshal.  The
+// version-1 bundle reports itself unhashed.
+func TestMarshalIgnoresSourceVersion(t *testing.T) {
 	c := Compile(PathQuery(goldenAlphabet(), "a", "b"))
-	legacy := withLegacyReturn(c, true)
-	keys, vals := slices.Clone(legacy.legacy.keys), slices.Clone(legacy.legacy.vals)
-	added := 0
-	for lin := 0; lin < c.num; lin++ {
-		for sym, to := range c.returnRow(int32(lin), 0) {
-			key := uint64(lin*c.num*c.syms + sym)
-			if i, found := slices.BinarySearch(keys, key); to == c.dead && !found {
-				keys, vals = slices.Insert(keys, i, key), slices.Insert(vals, i, c.dead)
-				added++
-			}
-		}
+	dec, err := UnmarshalCompiled(c.encode(true, format.Version1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if added == 0 {
-		t.Fatal("fixture changed: no dead return cell to write explicitly")
+	if !bytes.Equal(dec.Marshal(), c.Marshal()) {
+		t.Error("DNWA decoded from version 1 marshals differently from the compiled one")
 	}
-	legacy.legacy.keys, legacy.legacy.vals = keys, vals
-	data := legacy.Marshal()
-	for _, load := range []func([]byte) (*Compiled, error){UnmarshalCompiled, unmarshalMapped} {
-		dec, err := load(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(dec.rowID, c.rowID) || !slices.Equal(dec.rows, c.rows) {
-			t.Fatal("explicit dead entries changed the factored table")
-		}
-		if !slices.Equal(dec.legacy.keys, keys) || !bytes.Equal(dec.Marshal(), data) {
-			t.Fatalf("decode→re-encode dropped or changed the %d explicit dead entries", added)
-		}
+
+	p := goldenPlannedBundle(t).Groups()[0].Product
+	decP, err := unmarshalProduct(p.encode(true, nil, format.Version1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(decP.Marshal(), p.Marshal()) {
+		t.Error("product decoded from version 1 marshals differently from the compiled one")
+	}
+
+	b := goldenBundle(t)
+	w := format.NewWriter(format.KindBundle)
+	w.Strings(secAlphabet, b.alpha.Symbols())
+	w.Strings(secNames, b.names)
+	for _, q := range b.queries {
+		w.Bytes(secQuery, q.encode(false, format.Version1))
+	}
+	decB, err := UnmarshalBundle(w.Finish())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, verified, ok := decB.ContentHash(); !ok || verified {
+		t.Errorf("v1 bundle ContentHash reports ok=%v verified=%v, want ok unverified", ok, verified)
+	}
+	if !bytes.Equal(decB.Marshal(), b.Marshal()) {
+		t.Error("bundle decoded from version 1 marshals differently from the built one")
 	}
 }
 
@@ -207,7 +185,7 @@ func TestBundleRoundTrip(t *testing.T) {
 		fn   func([]byte) (*Bundle, error)
 	}{
 		{"UnmarshalBundle", UnmarshalBundle},
-		{"LoadBundleMapped", LoadBundleMapped},
+		{"mapped", func(data []byte) (*Bundle, error) { return decodeBundle(data, true) }},
 	} {
 		dec, err := load.fn(data)
 		if err != nil {
@@ -334,86 +312,43 @@ func TestUnmarshalErrors(t *testing.T) {
 	}
 }
 
-// TestGoldenFixtures round-trips the committed fixtures: each must decode,
-// re-encode byte-identically (the format cannot drift silently), and agree
-// with a freshly built copy of the same object on random words.  A fixture
-// with a build function must also equal what it builds today; run with
-// -update to regenerate those after a deliberate format change — which must
-// also bump the format version (see format.Version1/VersionHashed and the
-// byte-level reference in docs/FORMAT.md).  golden_dnwa.nwq and
-// golden_bundle.nwq hold DNWAs written before the factored return layout,
-// numbered as Compile then numbered them, and are never regenerated;
-// golden_planned.nwq is rebuilt in that layout by legacyPlannedBundle,
-// which proves the legacy encoder reproduces it.
+// TestGoldenFixtures round-trips the committed fixtures: each served one
+// must decode, re-encode byte-identically (the format cannot drift
+// silently), and agree with a freshly built copy of the same object on
+// random words; each must also equal what its build function builds today.
+// Run with -update to regenerate them after a deliberate format change —
+// which must also bump the format version (see format.Version1/VersionHashed
+// and the byte-level reference in docs/FORMAT.md).  The rest are rejection
+// fixtures, never regenerated: golden_dnwa.nwq, golden_bundle.nwq and
+// golden_planned.nwq hold return tables written before the factored layout
+// and fail with ErrLegacyLayout; golden_nnwa.nwq holds a compiled NNWA and
+// fails with ErrNNWANotServed.
 func TestGoldenFixtures(t *testing.T) {
+	rejectQuery := func(want error) func(t *testing.T, data []byte) {
+		return func(t *testing.T, data []byte) {
+			if _, err := UnmarshalCompiled(data); !errors.Is(err, want) {
+				t.Fatalf("decoded with %v, want %v", err, want)
+			}
+		}
+	}
+	rejectBundle := func(t *testing.T, data []byte) {
+		if _, err := UnmarshalBundle(data); !errors.Is(err, ErrLegacyLayout) {
+			t.Fatalf("decoded with %v, want ErrLegacyLayout", err)
+		}
+	}
+	orderMembers := func() []*Compiled {
+		alpha := goldenAlphabet()
+		return []*Compiled{Compile(LinearOrder(alpha, "a", "b")), Compile(LinearOrder(alpha, "b", "a"))}
+	}
 	fixtures := []struct {
 		file   string
 		build  func() []byte
 		verify func(t *testing.T, data []byte)
 	}{
-		{
-			file: "golden_dnwa.nwq",
-			verify: func(t *testing.T, data []byte) {
-				dec, err := UnmarshalCompiled(data)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if again := dec.Marshal(); !bytes.Equal(again, data) {
-					t.Fatal("golden DNWA re-encodes differently")
-				}
-				checkQueryAgreement(t, "golden dnwa", Compile(PathQuery(goldenAlphabet(), "a", "b")), dec, 200)
-			},
-		},
-		{
-			// A compiled NNWA written before NNWAs stopped being served: a
-			// rejection fixture.
-			file: "golden_nnwa.nwq",
-			verify: func(t *testing.T, data []byte) {
-				if _, err := UnmarshalCompiled(data); !errors.Is(err, ErrNNWANotServed) {
-					t.Fatalf("golden NNWA decoded with %v, want ErrNNWANotServed", err)
-				}
-			},
-		},
-		{
-			file: "golden_bundle.nwq",
-			verify: func(t *testing.T, data []byte) {
-				dec, err := UnmarshalBundle(data)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if again := rebuildBundle(t, dec).Marshal(); !bytes.Equal(again, data) {
-					t.Fatal("golden bundle re-encodes differently")
-				}
-				fresh := goldenBundle(t)
-				for i, name := range fresh.Names() {
-					checkQueryAgreement(t, "golden bundle "+name, fresh.Query(i), dec.Query(i), 120)
-				}
-			},
-		},
-		{
-			file:  "golden_planned.nwq",
-			build: func() []byte { return legacyPlannedBundle(goldenPlannedBundle(t), false).Marshal() },
-			verify: func(t *testing.T, data []byte) {
-				dec, err := UnmarshalBundle(data)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if again := dec.Marshal(); !bytes.Equal(again, data) {
-					t.Fatal("golden planned bundle re-encodes differently")
-				}
-				fresh := goldenPlannedBundle(t)
-				if len(dec.Groups()) != 1 {
-					t.Fatalf("golden planned bundle has %d groups, want 1", len(dec.Groups()))
-				}
-				inner := dec.Groups()[0].Product.inner
-				if inner.hiers != 2 || inner.num != 7 {
-					t.Fatalf("golden product has H=%d of %d states, want 2 of 7", inner.hiers, inner.num)
-				}
-				members := []*Compiled{Compile(LinearOrder(goldenAlphabet(), "a", "b")), Compile(LinearOrder(goldenAlphabet(), "b", "a"))}
-				checkProductAgreement(t, "golden planned product", dec.Groups()[0].Product, members, 120)
-				checkQueryAgreement(t, "golden planned solo", fresh.Query(2), dec.Query(2), 120)
-			},
-		},
+		{file: "golden_dnwa.nwq", verify: rejectQuery(ErrLegacyLayout)},
+		{file: "golden_nnwa.nwq", verify: rejectQuery(ErrNNWANotServed)},
+		{file: "golden_bundle.nwq", verify: rejectBundle},
+		{file: "golden_planned.nwq", verify: rejectBundle},
 		{
 			file:  "golden_dnwa_factored.nwq",
 			build: func() []byte { return Compile(PathQuery(goldenAlphabet(), "a", "b")).Marshal() },
@@ -422,13 +357,33 @@ func TestGoldenFixtures(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if dec.legacy != nil || dec.hiers >= dec.num {
-					t.Fatalf("golden factored DNWA decoded with legacy layout %+v, H=%d of %d states", dec.legacy, dec.hiers, dec.num)
+				if dec.hiers >= dec.num {
+					t.Fatalf("golden factored DNWA decoded with H=%d of %d states", dec.hiers, dec.num)
 				}
 				if again := dec.Marshal(); !bytes.Equal(again, data) {
 					t.Fatal("golden factored DNWA re-encodes differently")
 				}
 				checkQueryAgreement(t, "golden factored dnwa", Compile(PathQuery(goldenAlphabet(), "a", "b")), dec, 200)
+			},
+		},
+		{
+			file:  "golden_bundle_factored.nwq",
+			build: func() []byte { return goldenBundle(t).Marshal() },
+			verify: func(t *testing.T, data []byte) {
+				dec, err := UnmarshalBundle(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(dec.Groups()) != 0 {
+					t.Fatalf("golden factored bundle has %d groups, want none", len(dec.Groups()))
+				}
+				if again := rebuildBundle(t, dec).Marshal(); !bytes.Equal(again, data) {
+					t.Fatal("golden factored bundle re-encodes differently")
+				}
+				fresh := goldenBundle(t)
+				for i, name := range fresh.Names() {
+					checkQueryAgreement(t, "golden factored bundle "+name, fresh.Query(i), dec.Query(i), 120)
+				}
 			},
 		},
 		{
@@ -442,11 +397,13 @@ func TestGoldenFixtures(t *testing.T) {
 				if again := dec.Marshal(); !bytes.Equal(again, data) {
 					t.Fatal("golden factored planned bundle re-encodes differently")
 				}
-				if len(dec.Groups()) != 1 || dec.Groups()[0].Product.inner.legacy != nil {
-					t.Fatalf("golden factored planned bundle has %d groups, want 1 in the factored layout", len(dec.Groups()))
+				if len(dec.Groups()) != 1 {
+					t.Fatalf("golden factored planned bundle has %d groups, want 1", len(dec.Groups()))
 				}
-				members := []*Compiled{Compile(LinearOrder(goldenAlphabet(), "a", "b")), Compile(LinearOrder(goldenAlphabet(), "b", "a"))}
-				checkProductAgreement(t, "golden factored planned product", dec.Groups()[0].Product, members, 120)
+				if inner := dec.Groups()[0].Product.inner; inner.hiers != 2 || inner.num != 7 {
+					t.Fatalf("golden product has H=%d of %d states, want 2 of 7", inner.hiers, inner.num)
+				}
+				checkProductAgreement(t, "golden factored planned product", dec.Groups()[0].Product, orderMembers(), 120)
 				checkQueryAgreement(t, "golden factored planned solo", goldenPlannedBundle(t).Query(2), dec.Query(2), 120)
 			},
 		},
@@ -477,38 +434,35 @@ func TestGoldenFixtures(t *testing.T) {
 	}
 }
 
-// TestGoldenFixturesV1 pins backward compatibility: the committed
-// version-1 fixtures must still decode, report themselves unhashed, and —
-// because Marshal re-emits the version an object was decoded from —
-// re-encode byte-identically.  The NNWA fixture is a rejection fixture: it
-// must fail with ErrNNWANotServed, and has nothing to re-encode.
+// TestGoldenFixturesV1 pins the committed version-1 fixtures, all of them
+// rejection fixtures now: the DNWA and the bundle hold return tables
+// written before the factored layout and fail with ErrLegacyLayout, the
+// NNWA with ErrNNWANotServed.  A version-1 container in the factored layout
+// still decodes (TestMarshalIgnoresSourceVersion).
 func TestGoldenFixturesV1(t *testing.T) {
-	remarshal := map[string]func(t *testing.T, data []byte) []byte{
-		"golden_dnwa_v1.nwq": func(t *testing.T, data []byte) []byte {
-			dec, err := UnmarshalCompiled(data)
-			if err != nil {
-				t.Fatal(err)
+	for file, decode := range map[string]func(data []byte) error{
+		"golden_dnwa_v1.nwq": func(data []byte) error {
+			_, err := UnmarshalCompiled(data)
+			if !errors.Is(err, ErrLegacyLayout) {
+				return fmt.Errorf("decoded with %v, want ErrLegacyLayout", err)
 			}
-			return dec.Marshal()
+			return nil
 		},
-		"golden_nnwa_v1.nwq": func(t *testing.T, data []byte) []byte {
-			if _, err := UnmarshalCompiled(data); !errors.Is(err, ErrNNWANotServed) {
-				t.Fatalf("v1 NNWA decoded with %v, want ErrNNWANotServed", err)
+		"golden_nnwa_v1.nwq": func(data []byte) error {
+			_, err := UnmarshalCompiled(data)
+			if !errors.Is(err, ErrNNWANotServed) {
+				return fmt.Errorf("decoded with %v, want ErrNNWANotServed", err)
 			}
-			return data
+			return nil
 		},
-		"golden_bundle_v1.nwq": func(t *testing.T, data []byte) []byte {
-			dec, err := UnmarshalBundle(data)
-			if err != nil {
-				t.Fatal(err)
+		"golden_bundle_v1.nwq": func(data []byte) error {
+			_, err := UnmarshalBundle(data)
+			if !errors.Is(err, ErrLegacyLayout) {
+				return fmt.Errorf("decoded with %v, want ErrLegacyLayout", err)
 			}
-			if _, verified, ok := dec.ContentHash(); !ok || verified {
-				t.Errorf("v1 bundle ContentHash reports ok=%v verified=%v, want ok unverified", ok, verified)
-			}
-			return dec.Marshal()
+			return nil
 		},
-	}
-	for file, re := range remarshal {
+	} {
 		t.Run(file, func(t *testing.T) {
 			data, err := os.ReadFile(filepath.Join("testdata", file))
 			if err != nil {
@@ -517,10 +471,50 @@ func TestGoldenFixturesV1(t *testing.T) {
 			if v := binary.LittleEndian.Uint32(data[4:]); v != format.Version1 {
 				t.Fatalf("fixture is version %d, want %d", v, format.Version1)
 			}
-			if again := re(t, data); !bytes.Equal(again, data) {
-				t.Fatal("v1 fixture re-encodes differently")
+			if err := decode(data); err != nil {
+				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestLegacyLayoutsRejected feeds return tables written before the factored
+// layout — the five committed legacy fixtures, and a product carrying a
+// dense or sparse table — to every decode entry: standalone, product- and
+// bundle-embedded, copied and mapped, and VetBytes.  Each must fail with
+// ErrLegacyLayout.
+func TestLegacyLayoutsRejected(t *testing.T) {
+	queries := goldenFiles(t, "golden_dnwa.nwq", "golden_dnwa_v1.nwq")
+	bundles := goldenFiles(t, "golden_bundle.nwq", "golden_bundle_v1.nwq", "golden_planned.nwq")
+	p := goldenPlannedBundle(t).Groups()[0].Product
+	products := [][]byte{
+		legacyEncodeProduct(p, false, true, nil, format.VersionHashed),
+		legacyEncodeProduct(p, true, true, nil, format.VersionHashed),
+	}
+	errs := map[string]error{}
+	for i, data := range queries {
+		_, errs[fmt.Sprint("UnmarshalCompiled ", i)] = UnmarshalCompiled(data)
+		_, errs[fmt.Sprint("mapped query ", i)] = DecodeQuery(data, true)
+		_, errs[fmt.Sprint("VetBytes query ", i)] = VetBytes(data)
+	}
+	for i, data := range products {
+		_, errs[fmt.Sprint("unmarshalProduct ", i)] = unmarshalProduct(data)
+		_, errs[fmt.Sprint("VetBytes product ", i)] = VetBytes(data)
+	}
+	for i, data := range bundles {
+		path := filepath.Join(t.TempDir(), "legacy.nwq")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, errs[fmt.Sprint("OpenBundle ", i)] = OpenBundle(path)
+		_, errs[fmt.Sprint("UnmarshalBundle ", i)] = UnmarshalBundle(data)
+		_, errs[fmt.Sprint("mapped bundle ", i)] = decodeBundle(data, true)
+		_, errs[fmt.Sprint("VetBytes bundle ", i)] = VetBytes(data)
+	}
+	for entry, err := range errs {
+		if !errors.Is(err, ErrLegacyLayout) {
+			t.Errorf("%s: got %v, want ErrLegacyLayout", entry, err)
+		}
 	}
 }
 
@@ -545,7 +539,7 @@ func TestNNWAContainersRejected(t *testing.T) {
 	errs := map[string]error{}
 	_, errs["OpenBundle"] = OpenBundle(path)
 	_, errs["UnmarshalBundle"] = UnmarshalBundle(bundle)
-	_, errs["LoadBundleMapped"] = LoadBundleMapped(bundle)
+	_, errs["mapped bundle"] = decodeBundle(bundle, true)
 	_, errs["VetBytes bundle"] = VetBytes(bundle)
 	for i, data := range standalone {
 		_, errs[fmt.Sprint("UnmarshalCompiled ", i)] = UnmarshalCompiled(data)

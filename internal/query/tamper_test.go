@@ -23,15 +23,22 @@ import (
 // declared hash no longer matches the re-computed one); flips in the
 // magic or version fail before hashing with their own typed errors.
 func TestTamperedBundleFailsClosed(t *testing.T) {
-	// golden_planned.nwq adds a product group, so the sweep also covers
-	// the product container and its compacted DNWA meta; the factored
-	// fixture covers the row-ID and row sections.
-	for _, file := range []string{"golden_bundle.nwq", "golden_planned.nwq", "golden_planned_factored.nwq"} {
-		t.Run(file, func(t *testing.T) { tamperBundle(t, file) })
+	// The factored fixtures load pristine: golden_bundle_factored.nwq is
+	// unplanned, and golden_planned_factored.nwq adds a product group, so
+	// the sweep also covers the product container and its compacted DNWA
+	// meta.  The legacy-layout rejection fixtures fail pristine with
+	// ErrLegacyLayout; flipped, they fail the hash check first.
+	for file, pristine := range map[string]error{
+		"golden_bundle_factored.nwq":  nil,
+		"golden_planned_factored.nwq": nil,
+		"golden_bundle.nwq":           ErrLegacyLayout,
+		"golden_planned.nwq":          ErrLegacyLayout,
+	} {
+		t.Run(file, func(t *testing.T) { tamperBundle(t, file, pristine) })
 	}
 }
 
-func tamperBundle(t *testing.T, file string) {
+func tamperBundle(t *testing.T, file string, pristine error) {
 	data, err := os.ReadFile(filepath.Join("testdata", file))
 	if err != nil {
 		t.Fatal(err)
@@ -39,8 +46,8 @@ func tamperBundle(t *testing.T, file string) {
 	if v := binary.LittleEndian.Uint32(data[4:]); v != format.VersionHashed {
 		t.Fatalf("fixture is version %d, want %d (regenerate with -update)", v, format.VersionHashed)
 	}
-	if _, err := UnmarshalBundle(data); err != nil {
-		t.Fatalf("pristine fixture does not load: %v", err)
+	if _, err := UnmarshalBundle(data); !errors.Is(err, pristine) {
+		t.Fatalf("pristine fixture: got %v, want %v", err, pristine)
 	}
 
 	const (
@@ -84,7 +91,7 @@ func tamperBundle(t *testing.T, file string) {
 
 		// The zero-copy path — what OpenBundle's mmap uses — must reject
 		// identically: a flipped bit in a mapped file fails closed.
-		if _, err := LoadBundleMapped(mut); err == nil {
+		if _, err := decodeBundle(mut, true); err == nil {
 			t.Fatalf("byte %d flipped: zero-copy load still succeeded", i)
 		}
 	}
@@ -92,18 +99,19 @@ func tamperBundle(t *testing.T, file string) {
 
 // TestTamperedStandaloneQueries runs the same flip-every-byte check over
 // the golden standalone DNWA (legacy and factored) and NNWA fixtures
-// through UnmarshalCompiled.  The pristine NNWA fixture fails with
-// ErrNNWANotServed; a tampered one fails the hash check first.
+// through UnmarshalCompiled.  The pristine legacy DNWA fixture fails with
+// ErrLegacyLayout and the NNWA one with ErrNNWANotServed; a tampered one
+// fails the hash check first.
 func TestTamperedStandaloneQueries(t *testing.T) {
-	for _, file := range []string{"golden_dnwa.nwq", "golden_dnwa_factored.nwq", "golden_nnwa.nwq"} {
+	for file, pristine := range map[string]error{
+		"golden_dnwa.nwq":          ErrLegacyLayout,
+		"golden_dnwa_factored.nwq": nil,
+		"golden_nnwa.nwq":          ErrNNWANotServed,
+	} {
 		t.Run(file, func(t *testing.T) {
 			data, err := os.ReadFile(filepath.Join("testdata", file))
 			if err != nil {
 				t.Fatal(err)
-			}
-			var pristine error
-			if file == "golden_nnwa.nwq" {
-				pristine = ErrNNWANotServed
 			}
 			if _, err := UnmarshalCompiled(data); !errors.Is(err, pristine) {
 				t.Fatalf("pristine fixture: got %v, want %v", err, pristine)
@@ -129,7 +137,7 @@ func TestTamperedStandaloneQueries(t *testing.T) {
 // bit in the file a server would mmap is refused at open, with
 // ErrHashMismatch, and the file never maps.
 func TestTamperedFileOnDisk(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "golden_bundle.nwq"))
+	data, err := os.ReadFile(filepath.Join("testdata", "golden_bundle_factored.nwq"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,8 +155,7 @@ func TestTamperedFileOnDisk(t *testing.T) {
 // TestCompactedReturnTableTamper corrupts the hierarchical-state count of a
 // product automaton (the golden planned fixture's 7-state, H=2 DNWA) in
 // each way the decoder, and so VetBytes, must refuse: H outside [1, num], a
-// start state that cannot be hierarchical, a call pushing a state ≥ H, and
-// a legacy dense return table not sized num·H·syms.
+// start state that cannot be hierarchical, and a call pushing a state ≥ H.
 func TestCompactedReturnTableTamper(t *testing.T) {
 	fresh := func() *Compiled {
 		c := *goldenPlannedBundle(t).Groups()[0].Product.inner
@@ -166,11 +173,6 @@ func TestCompactedReturnTableTamper(t *testing.T) {
 		{"H above num", func(c *Compiled) *Compiled { c.hiers = c.num + 1; return c }},
 		{"start not hierarchical", func(c *Compiled) *Compiled { c.start = int32(c.hiers); return c }},
 		{"call pushes state H", func(c *Compiled) *Compiled { c.callHier[c.syms] = int32(c.hiers); return c }},
-		{"legacy dense table one row short", func(c *Compiled) *Compiled {
-			l := withLegacyReturn(c, false)
-			l.legacy.returnT = l.legacy.returnT[:len(l.legacy.returnT)-c.syms]
-			return l
-		}},
 	} {
 		c := tc.mutate(fresh())
 		if _, err := UnmarshalCompiled(c.Marshal()); err == nil {
@@ -246,7 +248,7 @@ func TestFactoredReturnTableTamper(t *testing.T) {
 			if _, err := UnmarshalCompiled(data); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("decoder: got %v, want an error naming %q", err, tc.want)
 			}
-			if _, err := unmarshalMapped(data); err == nil {
+			if _, err := DecodeQuery(data, true); err == nil {
 				t.Error("zero-copy decoder accepted the container")
 			}
 			if rep, err := VetBytes(data); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -259,46 +261,44 @@ func TestFactoredReturnTableTamper(t *testing.T) {
 // TestSparseReturnKeyTamper writes sparse return keys that decompose to a
 // state outside the tables — a linear state ≥ num, or a hierarchical state
 // ≥ H of a compacted product — into otherwise valid, correctly hashed
-// legacy sparse containers.  The decoder must refuse each, so VetBytes
-// returns the decoder's error instead of panicking.
+// legacy sparse containers.  The decoder refuses the sparse layout on its
+// meta section, before a key is read, so the decoder and VetBytes both
+// fail with ErrLegacyLayout.
 func TestSparseReturnKeyTamper(t *testing.T) {
-	lastKey := func(keys []uint64, key uint64) []uint64 {
-		keys = append([]uint64(nil), keys...)
+	withLastKey := func(c *Compiled, key uint64) []byte {
+		_, keys, vals := legacyReturns(c, true)
 		keys[len(keys)-1] = key
-		return keys
+		return legacyWrite(c, true, format.VersionHashed, nil, keys, vals)
 	}
 	for _, tc := range []struct {
 		name  string
 		build func(t *testing.T) []byte
-		want  string
 	}{
 		{"DNWA linear state past num", func(t *testing.T) []byte {
-			c := withLegacyReturn(Compile(PathQuery(goldenAlphabet(), "a", "b")), true)
-			c.legacy.keys = lastKey(c.legacy.keys, uint64(c.num*c.num*c.syms+5))
-			return c.Marshal()
-		}, "names linear state"},
+			c := Compile(PathQuery(goldenAlphabet(), "a", "b"))
+			return withLastKey(c, uint64(c.num*c.num*c.syms+5))
+		}},
 		{"compacted DNWA hierarchical state past H", func(t *testing.T) []byte {
 			alpha := goldenAlphabet()
 			p, err := CompileProduct([]*Compiled{Compile(LinearOrder(alpha, "a", "b")), Compile(LinearOrder(alpha, "b", "a"))}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			c := withLegacyReturn(p.inner, true)
+			c := p.inner
 			if c.hiers >= c.num {
 				t.Fatalf("fixture changed: H=%d of %d states", c.hiers, c.num)
 			}
 			// The largest key any table can hold: lin = hier = num-1.
-			c.legacy.keys = lastKey(c.legacy.keys, uint64(c.num*c.num*c.syms-1))
-			return c.Marshal()
-		}, "names hierarchical state"},
+			return withLastKey(c, uint64(c.num*c.num*c.syms-1))
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			data := tc.build(t)
-			if _, err := UnmarshalCompiled(data); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("decoder: got %v, want an error naming %q", err, tc.want)
+			if _, err := UnmarshalCompiled(data); !errors.Is(err, ErrLegacyLayout) {
+				t.Errorf("decoder: got %v, want ErrLegacyLayout", err)
 			}
-			if rep, err := VetBytes(data); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("VetBytes: got %v (report %v), want an error naming %q", err, rep, tc.want)
+			if rep, err := VetBytes(data); !errors.Is(err, ErrLegacyLayout) {
+				t.Errorf("VetBytes: got %v (report %v), want ErrLegacyLayout", err, rep)
 			}
 		})
 	}

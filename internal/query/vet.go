@@ -191,7 +191,7 @@ func VetBytes(data []byte) (*VetReport, error) {
 		rep = &VetReport{}
 		vetQuery(rep, "query", c)
 	case format.KindProduct:
-		p, err := UnmarshalProduct(data)
+		p, err := unmarshalProduct(data)
 		if err != nil {
 			return nil, err
 		}

@@ -37,20 +37,19 @@ func FuzzBundleVet(f *testing.F) {
 	}
 	seeds = append(seeds, b.Marshal())
 	// A planned bundle: a product with a compacted, factored return table,
-	// the committed fixtures of both layouts, the legacy-layout bundles at
-	// both versions, and the NNWA rejection fixtures.
+	// the committed factored fixtures, and the legacy-layout (at both
+	// versions) and NNWA rejection fixtures.
 	seeds = append(seeds, goldenPlannedBundle(f).Marshal())
 	seeds = append(seeds, goldenFiles(f, "golden_dnwa_factored.nwq", "golden_planned_factored.nwq", "golden_planned.nwq",
 		"golden_bundle.nwq", "golden_bundle_v1.nwq", "golden_nnwa.nwq", "golden_nnwa_v1.nwq")...)
-	// Legacy return tables the decoder factors on load, dense and sparse
-	// (whose keys it must range-check): a DNWA, and a planned bundle whose
-	// product is compacted.
+	// Legacy return tables, dense and sparse, which the decoder refuses: a
+	// DNWA, and a planned bundle whose product is compacted.
 	pathQuery := Compile(PathQuery(alpha, "a", "b"))
 	seeds = append(seeds,
-		withLegacyReturn(pathQuery, false).encode(true, 1),
-		withLegacyReturn(pathQuery, true).encode(true, 1),
-		legacyPlannedBundle(goldenPlannedBundle(f), false).Marshal(),
-		legacyPlannedBundle(goldenPlannedBundle(f), true).Marshal(),
+		legacyEncode(pathQuery, false, true, 1),
+		legacyEncode(pathQuery, true, true, 1),
+		legacyMarshalPlanned(goldenPlannedBundle(f), false),
+		legacyMarshalPlanned(goldenPlannedBundle(f), true),
 	)
 	for _, s := range seeds {
 		f.Add(s)
@@ -105,7 +104,7 @@ func decodeAsKind(data []byte) error {
 	case format.KindBundle:
 		_, err = UnmarshalBundle(data)
 	case format.KindProduct:
-		_, err = UnmarshalProduct(data)
+		_, err = unmarshalProduct(data)
 	default:
 		_, err = UnmarshalCompiled(data)
 	}

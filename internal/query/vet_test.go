@@ -47,10 +47,18 @@ func TestVetGoldenFixtures(t *testing.T) {
 			t.Fatal(err)
 		}
 		rep, err := VetBytes(data)
-		if strings.HasPrefix(filepath.Base(f), "golden_nnwa") {
-			// Rejection fixtures: NNWA containers are not served.
-			if !errors.Is(err, ErrNNWANotServed) {
-				t.Errorf("%s: VetBytes: got %v, want ErrNNWANotServed", f, err)
+		// Rejection fixtures: NNWA containers are not served, and every
+		// fixture but the factored ones holds a legacy return layout.
+		var reject error
+		switch base := filepath.Base(f); {
+		case strings.HasPrefix(base, "golden_nnwa"):
+			reject = ErrNNWANotServed
+		case !strings.Contains(base, "_factored"):
+			reject = ErrLegacyLayout
+		}
+		if reject != nil {
+			if !errors.Is(err, reject) {
+				t.Errorf("%s: VetBytes: got %v, want %v", f, err, reject)
 			}
 			continue
 		}
@@ -254,7 +262,7 @@ func TestVetCatchesGroupDemuxViolations(t *testing.T) {
 		{"solo query dropped", func(b *Bundle) { b.queries[2] = nil },
 			"covers neither solo nor product for query \"//b//a\""},
 		{"groups dropped", func(b *Bundle) { b.groups = nil },
-			"names 3 queries but embeds 1"},
+			"lists 3 solo queries but embeds 1"},
 		{"demux width mismatch", func(b *Bundle) {
 			b.groups[0].Indices = b.groups[0].Indices[:1]
 			b.queries[1] = Compile(PathQuery(goldenAlphabet(), "a", "b"))
