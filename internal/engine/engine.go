@@ -28,6 +28,7 @@ package engine
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"repro/internal/alphabet"
@@ -267,7 +268,7 @@ func (s *Session) Reset() {
 }
 
 // Feed buffers one event, fanning the batch out to the runners once it
-// fills.  Result flushes any buffered tail, so intermediate Result calls
+// fills.  ResultInto flushes any buffered tail, so intermediate results
 // see every event fed so far.
 //
 // Uninterned events (Sym == 0) are interned against the engine's shared
@@ -329,32 +330,42 @@ func (s *Session) flush() {
 	s.batch = s.batch[:0]
 }
 
-// Result snapshots the verdicts for the events consumed so far, viewed as a
-// complete nested word.
-func (s *Session) Result() *Result {
+// ResultInto writes the verdicts for the events consumed so far, viewed as
+// a complete nested word, into dst.  It reuses dst.Verdicts' storage when
+// it has room for every registered query, so a caller that keeps one
+// Result per document slot — a serve.Future, say — reads verdicts without
+// allocating.
+//
+//nwvet:hotpath
+func (s *Session) ResultInto(dst *Result) {
 	s.flush()
 	e := s.engine
-	res := &Result{
-		Verdicts: make([]bool, len(e.names)),
-		Events:   s.events,
-		MaxDepth: s.max,
-	}
+	dst.Verdicts = slices.Grow(dst.Verdicts[:0], len(e.names))[:len(e.names)]
+	dst.Events, dst.MaxDepth = s.events, s.max
 	for gi, r := range s.prods {
 		for j, idx := range e.groups[gi].indices {
-			res.Verdicts[idx] = r.Verdict(j)
+			dst.Verdicts[idx] = r.Verdict(j)
 		}
 	}
+}
+
+// Result snapshots the verdicts for the events consumed so far into a
+// fresh Result (ResultInto for a caller that keeps it).
+func (s *Session) Result() *Result {
+	res := new(Result)
+	s.ResultInto(res)
 	return res
 }
 
-// Run streams the whole source through this session: every registered query
-// is evaluated in the same single pass, and the event stream is never
-// stored.  The session must be at the start of a document (fresh from
-// Acquire, or Reset by its owner); on error the session is left mid-stream
-// and must be Reset before reuse.
+// Run streams the whole source through this session and writes the
+// verdicts into dst (see ResultInto): every registered query is evaluated
+// in the same single pass, and the event stream is never stored.  The
+// session must be at the start of a document (fresh from Acquire, or Reset
+// by its owner); on error the session is left mid-stream and must be Reset
+// before reuse, and dst is left as it was.
 //
 //nwvet:hotpath
-func (s *Session) Run(src EventSource) (*Result, error) {
+func (s *Session) Run(src EventSource, dst *Result) error {
 	e := s.engine
 	for {
 		ev, err := src.Next()
@@ -362,15 +373,15 @@ func (s *Session) Run(src EventSource) (*Result, error) {
 			break
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s.batch = append(s.batch, packEvent(ev.Kind, e.symID(&ev)))
 		if len(s.batch) == cap(s.batch) {
 			s.flush()
 		}
 	}
-	s.flush()
-	return s.Result(), nil
+	s.ResultInto(dst)
+	return nil
 }
 
 // Run streams the whole source through a pooled session: every registered
@@ -379,7 +390,11 @@ func (s *Session) Run(src EventSource) (*Result, error) {
 func (e *Engine) Run(src EventSource) (*Result, error) {
 	s := e.Acquire()
 	defer e.Release(s)
-	return s.Run(src)
+	res := new(Result)
+	if err := s.Run(src, res); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // RunReader tokenizes the reader — interning every label against the

@@ -115,7 +115,10 @@ func smallNNWA(alpha *alphabet.Alphabet) *nwa.NNWA {
 }
 
 // BenchmarkVetBundle tracks the cost of the artifact verifier on the CLI
-// standard set, so vet stays cheap enough to run at every fleet boot.
+// standard set.  Vet is a pre-deployment check, not a boot step: its
+// reachability analysis grows with the product automata, and one VetBytes
+// of the planned batch-reload bundle (three products of 229–257 states)
+// takes several seconds on a 2-vCPU machine.
 func BenchmarkVetBundle(b *testing.B) {
 	alpha := alphabet.New("a", "b")
 	names, queries := StandardSet(alpha, []string{"a", "b"}, []string{"a", "b"})

@@ -374,6 +374,12 @@ func decodeQuery(data []byte, alpha *alphabet.Alphabet, zeroCopy bool) (*Compile
 	if err != nil {
 		return nil, err
 	}
+	return readQuery(r, alpha, zeroCopy)
+}
+
+// readQuery is decodeQuery over a container whose header, and hash, r has
+// already checked.
+func readQuery(r *format.Reader, alpha *alphabet.Alphabet, zeroCopy bool) (*Compiled, error) {
 	switch r.Kind() {
 	case format.KindDNWA:
 		return decodeCompiled(&decodeState{r: r, alpha: alpha, zeroCopy: zeroCopy})
@@ -719,6 +725,12 @@ func decodeBundle(data []byte, zeroCopy bool) (*Bundle, error) {
 	if err != nil {
 		return nil, err
 	}
+	return readBundle(r, data, zeroCopy)
+}
+
+// readBundle is decodeBundle over a container, data, whose header and hash
+// r has already checked.
+func readBundle(r *format.Reader, data []byte, zeroCopy bool) (*Bundle, error) {
 	if r.Kind() != format.KindBundle {
 		return nil, fmt.Errorf("query: container kind %d is not a bundle", r.Kind())
 	}

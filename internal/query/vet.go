@@ -162,7 +162,9 @@ func (r *VetReport) String() string {
 // VetBytes verifies a serialized artifact — a bundle or a standalone
 // compiled query container.  A container that does not decode is rejected
 // with the decoder's error; a container that decodes is vetted and the
-// findings returned in the report, never panicking on any input.
+// findings returned in the report, never panicking on any input.  A
+// version-2 container's content hash is checked once, by the reader the
+// decode then reads from.
 func VetBytes(data []byte) (*VetReport, error) {
 	r, err := format.NewReader(data)
 	if err != nil {
@@ -178,20 +180,20 @@ func VetBytes(data []byte) (*VetReport, error) {
 	var rep *VetReport
 	switch r.Kind() {
 	case format.KindBundle:
-		b, err := UnmarshalBundle(data)
+		b, err := readBundle(r, data, false)
 		if err != nil {
 			return nil, err
 		}
 		rep = vetBundle(b)
 	case format.KindDNWA, format.KindNNWA:
-		c, err := UnmarshalCompiled(data)
+		c, err := readQuery(r, nil, false)
 		if err != nil {
 			return nil, err
 		}
 		rep = &VetReport{}
 		vetQuery(rep, "query", c)
 	case format.KindProduct:
-		p, err := unmarshalProduct(data)
+		p, _, err := decodeProduct(&decodeState{r: r})
 		if err != nil {
 			return nil, err
 		}

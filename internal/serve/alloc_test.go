@@ -10,16 +10,12 @@ import (
 	"repro/internal/alphabet"
 )
 
-// allocsPerDocument is the shard path's documented allowance for one
-// document past its format's first: the Future and its channel, made by
-// Submit, and the engine Result and its verdict slice, made by the
-// session.  Routing, the cancellation wrapper, the decoder and every label
-// — out-of-alphabet ones included — allocate nothing.
-const allocsPerDocument = 4
-
-// TestPoolSubmitAllocs pins the whole shard path: Submit plus Wait of a
-// native, an XML and a JSON document, each holding labels outside the
-// engine alphabet, costs exactly allocsPerDocument allocations.
+// TestPoolSubmitAllocs pins the whole shard path: Submit, Wait and Release
+// of a native, an XML and a JSON document, each holding labels outside the
+// engine alphabet, allocate nothing once the format's first document has
+// built its decoder.  The future, its completion signal and its verdicts
+// are recycled; routing, the cancellation wrapper, the decoder and every
+// label — out-of-alphabet ones included — allocate nothing.
 func TestPoolSubmitAllocs(t *testing.T) {
 	eng := testEngine(t)
 	// Two shards, so documents are routed by the hash of their ID.
@@ -45,6 +41,7 @@ func TestPoolSubmitAllocs(t *testing.T) {
 			fut, err := p.Submit(ctx, "doc-17", d.format, rd)
 			if err == nil {
 				_, err = fut.Wait(ctx)
+				fut.Release()
 			}
 			if err != nil {
 				runErr = err
@@ -55,9 +52,8 @@ func TestPoolSubmitAllocs(t *testing.T) {
 		if runErr != nil {
 			t.Fatalf("%q document: %v", d.format, runErr)
 		}
-		if allocs != allocsPerDocument {
-			t.Errorf("%q document: Submit+Wait made %v allocs/op, want %d (Future, its channel, engine Result, verdict slice)",
-				d.format, allocs, allocsPerDocument)
+		if allocs != 0 {
+			t.Errorf("%q document: Submit+Wait+Release made %v allocs/op, want 0", d.format, allocs)
 		}
 	}
 }

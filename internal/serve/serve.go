@@ -7,13 +7,12 @@
 // worker goroutine that has checked one engine.Session out of the shared
 // engine for its lifetime and holds one reusable decoder per input format —
 // the interning tokenizer for native documents, an internal/adapter scanner
-// for each of xml, json and trace once one arrives — so the steady state
-// serves a document with four allocations: its Future, the Future's
-// channel, and the engine Result with its verdict slice.  Incoming
-// documents are routed to shards by the FNV-1a hash of their ID — all
-// submissions of one document ID serialize on one shard, keeping
-// per-document ordering — or round-robined under AffinityNone for maximal
-// balance when IDs are skewed.
+// for each of xml, json and trace once one arrives — and futures are
+// recycled, so in the steady state Submit, Wait and Release of a document
+// allocate nothing.  Incoming documents are routed to shards by the FNV-1a
+// hash of their ID — all submissions of one document ID serialize on one
+// shard, keeping per-document ordering — or round-robined under
+// AffinityNone for maximal balance when IDs are skewed.
 //
 // Backpressure is a bounded queue per shard: Submit blocks once the target
 // shard's queue is full, which throttles the producer (typically a
@@ -22,11 +21,11 @@
 // blocked, and each document's context is checked again at dequeue time and
 // periodically mid-pass, so a cancelled request stops consuming its shard.
 //
-// Results come back through a Future (Wait/Done) and, when the pool was
-// built WithOnResult, through a callback invoked on the shard worker —
-// aggregation loops need no per-document future bookkeeping.  Close drains
-// gracefully: it rejects new submissions, lets every queued document finish,
-// and waits for the workers to exit.
+// Results come back through a Future (Wait, then Release) and, when the
+// pool was built WithOnResult, through a callback invoked on the shard
+// worker — aggregation loops need no per-document future bookkeeping.
+// Close drains gracefully: it rejects new submissions, lets every queued
+// document finish, and waits for the workers to exit.
 package serve
 
 import (
@@ -57,6 +56,10 @@ var ErrClosed = errors.New("serve: pool closed")
 // network front-end maps it to 429 Too Many Requests so load sheds at the
 // edge instead of accumulating blocked handlers.
 var ErrQueueFull = errors.New("serve: shard queue full")
+
+// errReleasedTwice is the panic of a Future released more than once, a
+// misuse that would hand one future to two documents.
+var errReleasedTwice = errors.New("serve: Future released twice")
 
 // Affinity selects how documents are routed to shards.
 type Affinity int
@@ -100,23 +103,52 @@ type Result struct {
 }
 
 // Future resolves to the Result of one submitted document.
+//
+// Futures are recycled.  Each owns its Result and an engine.Result whose
+// verdict storage is sized to the pool's engine, so serving a document
+// into one allocates nothing, and its owner hands it back with Release
+// once done with the Result.  The owner and the shard worker each hold a
+// reference: a future released before its document was served — its owner
+// stopped waiting — returns to the pool only once the shard has finished
+// with it.  A future that is never released is left to the garbage
+// collector, and its Result stays valid for as long as it is referenced.
 type Future struct {
-	done chan struct{}
+	pool *Pool
+	done chan struct{} // capacity 1: holds one token once res is set
+	refs atomic.Int32  // the owner's and the shard's references
 	res  Result
+	eng  engine.Result // res.Engine points here once the pass succeeded
 }
-
-// Done returns a channel closed when the result is available.
-func (f *Future) Done() <-chan struct{} { return f.done }
 
 // Wait blocks until the document has been served or ctx is cancelled.  When
 // the document itself failed, the Result carries the error both ways: in
-// Result.Err and as Wait's error.
+// Result.Err and as Wait's error.  When ctx ends first, Wait returns the
+// zero Result and ctx's error; the document may then still be queued or
+// on its shard.  The Result, verdicts included, stays valid until Release.
+//
+//nwvet:hotpath
 func (f *Future) Wait(ctx context.Context) (Result, error) {
 	select {
 	case <-f.done:
+		f.done <- struct{}{} // leave the token for any later Wait
 		return f.res, f.res.Err
 	case <-ctx.Done():
 		return Result{}, ctx.Err()
+	}
+}
+
+// Release hands the future back to its pool: neither the future nor the
+// Result it resolved to may be used afterwards, and it must be called at
+// most once.  It does not wait for the document; a future whose document
+// is still queued or being served is recycled when its shard finishes.
+//
+//nwvet:hotpath
+func (f *Future) Release() {
+	switch n := f.refs.Add(-1); {
+	case n == 0:
+		f.pool.recycle(f)
+	case n < 0:
+		panic(errReleasedTwice)
 	}
 }
 
@@ -178,7 +210,8 @@ func WithAffinity(a Affinity) Option {
 
 // WithOnResult installs a callback invoked on the shard worker for every
 // completed document, before the document's Future resolves.  It must be
-// safe for concurrent calls from different shards.
+// safe for concurrent calls from different shards.  The Result's verdicts
+// are the Future's own, valid until the Future is released.
 func WithOnResult(fn func(Result)) Option {
 	return func(p *Pool) { p.onResult = fn }
 }
@@ -214,6 +247,7 @@ type Pool struct {
 
 	shards []chan job
 	rr     atomic.Uint64 // round-robin cursor for AffinityNone
+	free   chan *Future  // released futures, ready for reuse
 
 	mu     sync.RWMutex // guards the fields below against concurrent Submit/Close
 	closed bool         // guarded by mu
@@ -250,6 +284,10 @@ func NewPool(eng *engine.Engine, opts ...Option) (*Pool, error) {
 	}
 	p.shards = make([]chan job, p.numShards)
 	p.perShard = make([]shardCounters, p.numShards)
+	// Room for a future per queue slot plus one per shard's document in
+	// service: what TrySubmit alone can have outstanding.  A future
+	// released while the list is full is left to the garbage collector.
+	p.free = make(chan *Future, p.numShards*(p.depth+1))
 	for i := range p.shards {
 		p.shards[i] = make(chan job, p.depth)
 		p.wg.Add(1)
@@ -365,8 +403,11 @@ func (p *Pool) route(id string) int {
 	return int(h % uint64(len(p.shards)))
 }
 
+// enqueue hands a document to its shard's queue with a future from the
+// free list.
+//
+//nwvet:hotpath
 func (p *Pool) enqueue(j job, wait bool) (*Future, error) {
-	j.fut = &Future{done: make(chan struct{})}
 	if j.ctx == nil {
 		j.ctx = context.Background()
 	}
@@ -380,6 +421,7 @@ func (p *Pool) enqueue(j job, wait bool) (*Future, error) {
 	if p.closed {
 		return nil, ErrClosed
 	}
+	j.fut = p.future()
 	shard := p.shards[p.route(j.id)]
 	if !wait {
 		select {
@@ -387,6 +429,7 @@ func (p *Pool) enqueue(j job, wait bool) (*Future, error) {
 			return j.fut, nil
 		default:
 			p.rejected.Add(1)
+			p.discard(j.fut)
 			return nil, ErrQueueFull
 		}
 	}
@@ -394,7 +437,46 @@ func (p *Pool) enqueue(j job, wait bool) (*Future, error) {
 	case shard <- j:
 		return j.fut, nil
 	case <-j.ctx.Done():
+		p.discard(j.fut)
 		return nil, j.ctx.Err()
+	}
+}
+
+// future takes a released future off the free list, or makes one, holding
+// one reference for its owner and one for its shard.
+func (p *Pool) future() *Future {
+	var f *Future
+	select {
+	case f = <-p.free:
+	default:
+		f = &Future{pool: p, done: make(chan struct{}, 1)}
+		f.eng.Verdicts = make([]bool, p.eng.Len())
+	}
+	if f.refs.Swap(2) != 0 {
+		panic("serve: a live Future was handed out again")
+	}
+	return f
+}
+
+// discard recycles a future that was never queued.
+func (p *Pool) discard(f *Future) {
+	f.refs.Store(0)
+	p.recycle(f)
+}
+
+// recycle returns a future nothing references any more to the free list:
+// its token, sent by the shard unless the future was never queued, is
+// taken, and its Result is dropped so the list keeps no document's ID or
+// error alive.
+func (p *Pool) recycle(f *Future) {
+	select {
+	case <-f.done:
+	default:
+	}
+	f.res = Result{}
+	select {
+	case p.free <- f:
+	default:
 	}
 }
 
@@ -466,14 +548,15 @@ func (p *Pool) worker(shard int) {
 	}
 }
 
-// serve runs one document through the shard's session and resolves its
-// Future.  Past the decoder a format's first document builds, the only
-// allocations are the engine Result and its verdict slice, made by the
-// session.
+// serve runs one document through the shard's session into its Future's
+// own engine Result, resolves the Future and drops the shard's reference
+// to it.  Past the decoder a format's first document builds, nothing
+// allocates.
 //
 //nwvet:hotpath
 func (w *shardWorker) serve(j job) {
 	p := w.p
+	f := j.fut
 	res := Result{ID: j.id, Shard: w.shard}
 	// A document cancelled while queued is reported without touching the
 	// session.
@@ -485,7 +568,9 @@ func (w *shardWorker) serve(j job) {
 	if res.Err == nil {
 		w.ses.Reset()
 		w.cs = ctxSource{ctx: j.ctx, src: src}
-		res.Engine, res.Err = w.ses.Run(w.csrc)
+		if res.Err = w.ses.Run(w.csrc, &f.eng); res.Err == nil {
+			res.Engine = &f.eng
+		}
 		w.cs = ctxSource{} // hold no reference to the document past its pass
 	}
 	p.served.Add(1)
@@ -504,8 +589,9 @@ func (w *shardWorker) serve(j job) {
 	if p.onResult != nil {
 		p.onResult(res)
 	}
-	j.fut.res = res
-	close(j.fut.done)
+	f.res = res
+	f.done <- struct{}{}
+	f.Release() // the shard's own reference
 }
 
 // decoders is one shard's decoder per input format.  Each is built on the

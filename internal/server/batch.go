@@ -12,52 +12,75 @@ import (
 	"unicode/utf8"
 )
 
-// buffer is a recycled byte buffer: one NDJSON batch line, whose decoded
-// document a shard reads through rd, or one response being encoded.  A
-// buffer that has read a batch request body also keeps that body's
-// buffered reader, br, for the next batch request that gets it.
-type buffer struct {
-	b  []byte
-	rd bytes.Reader
-	br *bufio.Reader
-}
-
-// buffers recycles line and response buffers and batch body readers across
-// requests.
-var buffers = sync.Pool{New: func() any { return new(buffer) }}
-
-// maxRecycled caps the capacity of a buffer returned to buffers, so one
-// document near MaxBodyBytes is not kept alive by the pool afterwards.
+// maxRecycled caps the capacity of a buffer kept for reuse, so one
+// document near MaxBodyBytes is not kept alive by a pool afterwards.
 const maxRecycled = 1 << 20
 
-func getBuffer() *buffer { return buffers.Get().(*buffer) }
+// lineBuffer is one recycled NDJSON batch line, whose decoded document a
+// shard reads through rd.
+type lineBuffer struct {
+	b  []byte
+	rd bytes.Reader
+}
 
-// free returns buf to the pool.  The caller must be its only user: a line
-// buffer is freed only once no shard can still read it.
-func (buf *buffer) free() {
-	if cap(buf.b) > maxRecycled {
+// lineBuffers recycles batch lines.  They have a pool of their own: a line
+// array grows to the longest document its requests carried, which no
+// response buffer or body reader should keep alive.
+var lineBuffers = sync.Pool{New: func() any { return new(lineBuffer) }}
+
+func getLine() *lineBuffer { return lineBuffers.Get().(*lineBuffer) }
+
+// free returns the line to its pool.  The caller must be its only user: a
+// line is freed only once no shard can still read it.
+func (l *lineBuffer) free() {
+	if cap(l.b) > maxRecycled {
 		return
 	}
-	buf.b = buf.b[:0]
-	buf.rd.Reset(nil)
-	if buf.br != nil {
-		buf.br.Reset(nil)
+	l.b = l.b[:0]
+	l.rd.Reset(nil)
+	lineBuffers.Put(l)
+}
+
+// request is the recycled state of one /v1/documents or /v1/batch
+// request: the response line being encoded, the size-limited body a
+// /v1/documents shard reads, and the buffered reader of a batch body,
+// made by the first batch request that gets this state.
+type request struct {
+	out  []byte
+	body bodyLimit
+	br   *bufio.Reader
+}
+
+var requests = sync.Pool{New: func() any { return new(request) }}
+
+func getRequest() *request { return requests.Get().(*request) }
+
+// free returns the state to its pool, dropping its references to the
+// request's body.  The caller must be its only user: no shard may still
+// read the body.
+func (q *request) free() {
+	if cap(q.out) > maxRecycled {
+		q.out = nil
 	}
-	buffers.Put(buf)
+	q.out = q.out[:0]
+	q.body = bodyLimit{}
+	if q.br != nil {
+		q.br.Reset(nil)
+	}
+	requests.Put(q)
 }
 
 // batchReadSize is the buffered reader size of a batch request body.
 const batchReadSize = 16 << 10
 
-// bodyReader returns buf's buffered reader, switched to read r; it is made
-// on first use and recycled with buf.
-func (buf *buffer) bodyReader(r io.Reader) *bufio.Reader {
-	if buf.br == nil {
-		buf.br = bufio.NewReaderSize(r, batchReadSize)
+// bodyReader returns the state's buffered reader, switched to read r.
+func (q *request) bodyReader(r io.Reader) *bufio.Reader {
+	if q.br == nil {
+		q.br = bufio.NewReaderSize(r, batchReadSize)
 	} else {
-		buf.br.Reset(r)
+		q.br.Reset(r)
 	}
-	return buf.br
+	return q.br
 }
 
 // errLineTooLong ends a batch whose next line, newline included, would

@@ -125,6 +125,10 @@ func writeError(w http.ResponseWriter, err error) {
 		w.Header().Set("Retry-After", "1")
 	case errors.As(err, &maxErr):
 		code = http.StatusRequestEntityTooLarge
+		// The rest of the body stays unread, so the connection cannot
+		// carry another request: net/http closes it after the reply, as
+		// it does when http.MaxBytesReader trips.
+		w.Header().Set("Connection", "close")
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		code = http.StatusServiceUnavailable
 	}
@@ -140,6 +144,13 @@ func writeError(w http.ResponseWriter, err error) {
 // per-request backpressure belongs to the batch endpoint.  The shard
 // worker reads the body while this handler blocks on the future, so the
 // body is read from exactly one goroutine at a time.
+//
+// The handler waits for its future without the request's context: the
+// job carries that context, and its shard reports a document whose
+// context has ended when it dequeues it, or aborts the pass within 1024
+// events, so the wait ends no later than the job's turn in the queue.
+// Waiting so makes no done channel for the context, and leaves the
+// recycled request state free once the future resolves.
 func (s *Server) handleDocument(w http.ResponseWriter, r *http.Request) {
 	st, err := s.acquire()
 	if err != nil {
@@ -152,23 +163,60 @@ func (s *Server) handleDocument(w http.ResponseWriter, r *http.Request) {
 	if id == "" {
 		id = s.fallbackID()
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	fut, err := st.pool.TrySubmit(r.Context(), id, queryValue(r.URL.RawQuery, "format"), body)
+	req := getRequest()
+	defer req.free()
+	req.body = bodyLimit{r: r.Body, left: s.cfg.MaxBodyBytes, limit: s.cfg.MaxBodyBytes}
+	fut, err := st.pool.TrySubmit(r.Context(), id, queryValue(r.URL.RawQuery, "format"), &req.body)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	res, err := fut.Wait(r.Context())
+	defer fut.Release()
+	res, err := fut.Wait(context.Background())
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	out := getBuffer()
-	out.b = st.verdicts.appendResult(out.b, res)
+	req.out = st.verdicts.appendResult(req.out, res)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	w.Write(out.b)
-	out.free()
+	w.Write(req.out)
+}
+
+// bodyLimit reads a request body as http.MaxBytesReader does, failing with
+// an *http.MaxBytesError once the body runs past limit bytes.  It lives in
+// the recycled request state, so a document does not allocate the reader
+// MaxBytesReader returns; writeError answers the error with 413 and closes
+// the connection.
+type bodyLimit struct {
+	r     io.Reader
+	left  int64 // bytes still allowed
+	limit int64
+	err   error // sticky: once a read fails, every later read does
+}
+
+func (l *bodyLimit) Read(p []byte) (int, error) {
+	if l.err != nil {
+		return 0, l.err
+	}
+	if len(p) == 0 {
+		return 0, nil
+	}
+	// One byte past the limit tells a body that ends there from one that
+	// runs on.
+	if int64(len(p))-1 > l.left {
+		p = p[:l.left+1]
+	}
+	n, err := l.r.Read(p)
+	if int64(n) <= l.left {
+		l.left -= int64(n)
+		l.err = err
+		return n, err
+	}
+	n = int(l.left)
+	l.left = 0
+	l.err = &http.MaxBytesError{Limit: l.limit}
+	return n, l.err
 }
 
 // queryValue returns url.ParseQuery(rawQuery).Get(key) without building the
@@ -213,15 +261,16 @@ func (s *Server) fallbackID() string {
 // queueing unboundedly.  Per-document failures become error lines; the
 // stream keeps going.
 //
-// The body is read through a buffered reader that the line buffers' pool
-// recycles, returned once the body is read.  Each line is read into a
-// recycled buffer, decoded in place, and its document submitted as a
-// reader over that buffer, so a document's bytes are not copied between
-// the body read and the shard's tokenizer.  The buffer goes back to the
-// pool when the line is blank or malformed, when Submit fails, or once the
-// document's future is done; a document abandoned because the request
-// ended leaves its buffer to the garbage collector, since its shard may
-// still be reading it.
+// The body is read through the recycled request state's buffered reader.
+// Each line is read into a recycled line buffer, decoded in place, and its
+// document submitted as a reader over that buffer, so a document's bytes
+// are not copied between the body read and the shard's tokenizer.  The
+// line goes back to its pool when it is blank or malformed, when Submit
+// fails, or once the document has been served; a document abandoned
+// because the request ended leaves its line to the garbage collector,
+// since its shard may still be reading it.  Each future is released once
+// its response line is encoded; an abandoned one returns to its pool when
+// its shard finishes.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	st, err := s.acquire()
 	if err != nil {
@@ -244,13 +293,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// order and streams response lines.  Total in-flight work is bounded
 	// by the pool queues plus the channel.
 	futs := make(chan batchPending, 2*st.pool.Shards())
+	req := getRequest()
+	defer req.free() // after the loop below, so after the reader's last read
+	br := req.bodyReader(r.Body)
 	go func() {
 		defer close(futs)
-		in := getBuffer()
-		defer in.free()
-		br := in.bodyReader(r.Body)
 		for n := 0; ; {
-			buf := getBuffer()
+			buf := getLine()
 			var err error
 			buf.b, err = readLine(br, buf.b, int(s.cfg.MaxBodyBytes))
 			if err == errLineTooLong {
@@ -274,25 +323,25 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	flusher, _ := w.(http.Flusher)
-	out := getBuffer()
-	defer out.free()
 	for p := range futs {
 		switch {
 		case p.err != nil:
-			out.b = appendError(out.b[:0], p.id, p.err.Error())
+			req.out = appendError(req.out[:0], p.id, p.err.Error())
 		default:
-			if res, err := p.fut.Wait(r.Context()); err != nil {
-				out.b = appendError(out.b[:0], p.id, err.Error())
+			res, err := p.fut.Wait(r.Context())
+			if err != nil {
+				req.out = appendError(req.out[:0], p.id, err.Error())
 			} else {
-				out.b = st.verdicts.appendResult(out.b[:0], res)
+				req.out = st.verdicts.appendResult(req.out[:0], res)
 			}
-			select {
-			case <-p.fut.Done():
+			// Wait returns the zero Result when the request ended first:
+			// the shard may still read the line then.
+			if res.Engine != nil || res.Err != nil {
 				p.buf.free()
-			default: // abandoned: the shard may still read the buffer
 			}
+			p.fut.Release()
 		}
-		w.Write(out.b)
+		w.Write(req.out)
 		if flusher != nil {
 			flusher.Flush()
 		}
@@ -305,14 +354,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 type batchPending struct {
 	id  string
 	fut *serve.Future
-	buf *buffer
+	buf *lineBuffer
 	err error
 }
 
 // submitLine decodes the batch's nth non-blank line, which buf holds, and
 // submits its document as a reader over buf.  buf is freed here unless a
 // shard now owns it.
-func (s *Server) submitLine(ctx context.Context, st *poolState, n int, line []byte, buf *buffer) batchPending {
+func (s *Server) submitLine(ctx context.Context, st *poolState, n int, line []byte, buf *lineBuffer) batchPending {
 	fields, err := decodeBatchLine(line)
 	if err != nil {
 		buf.free()
