@@ -69,55 +69,46 @@ func CheckFormat(format string) error {
 // empty name is the native XML-like token syntax, decoded by the docstream
 // tokenizer itself.
 func New(format string, r io.Reader, alpha *alphabet.Alphabet) (Source, error) {
+	base := scanner{format: format, alpha: alpha}
+	var a Source
 	switch format {
 	case "":
 		return docstream.NewInterningTokenizer(r, alpha), nil
 	case "xml":
-		return NewXML(r, alpha), nil
+		a = &xmlAdapter{scanner: base}
 	case "json":
-		return NewJSON(r, alpha), nil
+		a = &jsonAdapter{scanner: base}
 	case "trace":
-		return NewTrace(r, alpha), nil
+		a = &traceAdapter{scanner: base}
+	default:
+		return nil, CheckFormat(format)
 	}
-	return nil, CheckFormat(format)
+	a.Reset(r)
+	return a, nil
 }
 
-// SyntaxError reports malformed input: the format, the input byte offset at
+// syntaxError reports malformed input: the format, the input byte offset at
 // which the scanner gave up, and what it found there.  Read errors from the
 // underlying reader (an *http.MaxBytesError, say) are returned as they are,
-// never folded into a SyntaxError.
-type SyntaxError struct {
+// never folded into a syntaxError.
+type syntaxError struct {
 	Format string // "xml", "json" or "trace"
 	Offset int64  // input bytes consumed when the error was found
 	Msg    string
 }
 
 // Error formats the error with its format and offset.
-func (e *SyntaxError) Error() string {
+func (e *syntaxError) Error() string {
 	return fmt.Sprintf("adapter: %s syntax error at byte %d: %s", e.Format, e.Offset, e.Msg)
 }
 
-// Sanitize maps an arbitrary label into the tokenizer's token syntax: every
-// whitespace rune (the tokenizer's token separator) and every '<' or '>'
-// (its tag delimiters) becomes '_', a leading '/' (which would turn a
-// rendered opening tag into a closing one) becomes '_', invalid UTF-8 bytes
-// become U+FFFD (matching the tokenizer's own normalization), and the empty
-// label becomes "_".  Labels already in token syntax are returned
-// unchanged.  The scanners apply the same mapping in place to their scratch
-// buffer (sanitize); this is its string form.
-func Sanitize(label string) string {
-	b := []byte(label)
-	if !utf8.Valid(b) {
-		b = []byte(string([]rune(label)))
-	}
-	if s := sanitize(b); string(s) != label {
-		return string(s)
-	}
-	return label
-}
-
-// sanitize is Sanitize over a valid UTF-8 label, rewriting it in place: the
-// result never outgrows the input except for the empty label's "_".
+// sanitize maps a valid UTF-8 label into the tokenizer's token syntax,
+// rewriting it in place: every whitespace rune (the tokenizer's token
+// separator) and every '<' or '>' (its tag delimiters) becomes '_', a
+// leading '/' (which would turn a rendered opening tag into a closing one)
+// becomes '_', and the empty label becomes "_".  Labels already in token
+// syntax come back unchanged.  The result never outgrows the input except
+// for the empty label's "_".
 func sanitize(label []byte) []byte {
 	if len(label) == 0 {
 		return append(label, '_')
@@ -211,12 +202,12 @@ func (s *scanner) emit(kind nestedword.Kind, label []byte) docstream.Event {
 	return docstream.InternBytes(kind, sanitize(label), s.alpha)
 }
 
-// syntaxError builds the scanner's SyntaxError at the current offset.
+// syntaxError builds the scanner's *syntaxError at the current offset.
 func (s *scanner) syntaxError(msg string) error {
-	return &SyntaxError{Format: s.format, Offset: s.in.n - int64(s.r.Buffered()), Msg: msg}
+	return &syntaxError{Format: s.format, Offset: s.in.n - int64(s.r.Buffered()), Msg: msg}
 }
 
-// eofError turns the io.EOF of a construct cut short into a SyntaxError and
+// eofError turns the io.EOF of a construct cut short into a syntaxError and
 // passes any other read error through unchanged.
 func (s *scanner) eofError(err error, msg string) error {
 	if err == io.EOF {

@@ -14,6 +14,15 @@ import (
 	"repro/internal/nestedword"
 )
 
+// newSource is New for a format the test knows New accepts.
+func newSource(format string, r io.Reader, alpha *alphabet.Alphabet) Source {
+	src, err := New(format, r, alpha)
+	if err != nil {
+		panic(err)
+	}
+	return src
+}
+
 // decodeAll drains a source into its event slice, failing the test on any
 // error other than the clean io.EOF.
 func decodeAll(t *testing.T, src Source) []docstream.Event {
@@ -84,7 +93,7 @@ func TestNew(t *testing.T) {
 
 func TestXMLGolden(t *testing.T) {
 	const doc = `<?xml version="1.0"?><!-- c --><library><book id="1" lang="en">Nested &amp; Words<ns:x/></book></library>`
-	got := decodeAll(t, NewXML(strings.NewReader(doc), nil))
+	got := decodeAll(t, newSource("xml", strings.NewReader(doc), nil))
 	checkEvents(t, got, []ev{
 		{nestedword.Call, "library"},
 		{nestedword.Call, "book"},
@@ -98,19 +107,8 @@ func TestXMLGolden(t *testing.T) {
 	})
 }
 
-func TestXMLAttributes(t *testing.T) {
-	const doc = `<book id="1" lang="en or so"/>`
-	got := decodeAll(t, NewXMLOptions(strings.NewReader(doc), nil, XMLOptions{Attributes: true}))
-	checkEvents(t, got, []ev{
-		{nestedword.Call, "book"},
-		{nestedword.Internal, "id=1"},
-		{nestedword.Internal, "lang=en_or_so"},
-		{nestedword.Return, "book"},
-	})
-}
-
 func TestXMLError(t *testing.T) {
-	a := NewXML(strings.NewReader("<a><b></a>"), nil)
+	a := newSource("xml", strings.NewReader("<a><b></a>"), nil)
 	var err error
 	for err == nil {
 		_, err = a.Next()
@@ -126,7 +124,7 @@ func TestXMLError(t *testing.T) {
 
 func TestJSONGolden(t *testing.T) {
 	const doc = `{"lib": [{"t": "nested words", "n": 2007, "ok": true, "x": null}, [1.5]]} "tail"`
-	got := decodeAll(t, NewJSON(strings.NewReader(doc), nil))
+	got := decodeAll(t, newSource("json", strings.NewReader(doc), nil))
 	checkEvents(t, got, []ev{
 		{nestedword.Call, "object"},
 		{nestedword.Internal, "lib"},
@@ -151,7 +149,7 @@ func TestJSONGolden(t *testing.T) {
 }
 
 func TestJSONError(t *testing.T) {
-	a := NewJSON(strings.NewReader(`{"a": [1, }`), nil)
+	a := newSource("json", strings.NewReader(`{"a": [1, }`), nil)
 	var err error
 	for err == nil {
 		_, err = a.Next()
@@ -163,7 +161,7 @@ func TestJSONError(t *testing.T) {
 
 func TestTraceGolden(t *testing.T) {
 	const doc = "# comment\nenter main\nenter open 0x11\nread 4096\n\nexit\nexit wrong\nexit\ncheck ok\n"
-	got := decodeAll(t, NewTrace(strings.NewReader(doc), nil))
+	got := decodeAll(t, newSource("trace", strings.NewReader(doc), nil))
 	checkEvents(t, got, []ev{
 		{nestedword.Call, "main"},
 		{nestedword.Call, "open"},
@@ -193,14 +191,9 @@ func TestSanitize(t *testing.T) {
 	}
 	cases["a\xff b\xe2\x80"] = "a\uFFFD_b\uFFFD\uFFFD" // each invalid byte, as the tokenizer reads it
 	for in, want := range cases {
-		if got := Sanitize(in); got != want {
-			t.Errorf("Sanitize(%q) = %q, want %q", in, got, want)
+		if got := sanitizeString(in); got != want {
+			t.Errorf("sanitizeString(%q) = %q, want %q", in, got, want)
 		}
-	}
-	// The clean fast path must return the identical string without copying.
-	s := "already-clean"
-	if got := Sanitize(s); got != s {
-		t.Errorf("Sanitize(%q) = %q", s, got)
 	}
 }
 
@@ -360,7 +353,7 @@ func TestNativeFormat(t *testing.T) {
 
 // TestReadErrorPassesThrough pins that a failing reader's own error — an
 // *http.MaxBytesError in the server — reaches the caller unwrapped, never
-// folded into a *SyntaxError, whatever construct the scanner was inside.
+// folded into a *syntaxError, whatever construct the scanner was inside.
 func TestReadErrorPassesThrough(t *testing.T) {
 	boom := errors.New("boom")
 	prefixes := map[string][]string{
@@ -392,9 +385,9 @@ func TestSyntaxErrorAndReset(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err = drainAll(src)
-		var se *SyntaxError
+		var se *syntaxError
 		if !errors.As(err, &se) || se.Format != format || se.Offset <= 0 || !strings.Contains(err.Error(), format) {
-			t.Fatalf("%s: %v, want a *SyntaxError naming the format and an offset", format, err)
+			t.Fatalf("%s: %v, want a *syntaxError naming the format and an offset", format, err)
 		}
 		if _, again := src.Next(); again != err {
 			t.Fatalf("%s: error not sticky: %v then %v", format, err, again)

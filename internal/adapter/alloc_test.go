@@ -30,9 +30,6 @@ func decodeAllocs(t *testing.T, format, doc string, alpha *alphabet.Alphabet) fl
 	if err != nil {
 		t.Fatal(err)
 	}
-	if format == "xml" {
-		src = NewXMLOptions(nil, alpha, XMLOptions{Attributes: true})
-	}
 	rd := strings.NewReader(doc)
 	var decodeErr error
 	run := func() {
@@ -99,11 +96,11 @@ func TestResetBoundsKeptDepth(t *testing.T) {
 	}
 	kept := func(src Source) int {
 		switch a := src.(type) {
-		case *XML:
+		case *xmlAdapter:
 			return cap(a.ends)
-		case *JSON:
+		case *jsonAdapter:
 			return cap(a.stack)
-		case *Trace:
+		case *traceAdapter:
 			return cap(a.ends)
 		}
 		t.Fatalf("no stack accounting for %T", src)

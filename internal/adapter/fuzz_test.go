@@ -51,8 +51,8 @@ func checkStream(t *testing.T, alpha *alphabet.Alphabet, open func(*alphabet.Alp
 	}
 	depth := 0
 	for i, e := range events {
-		if s := Sanitize(e.Label); s != e.Label {
-			t.Fatalf("event %d: label %q not in token syntax (Sanitize → %q)", i, e.Label, s)
+		if s := sanitizeString(e.Label); s != e.Label {
+			t.Fatalf("event %d: label %q not in token syntax (sanitize → %q)", i, e.Label, s)
 		}
 		if w := internedImage(e, alpha); interned[i] != w {
 			t.Fatalf("event %d: interned decode %+v, want %+v", i, interned[i], w)
@@ -103,10 +103,7 @@ func FuzzXMLAdapter(f *testing.F) {
 			return
 		}
 		checkStream(t, fuzzAlpha, func(a *alphabet.Alphabet) Source {
-			return NewXML(strings.NewReader(doc), a)
-		}, true, true)
-		checkStream(t, fuzzAlpha, func(a *alphabet.Alphabet) Source {
-			return NewXMLOptions(strings.NewReader(doc), a, XMLOptions{Attributes: true})
+			return newSource("xml", strings.NewReader(doc), a)
 		}, true, true)
 	})
 }
@@ -121,7 +118,7 @@ func FuzzJSONAdapter(f *testing.F) {
 			return
 		}
 		checkStream(t, fuzzAlpha, func(a *alphabet.Alphabet) Source {
-			return NewJSON(strings.NewReader(doc), a)
+			return newSource("json", strings.NewReader(doc), a)
 		}, true, false)
 	})
 }
@@ -136,7 +133,7 @@ func FuzzTraceAdapter(f *testing.F) {
 		// Traces represent unmatched returns on purpose, so only the no-panic
 		// and round-trip properties apply.
 		checkStream(t, fuzzAlpha, func(a *alphabet.Alphabet) Source {
-			return NewTrace(strings.NewReader(doc), a)
+			return newSource("trace", strings.NewReader(doc), a)
 		}, false, false)
 	})
 }

@@ -10,13 +10,12 @@ import (
 	"unicode/utf16"
 	"unicode/utf8"
 
-	"repro/internal/alphabet"
 	"repro/internal/docstream"
 	"repro/internal/nestedword"
 )
 
-// JSON adapts a stream of JSON values read from r into docstream events:
-// '{' / '}' become call/return events labeled "object", '[' / ']'
+// jsonAdapter adapts a stream of JSON values read from r into docstream
+// events: '{' / '}' become call/return events labeled "object", '[' / ']'
 // call/return events labeled "array", and every key and scalar value one
 // internal event carrying its (sanitized) text — numbers keep their literal
 // spelling, strings are unescaped (an unpaired surrogate escape or an
@@ -28,7 +27,7 @@ import (
 // follow one another, commas and colons must sit where Token expects them,
 // and the input may end inside an open container, which then stays a
 // pending call (Next reports io.EOF).
-type JSON struct {
+type jsonAdapter struct {
 	scanner
 	state jsonState
 	stack []jsonState // the enclosing states of the open containers
@@ -56,18 +55,10 @@ const (
 	arrayLabel  = "array"
 )
 
-// NewJSON returns a JSON adapter interning labels against alpha (nil for
-// uninterned events).
-func NewJSON(r io.Reader, alpha *alphabet.Alphabet) *JSON {
-	a := &JSON{scanner: scanner{format: "json", alpha: alpha}}
-	a.Reset(r)
-	return a
-}
-
 // Reset repoints the adapter at a new input, clearing the container stack
 // and any sticky error while keeping every buffer (the container stack only
 // within maxKeptDepth).
-func (a *JSON) Reset(r io.Reader) {
+func (a *jsonAdapter) Reset(r io.Reader) {
 	a.reset(r)
 	a.state = jsonTop
 	if cap(a.stack) > maxKeptDepth {
@@ -77,11 +68,11 @@ func (a *JSON) Reset(r io.Reader) {
 }
 
 // Next returns the next event, io.EOF at the end of the input.  Malformed
-// JSON surfaces as a *SyntaxError, a failing reader as its own error; the
+// JSON surfaces as a *syntaxError, a failing reader as its own error; the
 // error is sticky.
 //
 //nwvet:hotpath
-func (a *JSON) Next() (docstream.Event, error) {
+func (a *jsonAdapter) Next() (docstream.Event, error) {
 	if a.err != nil {
 		return docstream.Event{}, a.err
 	}
@@ -96,7 +87,7 @@ func (a *JSON) Next() (docstream.Event, error) {
 // next scans up to the next token, consuming separators on the way.
 //
 //nwvet:hotpath
-func (a *JSON) next() (docstream.Event, error) {
+func (a *jsonAdapter) next() (docstream.Event, error) {
 	for {
 		c, err := a.nextNonSpace()
 		if err != nil {
@@ -169,7 +160,7 @@ func (a *JSON) next() (docstream.Event, error) {
 }
 
 // valueAllowed reports whether a value may start here.
-func (a *JSON) valueAllowed() bool {
+func (a *jsonAdapter) valueAllowed() bool {
 	switch a.state {
 	case jsonTop, jsonArrayStart, jsonArrayValue, jsonObjectValue:
 		return true
@@ -179,7 +170,7 @@ func (a *JSON) valueAllowed() bool {
 
 // closeContainer pops the innermost container and moves past it as a
 // completed value of its parent.
-func (a *JSON) closeContainer() {
+func (a *jsonAdapter) closeContainer() {
 	a.state = a.stack[len(a.stack)-1]
 	a.stack = a.stack[:len(a.stack)-1]
 	switch a.state {
@@ -191,7 +182,7 @@ func (a *JSON) closeContainer() {
 }
 
 // nextNonSpace skips JSON whitespace and returns the byte after it.
-func (a *JSON) nextNonSpace() (byte, error) {
+func (a *jsonAdapter) nextNonSpace() (byte, error) {
 	for {
 		c, err := a.r.ReadByte()
 		if err != nil {
@@ -207,7 +198,7 @@ func (a *JSON) nextNonSpace() (byte, error) {
 // read and returns its event.
 //
 //nwvet:hotpath
-func (a *JSON) scalar(c byte) (docstream.Event, error) {
+func (a *jsonAdapter) scalar(c byte) (docstream.Event, error) {
 	switch {
 	case c == '"':
 		if err := a.str(); err != nil {
@@ -230,7 +221,7 @@ func (a *JSON) scalar(c byte) (docstream.Event, error) {
 }
 
 // literal checks the rest of true, false or null and returns its event.
-func (a *JSON) literal(word string) (docstream.Event, error) {
+func (a *jsonAdapter) literal(word string) (docstream.Event, error) {
 	for i := 1; i < len(word); i++ {
 		c, err := a.r.ReadByte()
 		if err != nil {
@@ -259,7 +250,7 @@ const (
 // ends at the first byte that cannot continue it, which is left unread.
 //
 //nwvet:hotpath
-func (a *JSON) number(c byte) error {
+func (a *jsonAdapter) number(c byte) error {
 	a.tok = append(a.tok[:0], c)
 	state := numInt
 	switch c {
@@ -323,7 +314,7 @@ func (a *JSON) number(c byte) error {
 // tok, coercing it to valid UTF-8 the way encoding/json does.
 //
 //nwvet:hotpath
-func (a *JSON) str() error {
+func (a *jsonAdapter) str() error {
 	a.tok = a.tok[:0]
 	for {
 		c, _, err := a.r.ReadRune()
@@ -350,7 +341,7 @@ func (a *JSON) str() error {
 // surrogate escape pairs with an immediately following \uXXXX low
 // surrogate; unpaired, it decodes to U+FFFD and the next escape is left
 // for the following step.
-func (a *JSON) escape() error {
+func (a *jsonAdapter) escape() error {
 	c, err := a.r.ReadByte()
 	if err != nil {
 		return a.eofError(err, "unexpected end of JSON input")
@@ -394,7 +385,7 @@ func (a *JSON) escape() error {
 }
 
 // hex4 reads the four hex digits of a \u escape.
-func (a *JSON) hex4() (rune, error) {
+func (a *jsonAdapter) hex4() (rune, error) {
 	var r rune
 	for i := 0; i < 4; i++ {
 		c, err := a.r.ReadByte()
@@ -425,7 +416,7 @@ func hexRune(p []byte) rune {
 
 // tokenError reports a delimiter or separator in the wrong place, in
 // Decoder.Token's words.
-func (a *JSON) tokenError(c byte) error {
+func (a *jsonAdapter) tokenError(c byte) error {
 	var context string
 	switch a.state {
 	case jsonTop, jsonArrayStart, jsonArrayValue, jsonObjectValue:
@@ -444,7 +435,7 @@ func (a *JSON) tokenError(c byte) error {
 
 // byteError reports an unexpected byte c, encoding/json style; context
 // starts with a space unless it is empty.
-func (a *JSON) byteError(c byte, context string) error {
+func (a *jsonAdapter) byteError(c byte, context string) error {
 	return a.syntaxError("invalid character " + quoteChar(c) + context)
 }
 

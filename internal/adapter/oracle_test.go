@@ -68,32 +68,27 @@ func drainAll(src eventSource) ([]docstream.Event, error) {
 // oracleAlpha is a partial alphabet for the differential: structural labels
 // are in it, most text is not.
 var oracleAlpha = alphabet.New("object", "array", "a", "b", "library", "book", "title", "author",
-	"main", "open", "close", "read", "write", "true", "null", "x", "id=1")
+	"main", "open", "close", "read", "write", "true", "null", "x")
 
-// checkXMLOracle runs the XML differential with and without an alphabet and
-// with attributes folded in.
+// checkXMLOracle runs the XML differential with and without an alphabet.
 func checkXMLOracle(t *testing.T, doc string) {
 	t.Helper()
 	for _, alpha := range []*alphabet.Alphabet{nil, oracleAlpha} {
-		for _, opts := range []XMLOptions{{}, {Attributes: true}} {
-			oracleAgrees(t, doc,
-				NewXMLOptions(strings.NewReader(doc), alpha, opts),
-				newOracleXML(strings.NewReader(doc), alpha, opts))
-		}
+		oracleAgrees(t, doc, newSource("xml", strings.NewReader(doc), alpha), newOracleXML(strings.NewReader(doc), alpha))
 	}
 }
 
 func checkJSONOracle(t *testing.T, doc string) {
 	t.Helper()
 	for _, alpha := range []*alphabet.Alphabet{nil, oracleAlpha} {
-		oracleAgrees(t, doc, NewJSON(strings.NewReader(doc), alpha), newOracleJSON(strings.NewReader(doc), alpha))
+		oracleAgrees(t, doc, newSource("json", strings.NewReader(doc), alpha), newOracleJSON(strings.NewReader(doc), alpha))
 	}
 }
 
 func checkTraceOracle(t *testing.T, doc string) {
 	t.Helper()
 	for _, alpha := range []*alphabet.Alphabet{nil, oracleAlpha} {
-		oracleAgrees(t, doc, NewTrace(strings.NewReader(doc), alpha), newOracleTrace(strings.NewReader(doc), alpha))
+		oracleAgrees(t, doc, newSource("trace", strings.NewReader(doc), alpha), newOracleTrace(strings.NewReader(doc), alpha))
 	}
 }
 
@@ -247,7 +242,7 @@ func FuzzTraceScannerOracle(f *testing.F) {
 // the stdlib accepts <R/>, and continues one exactly when it accepts <aR/>.
 func TestXMLNameTablesMatchStdlib(t *testing.T) {
 	accepts := func(doc string) bool {
-		_, err := drainAll(newOracleXML(strings.NewReader(doc), nil, XMLOptions{}))
+		_, err := drainAll(newOracleXML(strings.NewReader(doc), nil))
 		return err == nil
 	}
 	for r := rune(0x80); r <= unicode.MaxRune; r++ {
@@ -273,8 +268,8 @@ func TestJSONSeparatorErrorsMatchStdlib(t *testing.T) {
 	for _, doc := range []string{`[1 2]`, `{"a" 1}`, `{"a":1 "b":2}`, `[1,]`, `{"a":1,}`, `{,}`, `[,1]`,
 		`:`, `,`, `}`, `{"a"]`, `[1}`, `{1:2}`, `{"a"::1}`, `[1,,2]`} {
 		_, want := drainAll(newOracleJSON(strings.NewReader(doc), nil))
-		_, got := drainAll(NewJSON(strings.NewReader(doc), nil))
-		var se *SyntaxError
+		_, got := drainAll(newSource("json", strings.NewReader(doc), nil))
+		var se *syntaxError
 		if want == nil || !errors.As(got, &se) {
 			t.Fatalf("%q: scanner %v, oracle %v", doc, got, want)
 		}
@@ -286,14 +281,14 @@ func TestJSONSeparatorErrorsMatchStdlib(t *testing.T) {
 
 // TestTraceLineLimit pins the line bound at the oracle's: a line one byte
 // short of maxTraceLine decodes, a line of maxTraceLine bytes is a
-// *SyntaxError where bufio.Scanner said ErrTooLong.
+// *syntaxError where bufio.Scanner said ErrTooLong.
 func TestTraceLineLimit(t *testing.T) {
 	for _, n := range []int{maxTraceLine - 1, maxTraceLine} {
 		for _, tail := range []string{"", "\nenter main\n"} {
 			doc := "enter f\n" + strings.Repeat("x", n) + tail
 			_, oracleErr := drainAll(newOracleTrace(strings.NewReader(doc), nil))
-			_, err := drainAll(NewTrace(strings.NewReader(doc), nil))
-			var se *SyntaxError
+			_, err := drainAll(newSource("trace", strings.NewReader(doc), nil))
+			var se *syntaxError
 			if tooLong := n >= maxTraceLine; tooLong != errors.Is(oracleErr, bufio.ErrTooLong) ||
 				tooLong != errors.As(err, &se) || !tooLong && err != nil {
 				t.Errorf("%d-byte line%q: scanner %v, oracle %v", n, tail, err, oracleErr)

@@ -48,7 +48,7 @@ func (a *oracleTrace) refill() {
 	switch fields[0] {
 	case "enter":
 		if len(fields) >= 2 {
-			label := Sanitize(fields[1])
+			label := sanitizeString(fields[1])
 			a.push(nestedword.Call, label)
 			a.open = append(a.open, label)
 			return
@@ -56,7 +56,7 @@ func (a *oracleTrace) refill() {
 	case "exit":
 		label := "_"
 		if len(fields) >= 2 {
-			label = Sanitize(fields[1])
+			label = sanitizeString(fields[1])
 		} else if len(a.open) > 0 {
 			label = a.open[len(a.open)-1]
 		}

@@ -25,7 +25,14 @@ type oracleQueue struct {
 // push queues one event, sanitizing and interning the label through the
 // shared docstream.NewEvent mapping.
 func (s *oracleQueue) push(kind nestedword.Kind, label string) {
-	s.q = append(s.q, docstream.NewEvent(kind, Sanitize(label), s.alpha))
+	s.q = append(s.q, docstream.NewEvent(kind, sanitizeString(label), s.alpha))
+}
+
+// sanitizeString is sanitize over an arbitrary string, the form the oracles
+// spell their labels in: each invalid UTF-8 byte becomes U+FFFD first, as
+// the tokenizer reads it.
+func sanitizeString(label string) string {
+	return string(sanitize([]byte(string([]rune(label)))))
 }
 
 // next pops the next queued event, refilling the queue until it has one or
@@ -47,15 +54,14 @@ func (s *oracleQueue) next(refill func()) (docstream.Event, error) {
 
 // oracleXML maps encoding/xml tokens onto events: start element → call, end
 // element → return, each whitespace-separated character-data token →
-// internal, attributes optionally folded in as "name=value" internals.
+// internal.  Attributes produce no event.
 type oracleXML struct {
 	oracleQueue
-	dec  *xml.Decoder
-	opts XMLOptions
+	dec *xml.Decoder
 }
 
-func newOracleXML(r io.Reader, alpha *alphabet.Alphabet, opts XMLOptions) *oracleXML {
-	return &oracleXML{oracleQueue: oracleQueue{alpha: alpha}, dec: xml.NewDecoder(r), opts: opts}
+func newOracleXML(r io.Reader, alpha *alphabet.Alphabet) *oracleXML {
+	return &oracleXML{oracleQueue: oracleQueue{alpha: alpha}, dec: xml.NewDecoder(r)}
 }
 
 func (a *oracleXML) Next() (docstream.Event, error) { return a.next(a.refill) }
@@ -71,11 +77,6 @@ func (a *oracleXML) refill() {
 	switch t := tok.(type) {
 	case xml.StartElement:
 		a.push(nestedword.Call, t.Name.Local)
-		if a.opts.Attributes {
-			for _, attr := range t.Attr {
-				a.push(nestedword.Internal, attr.Name.Local+"="+attr.Value)
-			}
-		}
 	case xml.EndElement:
 		a.push(nestedword.Return, t.Name.Local)
 	case xml.CharData:

@@ -8,13 +8,12 @@ import (
 	"io"
 	"unicode/utf8"
 
-	"repro/internal/alphabet"
 	"repro/internal/docstream"
 	"repro/internal/nestedword"
 )
 
-// Trace adapts a line-oriented call/return trace read from r into docstream
-// events.  Per line:
+// traceAdapter adapts a line-oriented call/return trace read from r into
+// docstream events.  Per line:
 //
 //	enter NAME   → a call event labeled NAME
 //	exit NAME    → a return event labeled NAME
@@ -26,8 +25,8 @@ import (
 //
 // Blank lines are skipped; tokens after NAME on enter/exit lines are
 // ignored (timestamps, arguments).  Labels are sanitized like every other
-// adapter's.  A line of 1 MiB or more, newline excluded, is a *SyntaxError.
-type Trace struct {
+// adapter's.  A line of 1 MiB or more, newline excluded, is a *syntaxError.
+type traceAdapter struct {
 	scanner
 	open    []byte // sanitized labels of the open calls, concatenated
 	ends    []int  // ends[i] is where open call i's label ends in open
@@ -48,18 +47,10 @@ const (
 	traceSkip                       // the rest of the line is ignored
 )
 
-// NewTrace returns a trace adapter interning labels against alpha (nil for
-// uninterned events).
-func NewTrace(r io.Reader, alpha *alphabet.Alphabet) *Trace {
-	a := &Trace{scanner: scanner{format: "trace", alpha: alpha}}
-	a.Reset(r)
-	return a
-}
-
 // Reset repoints the adapter at a new trace, clearing the open-call stack
 // and any sticky error while keeping every buffer (the open-call stack only
 // within maxKeptDepth).
-func (a *Trace) Reset(r io.Reader) {
+func (a *traceAdapter) Reset(r io.Reader) {
 	a.reset(r)
 	if cap(a.ends) > maxKeptDepth {
 		a.open, a.ends = nil, nil
@@ -80,7 +71,7 @@ var (
 // error or an over-long line is sticky.
 //
 //nwvet:hotpath
-func (a *Trace) Next() (docstream.Event, error) {
+func (a *traceAdapter) Next() (docstream.Event, error) {
 	if a.err != nil {
 		return docstream.Event{}, a.err
 	}
@@ -100,7 +91,7 @@ func (a *Trace) Next() (docstream.Event, error) {
 // it produced one.
 //
 //nwvet:hotpath
-func (a *Trace) step() (docstream.Event, bool, error) {
+func (a *traceAdapter) step() (docstream.Event, bool, error) {
 	switch a.mode {
 	case traceSkip:
 		a.mode = traceLineStart
@@ -180,7 +171,7 @@ func (a *Trace) step() (docstream.Event, bool, error) {
 // right after it.  io.EOF is not an error here: it ends the last line.
 //
 //nwvet:hotpath
-func (a *Trace) field() (ok, eol bool, err error) {
+func (a *traceAdapter) field() (ok, eol bool, err error) {
 	a.tok = a.tok[:0]
 	for {
 		c, err := a.readRune()
@@ -205,7 +196,7 @@ func (a *Trace) field() (ok, eol bool, err error) {
 }
 
 // skipLine discards the rest of the current line.
-func (a *Trace) skipLine() error {
+func (a *traceAdapter) skipLine() error {
 	for {
 		c, err := a.readRune()
 		if err == io.EOF || err == nil && c == '\n' {
@@ -218,7 +209,7 @@ func (a *Trace) skipLine() error {
 }
 
 // readRune reads one rune, enforcing maxTraceLine.
-func (a *Trace) readRune() (rune, error) {
+func (a *traceAdapter) readRune() (rune, error) {
 	c, size, err := a.r.ReadRune()
 	if err != nil {
 		return 0, err

@@ -10,22 +10,11 @@ import (
 	"unicode"
 	"unicode/utf8"
 
-	"repro/internal/alphabet"
 	"repro/internal/docstream"
 	"repro/internal/nestedword"
 )
 
-// XMLOptions tunes the XML event mapping.
-type XMLOptions struct {
-	// Attributes folds each attribute of a start element into the label
-	// space as one internal event "name=value" (sanitized), emitted
-	// immediately after the element's call event.  Off by default: queries
-	// over element structure usually don't want attribute noise in the
-	// alphabet.
-	Attributes bool
-}
-
-// XML adapts a real XML document read from r into docstream events:
+// xmlAdapter adapts a real XML document read from r into docstream events:
 // start element → call (a self-closing <a/> is a call then a return), end
 // element → return, each whitespace-separated character-data token →
 // internal.  Comments, processing instructions, and directives are skipped.
@@ -40,9 +29,8 @@ type XMLOptions struct {
 // character range, an <?xml?> declaration may only name version 1.0 and
 // UTF-8, and the input may not end inside an element.  A text token ends at
 // any markup, so CDATA sections and comments split tokens.
-type XML struct {
+type xmlAdapter struct {
 	scanner
-	opts  XMLOptions
 	state xmlState
 	names []byte // raw names of the open elements, concatenated
 	ends  []int  // ends[i] is where open element i's name ends in names
@@ -62,23 +50,10 @@ const (
 	xmlEmpty                   // after "/>": the element's return is due
 )
 
-// NewXML returns an XML adapter with default options, interning labels
-// against alpha (nil for uninterned events).
-func NewXML(r io.Reader, alpha *alphabet.Alphabet) *XML {
-	return NewXMLOptions(r, alpha, XMLOptions{})
-}
-
-// NewXMLOptions is NewXML with explicit options.
-func NewXMLOptions(r io.Reader, alpha *alphabet.Alphabet, opts XMLOptions) *XML {
-	a := &XML{scanner: scanner{format: "xml", alpha: alpha}, opts: opts}
-	a.Reset(r)
-	return a
-}
-
 // Reset repoints the adapter at a new document, clearing the element stack
 // and any sticky error while keeping every buffer (the element stack only
 // within maxKeptDepth).
-func (a *XML) Reset(r io.Reader) {
+func (a *xmlAdapter) Reset(r io.Reader) {
 	a.reset(r)
 	a.state = xmlContent
 	if cap(a.ends) > maxKeptDepth {
@@ -89,11 +64,11 @@ func (a *XML) Reset(r io.Reader) {
 }
 
 // Next returns the next event, io.EOF at the end of the document.  Malformed
-// XML surfaces as a *SyntaxError, a failing reader as its own error; like
+// XML surfaces as a *syntaxError, a failing reader as its own error; like
 // the tokenizer, the error is sticky.
 //
 //nwvet:hotpath
-func (a *XML) Next() (docstream.Event, error) {
+func (a *xmlAdapter) Next() (docstream.Event, error) {
 	if a.err != nil {
 		return docstream.Event{}, a.err
 	}
@@ -112,7 +87,7 @@ func (a *XML) Next() (docstream.Event, error) {
 // step consumes one construct, reporting an event when it produced one.
 //
 //nwvet:hotpath
-func (a *XML) step() (docstream.Event, bool, error) {
+func (a *xmlAdapter) step() (docstream.Event, bool, error) {
 	switch a.state {
 	case xmlText, xmlCDATA:
 		return a.text()
@@ -159,7 +134,7 @@ func (a *XML) step() (docstream.Event, bool, error) {
 // whitespace-separated token, which it emits, or to its end.
 //
 //nwvet:hotpath
-func (a *XML) text() (docstream.Event, bool, error) {
+func (a *xmlAdapter) text() (docstream.Event, bool, error) {
 	a.tok = a.tok[:0]
 	for {
 		c, size, err := a.r.ReadRune()
@@ -217,18 +192,18 @@ func (a *XML) text() (docstream.Event, bool, error) {
 }
 
 // flush emits the text token pending in tok, if any.
-func (a *XML) flush() (docstream.Event, bool, error) {
+func (a *xmlAdapter) flush() (docstream.Event, bool, error) {
 	if len(a.tok) == 0 {
 		return docstream.Event{}, false, nil
 	}
 	return a.emit(nestedword.Internal, a.tok), true, nil
 }
 
-// attr scans the next attribute of the open start tag, emitting it as a
-// "name=value" internal when Attributes is on, or the end of the tag.
+// attr scans the next attribute of the open start tag, or the end of the
+// tag.  Attributes are parsed and validated but emit no event.
 //
 //nwvet:hotpath
-func (a *XML) attr() (docstream.Event, bool, error) {
+func (a *xmlAdapter) attr() (docstream.Event, bool, error) {
 	b, err := a.nextNonSpace()
 	if err != nil {
 		return docstream.Event{}, false, err
@@ -251,7 +226,6 @@ func (a *XML) attr() (docstream.Event, bool, error) {
 	if err := a.nsName("expected attribute name in element"); err != nil {
 		return docstream.Event{}, false, err
 	}
-	a.tok = append(a.tok[:0], localName(a.tok)...)
 	if b, err = a.nextNonSpace(); err != nil {
 		return docstream.Event{}, false, err
 	}
@@ -264,23 +238,15 @@ func (a *XML) attr() (docstream.Event, bool, error) {
 	if b != '"' && b != '\'' {
 		return docstream.Event{}, false, a.syntaxError("unquoted or missing attribute value in element")
 	}
-	a.tok = append(a.tok, '=')
-	if err := a.attrValue(rune(b)); err != nil {
-		return docstream.Event{}, false, err
-	}
-	if !a.opts.Attributes {
-		return docstream.Event{}, false, nil
-	}
-	return a.emit(nestedword.Internal, a.tok), true, nil
+	return docstream.Event{}, false, a.attrValue(rune(b))
 }
 
-// attrValue decodes an attribute value up to its closing quote onto tok:
-// references expanded, "\r\n" and a lone "\r" normalized to "\n", and
-// every rune checked against the XML character range.
+// attrValue scans an attribute value up to its closing quote, checking
+// every reference and every rune against the XML character range.  The
+// value itself is dropped: attributes emit no event.
 //
 //nwvet:hotpath
-func (a *XML) attrValue(quote rune) error {
-	var last rune
+func (a *xmlAdapter) attrValue(quote rune) error {
 	for {
 		c, size, err := a.r.ReadRune()
 		if err != nil {
@@ -298,19 +264,9 @@ func (a *XML) attrValue(quote rune) error {
 			if !xmlChar(c, 0) {
 				return a.charError(c, 0)
 			}
-			a.tok = utf8.AppendRune(a.tok, c)
-			last = 0
-			continue
-		case c == '\r':
-			a.tok = append(a.tok, '\n')
-		case c == '\n' && last == '\r':
-		default:
-			if !xmlChar(c, size) {
-				return a.charError(c, size)
-			}
-			a.tok = utf8.AppendRune(a.tok, c)
+		case !xmlChar(c, size):
+			return a.charError(c, size)
 		}
-		last = c
 	}
 }
 
@@ -318,7 +274,7 @@ func (a *XML) attrValue(quote rune) error {
 // innermost open element, and emits the return.
 //
 //nwvet:hotpath
-func (a *XML) endTag() (docstream.Event, bool, error) {
+func (a *xmlAdapter) endTag() (docstream.Event, bool, error) {
 	if err := a.nsName("expected element name after </"); err != nil {
 		return docstream.Event{}, false, err
 	}
@@ -347,7 +303,7 @@ func (a *XML) endTag() (docstream.Event, bool, error) {
 
 // popElement closes the innermost open element (a self-closing one) and
 // returns its return event.
-func (a *XML) popElement() docstream.Event {
+func (a *xmlAdapter) popElement() docstream.Event {
 	n := len(a.ends)
 	start := 0
 	if n > 1 {
@@ -361,7 +317,7 @@ func (a *XML) popElement() docstream.Event {
 
 // nextNonSpace skips XML whitespace inside a tag and returns the byte after
 // it; the input may not end there.
-func (a *XML) nextNonSpace() (byte, error) {
+func (a *xmlAdapter) nextNonSpace() (byte, error) {
 	for {
 		b, err := a.r.ReadByte()
 		if err != nil {
@@ -376,7 +332,7 @@ func (a *XML) nextNonSpace() (byte, error) {
 // readName reads an XML name into tok: the longest run of ASCII name bytes
 // and non-ASCII bytes, which must then spell a valid name.  ok is false,
 // with nothing consumed, when no name byte comes first.
-func (a *XML) readName() (ok bool, err error) {
+func (a *xmlAdapter) readName() (ok bool, err error) {
 	a.tok = a.tok[:0]
 	for {
 		b, err := a.r.ReadByte()
@@ -400,7 +356,7 @@ func (a *XML) readName() (ok bool, err error) {
 
 // nsName reads an element or attribute name into tok, which may hold at
 // most one colon; msg is the error when there is no such name.
-func (a *XML) nsName(msg string) error {
+func (a *xmlAdapter) nsName(msg string) error {
 	ok, err := a.readName()
 	if err != nil {
 		return err
@@ -426,7 +382,7 @@ func localName(name []byte) []byte {
 // predefined entities or a decimal (&#N;) or hexadecimal (&#xH;) character
 // reference.  Anything else is an error, as in strict encoding/xml; a
 // reference to a surrogate decodes to U+FFFD.
-func (a *XML) entity() (rune, error) {
+func (a *xmlAdapter) entity() (rune, error) {
 	b, err := a.r.ReadByte()
 	if err != nil {
 		return 0, a.eofError(err, "unexpected EOF")
@@ -503,7 +459,7 @@ func digitValue(b byte, base rune) rune {
 }
 
 // bang skips a comment or directive, or enters a CDATA section, after "<!".
-func (a *XML) bang() error {
+func (a *xmlAdapter) bang() error {
 	b, err := a.r.ReadByte()
 	if err != nil {
 		return a.eofError(err, "unexpected EOF")
@@ -548,7 +504,7 @@ func (a *XML) bang() error {
 // "<!" has been read.  It ends at the first '>' outside quotes that closes
 // every '<' opened inside it; nested comments are skipped whole.  The byte
 // bookkeeping follows encoding/xml's exactly, first-byte quirk included.
-func (a *XML) directive() error {
+func (a *xmlAdapter) directive() error {
 	var inquote byte
 	depth := 0
 	for {
@@ -595,7 +551,7 @@ func (a *XML) directive() error {
 // procInst skips a processing instruction after "<?", checking an <?xml?>
 // declaration's version and encoding the way encoding/xml does when no
 // CharsetReader is set.
-func (a *XML) procInst() error {
+func (a *xmlAdapter) procInst() error {
 	ok, err := a.readName()
 	if err != nil {
 		return err
@@ -674,7 +630,7 @@ func xmlChar(c rune, size int) bool {
 }
 
 // charError reports the rune xmlChar rejected.
-func (a *XML) charError(c rune, size int) error {
+func (a *xmlAdapter) charError(c rune, size int) error {
 	if c == utf8.RuneError && size == 1 {
 		return a.syntaxError("invalid UTF-8")
 	}
@@ -682,12 +638,12 @@ func (a *XML) charError(c rune, size int) error {
 }
 
 // tagError reports a problem with the end tag whose name is in tok.
-func (a *XML) tagError(before, after string) error {
+func (a *xmlAdapter) tagError(before, after string) error {
 	return a.syntaxError(before + string(a.tok) + after)
 }
 
 // mismatchError reports an end tag (in tok) that does not close open.
-func (a *XML) mismatchError(open []byte) error {
+func (a *xmlAdapter) mismatchError(open []byte) error {
 	return a.syntaxError(fmt.Sprintf("element <%s> closed by </%s>", open, a.tok))
 }
 

@@ -91,9 +91,9 @@ func (c *Cache) Put(data []byte) (string, [format.HashSize]byte, error) {
 	return path, sum, nil
 }
 
-// PutSignature stores a detached signature envelope next to an existing
+// putSignature stores a detached signature envelope next to an existing
 // entry, after checking it actually verifies that entry's hash under pub.
-func (c *Cache) PutSignature(sum [format.HashSize]byte, pub, envelope []byte) error {
+func (c *Cache) putSignature(sum [format.HashSize]byte, pub, envelope []byte) error {
 	if err := format.VerifyHash(pub, envelope, sum); err != nil {
 		return fmt.Errorf("bundlecache: refusing to store signature: %w", err)
 	}
@@ -125,10 +125,10 @@ func (c *Cache) Get(sum [format.HashSize]byte) (string, error) {
 	return path, nil
 }
 
-// Latest returns the hash recorded by the most recent Put, or ok=false
+// latest returns the hash recorded by the most recent Put, or ok=false
 // when the cache has never stored anything (or the state file is
 // damaged — a warm boot then just falls through to a cold fetch).
-func (c *Cache) Latest() (sum [format.HashSize]byte, ok bool) {
+func (c *Cache) latest() (sum [format.HashSize]byte, ok bool) {
 	b, err := os.ReadFile(c.latestPath())
 	if err != nil {
 		return sum, false
@@ -242,7 +242,7 @@ func (s *Source) fetch() (string, error) {
 	}
 	var cached string
 	var cacheErr error // why the warm cache is unusable, for diagnosis
-	if latest, ok := s.cache.Latest(); ok {
+	if latest, ok := s.cache.latest(); ok {
 		// Only offer an ETag we can actually serve from: a damaged entry
 		// must not produce a 304 pointing at bytes we cannot verify.
 		if path, err := s.cache.Get(latest); err == nil {
@@ -313,7 +313,7 @@ func (s *Source) fetch() (string, error) {
 		return "", err
 	}
 	if sig != nil {
-		if err := s.cache.PutSignature(sum, s.opts.PublicKey, sig); err != nil {
+		if err := s.cache.putSignature(sum, s.opts.PublicKey, sig); err != nil {
 			return "", err
 		}
 	}

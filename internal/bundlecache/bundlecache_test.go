@@ -46,7 +46,7 @@ func TestPutGetLatest(t *testing.T) {
 	if err != nil || string(onDisk) != string(data) {
 		t.Fatalf("entry bytes differ from what was Put")
 	}
-	if latest, ok := c.Latest(); !ok || latest != sum {
+	if latest, ok := c.latest(); !ok || latest != sum {
 		t.Fatalf("Latest = %x, %v; want %x", latest, ok, sum)
 	}
 
@@ -56,7 +56,7 @@ func TestPutGetLatest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if latest, _ := c.Latest(); latest != sum2 {
+	if latest, _ := c.latest(); latest != sum2 {
 		t.Fatal("Put did not advance latest")
 	}
 	if _, err := c.Get(sum); err != nil {
@@ -68,7 +68,7 @@ func TestPutGetLatest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if latest, ok := c2.Latest(); !ok || latest != sum2 {
+	if latest, ok := c2.latest(); !ok || latest != sum2 {
 		t.Fatal("warm re-open lost the latest entry")
 	}
 	if _, err := c2.Get(sum2); err != nil {
@@ -144,8 +144,8 @@ func TestPutSignature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PutSignature(sum, pubFile, sig); err != nil {
-		t.Fatalf("PutSignature: %v", err)
+	if err := c.putSignature(sum, pubFile, sig); err != nil {
+		t.Fatalf("putSignature: %v", err)
 	}
 	if _, err := os.Stat(path + ".sig"); err != nil {
 		t.Fatalf("signature sibling not written: %v", err)
@@ -155,13 +155,13 @@ func TestPutSignature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PutSignature(sum, otherPub, sig); !errors.Is(err, format.ErrBadSignature) {
-		t.Fatalf("PutSignature under the wrong key = %v, want ErrBadSignature", err)
+	if err := c.putSignature(sum, otherPub, sig); !errors.Is(err, format.ErrBadSignature) {
+		t.Fatalf("putSignature under the wrong key = %v, want ErrBadSignature", err)
 	}
 	mut := append([]byte(nil), sig...)
 	mut[len(mut)-1] ^= 1
-	if err := c.PutSignature(sum, pubFile, mut); err == nil {
-		t.Fatal("PutSignature accepted a corrupted envelope")
+	if err := c.putSignature(sum, pubFile, mut); err == nil {
+		t.Fatal("putSignature accepted a corrupted envelope")
 	}
 }
 

@@ -130,19 +130,13 @@ type Tokenizer struct {
 	alpha *alphabet.Alphabet
 }
 
-// NewTokenizer returns a tokenizer reading from r.  Its events are not
-// interned (Event.Sym stays 0); use NewInterningTokenizer when the query
-// alphabet is known up front.
-func NewTokenizer(r io.Reader) *Tokenizer {
-	return &Tokenizer{r: bufio.NewReader(r)}
-}
-
-// NewInterningTokenizer returns a tokenizer that additionally resolves every
-// event's label against alpha at tokenize time, setting Event.Sym to the
-// compiled symbol ID (labels outside alpha get the dedicated out-of-alphabet
-// ID and an empty Label).  This pushes symbol interning to the edge of the pipeline: downstream
-// compiled runners index their transition tables directly and never look a
-// string up again.
+// NewInterningTokenizer returns a tokenizer reading from r that resolves
+// every event's label against alpha at tokenize time, setting Event.Sym to
+// the compiled symbol ID (labels outside alpha get the dedicated
+// out-of-alphabet ID and an empty Label).  This pushes symbol interning to
+// the edge of the pipeline: downstream compiled runners index their
+// transition tables directly and never look a string up again.  With a nil
+// alpha the events are not interned (Event.Sym stays 0).
 func NewInterningTokenizer(r io.Reader, alpha *alphabet.Alphabet) *Tokenizer {
 	return &Tokenizer{r: bufio.NewReader(r), alpha: alpha}
 }
@@ -263,8 +257,10 @@ func (t *Tokenizer) readTag() (Event, error) {
 // Tokenize parses a whole document into its event slice.  It is a thin
 // wrapper over the incremental Tokenizer for callers that already hold the
 // document in memory.
+//
+//nwvet:oracle TestTokenizeAndParse, TestNativeFormat and TestDrain hold the streaming decoders to it
 func Tokenize(doc string) ([]Event, error) {
-	tk := NewTokenizer(strings.NewReader(doc))
+	tk := NewInterningTokenizer(strings.NewReader(doc), nil)
 	var events []Event
 	for {
 		e, err := tk.Next()
@@ -394,13 +390,6 @@ func (r *StreamingRunner) Feed(e Event) {
 			r.stack = r.stack[:len(r.stack)-1]
 		}
 		r.state = r.automaton.StepReturn(r.state, hier, e.Label)
-	}
-}
-
-// FeedAll consumes a whole event stream.
-func (r *StreamingRunner) FeedAll(events []Event) {
-	for _, e := range events {
-		r.Feed(e)
 	}
 }
 

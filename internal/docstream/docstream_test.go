@@ -90,7 +90,9 @@ func TestStreamingRunnerMatchesBatch(t *testing.T) {
 	q := query.WellFormed(alpha)
 	events, _ := docstream.Tokenize(sampleDoc)
 	r := docstream.NewStreamingRunner(q)
-	r.FeedAll(events)
+	for _, e := range events {
+		r.Feed(e)
+	}
 	if r.Accepting() != q.Accepts(n) {
 		t.Errorf("streaming and batch evaluation disagree")
 	}
@@ -158,7 +160,7 @@ func TestIncrementalTokenizerMatchesTokenize(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Tokenize: %v", err)
 	}
-	tk := docstream.NewTokenizer(iotest.OneByteReader(strings.NewReader(doc)))
+	tk := docstream.NewInterningTokenizer(iotest.OneByteReader(strings.NewReader(doc)), nil)
 	var got []docstream.Event
 	for {
 		e, err := tk.Next()

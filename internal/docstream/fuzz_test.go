@@ -27,7 +27,7 @@ func FuzzTokenizer(f *testing.F) {
 		if len(doc) > 1<<16 {
 			doc = doc[:1<<16]
 		}
-		plain := NewTokenizer(strings.NewReader(doc))
+		plain := NewInterningTokenizer(strings.NewReader(doc), nil)
 		interning := NewInterningTokenizer(strings.NewReader(doc), alpha)
 		for {
 			pe, perr := plain.Next()

@@ -10,11 +10,9 @@ import (
 )
 
 // TestSessionStepLoopZeroAlloc pins the claim the //nwvet:hotpath annotation
-// on Session.Feed makes: once a session's runners and batch buffer have
+// on Session.Run makes: once a session's runners and batch buffer have
 // grown to the working depth, streaming a document of pre-interned events
-// through compiled DNWA runners allocates nothing.  Result() is deliberately
-// not called inside the measurement — it returns a fresh verdict slice by
-// contract.
+// through compiled DNWA runners into a reused Result allocates nothing.
 func TestSessionStepLoopZeroAlloc(t *testing.T) {
 	alpha := alphabet.New("a", "b")
 	e := New()
@@ -44,12 +42,14 @@ func TestSessionStepLoopZeroAlloc(t *testing.T) {
 
 	s := e.Acquire()
 	defer e.Release(s)
+	src := &sliceSource{events: events}
+	var res Result
 	run := func() {
 		s.Reset()
-		for _, ev := range events {
-			s.Feed(ev)
+		src.pos = 0
+		if err := s.Run(src, &res); err != nil {
+			t.Fatal(err)
 		}
-		s.flush()
 	}
 	run() // grow runner stacks and the batch buffer to the working depth
 	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {

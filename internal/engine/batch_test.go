@@ -18,8 +18,8 @@ import (
 
 // TestBatchBoundaries pins the flush logic at the production batch size:
 // documents one event short of a batch, exactly one batch, one event over,
-// and several batches plus a tail must get the same verdicts from Run, from
-// Feed+Result, and from each query's own runner (query.RunWord) — for a
+// and several batches plus a tail must get the same verdicts from Run and
+// from each query's own runner (query.RunWord) — for a
 // bundle of solo runners and for its planned form with product runners.
 // Each document is fed three ways: as uninterned events, as events the
 // interning tokenizer pre-interned, and as a mix of the two within every
@@ -74,20 +74,14 @@ func TestBatchBoundaries(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s, %d-event %s, %s: Run: %v", kind, size, shape, input, err)
 					}
-					s := eng.Acquire()
-					for _, e := range events {
-						s.Feed(e)
-					}
-					fed := s.Result()
-					eng.Release(s)
-					if run.Events != size || fed.Events != size || run.MaxDepth != depth || fed.MaxDepth != depth {
-						t.Fatalf("%s, %d-event %s, %s: Run %d events depth %d, Feed %d events depth %d, want depth %d",
-							kind, size, shape, input, run.Events, run.MaxDepth, fed.Events, fed.MaxDepth, depth)
+					if run.Events != size || run.MaxDepth != depth {
+						t.Fatalf("%s, %d-event %s, %s: Run %d events depth %d, want depth %d",
+							kind, size, shape, input, run.Events, run.MaxDepth, depth)
 					}
 					for i, name := range eng.Names() {
-						if run.Verdicts[i] != want[i] || fed.Verdicts[i] != want[i] {
-							t.Fatalf("%s, %d-event %s, %s, query %q: Run %v, Feed %v, RunWord %v",
-								kind, size, shape, input, name, run.Verdicts[i], fed.Verdicts[i], want[i])
+						if run.Verdicts[i] != want[i] {
+							t.Fatalf("%s, %d-event %s, %s, query %q: Run %v, RunWord %v",
+								kind, size, shape, input, name, run.Verdicts[i], want[i])
 						}
 					}
 				}

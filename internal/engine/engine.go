@@ -267,24 +267,6 @@ func (s *Session) Reset() {
 	s.events, s.depth, s.max = 0, 0, 0
 }
 
-// Feed buffers one event, fanning the batch out to the runners once it
-// fills.  ResultInto flushes any buffered tail, so intermediate results
-// see every event fed so far.
-//
-// Uninterned events (Sym == 0) are interned against the engine's shared
-// alphabet as they are buffered.  Pre-interned events are trusted as-is:
-// they must have been interned against Engine.Alphabet() (an interning
-// tokenizer bound to any other alphabet yields in-range but wrong symbol
-// IDs, and silently wrong verdicts).
-//
-//nwvet:hotpath
-func (s *Session) Feed(e docstream.Event) {
-	s.batch = append(s.batch, packEvent(e.Kind, s.engine.symID(&e)))
-	if len(s.batch) >= cap(s.batch) {
-		s.flush()
-	}
-}
-
 // feedRunner replays the packed batch into one product runner.
 //
 //nwvet:hotpath
@@ -330,39 +312,22 @@ func (s *Session) flush() {
 	s.batch = s.batch[:0]
 }
 
-// ResultInto writes the verdicts for the events consumed so far, viewed as
-// a complete nested word, into dst.  It reuses dst.Verdicts' storage when
-// it has room for every registered query, so a caller that keeps one
-// Result per document slot — a serve.Future, say — reads verdicts without
-// allocating.
-//
-//nwvet:hotpath
-func (s *Session) ResultInto(dst *Result) {
-	s.flush()
-	e := s.engine
-	dst.Verdicts = slices.Grow(dst.Verdicts[:0], len(e.names))[:len(e.names)]
-	dst.Events, dst.MaxDepth = s.events, s.max
-	for gi, r := range s.prods {
-		for j, idx := range e.groups[gi].indices {
-			dst.Verdicts[idx] = r.Verdict(j)
-		}
-	}
-}
-
-// Result snapshots the verdicts for the events consumed so far into a
-// fresh Result (ResultInto for a caller that keeps it).
-func (s *Session) Result() *Result {
-	res := new(Result)
-	s.ResultInto(res)
-	return res
-}
-
 // Run streams the whole source through this session and writes the
-// verdicts into dst (see ResultInto): every registered query is evaluated
-// in the same single pass, and the event stream is never stored.  The
-// session must be at the start of a document (fresh from Acquire, or Reset
-// by its owner); on error the session is left mid-stream and must be Reset
-// before reuse, and dst is left as it was.
+// verdicts into dst: every registered query is evaluated in the same single
+// pass, and the event stream is never stored.  Run reuses dst.Verdicts'
+// storage when it has room for every registered query, so a caller that
+// keeps one Result per document slot — a serve.Future, say — reads verdicts
+// without allocating.
+//
+// Uninterned events (Sym == 0) are interned against the engine's shared
+// alphabet as they are buffered.  Pre-interned events are trusted as-is:
+// they must have been interned against Engine.Alphabet() (an interning
+// tokenizer bound to any other alphabet yields in-range but wrong symbol
+// IDs, and silently wrong verdicts).
+//
+// The session must be at the start of a document (fresh from Acquire, or
+// Reset by its owner); on error the session is left mid-stream and must be
+// Reset before reuse, and dst is left as it was.
 //
 //nwvet:hotpath
 func (s *Session) Run(src EventSource, dst *Result) error {
@@ -380,7 +345,14 @@ func (s *Session) Run(src EventSource, dst *Result) error {
 			s.flush()
 		}
 	}
-	s.ResultInto(dst)
+	s.flush()
+	dst.Verdicts = slices.Grow(dst.Verdicts[:0], len(e.names))[:len(e.names)]
+	dst.Events, dst.MaxDepth = s.events, s.max
+	for gi, r := range s.prods {
+		for j, idx := range e.groups[gi].indices {
+			dst.Verdicts[idx] = r.Verdict(j)
+		}
+	}
 	return nil
 }
 

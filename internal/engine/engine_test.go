@@ -300,26 +300,25 @@ func TestCompiledSessionAllocationFree(t *testing.T) {
 	}
 	s := eng.Acquire()
 	defer eng.Release(s)
-	feed := func() {
-		for _, e := range events {
-			s.Feed(e)
-		}
-		if s.Result() == nil {
-			t.Fatal("nil result")
+	var res engine.Result
+	run := func() {
+		s.Reset()
+		if err := s.Run(engine.Events(events), &res); err != nil {
+			t.Fatal(err)
 		}
 	}
-	feed() // warm-up: grows the runner stacks and the batch buffer
-	allocs := testing.AllocsPerRun(5, feed)
-	// Result() allocates its snapshot (a Result and a Verdicts slice); the
-	// per-event path must contribute nothing on top of that.
-	if allocs > 4 {
-		t.Fatalf("warm compiled session allocates %v objects per %d-event pass, want ≤ 4", allocs, len(events))
+	run() // warm-up: grows the runner stacks and the batch buffer
+	allocs := testing.AllocsPerRun(5, run)
+	// Events allocates its slice source; the per-event path must contribute
+	// nothing on top of that.
+	if allocs > 1 {
+		t.Fatalf("warm compiled session allocates %v objects per %d-event pass, want ≤ 1", allocs, len(events))
 	}
 }
 
-// TestSessionFeed exercises the manual session API: events fed one at a
-// time, uninterned, with Result flushing the buffered tail.
-func TestSessionFeed(t *testing.T) {
+// TestSessionRun exercises the session API: uninterned events run through
+// an acquired session into a caller-owned Result.
+func TestSessionRun(t *testing.T) {
 	alpha := alphabet.New("a", "b", "c")
 	names, queries := testQueries(alpha)
 	eng := engine.New()
@@ -327,10 +326,10 @@ func TestSessionFeed(t *testing.T) {
 	n := generator.RandomDocument(rand.New(rand.NewSource(3)), 120, 6, []string{"a", "b", "c"})
 	s := eng.Acquire()
 	defer eng.Release(s)
-	for i := 0; i < n.Len(); i++ {
-		s.Feed(docstream.Event{Kind: n.KindAt(i), Label: n.SymbolAt(i)})
+	var res engine.Result
+	if err := s.Run(engine.Word(n), &res); err != nil {
+		t.Fatal(err)
 	}
-	res := s.Result()
 	for i, q := range queries {
 		if res.Verdicts[i] != q.Accepts(n) {
 			t.Fatalf("session verdict for %s diverges from Accepts", names[i])

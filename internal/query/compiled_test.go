@@ -65,7 +65,7 @@ func TestCompiledDNWADifferential(t *testing.T) {
 	}
 	for qi, d := range queries {
 		c := Compile(d)
-		copied, err := UnmarshalCompiled(c.Marshal())
+		copied, err := DecodeQuery(c.Marshal(), false)
 		if err != nil {
 			t.Fatal(err)
 		}

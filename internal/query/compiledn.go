@@ -38,6 +38,8 @@ type CompiledN struct {
 
 // CompileN flattens a nondeterministic NWA into its compiled form.  Like
 // Compile, the result is immutable and safe for concurrent use.
+//
+//nwvet:oracle TestNNWAQueriesInEngine and TestPoolServesNNWAQuery run the NNWA side of the differential through it
 func CompileN(n *nwa.NNWA) *CompiledN {
 	alpha := n.Alphabet()
 	num := n.NumStates()

@@ -15,14 +15,14 @@ import (
 	"repro/internal/query"
 )
 
-// Compile compiles a parsed expression against the document alphabet into
+// compile compiles a parsed expression against the document alphabet into
 // the same compiled form every other deterministic query source produces, a
 // *query.Compiled, so the result registers with the engine, product-compiles
 // in the planner and serializes into NWQ1 bundles unchanged.  Every label
 // the expression mentions must be in alpha: compiled symbol IDs only exist
 // for alphabet members, and a silently-absent label would make the query
 // trivially false.
-func Compile(e Expr, alpha *alphabet.Alphabet) (*query.Compiled, error) {
+func compile(e Expr, alpha *alphabet.Alphabet) (*query.Compiled, error) {
 	var missing []string
 	for _, l := range Labels(e) {
 		if _, ok := alpha.Index(l); !ok {
@@ -42,7 +42,7 @@ func Compile(e Expr, alpha *alphabet.Alphabet) (*query.Compiled, error) {
 // answer identically for the same -dsl string.
 func Queries(alpha *alphabet.Alphabet, exprs []Expr) (names []string, queries []*query.Compiled, err error) {
 	for _, e := range exprs {
-		q, err := Compile(e, alpha)
+		q, err := compile(e, alpha)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -53,31 +53,31 @@ func Queries(alpha *alphabet.Alphabet, exprs []Expr) (names []string, queries []
 }
 
 // lower builds the deterministic automaton for an expression.  Labels have
-// been validated against alpha by Compile.
+// been validated against alpha by compile.
 func lower(e Expr, alpha *alphabet.Alphabet) *nwa.DNWA {
 	switch e := e.(type) {
-	case WellFormed:
+	case wellFormedExpr:
 		return query.WellFormed(alpha)
-	case Contains:
+	case containsExpr:
 		return query.ContainsLabel(alpha, e.Label)
-	case Order:
+	case orderExpr:
 		return query.LinearOrder(alpha, e.Labels...)
-	case Path:
+	case pathExpr:
 		return query.PathQuery(alpha, e.Labels...)
-	case NoAfter:
+	case noAfterExpr:
 		// "no x after y" = there is no y ... x subsequence.
 		return query.Not(query.LinearOrder(alpha, e.Trigger, e.Forbidden))
-	case Within:
+	case withinExpr:
 		if e.Order != nil {
 			return withinDNWA(alpha, e.Scope, e.Order)
 		}
 		// "within s: no x after y" = no s-scope contains y ... x.
 		return query.Not(withinDNWA(alpha, e.Scope, []string{e.Trigger, e.Forbidden}))
-	case And:
+	case andExpr:
 		return query.And(lower(e.L, alpha), lower(e.R, alpha))
-	case Or:
+	case orExpr:
 		return query.Or(lower(e.L, alpha), lower(e.R, alpha))
-	case Not:
+	case notExpr:
 		return query.Not(lower(e.X, alpha))
 	}
 	panic(fmt.Sprintf("dsl: unknown expression type %T", e))

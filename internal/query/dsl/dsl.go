@@ -67,56 +67,56 @@ type Expr interface {
 	addLabels(seen map[string]bool, out *[]string)
 }
 
-// WellFormed is the atom "well-formed".
-type WellFormed struct{}
+// wellFormedExpr is the atom "well-formed".
+type wellFormedExpr struct{}
 
-// Contains is "contains Label".
-type Contains struct{ Label string }
+// containsExpr is "contains Label".
+type containsExpr struct{ Label string }
 
-// Order is "l1 before l2 before ... before lk" (k >= 2).
-type Order struct{ Labels []string }
+// orderExpr is "l1 before l2 before ... before lk" (k >= 2).
+type orderExpr struct{ Labels []string }
 
-// Path is "//l1//l2//...//lk".
-type Path struct{ Labels []string }
+// pathExpr is "//l1//l2//...//lk".
+type pathExpr struct{ Labels []string }
 
-// NoAfter is "no Forbidden after Trigger".
-type NoAfter struct{ Forbidden, Trigger string }
+// noAfterExpr is "no Forbidden after Trigger".
+type noAfterExpr struct{ Forbidden, Trigger string }
 
-// Within is "within Scope: <pred>" — exactly one of Order (the order
+// withinExpr is "within Scope: <pred>" — exactly one of Order (the order
 // predicate's labels, len >= 1) or the NoAfter pair is set.
-type Within struct {
+type withinExpr struct {
 	Scope     string
 	Order     []string // order predicate, nil for the no-after form
 	Forbidden string   // no-after predicate ...
 	Trigger   string   // ... "no Forbidden after Trigger"
 }
 
-// And is the conjunction "L and R".
-type And struct{ L, R Expr }
+// andExpr is the conjunction "L and R".
+type andExpr struct{ L, R Expr }
 
-// Or is the disjunction "L or R".
-type Or struct{ L, R Expr }
+// orExpr is the disjunction "L or R".
+type orExpr struct{ L, R Expr }
 
-// Not is the negation "not X".
-type Not struct{ X Expr }
-
-// String returns the canonical spelling of the atom.
-func (WellFormed) String() string { return "well-formed" }
+// notExpr is the negation "not X".
+type notExpr struct{ X Expr }
 
 // String returns the canonical spelling of the atom.
-func (e Contains) String() string { return "contains " + e.Label }
+func (wellFormedExpr) String() string { return "well-formed" }
 
 // String returns the canonical spelling of the atom.
-func (e Order) String() string { return strings.Join(e.Labels, " before ") }
+func (e containsExpr) String() string { return "contains " + e.Label }
 
 // String returns the canonical spelling of the atom.
-func (e Path) String() string { return "//" + strings.Join(e.Labels, "//") }
+func (e orderExpr) String() string { return strings.Join(e.Labels, " before ") }
 
 // String returns the canonical spelling of the atom.
-func (e NoAfter) String() string { return "no " + e.Forbidden + " after " + e.Trigger }
+func (e pathExpr) String() string { return "//" + strings.Join(e.Labels, "//") }
 
 // String returns the canonical spelling of the atom.
-func (e Within) String() string {
+func (e noAfterExpr) String() string { return "no " + e.Forbidden + " after " + e.Trigger }
+
+// String returns the canonical spelling of the atom.
+func (e withinExpr) String() string {
 	if e.Order != nil {
 		return "within " + e.Scope + ": " + strings.Join(e.Order, " before ")
 	}
@@ -132,25 +132,25 @@ func paren(e Expr, loose func(Expr) bool) string {
 	return e.String()
 }
 
-func isOr(e Expr) bool  { return isKind[Or](e) }
-func isAnd(e Expr) bool { return isKind[And](e) }
+func isOr(e Expr) bool  { return isKind[orExpr](e) }
+func isAnd(e Expr) bool { return isKind[andExpr](e) }
 
 func isKind[T any](e Expr) bool { _, ok := e.(T); return ok }
 
 // String parenthesizes operands that bind looser than "and".
-func (e And) String() string {
+func (e andExpr) String() string {
 	return paren(e.L, isOr) + " and " + paren(e.R, isOr)
 }
 
 // String never parenthesizes: "or" is the loosest operator.
-func (e Or) String() string { return e.L.String() + " or " + e.R.String() }
+func (e orExpr) String() string { return e.L.String() + " or " + e.R.String() }
 
 // String parenthesizes any compound operand: "not" binds tightest.
-func (e Not) String() string {
+func (e notExpr) String() string {
 	return "not " + paren(e.X, func(x Expr) bool { return isOr(x) || isAnd(x) })
 }
 
-func (WellFormed) addLabels(map[string]bool, *[]string) {}
+func (wellFormedExpr) addLabels(map[string]bool, *[]string) {}
 
 func addLabel(l string, seen map[string]bool, out *[]string) {
 	if !seen[l] {
@@ -159,26 +159,26 @@ func addLabel(l string, seen map[string]bool, out *[]string) {
 	}
 }
 
-func (e Contains) addLabels(seen map[string]bool, out *[]string) { addLabel(e.Label, seen, out) }
+func (e containsExpr) addLabels(seen map[string]bool, out *[]string) { addLabel(e.Label, seen, out) }
 
-func (e Order) addLabels(seen map[string]bool, out *[]string) {
+func (e orderExpr) addLabels(seen map[string]bool, out *[]string) {
 	for _, l := range e.Labels {
 		addLabel(l, seen, out)
 	}
 }
 
-func (e Path) addLabels(seen map[string]bool, out *[]string) {
+func (e pathExpr) addLabels(seen map[string]bool, out *[]string) {
 	for _, l := range e.Labels {
 		addLabel(l, seen, out)
 	}
 }
 
-func (e NoAfter) addLabels(seen map[string]bool, out *[]string) {
+func (e noAfterExpr) addLabels(seen map[string]bool, out *[]string) {
 	addLabel(e.Trigger, seen, out)
 	addLabel(e.Forbidden, seen, out)
 }
 
-func (e Within) addLabels(seen map[string]bool, out *[]string) {
+func (e withinExpr) addLabels(seen map[string]bool, out *[]string) {
 	addLabel(e.Scope, seen, out)
 	for _, l := range e.Order {
 		addLabel(l, seen, out)
@@ -189,22 +189,22 @@ func (e Within) addLabels(seen map[string]bool, out *[]string) {
 	}
 }
 
-func (e And) addLabels(seen map[string]bool, out *[]string) {
+func (e andExpr) addLabels(seen map[string]bool, out *[]string) {
 	e.L.addLabels(seen, out)
 	e.R.addLabels(seen, out)
 }
 
-func (e Or) addLabels(seen map[string]bool, out *[]string) {
+func (e orExpr) addLabels(seen map[string]bool, out *[]string) {
 	e.L.addLabels(seen, out)
 	e.R.addLabels(seen, out)
 }
 
-func (e Not) addLabels(seen map[string]bool, out *[]string) { e.X.addLabels(seen, out) }
+func (e notExpr) addLabels(seen map[string]bool, out *[]string) { e.X.addLabels(seen, out) }
 
 // Labels returns the document labels an expression mentions, in
 // first-occurrence order — the alphabet contribution of the query, the way
 // the -order and -path label lists contribute labels for the flag spelling.
-// Order matters: alphabet order determines compiled symbol IDs.
+// orderExpr matters: alphabet order determines compiled symbol IDs.
 func Labels(exprs ...Expr) []string {
 	seen := map[string]bool{}
 	var out []string

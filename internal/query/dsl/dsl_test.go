@@ -32,22 +32,22 @@ func TestParseString(t *testing.T) {
 		{"not(contains a)or well-formed", "not contains a or well-formed"},
 	}
 	for _, c := range cases {
-		e, err := Parse(c.in)
+		e, err := parse(c.in)
 		if err != nil {
-			t.Errorf("Parse(%q): %v", c.in, err)
+			t.Errorf("parse(%q): %v", c.in, err)
 			continue
 		}
 		if got := e.String(); got != c.want {
-			t.Errorf("Parse(%q).String() = %q, want %q", c.in, got, c.want)
+			t.Errorf("parse(%q).String() = %q, want %q", c.in, got, c.want)
 		}
 		// The canonical spelling must re-parse to itself.
-		e2, err := Parse(e.String())
+		e2, err := parse(e.String())
 		if err != nil {
-			t.Errorf("re-Parse(%q): %v", e.String(), err)
+			t.Errorf("re-parse(%q): %v", e.String(), err)
 			continue
 		}
 		if e2.String() != e.String() {
-			t.Errorf("re-Parse(%q).String() = %q, not stable", e.String(), e2.String())
+			t.Errorf("re-parse(%q).String() = %q, not stable", e.String(), e2.String())
 		}
 	}
 }
@@ -61,8 +61,8 @@ func TestParseErrors(t *testing.T) {
 		"within before: a", "contains //a//b",
 	}
 	for _, in := range bad {
-		if e, err := Parse(in); err == nil {
-			t.Errorf("Parse(%q) = %v, want error", in, e)
+		if e, err := parse(in); err == nil {
+			t.Errorf("parse(%q) = %v, want error", in, e)
 		}
 	}
 }
@@ -82,11 +82,11 @@ func TestParseList(t *testing.T) {
 
 func TestCompileMissingLabel(t *testing.T) {
 	alpha := alphabet.New("a", "b")
-	e, err := Parse("contains c")
+	e, err := parse("contains c")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Compile(e, alpha); err == nil || !strings.Contains(err.Error(), "c") {
+	if _, err := compile(e, alpha); err == nil || !strings.Contains(err.Error(), "c") {
 		t.Fatalf("Compile with missing label: err = %v, want mention of c", err)
 	}
 }
@@ -98,7 +98,7 @@ func TestCompileMissingLabel(t *testing.T) {
 // not by this oracle.
 func oracle(e Expr, n *nestedword.NestedWord) bool {
 	switch e := e.(type) {
-	case WellFormed:
+	case wellFormedExpr:
 		if !n.IsWellMatched() {
 			return false
 		}
@@ -116,16 +116,16 @@ func oracle(e Expr, n *nestedword.NestedWord) bool {
 			}
 		}
 		return len(stack) == 0
-	case Contains:
+	case containsExpr:
 		for i := 0; i < n.Len(); i++ {
 			if n.SymbolAt(i) == e.Label {
 				return true
 			}
 		}
 		return false
-	case Order:
+	case orderExpr:
 		return subsequence(n, 0, n.Len(), e.Labels)
-	case Path:
+	case pathExpr:
 		// Some root-to-node descendant chain matches. Track, per open
 		// element, the best progress achievable at that depth.
 		progress := []int{0} // progress[d] = labels matched among open elements
@@ -153,9 +153,9 @@ func oracle(e Expr, n *nestedword.NestedWord) bool {
 			}
 		}
 		return best == len(e.Labels)
-	case NoAfter:
+	case noAfterExpr:
 		return !subsequence(n, 0, n.Len(), []string{e.Trigger, e.Forbidden})
-	case Within:
+	case withinExpr:
 		pattern := e.Order
 		if pattern == nil {
 			pattern = []string{e.Trigger, e.Forbidden}
@@ -170,11 +170,11 @@ func oracle(e Expr, n *nestedword.NestedWord) bool {
 			return !found
 		}
 		return found
-	case And:
+	case andExpr:
 		return oracle(e.L, n) && oracle(e.R, n)
-	case Or:
+	case orExpr:
 		return oracle(e.L, n) || oracle(e.R, n)
-	case Not:
+	case notExpr:
 		return !oracle(e.X, n)
 	}
 	panic("unknown expr")
@@ -305,13 +305,13 @@ func TestCompileAgainstOracle(t *testing.T) {
 	}
 	docs := corpus(t)
 	for _, qs := range queries {
-		e, err := Parse(qs)
+		e, err := parse(qs)
 		if err != nil {
-			t.Fatalf("Parse(%q): %v", qs, err)
+			t.Fatalf("parse(%q): %v", qs, err)
 		}
-		q, err := Compile(e, alpha)
+		q, err := compile(e, alpha)
 		if err != nil {
-			t.Fatalf("Compile(%q): %v", qs, err)
+			t.Fatalf("compile(%q): %v", qs, err)
 		}
 		for i, d := range docs {
 			got := q.Accepts(d)
@@ -338,11 +338,11 @@ func TestWithinConstructionsAgree(t *testing.T) {
 		"within file: open before close",
 		"within book: book before book",
 	} {
-		e, err := Parse(qs)
+		e, err := parse(qs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := e.(Within)
+		w := e.(withinExpr)
 		nn := withinNNWA(alpha, w.Scope, w.Order)
 		det := withinDNWA(alpha, w.Scope, w.Order)
 		for i, d := range docs {

@@ -12,11 +12,11 @@ import (
 // products, so state counts multiply with expression size.
 func nodeCount(e Expr) int {
 	switch e := e.(type) {
-	case And:
+	case andExpr:
 		return 1 + nodeCount(e.L) + nodeCount(e.R)
-	case Or:
+	case orExpr:
 		return 1 + nodeCount(e.L) + nodeCount(e.R)
-	case Not:
+	case notExpr:
 		return 1 + nodeCount(e.X)
 	}
 	return 1
@@ -36,12 +36,12 @@ func FuzzDSLParse(f *testing.F) {
 		if len(in) > 512 {
 			return
 		}
-		e, err := Parse(in)
+		e, err := parse(in)
 		if err != nil {
 			return
 		}
 		s := e.String()
-		e2, err := Parse(s)
+		e2, err := parse(s)
 		if err != nil {
 			t.Fatalf("canonical form %q of %q does not re-parse: %v", s, in, err)
 		}
@@ -54,9 +54,9 @@ func FuzzDSLParse(f *testing.F) {
 			return
 		}
 		alpha := alphabet.New(labels...)
-		q, err := Compile(e, alpha)
+		q, err := compile(e, alpha)
 		if err != nil {
-			t.Fatalf("Compile(%q) over its own labels: %v", s, err)
+			t.Fatalf("compile(%q) over its own labels: %v", s, err)
 		}
 		b := query.NewBundle(alpha)
 		if err := b.Add(s, q); err != nil {
@@ -79,11 +79,11 @@ func TestFuzzSeedsCoverKeywords(t *testing.T) {
 		"well-formed", "contains a", "a before b", "//a//b",
 		"no a after b", "within s: a", "within s: no a after b",
 	} {
-		if _, err := Parse(in); err != nil {
-			t.Fatalf("Parse(%q): %v", in, err)
+		if _, err := parse(in); err != nil {
+			t.Fatalf("parse(%q): %v", in, err)
 		}
 	}
-	if _, err := Parse(strings.Repeat("(", 200) + "contains a" + strings.Repeat(")", 200)); err != nil {
+	if _, err := parse(strings.Repeat("(", 200) + "contains a" + strings.Repeat(")", 200)); err != nil {
 		t.Fatalf("deep parens: %v", err)
 	}
 }

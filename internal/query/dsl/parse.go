@@ -112,8 +112,8 @@ func (p *parser) label(what string) (string, error) {
 	return t.text, nil
 }
 
-// Parse parses a single DSL query.
-func Parse(s string) (Expr, error) {
+// parse parses a single DSL query.
+func parse(s string) (Expr, error) {
 	p := &parser{toks: lex(s)}
 	e, err := p.parseOr()
 	if err != nil {
@@ -133,7 +133,7 @@ func ParseList(s string) ([]Expr, error) {
 		if strings.TrimSpace(part) == "" {
 			continue
 		}
-		e, err := Parse(part)
+		e, err := parse(part)
 		if err != nil {
 			return nil, fmt.Errorf("%w (in query %q)", err, strings.TrimSpace(part))
 		}
@@ -153,7 +153,7 @@ func (p *parser) parseOr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = Or{L: l, R: r}
+		l = orExpr{L: l, R: r}
 	}
 	return l, nil
 }
@@ -169,7 +169,7 @@ func (p *parser) parseAnd() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = And{L: l, R: r}
+		l = andExpr{L: l, R: r}
 	}
 	return l, nil
 }
@@ -182,7 +182,7 @@ func (p *parser) parseUnary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return Not{X: x}, nil
+		return notExpr{X: x}, nil
 	case t.kind == tokLParen:
 		p.next()
 		e, err := p.parseOr()
@@ -208,14 +208,14 @@ func (p *parser) parseAtom() (Expr, error) {
 		return nil, p.errf(t, "expected a query, got %s", t.describe())
 	case t.text == "well-formed":
 		p.next()
-		return WellFormed{}, nil
+		return wellFormedExpr{}, nil
 	case t.text == "contains":
 		p.next()
 		l, err := p.label("a label after contains")
 		if err != nil {
 			return nil, err
 		}
-		return Contains{Label: l}, nil
+		return containsExpr{Label: l}, nil
 	case t.text == "no":
 		p.next()
 		return p.parseNoAfter()
@@ -245,7 +245,7 @@ func parsePath(p *parser, t token) (Expr, error) {
 		}
 		labels = append(labels, seg)
 	}
-	return Path{Labels: labels}, nil
+	return pathExpr{Labels: labels}, nil
 }
 
 // parseNoAfter parses "no X after Y" with the leading "no" already consumed.
@@ -261,7 +261,7 @@ func (p *parser) parseNoAfter() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NoAfter{Forbidden: forbidden, Trigger: trigger}, nil
+	return noAfterExpr{Forbidden: forbidden, Trigger: trigger}, nil
 }
 
 // parseOrder parses "a before b [before c ...]" — at the top level a bare
@@ -275,7 +275,7 @@ func (p *parser) parseOrder() (Expr, error) {
 	if len(labels) < 2 {
 		return nil, p.errf(p.peek(), "expected before after label %q (use \"contains %s\" for a single label)", first, first)
 	}
-	return Order{Labels: labels}, nil
+	return orderExpr{Labels: labels}, nil
 }
 
 // parseOrderLabels parses "a [before b ...]" and returns the first label
@@ -307,12 +307,12 @@ func (p *parser) parsePred(scope string) (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		n := na.(NoAfter)
-		return Within{Scope: scope, Forbidden: n.Forbidden, Trigger: n.Trigger}, nil
+		n := na.(noAfterExpr)
+		return withinExpr{Scope: scope, Forbidden: n.Forbidden, Trigger: n.Trigger}, nil
 	}
 	_, labels, err := p.parseOrderLabels()
 	if err != nil {
 		return nil, err
 	}
-	return Within{Scope: scope, Order: labels}, nil
+	return withinExpr{Scope: scope, Order: labels}, nil
 }

@@ -37,8 +37,8 @@ import (
 	"unsafe"
 )
 
-// Magic is the four-byte file signature opening every container.
-const Magic = "NWQ1"
+// magic is the four-byte file signature opening every container.
+const magic = "NWQ1"
 
 // Container header versions.  Readers accept both and reject anything else,
 // so the format cannot drift silently; writers emit Version1 only for blobs
@@ -144,7 +144,6 @@ type section struct {
 type Writer struct {
 	kind    uint32
 	version uint32
-	flags   uint32
 	secs    []section
 }
 
@@ -157,9 +156,6 @@ func NewWriter(kind uint32) *Writer { return &Writer{kind: kind, version: Versio
 // SetVersion selects the header version Finish emits (Version1 or
 // VersionHashed).
 func (w *Writer) SetVersion(v uint32) { w.version = v }
-
-// SetFlags stores the 32 header flag bits (kind-specific).
-func (w *Writer) SetFlags(f uint32) { w.flags = f }
 
 // Bytes appends a raw byte section.  The slice is retained until Finish.
 func (w *Writer) Bytes(tag uint32, b []byte) {
@@ -213,10 +209,10 @@ func (w *Writer) Finish() []byte {
 		total += len(s.data)
 	}
 	out := make([]byte, align8(total))
-	copy(out[0:4], Magic)
+	copy(out[0:4], magic)
 	binary.LittleEndian.PutUint32(out[4:], w.version)
 	binary.LittleEndian.PutUint32(out[8:], w.kind)
-	binary.LittleEndian.PutUint32(out[12:], w.flags)
+	// out[12:16], the flags word, is reserved and stays 0.
 	binary.LittleEndian.PutUint32(out[16:], uint32(len(w.secs)))
 	for i, s := range w.secs {
 		e := out[hdr+dirEntrySize*i:]
@@ -232,22 +228,14 @@ func (w *Writer) Finish() []byte {
 	return out
 }
 
-// Section is one decoded directory entry: its tag and the payload bytes,
-// which alias the container data (no copy).
-type Section struct {
-	Tag  uint32
-	Data []byte
-}
-
 // Reader parses a container header and directory and hands out section
 // payloads as subslices of the input — the input may be an mmap'd region,
 // and nothing here copies it.
 type Reader struct {
 	kind    uint32
 	version uint32
-	flags   uint32
 	hash    [sha256.Size]byte // meaningful only when version == VersionHashed
-	secs    []Section
+	secs    []section         // payloads alias the input (no copy)
 }
 
 // NewReader validates the header and the directory (magic, version, every
@@ -259,13 +247,12 @@ func NewReader(data []byte) (*Reader, error) {
 	if len(data) < headerSize {
 		return nil, fmt.Errorf("format: %d bytes is shorter than the %d-byte header", len(data), headerSize)
 	}
-	if string(data[0:4]) != Magic {
+	if string(data[0:4]) != magic {
 		return nil, fmt.Errorf("format: bad magic %q", data[0:4])
 	}
 	r := &Reader{
 		version: binary.LittleEndian.Uint32(data[4:]),
 		kind:    binary.LittleEndian.Uint32(data[8:]),
-		flags:   binary.LittleEndian.Uint32(data[12:]),
 	}
 	switch r.version {
 	case Version1:
@@ -286,7 +273,7 @@ func NewReader(data []byte) (*Reader, error) {
 		return nil, fmt.Errorf("format: directory claims %d sections, input holds at most %d",
 			count, (len(data)-hdr)/dirEntrySize)
 	}
-	r.secs = make([]Section, count)
+	r.secs = make([]section, count)
 	for i := range r.secs {
 		e := data[hdr+dirEntrySize*i:]
 		tag := binary.LittleEndian.Uint32(e)
@@ -299,7 +286,7 @@ func NewReader(data []byte) (*Reader, error) {
 			return nil, fmt.Errorf("format: section %d (tag %d) [%d,+%d) exceeds the %d input bytes",
 				i, tag, off, length, len(data))
 		}
-		r.secs[i] = Section{Tag: tag, Data: data[off : off+length : off+length]}
+		r.secs[i] = section{tag, data[off : off+length : off+length]}
 	}
 	return r, nil
 }
@@ -316,14 +303,11 @@ func (r *Reader) ContentHash() ([sha256.Size]byte, bool) {
 	return r.hash, r.version == VersionHashed
 }
 
-// Flags returns the header flag bits.
-func (r *Reader) Flags() uint32 { return r.flags }
-
 // Section returns the payload of the first section carrying the tag.
 func (r *Reader) Section(tag uint32) ([]byte, bool) {
 	for _, s := range r.secs {
-		if s.Tag == tag {
-			return s.Data, true
+		if s.tag == tag {
+			return s.data, true
 		}
 	}
 	return nil, false
@@ -334,8 +318,8 @@ func (r *Reader) Section(tag uint32) ([]byte, bool) {
 func (r *Reader) Sections(tag uint32) [][]byte {
 	var out [][]byte
 	for _, s := range r.secs {
-		if s.Tag == tag {
-			out = append(out, s.Data)
+		if s.tag == tag {
+			out = append(out, s.data)
 		}
 	}
 	return out

@@ -10,7 +10,6 @@ import (
 // sections, and 8-byte section alignment through a full write/read cycle.
 func TestWriterReaderRoundTrip(t *testing.T) {
 	w := NewWriter(KindBundle)
-	w.SetFlags(5)
 	w.Int32s(1, []int32{-1, 0, 7, 1 << 30})
 	w.Uint64s(2, []uint64{0, ^uint64(0), 42})
 	w.Strings(3, []string{"", "a", "nested words"})
@@ -22,8 +21,11 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Kind() != KindBundle || r.Flags() != 5 {
-		t.Fatalf("kind/flags = %d/%d", r.Kind(), r.Flags())
+	if r.Kind() != KindBundle {
+		t.Fatalf("kind = %d", r.Kind())
+	}
+	if flags := binary.LittleEndian.Uint32(data[12:]); flags != 0 {
+		t.Fatalf("reserved flags word = %d, want 0", flags)
 	}
 	for _, zeroCopy := range []bool{false, true} {
 		sec, ok := r.Section(1)

@@ -9,7 +9,7 @@
 //
 // Three tiny framed files ride along with the container:
 //
-//	NWS1 — detached signature envelope (Envelope, 144 bytes)
+//	NWS1 — detached signature envelope (144 bytes)
 //	NWK1 — private key seed (32 bytes of ed25519 seed material)
 //	NWP1 — public key (32 bytes)
 //
@@ -29,6 +29,8 @@ import (
 // ErrBadSignature is wrapped by Verify and VerifyHash when a structurally
 // valid envelope fails cryptographic verification — wrong key, tampered
 // container, or corrupted signature bytes.
+//
+//nwvet:oracle TestVerifyRejections, TestPutSignature and TestDistributionRefusesToSwap match it with errors.Is
 var ErrBadSignature = errors.New("format: signature verification failed")
 
 // Signature envelope layout (144 bytes, little-endian):
@@ -61,8 +63,8 @@ const (
 	keyFileSize = 4 + 32
 )
 
-// Envelope is a parsed detached signature.
-type Envelope struct {
+// sigEnvelope is a parsed detached signature.
+type sigEnvelope struct {
 	PublicKey []byte         // 32-byte ed25519 public key
 	Hash      [HashSize]byte // content hash the signature covers
 	Sig       []byte         // 64-byte ed25519 signature
@@ -92,10 +94,10 @@ func ParsePrivateKey(data []byte) (ed25519.PrivateKey, error) {
 	return ed25519.NewKeyFromSeed(data[4:]), nil
 }
 
-// ParsePublicKey parses an NWP1 key file into an ed25519 public key.
+// parsePublicKey parses an NWP1 key file into an ed25519 public key.
 // A bare 32-byte key (no frame) is also accepted, so servers can be
 // handed raw key material.
-func ParsePublicKey(data []byte) (ed25519.PublicKey, error) {
+func parsePublicKey(data []byte) (ed25519.PublicKey, error) {
 	if len(data) == ed25519.PublicKeySize {
 		return ed25519.PublicKey(append([]byte(nil), data...)), nil
 	}
@@ -128,9 +130,9 @@ func Sign(priv ed25519.PrivateKey, container []byte) ([]byte, error) {
 	return env, nil
 }
 
-// ParseEnvelope validates the framing of a detached signature. It does
+// parseEnvelope validates the framing of a detached signature. It does
 // not verify the signature — use Verify or VerifyHash for that.
-func ParseEnvelope(data []byte) (*Envelope, error) {
+func parseEnvelope(data []byte) (*sigEnvelope, error) {
 	if len(data) != sigSize {
 		return nil, fmt.Errorf("format: signature envelope is %d bytes, want %d", len(data), sigSize)
 	}
@@ -148,7 +150,7 @@ func ParseEnvelope(data []byte) (*Envelope, error) {
 	if r := binary.LittleEndian.Uint32(data[12:]); r != 0 {
 		return nil, fmt.Errorf("format: signature envelope reserved field is %d, want 0", r)
 	}
-	e := &Envelope{
+	e := &sigEnvelope{
 		PublicKey: append([]byte(nil), data[sigPubOff:sigPubOff+ed25519.PublicKeySize]...),
 		Sig:       append([]byte(nil), data[sigSigOff:sigSize]...),
 	}
@@ -161,11 +163,11 @@ func ParseEnvelope(data []byte) (*Envelope, error) {
 // public key must match pub — an attacker must not get to choose the
 // verification key — and its embedded hash must match the container's.
 func VerifyHash(pub []byte, envelope []byte, hash [HashSize]byte) error {
-	key, err := ParsePublicKey(pub)
+	key, err := parsePublicKey(pub)
 	if err != nil {
 		return err
 	}
-	env, err := ParseEnvelope(envelope)
+	env, err := parseEnvelope(envelope)
 	if err != nil {
 		return err
 	}

@@ -39,7 +39,7 @@ func TestSignVerifyRoundTrip(t *testing.T) {
 	if err := Verify(pubFile, sig, data); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
-	env, err := ParseEnvelope(sig)
+	env, err := parseEnvelope(sig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +121,11 @@ func TestVerifyRejections(t *testing.T) {
 	if _, err := ParsePrivateKey(pubFile); err == nil {
 		t.Error("ParsePrivateKey accepted a public key file")
 	}
-	if _, err := ParsePublicKey(privFile); err == nil {
-		t.Error("ParsePublicKey accepted a private key file")
+	if _, err := parsePublicKey(privFile); err == nil {
+		t.Error("parsePublicKey accepted a private key file")
 	}
-	if _, err := ParsePublicKey(pubFile[:10]); err == nil {
-		t.Error("ParsePublicKey accepted a truncated key file")
+	if _, err := parsePublicKey(pubFile[:10]); err == nil {
+		t.Error("parsePublicKey accepted a truncated key file")
 	}
 }
 
@@ -155,9 +155,9 @@ func FuzzSignatureEnvelope(f *testing.F) {
 		if len(envelope) > 1<<16 {
 			envelope = envelope[:1<<16]
 		}
-		env, err := ParseEnvelope(envelope)
+		env, err := parseEnvelope(envelope)
 		if err == nil && env == nil {
-			t.Fatal("ParseEnvelope returned neither envelope nor error")
+			t.Fatal("parseEnvelope returned neither envelope nor error")
 		}
 		verr := Verify(pubFile, envelope, data)
 		if verr == nil && !bytes.Equal(envelope, sig) {

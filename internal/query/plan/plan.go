@@ -27,13 +27,15 @@ import (
 // StateBudget zero: small enough that a pathological cluster degrades to
 // fan-out instead of a giant table, large enough for the clusters E28 shows
 // winning.
+//
+//nwvet:oracle TestProductBytesPinned and TestPlannedShapePinned compile their pinned products at this budget
 const DefaultStateBudget = 4096
 
-// DefaultClusterSize is the cluster width used when Options leaves
+// defaultClusterSize is the cluster width used when Options leaves
 // ClusterSize zero — the "≥8 structurally similar queries" region where E28
 // shows the product beating fan-out, without betting the whole bundle on
 // one product.
-const DefaultClusterSize = 8
+const defaultClusterSize = 8
 
 // Options tunes the planner.  The zero value means the defaults.
 type Options struct {
@@ -43,7 +45,7 @@ type Options struct {
 	// (plan everything as fan-out).
 	StateBudget int
 	// ClusterSize is the maximum number of queries per product cluster.
-	// Zero means DefaultClusterSize; values below 2 disable clustering,
+	// Zero means 8 (defaultClusterSize); values below 2 disable clustering,
 	// since a one-query product answers nothing a plain runner doesn't.
 	ClusterSize int
 }
@@ -69,7 +71,7 @@ func Bundle(b *query.Bundle, opts Options) (*query.Bundle, Decision, error) {
 		opts.StateBudget = DefaultStateBudget
 	}
 	if opts.ClusterSize == 0 {
-		opts.ClusterSize = DefaultClusterSize
+		opts.ClusterSize = defaultClusterSize
 	}
 
 	var dec Decision

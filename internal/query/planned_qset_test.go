@@ -64,10 +64,10 @@ func TestProductMarshalRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("unmarshalProduct: %v", err)
 		}
-		if dec.QueryCount() != p.QueryCount() || dec.NumStates() != p.NumStates() || dec.inner.hiers != p.inner.hiers {
+		if dec.nq != p.nq || dec.NumStates() != p.NumStates() || dec.inner.hiers != p.inner.hiers {
 			t.Fatalf("decoded shape %d/%d/%d, want %d/%d/%d",
-				dec.QueryCount(), dec.NumStates(), dec.inner.hiers,
-				p.QueryCount(), p.NumStates(), p.inner.hiers)
+				dec.nq, dec.NumStates(), dec.inner.hiers,
+				p.nq, p.NumStates(), p.inner.hiers)
 		}
 		if !dec.Alphabet().Equal(p.Alphabet()) {
 			t.Fatalf("decoded alphabet %v", dec.Alphabet())

@@ -55,7 +55,7 @@ type ProductRunner struct {
 
 // Verdict reports member j's verdict for the stream consumed so far, viewed
 // as a complete nested word: bit j of the current state's mask row.  j must
-// be below QueryCount.
+// be below the product's member count.
 //
 //nwvet:hotpath
 func (r *ProductRunner) Verdict(j int) bool {
@@ -64,7 +64,7 @@ func (r *ProductRunner) Verdict(j int) bool {
 
 // CompiledProduct is an immutable product-compiled query cluster: one
 // deterministic automaton whose accept structure is a per-query bitmask,
-// answering QueryCount member queries at once.  Build one with
+// answering all its member queries at once.  Build one with
 // CompileProduct, or let the planner (internal/query/plan) cluster a whole
 // bundle; the engine dispatches one ProductRunner per cluster and demuxes
 // the verdict mask back to the member names.
@@ -81,9 +81,6 @@ type CompiledProduct struct {
 
 // Alphabet returns the shared alphabet the cluster was compiled over.
 func (p *CompiledProduct) Alphabet() *alphabet.Alphabet { return p.inner.alpha }
-
-// QueryCount returns the number of member queries the product answers.
-func (p *CompiledProduct) QueryCount() int { return p.nq }
 
 // NumStates returns the number of reachable member-state tuples, the
 // product's state count.

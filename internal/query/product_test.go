@@ -94,8 +94,8 @@ func TestProductDNWADifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: CompileProduct: %v", cluster.name, err)
 		}
-		if p.QueryCount() != len(members) {
-			t.Fatalf("%s: QueryCount = %d, want %d", cluster.name, p.QueryCount(), len(members))
+		if p.nq != len(members) {
+			t.Fatalf("%s: %d members, want %d", cluster.name, p.nq, len(members))
 		}
 		if cluster.compacted && p.inner.hiers >= p.inner.num {
 			t.Fatalf("%s: product keeps %d hierarchical columns for %d states, want fewer",
@@ -320,7 +320,7 @@ func TestCompileProductErrors(t *testing.T) {
 	if _, err := CompileProduct([]*Compiled{det, det}, 1); !errors.Is(err, ErrStateBudget) {
 		t.Errorf("tiny deterministic budget: err = %v, want ErrStateBudget", err)
 	}
-	if p, err := CompileProduct([]*Compiled{det}, 0); err != nil || p.QueryCount() != 1 {
+	if p, err := CompileProduct([]*Compiled{det}, 0); err != nil || p.nq != 1 {
 		t.Errorf("singleton cluster: p, err = %v, %v", p, err)
 	}
 }

@@ -87,6 +87,8 @@ const returnFactored = 2
 // ErrLegacyLayout is the error every decode path returns for a DNWA whose
 // return table is in a layout written before the factored one, standalone
 // or embedded in a product or bundle.  Such a query is recompiled instead.
+//
+//nwvet:oracle TestDecodeAllocBoundedByInput and the golden-fixture tests match it with errors.Is
 var ErrLegacyLayout = errors.New("query: return-table layout predates the factored layout; recompile the bundle")
 
 // Decode limits: far beyond any automaton this repository compiles, but
@@ -390,10 +392,6 @@ func readQuery(r *format.Reader, alpha *alphabet.Alphabet, zeroCopy bool) (*Comp
 	}
 }
 
-// UnmarshalCompiled decodes a standalone serialized compiled DNWA, copying
-// every table out of data (data may be reused or mutated afterwards).
-func UnmarshalCompiled(data []byte) (*Compiled, error) { return decodeQuery(data, nil, false) }
-
 // Marshal serializes the product cluster, alphabet included, into a
 // standalone KindProduct container: meta ({query count, mode 0}), the accept
 // bitmask slab, and the product automaton as an embedded KindDNWA blob.
@@ -648,9 +646,9 @@ func NewPlannedBundle(src *Bundle, clusters [][]int, products []*CompiledProduct
 		if p == nil {
 			return nil, fmt.Errorf("query: cluster %d has no product", gi)
 		}
-		if p.QueryCount() != len(cluster) {
+		if p.nq != len(cluster) {
 			return nil, fmt.Errorf("query: cluster %d holds %d queries, product answers %d",
-				gi, len(cluster), p.QueryCount())
+				gi, len(cluster), p.nq)
 		}
 		if !b.alpha.Equal(p.Alphabet()) {
 			return nil, fmt.Errorf("query: cluster %d product uses alphabet %v, bundle is over %v",

@@ -77,9 +77,9 @@ func FuzzUnmarshalCompiled(f *testing.F) {
 		if len(data) > 1<<18 {
 			data = data[:1<<18]
 		}
-		if c, err := UnmarshalCompiled(data); err == nil {
+		if c, err := DecodeQuery(data, false); err == nil {
 			exerciseDecoded(c)
-			if _, err := UnmarshalCompiled(c.Marshal()); err != nil {
+			if _, err := DecodeQuery(c.Marshal(), false); err != nil {
 				t.Fatalf("decoded query failed to round-trip: %v", err)
 			}
 		}

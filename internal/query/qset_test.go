@@ -96,7 +96,7 @@ func checkQueryAgreement(t *testing.T, label string, want, got Query, trials int
 }
 
 // TestMarshalRoundTripCompiled round-trips compiled DNWAs through
-// Marshal/UnmarshalCompiled and the zero-copy decoder, checking
+// Marshal/DecodeQuery and the zero-copy decoder, checking
 // byte-identical re-encoding and verdict agreement.
 func TestMarshalRoundTripCompiled(t *testing.T) {
 	alpha := goldenAlphabet()
@@ -107,9 +107,9 @@ func TestMarshalRoundTripCompiled(t *testing.T) {
 	} {
 		c := Compile(d)
 		data := c.Marshal()
-		dec, err := UnmarshalCompiled(data)
+		dec, err := DecodeQuery(data, false)
 		if err != nil {
-			t.Fatalf("UnmarshalCompiled: %v", err)
+			t.Fatalf("DecodeQuery: %v", err)
 		}
 		if dec.NumStates() != c.NumStates() || dec.hiers != c.hiers || !slices.Equal(dec.rowID, c.rowID) || !slices.Equal(dec.rows, c.rows) {
 			t.Fatalf("decoded %d states, H=%d and %d rows, want %d, %d and %d",
@@ -138,7 +138,7 @@ func TestMarshalRoundTripCompiled(t *testing.T) {
 // version-1 bundle reports itself unhashed.
 func TestMarshalIgnoresSourceVersion(t *testing.T) {
 	c := Compile(PathQuery(goldenAlphabet(), "a", "b"))
-	dec, err := UnmarshalCompiled(c.encode(true, format.Version1))
+	dec, err := DecodeQuery(c.encode(true, format.Version1), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestUnmarshalErrors(t *testing.T) {
 	c := Compile(PathQuery(goldenAlphabet(), "a", "b"))
 	data := c.Marshal()
 	for i := 0; i < len(data); i += 7 {
-		if _, err := UnmarshalCompiled(data[:i]); err == nil {
+		if _, err := DecodeQuery(data[:i], false); err == nil {
 			t.Fatalf("truncation to %d bytes decoded successfully", i)
 		}
 	}
@@ -291,7 +291,7 @@ func TestUnmarshalErrors(t *testing.T) {
 		"bad kind":    corrupt(func(b []byte) { b[8] = 77 }),
 	}
 	for name, b := range cases {
-		if _, err := UnmarshalCompiled(b); err == nil {
+		if _, err := DecodeQuery(b, false); err == nil {
 			t.Errorf("%s decoded successfully", name)
 		}
 	}
@@ -299,8 +299,8 @@ func TestUnmarshalErrors(t *testing.T) {
 	if _, err := UnmarshalBundle(data); err == nil {
 		t.Error("UnmarshalBundle accepted a bare query container")
 	}
-	if _, err := UnmarshalCompiled(goldenBundle(t).Marshal()); err == nil {
-		t.Error("UnmarshalCompiled accepted a bundle container")
+	if _, err := DecodeQuery(goldenBundle(t).Marshal(), false); err == nil {
+		t.Error("DecodeQuery accepted a bundle container")
 	}
 	// A bundle's shared alphabet goes through the same reader as a
 	// standalone query's, duplicate check included.
@@ -326,7 +326,7 @@ func TestUnmarshalErrors(t *testing.T) {
 func TestGoldenFixtures(t *testing.T) {
 	rejectQuery := func(want error) func(t *testing.T, data []byte) {
 		return func(t *testing.T, data []byte) {
-			if _, err := UnmarshalCompiled(data); !errors.Is(err, want) {
+			if _, err := DecodeQuery(data, false); !errors.Is(err, want) {
 				t.Fatalf("decoded with %v, want %v", err, want)
 			}
 		}
@@ -353,7 +353,7 @@ func TestGoldenFixtures(t *testing.T) {
 			file:  "golden_dnwa_factored.nwq",
 			build: func() []byte { return Compile(PathQuery(goldenAlphabet(), "a", "b")).Marshal() },
 			verify: func(t *testing.T, data []byte) {
-				dec, err := UnmarshalCompiled(data)
+				dec, err := DecodeQuery(data, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -442,14 +442,14 @@ func TestGoldenFixtures(t *testing.T) {
 func TestGoldenFixturesV1(t *testing.T) {
 	for file, decode := range map[string]func(data []byte) error{
 		"golden_dnwa_v1.nwq": func(data []byte) error {
-			_, err := UnmarshalCompiled(data)
+			_, err := DecodeQuery(data, false)
 			if !errors.Is(err, ErrLegacyLayout) {
 				return fmt.Errorf("decoded with %v, want ErrLegacyLayout", err)
 			}
 			return nil
 		},
 		"golden_nnwa_v1.nwq": func(data []byte) error {
-			_, err := UnmarshalCompiled(data)
+			_, err := DecodeQuery(data, false)
 			if !errors.Is(err, ErrNNWANotServed) {
 				return fmt.Errorf("decoded with %v, want ErrNNWANotServed", err)
 			}
@@ -493,7 +493,7 @@ func TestLegacyLayoutsRejected(t *testing.T) {
 	}
 	errs := map[string]error{}
 	for i, data := range queries {
-		_, errs[fmt.Sprint("UnmarshalCompiled ", i)] = UnmarshalCompiled(data)
+		_, errs[fmt.Sprint("DecodeQuery ", i)] = DecodeQuery(data, false)
 		_, errs[fmt.Sprint("mapped query ", i)] = DecodeQuery(data, true)
 		_, errs[fmt.Sprint("VetBytes query ", i)] = VetBytes(data)
 	}
@@ -542,7 +542,7 @@ func TestNNWAContainersRejected(t *testing.T) {
 	_, errs["mapped bundle"] = decodeBundle(bundle, true)
 	_, errs["VetBytes bundle"] = VetBytes(bundle)
 	for i, data := range standalone {
-		_, errs[fmt.Sprint("UnmarshalCompiled ", i)] = UnmarshalCompiled(data)
+		_, errs[fmt.Sprint("DecodeQuery ", i)] = DecodeQuery(data, false)
 		_, errs[fmt.Sprint("VetBytes ", i)] = VetBytes(data)
 	}
 	for entry, err := range errs {

@@ -99,7 +99,7 @@ func tamperBundle(t *testing.T, file string, pristine error) {
 
 // TestTamperedStandaloneQueries runs the same flip-every-byte check over
 // the golden standalone DNWA (legacy and factored) and NNWA fixtures
-// through UnmarshalCompiled.  The pristine legacy DNWA fixture fails with
+// through DecodeQuery.  The pristine legacy DNWA fixture fails with
 // ErrLegacyLayout and the NNWA one with ErrNNWANotServed; a tampered one
 // fails the hash check first.
 func TestTamperedStandaloneQueries(t *testing.T) {
@@ -113,18 +113,18 @@ func TestTamperedStandaloneQueries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := UnmarshalCompiled(data); !errors.Is(err, pristine) {
+			if _, err := DecodeQuery(data, false); !errors.Is(err, pristine) {
 				t.Fatalf("pristine fixture: got %v, want %v", err, pristine)
 			}
 			mut := make([]byte, len(data))
 			for i := range data {
 				copy(mut, data)
 				mut[i] ^= 1
-				if _, err := UnmarshalCompiled(mut); err == nil {
+				if _, err := DecodeQuery(mut, false); err == nil {
 					t.Fatalf("byte %d flipped: query still loaded", i)
 				}
 				if i >= 8 {
-					if _, err := UnmarshalCompiled(mut); !errors.Is(err, format.ErrHashMismatch) {
+					if _, err := DecodeQuery(mut, false); !errors.Is(err, format.ErrHashMismatch) {
 						t.Fatalf("byte %d flipped: want ErrHashMismatch", i)
 					}
 				}
@@ -175,7 +175,7 @@ func TestCompactedReturnTableTamper(t *testing.T) {
 		{"call pushes state H", func(c *Compiled) *Compiled { c.callHier[c.syms] = int32(c.hiers); return c }},
 	} {
 		c := tc.mutate(fresh())
-		if _, err := UnmarshalCompiled(c.Marshal()); err == nil {
+		if _, err := DecodeQuery(c.Marshal(), false); err == nil {
 			t.Errorf("%s: decoder accepted the container", tc.name)
 		}
 		if rep, err := VetBytes(c.Marshal()); err == nil {
@@ -187,7 +187,7 @@ func TestCompactedReturnTableTamper(t *testing.T) {
 	// has no return edge from a hierarchical state ≥ H.
 	c := fresh()
 	data := c.Marshal()
-	dec, err := UnmarshalCompiled(data)
+	dec, err := DecodeQuery(data, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestFactoredReturnTableTamper(t *testing.T) {
 			c := tc.build()
 			tc.mutate(c)
 			data := c.Marshal()
-			if _, err := UnmarshalCompiled(data); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if _, err := DecodeQuery(data, false); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("decoder: got %v, want an error naming %q", err, tc.want)
 			}
 			if _, err := DecodeQuery(data, true); err == nil {
@@ -294,7 +294,7 @@ func TestSparseReturnKeyTamper(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			data := tc.build(t)
-			if _, err := UnmarshalCompiled(data); !errors.Is(err, ErrLegacyLayout) {
+			if _, err := DecodeQuery(data, false); !errors.Is(err, ErrLegacyLayout) {
 				t.Errorf("decoder: got %v, want ErrLegacyLayout", err)
 			}
 			if rep, err := VetBytes(data); !errors.Is(err, ErrLegacyLayout) {

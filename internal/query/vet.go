@@ -29,12 +29,12 @@ import (
 
 // Vet issue levels.
 const (
-	// VetError marks a dead-sink or accept-mask violation; the artifact
+	// vetError marks a dead-sink or accept-mask violation; the artifact
 	// must not be served.
-	VetError = "error"
-	// VetWarning marks a semantic finding — dead states or transitions; the
+	vetError = "error"
+	// vetWarning marks a semantic finding — dead states or transitions; the
 	// artifact is safe but bloated.
-	VetWarning = "warning"
+	vetWarning = "warning"
 )
 
 // vetCoaccessLimit caps the automaton size for the coaccessibility pass,
@@ -48,7 +48,7 @@ type VetIssue struct {
 	// Query is the display name of the query the issue is in ("" for
 	// container-level issues).
 	Query string
-	// Level is VetError or VetWarning.
+	// Level is "error" or "warning".
 	Level string
 	// Msg describes the violation.
 	Msg string
@@ -107,11 +107,11 @@ func (r *VetReport) add(query, level, msg string) {
 	r.Issues = append(r.Issues, VetIssue{Query: query, Level: level, Msg: msg})
 }
 
-// Errors counts VetError issues.
-func (r *VetReport) Errors() int { return r.count(VetError) }
+// Errors counts vetError issues.
+func (r *VetReport) Errors() int { return r.count(vetError) }
 
-// Warnings counts VetWarning issues.
-func (r *VetReport) Warnings() int { return r.count(VetWarning) }
+// warnings counts vetWarning issues.
+func (r *VetReport) warnings() int { return r.count(vetWarning) }
 
 func (r *VetReport) count(level string) int {
 	n := 0
@@ -155,7 +155,7 @@ func (r *VetReport) String() string {
 		b.WriteString(i.Msg)
 		b.WriteByte('\n')
 	}
-	fmt.Fprintf(&b, "vet: %d errors, %d warnings\n", r.Errors(), r.Warnings())
+	fmt.Fprintf(&b, "vet: %d errors, %d warnings\n", r.Errors(), r.warnings())
 	return b.String()
 }
 
@@ -204,7 +204,7 @@ func VetBytes(data []byte) (*VetReport, error) {
 	}
 	rep.Container = container
 	if !container.HashVerified {
-		rep.add("", VetWarning, fmt.Sprintf(
+		rep.add("", vetWarning, fmt.Sprintf(
 			"container is unhashed version %d — re-marshal to version %d so fleets can verify it before mapping",
 			r.Version(), format.VersionHashed))
 	}
@@ -219,7 +219,7 @@ func VetBytes(data []byte) (*VetReport, error) {
 func vetBundle(b *Bundle) *VetReport {
 	rep := &VetReport{}
 	if b.Len() == 0 {
-		rep.add("", VetWarning, "bundle holds no queries")
+		rep.add("", vetWarning, "bundle holds no queries")
 	}
 	for gi, g := range b.Groups() {
 		vetProduct(rep, fmt.Sprintf("group %d", gi+1), g.Product)
@@ -246,7 +246,7 @@ func vetProduct(rep *VetReport, name string, p *CompiledProduct) {
 			row |= w
 		}
 		if c.accept[s] != (row != 0) {
-			rep.add(name, VetError, fmt.Sprintf("state %d acceptance disagrees with its accept-mask row", s))
+			rep.add(name, vetError, fmt.Sprintf("state %d acceptance disagrees with its accept-mask row", s))
 			return
 		}
 	}
@@ -277,18 +277,18 @@ func vetQuery(rep *VetReport, name string, c *Compiled) {
 func (c *Compiled) vetDeadSink(rep *VetReport, name string) {
 	dead := int(c.dead)
 	if c.accept[dead] {
-		rep.add(name, VetWarning, fmt.Sprintf("dead state %d is accepting (complemented query, or a corrupted accept mask)", dead))
+		rep.add(name, vetWarning, fmt.Sprintf("dead state %d is accepting (complemented query, or a corrupted accept mask)", dead))
 	}
 	for sym := 0; sym < c.syms; sym++ {
 		i := dead*c.syms + sym
 		if c.callLin[i] != c.dead || c.internT[i] != c.dead {
-			rep.add(name, VetError, fmt.Sprintf("dead state %d has an outgoing transition on symbol %d (not a sink)", dead, sym))
+			rep.add(name, vetError, fmt.Sprintf("dead state %d has an outgoing transition on symbol %d (not a sink)", dead, sym))
 			break
 		}
 	}
 	c.eachReturnEdge(func(lin, hier, sym, to int) {
 		if lin == dead && to != dead {
-			rep.add(name, VetError, fmt.Sprintf("dead state %d returns to live state %d (not a sink)", dead, to))
+			rep.add(name, vetError, fmt.Sprintf("dead state %d returns to live state %d (not a sink)", dead, to))
 		}
 	})
 }
@@ -377,11 +377,11 @@ func vetSemantics(rep *VetReport, name string, c *Compiled) {
 	}
 	sort.Ints(stats.Unreachable)
 	for _, q := range stats.Unreachable {
-		rep.add(name, VetWarning, fmt.Sprintf("state %d is unreachable", q))
+		rep.add(name, vetWarning, fmt.Sprintf("state %d is unreachable", q))
 	}
 	stats.DeadTransitions = c.countDeadTransitions(reach, hierOK)
 	if stats.DeadTransitions > 0 {
-		rep.add(name, VetWarning, fmt.Sprintf("%d dead transitions can never fire", stats.DeadTransitions))
+		rep.add(name, vetWarning, fmt.Sprintf("%d dead transitions can never fire", stats.DeadTransitions))
 	}
 	if g.NumStates() <= vetCoaccessLimit {
 		co := nwa.CoaccessibleStates(g, hierOK)
@@ -393,13 +393,13 @@ func vetSemantics(rep *VetReport, name string, c *Compiled) {
 			}
 			if !co[q] {
 				stats.NonCoaccessible++
-				rep.add(name, VetWarning, fmt.Sprintf("state %d cannot reach an accepting state", q))
+				rep.add(name, vetWarning, fmt.Sprintf("state %d cannot reach an accepting state", q))
 			} else {
 				empty = false
 			}
 		}
 		if empty {
-			rep.add(name, VetWarning, "query accepts no document (no reachable state is coaccessible)")
+			rep.add(name, vetWarning, "query accepts no document (no reachable state is coaccessible)")
 		}
 	}
 	rep.Queries = append(rep.Queries, stats)

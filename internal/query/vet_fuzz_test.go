@@ -106,7 +106,7 @@ func decodeAsKind(data []byte) error {
 	case format.KindProduct:
 		_, err = unmarshalProduct(data)
 	default:
-		_, err = UnmarshalCompiled(data)
+		_, err = DecodeQuery(data, false)
 	}
 	return err
 }

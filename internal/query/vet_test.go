@@ -73,7 +73,7 @@ func TestVetGoldenFixtures(t *testing.T) {
 
 func TestVetBundleClean(t *testing.T) {
 	rep := vetBundle(goldenBundle(t))
-	if rep.Errors() != 0 || rep.Warnings() != 0 {
+	if rep.Errors() != 0 || rep.warnings() != 0 {
 		t.Errorf("golden bundle should vet clean, got:\n%s", rep)
 	}
 	if len(rep.Queries) != 3 {

@@ -181,11 +181,15 @@ func TestDistributionRefusesToSwap(t *testing.T) {
 
 		// Peer gone, and the cached entry rots on disk.
 		tsA.Close()
-		latest, ok := cache.Latest()
-		if !ok {
-			t.Fatal("cache has no latest entry after boot")
+		raw, err := os.ReadFile(bundle)
+		if err != nil {
+			t.Fatal(err)
 		}
-		entry, err := cache.Get(latest)
+		sum, _, err := format.ContentHash(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entry, err := cache.Get(sum)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,6 +20,8 @@ import (
 // DocumentResult is the JSON verdict for one served document: which shard
 // ran it, how many events the pass consumed, the maximum nesting depth
 // observed, and every registered query's verdict by bundle name.
+//
+//nwvet:oracle TestVerdictEncoderOracle holds the verdict encoder to its encoding/json form
 type DocumentResult struct {
 	ID       string          `json:"id"`
 	Shard    int             `json:"shard"`
@@ -33,31 +35,31 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// Status is the GET /v1/status document: the active bundle generation's
+// statusDoc is the GET /v1/status document: the active bundle generation's
 // identity (the same schema `nwtool bundle -json` prints), the pool shape,
 // and a snapshot of the serving counters.
-type Status struct {
-	BundleInfo    BundleInfo  `json:"bundle_info"`
-	Shards        int         `json:"shards"`
-	QueueCap      int         `json:"queue_cap"`
-	Affinity      string      `json:"affinity"`
-	UptimeSec     float64     `json:"uptime_sec"`
-	Reloads       int64       `json:"reloads"`
-	EventsPerSec  float64     `json:"events_per_sec"`
-	Served        int64       `json:"served"`
-	Failed        int64       `json:"failed"`
-	Canceled      int64       `json:"canceled"`
-	Rejected      int64       `json:"rejected"`
-	Events        int64       `json:"events"`
-	ShardStats    []ShardJSON `json:"shard_stats"`
-	LatencyP50Sec float64     `json:"latency_p50_sec"`
-	LatencyP90Sec float64     `json:"latency_p90_sec"`
-	LatencyP99Sec float64     `json:"latency_p99_sec"`
-	LatencyMaxSec float64     `json:"latency_max_sec"`
+type statusDoc struct {
+	BundleInfo    BundleInfo    `json:"bundle_info"`
+	Shards        int           `json:"shards"`
+	QueueCap      int           `json:"queue_cap"`
+	Affinity      string        `json:"affinity"`
+	UptimeSec     float64       `json:"uptime_sec"`
+	Reloads       int64         `json:"reloads"`
+	EventsPerSec  float64       `json:"events_per_sec"`
+	Served        int64         `json:"served"`
+	Failed        int64         `json:"failed"`
+	Canceled      int64         `json:"canceled"`
+	Rejected      int64         `json:"rejected"`
+	Events        int64         `json:"events"`
+	ShardStats    []shardStatus `json:"shard_stats"`
+	LatencyP50Sec float64       `json:"latency_p50_sec"`
+	LatencyP90Sec float64       `json:"latency_p90_sec"`
+	LatencyP99Sec float64       `json:"latency_p99_sec"`
+	LatencyMaxSec float64       `json:"latency_max_sec"`
 }
 
-// ShardJSON is one shard's row in the Status document.
-type ShardJSON struct {
+// shardStatus is one shard's row in the status document.
+type shardStatus struct {
 	Shard      int   `json:"shard"`
 	QueueDepth int   `json:"queue_depth"`
 	QueueCap   int   `json:"queue_cap"`
@@ -120,7 +122,7 @@ func writeError(w http.ResponseWriter, err error) {
 	case errors.Is(err, serve.ErrQueueFull):
 		code = http.StatusTooManyRequests
 		w.Header().Set("Retry-After", "1")
-	case errors.Is(err, serve.ErrClosed), errors.Is(err, ErrServerClosed):
+	case errors.Is(err, serve.ErrClosed), errors.Is(err, errServerClosed):
 		code = http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", "1")
 	case errors.As(err, &maxErr):
@@ -385,7 +387,7 @@ func (s *Server) submitLine(ctx context.Context, st *poolState, n int, line []by
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	info, err := s.Reload()
 	if err != nil {
-		if errors.Is(err, ErrServerClosed) {
+		if errors.Is(err, errServerClosed) {
 			writeError(w, err)
 			return
 		}
@@ -447,15 +449,15 @@ func (s *Server) handleBundleSig(w http.ResponseWriter, r *http.Request) {
 	w.Write(st.sig)
 }
 
-// status assembles the Status document from the active generation.
-func (s *Server) status() (Status, error) {
+// status assembles the status document from the active generation.
+func (s *Server) status() (statusDoc, error) {
 	st, err := s.acquire()
 	if err != nil {
-		return Status{}, err
+		return statusDoc{}, err
 	}
 	defer st.release()
 	stats := st.pool.Stats()
-	out := Status{
+	out := statusDoc{
 		BundleInfo:    st.info,
 		Shards:        st.pool.Shards(),
 		QueueCap:      st.pool.QueueCap(),
@@ -474,7 +476,7 @@ func (s *Server) status() (Status, error) {
 		LatencyMaxSec: stats.Latency.Max.Seconds(),
 	}
 	for _, sh := range stats.Shards {
-		out.ShardStats = append(out.ShardStats, ShardJSON{
+		out.ShardStats = append(out.ShardStats, shardStatus{
 			Shard:      sh.Shard,
 			QueueDepth: sh.QueueDepth,
 			QueueCap:   sh.QueueCap,

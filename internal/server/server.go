@@ -34,8 +34,8 @@ import (
 	"repro/internal/serve"
 )
 
-// ErrServerClosed is returned by operations on a Server after Close.
-var ErrServerClosed = errors.New("server: closed")
+// errServerClosed is returned by operations on a Server after Close.
+var errServerClosed = errors.New("server: closed")
 
 // Config describes how the Server boots its pools.  Every reload reuses
 // the same configuration — only the bundle contents change.
@@ -220,7 +220,7 @@ func (s *Server) acquire() (*poolState, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed || s.cur == nil {
-		return nil, ErrServerClosed
+		return nil, errServerClosed
 	}
 	s.cur.refs.Add(1)
 	return s.cur, nil
@@ -243,7 +243,7 @@ func (s *Server) Reload() (BundleInfo, error) {
 	if s.closed {
 		s.mu.Unlock()
 		next.release()
-		return BundleInfo{}, ErrServerClosed
+		return BundleInfo{}, errServerClosed
 	}
 	old := s.cur
 	s.cur = next
@@ -295,8 +295,8 @@ func (s *Server) BundleInfo() (BundleInfo, error) {
 
 // Stats snapshots the active generation's pool counters.  Counters are per
 // generation: a reload starts them fresh, the way a restarted process
-// would, and the generation number in Status tells scrapers when that
-// happened.
+// would, and the generation number in the status document tells scrapers
+// when that happened.
 func (s *Server) Stats() (serve.Stats, error) {
 	st, err := s.acquire()
 	if err != nil {

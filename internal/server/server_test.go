@@ -544,7 +544,7 @@ func TestStatusAndMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st Status
+	var st statusDoc
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}

@@ -28,15 +28,8 @@ const (
 // directive.  CommentGroup.Text() strips directive comments, so the raw
 // list is the only place they survive.
 func hasDirective(doc *ast.CommentGroup, directive string) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if c.Text == directive || strings.HasPrefix(c.Text, directive+" ") {
-			return true
-		}
-	}
-	return false
+	_, ok := directiveArg(doc, directive)
+	return ok
 }
 
 // exprText renders an expression back to source for structural comparison

@@ -38,6 +38,14 @@
 //   - error-discipline: decode and validation paths in internal/query
 //     return errors; panic is a violation unless the function is annotated
 //     //nwvet:allowpanic.
+//   - export-discipline: every exported function, method, type, constant
+//     and variable of a serving package (exportDisciplineDirs) is
+//     referenced by non-test Go outside its package — any file the walk
+//     reaches, the separate benchmark module included — or is named by a
+//     passing identifier's signature or field types, or is a constant of a
+//     passing named type, or carries //nwvet:oracle naming the test that
+//     uses it.  Methods match by name, so the rule can miss an unused
+//     method but never flags a used one.
 //
 // The driver also carries the repository's documentation invariants, folded
 // in from the retired repolint command: package doc comments, exported-
@@ -129,6 +137,7 @@ func runNwvet(root string) ([]string, error) {
 		}
 		checkDocComments(u, report)
 	}
+	analyzeExportDiscipline(units, exportDisciplineDirs, report)
 	if err := lintMarkdownLinks(root, report); err != nil {
 		return nil, err
 	}
@@ -235,6 +244,7 @@ func (im *stubImporter) Import(path string) (*types.Package, error) {
 		name = name[i+1:]
 	}
 	p := types.NewPackage(path, name)
+	p.MarkComplete() // go/types drops an incomplete import, and its PkgName with it
 	im.cache[path] = p
 	return p, nil
 }

@@ -10,6 +10,17 @@ import (
 // in it, returning the violation lines.
 func collect(t *testing.T, dir string, run func(*unit, reportFunc)) []string {
 	t.Helper()
+	return collectAll(t, dir, func(units []*unit, report reportFunc) {
+		for _, u := range units {
+			run(u, report)
+		}
+	})
+}
+
+// collectAll loads one fixture directory and runs a whole-walk analyzer
+// over its units, returning the violation lines.
+func collectAll(t *testing.T, dir string, run func([]*unit, reportFunc)) []string {
+	t.Helper()
 	units, err := loadUnits(dir)
 	if err != nil {
 		t.Fatalf("loadUnits(%s): %v", dir, err)
@@ -18,13 +29,16 @@ func collect(t *testing.T, dir string, run func(*unit, reportFunc)) []string {
 		t.Fatalf("loadUnits(%s): no Go files found", dir)
 	}
 	var got []string
-	report := func(format string, args ...any) {
+	run(units, func(format string, args ...any) {
 		got = append(got, fmt.Sprintf(format, args...))
-	}
-	for _, u := range units {
-		run(u, report)
-	}
+	})
 	return got
+}
+
+// exportFixture runs export-discipline over a fixture tree whose svc
+// directory is the one scoped package.
+func exportFixture(units []*unit, report reportFunc) {
+	analyzeExportDiscipline(units, []string{"svc"}, report)
 }
 
 // wantFindings asserts the exact violation count and that every expected
@@ -159,6 +173,27 @@ func TestErrorDisciplineSeededViolation(t *testing.T) {
 	wantFindings(t, got, []string{
 		"decode panics",
 	})
+}
+
+// TestExportDisciplineSeededViolations: a test is not a caller, a type an
+// unexported signature names is not reachable, and an oracle annotation
+// must name its test.
+func TestExportDisciplineSeededViolations(t *testing.T) {
+	got := collectAll(t, "testdata/export_bad", exportFixture)
+	wantFindings(t, got, []string{
+		"export-discipline: svc.OnlyTested has no caller outside its package",
+		"export-discipline: svc.Hidden has no caller outside its package",
+		"export-discipline: svc.Bare: //nwvet:oracle must name the test that uses it",
+	})
+}
+
+// TestExportDisciplineCleanFixture: a caller in a sibling module, the
+// signature and field-type cascade, an enum's constants, a method the
+// standard library calls and a named oracle all pass.
+func TestExportDisciplineCleanFixture(t *testing.T) {
+	if got := collectAll(t, "testdata/export_clean", exportFixture); len(got) != 0 {
+		t.Errorf("clean export fixture flagged:\n%s", strings.Join(got, "\n"))
+	}
 }
 
 // TestCleanFixture runs every analyzer plus the doc checks over the

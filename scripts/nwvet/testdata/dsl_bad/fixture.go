@@ -8,6 +8,6 @@ import (
 
 // Serve pretends to interpret query text per document.
 func Serve(text string) error {
-	_, err := dsl.Parse(text)
+	_, err := dsl.ParseList(text)
 	return err
 }

@@ -1,0 +1,8 @@
+package svc
+
+import "testing"
+
+func TestOnlyTested(t *testing.T) {
+	OnlyTested()
+	helper(Hidden{})
+}

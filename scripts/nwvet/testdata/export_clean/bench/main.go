@@ -1,0 +1,10 @@
+// Command bench drives svc from its own module, as the repository's
+// benchmark module drives the serving packages.
+package main
+
+import "fixture/svc"
+
+func main() {
+	e := svc.New(svc.Options{})
+	_ = e.Run()
+}

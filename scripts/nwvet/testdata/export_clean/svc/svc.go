@@ -1,0 +1,41 @@
+// Package svc is a scoped serving package whose every exported identifier
+// earns its place.
+package svc
+
+// New is called from the sibling bench module.
+func New(opts Options) *Engine { return &Engine{opts: opts} }
+
+// Engine is named by New's result: the signature cascade.
+type Engine struct{ opts Options }
+
+// Options is named by New's parameter.
+type Options struct {
+	Mode  Mode   // an exported field: its type cascades
+	Hooks []Hook // and so on, through Hook's signature to Event
+}
+
+// Mode selects a behaviour.  Its constants pass because the type does.
+type Mode int
+
+// The modes.
+const (
+	ModeFast Mode = iota
+	ModeSafe
+)
+
+// String satisfies fmt.Stringer; the standard library calls it.
+func (m Mode) String() string { return [...]string{"fast", "safe"}[m] }
+
+// Hook observes one event.
+type Hook func(Event)
+
+// Event is named by Hook's signature.
+type Event struct{ Seq int }
+
+// Run is called by name from the bench module.
+func (e *Engine) Run() error { return nil }
+
+// Reference is kept as a test oracle.
+//
+//nwvet:oracle TestReference holds New to it
+func Reference() *Engine { return New(Options{}) }
