@@ -13,6 +13,7 @@ import (
 	"repro/internal/docstream"
 	"repro/internal/engine"
 	"repro/internal/generator"
+	"repro/internal/nestedword"
 	"repro/internal/query"
 	"repro/internal/query/plan"
 )
@@ -154,21 +155,25 @@ func TestQuerysetFlag(t *testing.T) {
 	}
 }
 
-// TestDrain checks the buffered decode: the native format matches
-// docstream.Tokenize, labels come back deduplicated in first-seen order,
-// and an unknown format fails.
+// TestDrain checks the buffered decode: the native format yields the
+// document's events, uninterned, labels come back deduplicated in
+// first-seen order, and an unknown format fails.
 func TestDrain(t *testing.T) {
 	const doc = "<a> <b> x y x </b> <c> </c> </a>"
 	events, err := Drain("", strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := docstream.Tokenize(doc)
-	if err != nil {
-		t.Fatal(err)
+	ev := func(kind nestedword.Kind, label string) docstream.Event {
+		return docstream.Event{Kind: kind, Label: label}
+	}
+	want := []docstream.Event{
+		ev(nestedword.Call, "a"), ev(nestedword.Call, "b"),
+		ev(nestedword.Internal, "x"), ev(nestedword.Internal, "y"), ev(nestedword.Internal, "x"),
+		ev(nestedword.Return, "b"), ev(nestedword.Call, "c"), ev(nestedword.Return, "c"), ev(nestedword.Return, "a"),
 	}
 	if !slices.Equal(events, want) {
-		t.Fatalf("Drain %v, Tokenize %v", events, want)
+		t.Fatalf("Drain %v, want %v", events, want)
 	}
 	if got := Labels(events); !slices.Equal(got, []string{"a", "b", "x", "y", "c"}) {
 		t.Fatalf("Labels %v", got)

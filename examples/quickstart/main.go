@@ -7,37 +7,40 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/alphabet"
+	"repro/internal/nestedword"
+	"repro/internal/nwa"
+	"repro/internal/query"
 	"repro/internal/tree"
 )
 
 func main() {
 	// The three nested words of Figure 1.
-	n1 := core.MustParseNestedWord("a b <a a <b a b> a> <a b a a>")
-	n2 := core.MustParseNestedWord("a a> <b a a> <a <a")
-	n3 := core.MustParseNestedWord("<a <a a> <b b> a>")
-	for name, n := range map[string]*core.NestedWord{"n1": n1, "n2": n2, "n3": n3} {
-		fmt.Printf("%s = %v  (length %d, depth %d, well-matched %v, tree word %v)\n",
-			name, n, n.Len(), n.Depth(), n.IsWellMatched(), n.IsTreeWord())
+	n1 := nestedword.MustParse("a b <a a <b a b> a> <a b a a>")
+	n2 := nestedword.MustParse("a a> <b a a> <a <a")
+	n3 := nestedword.MustParse("<a <a a> <b b> a>")
+	for i, n := range []*nestedword.NestedWord{n1, n2, n3} {
+		fmt.Printf("n%d = %v  (length %d, depth %d, well-matched %v, tree word %v)\n",
+			i+1, n, n.Len(), n.Depth(), n.IsWellMatched(), n.IsTreeWord())
 	}
 
 	// Trees are nested words: a(a(),b()) encodes to n3 and decodes back.
 	t := tree.New("a", tree.Leaf("a"), tree.Leaf("b"))
-	encoded := core.TreeToNestedWord(t)
-	decoded, _ := core.TreeFromNestedWord(encoded)
+	encoded := tree.ToNestedWord(t)
+	decoded, _ := tree.FromNestedWord(encoded)
 	fmt.Printf("\nt_nw(%v) = %v, nw_t back = %v\n", t, encoded, decoded)
 
 	// Word and tree operations on nested words.
-	fmt.Printf("path(a,b,a)      = %v\n", core.Path("a", "b", "a"))
-	fmt.Printf("concat(n2, n2)   = %v\n", core.Concat(n2, n2))
+	fmt.Printf("path(a,b,a)      = %v\n", nestedword.Path("a", "b", "a"))
+	fmt.Printf("concat(n2, n2)   = %v\n", nestedword.Concat(n2, n2))
 	fmt.Printf("insert ⟨b b⟩ after every a of n3 = %v\n",
-		core.Insert(n3, "a", core.MustParseNestedWord("<b b>")))
+		nestedword.Insert(n3, "a", nestedword.MustParse("<b b>")))
 
 	// A deterministic NWA over {a, b} accepting the well-matched words whose
 	// matched calls and returns carry the same symbol: the call pushes its
 	// symbol along the hierarchical edge, the return checks it.
-	alpha := core.NewAlphabet("a", "b")
-	b := core.NewDNWABuilder(alpha, 6)
+	alpha := alphabet.New("a", "b")
+	b := nwa.NewDNWABuilder(alpha, 6)
 	const topOK, insideOK, pushTopA, pushTopB, pushInA, pushInB = 0, 1, 2, 3, 4, 5
 	b.SetStart(topOK).SetAccept(topOK)
 	for _, sym := range []string{"a", "b"} {
@@ -52,15 +55,15 @@ func main() {
 
 	fmt.Println("\nmatched-symbols automaton verdicts:")
 	for _, in := range []string{"<a <b b> a>", "<a b>", "a b a", "<a <b a> b>", "<a"} {
-		n := core.MustParseNestedWord(in)
+		n := nestedword.MustParse(in)
 		fmt.Printf("  %-14s -> %v\n", in, matched.Accepts(n))
 	}
 
 	// Boolean combination and a decision procedure (Section 3.2).
-	wellFormed := core.WellFormedQuery(alpha)
+	wellFormed := query.WellFormed(alpha)
 	fmt.Printf("\nmatched ⊆ well-formed over {a,b}: equivalent automata? %v\n",
-		core.EquivalentNWA(matched, wellFormed))
-	inter := core.IntersectNWA(matched, wellFormed)
+		nwa.Equivalent(matched, wellFormed))
+	inter := nwa.Intersect(matched, wellFormed)
 	if w, ok := inter.SomeWord(); ok {
 		fmt.Printf("a witness in the intersection: %v\n", w)
 	}

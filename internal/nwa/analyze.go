@@ -1,29 +1,19 @@
 package nwa
 
-import (
-	"strconv"
-
-	"repro/internal/alphabet"
-)
-
 // This file exports the reachability half of the emptiness machinery
 // (emptiness.go, Section 3.2) to other packages, most notably the compiled-
 // artifact verifier in internal/query: `nwtool vet` runs the same
 // summary-closure analysis over the flat tables of a serialized bundle that
-// the emptiness check runs over map-backed automata, so a bundle's dead
-// states are found by the paper's own algorithm rather than a second
-// implementation.
-//
-// The exported view works over integer symbol IDs instead of symbol strings
-// because compiled automata carry one extra column — the out-of-alphabet ID —
-// that no alphabet string maps to; a synthesized alphabet of the right width
-// bridges the two worlds internally.
+// the emptiness check runs over DNWAs, NNWAs and their virtual products, so
+// a bundle's dead states are found by the paper's own algorithm rather than
+// a second implementation.
 
-// StateGraph is the integer-symbol automaton view accepted by the exported
-// analysis entry points.  Symbols are dense IDs 0..NumSymbols()-1 (a compiled
-// automaton includes its out-of-alphabet column), and edges are enumerated
-// through callbacks so implementations over CSR or dense tables need not
-// materialize successor slices.
+// StateGraph is the one automaton view the analysis takes: DNWA, NNWA, the
+// virtual difference product of the inclusion check and query's compiled
+// tables all implement it.  Symbols are dense IDs 0..NumSymbols()-1 (a
+// compiled automaton includes its out-of-alphabet column), and edges are
+// enumerated through callbacks so implementations over maps or flat tables
+// need not materialize successor slices.
 type StateGraph interface {
 	// NumStates returns the number of states.
 	NumStates() int
@@ -42,61 +32,13 @@ type StateGraph interface {
 	EachReturnEdge(lin, hier, sym int, f func(to int))
 }
 
-// graphAutom adapts a StateGraph to the unexported autom interface the
-// emptiness analysis consumes: it synthesizes one placeholder symbol string
-// per column and maps the strings back to column IDs on every successor
-// query.  Witness words built over the placeholder alphabet are meaningless
-// and never surface through the exported entry points.
-type graphAutom struct {
-	g      StateGraph
-	alpha  *alphabet.Alphabet
-	starts []int
-}
-
-func wrapGraph(g StateGraph, starts []int) *graphAutom {
-	syms := make([]string, g.NumSymbols())
-	for i := range syms {
-		syms[i] = "#" + strconv.Itoa(i)
-	}
-	return &graphAutom{g: g, alpha: alphabet.New(syms...), starts: starts}
-}
-
-func (ga *graphAutom) Alphabet() *alphabet.Alphabet { return ga.alpha }
-func (ga *graphAutom) NumStates() int               { return ga.g.NumStates() }
-func (ga *graphAutom) StartStates() []int           { return ga.starts }
-func (ga *graphAutom) IsAccepting(q int) bool       { return ga.g.IsAccepting(q) }
-
-func (ga *graphAutom) CallSuccessors(q int, sym string) []callTarget {
-	var out []callTarget
-	ga.g.EachCallEdge(q, ga.alpha.MustIndex(sym), func(linear, hier int) {
-		out = append(out, callTarget{Linear: linear, Hier: hier})
-	})
-	return out
-}
-
-func (ga *graphAutom) InternalSuccessors(q int, sym string) []int {
-	var out []int
-	ga.g.EachInternalEdge(q, ga.alpha.MustIndex(sym), func(to int) {
-		out = append(out, to)
-	})
-	return out
-}
-
-func (ga *graphAutom) ReturnSuccessors(lin, hier int, sym string) []int {
-	var out []int
-	ga.g.EachReturnEdge(lin, hier, ga.alpha.MustIndex(sym), func(to int) {
-		out = append(out, to)
-	})
-	return out
-}
-
 // ReachableStates runs the summary/reachability closure of the emptiness
 // analysis over the graph and reports, per state, whether some nested word
 // (pending calls and returns included) takes the automaton from an initial
 // state to it as a linear state.  States used only as hierarchical targets
 // are not linearly reachable; see HierarchicalTargets.
 func ReachableStates(g StateGraph) []bool {
-	an := analyze(wrapGraph(g, g.StartStates()))
+	an := analyze(g)
 	reach := make([]bool, g.NumStates())
 	for q := range an.reachB {
 		if q >= 0 && q < len(reach) {

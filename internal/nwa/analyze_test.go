@@ -6,35 +6,6 @@ import (
 	"repro/internal/alphabet"
 )
 
-// nnwaStateGraph adapts an NNWA to the StateGraph interface for testing the
-// exported reachability analysis against a hand-built automaton.
-type nnwaStateGraph struct{ n *NNWA }
-
-func (g nnwaStateGraph) NumStates() int     { return g.n.NumStates() }
-func (g nnwaStateGraph) NumSymbols() int    { return g.n.Alphabet().Size() }
-func (g nnwaStateGraph) StartStates() []int { return g.n.StartStates() }
-func (g nnwaStateGraph) IsAccepting(q int) bool {
-	return g.n.IsAccepting(q)
-}
-
-func (g nnwaStateGraph) EachCallEdge(q, sym int, f func(linear, hier int)) {
-	for _, t := range g.n.CallSuccessors(q, g.n.Alphabet().Symbol(sym)) {
-		f(t.Linear, t.Hier)
-	}
-}
-
-func (g nnwaStateGraph) EachInternalEdge(q, sym int, f func(to int)) {
-	for _, to := range g.n.InternalSuccessors(q, g.n.Alphabet().Symbol(sym)) {
-		f(to)
-	}
-}
-
-func (g nnwaStateGraph) EachReturnEdge(lin, hier, sym int, f func(to int)) {
-	for _, to := range g.n.ReturnSuccessors(lin, hier, g.n.Alphabet().Symbol(sym)) {
-		f(to)
-	}
-}
-
 func TestReachableStates(t *testing.T) {
 	alpha := alphabet.New("a", "b")
 	// 0 -a-> 1 (internal); 1 -a-> (2, hier 3) (call); 2 -b/3-> 4 (return);
@@ -46,7 +17,7 @@ func TestReachableStates(t *testing.T) {
 	n.AddReturn(2, 3, "b", 4)
 	n.AddInternal(5, "b", 5)
 
-	reach := ReachableStates(nnwaStateGraph{n})
+	reach := ReachableStates(n)
 	want := []bool{true, true, true, false, true, false}
 	for q, w := range want {
 		if reach[q] != w {
@@ -54,7 +25,7 @@ func TestReachableStates(t *testing.T) {
 		}
 	}
 
-	hier := HierarchicalTargets(nnwaStateGraph{n}, reach)
+	hier := HierarchicalTargets(n, reach)
 	if !hier[3] {
 		t.Errorf("HierarchicalTargets[3] = false, want true (call edge from reachable state 1)")
 	}
@@ -72,10 +43,10 @@ func TestCoaccessibleStates(t *testing.T) {
 	n.AddReturn(2, 3, "b", 4)
 	n.AddInternal(5, "b", 5)
 
-	reach := ReachableStates(nnwaStateGraph{n})
-	hierOK := HierarchicalTargets(nnwaStateGraph{n}, reach)
+	reach := ReachableStates(n)
+	hierOK := HierarchicalTargets(n, reach)
 	hierOK[0] = true // start state, for pending returns
-	co := CoaccessibleStates(nnwaStateGraph{n}, hierOK)
+	co := CoaccessibleStates(n, hierOK)
 	// 4 is accepting (trivially coaccessible); 0 and 1 reach it; 2 reaches
 	// it over the return edge gated on hierarchical state 3, which a call
 	// from reachable state 1 supplies; 5 loops on itself and never reaches
@@ -90,7 +61,7 @@ func TestCoaccessibleStates(t *testing.T) {
 	// With the return's hierarchical component unavailable, state 2 loses
 	// its only path to acceptance.
 	none := make([]bool, n.NumStates())
-	co = CoaccessibleStates(nnwaStateGraph{n}, none)
+	co = CoaccessibleStates(n, none)
 	if co[2] {
 		t.Errorf("CoaccessibleStates[2] = true with no hierarchical states available, want false")
 	}

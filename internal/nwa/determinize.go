@@ -88,18 +88,11 @@ func (n *NNWA) Determinize() *DNWA {
 
 	start := intern(n.initialSimulation(), -1)
 
-	// Deterministic transitions, keyed like the DNWA maps but with local
-	// state numbering; converted to a DNWA at the end.
-	type pendingCall struct {
-		from int
-		sym  int
-	}
-	callT := make(map[pendingCall]callTarget)
-	internT := make(map[pendingCall]int)
-	type pendingReturn struct {
-		lin, hier, sym int
-	}
-	returnT := make(map[pendingReturn]int)
+	// Deterministic transitions in the DNWA's own maps, keyed by the
+	// deterministic state numbering and symbol ID.
+	callT := make(map[callKey]callTarget)
+	internT := make(map[callKey]int)
+	returnT := make(map[returnKey]int)
 
 	// Exploration: linear states and hierarchical marker states are both
 	// discovered; return transitions combine every linear state with every
@@ -114,18 +107,17 @@ func (n *NNWA) Determinize() *DNWA {
 		lin := linearList[iLin]
 		sim := states[lin].sim
 		for s := 0; s < n.alpha.Size(); s++ {
-			sym := n.alpha.Symbol(s)
 			// Internal.
-			next := intern(n.stepInternal(sim, sym), -1)
-			internT[pendingCall{lin, s}] = next
+			next := intern(n.stepInternal(sim, s), -1)
+			internT[callKey{lin, s}] = next
 			if !linearSeen[next] {
 				linearSeen[next] = true
 				linearList = append(linearList, next)
 			}
 			// Call: linear successor plus hierarchical marker.
-			linNext := intern(n.stepCall(sim, sym), -1)
+			linNext := intern(n.stepCall(sim, s), -1)
 			hierNext := intern(sim, s)
-			callT[pendingCall{lin, s}] = callTarget{Linear: linNext, Hier: hierNext}
+			callT[callKey{lin, s}] = callTarget{Linear: linNext, Hier: hierNext}
 			if !linearSeen[linNext] {
 				linearSeen[linNext] = true
 				linearList = append(linearList, linNext)
@@ -146,17 +138,16 @@ func (n *NNWA) Determinize() *DNWA {
 			}
 			processedReturn[[2]int{lin, hier}] = true
 			for s := 0; s < n.alpha.Size(); s++ {
-				sym := n.alpha.Symbol(s)
 				var nextSim simulationState
 				if states[hier].sym < 0 {
 					// Hierarchical state without a call marker: this is the
 					// initial state, i.e. a pending return.
-					nextSim = n.stepReturnPending(sim, sym)
+					nextSim = n.stepReturnPending(sim, s)
 				} else {
-					nextSim = n.stepReturnMatched(sim, states[hier].sim, n.alpha.Symbol(states[hier].sym), sym)
+					nextSim = n.stepReturnMatched(sim, states[hier].sim, states[hier].sym, s)
 				}
 				next := intern(nextSim, -1)
-				returnT[pendingReturn{lin, hier, s}] = next
+				returnT[returnKey{lin, hier, s}] = next
 				if !linearSeen[next] {
 					linearSeen[next] = true
 					linearList = append(linearList, next)
@@ -186,15 +177,14 @@ func (n *NNWA) Determinize() *DNWA {
 				processedReturn[[2]int{lin, hier}] = true
 				changed = true
 				for s := 0; s < n.alpha.Size(); s++ {
-					sym := n.alpha.Symbol(s)
 					var nextSim simulationState
 					if states[hier].sym < 0 {
-						nextSim = n.stepReturnPending(sim, sym)
+						nextSim = n.stepReturnPending(sim, s)
 					} else {
-						nextSim = n.stepReturnMatched(sim, states[hier].sim, n.alpha.Symbol(states[hier].sym), sym)
+						nextSim = n.stepReturnMatched(sim, states[hier].sim, states[hier].sym, s)
 					}
 					next := intern(nextSim, -1)
-					returnT[pendingReturn{lin, hier, s}] = next
+					returnT[returnKey{lin, hier, s}] = next
 					if !linearSeen[next] {
 						linearSeen[next] = true
 						linearList = append(linearList, next)
@@ -204,20 +194,19 @@ func (n *NNWA) Determinize() *DNWA {
 				}
 			}
 			for s := 0; s < n.alpha.Size(); s++ {
-				if _, ok := internT[pendingCall{lin, s}]; ok {
+				if _, ok := internT[callKey{lin, s}]; ok {
 					continue
 				}
 				changed = true
-				sym := n.alpha.Symbol(s)
-				next := intern(n.stepInternal(sim, sym), -1)
-				internT[pendingCall{lin, s}] = next
+				next := intern(n.stepInternal(sim, s), -1)
+				internT[callKey{lin, s}] = next
 				if !linearSeen[next] {
 					linearSeen[next] = true
 					linearList = append(linearList, next)
 				}
-				linNext := intern(n.stepCall(sim, sym), -1)
+				linNext := intern(n.stepCall(sim, s), -1)
 				hierNext := intern(sim, s)
-				callT[pendingCall{lin, s}] = callTarget{Linear: linNext, Hier: hierNext}
+				callT[callKey{lin, s}] = callTarget{Linear: linNext, Hier: hierNext}
 				if !linearSeen[linNext] {
 					linearSeen[linNext] = true
 					linearList = append(linearList, linNext)
@@ -230,30 +219,30 @@ func (n *NNWA) Determinize() *DNWA {
 		}
 	}
 
-	// Assemble the deterministic automaton.
-	b := NewDNWABuilder(n.alpha, len(states))
-	b.SetStart(start)
+	// Assemble the deterministic automaton; the dead state follows the
+	// discovered ones and no transition reaches it.
+	d := &DNWA{
+		alpha:   n.alpha,
+		num:     len(states) + 1,
+		start:   start,
+		dead:    len(states),
+		accept:  make([]bool, len(states)+1),
+		callT:   callT,
+		internT: internT,
+		returnT: returnT,
+	}
 	for id, st := range states {
 		if st.sym >= 0 {
 			continue // hierarchical markers are never accepting
 		}
 		for q := range st.sim.R {
 			if n.accept[q] {
-				b.SetAccept(id)
+				d.accept[id] = true
 				break
 			}
 		}
 	}
-	for k, v := range internT {
-		b.Internal(k.from, n.alpha.Symbol(k.sym), v)
-	}
-	for k, v := range callT {
-		b.Call(k.from, n.alpha.Symbol(k.sym), v.Linear, v.Hier)
-	}
-	for k, v := range returnT {
-		b.Return(k.lin, k.hier, n.alpha.Symbol(k.sym), v)
-	}
-	return b.Build()
+	return d
 }
 
 // Complement returns a deterministic NWA accepting NW(Σ) \ L(n), obtained by

@@ -160,10 +160,7 @@ func (d *DNWA) StepCall(q int, sym string) (linear, hier int) {
 	if !ok {
 		return d.dead, d.dead
 	}
-	if t, ok := d.callT[callKey{q, s}]; ok {
-		return t.Linear, t.Hier
-	}
-	return d.dead, d.dead
+	return d.stepCall(q, s)
 }
 
 // StepInternal returns δi(q, sym).
@@ -172,10 +169,7 @@ func (d *DNWA) StepInternal(q int, sym string) int {
 	if !ok {
 		return d.dead
 	}
-	if t, ok := d.internT[callKey{q, s}]; ok {
-		return t
-	}
-	return d.dead
+	return d.stepInternal(q, s)
 }
 
 // StepReturn returns δr(lin, hier, sym).
@@ -184,11 +178,49 @@ func (d *DNWA) StepReturn(lin, hier int, sym string) int {
 	if !ok {
 		return d.dead
 	}
+	return d.stepReturn(lin, hier, s)
+}
+
+// stepCall, stepInternal and stepReturn are the transition functions on
+// symbol IDs; missing transitions go to the dead state.
+func (d *DNWA) stepCall(q, s int) (linear, hier int) {
+	if t, ok := d.callT[callKey{q, s}]; ok {
+		return t.Linear, t.Hier
+	}
+	return d.dead, d.dead
+}
+
+func (d *DNWA) stepInternal(q, s int) int {
+	if t, ok := d.internT[callKey{q, s}]; ok {
+		return t
+	}
+	return d.dead
+}
+
+func (d *DNWA) stepReturn(lin, hier, s int) int {
 	if t, ok := d.returnT[returnKey{lin, hier, s}]; ok {
 		return t
 	}
 	return d.dead
 }
+
+// The StateGraph view of a DNWA: one edge per (state, symbol), dead-state
+// targets included, since the automaton is complete.
+
+// NumSymbols returns the alphabet size.
+func (d *DNWA) NumSymbols() int { return d.alpha.Size() }
+
+// StartStates returns the singleton initial-state set {q0}.
+func (d *DNWA) StartStates() []int { return []int{d.start} }
+
+// EachCallEdge calls f with δc(q, sym).
+func (d *DNWA) EachCallEdge(q, sym int, f func(linear, hier int)) { f(d.stepCall(q, sym)) }
+
+// EachInternalEdge calls f with δi(q, sym).
+func (d *DNWA) EachInternalEdge(q, sym int, f func(to int)) { f(d.stepInternal(q, sym)) }
+
+// EachReturnEdge calls f with δr(lin, hier, sym).
+func (d *DNWA) EachReturnEdge(lin, hier, sym int, f func(to int)) { f(d.stepReturn(lin, hier, sym)) }
 
 // Run is the unique run of the automaton over the nested word: the sequence
 // of linear states q0, q1, ..., qℓ (Section 3.1).  The hierarchical states
@@ -269,18 +301,6 @@ func (d *DNWA) Accepts(n *nestedword.NestedWord) bool {
 	return d.accept[q]
 }
 
-// CallTransitions returns a copy of the call-transition map in an
-// iteration-friendly form: for each defined (state, symbol) the pair of
-// targets.  It is used by conversion constructions in this package and by
-// the treeauto embeddings.
-func (d *DNWA) CallTransitions() map[callKey]callTarget {
-	out := make(map[callKey]callTarget, len(d.callT))
-	for k, v := range d.callT {
-		out[k] = v
-	}
-	return out
-}
-
 // EachCall calls f for every defined call transition δc(state, sym) =
 // (linear, hier), with sym given as an alphabet index.  Transitions not
 // visited go to the dead state.  It is the iteration hook used by
@@ -308,8 +328,8 @@ func (d *DNWA) EachReturn(f func(lin, hier, sym, to int)) {
 }
 
 // NumReturnTransitions returns the number of explicitly defined return
-// transitions (the rest go to the dead state).  query.Compile uses it to
-// choose between the dense and sparse compiled forms.
+// transitions (the rest go to the dead state).  query.Compile uses it as a
+// capacity hint for its return entries.
 func (d *DNWA) NumReturnTransitions() int { return len(d.returnT) }
 
 // ToNondeterministic converts the deterministic automaton to an equivalent
@@ -325,13 +345,13 @@ func (d *DNWA) ToNondeterministic() *NNWA {
 	for s := 0; s < d.alpha.Size(); s++ {
 		sym := d.alpha.Symbol(s)
 		for q := 0; q < d.num; q++ {
-			lin, hier := d.StepCall(q, sym)
+			lin, hier := d.stepCall(q, s)
 			n.AddCall(q, sym, lin, hier)
-			n.AddInternal(q, sym, d.StepInternal(q, sym))
+			n.AddInternal(q, sym, d.stepInternal(q, s))
 		}
 		for lin := 0; lin < d.num; lin++ {
 			for hier := 0; hier < d.num; hier++ {
-				n.AddReturn(lin, hier, sym, d.StepReturn(lin, hier, sym))
+				n.AddReturn(lin, hier, sym, d.stepReturn(lin, hier, s))
 			}
 		}
 	}
@@ -382,14 +402,13 @@ func product(a, b *DNWA, combine func(bool, bool) bool) *DNWA {
 		}
 	}
 	for s := 0; s < a.alpha.Size(); s++ {
-		sym := a.alpha.Symbol(s)
 		for qa := 0; qa < a.num; qa++ {
 			for qb := 0; qb < b.num; qb++ {
 				q := pair(qa, qb)
-				la, ha := a.StepCall(qa, sym)
-				lb, hb := b.StepCall(qb, sym)
+				la, ha := a.stepCall(qa, s)
+				lb, hb := b.stepCall(qb, s)
 				p.callT[callKey{q, s}] = callTarget{Linear: pair(la, lb), Hier: pair(ha, hb)}
-				p.internT[callKey{q, s}] = pair(a.StepInternal(qa, sym), b.StepInternal(qb, sym))
+				p.internT[callKey{q, s}] = pair(a.stepInternal(qa, s), b.stepInternal(qb, s))
 			}
 		}
 		// Return transitions: only pairs of (linear, hierarchical) states
@@ -401,7 +420,7 @@ func product(a, b *DNWA, combine func(bool, bool) bool) *DNWA {
 				for ha := 0; ha < a.num; ha++ {
 					for hb := 0; hb < b.num; hb++ {
 						p.returnT[returnKey{pair(la, lb), pair(ha, hb), s}] =
-							pair(a.StepReturn(la, ha, sym), b.StepReturn(lb, hb, sym))
+							pair(a.stepReturn(la, ha, s), b.stepReturn(lb, hb, s))
 					}
 				}
 			}
@@ -448,5 +467,5 @@ func Counterexample(a, b *DNWA) (*nestedword.NestedWord, bool) {
 	if !a.alpha.Equal(b.alpha) {
 		panic("nwa: inclusion check over different alphabets")
 	}
-	return findAccepted(&differenceAutom{a: a, b: b})
+	return findAccepted(&differenceAutom{a: a, b: b}, a.alpha)
 }

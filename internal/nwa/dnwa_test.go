@@ -343,19 +343,3 @@ func TestDNWAToNondeterministic(t *testing.T) {
 		}
 	}
 }
-
-func TestCallTransitionsCopy(t *testing.T) {
-	d := matchedSymbols()
-	m := d.CallTransitions()
-	if len(m) == 0 {
-		t.Fatalf("matchedSymbols has call transitions")
-	}
-	for k := range m {
-		m[k] = callTarget{Linear: 0, Hier: 0}
-	}
-	// Mutating the copy must not affect the automaton.
-	lin, hier := d.StepCall(0, "a")
-	if lin != 1 || hier != 2 {
-		t.Errorf("CallTransitions must return a copy")
-	}
-}

@@ -5,20 +5,6 @@ import (
 	"repro/internal/nestedword"
 )
 
-// autom is the nondeterministic view of a nested word automaton shared by
-// the analysis algorithms (emptiness, witness generation, inclusion).  Both
-// DNWA and NNWA implement it, as do the virtual product automata used for
-// language inclusion so that products never have to be materialized.
-type autom interface {
-	Alphabet() *alphabet.Alphabet
-	NumStates() int
-	StartStates() []int
-	IsAccepting(q int) bool
-	CallSuccessors(q int, sym string) []callTarget
-	InternalSuccessors(q int, sym string) []int
-	ReturnSuccessors(lin, hier int, sym string) []int
-}
-
 // The emptiness check follows Section 3.2: it computes summaries of runs
 // over well-matched nested words (pairs (c, q) such that some well-matched
 // word takes context state c to q), then closes the set of reachable states
@@ -28,23 +14,26 @@ type autom interface {
 // automaton is ever touched; the worst case is cubic in the number of
 // states, matching the bound stated in the paper.
 //
-// Every derived fact records how it was derived so that a witness nested
-// word can be reconstructed when the language is non-empty.
+// The closure runs over a StateGraph, so symbols are the integer column IDs
+// 0..NumSymbols()-1.  Every derived fact records how it was derived, so a
+// witness nested word can be reconstructed when the language is non-empty;
+// the witness maps the recorded IDs back to labels through the caller's
+// alphabet.
 
 type summaryReason struct {
 	kind    string // "base", "internal", "callreturn"
 	prev    statePair
-	sym     string
-	callSym string
+	sym     int
+	callSym int
 	inner   statePair
-	retSym  string
+	retSym  int
 }
 
 type reachReason struct {
 	kind string // "start", "phaseA", "summary", "pendingreturn", "pendingcall"
 	prev int
 	pair statePair
-	sym  string
+	sym  int
 }
 
 // callEdgeInfo records that the summary outer exists and that a call
@@ -53,7 +42,7 @@ type reachReason struct {
 // context).
 type callEdgeInfo struct {
 	outer   statePair
-	callSym string
+	callSym int
 	hier    int
 }
 
@@ -64,8 +53,8 @@ type workItem struct {
 }
 
 type analysis struct {
-	a               autom
-	syms            []string
+	g               StateGraph
+	syms            int
 	starts          []int
 	summaries       map[statePair]summaryReason
 	summariesByFrom map[int][]statePair
@@ -76,11 +65,11 @@ type analysis struct {
 	worklist        []workItem
 }
 
-func analyze(a autom) *analysis {
+func analyze(g StateGraph) *analysis {
 	an := &analysis{
-		a:               a,
-		syms:            a.Alphabet().Symbols(),
-		starts:          a.StartStates(),
+		g:               g,
+		syms:            g.NumSymbols(),
+		starts:          g.StartStates(),
 		summaries:       make(map[statePair]summaryReason),
 		summariesByFrom: make(map[int][]statePair),
 		contexts:        make(map[int]bool),
@@ -152,28 +141,33 @@ func (an *analysis) run() {
 	}
 }
 
+// The process steps below bind one edge callback per call and advance the
+// symbol it reads, so the closure is not rebuilt for every column.
+
 func (an *analysis) processSummary(p statePair) {
-	a := an.a
 	c, q := p.from, p.to
+	var sym int
 
 	// Internal transitions extend summaries.
-	for _, sym := range an.syms {
-		for _, to := range a.InternalSuccessors(q, sym) {
-			an.addSummary(statePair{c, to}, summaryReason{kind: "internal", prev: p, sym: sym})
-		}
+	internal := func(to int) {
+		an.addSummary(statePair{c, to}, summaryReason{kind: "internal", prev: p, sym: sym})
+	}
+	for sym = 0; sym < an.syms; sym++ {
+		an.g.EachInternalEdge(q, sym, internal)
 	}
 
 	// A call transition from the end of the summary opens an inner context;
 	// combining with an inner summary and a return transition closes it.
-	for _, sym := range an.syms {
-		for _, t := range a.CallSuccessors(q, sym) {
-			an.addContext(t.Linear)
-			edge := callEdgeInfo{outer: p, callSym: sym, hier: t.Hier}
-			an.callEdges[t.Linear] = append(an.callEdges[t.Linear], edge)
-			for _, inner := range an.summariesByFrom[t.Linear] {
-				an.closeCallReturn(edge, inner)
-			}
+	call := func(linear, hier int) {
+		an.addContext(linear)
+		edge := callEdgeInfo{outer: p, callSym: sym, hier: hier}
+		an.callEdges[linear] = append(an.callEdges[linear], edge)
+		for _, inner := range an.summariesByFrom[linear] {
+			an.closeCallReturn(edge, inner)
 		}
+	}
+	for sym = 0; sym < an.syms; sym++ {
+		an.g.EachCallEdge(q, sym, call)
 	}
 
 	// This summary may be the inner part of call edges targeting its
@@ -186,16 +180,18 @@ func (an *analysis) processSummary(p statePair) {
 // closeCallReturn applies every return transition that closes the given call
 // edge around the given inner summary.
 func (an *analysis) closeCallReturn(edge callEdgeInfo, inner statePair) {
-	for _, retSym := range an.syms {
-		for _, to := range an.a.ReturnSuccessors(inner.to, edge.hier, retSym) {
-			an.addSummary(statePair{edge.outer.from, to}, summaryReason{
-				kind:    "callreturn",
-				prev:    edge.outer,
-				callSym: edge.callSym,
-				inner:   inner,
-				retSym:  retSym,
-			})
-		}
+	var retSym int
+	ret := func(to int) {
+		an.addSummary(statePair{edge.outer.from, to}, summaryReason{
+			kind:    "callreturn",
+			prev:    edge.outer,
+			callSym: edge.callSym,
+			inner:   inner,
+			retSym:  retSym,
+		})
+	}
+	for retSym = 0; retSym < an.syms; retSym++ {
+		an.g.EachReturnEdge(inner.to, edge.hier, retSym, ret)
 	}
 }
 
@@ -206,11 +202,13 @@ func (an *analysis) processReachA(q int) {
 	}
 	// Pending returns: the hierarchical edge is labelled with an initial
 	// state.
-	for _, sym := range an.syms {
+	var sym int
+	pendingReturn := func(to int) {
+		an.addReachA(to, reachReason{kind: "pendingreturn", prev: q, sym: sym})
+	}
+	for sym = 0; sym < an.syms; sym++ {
 		for _, q0 := range an.starts {
-			for _, to := range an.a.ReturnSuccessors(q, q0, sym) {
-				an.addReachA(to, reachReason{kind: "pendingreturn", prev: q, sym: sym})
-			}
+			an.g.EachReturnEdge(q, q0, sym, pendingReturn)
 		}
 	}
 	// Everything reachable in phase A is reachable in phase B.
@@ -222,73 +220,92 @@ func (an *analysis) processReachB(q int) {
 		an.addReachB(p.to, reachReason{kind: "summary", prev: q, pair: p})
 	}
 	// Pending calls: only the linear successor matters.
-	for _, sym := range an.syms {
-		for _, t := range an.a.CallSuccessors(q, sym) {
-			an.addReachB(t.Linear, reachReason{kind: "pendingcall", prev: q, sym: sym})
-		}
+	var sym int
+	pendingCall := func(linear, _ int) {
+		an.addReachB(linear, reachReason{kind: "pendingcall", prev: q, sym: sym})
+	}
+	for sym = 0; sym < an.syms; sym++ {
+		an.g.EachCallEdge(q, sym, pendingCall)
 	}
 }
 
-// witnessSummary reconstructs a well-matched nested word realizing the
-// summary pair p.
-func (an *analysis) witnessSummary(p statePair) *nestedword.NestedWord {
-	r := an.summaries[p]
+// accepted returns the lowest-numbered reachable accepting state, or
+// ok=false when there is none.  Picking the lowest makes witnesses
+// independent of map iteration order.
+func (an *analysis) accepted() (q int, ok bool) {
+	q = -1
+	for r := range an.reachB {
+		if an.g.IsAccepting(r) && (q < 0 || r < q) {
+			q = r
+		}
+	}
+	return q, q >= 0
+}
+
+// witness rebuilds nested words from an analysis's derivations, labelling
+// symbol IDs through alpha.
+type witness struct {
+	an    *analysis
+	alpha *alphabet.Alphabet
+}
+
+func (w witness) position(sym int, kind nestedword.Kind) *nestedword.NestedWord {
+	return nestedword.New(nestedword.Position{Symbol: w.alpha.Symbol(sym), Kind: kind})
+}
+
+// summary reconstructs a well-matched nested word realizing the summary
+// pair p.
+func (w witness) summary(p statePair) *nestedword.NestedWord {
+	r := w.an.summaries[p]
 	switch r.kind {
 	case "internal":
-		return nestedword.Concat(an.witnessSummary(r.prev), nestedword.FromWord(r.sym))
+		return nestedword.Concat(w.summary(r.prev), w.position(r.sym, nestedword.Internal))
 	case "callreturn":
-		outer := an.witnessSummary(r.prev)
-		inner := an.witnessSummary(r.inner)
-		call := nestedword.New(nestedword.Position{Symbol: r.callSym, Kind: nestedword.Call})
-		ret := nestedword.New(nestedword.Position{Symbol: r.retSym, Kind: nestedword.Return})
-		return nestedword.Concat(outer, call, inner, ret)
+		return nestedword.Concat(w.summary(r.prev), w.position(r.callSym, nestedword.Call),
+			w.summary(r.inner), w.position(r.retSym, nestedword.Return))
 	default: // "base"
 		return nestedword.Empty()
 	}
 }
 
-// witnessReach reconstructs a nested word that takes the automaton from an
-// initial state to q, following the phase A / phase B derivations.
-func (an *analysis) witnessReach(q int, phaseB bool) *nestedword.NestedWord {
+// reach reconstructs a nested word that takes the automaton from an initial
+// state to q, following the phase A / phase B derivations.
+func (w witness) reach(q int, phaseB bool) *nestedword.NestedWord {
 	var r reachReason
 	if phaseB {
-		r = an.reachB[q]
+		r = w.an.reachB[q]
 	} else {
-		r = an.reachA[q]
+		r = w.an.reachA[q]
 	}
 	switch r.kind {
-	case "start":
-		return nestedword.Empty()
 	case "phaseA":
-		return an.witnessReach(r.prev, false)
+		return w.reach(r.prev, false)
 	case "summary":
-		return nestedword.Concat(an.witnessReach(r.prev, phaseB), an.witnessSummary(r.pair))
+		return nestedword.Concat(w.reach(r.prev, phaseB), w.summary(r.pair))
 	case "pendingreturn":
-		return nestedword.Concat(an.witnessReach(r.prev, phaseB),
-			nestedword.New(nestedword.Position{Symbol: r.sym, Kind: nestedword.Return}))
+		return nestedword.Concat(w.reach(r.prev, phaseB), w.position(r.sym, nestedword.Return))
 	case "pendingcall":
-		return nestedword.Concat(an.witnessReach(r.prev, phaseB),
-			nestedword.New(nestedword.Position{Symbol: r.sym, Kind: nestedword.Call}))
-	default:
+		return nestedword.Concat(w.reach(r.prev, phaseB), w.position(r.sym, nestedword.Call))
+	default: // "start"
 		return nestedword.Empty()
 	}
 }
 
-// findAccepted returns some nested word accepted by the automaton, or
-// ok=false when the language is empty.
-func findAccepted(a autom) (*nestedword.NestedWord, bool) {
-	an := analyze(a)
-	for q := range an.reachB {
-		if a.IsAccepting(q) {
-			return an.witnessReach(q, true), true
-		}
+// findAccepted returns some nested word accepted by g, labelled through
+// alpha, or ok=false when the language is empty.  The word leads to the
+// lowest-numbered reachable accepting state, so repeated calls agree.
+func findAccepted(g StateGraph, alpha *alphabet.Alphabet) (*nestedword.NestedWord, bool) {
+	an := analyze(g)
+	q, ok := an.accepted()
+	if !ok {
+		return nil, false
 	}
-	return nil, false
+	return witness{an, alpha}.reach(q, true), true
 }
 
-// isEmpty reports whether the automaton accepts no nested word.
-func isEmpty(a autom) bool {
-	_, ok := findAccepted(a)
+// isEmpty reports whether g accepts no nested word.
+func isEmpty(g StateGraph) bool {
+	_, ok := analyze(g).accepted()
 	return !ok
 }
 
@@ -297,42 +314,22 @@ func (n *NNWA) IsEmpty() bool { return isEmpty(n) }
 
 // SomeWord returns a nested word accepted by the automaton, or ok=false when
 // the language is empty.
-func (n *NNWA) SomeWord() (*nestedword.NestedWord, bool) { return findAccepted(n) }
+func (n *NNWA) SomeWord() (*nestedword.NestedWord, bool) { return findAccepted(n, n.alpha) }
 
 // SomeWord returns a nested word accepted by the automaton, or ok=false when
 // the language is empty.
-func (d *DNWA) SomeWord() (*nestedword.NestedWord, bool) { return findAccepted(d) }
-
-// StartStates returns the singleton initial-state set of the deterministic
-// automaton, satisfying the autom interface.
-func (d *DNWA) StartStates() []int { return []int{d.start} }
-
-// CallSuccessors returns the single call successor pair as a slice.
-func (d *DNWA) CallSuccessors(q int, sym string) []callTarget {
-	lin, hier := d.StepCall(q, sym)
-	return []callTarget{{Linear: lin, Hier: hier}}
-}
-
-// InternalSuccessors returns the single internal successor as a slice.
-func (d *DNWA) InternalSuccessors(q int, sym string) []int {
-	return []int{d.StepInternal(q, sym)}
-}
-
-// ReturnSuccessors returns the single return successor as a slice.
-func (d *DNWA) ReturnSuccessors(lin, hier int, sym string) []int {
-	return []int{d.StepReturn(lin, hier, sym)}
-}
+func (d *DNWA) SomeWord() (*nestedword.NestedWord, bool) { return findAccepted(d, d.alpha) }
 
 // differenceAutom is the virtual product automaton for L(a) \ L(b) of two
-// deterministic automata; it implements autom without materializing the
-// product, so inclusion and equivalence checks only explore reachable
-// product states.
+// deterministic automata over the same alphabet; it implements StateGraph
+// without materializing the product, so inclusion and equivalence checks
+// only explore reachable product states.
 type differenceAutom struct {
 	a, b *DNWA
 }
 
-func (d *differenceAutom) Alphabet() *alphabet.Alphabet { return d.a.alpha }
-func (d *differenceAutom) NumStates() int               { return d.a.num * d.b.num }
+func (d *differenceAutom) NumStates() int  { return d.a.num * d.b.num }
+func (d *differenceAutom) NumSymbols() int { return d.a.alpha.Size() }
 func (d *differenceAutom) StartStates() []int {
 	return []int{d.a.start*d.b.num + d.b.start}
 }
@@ -340,18 +337,18 @@ func (d *differenceAutom) IsAccepting(q int) bool {
 	qa, qb := q/d.b.num, q%d.b.num
 	return d.a.IsAccepting(qa) && !d.b.IsAccepting(qb)
 }
-func (d *differenceAutom) CallSuccessors(q int, sym string) []callTarget {
+func (d *differenceAutom) EachCallEdge(q, sym int, f func(linear, hier int)) {
 	qa, qb := q/d.b.num, q%d.b.num
-	la, ha := d.a.StepCall(qa, sym)
-	lb, hb := d.b.StepCall(qb, sym)
-	return []callTarget{{Linear: la*d.b.num + lb, Hier: ha*d.b.num + hb}}
+	la, ha := d.a.stepCall(qa, sym)
+	lb, hb := d.b.stepCall(qb, sym)
+	f(la*d.b.num+lb, ha*d.b.num+hb)
 }
-func (d *differenceAutom) InternalSuccessors(q int, sym string) []int {
+func (d *differenceAutom) EachInternalEdge(q, sym int, f func(to int)) {
 	qa, qb := q/d.b.num, q%d.b.num
-	return []int{d.a.StepInternal(qa, sym)*d.b.num + d.b.StepInternal(qb, sym)}
+	f(d.a.stepInternal(qa, sym)*d.b.num + d.b.stepInternal(qb, sym))
 }
-func (d *differenceAutom) ReturnSuccessors(lin, hier int, sym string) []int {
+func (d *differenceAutom) EachReturnEdge(lin, hier, sym int, f func(to int)) {
 	la, lb := lin/d.b.num, lin%d.b.num
 	ha, hb := hier/d.b.num, hier%d.b.num
-	return []int{d.a.StepReturn(la, ha, sym)*d.b.num + d.b.StepReturn(lb, hb, sym)}
+	f(d.a.stepReturn(la, ha, sym)*d.b.num + d.b.stepReturn(lb, hb, sym))
 }

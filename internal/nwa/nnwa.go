@@ -115,31 +115,28 @@ func (n *NNWA) AcceptingStates() []int { return sortedStates(n.accept) }
 // IsAccepting reports whether q ∈ F.
 func (n *NNWA) IsAccepting(q int) bool { return n.accept[q] }
 
-// CallSuccessors returns the (linear, hier) successor pairs of δc(q, sym).
-func (n *NNWA) CallSuccessors(q int, sym string) []callTarget {
-	s, ok := n.alpha.Index(sym)
-	if !ok {
-		return nil
+// NumSymbols returns the alphabet size.
+func (n *NNWA) NumSymbols() int { return n.alpha.Size() }
+
+// EachCallEdge calls f for every (linear, hier) pair of δc(q, sym).
+func (n *NNWA) EachCallEdge(q, sym int, f func(linear, hier int)) {
+	for _, t := range n.callR[callKey{q, sym}] {
+		f(t.Linear, t.Hier)
 	}
-	return n.callR[callKey{q, s}]
 }
 
-// InternalSuccessors returns the successors of δi(q, sym).
-func (n *NNWA) InternalSuccessors(q int, sym string) []int {
-	s, ok := n.alpha.Index(sym)
-	if !ok {
-		return nil
+// EachInternalEdge calls f for every successor of δi(q, sym).
+func (n *NNWA) EachInternalEdge(q, sym int, f func(to int)) {
+	for _, to := range n.internR[callKey{q, sym}] {
+		f(to)
 	}
-	return n.internR[callKey{q, s}]
 }
 
-// ReturnSuccessors returns the successors of δr(lin, hier, sym).
-func (n *NNWA) ReturnSuccessors(lin, hier int, sym string) []int {
-	s, ok := n.alpha.Index(sym)
-	if !ok {
-		return nil
+// EachReturnEdge calls f for every successor of δr(lin, hier, sym).
+func (n *NNWA) EachReturnEdge(lin, hier, sym int, f func(to int)) {
+	for _, to := range n.returnR[returnKey{lin, hier, sym}] {
+		f(to)
 	}
-	return n.returnR[returnKey{lin, hier, s}]
 }
 
 // EachCall calls f for every call transition (state, sym, linear, hier) in
@@ -215,15 +212,15 @@ func (n *NNWA) initialSimulation() simulationState {
 }
 
 // stepInternal advances the simulation over an internal position.
-func (n *NNWA) stepInternal(sim simulationState, sym string) simulationState {
+func (n *NNWA) stepInternal(sim simulationState, sym int) simulationState {
 	next := simulationState{S: make(map[statePair]bool), R: make(map[int]bool)}
 	for p := range sim.S {
-		for _, to := range n.InternalSuccessors(p.to, sym) {
+		for _, to := range n.internR[callKey{p.to, sym}] {
 			next.S[statePair{p.from, to}] = true
 		}
 	}
 	for q := range sim.R {
-		for _, to := range n.InternalSuccessors(q, sym) {
+		for _, to := range n.internR[callKey{q, sym}] {
 			next.R[to] = true
 		}
 	}
@@ -234,7 +231,7 @@ func (n *NNWA) stepInternal(sim simulationState, sym string) simulationState {
 // simulation state is the linear successor; the previous simulation state
 // itself (together with the call symbol) is what a determinized automaton
 // propagates along the hierarchical edge, so callers keep it on a stack.
-func (n *NNWA) stepCall(sim simulationState, sym string) simulationState {
+func (n *NNWA) stepCall(sim simulationState, sym int) simulationState {
 	next := simulationState{S: make(map[statePair]bool), R: make(map[int]bool)}
 	// The new context starts just after this call, so the summary component
 	// resets to the identity.
@@ -242,7 +239,7 @@ func (n *NNWA) stepCall(sim simulationState, sym string) simulationState {
 		next.S[statePair{q, q}] = true
 	}
 	for q := range sim.R {
-		for _, t := range n.CallSuccessors(q, sym) {
+		for _, t := range n.callR[callKey{q, sym}] {
 			next.R[t.Linear] = true
 		}
 	}
@@ -252,27 +249,27 @@ func (n *NNWA) stepCall(sim simulationState, sym string) simulationState {
 // stepReturnMatched advances the simulation over a return whose matching
 // call was read with simulation state below (the state pushed at the call)
 // and call symbol callSym.
-func (n *NNWA) stepReturnMatched(sim, below simulationState, callSym, sym string) simulationState {
+func (n *NNWA) stepReturnMatched(sim, below simulationState, callSym, sym int) simulationState {
 	next := simulationState{S: make(map[statePair]bool), R: make(map[int]bool)}
 	for p := range below.S {
-		for _, t := range n.CallSuccessors(p.to, callSym) {
+		for _, t := range n.callR[callKey{p.to, callSym}] {
 			for inner := range sim.S {
 				if inner.from != t.Linear {
 					continue
 				}
-				for _, to := range n.ReturnSuccessors(inner.to, t.Hier, sym) {
+				for _, to := range n.returnR[returnKey{inner.to, t.Hier, sym}] {
 					next.S[statePair{p.from, to}] = true
 				}
 			}
 		}
 	}
 	for q := range below.R {
-		for _, t := range n.CallSuccessors(q, callSym) {
+		for _, t := range n.callR[callKey{q, callSym}] {
 			for inner := range sim.S {
 				if inner.from != t.Linear {
 					continue
 				}
-				for _, to := range n.ReturnSuccessors(inner.to, t.Hier, sym) {
+				for _, to := range n.returnR[returnKey{inner.to, t.Hier, sym}] {
 					next.R[to] = true
 				}
 			}
@@ -283,18 +280,18 @@ func (n *NNWA) stepReturnMatched(sim, below simulationState, callSym, sym string
 
 // stepReturnPending advances the simulation over a pending return: the
 // hierarchical edge comes from −∞ and is labelled with an initial state.
-func (n *NNWA) stepReturnPending(sim simulationState, sym string) simulationState {
+func (n *NNWA) stepReturnPending(sim simulationState, sym int) simulationState {
 	next := simulationState{S: make(map[statePair]bool), R: make(map[int]bool)}
 	for p := range sim.S {
 		for q0 := range n.starts {
-			for _, to := range n.ReturnSuccessors(p.to, q0, sym) {
+			for _, to := range n.returnR[returnKey{p.to, q0, sym}] {
 				next.S[statePair{p.from, to}] = true
 			}
 		}
 	}
 	for q := range sim.R {
 		for q0 := range n.starts {
-			for _, to := range n.ReturnSuccessors(q, q0, sym) {
+			for _, to := range n.returnR[returnKey{q, q0, sym}] {
 				next.R[to] = true
 			}
 		}
@@ -305,32 +302,38 @@ func (n *NNWA) stepReturnPending(sim simulationState, sym string) simulationStat
 // stackEntry is what the simulation pushes at a call.
 type stackEntry struct {
 	sim simulationState
-	sym string
+	sym int
 }
 
 // Accepts reports whether some run of the automaton over the nested word
 // ends in a final state.  The simulation tracks sets of state pairs, so the
 // running time is O(|A|² · |Q|³ worst case) per position — the dynamic
 // programming mentioned in Section 3.2 — and the space is proportional to
-// the depth of the word.
+// the depth of the word.  Each position's label is resolved to its symbol
+// ID once; a label outside the alphabet has no transitions, so every run
+// dies there.
 func (n *NNWA) Accepts(nw *nestedword.NestedWord) bool {
 	sim := n.initialSimulation()
 	var stack []stackEntry
 	for i := 0; i < nw.Len(); i++ {
 		p := nw.At(i)
+		sym, ok := n.alpha.Index(p.Symbol)
+		if !ok {
+			return false
+		}
 		switch p.Kind {
 		case nestedword.Internal:
-			sim = n.stepInternal(sim, p.Symbol)
+			sim = n.stepInternal(sim, sym)
 		case nestedword.Call:
-			stack = append(stack, stackEntry{sim: sim, sym: p.Symbol})
-			sim = n.stepCall(sim, p.Symbol)
+			stack = append(stack, stackEntry{sim: sim, sym: sym})
+			sim = n.stepCall(sim, sym)
 		case nestedword.Return:
 			if len(stack) == 0 {
-				sim = n.stepReturnPending(sim, p.Symbol)
+				sim = n.stepReturnPending(sim, sym)
 			} else {
 				top := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				sim = n.stepReturnMatched(sim, top.sim, top.sym, p.Symbol)
+				sim = n.stepReturnMatched(sim, top.sim, top.sym, sym)
 			}
 		}
 	}
@@ -340,35 +343,4 @@ func (n *NNWA) Accepts(nw *nestedword.NestedWord) bool {
 		}
 	}
 	return false
-}
-
-// AcceptsWitness returns, along with acceptance, one accepting run's final
-// state when the word is accepted.
-func (n *NNWA) AcceptsWitness(nw *nestedword.NestedWord) (int, bool) {
-	sim := n.initialSimulation()
-	var stack []stackEntry
-	for i := 0; i < nw.Len(); i++ {
-		p := nw.At(i)
-		switch p.Kind {
-		case nestedword.Internal:
-			sim = n.stepInternal(sim, p.Symbol)
-		case nestedword.Call:
-			stack = append(stack, stackEntry{sim: sim, sym: p.Symbol})
-			sim = n.stepCall(sim, p.Symbol)
-		case nestedword.Return:
-			if len(stack) == 0 {
-				sim = n.stepReturnPending(sim, p.Symbol)
-			} else {
-				top := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				sim = n.stepReturnMatched(sim, top.sim, top.sym, p.Symbol)
-			}
-		}
-	}
-	for q := range sim.R {
-		if n.accept[q] {
-			return q, true
-		}
-	}
-	return -1, false
 }

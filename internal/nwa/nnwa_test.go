@@ -20,39 +20,36 @@ func naiveAccepts(a *NNWA, n *nestedword.NestedWord) bool {
 			return a.IsAccepting(state)
 		}
 		p := n.At(pos)
+		sym, ok := a.Alphabet().Index(p.Symbol)
+		if !ok {
+			return false
+		}
+		found := false
 		switch p.Kind {
 		case nestedword.Internal:
-			for _, to := range a.InternalSuccessors(state, p.Symbol) {
-				if rec(pos+1, to, stack) {
-					return true
-				}
-			}
+			a.EachInternalEdge(state, sym, func(to int) {
+				found = found || rec(pos+1, to, stack)
+			})
 		case nestedword.Call:
-			for _, t := range a.CallSuccessors(state, p.Symbol) {
-				if rec(pos+1, t.Linear, append(append([]int(nil), stack...), t.Hier)) {
-					return true
-				}
-			}
+			a.EachCallEdge(state, sym, func(linear, hier int) {
+				found = found || rec(pos+1, linear, append(append([]int(nil), stack...), hier))
+			})
 		case nestedword.Return:
 			if len(stack) == 0 {
 				for _, q0 := range a.StartStates() {
-					for _, to := range a.ReturnSuccessors(state, q0, p.Symbol) {
-						if rec(pos+1, to, stack) {
-							return true
-						}
-					}
+					a.EachReturnEdge(state, q0, sym, func(to int) {
+						found = found || rec(pos+1, to, stack)
+					})
 				}
 			} else {
 				hier := stack[len(stack)-1]
 				rest := stack[:len(stack)-1]
-				for _, to := range a.ReturnSuccessors(state, hier, p.Symbol) {
-					if rec(pos+1, to, rest) {
-						return true
-					}
-				}
+				a.EachReturnEdge(state, hier, sym, func(to int) {
+					found = found || rec(pos+1, to, rest)
+				})
 			}
 		}
-		return false
+		return found
 	}
 	for _, q0 := range a.StartStates() {
 		if rec(0, q0, nil) {
@@ -124,6 +121,7 @@ func TestNNWAMismatchGadget(t *testing.T) {
 		"a b a":       false,
 		"<a b":        false,
 		"b> <a b>":    true,
+		"<a z b>":     false, // z is outside the alphabet: every run dies
 	}
 	for in, want := range cases {
 		n := nestedword.MustParse(in)
@@ -157,18 +155,6 @@ func TestNNWASimulationAgainstNaive(t *testing.T) {
 	}
 }
 
-func TestAcceptsWitness(t *testing.T) {
-	a := someCallSomeReturnMismatch()
-	n := nestedword.MustParse("<a b>")
-	q, ok := a.AcceptsWitness(n)
-	if !ok || !a.IsAccepting(q) {
-		t.Errorf("AcceptsWitness = (%d,%v), want an accepting state", q, ok)
-	}
-	if _, ok := a.AcceptsWitness(nestedword.MustParse("<a a>")); ok {
-		t.Errorf("AcceptsWitness should fail on rejected words")
-	}
-}
-
 func TestNNWAAddStateAndAccessors(t *testing.T) {
 	a := NewNNWA(testAlpha, 1)
 	q := a.AddState()
@@ -184,17 +170,10 @@ func TestNNWAAddStateAndAccessors(t *testing.T) {
 	}
 	a.AddInternal(0, "a", 1)
 	a.AddInternal(0, "a", 1) // duplicates are collapsed
-	if got := a.InternalSuccessors(0, "a"); len(got) != 1 {
+	var got []int
+	a.EachInternalEdge(0, testAlpha.MustIndex("a"), func(to int) { got = append(got, to) })
+	if len(got) != 1 {
 		t.Errorf("duplicate transitions should be collapsed: %v", got)
-	}
-	if got := a.InternalSuccessors(0, "z"); got != nil {
-		t.Errorf("unknown symbols have no successors")
-	}
-	if got := a.CallSuccessors(0, "z"); got != nil {
-		t.Errorf("unknown symbols have no call successors")
-	}
-	if got := a.ReturnSuccessors(0, 0, "z"); got != nil {
-		t.Errorf("unknown symbols have no return successors")
 	}
 	if a.Alphabet() != testAlpha {
 		t.Errorf("Alphabet accessor broken")
@@ -220,6 +199,17 @@ func TestNNWAEmptinessAndWitness(t *testing.T) {
 	empty.AddInternal(0, "a", 0)
 	if !empty.IsEmpty() {
 		t.Errorf("no path to the accepting state: language must be empty")
+	}
+
+	// Three accepting branches: the witness leads to the lowest-numbered
+	// accepting state, so every call returns the same word.
+	branches := NewNNWA(alphabet.New("a", "b", "c"), 4)
+	branches.AddStart(0).AddAccept(1, 2, 3)
+	branches.AddInternal(0, "a", 1).AddInternal(0, "b", 2).AddInternal(0, "c", 3)
+	for i := 0; i < 200; i++ {
+		if w, _ := branches.SomeWord(); w.String() != "a" {
+			t.Fatalf("call %d: SomeWord = %v, want a", i, w)
+		}
 	}
 }
 
