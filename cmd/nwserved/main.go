@@ -52,8 +52,9 @@
 //
 // The bundle is re-opened from the same -queryset path on every reload, so
 // a deploy is: write the new bundle (atomically, e.g. rename into place),
-// then `kill -HUP` or POST /v1/reload.  In-flight documents finish on the
-// old pool; the old bundle is unmapped only after the last of them is done.
+// then `kill -HUP` or POST /v1/reload.  The reload hands the running shards
+// the new bundle's engine; in-flight documents finish on the old one, and
+// the old bundle is unmapped only after the last of them is done.
 package main
 
 import (

@@ -254,6 +254,32 @@ func (e *Engine) Acquire() *Session {
 	return s
 }
 
+// Adopt moves a session checked out of another engine over to e, reset,
+// keeping its event batch and its runners with their stacks: each of e's
+// groups retargets one of the session's runners, and only groups beyond
+// the session's runner count build new ones.  A long-lived owner — a
+// serve.Pool shard handed the next bundle generation's engine — switches
+// engines this way without a fresh session.  The session holds no
+// reference to the old engine afterwards and belongs to e: Release it to
+// e.
+func (e *Engine) Adopt(s *Session) {
+	n := len(e.groups)
+	prods := s.prods[:cap(s.prods)]
+	if len(prods) < n {
+		prods = slices.Grow(prods, n-len(prods))[:n]
+	}
+	for i, g := range e.groups {
+		if prods[i] == nil {
+			prods[i] = g.product.NewProductRunner()
+		} else {
+			prods[i].Retarget(g.product)
+		}
+	}
+	clear(prods[n:]) // runners past e's groups would keep the old engine's tables
+	s.engine, s.prods = e, prods[:n]
+	s.Reset()
+}
+
 // Release returns a session to the pool.
 func (e *Engine) Release(s *Session) { e.pool.Put(s) }
 

@@ -46,6 +46,20 @@ type callEdgeInfo struct {
 	hier    int
 }
 
+// callReturnKey names what a call–return closure depends on: the outer
+// summary's context, the call's hierarchical target, and the inner
+// summary's end state.  Two call edges and inner summaries that agree on
+// all three close onto the same summaries.
+type callReturnKey struct {
+	from, hier, inner int
+}
+
+// denseSummaryLimit is the largest state count whose summary pairs are
+// tracked in an n×n bitmap (8 MiB at the limit) in front of the reason
+// map: nearly every closure step derives a summary that already exists, and
+// a bit test answers that without hashing.
+const denseSummaryLimit = 8192
+
 type workItem struct {
 	kind string // "summary", "reachA", "reachB"
 	pair statePair
@@ -57,6 +71,9 @@ type analysis struct {
 	syms            int
 	starts          []int
 	summaries       map[statePair]summaryReason
+	summaryBits     []uint64 // n×n bitmap of summaries when n ≤ denseSummaryLimit
+	n               int
+	closedCalls     map[callReturnKey]bool
 	summariesByFrom map[int][]statePair
 	contexts        map[int]bool
 	callEdges       map[int][]callEdgeInfo
@@ -73,9 +90,13 @@ func analyze(g StateGraph) *analysis {
 		summaries:       make(map[statePair]summaryReason),
 		summariesByFrom: make(map[int][]statePair),
 		contexts:        make(map[int]bool),
+		closedCalls:     make(map[callReturnKey]bool),
 		callEdges:       make(map[int][]callEdgeInfo),
 		reachA:          make(map[int]reachReason),
 		reachB:          make(map[int]reachReason),
+	}
+	if an.n = g.NumStates(); an.n <= denseSummaryLimit {
+		an.summaryBits = make([]uint64, (an.n*an.n+63)/64)
 	}
 	for _, q := range an.starts {
 		an.addReachA(q, reachReason{kind: "start"})
@@ -85,7 +106,13 @@ func analyze(g StateGraph) *analysis {
 }
 
 func (an *analysis) addSummary(p statePair, r summaryReason) {
-	if _, ok := an.summaries[p]; ok {
+	if an.summaryBits != nil {
+		i := p.from*an.n + p.to
+		if an.summaryBits[i>>6]&(1<<(i&63)) != 0 {
+			return
+		}
+		an.summaryBits[i>>6] |= 1 << (i & 63)
+	} else if _, ok := an.summaries[p]; ok {
 		return
 	}
 	an.summaries[p] = r
@@ -178,8 +205,15 @@ func (an *analysis) processSummary(p statePair) {
 }
 
 // closeCallReturn applies every return transition that closes the given call
-// edge around the given inner summary.
+// edge around the given inner summary.  A closure whose callReturnKey was
+// closed before is skipped: it would derive only summaries that exist,
+// each already holding its first derivation.
 func (an *analysis) closeCallReturn(edge callEdgeInfo, inner statePair) {
+	key := callReturnKey{edge.outer.from, edge.hier, inner.to}
+	if an.closedCalls[key] {
+		return
+	}
+	an.closedCalls[key] = true
 	var retSym int
 	ret := func(to int) {
 		an.addSummary(statePair{edge.outer.from, to}, summaryReason{

@@ -118,7 +118,7 @@ func smallNNWA(alpha *alphabet.Alphabet) *nwa.NNWA {
 // standard set.  Vet is a pre-deployment check, not a boot step: its
 // reachability analysis grows with the product automata, and one VetBytes
 // of the planned batch-reload bundle (three products of 229–257 states)
-// takes about two seconds on a 2-vCPU machine.
+// takes about 0.12 s on a 2-vCPU machine.
 func BenchmarkVetBundle(b *testing.B) {
 	alpha := alphabet.New("a", "b")
 	names, queries := StandardSet(alpha, []string{"a", "b"}, []string{"a", "b"})

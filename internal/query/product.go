@@ -94,6 +94,14 @@ func (p *CompiledProduct) NewProductRunner() *ProductRunner {
 	return &ProductRunner{dnwaRunner: dnwaRunner{c: p.inner, state: p.inner.start}, p: p}
 }
 
+// Retarget points the runner at p, positioned at the document start, and
+// keeps its hierarchical stack's storage: an engine session moves its
+// runners to another engine this way instead of building new ones.
+func (r *ProductRunner) Retarget(p *CompiledProduct) {
+	r.c, r.p = p.inner, p
+	r.Reset()
+}
+
 // SoloProduct wraps one compiled query as the product of itself: the same
 // automaton, whose one-word mask row per state is its accept bit.  No
 // product is constructed — the engine registers every solo query this way,

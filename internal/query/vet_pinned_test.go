@@ -7,6 +7,8 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/alphabet"
+	"repro/internal/nwa"
 	"repro/internal/query"
 	"repro/internal/query/plan"
 )
@@ -105,5 +107,36 @@ func TestVetReportsPinned(t *testing.T) {
 			got.deadTransitions != w.deadTransitions || got.nonCoaccessible != w.nonCoaccessible {
 			t.Errorf("planned bundle query %d: %+v, want %+v", i, got, w)
 		}
+	}
+}
+
+// TestVetReportsPinnedWellMatched pins a query whose accepting state only a
+// well-matched call–return summary reaches: the call on a from 0 goes to 1
+// with hierarchical state 3, b moves 1 to 2 inside the call, and only a
+// return from 2 over 3 reaches 4.  A pending return from 2 pops the start
+// state and dies, and pending calls reach 1 and 2 alone, so a summary
+// closure that skips the internal step or the call–return step misses
+// state 4 — which the figures of TestVetReportsPinned cannot see.  The
+// four reachable states are 0, 1, 2 and 4: edges into the dead sink do not
+// count.
+func TestVetReportsPinnedWellMatched(t *testing.T) {
+	alpha := alphabet.New("a", "b")
+	d := nwa.NewDNWABuilder(alpha, 5).
+		Call(0, "a", 1, 3).
+		Internal(1, "b", 2).
+		Return(2, 3, "a", 4).
+		SetAccept(4).
+		Build()
+	b := query.NewBundle(alpha)
+	if err := b.Add("summary-only", query.Compile(d)); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := query.VetBytes(b.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []query.VetQueryStats{{Name: "summary-only", Form: "dnwa", States: 6, Reachable: 4, NonCoaccessible: 0}}
+	if !reflect.DeepEqual(rep.Queries, want) || len(rep.Issues) != 0 {
+		t.Errorf("report %#v, issues %v\nwant %#v", rep.Queries, rep.Issues, want)
 	}
 }

@@ -3,29 +3,40 @@
 // document in one pass, a serve.Pool answers them over a stream of many
 // documents concurrently, one engine session per shard.
 //
-// A Pool owns a fixed set of shards (default runtime.GOMAXPROCS(0)), each a
-// worker goroutine that has checked one engine.Session out of the shared
-// engine for its lifetime and holds one reusable decoder per input format —
-// the interning tokenizer for native documents, an internal/adapter scanner
-// for each of xml, json and trace once one arrives — and futures are
-// recycled, so in the steady state Submit, Wait and Release of a document
-// allocate nothing.  Incoming documents are routed to shards by the FNV-1a
-// hash of their ID — all submissions of one document ID serialize on one
-// shard, keeping per-document ordering — or round-robined under
-// AffinityNone for maximal balance when IDs are skewed.
+// A Pool is a view of a fixed set of shards (default
+// runtime.GOMAXPROCS(0)) that serves one engine.  Each shard is a worker
+// goroutine holding one engine.Session and one reusable decoder per input
+// format — the interning tokenizer for native documents, an
+// internal/adapter scanner for each of xml, json and trace once one
+// arrives — and futures are recycled, so in the steady state Submit, Wait
+// and Release of a document allocate nothing.  Incoming documents are
+// routed to shards by the FNV-1a hash of their ID — all submissions of one
+// document ID serialize on one shard, keeping per-document ordering — or
+// round-robined under AffinityNone for maximal balance when IDs are skewed.
 //
-// Backpressure is a bounded queue per shard: Submit blocks once the target
-// shard's queue is full, which throttles the producer (typically a
-// tokenizer-side loop) to the speed of the automaton workers instead of
-// buffering without bound.  Submission respects context cancellation while
-// blocked, and each document's context is checked again at dequeue time and
-// periodically mid-pass, so a cancelled request stops consuming its shard.
+// Swap hands the same shards a new engine: it returns a second view over
+// the same workers, queues and future free list, so a bundle reload costs
+// its engine and a view's counters, not a pool.  Every queued future names
+// the view it was submitted to, and a shard moves its session (its event
+// batch and runner stacks kept) to a view's engine when its next document
+// is the first of that view; its decoders carry over while the alphabet
+// stays Equal.  The shard goroutines and queue capacity stay fixed however
+// many views are open.
+//
+// Backpressure is a bounded queue per shard, shared by every view: Submit
+// blocks once the target shard's queue is full, which throttles the
+// producer (typically a tokenizer-side loop) to the speed of the automaton
+// workers instead of buffering without bound.  Submission respects context
+// cancellation while blocked, and each document's context is checked again
+// at dequeue time and periodically mid-pass, so a cancelled request stops
+// consuming its shard.
 //
 // Results come back through a Future (Wait, then Release) and, when the
 // pool was built WithOnResult, through a callback invoked on the shard
 // worker — aggregation loops need no per-document future bookkeeping.
-// Close drains gracefully: it rejects new submissions, lets every queued
-// document finish, and waits for the workers to exit.
+// Close drains a view gracefully: it rejects new submissions to it and
+// waits until every document queued to it has finished.  Closing the last
+// open view stops the shards and waits for the workers to exit.
 package serve
 
 import (
@@ -102,18 +113,31 @@ type Result struct {
 	Err    error
 }
 
-// Future resolves to the Result of one submitted document.
+// job is one submitted document, carried by its Future through the shard
+// queue.
+type job struct {
+	id     string
+	ctx    context.Context
+	format string             // the adapter.New format rd is decoded with
+	rd     io.Reader          // decoded on the shard's reusable decoder...
+	src    engine.EventSource // ...unless the document is already events
+	start  time.Time          // submission time, for the latency histogram
+}
+
+// Future resolves to the Result of one submitted document, and is the
+// document's slot in its shard's queue.
 //
 // Futures are recycled.  Each owns its Result and an engine.Result whose
-// verdict storage is sized to the pool's engine, so serving a document
-// into one allocates nothing, and its owner hands it back with Release
-// once done with the Result.  The owner and the shard worker each hold a
-// reference: a future released before its document was served — its owner
-// stopped waiting — returns to the pool only once the shard has finished
+// verdict storage is sized to the engine, so serving a document into one
+// allocates nothing, and its owner hands it back with Release once done
+// with the Result.  The owner and the shard worker each hold a reference:
+// a future released before its document was served — its owner stopped
+// waiting — returns to the free list only once the shard has finished
 // with it.  A future that is never released is left to the garbage
 // collector, and its Result stays valid for as long as it is referenced.
 type Future struct {
-	pool *Pool
+	pool *Pool         // the view the document was submitted to
+	job  job           // the document, until its shard has served it
 	done chan struct{} // capacity 1: holds one token once res is set
 	refs atomic.Int32  // the owner's and the shard's references
 	res  Result
@@ -146,28 +170,29 @@ func (f *Future) Wait(ctx context.Context) (Result, error) {
 func (f *Future) Release() {
 	switch n := f.refs.Add(-1); {
 	case n == 0:
-		f.pool.recycle(f)
+		f.pool.set.recycle(f)
 	case n < 0:
 		panic(errReleasedTwice)
 	}
 }
 
 // ShardStats is one shard's live counters: the instantaneous queue depth
-// (documents waiting in the bounded queue right now) next to the shard's
-// lifetime totals.  Queue depth against capacity is the backpressure
-// signal an operator watches — a shard pinned at capacity is the one
-// throttling producers.
+// (documents waiting in the bounded queue right now, whichever view they
+// were submitted to) next to the view's totals for the shard.  Queue depth
+// against capacity is the backpressure signal an operator watches — a
+// shard pinned at capacity is the one throttling producers.
 type ShardStats struct {
 	Shard      int   // shard index
-	QueueDepth int   // documents queued at snapshot time
+	QueueDepth int   // documents queued at snapshot time, across views
 	QueueCap   int   // the bounded queue's capacity
-	Served     int64 // documents this shard completed, successfully or not
+	Served     int64 // documents of this view the shard completed, successfully or not
 	Failed     int64 // documents whose Result carries an error
 	Events     int64 // events consumed by this shard's successful passes
 }
 
-// Stats is a snapshot of the pool's aggregate counters, its per-shard
-// breakdown, and the per-document latency histogram.
+// Stats is a snapshot of one view's aggregate counters, its per-shard
+// breakdown, and its per-document latency histogram.  A view's counters
+// start at zero: a Swap does not carry them over.
 type Stats struct {
 	Served   int64 // documents completed, successfully or not
 	Failed   int64 // documents whose Result carries an error
@@ -179,15 +204,15 @@ type Stats struct {
 	Latency LatencyStats // submit-to-result latency, queue wait included
 }
 
-// Option configures a Pool.
-type Option func(*Pool)
+// Option configures a Pool's shards.
+type Option func(*shardSet)
 
 // WithShards sets the number of shards (default runtime.GOMAXPROCS(0)).
 // Each shard is one worker goroutine owning one engine session.
 func WithShards(n int) Option {
-	return func(p *Pool) {
+	return func(s *shardSet) {
 		if n > 0 {
-			p.numShards = n
+			s.numShards = n
 		}
 	}
 }
@@ -196,16 +221,16 @@ func WithShards(n int) Option {
 // queue blocks Submit — the backpressure that keeps a fast producer from
 // buffering unboundedly ahead of the automaton workers.
 func WithQueueDepth(n int) Option {
-	return func(p *Pool) {
+	return func(s *shardSet) {
 		if n > 0 {
-			p.depth = n
+			s.depth = n
 		}
 	}
 }
 
 // WithAffinity selects the document-to-shard routing (default AffinityHash).
 func WithAffinity(a Affinity) Option {
-	return func(p *Pool) { p.affinity = a }
+	return func(s *shardSet) { s.affinity = a }
 }
 
 // WithOnResult installs a callback invoked on the shard worker for every
@@ -213,22 +238,29 @@ func WithAffinity(a Affinity) Option {
 // safe for concurrent calls from different shards.  The Result's verdicts
 // are the Future's own, valid until the Future is released.
 func WithOnResult(fn func(Result)) Option {
-	return func(p *Pool) { p.onResult = fn }
+	return func(s *shardSet) { s.onResult = fn }
 }
 
-// job is one queued document.
-type job struct {
-	id     string
-	ctx    context.Context
-	format string             // the adapter.New format rd is decoded with
-	rd     io.Reader          // decoded on the shard's reusable decoder...
-	src    engine.EventSource // ...unless the document is already events
-	fut    *Future
-	start  time.Time // submission time, for the latency histogram
+// shardSet is what every view of one pool shares: the shard workers, their
+// bounded queues and the future free list.  It lives until its last view
+// is closed.
+type shardSet struct {
+	numShards int
+	depth     int
+	affinity  Affinity
+	onResult  func(Result)
+
+	queues []chan *Future
+	rr     atomic.Uint64 // round-robin cursor for AffinityNone
+	free   chan *Future  // released futures, ready for reuse
+
+	mu    sync.Mutex // guards views
+	views int        // views not yet closed; the queues close at zero
+	wg    sync.WaitGroup
 }
 
-// shardCounters is one shard's lifetime totals, owned by the shard worker
-// (written there, read by Stats).
+// shardCounters is one shard's totals for one view, written by the shard
+// worker and read by Stats.
 type shardCounters struct {
 	served atomic.Int64
 	failed atomic.Int64
@@ -236,22 +268,16 @@ type shardCounters struct {
 }
 
 // Pool serves many documents concurrently against one engine's registered
-// query set.  Build it with NewPool, submit documents from any number of
-// goroutines, and Close it to drain.
+// query set: a view of a set of shards.  Build it with NewPool, submit
+// documents from any number of goroutines, hand the shards the next engine
+// with Swap, and Close each view to drain it.
 type Pool struct {
-	eng       *engine.Engine
-	numShards int
-	depth     int
-	affinity  Affinity
-	onResult  func(Result)
+	set *shardSet
+	eng *engine.Engine
 
-	shards []chan job
-	rr     atomic.Uint64 // round-robin cursor for AffinityNone
-	free   chan *Future  // released futures, ready for reuse
-
-	mu     sync.RWMutex // guards the fields below against concurrent Submit/Close
-	closed bool         // guarded by mu
-	wg     sync.WaitGroup
+	mu       sync.RWMutex   // guards closed against concurrent Submit/Close
+	closed   bool           // guarded by mu
+	inflight sync.WaitGroup // documents queued to this view and not yet served
 
 	served   atomic.Int64
 	failed   atomic.Int64
@@ -263,37 +289,34 @@ type Pool struct {
 	hist     histogram
 }
 
-// NewPool starts the shard workers for the engine's registered query set.
-// The engine must not have further queries registered while the pool is
-// live (sessions are checked out for the workers' lifetime).
+// NewPool starts the shard workers for the engine's registered query set
+// and returns the first view of them.  The engine must not have further
+// queries registered while the pool is live (shards keep a session of it
+// checked out).
 func NewPool(eng *engine.Engine, opts ...Option) (*Pool, error) {
-	if eng == nil {
-		return nil, errors.New("serve: nil engine")
+	if err := checkEngine(eng); err != nil {
+		return nil, err
 	}
-	if eng.Len() == 0 {
-		return nil, errors.New("serve: engine has no registered queries")
-	}
-	p := &Pool{
-		eng:       eng,
+	s := &shardSet{
 		numShards: runtime.GOMAXPROCS(0),
 		depth:     64,
 		affinity:  AffinityHash,
+		views:     1,
 	}
 	for _, o := range opts {
-		o(p)
+		o(s)
 	}
-	p.shards = make([]chan job, p.numShards)
-	p.perShard = make([]shardCounters, p.numShards)
+	s.queues = make([]chan *Future, s.numShards)
 	// Room for a future per queue slot plus one per shard's document in
 	// service: what TrySubmit alone can have outstanding.  A future
 	// released while the list is full is left to the garbage collector.
-	p.free = make(chan *Future, p.numShards*(p.depth+1))
-	for i := range p.shards {
-		p.shards[i] = make(chan job, p.depth)
-		p.wg.Add(1)
-		go p.worker(i)
+	s.free = make(chan *Future, s.numShards*(s.depth+1))
+	for i := range s.queues {
+		s.queues[i] = make(chan *Future, s.depth)
+		s.wg.Add(1)
+		go s.worker(i)
 	}
-	return p, nil
+	return s.view(eng), nil
 }
 
 // NewPoolFromBundle boots a pool straight from a loaded query bundle: a
@@ -314,37 +337,82 @@ func NewPoolFromBundle(b *query.Bundle, opts ...Option) (*Pool, error) {
 	return NewPool(eng, opts...)
 }
 
+// checkEngine refuses an engine a pool cannot serve.
+func checkEngine(eng *engine.Engine) error {
+	if eng == nil {
+		return errors.New("serve: nil engine")
+	}
+	if eng.Len() == 0 {
+		return errors.New("serve: engine has no registered queries")
+	}
+	return nil
+}
+
+// view returns a fresh view of the shards serving eng, its counters at
+// zero.
+func (s *shardSet) view(eng *engine.Engine) *Pool {
+	return &Pool{set: s, eng: eng, perShard: make([]shardCounters, len(s.queues))}
+}
+
+// Swap returns a new view of p's shards serving eng: the same workers,
+// queues and future free list, with its own counters starting at zero.
+// Documents submitted to p keep being served against p's engine — a shard
+// moves its session to eng only at the first document submitted to the
+// new view — so p stays fully usable until it is closed, and the shards
+// stop only once every view is.  This is the bundle-reload path: it starts
+// no goroutine and makes no queue.  Swap fails with ErrClosed once p's
+// Close has begun.
+func (p *Pool) Swap(eng *engine.Engine) (*Pool, error) {
+	if err := checkEngine(eng); err != nil {
+		return nil, err
+	}
+	// p's read lock keeps p open, so the shards cannot stop before the new
+	// view is counted.
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	if p.closed {
+		return nil, ErrClosed
+	}
+	s := p.set
+	s.mu.Lock()
+	s.views++
+	s.mu.Unlock()
+	return s.view(eng), nil
+}
+
 // Engine returns the engine the pool serves against.
 func (p *Pool) Engine() *engine.Engine { return p.eng }
 
 // Shards returns the number of shards the pool was built with.
-func (p *Pool) Shards() int { return p.numShards }
+func (p *Pool) Shards() int { return len(p.set.queues) }
 
 // QueueCap returns the bounded queue depth each shard was built with.
-func (p *Pool) QueueCap() int { return p.depth }
+func (p *Pool) QueueCap() int { return p.set.depth }
 
 // Affinity returns the document-to-shard routing the pool was built with.
-func (p *Pool) Affinity() Affinity { return p.affinity }
+func (p *Pool) Affinity() Affinity { return p.set.affinity }
 
-// Stats snapshots the aggregate counters, the per-shard breakdown, and the
-// latency histogram.  It may be called while the pool is serving; the
-// counters are loaded independently, so a snapshot taken mid-flight is
-// consistent only to within in-progress documents.
+// Stats snapshots the view's aggregate counters, the per-shard breakdown,
+// and the latency histogram; queue depths count every view's documents.
+// It may be called while the pool is serving; the counters are loaded
+// independently, so a snapshot taken mid-flight is consistent only to
+// within in-progress documents.
 func (p *Pool) Stats() Stats {
+	queues := p.set.queues
 	st := Stats{
 		Served:   p.served.Load(),
 		Failed:   p.failed.Load(),
 		Canceled: p.canceled.Load(),
 		Rejected: p.rejected.Load(),
 		Events:   p.events.Load(),
-		Shards:   make([]ShardStats, len(p.shards)),
+		Shards:   make([]ShardStats, len(queues)),
 		Latency:  p.hist.snapshot(),
 	}
-	for i := range p.shards {
+	for i := range queues {
 		st.Shards[i] = ShardStats{
 			Shard:      i,
-			QueueDepth: len(p.shards[i]),
-			QueueCap:   p.depth,
+			QueueDepth: len(queues[i]),
+			QueueCap:   p.set.depth,
 			Served:     p.perShard[i].served.Load(),
 			Failed:     p.perShard[i].failed.Load(),
 			Events:     p.perShard[i].events.Load(),
@@ -387,9 +455,9 @@ func (p *Pool) SubmitEvents(ctx context.Context, id string, events []docstream.E
 // route picks the shard for a document ID: round-robin, or the 64-bit
 // FNV-1a hash of the ID (the hash/fnv New64a sum, computed inline so routing
 // allocates nothing) modulo the shard count.
-func (p *Pool) route(id string) int {
-	if p.affinity == AffinityNone || len(p.shards) == 1 {
-		return int((p.rr.Add(1) - 1) % uint64(len(p.shards)))
+func (s *shardSet) route(id string) int {
+	if s.affinity == AffinityNone || len(s.queues) == 1 {
+		return int((s.rr.Add(1) - 1) % uint64(len(s.queues)))
 	}
 	const (
 		offset64 = 14695981039346656037
@@ -400,11 +468,11 @@ func (p *Pool) route(id string) int {
 		h ^= uint64(id[i])
 		h *= prime64
 	}
-	return int(h % uint64(len(p.shards)))
+	return int(h % uint64(len(s.queues)))
 }
 
-// enqueue hands a document to its shard's queue with a future from the
-// free list.
+// enqueue puts a document on a future from the free list and hands the
+// future to its shard's queue.
 //
 //nwvet:hotpath
 func (p *Pool) enqueue(j job, wait bool) (*Future, error) {
@@ -412,88 +480,106 @@ func (p *Pool) enqueue(j job, wait bool) (*Future, error) {
 		j.ctx = context.Background()
 	}
 	j.start = time.Now()
-	// The read lock is held across the (possibly blocking) send so Close
-	// cannot close the shard channel out from under it; Close's write lock
-	// waits for in-flight submissions, and the workers keep draining, so a
-	// blocked send always completes or gives up via ctx.
+	// The read lock is held across the (possibly blocking) send so the
+	// view cannot be closed — nor the shard queue with it — out from under
+	// it; Close's write lock waits for in-flight submissions, and the
+	// workers keep draining, so a blocked send always completes or gives up
+	// via ctx.
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.closed {
 		return nil, ErrClosed
 	}
-	j.fut = p.future()
-	shard := p.shards[p.route(j.id)]
+	s := p.set
+	f := s.future(p)
+	f.job = j
+	p.inflight.Add(1)
+	queue := s.queues[s.route(j.id)]
 	if !wait {
 		select {
-		case shard <- j:
-			return j.fut, nil
+		case queue <- f:
+			return f, nil
 		default:
 			p.rejected.Add(1)
-			p.discard(j.fut)
+			p.discard(f)
 			return nil, ErrQueueFull
 		}
 	}
 	select {
-	case shard <- j:
-		return j.fut, nil
+	case queue <- f:
+		return f, nil
 	case <-j.ctx.Done():
-		p.discard(j.fut)
+		p.discard(f)
 		return nil, j.ctx.Err()
 	}
 }
 
-// future takes a released future off the free list, or makes one, holding
-// one reference for its owner and one for its shard.
-func (p *Pool) future() *Future {
+// future takes a released future off the free list, or makes one, for a
+// document submitted to p, holding one reference for its owner and one
+// for its shard.
+func (s *shardSet) future(p *Pool) *Future {
 	var f *Future
 	select {
-	case f = <-p.free:
+	case f = <-s.free:
 	default:
-		f = &Future{pool: p, done: make(chan struct{}, 1)}
+		f = &Future{done: make(chan struct{}, 1)}
 		f.eng.Verdicts = make([]bool, p.eng.Len())
 	}
 	if f.refs.Swap(2) != 0 {
 		panic("serve: a live Future was handed out again")
 	}
+	f.pool = p
 	return f
 }
 
 // discard recycles a future that was never queued.
 func (p *Pool) discard(f *Future) {
+	p.inflight.Done()
 	f.refs.Store(0)
-	p.recycle(f)
+	p.set.recycle(f)
 }
 
 // recycle returns a future nothing references any more to the free list:
 // its token, sent by the shard unless the future was never queued, is
-// taken, and its Result is dropped so the list keeps no document's ID or
-// error alive.
-func (p *Pool) recycle(f *Future) {
+// taken, and its document, Result and view are dropped so the list keeps
+// no document's ID or error, nor a retired engine, alive.
+func (s *shardSet) recycle(f *Future) {
 	select {
 	case <-f.done:
 	default:
 	}
-	f.res = Result{}
+	f.pool, f.job, f.res = nil, job{}, Result{}
 	select {
-	case p.free <- f:
+	case s.free <- f:
 	default:
 	}
 }
 
-// Close drains the pool gracefully: new submissions fail with ErrClosed,
-// every already-queued document is served to completion, and Close returns
-// once all shard workers have exited and released their sessions.  It is
-// safe to call more than once.
+// Close drains the view gracefully: new submissions to it fail with
+// ErrClosed, and Close returns once every document already queued to it
+// has been served.  Closing the last open view of the shards also stops
+// them: Close then returns once all shard workers have exited and released
+// their sessions.  It is safe to call more than once.
 func (p *Pool) Close() error {
 	p.mu.Lock()
-	if !p.closed {
-		p.closed = true
-		for _, sh := range p.shards {
-			close(sh)
+	first := !p.closed
+	p.closed = true
+	p.mu.Unlock()
+	p.inflight.Wait()
+	s := p.set
+	s.mu.Lock()
+	if first {
+		if s.views--; s.views == 0 {
+			for _, q := range s.queues {
+				close(q)
+			}
 		}
 	}
-	p.mu.Unlock()
-	p.wg.Wait()
+	stopped := s.views == 0
+	s.mu.Unlock()
+	if stopped {
+		s.wg.Wait()
+	}
 	return nil
 }
 
@@ -517,46 +603,62 @@ func (c *ctxSource) Next() (docstream.Event, error) {
 	return c.src.Next()
 }
 
-// shardWorker is one shard's state: the engine session it checked out for
-// its lifetime, its decoder per input format, its counters, and the
-// cancellation wrapper it reuses for every document.
+// shardWorker is one shard's state: the view whose engine its session
+// serves, that session, its decoder per input format, and the cancellation
+// wrapper it reuses for every document.
 type shardWorker struct {
-	p        *Pool
-	shard    int
-	ses      *engine.Session
-	decs     decoders
-	counters *shardCounters
-	cs       ctxSource
-	csrc     engine.EventSource // &cs, converted to the interface once
+	s     *shardSet
+	shard int
+	view  *Pool
+	ses   *engine.Session
+	decs  decoders
+	cs    ctxSource
+	csrc  engine.EventSource // &cs, converted to the interface once
 }
 
-// worker is one shard: it checks a session out of the engine once, keeps
-// one decoder per input format, and serves its queue until Close.
-func (p *Pool) worker(shard int) {
-	defer p.wg.Done()
-	w := &shardWorker{
-		p:        p,
-		shard:    shard,
-		ses:      p.eng.Acquire(),
-		decs:     decoders{alpha: p.eng.Alphabet(), byFormat: make(map[string]adapter.Source)},
-		counters: &p.perShard[shard],
-	}
+// worker is one shard: it serves its queue until the last view closes,
+// moving its one session and its decoders from view to view.
+func (s *shardSet) worker(shard int) {
+	defer s.wg.Done()
+	w := &shardWorker{s: s, shard: shard, decs: decoders{byFormat: make(map[string]adapter.Source)}}
 	w.csrc = &w.cs
-	defer p.eng.Release(w.ses)
-	for j := range p.shards[shard] {
-		w.serve(j)
+	for f := range s.queues[shard] {
+		w.serve(f)
 	}
+	if w.ses != nil {
+		w.view.eng.Release(w.ses)
+	}
+}
+
+// bind points the shard at view p: its session moves to p's engine, and
+// its decoders are dropped unless p's alphabet interns every label as the
+// old one did.
+func (w *shardWorker) bind(p *Pool) {
+	eng := p.eng
+	if w.ses == nil {
+		w.ses = eng.Acquire()
+	} else {
+		eng.Adopt(w.ses)
+	}
+	if alpha := eng.Alphabet(); w.decs.alpha == nil || !w.decs.alpha.Equal(alpha) {
+		clear(w.decs.byFormat)
+		w.decs.alpha = alpha
+	}
+	w.view = p
 }
 
 // serve runs one document through the shard's session into its Future's
 // own engine Result, resolves the Future and drops the shard's reference
-// to it.  Past the decoder a format's first document builds, nothing
-// allocates.
+// to it.  Past the decoder a format's first document builds, and the move
+// to a new view's engine, nothing allocates.
 //
 //nwvet:hotpath
-func (w *shardWorker) serve(j job) {
-	p := w.p
-	f := j.fut
+func (w *shardWorker) serve(f *Future) {
+	p := f.pool
+	if p != w.view {
+		w.bind(p)
+	}
+	j := &f.job
 	res := Result{ID: j.id, Shard: w.shard}
 	// A document cancelled while queued is reported without touching the
 	// session.
@@ -573,24 +675,27 @@ func (w *shardWorker) serve(j job) {
 		}
 		w.cs = ctxSource{} // hold no reference to the document past its pass
 	}
+	counters := &p.perShard[w.shard]
 	p.served.Add(1)
-	w.counters.served.Add(1)
+	counters.served.Add(1)
 	if res.Err != nil {
 		p.failed.Add(1)
-		w.counters.failed.Add(1)
+		counters.failed.Add(1)
 		if errors.Is(res.Err, context.Canceled) || errors.Is(res.Err, context.DeadlineExceeded) {
 			p.canceled.Add(1)
 		}
 	} else {
 		p.events.Add(int64(res.Engine.Events))
-		w.counters.events.Add(int64(res.Engine.Events))
+		counters.events.Add(int64(res.Engine.Events))
 	}
 	p.hist.observe(time.Since(j.start))
-	if p.onResult != nil {
-		p.onResult(res)
+	if w.s.onResult != nil {
+		w.s.onResult(res)
 	}
+	f.job = job{} // hold no reference to the document's reader or context
 	f.res = res
 	f.done <- struct{}{}
+	p.inflight.Done()
 	f.Release() // the shard's own reference
 }
 

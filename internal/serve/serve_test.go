@@ -448,7 +448,7 @@ func TestRouteMatchesFNV(t *testing.T) {
 		for _, id := range ids {
 			h := fnv.New64a()
 			io.WriteString(h, id)
-			if got, want := pool.route(id), int(h.Sum64()%uint64(shards)); got != want {
+			if got, want := pool.set.route(id), int(h.Sum64()%uint64(shards)); got != want {
 				t.Errorf("%d shards: route(%q) = %d, FNV-1a picks %d", shards, id, got, want)
 			}
 		}

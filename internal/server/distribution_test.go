@@ -257,3 +257,10 @@ func TestDistributionRefusesToSwap(t *testing.T) {
 		}
 	})
 }
+
+// generation reports the current generation counter.
+func (s *Server) generation() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.gen
+}

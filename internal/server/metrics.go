@@ -13,7 +13,9 @@ import (
 // format, rendered directly from a Stats snapshot — no client library, no
 // registry, just the counters the pool already keeps.  Counters are per
 // bundle generation (a reload resets them); nwserved_bundle_generation
-// rising tells a scraper why.
+// rising tells a scraper why.  The queue-depth gauges are not: every
+// generation shares the shards' queues, so a depth is the whole backlog,
+// documents still queued to a generation a reload retired included.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st, err := s.acquire()
 	if err != nil {
@@ -43,7 +45,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("nwserved_events_per_second", "Event throughput between the last two scrapes.", rate)
 	gauge("nwserved_uptime_seconds", "Seconds since the server started.", time.Since(s.start).Seconds())
 
-	fmt.Fprintf(&b, "# HELP nwserved_shard_queue_depth Documents waiting in the shard's bounded queue.\n# TYPE nwserved_shard_queue_depth gauge\n")
+	fmt.Fprintf(&b, "# HELP nwserved_shard_queue_depth Documents waiting in the shard's bounded queue, across bundle generations.\n# TYPE nwserved_shard_queue_depth gauge\n")
 	for _, sh := range stats.Shards {
 		fmt.Fprintf(&b, "nwserved_shard_queue_depth{shard=\"%d\"} %d\n", sh.Shard, sh.QueueDepth)
 	}

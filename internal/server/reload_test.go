@@ -51,12 +51,13 @@ func reloadCycle(tb testing.TB, srv *Server, h http.Handler) {
 }
 
 // maxReloadBytes bounds the heap bytes one reloadCycle allocates: opening
-// the bundle, booting the engine and its two shard workers, and one batch
-// request.  With a 4 KiB event batch per shard session and the request's
-// 16 KiB body reader recycled a cycle measures about 49 KB; 32 KiB
-// batches alone would add about 57 KB, a fresh reader per request about
-// 16 KB.
-const maxReloadBytes = 56 << 10
+// the bundle, building its engine and swapping it onto the server's two
+// shards, and one batch request.  The shards keep their goroutines,
+// queues, futures, decoders and session buffers across the swap, so a
+// cycle measures about 13 KB; booting a fresh pool per reload, as the
+// server once did, measured about 50 KB, and a fresh 16 KiB body reader
+// per request would add about 16 KB.
+const maxReloadBytes = 24 << 10
 
 // TestReloadAllocBytes pins the bytes a reload plus one batch request
 // allocate, averaged over repeated cycles.

@@ -4,15 +4,20 @@
 // for NDJSON streams, GET /v1/status and GET /metrics for observability —
 // with zero-downtime bundle reloads.
 //
-// Reload is RCU-style: the active bundle+pool pair lives behind a
-// refcounted poolState.  Request handlers acquire a reference for the
-// duration of one document, a reload builds the replacement pool entirely
-// off to the side (open the bundle, register it on a fresh engine, start
-// the shard workers) and swaps the pointer under a mutex, and the old
-// generation is closed only when its last in-flight document releases it —
-// in-flight documents finish on the pool they were submitted to, new
-// arrivals land on the new one, and no request ever observes a torn swap.
-// SIGHUP and POST /v1/reload both trigger the same path.
+// Reload is RCU-style: the active bundle generation — its bundle, its
+// engine's view of the server's one set of shards, its verdict table and
+// its counters — lives behind a refcounted poolState.  Request handlers
+// acquire a reference for the duration of one document, a reload builds
+// the replacement off to the side (open and verify the bundle, register it
+// on a fresh engine, serve.Pool.Swap the shards a view of it) and swaps the
+// pointer under a mutex, and the old generation is closed only when its
+// last in-flight document releases it — in-flight documents finish on the
+// engine they were submitted to, new arrivals land on the new one, and no
+// request ever observes a torn swap.  The shard goroutines and queues live
+// as long as the Server, so a reload starts none and however many
+// generations in-flight requests still hold, the shard count and queue
+// capacity stay as configured.  SIGHUP and POST /v1/reload both trigger
+// the same path.
 //
 // Error mapping follows the serve package's sentinels: a full shard queue
 // (serve.ErrQueueFull) is transient overload and maps to 429 Too Many
@@ -30,6 +35,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/query"
 	"repro/internal/serve"
 )
@@ -37,8 +43,9 @@ import (
 // errServerClosed is returned by operations on a Server after Close.
 var errServerClosed = errors.New("server: closed")
 
-// Config describes how the Server boots its pools.  Every reload reuses
-// the same configuration — only the bundle contents change.
+// Config describes how the Server boots its shards and loads its bundles.
+// Every reload reuses the same configuration — only the bundle contents
+// change; the shard settings take effect once, at New.
 type Config struct {
 	// BundlePath is the serialized query bundle (nwtool compile output)
 	// the server boots from and re-opens on every reload.
@@ -79,12 +86,14 @@ type BundleInfo struct {
 	Bundle     query.BundleDesc `json:"bundle"`
 }
 
-// poolState is one bundle generation: the mapped bundle, the pool serving
-// it, and a reference count.  The count starts at 1 (the Server's own
-// reference); each in-flight document holds one more.  When the count hits
-// zero — the Server dropped it in a swap or Close AND the last in-flight
-// document finished — the pool is drained and the bundle unmapped, in that
-// order, so no worker ever touches an unmapped table.
+// poolState is one bundle generation: the mapped bundle, the view of the
+// shards that serves its engine, and a reference count.  The count starts
+// at 1 (the Server's own reference); each in-flight document holds one
+// more.  When the count hits zero — the Server dropped it in a swap or
+// Close AND the last in-flight document finished — the view is closed,
+// which waits for every document queued to it, and then the bundle is
+// unmapped, so no worker ever touches an unmapped table.  Closing the last
+// generation's view stops the shards.
 type poolState struct {
 	pool     *serve.Pool
 	info     BundleInfo
@@ -105,9 +114,14 @@ type poolState struct {
 func (st *poolState) release() {
 	if st.refs.Add(-1) == 0 {
 		st.pool.Close()
-		st.bundle.Close()
+		unmap(st)
 	}
 }
+
+// unmap closes a released generation's bundle once its view has drained.
+// It is a variable so the lifecycle tests can watch when, and how often,
+// each generation's bundle closes.
+var unmap = func(st *poolState) { st.bundle.Close() }
 
 // Server is the reloadable serving front-end.  Build it with New, mount
 // Handler on an http.Server, call Reload on SIGHUP, and Close on shutdown.
@@ -130,14 +144,14 @@ type Server struct {
 	rates   rateTracker
 }
 
-// New opens the configured bundle, boots generation 1's pool, and returns
-// the Server ready to serve.
+// New opens the configured bundle, starts the shards with generation 1's
+// engine, and returns the Server ready to serve.
 func New(cfg Config) (*Server, error) {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = defaultMaxBody
 	}
 	s := &Server{cfg: cfg, start: time.Now()}
-	st, err := s.load(1)
+	st, err := s.load(1, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -150,11 +164,12 @@ func New(cfg Config) (*Server, error) {
 
 // load builds one complete generation from the configured bundle path: the
 // bundle is opened (its content hash verified by the format layer), its
-// signature checked when a public key is configured, registered on a fresh
-// engine, and the shard workers started — all before any swap, so a bad,
-// tampered, or unsigned bundle fails the reload and leaves the old
-// generation serving (verify-before-swap).
-func (s *Server) load(gen int64) (*poolState, error) {
+// signature checked when a public key is configured, and registered on a
+// fresh engine, which the shards are handed as a view swapped from cur —
+// or, at boot (cur nil), started with.  All of it happens before any swap,
+// so a bad, tampered, or unsigned bundle fails the reload and leaves the
+// old generation serving (verify-before-swap).
+func (s *Server) load(gen int64, cur *serve.Pool) (*poolState, error) {
 	path := s.cfg.BundlePath
 	if s.cfg.Source != nil {
 		var err error
@@ -181,14 +196,24 @@ func (s *Server) load(gen int64) (*poolState, error) {
 			return nil, fmt.Errorf("server: verify bundle signature: %w", err)
 		}
 	}
-	opts := []serve.Option{serve.WithAffinity(s.cfg.Affinity)}
-	if s.cfg.Shards > 0 {
-		opts = append(opts, serve.WithShards(s.cfg.Shards))
+	eng := engine.New()
+	if _, err := eng.RegisterBundle(b); err != nil {
+		b.Close()
+		return nil, fmt.Errorf("server: register bundle: %w", err)
 	}
-	if s.cfg.QueueDepth > 0 {
-		opts = append(opts, serve.WithQueueDepth(s.cfg.QueueDepth))
+	var pool *serve.Pool
+	if cur != nil {
+		pool, err = cur.Swap(eng)
+	} else {
+		opts := []serve.Option{serve.WithAffinity(s.cfg.Affinity)}
+		if s.cfg.Shards > 0 {
+			opts = append(opts, serve.WithShards(s.cfg.Shards))
+		}
+		if s.cfg.QueueDepth > 0 {
+			opts = append(opts, serve.WithQueueDepth(s.cfg.QueueDepth))
+		}
+		pool, err = serve.NewPool(eng, opts...)
 	}
-	pool, err := serve.NewPoolFromBundle(b, opts...)
 	if err != nil {
 		b.Close()
 		return nil, fmt.Errorf("server: boot pool: %w", err)
@@ -196,7 +221,7 @@ func (s *Server) load(gen int64) (*poolState, error) {
 	st := &poolState{
 		pool:     pool,
 		bundle:   b,
-		verdicts: newVerdictTable(pool.Engine().Names()),
+		verdicts: newVerdictTable(eng.Names()),
 		raw:      b.Raw(),
 		sig:      sig,
 		info: BundleInfo{
@@ -226,15 +251,21 @@ func (s *Server) acquire() (*poolState, error) {
 	return s.cur, nil
 }
 
-// Reload opens the configured bundle path again, boots a fresh pool from
-// it, and atomically swaps it in.  In-flight documents finish on the old
-// pool, which is drained and closed once the last of them releases it.  On
-// any error the old generation keeps serving untouched.
+// Reload opens the configured bundle path again, hands the shards a fresh
+// engine for it, and atomically swaps the new generation in.  In-flight
+// documents finish on the old engine, whose view is closed and bundle
+// unmapped once the last of them releases it.  On any error the old
+// generation keeps serving untouched.
 func (s *Server) Reload() (BundleInfo, error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
 
-	next, err := s.load(s.generation() + 1)
+	cur, err := s.acquire()
+	if err != nil {
+		return BundleInfo{}, err
+	}
+	next, err := s.load(cur.info.Generation+1, cur.pool)
+	cur.release()
 	if err != nil {
 		return BundleInfo{}, err
 	}
@@ -257,16 +288,10 @@ func (s *Server) Reload() (BundleInfo, error) {
 	return next.info, nil
 }
 
-// generation reports the current generation counter.
-func (s *Server) generation() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.gen
-}
-
 // Close drops the Server's own reference on the active generation and
-// rejects all further work.  The generation's pool drains gracefully once
-// in-flight documents release their references.  Safe to call twice.
+// rejects all further work.  The generation's view drains gracefully once
+// in-flight documents release their references, and the shards stop with
+// the last generation's view.  Safe to call twice.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -293,10 +318,11 @@ func (s *Server) BundleInfo() (BundleInfo, error) {
 	return st.info, nil
 }
 
-// Stats snapshots the active generation's pool counters.  Counters are per
+// Stats snapshots the active generation's counters.  Counters are per
 // generation: a reload starts them fresh, the way a restarted process
 // would, and the generation number in the status document tells scrapers
-// when that happened.
+// when that happened.  Queue depths are the exception: the shards' queues
+// are shared, so a depth counts every generation's waiting documents.
 func (s *Server) Stats() (serve.Stats, error) {
 	st, err := s.acquire()
 	if err != nil {

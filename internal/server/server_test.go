@@ -284,7 +284,7 @@ func TestHTTPDifferential(t *testing.T) {
 
 // TestReloadUnderLoad races document submissions against bundle reloads:
 // client goroutines hammer /v1/documents while the main goroutine swaps
-// pools via /v1/reload, and every single response must be a correct
+// generations via /v1/reload, and every single response must be a correct
 // verdict set — nothing dropped, nothing torn, in-flight documents
 // finishing on whichever generation accepted them.  Run under -race this
 // also checks the swap publishes safely.
@@ -435,10 +435,13 @@ func TestHTTPErrorMapping(t *testing.T) {
 		t.Error("429 without Retry-After")
 	}
 
-	// Release the held documents and let them finish.
+	// Release the held documents and let them finish.  Either may be the
+	// one on the shard, so both bodies end before waiting for either.
 	for _, h := range holds {
 		h.w.Write([]byte("</a>"))
 		h.w.Close()
+	}
+	for _, h := range holds {
 		<-h.done
 	}
 
@@ -903,15 +906,7 @@ func TestBatchDisconnect(t *testing.T) {
 // answered.
 func holdShard(t *testing.T, srv *Server) (*io.PipeWriter, chan struct{}) {
 	t.Helper()
-	pr, pw := io.Pipe()
-	body := &firstRead{r: pr, reading: make(chan struct{})}
-	req := httptest.NewRequest("POST", "/v1/documents?id=hold", body)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.Handler().ServeHTTP(httptest.NewRecorder(), req)
-	}()
-	<-body.reading
+	pw, done, _ := holdDocument(t, srv)
 	return pw, done
 }
 
