@@ -10,16 +10,16 @@
 //	nwserve [-labels l1,l2,...] [-order l1,l2,...] [-path l1,l2,...]
 //	        [-dsl QUERIES] [-format xml|json|trace]
 //	        [-queryset queries.nwq]
-//	        [-shards n] [-queue n] [-affinity hash|none]
+//	        [-shards n] [-queue n]
 //	        [-dir directory] [file ...]
 //
 // Documents come from the positional file arguments and every regular file
 // under -dir; with neither, standard input is read as a stream of documents
 // separated by lines containing only "---".  Each document is hashed by its
-// name (file path, or stdin ordinal) to a shard — use -affinity none to
-// round-robin instead — and evaluated against the registered queries in one
-// pass: well-formedness always, plus the -order and -path queries and the
-// semicolon-separated -dsl queries (see internal/query/dsl) when given.
+// name (file path, or stdin ordinal) to a shard and evaluated against the
+// registered queries in one pass: well-formedness always, plus the -order
+// and -path queries and the semicolon-separated -dsl queries (see
+// internal/query/dsl) when given.
 // With -format the documents are real XML, JSON, or enter/exit program
 // traces, decoded on the shard workers through the matching
 // internal/adapter event source instead of the native tokenizer.
@@ -47,7 +47,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/cmd/internal/queryset"
@@ -64,13 +63,7 @@ func main() {
 	dir := flag.String("dir", "", "serve every regular file under this directory")
 	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "number of pool shards (worker sessions)")
 	queue := flag.Int("queue", 64, "bounded queue depth per shard (backpressure)")
-	affinityFlag := flag.String("affinity", "hash", "document-to-shard routing: hash (by document name) or none (round-robin)")
 	flag.Parse()
-
-	affinity, err := serve.ParseAffinity(*affinityFlag)
-	if err != nil {
-		fatal(err)
-	}
 
 	docs, err := collectDocuments(*dir, flag.Args())
 	if err != nil {
@@ -98,36 +91,43 @@ func main() {
 	}
 	defer bundle.Close()
 
-	// Aggregate on the shard workers through the callback, so no future
-	// bookkeeping grows with the corpus.
-	var mu sync.Mutex
+	pool, err := serve.NewPoolFromBundle(bundle, serve.WithShards(*shards), serve.WithQueueDepth(*queue))
+	if err != nil {
+		fatal(err)
+	}
 	accepted := make([]int, bundle.Len())
 	var failures []string
-	pool, err := serve.NewPoolFromBundle(bundle,
-		serve.WithShards(*shards),
-		serve.WithQueueDepth(*queue),
-		serve.WithAffinity(affinity),
-		serve.WithOnResult(func(r serve.Result) {
-			mu.Lock()
-			defer mu.Unlock()
-			if r.Err != nil {
-				failures = append(failures, fmt.Sprintf("%s: %v", r.ID, r.Err))
-				return
-			}
-			for i, v := range r.Engine.Verdicts {
+	tally := func(f *serve.Future) {
+		if res, err := f.Wait(context.Background()); err != nil {
+			failures = append(failures, fmt.Sprintf("%s: %v", res.ID, err))
+		} else {
+			for i, v := range res.Engine.Verdicts {
 				if v {
 					accepted[i]++
 				}
 			}
-		}))
-	if err != nil {
-		fatal(err)
+		}
+		f.Release()
 	}
 
+	// A window of futures, as many as the shard queues hold plus one in
+	// service per shard: once it is full, the oldest is tallied before the
+	// next document is submitted, so the bookkeeping does not grow with
+	// the corpus.
+	window := make([]*serve.Future, pool.Shards()*(pool.QueueCap()+1))
 	start := time.Now()
-	for _, d := range docs {
-		if _, err := pool.Submit(context.Background(), d.name, *format, bytes.NewReader(d.body)); err != nil {
+	for i, d := range docs {
+		slot := &window[i%len(window)]
+		if *slot != nil {
+			tally(*slot)
+		}
+		if *slot, err = pool.Submit(context.Background(), d.name, *format, bytes.NewReader(d.body)); err != nil {
 			fatal(err)
+		}
+	}
+	for _, f := range window {
+		if f != nil {
+			tally(f)
 		}
 	}
 	if err := pool.Close(); err != nil {
@@ -136,8 +136,8 @@ func main() {
 	elapsed := time.Since(start)
 
 	st := pool.Stats()
-	fmt.Printf("served %d documents (%d events) on %d shards (affinity %s) in %v\n",
-		st.Served, st.Events, pool.Shards(), affinity, elapsed.Round(time.Microsecond))
+	fmt.Printf("served %d documents (%d events) on %d shards in %v\n",
+		st.Served, st.Events, pool.Shards(), elapsed.Round(time.Microsecond))
 	if secs := elapsed.Seconds(); secs > 0 {
 		fmt.Printf("throughput: %.0f docs/s, %.2f Mev/s\n",
 			float64(st.Served)/secs, float64(st.Events)/secs/1e6)
@@ -155,8 +155,8 @@ func main() {
 	}
 }
 
-// document is one unit of work: a display name (the routing key under hash
-// affinity) and the raw bytes.
+// document is one unit of work: a display name (its shard's routing key)
+// and the raw bytes.
 type document struct {
 	name string
 	body []byte

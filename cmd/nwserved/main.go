@@ -7,8 +7,7 @@
 //
 //	nwserved -queryset queries.nwq | -queryset-url http://peer:8417/v1/bundle
 //	         [-addr :8417] [-cache-dir DIR] [-pubkey NAME.pub]
-//	         [-shards n] [-queue n] [-affinity hash|none]
-//	         [-max-body bytes]
+//	         [-shards n] [-queue n] [-max-body bytes]
 //
 // Exactly one of -queryset (a local bundle file) and -queryset-url (a
 // peer's GET /v1/bundle endpoint) must be given.  With -queryset-url the
@@ -23,7 +22,8 @@
 //
 // Endpoints:
 //
-//	POST /v1/documents[?id=ID]  one document per request (body = document
+//	POST /v1/documents[?id=ID]  one document per request, routed to a shard
+//	                            by the FNV-1a hash of its ID (body = document
 //	                            text in the XML-like syntax, or real XML,
 //	                            JSON, or an enter/exit trace when
 //	                            ?format=xml|json|trace routes the body
@@ -37,10 +37,10 @@
 //	                            verdict line per input line, in input
 //	                            order, under the pool's backpressure.
 //	POST /v1/reload             reload the bundle file (or re-fetch the
-//	                            -queryset-url) and swap pools with zero
-//	                            downtime (SIGHUP does the same); the swap
-//	                            happens only after the new bundle's hash
-//	                            and signature verify.
+//	                            -queryset-url) and swap generations with
+//	                            zero downtime (SIGHUP does the same); the
+//	                            swap happens only after the new bundle's
+//	                            hash and signature verify.
 //	GET  /v1/bundle             the active bundle's raw bytes (ETag =
 //	                            content hash; If-None-Match → 304) — what
 //	                            peers point -queryset-url at.
@@ -70,7 +70,6 @@ import (
 	"time"
 
 	"repro/internal/bundlecache"
-	"repro/internal/serve"
 	"repro/internal/server"
 )
 
@@ -82,19 +81,15 @@ func main() {
 	pubkeyPath := flag.String("pubkey", "", "NWP1 public key file (nwtool keygen); when set, every loaded bundle must carry a valid detached signature")
 	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "number of pool shards (worker sessions)")
 	queue := flag.Int("queue", 64, "bounded queue depth per shard (backpressure)")
-	affinityFlag := flag.String("affinity", "hash", "document-to-shard routing: hash (by document id) or none (round-robin)")
 	maxBody := flag.Int64("max-body", 8<<20, "maximum single-document body size in bytes")
 	flag.Parse()
 
 	if (*queryset == "") == (*querysetURL == "") {
 		fatal(errors.New("exactly one of -queryset (compile one with `nwtool compile`) and -queryset-url is required"))
 	}
-	affinity, err := serve.ParseAffinity(*affinityFlag)
-	if err != nil {
-		fatal(err)
-	}
 	var pubkey []byte
 	if *pubkeyPath != "" {
+		var err error
 		if pubkey, err = os.ReadFile(*pubkeyPath); err != nil {
 			fatal(err)
 		}
@@ -104,7 +99,6 @@ func main() {
 		PublicKey:    pubkey,
 		Shards:       *shards,
 		QueueDepth:   *queue,
-		Affinity:     affinity,
 		MaxBodyBytes: *maxBody,
 	}
 	if *querysetURL != "" {
@@ -112,7 +106,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		src := bundlecache.NewSource(*querysetURL, cache, bundlecache.Options{PublicKey: pubkey})
+		src := bundlecache.NewSource(*querysetURL, cache, pubkey)
 		cfg.Source = src.Fetch
 	}
 
@@ -155,8 +149,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "nwserved: serving %s (%d queries over %d symbols) on %s, %d shards (affinity %s)\n",
-		info.Path, len(info.Bundle.Queries), info.Bundle.AlphabetSize, *addr, *shards, affinity)
+	fmt.Fprintf(os.Stderr, "nwserved: serving %s (%d queries over %d symbols) on %s, %d shards\n",
+		info.Path, len(info.Bundle.Queries), info.Bundle.AlphabetSize, *addr, *shards)
 
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)

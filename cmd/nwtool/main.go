@@ -140,8 +140,6 @@ func compileBundle(args []string) {
 		DSL:    "semicolon-separated DSL queries (e.g. 'within book: title before author; no write after close'); their labels join the alphabet",
 	})
 	planFlag := fs.Bool("plan", false, "product-compile clusters of structurally similar queries into shared automata before writing")
-	planBudget := fs.Int("plan-budget", 0, "with -plan: per-product state budget (0 = the planner default; over-budget clusters fan out)")
-	planCluster := fs.Int("plan-cluster", 0, "with -plan: maximum queries per product cluster (0 = the planner default; below 2 = no clustering)")
 	out := fs.String("o", "queries.nwq", "output bundle file")
 	fs.Parse(args)
 
@@ -152,10 +150,7 @@ func compileBundle(args []string) {
 		exitOn(fmt.Errorf("compile: no alphabet — give -labels (and/or -order, -path, -dsl)"))
 	}
 	if *planFlag {
-		planned, dec, err := plan.Bundle(bundle, plan.Options{
-			StateBudget: *planBudget,
-			ClusterSize: *planCluster,
-		})
+		planned, dec, err := plan.Bundle(bundle, plan.Options{})
 		exitOn(err)
 		bundle = planned
 		fmt.Printf("plan: %d product groups (%d states total), %d queries fanned out\n",

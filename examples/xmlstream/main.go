@@ -16,9 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/alphabet"
@@ -110,35 +108,44 @@ func main() {
 // serveMany is the many-documents mode: the engine built above — same query
 // set, same compiled tables — is wrapped in a sharded serve.Pool and fed
 // generated documents over the same alphabet.  Each shard owns one engine
-// session and one reusable interning tokenizer; verdicts are aggregated on
-// the shard workers through the pool's result callback.
+// session and one reusable interning tokenizer.  Verdicts come back through
+// each document's future, tallied oldest first once a window of as many
+// futures as the shards can hold at once is full.
 func serveMany(eng *engine.Engine, docs int) {
-	var mu sync.Mutex
 	accepted := make([]int, eng.Len())
-	pool, err := serve.NewPool(eng,
-		serve.WithShards(runtime.GOMAXPROCS(0)),
-		serve.WithOnResult(func(r serve.Result) {
-			if r.Err != nil {
-				panic(r.Err)
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			for i, v := range r.Engine.Verdicts {
-				if v {
-					accepted[i]++
-				}
-			}
-		}))
+	pool, err := serve.NewPool(eng)
 	if err != nil {
 		panic(err)
 	}
+	tally := func(f *serve.Future) {
+		res, err := f.Wait(context.Background())
+		if err != nil {
+			panic(err)
+		}
+		for i, v := range res.Engine.Verdicts {
+			if v {
+				accepted[i]++
+			}
+		}
+		f.Release()
+	}
+	window := make([]*serve.Future, pool.Shards()*(pool.QueueCap()+1))
 	labels := []string{"catalog", "book", "report", "title", "year", "words", "2007", "pushdown"}
 	start := time.Now()
 	for d := 0; d < docs; d++ {
 		doc := strings.NewReader(docstream.Render(
 			generator.RandomDocument(rand.New(rand.NewSource(int64(d))), 60, 8, labels)))
-		if _, err := pool.Submit(context.Background(), fmt.Sprintf("doc-%d", d), "", doc); err != nil {
+		slot := &window[d%len(window)]
+		if *slot != nil {
+			tally(*slot)
+		}
+		if *slot, err = pool.Submit(context.Background(), fmt.Sprintf("doc-%d", d), "", doc); err != nil {
 			panic(err)
+		}
+	}
+	for _, f := range window {
+		if f != nil {
+			tally(f)
 		}
 	}
 	if err := pool.Close(); err != nil {

@@ -159,28 +159,22 @@ func writeAtomic(path string, data []byte) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// Options configures a Source.
-type Options struct {
-	// PublicKey, when set, pins the publisher: every fetched bundle must
-	// come with a valid detached signature (GET /v1/bundle.sig) by this
-	// ed25519 key, checked before the bytes enter the cache.
-	PublicKey []byte
-	// Client is the HTTP client to fetch with; nil means a client with a
-	// 30-second timeout.
-	Client *http.Client
-	// MaxBytes caps a fetched bundle; 0 means 1 GiB.
-	MaxBytes int64
-}
+// client fetches every bundle and signature, each request bounded to 30
+// seconds.
+var client = &http.Client{Timeout: 30 * time.Second}
 
-const defaultMaxFetch = 1 << 30
+// maxFetch caps a fetched bundle at 1 GiB: the peer's body is read whole
+// before it is verified, so its size is checked first.  A variable so a
+// test can lower it.
+var maxFetch int64 = 1 << 30
 
 // Source fetches a peer's current bundle into a Cache.  Its Fetch method
 // has exactly the shape of server.Config.Source, so an nwserved booted
 // with -queryset-url resolves every (re)load through it.
 type Source struct {
-	url   string
-	cache *Cache
-	opts  Options
+	url       string
+	cache     *Cache
+	publicKey []byte
 
 	mu     sync.Mutex
 	flight *flight // in-progress fetch, nil when idle
@@ -196,15 +190,12 @@ type flight struct {
 }
 
 // NewSource creates a Source fetching url (the peer's GET /v1/bundle
-// endpoint) into cache.
-func NewSource(url string, cache *Cache, opts Options) *Source {
-	if opts.Client == nil {
-		opts.Client = &http.Client{Timeout: 30 * time.Second}
-	}
-	if opts.MaxBytes <= 0 {
-		opts.MaxBytes = defaultMaxFetch
-	}
-	return &Source{url: url, cache: cache, opts: opts}
+// endpoint) into cache.  A non-empty publicKey pins the publisher: every
+// fetched bundle must come with a valid detached signature (GET
+// /v1/bundle.sig) by this ed25519 key, checked before the bytes enter the
+// cache.
+func NewSource(url string, cache *Cache, publicKey []byte) *Source {
+	return &Source{url: url, cache: cache, publicKey: publicKey}
 }
 
 // Fetch returns the path of a verified cache entry holding the peer's
@@ -252,7 +243,7 @@ func (s *Source) fetch() (string, error) {
 			cacheErr = err
 		}
 	}
-	resp, err := s.opts.Client.Do(req)
+	resp, err := client.Do(req)
 	if err != nil {
 		if cached != "" {
 			return cached, nil // offline with a warm cache: keep serving it
@@ -275,15 +266,15 @@ func (s *Source) fetch() (string, error) {
 		}
 		return "", fmt.Errorf("bundlecache: fetch %s: %s", s.url, resp.Status)
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, s.opts.MaxBytes+1))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxFetch+1))
 	if err != nil {
 		if cached != "" {
 			return cached, nil
 		}
 		return "", fmt.Errorf("bundlecache: read %s: %w", s.url, err)
 	}
-	if int64(len(data)) > s.opts.MaxBytes {
-		return "", fmt.Errorf("bundlecache: bundle from %s exceeds %d bytes", s.url, s.opts.MaxBytes)
+	if int64(len(data)) > maxFetch {
+		return "", fmt.Errorf("bundlecache: bundle from %s exceeds %d bytes", s.url, maxFetch)
 	}
 
 	// From here on errors are the peer's content failing verification:
@@ -297,14 +288,14 @@ func (s *Source) fetch() (string, error) {
 			s.url, sum, etag)
 	}
 	var sig []byte
-	if len(s.opts.PublicKey) > 0 {
+	if len(s.publicKey) > 0 {
 		if !verified {
 			return "", fmt.Errorf("bundlecache: bundle from %s is unhashed version 1 and cannot be signature-verified", s.url)
 		}
 		if sig, err = s.fetchSignature(); err != nil {
 			return "", err
 		}
-		if err := format.VerifyHash(s.opts.PublicKey, sig, sum); err != nil {
+		if err := format.VerifyHash(s.publicKey, sig, sum); err != nil {
 			return "", fmt.Errorf("bundlecache: bundle from %s: %w", s.url, err)
 		}
 	}
@@ -313,7 +304,7 @@ func (s *Source) fetch() (string, error) {
 		return "", err
 	}
 	if sig != nil {
-		if err := s.cache.putSignature(sum, s.opts.PublicKey, sig); err != nil {
+		if err := s.cache.putSignature(sum, s.publicKey, sig); err != nil {
 			return "", err
 		}
 	}
@@ -324,7 +315,7 @@ func (s *Source) fetch() (string, error) {
 // /v1/bundle.sig endpoint of the bundle URL.
 func (s *Source) fetchSignature() ([]byte, error) {
 	url := s.url + ".sig"
-	resp, err := s.opts.Client.Get(url)
+	resp, err := client.Get(url)
 	if err != nil {
 		return nil, fmt.Errorf("bundlecache: fetch %s: %w", url, err)
 	}

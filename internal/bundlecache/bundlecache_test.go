@@ -244,7 +244,7 @@ func TestSourceFetchConditional(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := NewSource(peer.url(), cache, Options{})
+	src := NewSource(peer.url(), cache, nil)
 
 	path1, err := src.Fetch()
 	if err != nil {
@@ -289,7 +289,7 @@ func TestSourceOfflineWarmCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := NewSource(peer.url(), cache, Options{})
+	src := NewSource(peer.url(), cache, nil)
 	path, err := src.Fetch()
 	if err != nil {
 		t.Fatal(err)
@@ -306,7 +306,7 @@ func TestSourceOfflineWarmCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src2 := NewSource(peer.url(), cache2, Options{})
+	src2 := NewSource(peer.url(), cache2, nil)
 	if got, err := src2.Fetch(); err != nil || got != path {
 		t.Fatalf("warm-boot offline Fetch = %q, %v; want %q", got, err, path)
 	}
@@ -316,8 +316,60 @@ func TestSourceOfflineWarmCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSource(peer.url(), cold, Options{}).Fetch(); err == nil {
+	if _, err := NewSource(peer.url(), cold, nil).Fetch(); err == nil {
 		t.Fatal("cold Fetch against a dead peer succeeded")
+	}
+}
+
+// TestSourceFetchCap: a peer body one byte over the fetch cap is refused
+// with the "exceeds" error even with a warm cache to fall back on, and
+// nothing of it enters the cache, which keeps serving its warm entry.  A
+// body exactly at the cap is fetched.
+func TestSourceFetchCap(t *testing.T) {
+	peer := newBundlePeer(t, container(t, "warm"), nil)
+	dir := t.TempDir()
+	cache, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := NewSource(peer.url(), cache, nil)
+	warm, err := src.Fetch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := func() int {
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(files)
+	}
+	before := entries()
+
+	big := container(t, "a republished bundle, larger than the cap")
+	restore := maxFetch
+	t.Cleanup(func() { maxFetch = restore })
+	maxFetch = int64(len(big)) - 1
+	peer.set(big, nil)
+	if _, err := src.Fetch(); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("body one byte over the cap: Fetch = %v, want the exceeds error", err)
+	}
+	if n := entries(); n != before {
+		t.Fatalf("the refused body changed the cache: %d files, want %d", n, before)
+	}
+	if latest, ok := cache.latest(); !ok || cache.entryPath(latest) != warm {
+		t.Fatal("the refused body moved the latest entry")
+	}
+
+	peer.srv.Close() // offline: Fetch falls back to the warm entry
+	if got, err := src.Fetch(); err != nil || got != warm {
+		t.Fatalf("warm entry after the refusal: Fetch = %q, %v; want %q", got, err, warm)
+	}
+
+	peer = newBundlePeer(t, big, nil)
+	maxFetch = int64(len(big))
+	if _, err := NewSource(peer.url(), cache, nil).Fetch(); err != nil {
+		t.Fatalf("body at the cap: %v", err)
 	}
 }
 
@@ -341,7 +393,7 @@ func TestSourceVerificationNeverFallsBack(t *testing.T) {
 		mut[len(mut)-1] ^= 1
 		peer := newBundlePeer(t, good, nil)
 		cache, _ := Open(t.TempDir())
-		src := NewSource(peer.url(), cache, Options{})
+		src := NewSource(peer.url(), cache, nil)
 		if _, err := src.Fetch(); err != nil {
 			t.Fatal(err) // warm the cache with the good bundle first
 		}
@@ -360,7 +412,7 @@ func TestSourceVerificationNeverFallsBack(t *testing.T) {
 		peer.etag = `"deadbeef"`
 		peer.mu.Unlock()
 		cache, _ := Open(t.TempDir())
-		if _, err := NewSource(peer.url(), cache, Options{}).Fetch(); err == nil {
+		if _, err := NewSource(peer.url(), cache, nil).Fetch(); err == nil {
 			t.Fatal("Fetch accepted a bundle whose ETag does not match its bytes")
 		}
 	})
@@ -382,7 +434,7 @@ func TestSourceVerificationNeverFallsBack(t *testing.T) {
 		if _, _, err := cache.Put(good); err != nil {
 			t.Fatal(err)
 		}
-		src := NewSource(peer.url(), cache, Options{PublicKey: pubFile})
+		src := NewSource(peer.url(), cache, pubFile)
 		// Defeat the conditional path: the peer ignores If-None-Match for
 		// a fresh hash, so republish under a different payload.
 		fresh := container(t, "freshly published, wrongly signed")
@@ -396,7 +448,7 @@ func TestSourceVerificationNeverFallsBack(t *testing.T) {
 	t.Run("unsigned peer with pinned key", func(t *testing.T) {
 		peer := newBundlePeer(t, good, nil) // no .sig served
 		cache, _ := Open(t.TempDir())
-		src := NewSource(peer.url(), cache, Options{PublicKey: pubFile})
+		src := NewSource(peer.url(), cache, pubFile)
 		if _, err := src.Fetch(); err == nil {
 			t.Fatal("Fetch accepted an unsigned bundle under a pinned key")
 		}
@@ -405,7 +457,7 @@ func TestSourceVerificationNeverFallsBack(t *testing.T) {
 	t.Run("good signature verifies and lands in cache", func(t *testing.T) {
 		peer := newBundlePeer(t, good, goodSig)
 		cache, _ := Open(t.TempDir())
-		src := NewSource(peer.url(), cache, Options{PublicKey: pubFile})
+		src := NewSource(peer.url(), cache, pubFile)
 		path, err := src.Fetch()
 		if err != nil {
 			t.Fatalf("signed Fetch: %v", err)
@@ -430,7 +482,7 @@ func TestSourceSingleflight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := NewSource(peer.url(), cache, Options{})
+	src := NewSource(peer.url(), cache, nil)
 
 	const herd = 8
 	var wg sync.WaitGroup

@@ -10,9 +10,8 @@
 // internal/adapter scanner for each of xml, json and trace once one
 // arrives — and futures are recycled, so in the steady state Submit, Wait
 // and Release of a document allocate nothing.  Incoming documents are
-// routed to shards by the FNV-1a hash of their ID — all submissions of one
-// document ID serialize on one shard, keeping per-document ordering — or
-// round-robined under AffinityNone for maximal balance when IDs are skewed.
+// routed to shards by the FNV-1a hash of their ID, so all submissions of one
+// document ID serialize on one shard, keeping per-document ordering.
 //
 // Swap hands the same shards a new engine: it returns a second view over
 // the same workers, queues and future free list, so a bundle reload costs
@@ -31,18 +30,15 @@
 // at dequeue time and periodically mid-pass, so a cancelled request stops
 // consuming its shard.
 //
-// Results come back through a Future (Wait, then Release) and, when the
-// pool was built WithOnResult, through a callback invoked on the shard
-// worker — aggregation loops need no per-document future bookkeeping.
-// Close drains a view gracefully: it rejects new submissions to it and
-// waits until every document queued to it has finished.  Closing the last
-// open view stops the shards and waits for the workers to exit.
+// Results come back through a Future: Wait, then Release.  Close drains a
+// view gracefully: it rejects new submissions to it and waits until every
+// document queued to it has finished.  Closing the last open view stops the
+// shards and waits for the workers to exit.
 package serve
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"runtime"
 	"sync"
@@ -71,37 +67,6 @@ var ErrQueueFull = errors.New("serve: shard queue full")
 // errReleasedTwice is the panic of a Future released more than once, a
 // misuse that would hand one future to two documents.
 var errReleasedTwice = errors.New("serve: Future released twice")
-
-// Affinity selects how documents are routed to shards.
-type Affinity int
-
-const (
-	// AffinityHash routes each document by the FNV-1a hash of its ID, so
-	// repeated submissions of one ID always serialize on the same shard.
-	AffinityHash Affinity = iota
-	// AffinityNone ignores IDs and round-robins documents across shards —
-	// the best balance when IDs are few or skewed.
-	AffinityNone
-)
-
-// String names the affinity the way the -affinity CLI flags spell it.
-func (a Affinity) String() string {
-	if a == AffinityNone {
-		return "none"
-	}
-	return "hash"
-}
-
-// ParseAffinity converts a CLI spelling ("hash" or "none") to an Affinity.
-func ParseAffinity(s string) (Affinity, error) {
-	switch s {
-	case "hash":
-		return AffinityHash, nil
-	case "none":
-		return AffinityNone, nil
-	}
-	return 0, fmt.Errorf("serve: unknown affinity %q (want \"hash\" or \"none\")", s)
-}
 
 // Result is the outcome of serving one document: the engine's per-query
 // verdict set, or the error that aborted the pass (tokenization failure,
@@ -228,31 +193,15 @@ func WithQueueDepth(n int) Option {
 	}
 }
 
-// WithAffinity selects the document-to-shard routing (default AffinityHash).
-func WithAffinity(a Affinity) Option {
-	return func(s *shardSet) { s.affinity = a }
-}
-
-// WithOnResult installs a callback invoked on the shard worker for every
-// completed document, before the document's Future resolves.  It must be
-// safe for concurrent calls from different shards.  The Result's verdicts
-// are the Future's own, valid until the Future is released.
-func WithOnResult(fn func(Result)) Option {
-	return func(s *shardSet) { s.onResult = fn }
-}
-
 // shardSet is what every view of one pool shares: the shard workers, their
 // bounded queues and the future free list.  It lives until its last view
 // is closed.
 type shardSet struct {
 	numShards int
 	depth     int
-	affinity  Affinity
-	onResult  func(Result)
 
 	queues []chan *Future
-	rr     atomic.Uint64 // round-robin cursor for AffinityNone
-	free   chan *Future  // released futures, ready for reuse
+	free   chan *Future // released futures, ready for reuse
 
 	mu    sync.Mutex // guards views
 	views int        // views not yet closed; the queues close at zero
@@ -300,7 +249,6 @@ func NewPool(eng *engine.Engine, opts ...Option) (*Pool, error) {
 	s := &shardSet{
 		numShards: runtime.GOMAXPROCS(0),
 		depth:     64,
-		affinity:  AffinityHash,
 		views:     1,
 	}
 	for _, o := range opts {
@@ -324,8 +272,8 @@ func NewPool(eng *engine.Engine, opts ...Option) (*Pool, error) {
 // name, and the shard workers start against it.  Combined with
 // query.OpenBundle this is the serving cold-start path that skips per-
 // process compilation entirely — the tables may alias a read-only mapped
-// region shared across processes.  Use Engine to reach the underlying
-// engine (verdict names, alphabet) for result aggregation.
+// region shared across processes.  Result verdicts are indexed in the
+// bundle's query order.
 func NewPoolFromBundle(b *query.Bundle, opts ...Option) (*Pool, error) {
 	if b == nil {
 		return nil, errors.New("serve: nil bundle")
@@ -380,17 +328,11 @@ func (p *Pool) Swap(eng *engine.Engine) (*Pool, error) {
 	return s.view(eng), nil
 }
 
-// Engine returns the engine the pool serves against.
-func (p *Pool) Engine() *engine.Engine { return p.eng }
-
 // Shards returns the number of shards the pool was built with.
 func (p *Pool) Shards() int { return len(p.set.queues) }
 
 // QueueCap returns the bounded queue depth each shard was built with.
 func (p *Pool) QueueCap() int { return p.set.depth }
-
-// Affinity returns the document-to-shard routing the pool was built with.
-func (p *Pool) Affinity() Affinity { return p.set.affinity }
 
 // Stats snapshots the view's aggregate counters, the per-shard breakdown,
 // and the latency histogram; queue depths count every view's documents.
@@ -452,13 +394,10 @@ func (p *Pool) SubmitEvents(ctx context.Context, id string, events []docstream.E
 	return p.enqueue(job{id: id, ctx: ctx, src: engine.Events(events)}, true)
 }
 
-// route picks the shard for a document ID: round-robin, or the 64-bit
-// FNV-1a hash of the ID (the hash/fnv New64a sum, computed inline so routing
-// allocates nothing) modulo the shard count.
+// route picks the shard for a document ID: the 64-bit FNV-1a hash of the
+// ID (the hash/fnv New64a sum, computed inline so routing allocates
+// nothing) modulo the shard count.
 func (s *shardSet) route(id string) int {
-	if s.affinity == AffinityNone || len(s.queues) == 1 {
-		return int((s.rr.Add(1) - 1) % uint64(len(s.queues)))
-	}
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -607,7 +546,6 @@ func (c *ctxSource) Next() (docstream.Event, error) {
 // serves, that session, its decoder per input format, and the cancellation
 // wrapper it reuses for every document.
 type shardWorker struct {
-	s     *shardSet
 	shard int
 	view  *Pool
 	ses   *engine.Session
@@ -620,7 +558,7 @@ type shardWorker struct {
 // moving its one session and its decoders from view to view.
 func (s *shardSet) worker(shard int) {
 	defer s.wg.Done()
-	w := &shardWorker{s: s, shard: shard, decs: decoders{byFormat: make(map[string]adapter.Source)}}
+	w := &shardWorker{shard: shard, decs: decoders{byFormat: make(map[string]adapter.Source)}}
 	w.csrc = &w.cs
 	for f := range s.queues[shard] {
 		w.serve(f)
@@ -689,9 +627,6 @@ func (w *shardWorker) serve(f *Future) {
 		counters.events.Add(int64(res.Engine.Events))
 	}
 	p.hist.observe(time.Since(j.start))
-	if w.s.onResult != nil {
-		w.s.onResult(res)
-	}
 	f.job = job{} // hold no reference to the document's reader or context
 	f.res = res
 	f.done <- struct{}{}

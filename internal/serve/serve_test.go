@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/adapter"
@@ -102,46 +101,44 @@ func TestPoolMatchesSerialEngine(t *testing.T) {
 		serial[i] = r
 	}
 
-	for _, affinity := range []Affinity{AffinityHash, AffinityNone} {
-		for _, shards := range []int{1, 3, 8} {
-			pool, err := NewPool(eng, WithShards(shards), WithAffinity(affinity), WithQueueDepth(4))
+	for _, shards := range []int{1, 3, 8} {
+		pool, err := NewPool(eng, WithShards(shards), WithQueueDepth(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		futures := make([]*Future, docs)
+		for i, events := range corpus {
+			futures[i], err = pool.SubmitEvents(context.Background(), fmt.Sprintf("doc-%d", i), events)
 			if err != nil {
 				t.Fatal(err)
 			}
-			futures := make([]*Future, docs)
-			for i, events := range corpus {
-				futures[i], err = pool.SubmitEvents(context.Background(), fmt.Sprintf("doc-%d", i), events)
-				if err != nil {
-					t.Fatal(err)
-				}
+		}
+		for i, f := range futures {
+			res, err := f.Wait(context.Background())
+			if err != nil {
+				t.Fatalf("shards=%d doc %d: %v", shards, i, err)
 			}
-			for i, f := range futures {
-				res, err := f.Wait(context.Background())
-				if err != nil {
-					t.Fatalf("affinity=%v shards=%d doc %d: %v", affinity, shards, i, err)
-				}
-				if got, want := res.Engine.Verdicts, serial[i].Verdicts; len(got) != len(want) {
-					t.Fatalf("doc %d: %d verdicts, want %d", i, len(got), len(want))
-				} else {
-					for q := range want {
-						if got[q] != want[q] {
-							t.Errorf("affinity=%v shards=%d doc %d query %d: pool %v, serial %v",
-								affinity, shards, i, q, got[q], want[q])
-						}
+			if got, want := res.Engine.Verdicts, serial[i].Verdicts; len(got) != len(want) {
+				t.Fatalf("doc %d: %d verdicts, want %d", i, len(got), len(want))
+			} else {
+				for q := range want {
+					if got[q] != want[q] {
+						t.Errorf("shards=%d doc %d query %d: pool %v, serial %v",
+							shards, i, q, got[q], want[q])
 					}
 				}
-				if res.Engine.Events != serial[i].Events || res.Engine.MaxDepth != serial[i].MaxDepth {
-					t.Errorf("doc %d: pool events/depth %d/%d, serial %d/%d",
-						i, res.Engine.Events, res.Engine.MaxDepth, serial[i].Events, serial[i].MaxDepth)
-				}
 			}
-			st := pool.Stats()
-			if st.Served != docs || st.Failed != 0 {
-				t.Errorf("stats: served %d failed %d, want %d/0", st.Served, st.Failed, docs)
+			if res.Engine.Events != serial[i].Events || res.Engine.MaxDepth != serial[i].MaxDepth {
+				t.Errorf("doc %d: pool events/depth %d/%d, serial %d/%d",
+					i, res.Engine.Events, res.Engine.MaxDepth, serial[i].Events, serial[i].MaxDepth)
 			}
-			if err := pool.Close(); err != nil {
-				t.Fatal(err)
-			}
+		}
+		st := pool.Stats()
+		if st.Served != docs || st.Failed != 0 {
+			t.Errorf("stats: served %d failed %d, want %d/0", st.Served, st.Failed, docs)
+		}
+		if err := pool.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -367,8 +364,7 @@ func (b *blockingReader) Read([]byte) (int, error) {
 // document was served, later submissions fail, and Close is idempotent.
 func TestPoolCloseDrains(t *testing.T) {
 	eng := testEngine(t)
-	var delivered atomic.Int64
-	pool, err := NewPool(eng, WithShards(3), WithOnResult(func(Result) { delivered.Add(1) }))
+	pool, err := NewPool(eng, WithShards(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,9 +376,6 @@ func TestPoolCloseDrains(t *testing.T) {
 	}
 	if err := pool.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if got := delivered.Load(); got != docs {
-		t.Fatalf("callback delivered %d results, want %d", got, docs)
 	}
 	if st := pool.Stats(); st.Served != docs {
 		t.Fatalf("served %d, want %d", st.Served, docs)
@@ -396,36 +389,44 @@ func TestPoolCloseDrains(t *testing.T) {
 }
 
 // TestPoolHashAffinitySticksToShard checks that one document ID always
-// lands on one shard under AffinityHash, and that AffinityNone spreads a
-// single ID across shards.
+// lands on one shard.
 func TestPoolHashAffinitySticksToShard(t *testing.T) {
-	eng := testEngine(t)
-	run := func(a Affinity) map[int]bool {
-		var mu sync.Mutex
-		shards := map[int]bool{}
-		pool, err := NewPool(eng, WithShards(4), WithAffinity(a),
-			WithOnResult(func(r Result) {
-				mu.Lock()
-				shards[r.Shard] = true
-				mu.Unlock()
-			}))
+	pool, err := NewPool(testEngine(t), WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	ctx := context.Background()
+	shards := map[int]bool{}
+	for i := 0; i < 64; i++ {
+		f, err := pool.SubmitEvents(ctx, "same-id", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 64; i++ {
-			if _, err := pool.SubmitEvents(context.Background(), "same-id", nil); err != nil {
-				t.Fatal(err)
-			}
+		res, err := f.Wait(ctx)
+		if err != nil {
+			t.Fatal(err)
 		}
-		pool.Close()
-		return shards
+		shards[res.Shard] = true
+		f.Release()
 	}
-	if got := run(AffinityHash); len(got) != 1 {
-		t.Errorf("AffinityHash: one ID hit %d shards, want 1", len(got))
+	if len(shards) != 1 {
+		t.Errorf("one ID hit %d shards, want 1", len(shards))
 	}
-	if got := run(AffinityNone); len(got) != 4 {
-		t.Errorf("AffinityNone: 64 submissions hit %d of 4 shards", len(got))
+}
+
+// spreadIDs returns n distinct document IDs prefix0, prefix1, ... of which
+// the k-th is routed to shard k mod p.Shards(), by the FNV routing that
+// TestRouteMatchesFNV pins.
+func spreadIDs(p *Pool, prefix string, n int) []string {
+	ids := make([]string, n)
+	for k, j := 0, 0; k < n; j++ {
+		if id := fmt.Sprint(prefix, j); p.set.route(id) == k%p.Shards() {
+			ids[k] = id
+			k++
+		}
 	}
+	return ids
 }
 
 // TestRouteMatchesFNV pins hash routing to the hash/fnv New64a sum it
@@ -490,19 +491,6 @@ func TestPoolConcurrentSubmitters(t *testing.T) {
 	}
 	if err := pool.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestParseAffinity covers the CLI spelling round-trip.
-func TestParseAffinity(t *testing.T) {
-	for _, a := range []Affinity{AffinityHash, AffinityNone} {
-		got, err := ParseAffinity(a.String())
-		if err != nil || got != a {
-			t.Errorf("ParseAffinity(%q) = %v, %v", a.String(), got, err)
-		}
-	}
-	if _, err := ParseAffinity("bogus"); err == nil {
-		t.Error("ParseAffinity(bogus): want error")
 	}
 }
 

@@ -42,22 +42,27 @@ func swapEngine(t *testing.T, names []string, queries []*nwa.DNWA) *engine.Engin
 func TestSwapServesEachViewsEngine(t *testing.T) {
 	abc := alphabet.New("a", "b", "c")
 	dcba := alphabet.New("d", "c", "b", "a")
-	first, err := NewPool(testEngine(t), WithShards(2), WithQueueDepth(8), WithAffinity(AffinityNone))
+	engines := []*engine.Engine{
+		testEngine(t),
+		swapEngine(t, []string{"contains a", "//b//c"}, []*nwa.DNWA{
+			query.ContainsLabel(abc, "a"),
+			query.PathQuery(abc, "b", "c"),
+		}),
+		swapEngine(t, []string{"contains d", "//a//d", "well-formed"}, []*nwa.DNWA{
+			query.ContainsLabel(dcba, "d"),
+			query.PathQuery(dcba, "a", "d"),
+			query.WellFormed(dcba),
+		}),
+	}
+	first, err := NewPool(engines[0], WithShards(2), WithQueueDepth(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	narrow, err := first.Swap(swapEngine(t, []string{"contains a", "//b//c"}, []*nwa.DNWA{
-		query.ContainsLabel(abc, "a"),
-		query.PathQuery(abc, "b", "c"),
-	}))
+	narrow, err := first.Swap(engines[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := narrow.Swap(swapEngine(t, []string{"contains d", "//a//d", "well-formed"}, []*nwa.DNWA{
-		query.ContainsLabel(dcba, "d"),
-		query.PathQuery(dcba, "a", "d"),
-		query.WellFormed(dcba),
-	}))
+	wide, err := narrow.Swap(engines[2])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,10 +78,12 @@ func TestSwapServesEachViewsEngine(t *testing.T) {
 	}
 	var futs []pending
 	submitted := make([]int64, len(views))
-	for i := 0; i < 90; i++ {
+	// The IDs alternate between the two shards, so each shard serves
+	// documents of every view, in random order.
+	for _, id := range spreadIDs(first, "doc-", 90) {
 		doc := docstream.Render(generator.RandomDocument(rng, 5+rng.Intn(40), 6, labels))
 		v := rng.Intn(len(views))
-		f, err := views[v].Submit(ctx, fmt.Sprint("doc-", i), "", strings.NewReader(doc))
+		f, err := views[v].Submit(ctx, id, "", strings.NewReader(doc))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +95,7 @@ func TestSwapServesEachViewsEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := views[p.view].Engine().RunReader(strings.NewReader(p.doc))
+		want, err := engines[p.view].RunReader(strings.NewReader(p.doc))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -53,7 +53,7 @@ func provisionedServer(t testing.TB, peerURL, cacheDir string, pub []byte) (*Ser
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := bundlecache.NewSource(peerURL, cache, bundlecache.Options{PublicKey: pub})
+	src := bundlecache.NewSource(peerURL, cache, pub)
 	srv, err := New(Config{Source: src.Fetch, PublicKey: pub, Shards: 2, QueueDepth: 32})
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestFleetSelfProvisioning(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	poolNames := pool.Engine().Names()
+	poolNames := b.Names()
 	futs := make([]*serve.Future, docs)
 	for i, doc := range corpus {
 		if futs[i], err = pool.Submit(context.Background(), fmt.Sprintf("doc-%d", i), "", strings.NewReader(doc)); err != nil {
@@ -258,9 +258,9 @@ func TestDistributionRefusesToSwap(t *testing.T) {
 	})
 }
 
-// generation reports the current generation counter.
+// generation reports the current generation's number.
 func (s *Server) generation() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.gen
+	return s.cur.info.Generation
 }

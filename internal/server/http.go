@@ -42,7 +42,6 @@ type statusDoc struct {
 	BundleInfo    BundleInfo    `json:"bundle_info"`
 	Shards        int           `json:"shards"`
 	QueueCap      int           `json:"queue_cap"`
-	Affinity      string        `json:"affinity"`
 	UptimeSec     float64       `json:"uptime_sec"`
 	Reloads       int64         `json:"reloads"`
 	EventsPerSec  float64       `json:"events_per_sec"`
@@ -140,7 +139,7 @@ func writeError(w http.ResponseWriter, err error) {
 // handleDocument serves POST /v1/documents: the request body is one
 // document in the XML-like syntax — or, with ?format=xml|json|trace, in
 // that real input format, decoded by the shard's adapter for it — the
-// optional ?id= names it for shard affinity, and the response is its
+// optional ?id= names it and picks its shard, and the response is its
 // DocumentResult.  Submission is fail-fast (TrySubmit): a full shard queue
 // answers 429 immediately instead of parking the handler goroutine —
 // per-request backpressure belongs to the batch endpoint.  The shard
@@ -382,8 +381,8 @@ func (s *Server) submitLine(ctx context.Context, st *poolState, n int, line []by
 	return batchPending{id: id, fut: fut, buf: buf}
 }
 
-// handleReload serves POST /v1/reload: re-open the bundle path, boot a new
-// pool, swap.  The response is the new generation's BundleInfo.
+// handleReload serves POST /v1/reload: re-open the bundle path, hand the
+// shards its engine, swap.  The response is the new generation's BundleInfo.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	info, err := s.Reload()
 	if err != nil {
@@ -461,7 +460,6 @@ func (s *Server) status() (statusDoc, error) {
 		BundleInfo:    st.info,
 		Shards:        st.pool.Shards(),
 		QueueCap:      st.pool.QueueCap(),
-		Affinity:      st.pool.Affinity().String(),
 		UptimeSec:     time.Since(s.start).Seconds(),
 		Reloads:       s.reloads.Load(),
 		EventsPerSec:  s.rates.observe(time.Now(), stats.Events),

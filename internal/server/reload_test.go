@@ -1,26 +1,31 @@
 package server
 
 import (
+	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
-
-	"repro/internal/serve"
+	"time"
 )
 
-// reloadBatch is one document per shard of a two-shard round-robin pool,
-// so a batch request checks every shard's session of the new generation.
+// reloadBatch is one document per shard of a two-shard server — "r0" and
+// "r1" route to different shards, which reloadServer checks — so a batch
+// request checks every shard's session of the new generation.
 const reloadBatch = `{"id":"r0","doc":"<a> b <c> a </c> </a>"}` + "\n" +
 	`{"id":"r1","doc":"<b> c zz </b>"}` + "\n"
 
-// reloadServer boots a two-shard server over the test bundle with
-// round-robin routing and serves reloadBatch once, so every shard and the
-// request path are warm.
+// reloadServer boots a two-shard server over the test bundle and serves
+// reloadBatch once, so every shard and the request path are warm.
 func reloadServer(tb testing.TB) (*Server, http.Handler) {
 	tb.Helper()
-	srv, err := New(Config{BundlePath: writeTestBundle(tb), Shards: 2, Affinity: serve.AffinityNone})
+	if shardOf("r0", 2) == shardOf("r1", 2) {
+		tb.Fatal("reloadBatch's two documents route to one shard")
+	}
+	srv, err := New(Config{BundlePath: writeTestBundle(tb), Shards: 2})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -90,5 +95,108 @@ func BenchmarkReload(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		reloadCycle(b, srv, h)
+	}
+}
+
+// TestReloadAcrossQueuedWork reloads while lines of an abandoned batch wait
+// behind a held shard.  The batch ran on generation 2, and once it ends
+// only its queued lines hold that generation, so the reload to generation
+// 3 drops its last reference.  That reload must return, and the next one
+// start and return, while the shard is still held; the retired
+// generation's bundle stays mapped until the shard is let go and its lines
+// are served, and then every retired generation's bundle closes exactly
+// once.
+func TestReloadAcrossQueuedWork(t *testing.T) {
+	var mu sync.Mutex
+	closes := map[int64]int{}
+	servedAtClose := map[int64]int64{}
+	restore := unmap
+	t.Cleanup(func() { unmap = restore })
+	unmap = func(st *poolState) {
+		mu.Lock()
+		closes[st.info.Generation]++
+		servedAtClose[st.info.Generation] = st.pool.Stats().Served
+		mu.Unlock()
+		restore(st)
+	}
+	closed := func(gen int64) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return closes[gen]
+	}
+
+	const shards = 2
+	srv, _ := testServer(t, Config{Shards: shards, QueueDepth: 4})
+	stall, stallDone := holdShard(t, srv) // on generation 1
+	defer stall.Close()                   // lets a failed run unwind
+	held := shardOf("hold", shards)
+	reload := func() {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() {
+			_, err := srv.Reload()
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a reload did not return while a shard was held")
+		}
+	}
+	reload()
+
+	var batch strings.Builder
+	for _, id := range idsOnShard("abandoned-", held, shards, 3) {
+		fmt.Fprintf(&batch, "{\"id\":%q,\"doc\":\"<a> b </a>\"}\n", id)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	req := httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(batch.String())).WithContext(ctx)
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.Handler().ServeHTTP(httptest.NewRecorder(), req)
+	}()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		st, err := srv.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Shards[held].QueueDepth == 3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the batch's lines never queued behind the held shard")
+		}
+	}
+	cancel()
+	<-served
+
+	reload() // retires generation 2 with its three lines queued
+	reload()
+	if n := closed(2); n != 0 {
+		t.Fatalf("generation 2's bundle closed %d times while its lines were queued", n)
+	}
+
+	stall.Write([]byte("<a> </a>"))
+	stall.Close()
+	<-stallDone
+	for deadline := time.Now().Add(10 * time.Second); closed(1) == 0 || closed(2) == 0 || closed(3) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("a retired generation's bundle never closed")
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for gen, want := range map[int64]int64{1: 1, 2: 3, 3: 0} {
+		if closes[gen] != 1 || servedAtClose[gen] != want {
+			t.Errorf("generation %d's bundle closed %d times, after %d documents; want once, after %d",
+				gen, closes[gen], servedAtClose[gen], want)
+		}
+	}
+	if closes[4] != 0 {
+		t.Errorf("the serving generation's bundle closed %d times", closes[4])
 	}
 }

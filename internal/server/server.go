@@ -10,14 +10,16 @@
 // acquire a reference for the duration of one document, a reload builds
 // the replacement off to the side (open and verify the bundle, register it
 // on a fresh engine, serve.Pool.Swap the shards a view of it) and swaps the
-// pointer under a mutex, and the old generation is closed only when its
+// pointer under a mutex, and the old generation is retired only when its
 // last in-flight document releases it — in-flight documents finish on the
 // engine they were submitted to, new arrivals land on the new one, and no
-// request ever observes a torn swap.  The shard goroutines and queues live
-// as long as the Server, so a reload starts none and however many
-// generations in-flight requests still hold, the shard count and queue
-// capacity stay as configured.  SIGHUP and POST /v1/reload both trigger
-// the same path.
+// request ever observes a torn swap.  A retired generation drains on a
+// goroutine of its own, so neither a reload nor a request handler waits
+// for documents that other requests left queued to it.  The shard
+// goroutines and queues live as long as the Server, so a reload starts
+// none and however many generations in-flight requests still hold, the
+// shard count and queue capacity stay as configured.  SIGHUP and POST
+// /v1/reload both trigger the same path.
 //
 // Error mapping follows the serve package's sentinels: a full shard queue
 // (serve.ErrQueueFull) is transient overload and maps to 429 Too Many
@@ -67,8 +69,6 @@ type Config struct {
 	// QueueDepth bounds each shard's submission queue; 0 means the serve
 	// default (64).
 	QueueDepth int
-	// Affinity selects document-to-shard routing (default AffinityHash).
-	Affinity serve.Affinity
 	// MaxBodyBytes caps a single document body; 0 means 8 MiB.
 	MaxBodyBytes int64
 }
@@ -90,10 +90,10 @@ type BundleInfo struct {
 // shards that serves its engine, and a reference count.  The count starts
 // at 1 (the Server's own reference); each in-flight document holds one
 // more.  When the count hits zero — the Server dropped it in a swap or
-// Close AND the last in-flight document finished — the view is closed,
-// which waits for every document queued to it, and then the bundle is
-// unmapped, so no worker ever touches an unmapped table.  Closing the last
-// generation's view stops the shards.
+// Close AND the last in-flight document finished — the generation is
+// retired: its view is closed, which waits for every document still queued
+// to it, and then the bundle is unmapped, so no worker ever touches an
+// unmapped table.  Closing the last generation's view stops the shards.
 type poolState struct {
 	pool     *serve.Pool
 	info     BundleInfo
@@ -110,12 +110,23 @@ type poolState struct {
 	sig  []byte
 }
 
-// release drops one reference, closing the generation when it was the last.
+// release drops one reference.  Dropping the last retires the generation
+// on a goroutine of its own: documents an abandoned batch left queued to
+// it may wait behind a stalled shard, and the reload or request handler
+// that let go of it must not wait with them.
 func (st *poolState) release() {
 	if st.refs.Add(-1) == 0 {
-		st.pool.Close()
-		unmap(st)
+		go st.retire(unmap)
 	}
+}
+
+// retire closes the generation's view once its last queued document is
+// served, then unmaps its bundle with unmapBundle: the unmap hook as it
+// stood when the last reference went, so a retirement that outlives a
+// test never reads the hook the next test installs.
+func (st *poolState) retire(unmapBundle func(*poolState)) {
+	st.pool.Close()
+	unmapBundle(st)
 }
 
 // unmap closes a released generation's bundle once its view has drained.
@@ -136,7 +147,6 @@ type Server struct {
 
 	mu     sync.Mutex
 	cur    *poolState // guarded by mu
-	gen    int64      // guarded by mu — generation counter, rises on every swap
 	closed bool       // guarded by mu
 
 	nextID  atomic.Int64 // fallback document IDs when the client sends none
@@ -157,7 +167,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.mu.Lock()
 	s.cur = st
-	s.gen = 1
 	s.mu.Unlock()
 	return s, nil
 }
@@ -205,7 +214,7 @@ func (s *Server) load(gen int64, cur *serve.Pool) (*poolState, error) {
 	if cur != nil {
 		pool, err = cur.Swap(eng)
 	} else {
-		opts := []serve.Option{serve.WithAffinity(s.cfg.Affinity)}
+		var opts []serve.Option
 		if s.cfg.Shards > 0 {
 			opts = append(opts, serve.WithShards(s.cfg.Shards))
 		}
@@ -254,8 +263,9 @@ func (s *Server) acquire() (*poolState, error) {
 // Reload opens the configured bundle path again, hands the shards a fresh
 // engine for it, and atomically swaps the new generation in.  In-flight
 // documents finish on the old engine, whose view is closed and bundle
-// unmapped once the last of them releases it.  On any error the old
-// generation keeps serving untouched.
+// unmapped once the last of them releases it and its queued documents are
+// served; Reload does not wait for that.  On any error the old generation
+// keeps serving untouched.
 func (s *Server) Reload() (BundleInfo, error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
@@ -278,7 +288,6 @@ func (s *Server) Reload() (BundleInfo, error) {
 	}
 	old := s.cur
 	s.cur = next
-	s.gen = next.info.Generation
 	s.mu.Unlock()
 
 	s.reloads.Add(1)
@@ -290,8 +299,9 @@ func (s *Server) Reload() (BundleInfo, error) {
 
 // Close drops the Server's own reference on the active generation and
 // rejects all further work.  The generation's view drains gracefully once
-// in-flight documents release their references, and the shards stop with
-// the last generation's view.  Safe to call twice.
+// in-flight documents release their references — Close itself waits for
+// that drain when no request holds one — and the shards stop with the
+// last generation's view.  Safe to call twice.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -302,8 +312,8 @@ func (s *Server) Close() error {
 	old := s.cur
 	s.cur = nil
 	s.mu.Unlock()
-	if old != nil {
-		old.release()
+	if old != nil && old.refs.Add(-1) == 0 {
+		old.retire(unmap)
 	}
 	return nil
 }

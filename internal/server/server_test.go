@@ -226,7 +226,7 @@ func TestHTTPDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	poolNames := pool.Engine().Names()
+	poolNames := b.Names()
 	futs := make([]*serve.Future, docs)
 	for i, doc := range corpus {
 		futs[i], err = pool.Submit(context.Background(), fmt.Sprintf("doc-%d", i), "", strings.NewReader(doc))
@@ -906,7 +906,7 @@ func TestBatchDisconnect(t *testing.T) {
 // answered.
 func holdShard(t *testing.T, srv *Server) (*io.PipeWriter, chan struct{}) {
 	t.Helper()
-	pw, done, _ := holdDocument(t, srv)
+	pw, done, _ := holdDocument(t, srv, "hold")
 	return pw, done
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math/rand"
 	"net/http"
@@ -23,7 +24,6 @@ import (
 	"repro/internal/generator"
 	"repro/internal/nwa"
 	"repro/internal/query"
-	"repro/internal/serve"
 )
 
 // writeDNWABundle compiles the DNWAs into a bundle file under their names.
@@ -54,15 +54,35 @@ func shardGoroutines() int {
 	}
 }
 
-// holdDocument occupies a shard with a /v1/documents request whose body
-// never finishes arriving until the returned writer is closed.  It returns
-// once the body is being read, with the request's recorder, readable once
-// done is closed.
-func holdDocument(t *testing.T, srv *Server) (*io.PipeWriter, chan struct{}, *httptest.ResponseRecorder) {
+// shardOf is the shard a server with the given shard count routes a
+// document ID to: the FNV-1a sum that serve's TestRouteMatchesFNV pins.
+func shardOf(id string, shards int) int {
+	h := fnv.New64a()
+	io.WriteString(h, id)
+	return int(h.Sum64() % uint64(shards))
+}
+
+// idsOnShard returns the first n of the IDs prefix0, prefix1, ... that a
+// server with the given shard count routes to shard.
+func idsOnShard(prefix string, shard, shards, n int) []string {
+	var ids []string
+	for j := 0; len(ids) < n; j++ {
+		if id := fmt.Sprint(prefix, j); shardOf(id, shards) == shard {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// holdDocument occupies the shard that id routes to with a /v1/documents
+// request whose body never finishes arriving until the returned writer is
+// closed.  It returns once the body is being read, with the request's
+// recorder, readable once done is closed.
+func holdDocument(t *testing.T, srv *Server, id string) (*io.PipeWriter, chan struct{}, *httptest.ResponseRecorder) {
 	t.Helper()
 	pr, pw := io.Pipe()
 	body := &firstRead{r: pr, reading: make(chan struct{})}
-	req := httptest.NewRequest(http.MethodPost, "/v1/documents?id=hold", body)
+	req := httptest.NewRequest(http.MethodPost, "/v1/documents?id="+id, body)
 	rec := httptest.NewRecorder()
 	done := make(chan struct{})
 	go func() {
@@ -148,7 +168,6 @@ func TestReloadStorm(t *testing.T) {
 		},
 		Shards:     shards,
 		QueueDepth: 4,
-		Affinity:   serve.AffinityNone,
 	})
 	client := ts.Client()
 	current := func() *poolState {
@@ -184,15 +203,15 @@ func TestReloadStorm(t *testing.T) {
 	abandonedLines := 0
 	const rounds = 6
 	for round := 0; round < rounds; round++ {
-		// Hold both shards on the current generation: round-robin puts the
-		// second hold on the other shard, which is idle.
+		// Hold both shards on the current generation, each with an ID
+		// routed to it.
 		var holds [shards]struct {
 			pw   *io.PipeWriter
 			done chan struct{}
 			rec  *httptest.ResponseRecorder
 		}
 		for i := range holds {
-			holds[i].pw, holds[i].done, holds[i].rec = holdDocument(t, srv)
+			holds[i].pw, holds[i].done, holds[i].rec = holdDocument(t, srv, idsOnShard("hold-", i, shards, 1)[0])
 		}
 		queued := func() int {
 			st, err := srv.Stats()
@@ -238,7 +257,7 @@ func TestReloadStorm(t *testing.T) {
 
 		// Reload across the abandoned lines.  Nothing but its queued lines
 		// holds their generation any more, so the reload retires it at
-		// once, and its close waits for them.
+		// once, and its close waits for them off the reload's goroutine.
 		abandoned := current()
 		reloaded := make(chan error)
 		go func() {
