@@ -422,7 +422,3 @@ func decodeSubtree(n *nestedword.NestedWord, i int) (*Tree, int) {
 	}
 	return New(label, children...), ret + 1
 }
-
-// ToTaggedString implements t_w as a printable string in Figure 1 notation:
-// "<a <a a> <b b> a>" for a(a(),b()).
-func ToTaggedString(t *Tree) string { return ToNestedWord(t).String() }

@@ -1,7 +1,8 @@
 // Package word implements classical finite-state word automata: DFAs, NFAs
-// (with ε-transitions), subset-construction determinization, Hopcroft-style
-// minimization, boolean operations, reversal, and a small regular-expression
-// combinator library.
+// (with ε-transitions), subset-construction determinization, Moore
+// minimization, complement and equivalence, reversal, and the
+// regular-expression combinators the query library and the succinctness
+// generators build their automata from.
 //
 // The package is the "words" baseline of the paper "Marrying Words and
 // Trees" (Alur, PODS 2007).  Flat nested word automata are equivalent to
@@ -11,7 +12,9 @@
 package word
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/alphabet"
 )
@@ -32,32 +35,36 @@ type DFA struct {
 // an implicit dead (non-accepting, absorbing) state added by Build when
 // needed.
 type DFABuilder struct {
-	alpha     *alphabet.Alphabet
-	numStates int
-	start     int
-	accept    map[int]bool
-	delta     map[[2]int]int
+	alpha  *alphabet.Alphabet
+	start  int
+	accept []bool // accept[q]: q is accepting
+	// delta[q*Size+s] is the successor of q on symbol index s, or -1 while
+	// unset.
+	delta []int
 }
 
 // NewDFABuilder creates a builder for a DFA over the given alphabet with the
 // given number of states; the start state defaults to 0.
 func NewDFABuilder(alpha *alphabet.Alphabet, numStates int) *DFABuilder {
-	return &DFABuilder{
-		alpha:     alpha,
-		numStates: numStates,
-		accept:    make(map[int]bool),
-		delta:     make(map[[2]int]int),
+	delta := make([]int, numStates*alpha.Size())
+	for i := range delta {
+		delta[i] = -1
 	}
+	return &DFABuilder{alpha: alpha, accept: make([]bool, numStates), delta: delta}
 }
 
-// SetStart sets the start state.
-func (b *DFABuilder) SetStart(q int) *DFABuilder { b.start = q; return b }
-
-// SetAccept marks states as accepting.
-func (b *DFABuilder) SetAccept(states ...int) *DFABuilder {
-	for _, q := range states {
-		b.accept[q] = true
+// SetStart sets the start state.  It panics on an out-of-range state.
+func (b *DFABuilder) SetStart(q int) *DFABuilder {
+	if !inRange(len(b.accept), q) {
+		panic(fmt.Sprintf("word: start state %d out of range [0,%d)", q, len(b.accept)))
 	}
+	b.start = q
+	return b
+}
+
+// SetAccept marks states as accepting.  It panics on out-of-range states.
+func (b *DFABuilder) SetAccept(states ...int) *DFABuilder {
+	markStates(b.accept, "accepting", states)
 	return b
 }
 
@@ -66,64 +73,41 @@ func (b *DFABuilder) SetAccept(states ...int) *DFABuilder {
 // construction code.
 func (b *DFABuilder) AddTransition(from int, sym string, to int) *DFABuilder {
 	s := b.alpha.MustIndex(sym)
-	if from < 0 || from >= b.numStates || to < 0 || to >= b.numStates {
-		panic(fmt.Sprintf("word: transition (%d,%q,%d) out of range [0,%d)", from, sym, to, b.numStates))
+	if !inRange(len(b.accept), from, to) {
+		panic(fmt.Sprintf("word: transition (%d,%q,%d) out of range [0,%d)", from, sym, to, len(b.accept)))
 	}
-	b.delta[[2]int{from, s}] = to
+	b.delta[from*b.alpha.Size()+s] = to
 	return b
 }
 
-// Build completes the DFA.  If any transition is missing, a fresh dead state
-// is appended and all missing transitions point to it.
+// Build completes the DFA.  If any transition is missing, or there are no
+// states, a fresh dead state is appended and all missing transitions point
+// to it.
 func (b *DFABuilder) Build() *DFA {
-	n := b.numStates
-	needDead := false
-	for q := 0; q < b.numStates && !needDead; q++ {
-		for s := 0; s < b.alpha.Size(); s++ {
-			if _, ok := b.delta[[2]int{q, s}]; !ok {
-				needDead = true
-				break
-			}
-		}
-	}
-	dead := -1
-	if needDead || n == 0 {
-		dead = n
-		n++
+	size, n := b.alpha.Size(), len(b.accept)
+	total, dead := n, -1
+	if n == 0 || slices.Contains(b.delta, -1) {
+		total, dead = n+1, n
 	}
 	d := &DFA{
 		alpha:  b.alpha,
 		start:  b.start,
-		accept: make([]bool, n),
-		delta:  make([][]int, n),
+		accept: make([]bool, total),
+		delta:  make([][]int, total),
 	}
-	if n == 1 && b.numStates == 0 {
-		d.start = dead
-	}
-	for q := 0; q < n; q++ {
-		d.delta[q] = make([]int, b.alpha.Size())
-		for s := 0; s < b.alpha.Size(); s++ {
-			if q == dead {
-				d.delta[q][s] = dead
-				continue
-			}
-			if to, ok := b.delta[[2]int{q, s}]; ok {
-				d.delta[q][s] = to
-			} else {
-				d.delta[q][s] = dead
-			}
+	copy(d.accept, b.accept)
+	cells := make([]int, total*size)
+	for i := range cells {
+		cells[i] = dead
+		if i < len(b.delta) && b.delta[i] >= 0 {
+			cells[i] = b.delta[i]
 		}
 	}
-	for q := range b.accept {
-		if b.accept[q] && q < len(d.accept) {
-			d.accept[q] = true
-		}
+	for q := range d.delta {
+		d.delta[q] = cells[q*size : (q+1)*size : (q+1)*size]
 	}
 	return d
 }
-
-// Alphabet returns the automaton's alphabet.
-func (d *DFA) Alphabet() *alphabet.Alphabet { return d.alpha }
 
 // NumStates returns the number of states (including any dead state).
 func (d *DFA) NumStates() int { return len(d.delta) }
@@ -188,9 +172,9 @@ func (d *DFA) Complement() *DFA {
 	return &DFA{alpha: d.alpha, start: d.start, accept: accept, delta: d.delta}
 }
 
-// binaryOp builds the product DFA combining acceptance with the given
+// product builds the product DFA combining acceptance with the given
 // boolean function.  Both automata must share the same alphabet.
-func binaryOp(a, b *DFA, combine func(bool, bool) bool) *DFA {
+func product(a, b *DFA, combine func(bool, bool) bool) *DFA {
 	if !a.alpha.Equal(b.alpha) {
 		panic("word: product of DFAs over different alphabets")
 	}
@@ -216,29 +200,11 @@ func binaryOp(a, b *DFA, combine func(bool, bool) bool) *DFA {
 	return d
 }
 
-// Intersect returns a DFA for L(a) ∩ L(b).
-func Intersect(a, b *DFA) *DFA {
-	return binaryOp(a, b, func(x, y bool) bool { return x && y })
-}
-
-// Union returns a DFA for L(a) ∪ L(b).
-func Union(a, b *DFA) *DFA {
-	return binaryOp(a, b, func(x, y bool) bool { return x || y })
-}
-
-// Difference returns a DFA for L(a) \ L(b).
-func Difference(a, b *DFA) *DFA {
-	return binaryOp(a, b, func(x, y bool) bool { return x && !y })
-}
-
 // Equivalent reports whether two DFAs over the same alphabet accept the same
-// language (symmetric difference is empty).
+// language (their symmetric difference is empty).
 func Equivalent(a, b *DFA) bool {
-	return Difference(a, b).IsEmpty() && Difference(b, a).IsEmpty()
+	return product(a, b, func(x, y bool) bool { return x != y }).IsEmpty()
 }
-
-// Subset reports whether L(a) ⊆ L(b).
-func Subset(a, b *DFA) bool { return Difference(a, b).IsEmpty() }
 
 // Minimize returns the minimal complete DFA accepting the same language,
 // computed by removing unreachable states and then refining the
@@ -274,58 +240,44 @@ func (d *DFA) Minimize() *DFA {
 		delta[newQ] = row
 	}
 
-	// 2. Partition refinement.
+	// 2. Partition refinement, from accepting/non-accepting (one block when
+	// all states agree).  A state's signature key is its block and its
+	// successors' blocks, four little-endian bytes each, built in one
+	// reused buffer.
 	part := make([]int, n)
-	for q := 0; q < n; q++ {
-		if accept[q] {
-			part[q] = 1
-		}
-	}
-	numBlocks := 2
-	if n > 0 {
-		allSame := true
-		for q := 1; q < n; q++ {
-			if accept[q] != accept[0] {
-				allSame = false
-				break
-			}
-		}
-		if allSame {
-			numBlocks = 1
-			for q := range part {
-				part[q] = 0
+	numBlocks := 1
+	if slices.Contains(accept, !accept[0]) {
+		numBlocks = 2
+		for q, a := range accept {
+			if a {
+				part[q] = 1
 			}
 		}
 	}
+	sigIndex := make(map[string]int)
+	var key []byte
+	newPart := make([]int, n)
 	for {
-		// Signature of a state: its block plus the blocks of its successors.
-		type sig struct {
-			block int
-			succ  string
-		}
-		sigIndex := make(map[sig]int)
-		newPart := make([]int, n)
+		clear(sigIndex)
 		newBlocks := 0
 		for q := 0; q < n; q++ {
-			succ := make([]byte, 0, 4*d.alpha.Size())
-			for s := 0; s < d.alpha.Size(); s++ {
-				b := part[delta[q][s]]
-				succ = append(succ, byte(b), byte(b>>8), byte(b>>16), byte(b>>24))
+			key = binary.LittleEndian.AppendUint32(key[:0], uint32(part[q]))
+			for _, next := range delta[q] {
+				key = binary.LittleEndian.AppendUint32(key, uint32(part[next]))
 			}
-			k := sig{block: part[q], succ: string(succ)}
-			id, ok := sigIndex[k]
+			id, ok := sigIndex[string(key)]
 			if !ok {
 				id = newBlocks
 				newBlocks++
-				sigIndex[k] = id
+				sigIndex[string(key)] = id
 			}
 			newPart[q] = id
 		}
+		part, newPart = newPart, part
 		if newBlocks == numBlocks {
-			part = newPart
 			break
 		}
-		part, numBlocks = newPart, newBlocks
+		numBlocks = newBlocks
 	}
 
 	// 3. Build the quotient automaton.
@@ -349,11 +301,8 @@ func (d *DFA) Minimize() *DFA {
 	return m
 }
 
-// MinimalSize returns the number of states of the minimal DFA for L(d).
-func (d *DFA) MinimalSize() int { return d.Minimize().NumStates() }
-
-// ToNFA converts the DFA to an equivalent NFA.
-func (d *DFA) ToNFA() *NFA {
+// toNFA converts the DFA to an equivalent NFA.
+func (d *DFA) toNFA() *NFA {
 	n := NewNFA(d.alpha, d.NumStates())
 	n.AddStart(d.start)
 	for q := 0; q < d.NumStates(); q++ {
@@ -369,7 +318,7 @@ func (d *DFA) ToNFA() *NFA {
 
 // Reverse returns a DFA for the reversal language L(d)^R (via NFA reversal
 // and determinization).
-func (d *DFA) Reverse() *DFA { return d.ToNFA().Reverse().Determinize() }
+func (d *DFA) Reverse() *DFA { return d.toNFA().Reverse().Determinize() }
 
 // SomeWord returns a shortest word accepted by the DFA, and ok=false when
 // the language is empty.

@@ -1,164 +1,190 @@
 package word
 
 import (
+	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/alphabet"
 )
 
 // NFA is a nondeterministic finite word automaton with ε-transitions.
-// States are dense integers 0..NumStates-1.
+// States are dense integers 0..NumStates-1.  The transition relation is
+// stored as the lists the subset construction reads; a list may repeat a
+// state, which the subset step's mark array absorbs.
 type NFA struct {
 	alpha  *alphabet.Alphabet
-	starts map[int]bool
-	accept map[int]bool
-	// delta[q][s] is the set of successors of q on symbol index s.
-	delta map[int]map[int]map[int]bool
-	// eps[q] is the set of ε-successors of q.
-	eps       map[int]map[int]bool
-	numStates int
+	start  []bool // start[q]: q is initial
+	accept []bool // accept[q]: q is accepting
+	// succ[q*Size+s] lists q's successors on symbol index s.
+	succ [][]int32
+	// eps[q] lists q's ε-successors.
+	eps [][]int32
 }
 
 // NewNFA creates an NFA over the given alphabet with the given number of
 // states and no transitions.
 func NewNFA(alpha *alphabet.Alphabet, numStates int) *NFA {
 	return &NFA{
-		alpha:     alpha,
-		starts:    make(map[int]bool),
-		accept:    make(map[int]bool),
-		delta:     make(map[int]map[int]map[int]bool),
-		eps:       make(map[int]map[int]bool),
-		numStates: numStates,
+		alpha:  alpha,
+		start:  make([]bool, numStates),
+		accept: make([]bool, numStates),
+		succ:   make([][]int32, numStates*alpha.Size()),
+		eps:    make([][]int32, numStates),
 	}
 }
 
-// Alphabet returns the automaton's alphabet.
-func (n *NFA) Alphabet() *alphabet.Alphabet { return n.alpha }
-
 // NumStates returns the number of states.
-func (n *NFA) NumStates() int { return n.numStates }
+func (n *NFA) NumStates() int { return len(n.start) }
 
 // AddState appends a fresh state and returns its index.
 func (n *NFA) AddState() int {
-	q := n.numStates
-	n.numStates++
+	q := len(n.start)
+	n.start = append(n.start, false)
+	n.accept = append(n.accept, false)
+	n.succ = append(n.succ, make([][]int32, n.alpha.Size())...)
+	n.eps = append(n.eps, nil)
 	return q
 }
 
-// AddStart marks states as initial.
+// AddStart marks states as initial.  It panics on out-of-range states.
 func (n *NFA) AddStart(states ...int) *NFA {
-	for _, q := range states {
-		n.starts[q] = true
-	}
+	markStates(n.start, "start", states)
 	return n
 }
 
-// AddAccept marks states as accepting.
+// AddAccept marks states as accepting.  It panics on out-of-range states.
 func (n *NFA) AddAccept(states ...int) *NFA {
-	for _, q := range states {
-		n.accept[q] = true
-	}
+	markStates(n.accept, "accepting", states)
 	return n
 }
 
-// AddTransition adds from --sym--> to.
+// AddTransition adds from --sym--> to.  It panics on unknown symbols or
+// out-of-range states.
 func (n *NFA) AddTransition(from int, sym string, to int) *NFA {
 	s := n.alpha.MustIndex(sym)
-	if n.delta[from] == nil {
-		n.delta[from] = make(map[int]map[int]bool)
+	if !inRange(len(n.start), from, to) {
+		panic(fmt.Sprintf("word: transition (%d,%q,%d) out of range [0,%d)", from, sym, to, len(n.start)))
 	}
-	if n.delta[from][s] == nil {
-		n.delta[from][s] = make(map[int]bool)
-	}
-	n.delta[from][s][to] = true
+	i := from*n.alpha.Size() + s
+	n.succ[i] = append(n.succ[i], int32(to))
 	return n
 }
 
-// AddEpsilon adds an ε-transition from --ε--> to.
-func (n *NFA) AddEpsilon(from, to int) *NFA {
-	if n.eps[from] == nil {
-		n.eps[from] = make(map[int]bool)
+// addEpsilon adds an ε-transition from --ε--> to.  It panics on
+// out-of-range states.
+func (n *NFA) addEpsilon(from, to int) {
+	if !inRange(len(n.start), from, to) {
+		panic(fmt.Sprintf("word: transition (%d,ε,%d) out of range [0,%d)", from, to, len(n.start)))
 	}
-	n.eps[from][to] = true
-	return n
+	n.eps[from] = append(n.eps[from], int32(to))
 }
 
-// Starts returns the set of initial states, sorted.
-func (n *NFA) Starts() []int { return sortedKeys(n.starts) }
-
-// Accepting returns the set of accepting states, sorted.
-func (n *NFA) Accepting() []int { return sortedKeys(n.accept) }
-
-func sortedKeys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for q := range m {
-		out = append(out, q)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// closure expands a state set with ε-transitions (in place) and returns it.
-func (n *NFA) closure(set map[int]bool) map[int]bool {
-	stack := make([]int, 0, len(set))
-	for q := range set {
-		stack = append(stack, q)
-	}
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for next := range n.eps[q] {
-			if !set[next] {
-				set[next] = true
-				stack = append(stack, next)
-			}
+// inRange reports whether every state lies in [0,numStates).
+func inRange(numStates int, states ...int) bool {
+	for _, q := range states {
+		if q < 0 || q >= numStates {
+			return false
 		}
 	}
-	return set
+	return true
 }
 
-// step returns the ε-closure of the set of states reachable from the given
-// set on one occurrence of the symbol index s.
-func (n *NFA) step(set map[int]bool, s int) map[int]bool {
-	next := make(map[int]bool)
-	for q := range set {
-		for to := range n.delta[q][s] {
-			next[to] = true
+// markStates sets set[q] for every state, and panics if one is out of range:
+// that is a programming error in automaton construction code.
+func markStates(set []bool, role string, states []int) {
+	if !inRange(len(set), states...) {
+		panic(fmt.Sprintf("word: %s states %v out of range [0,%d)", role, states, len(set)))
+	}
+	for _, q := range states {
+		set[q] = true
+	}
+}
+
+// subsetStep gathers one set of NFA states at a time: cur holds its states,
+// deduplicated with a reusable mark array, so a step allocates nothing once
+// cur has grown.
+type subsetStep struct {
+	n    *NFA
+	mark []uint32 // mark[q] == gen: q is in cur
+	gen  uint32
+	cur  []int32
+}
+
+func (n *NFA) newSubsetStep() *subsetStep {
+	return &subsetStep{n: n, mark: make([]uint32, n.NumStates())}
+}
+
+// reset empties cur.
+func (st *subsetStep) reset() {
+	if st.gen++; st.gen == 0 {
+		clear(st.mark)
+		st.gen = 1
+	}
+	st.cur = st.cur[:0]
+}
+
+func (st *subsetStep) add(q int32) {
+	if st.mark[q] != st.gen {
+		st.mark[q] = st.gen
+		st.cur = append(st.cur, q)
+	}
+}
+
+// closeEps closes cur under ε-transitions.
+func (st *subsetStep) closeEps() {
+	for i := 0; i < len(st.cur); i++ {
+		for _, to := range st.n.eps[st.cur[i]] {
+			st.add(to)
 		}
 	}
-	return n.closure(next)
+}
+
+// starts sets cur to the ε-closure of the start states.
+func (st *subsetStep) starts() {
+	st.reset()
+	for q, ok := range st.n.start {
+		if ok {
+			st.add(int32(q))
+		}
+	}
+	st.closeEps()
+}
+
+// step sets cur to the ε-closure of the successors of from on symbol index
+// s.  from must not share cur's storage.
+func (st *subsetStep) step(from []int32, s int) {
+	st.reset()
+	size := st.n.alpha.Size()
+	for _, q := range from {
+		for _, to := range st.n.succ[int(q)*size+s] {
+			st.add(to)
+		}
+	}
+	st.closeEps()
+}
+
+// accepting reports whether a set of states contains an accepting one.
+func (n *NFA) accepting(set []int32) bool {
+	return slices.ContainsFunc(set, func(q int32) bool { return n.accept[q] })
 }
 
 // Accepts reports whether the NFA accepts the word (subset simulation).
 func (n *NFA) Accepts(word []string) bool {
-	cur := n.closure(copySet(n.starts))
+	st := n.newSubsetStep()
+	st.starts()
+	var prev []int32
 	for _, sym := range word {
 		s, ok := n.alpha.Index(sym)
 		if !ok {
 			return false
 		}
-		cur = n.step(cur, s)
-		if len(cur) == 0 {
+		prev, st.cur = st.cur, prev
+		st.step(prev, s)
+		if len(st.cur) == 0 {
 			return false
 		}
 	}
-	for q := range cur {
-		if n.accept[q] {
-			return true
-		}
-	}
-	return false
-}
-
-func copySet(m map[int]bool) map[int]bool {
-	out := make(map[int]bool, len(m))
-	for k, v := range m {
-		if v {
-			out[k] = true
-		}
-	}
-	return out
+	return n.accepting(st.cur)
 }
 
 // Determinize performs the subset construction and returns an equivalent
@@ -167,115 +193,63 @@ func copySet(m map[int]bool) map[int]bool {
 // set's ε-closure is 0, and each set's successors are found symbol by
 // symbol in set order.
 //
-// A subset is a sorted slice of states.  Each step gathers the successors
-// from precomputed per-(state, symbol) and ε lists, deduplicating with one
-// reusable mark array, and looks the subset up by its canonical key (its
-// states in ascending order, four little-endian bytes each) without
-// allocating unless the subset is new.
+// A subset is a sorted slice of states, gathered by subsetStep and looked
+// up by its canonical key (its states in ascending order, four
+// little-endian bytes each) without allocating unless the subset is new.
 func (n *NFA) Determinize() *DFA {
 	size := n.alpha.Size()
-	succ, eps := n.lists()
-	mark := make([]uint32, len(eps)) // mark[q] == gen: q is in cur
-	var gen uint32
-	var cur []int32
-	reset := func() {
-		if gen++; gen == 0 {
-			clear(mark)
-			gen = 1
-		}
-		cur = cur[:0]
-	}
-	add := func(q int32) {
-		if mark[q] != gen {
-			mark[q] = gen
-			cur = append(cur, q)
-		}
-	}
+	st := n.newSubsetStep()
 	index := make(map[string]int)
 	var sets [][]int32
 	var key []byte
-	// number closes cur under ε, sorts it, and returns its ID, numbering
-	// it if it is new.
+	// number sorts st.cur and returns its ID, numbering it if it is new.
 	number := func() int {
-		for i := 0; i < len(cur); i++ {
-			for _, to := range eps[cur[i]] {
-				add(to)
-			}
-		}
-		slices.Sort(cur)
+		slices.Sort(st.cur)
 		key = key[:0]
-		for _, q := range cur {
+		for _, q := range st.cur {
 			key = append(key, byte(q), byte(q>>8), byte(q>>16), byte(q>>24))
 		}
 		if id, ok := index[string(key)]; ok {
 			return id
 		}
 		index[string(key)] = len(sets)
-		sets = append(sets, slices.Clone(cur))
+		sets = append(sets, slices.Clone(st.cur))
 		return len(sets) - 1
 	}
 
-	reset()
-	for q := range n.starts {
-		add(int32(q))
-	}
+	st.starts()
 	number()
 	var delta [][]int
 	var accept []bool
 	for i := 0; i < len(sets); i++ {
 		row := make([]int, size)
 		for s := range row {
-			reset()
-			for _, q := range sets[i] {
-				for _, to := range succ[int(q)*size+s] {
-					add(to)
-				}
-			}
+			st.step(sets[i], s)
 			row[s] = number()
 		}
 		delta = append(delta, row)
-		accept = append(accept, slices.ContainsFunc(sets[i], func(q int32) bool { return n.accept[int(q)] }))
+		accept = append(accept, n.accepting(sets[i]))
 	}
 	return &DFA{alpha: n.alpha, start: 0, accept: accept, delta: delta}
-}
-
-// lists returns the transition relation as slices: succ[q*Size+s] lists
-// q's successors on symbol index s and eps[q] its ε-successors.
-func (n *NFA) lists() (succ, eps [][]int32) {
-	size := n.alpha.Size()
-	succ, eps = make([][]int32, n.numStates*size), make([][]int32, n.numStates)
-	for q, bySym := range n.delta {
-		for s, tos := range bySym {
-			for to := range tos {
-				succ[q*size+s] = append(succ[q*size+s], int32(to))
-			}
-		}
-	}
-	for q, tos := range n.eps {
-		for to := range tos {
-			eps[q] = append(eps[q], int32(to))
-		}
-	}
-	return succ, eps
 }
 
 // Reverse returns an NFA accepting the reversal language: transitions are
 // flipped and start/accept states are swapped.  ε-transitions are reversed
 // as well.
 func (n *NFA) Reverse() *NFA {
-	r := NewNFA(n.alpha, n.numStates)
-	r.AddStart(n.Accepting()...)
-	r.AddAccept(n.Starts()...)
-	for from, bySym := range n.delta {
-		for s, tos := range bySym {
-			for to := range tos {
-				r.AddTransition(to, n.alpha.Symbol(s), from)
-			}
+	size := n.alpha.Size()
+	r := NewNFA(n.alpha, n.NumStates())
+	copy(r.start, n.accept)
+	copy(r.accept, n.start)
+	for i, tos := range n.succ {
+		from, s := i/size, i%size
+		for _, to := range tos {
+			r.succ[int(to)*size+s] = append(r.succ[int(to)*size+s], int32(from))
 		}
 	}
 	for from, tos := range n.eps {
-		for to := range tos {
-			r.AddEpsilon(to, from)
+		for _, to := range tos {
+			r.eps[to] = append(r.eps[to], int32(from))
 		}
 	}
 	return r
@@ -284,11 +258,21 @@ func (n *NFA) Reverse() *NFA {
 // IsEmpty reports whether the NFA accepts no word (reachability over
 // symbol and ε edges).
 func (n *NFA) IsEmpty() bool {
-	visited := make(map[int]bool)
+	size := n.alpha.Size()
+	visited := slices.Clone(n.start)
 	var stack []int
-	for q := range n.starts {
-		visited[q] = true
-		stack = append(stack, q)
+	for q, ok := range n.start {
+		if ok {
+			stack = append(stack, q)
+		}
+	}
+	push := func(tos []int32) {
+		for _, to := range tos {
+			if !visited[to] {
+				visited[to] = true
+				stack = append(stack, int(to))
+			}
+		}
 	}
 	for len(stack) > 0 {
 		q := stack[len(stack)-1]
@@ -296,20 +280,10 @@ func (n *NFA) IsEmpty() bool {
 		if n.accept[q] {
 			return false
 		}
-		push := func(next int) {
-			if !visited[next] {
-				visited[next] = true
-				stack = append(stack, next)
-			}
+		for _, tos := range n.succ[q*size : (q+1)*size] {
+			push(tos)
 		}
-		for _, tos := range n.delta[q] {
-			for to := range tos {
-				push(to)
-			}
-		}
-		for to := range n.eps[q] {
-			push(to)
-		}
+		push(n.eps[q])
 	}
 	return true
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -69,7 +70,7 @@ func TestEpsilonTransitions(t *testing.T) {
 	// ε-chain: start --ε--> 1 --a--> 2(accept), plus 0 --b--> 2
 	nfa := NewNFA(alpha, 3)
 	nfa.AddStart(0).AddAccept(2)
-	nfa.AddEpsilon(0, 1)
+	nfa.addEpsilon(0, 1)
 	nfa.AddTransition(1, "a", 2)
 	nfa.AddTransition(0, "b", 2)
 	cases := map[string]bool{"a": true, "b": true, "": false, "ab": false}
@@ -90,9 +91,9 @@ func TestEpsilonClosureCycles(t *testing.T) {
 	alpha := alphabet.New("a")
 	nfa := NewNFA(alpha, 3)
 	nfa.AddStart(0).AddAccept(2)
-	nfa.AddEpsilon(0, 1)
-	nfa.AddEpsilon(1, 0)
-	nfa.AddEpsilon(1, 2)
+	nfa.addEpsilon(0, 1)
+	nfa.addEpsilon(1, 0)
+	nfa.addEpsilon(1, 2)
 	if !nfa.Accepts(nil) {
 		t.Errorf("ε-cycles must not prevent acceptance of the empty word")
 	}
@@ -105,7 +106,7 @@ func TestNFAIsEmpty(t *testing.T) {
 	if !empty.IsEmpty() {
 		t.Errorf("disconnected NFA should be empty")
 	}
-	empty.AddEpsilon(0, 1)
+	empty.addEpsilon(0, 1)
 	if empty.IsEmpty() {
 		t.Errorf("ε-reachable accepting state means non-empty")
 	}
@@ -186,10 +187,78 @@ func randomNFA(rng *rand.Rand, n int) *NFA {
 		case 1:
 			nfa.AddTransition(from, "b", to)
 		default:
-			nfa.AddEpsilon(from, to)
+			nfa.addEpsilon(from, to)
 		}
 	}
 	return nfa
+}
+
+// closure expands a state set with ε-transitions (in place) and returns it.
+// With step and mapAccepts it is the map-based subset simulation Accepts
+// replaced, kept as the reference of TestAcceptsMatchesMapReference and of
+// mapDeterminize.
+func (n *NFA) closure(set map[int]bool) map[int]bool {
+	stack := make([]int, 0, len(set))
+	for q := range set {
+		stack = append(stack, q)
+	}
+	for len(stack) > 0 {
+		q := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, next := range n.eps[q] {
+			if !set[int(next)] {
+				set[int(next)] = true
+				stack = append(stack, int(next))
+			}
+		}
+	}
+	return set
+}
+
+// step returns the ε-closure of the set of states reachable from the given
+// set on one occurrence of the symbol index s.
+func (n *NFA) step(set map[int]bool, s int) map[int]bool {
+	next := make(map[int]bool)
+	for q := range set {
+		for _, to := range n.succ[q*n.alpha.Size()+s] {
+			next[int(to)] = true
+		}
+	}
+	return n.closure(next)
+}
+
+// startSet returns the start states as a map-based set.
+func (n *NFA) startSet() map[int]bool {
+	set := make(map[int]bool)
+	for q, ok := range n.start {
+		if ok {
+			set[q] = true
+		}
+	}
+	return set
+}
+
+// mapAccepts is the map-based subset simulation NFA.Accepts replaced: a
+// map[int]bool state set, and an ε-closure and successor set allocated per
+// step.
+func mapAccepts(n *NFA, word []string) bool {
+	cur := n.closure(n.startSet())
+	for _, sym := range word {
+		s, ok := n.alpha.Index(sym)
+		if !ok {
+			return false
+		}
+		cur = n.step(cur, s)
+		if len(cur) == 0 {
+			return false
+		}
+	}
+	for q := range cur {
+		if n.accept[q] {
+			return true
+		}
+	}
+	return false
 }
 
 // mapDeterminize is the map-based subset construction Determinize replaced,
@@ -197,7 +266,7 @@ func randomNFA(rng *rand.Rand, n int) *NFA {
 // sets, an ε-closure and a successor set allocated per step, and the same
 // canonical set key.
 func mapDeterminize(n *NFA) *DFA {
-	start := n.closure(copySet(n.starts))
+	start := n.closure(n.startSet())
 	index := map[string]int{setKey(start): 0}
 	sets := []map[int]bool{start}
 	var delta [][]int
@@ -230,6 +299,15 @@ func mapDeterminize(n *NFA) *DFA {
 		accept = append(accept, acceptsSet(cur))
 	}
 	return &DFA{alpha: n.alpha, start: 0, accept: accept, delta: delta}
+}
+
+func sortedKeys(m map[int]bool) []int {
+	out := make([]int, 0, len(m))
+	for q := range m {
+		out = append(out, q)
+	}
+	sort.Ints(out)
+	return out
 }
 
 // setKey builds a canonical string key for a state set.
@@ -266,7 +344,7 @@ func TestDeterminizeExactStructure(t *testing.T) {
 		for _, patterns := range [][]string{
 			{"a"}, {"c"}, {"b", "b"}, {"c", "a"}, {"a", "b", "c"}, {"a", "c", "b"}, {"c", "c", "c"},
 		} {
-			n := CompileRegex(LinearOrderQuery(patterns...), alpha)
+			n := compileRegex(LinearOrderQuery(patterns...), alpha)
 			sameStructure(t, fmt.Sprintf("%d labels, order %v", len(labels), patterns), n.Determinize(), mapDeterminize(n))
 		}
 	}
@@ -297,19 +375,54 @@ func randomWideNFA(rng *rand.Rand, n int) *NFA {
 		cycle[i] = rng.Intn(n)
 	}
 	for i, q := range cycle {
-		nfa.AddEpsilon(q, cycle[(i+1)%len(cycle)])
+		nfa.addEpsilon(q, cycle[(i+1)%len(cycle)])
 	}
 	for i := rng.Intn(3 * n); i >= 0; i-- {
 		from, to := rng.Intn(n), rng.Intn(n)
 		if rng.Intn(4) == 0 {
-			nfa.AddEpsilon(from, to)
+			nfa.addEpsilon(from, to)
 		} else {
 			nfa.AddTransition(from, syms[rng.Intn(3)], to)
 		}
 	}
 	nfa.AddTransition(unreachable, syms[rng.Intn(3)], rng.Intn(n))
-	nfa.AddEpsilon(unreachable, rng.Intn(n))
+	nfa.addEpsilon(unreachable, rng.Intn(n))
 	nfa.AddTransition(rng.Intn(n), syms[rng.Intn(3)], dead)
-	nfa.AddEpsilon(rng.Intn(n), dead)
+	nfa.addEpsilon(rng.Intn(n), dead)
 	return nfa
+}
+
+// TestAcceptsMatchesMapReference holds Accepts to the map-based subset
+// simulation it replaced, over the random NFAs of
+// TestDeterminizeExactStructure with duplicate symbol and ε-edges added, on
+// random words over {a,b,c} that sometimes hold an out-of-alphabet symbol.
+func TestAcceptsMatchesMapReference(t *testing.T) {
+	nfas := rand.New(rand.NewSource(23)) // the NFAs of TestDeterminizeExactStructure
+	rng := rand.New(rand.NewSource(33))
+	syms := []string{"a", "b", "c"}
+	for i := 0; i < 600; i++ {
+		n := randomWideNFA(nfas, 1+nfas.Intn(12))
+		for from := range n.NumStates() {
+			for s, sym := range syms {
+				if tos := n.succ[from*len(syms)+s]; len(tos) > 0 && rng.Intn(2) == 0 {
+					n.AddTransition(from, sym, int(tos[rng.Intn(len(tos))]))
+				}
+			}
+			if tos := n.eps[from]; len(tos) > 0 && rng.Intn(2) == 0 {
+				n.addEpsilon(from, int(tos[rng.Intn(len(tos))]))
+			}
+		}
+		for j := 0; j < 20; j++ {
+			word := make([]string, rng.Intn(9))
+			for k := range word {
+				word[k] = syms[rng.Intn(3)]
+				if rng.Intn(40) == 0 {
+					word[k] = "z"
+				}
+			}
+			if got, want := n.Accepts(word), mapAccepts(n, word); got != want {
+				t.Fatalf("random NFA %d: Accepts(%v) = %v, map reference %v", i, word, got, want)
+			}
+		}
+	}
 }

@@ -1,10 +1,6 @@
 package word
 
-import (
-	"strings"
-
-	"repro/internal/alphabet"
-)
+import "repro/internal/alphabet"
 
 // Regex is a regular expression over an arbitrary (string-symbol) alphabet,
 // built with the combinators below and compiled to an NFA by Thompson's
@@ -17,15 +13,10 @@ type Regex interface {
 	compile(n *NFA) (entry, exit int)
 }
 
-type emptyWordRegex struct{}
 type symbolRegex struct{ sym string }
 type anySymbolRegex struct{}
 type concatRegex struct{ parts []Regex }
-type unionRegex struct{ parts []Regex }
-type starRegex struct{ inner Regex }
-
-// Epsilon matches only the empty word.
-func Epsilon() Regex { return emptyWordRegex{} }
+type starRegex struct{ inner Regex } // zero or more repetitions (Kleene star)
 
 // Symbol matches the single-symbol word sym.
 func Symbol(sym string) Regex { return symbolRegex{sym: sym} }
@@ -33,32 +24,12 @@ func Symbol(sym string) Regex { return symbolRegex{sym: sym} }
 // AnySymbol matches any single symbol of the alphabet (the paper's Σ).
 func AnySymbol() Regex { return anySymbolRegex{} }
 
-// Concat matches the concatenation of its parts; Concat() is Epsilon().
+// Concat matches the concatenation of its parts; Concat() matches only the
+// empty word.
 func Concat(parts ...Regex) Regex { return concatRegex{parts: parts} }
 
-// Or matches the union of its parts; Or() matches nothing.
-func Or(parts ...Regex) Regex { return unionRegex{parts: parts} }
-
-// Star matches zero or more repetitions of inner (Kleene star).
-func Star(inner Regex) Regex { return starRegex{inner: inner} }
-
-// Plus matches one or more repetitions of inner.
-func Plus(inner Regex) Regex { return Concat(inner, Star(inner)) }
-
-// Optional matches inner or the empty word.
-func Optional(inner Regex) Regex { return Or(inner, Epsilon()) }
-
-// Literal matches exactly the given word.
-func Literal(word ...string) Regex {
-	parts := make([]Regex, len(word))
-	for i, s := range word {
-		parts[i] = Symbol(s)
-	}
-	return Concat(parts...)
-}
-
 // SigmaStar matches every word over the alphabet (the paper's Σ*).
-func SigmaStar() Regex { return Star(AnySymbol()) }
+func SigmaStar() Regex { return starRegex{inner: AnySymbol()} }
 
 // LinearOrderQuery is the introduction's query Σ* p1 Σ* ... pn Σ*: the
 // patterns appear in the document in that linear order.  Each pattern is a
@@ -69,12 +40,6 @@ func LinearOrderQuery(patterns ...string) Regex {
 		parts = append(parts, Symbol(p), SigmaStar())
 	}
 	return Concat(parts...)
-}
-
-func (emptyWordRegex) compile(n *NFA) (int, int) {
-	entry, exit := n.AddState(), n.AddState()
-	n.AddEpsilon(entry, exit)
-	return entry, exit
 }
 
 func (r symbolRegex) compile(n *NFA) (int, int) {
@@ -93,23 +58,15 @@ func (anySymbolRegex) compile(n *NFA) (int, int) {
 
 func (r concatRegex) compile(n *NFA) (int, int) {
 	if len(r.parts) == 0 {
-		return emptyWordRegex{}.compile(n)
+		entry, exit := n.AddState(), n.AddState()
+		n.addEpsilon(entry, exit)
+		return entry, exit
 	}
 	entry, exit := r.parts[0].compile(n)
 	for _, part := range r.parts[1:] {
 		e, x := part.compile(n)
-		n.AddEpsilon(exit, e)
+		n.addEpsilon(exit, e)
 		exit = x
-	}
-	return entry, exit
-}
-
-func (r unionRegex) compile(n *NFA) (int, int) {
-	entry, exit := n.AddState(), n.AddState()
-	for _, part := range r.parts {
-		e, x := part.compile(n)
-		n.AddEpsilon(entry, e)
-		n.AddEpsilon(x, exit)
 	}
 	return entry, exit
 }
@@ -117,16 +74,16 @@ func (r unionRegex) compile(n *NFA) (int, int) {
 func (r starRegex) compile(n *NFA) (int, int) {
 	entry, exit := n.AddState(), n.AddState()
 	e, x := r.inner.compile(n)
-	n.AddEpsilon(entry, e)
-	n.AddEpsilon(x, exit)
-	n.AddEpsilon(entry, exit)
-	n.AddEpsilon(x, e)
+	n.addEpsilon(entry, e)
+	n.addEpsilon(x, exit)
+	n.addEpsilon(entry, exit)
+	n.addEpsilon(x, e)
 	return entry, exit
 }
 
-// CompileRegex compiles the expression to an NFA over the given alphabet
+// compileRegex compiles the expression to an NFA over the given alphabet
 // using Thompson's construction.
-func CompileRegex(r Regex, alpha *alphabet.Alphabet) *NFA {
+func compileRegex(r Regex, alpha *alphabet.Alphabet) *NFA {
 	n := NewNFA(alpha, 0)
 	entry, exit := r.compile(n)
 	n.AddStart(entry)
@@ -136,158 +93,5 @@ func CompileRegex(r Regex, alpha *alphabet.Alphabet) *NFA {
 
 // CompileRegexDFA compiles the expression to a minimal DFA.
 func CompileRegexDFA(r Regex, alpha *alphabet.Alphabet) *DFA {
-	return CompileRegex(r, alpha).Determinize().Minimize()
-}
-
-// ParseRegex parses a simple textual regular expression over single-rune
-// symbols: concatenation by juxtaposition, union '|', Kleene star '*',
-// plus '+', optional '?', grouping with parentheses, '.' for any symbol and
-// '~' for the empty word.  It exists for the CLI tools and examples;
-// programmatic construction should use the combinators.
-func ParseRegex(s string) (Regex, error) {
-	p := &regexParser{input: []rune(strings.TrimSpace(s))}
-	r, err := p.parseUnion()
-	if err != nil {
-		return nil, err
-	}
-	if p.pos != len(p.input) {
-		return nil, &RegexSyntaxError{Input: s, Offset: p.pos, Msg: "trailing input"}
-	}
-	return r, nil
-}
-
-// MustParseRegex is ParseRegex that panics on error.
-func MustParseRegex(s string) Regex {
-	r, err := ParseRegex(s)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// RegexSyntaxError reports a syntax error in a textual regular expression.
-type RegexSyntaxError struct {
-	Input  string
-	Offset int
-	Msg    string
-}
-
-// Error formats the syntax error with its offending input.
-func (e *RegexSyntaxError) Error() string {
-	return "word: invalid regex " + e.Input + ": " + e.Msg
-}
-
-type regexParser struct {
-	input []rune
-	pos   int
-}
-
-func (p *regexParser) peek() (rune, bool) {
-	if p.pos < len(p.input) {
-		return p.input[p.pos], true
-	}
-	return 0, false
-}
-
-func (p *regexParser) parseUnion() (Regex, error) {
-	first, err := p.parseConcat()
-	if err != nil {
-		return nil, err
-	}
-	parts := []Regex{first}
-	for {
-		c, ok := p.peek()
-		if !ok || c != '|' {
-			break
-		}
-		p.pos++
-		next, err := p.parseConcat()
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, next)
-	}
-	if len(parts) == 1 {
-		return parts[0], nil
-	}
-	return Or(parts...), nil
-}
-
-func (p *regexParser) parseConcat() (Regex, error) {
-	var parts []Regex
-	for {
-		c, ok := p.peek()
-		if !ok || c == '|' || c == ')' {
-			break
-		}
-		atom, err := p.parsePostfix()
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, atom)
-	}
-	if len(parts) == 0 {
-		return Epsilon(), nil
-	}
-	if len(parts) == 1 {
-		return parts[0], nil
-	}
-	return Concat(parts...), nil
-}
-
-func (p *regexParser) parsePostfix() (Regex, error) {
-	atom, err := p.parseAtom()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		c, ok := p.peek()
-		if !ok {
-			return atom, nil
-		}
-		switch c {
-		case '*':
-			p.pos++
-			atom = Star(atom)
-		case '+':
-			p.pos++
-			atom = Plus(atom)
-		case '?':
-			p.pos++
-			atom = Optional(atom)
-		default:
-			return atom, nil
-		}
-	}
-}
-
-func (p *regexParser) parseAtom() (Regex, error) {
-	c, ok := p.peek()
-	if !ok {
-		return nil, &RegexSyntaxError{Input: string(p.input), Offset: p.pos, Msg: "unexpected end of input"}
-	}
-	switch c {
-	case '(':
-		p.pos++
-		inner, err := p.parseUnion()
-		if err != nil {
-			return nil, err
-		}
-		if c, ok := p.peek(); !ok || c != ')' {
-			return nil, &RegexSyntaxError{Input: string(p.input), Offset: p.pos, Msg: "missing closing parenthesis"}
-		}
-		p.pos++
-		return inner, nil
-	case ')', '*', '+', '?', '|':
-		return nil, &RegexSyntaxError{Input: string(p.input), Offset: p.pos, Msg: "unexpected operator " + string(c)}
-	case '.':
-		p.pos++
-		return AnySymbol(), nil
-	case '~':
-		p.pos++
-		return Epsilon(), nil
-	default:
-		p.pos++
-		return Symbol(string(c)), nil
-	}
+	return compileRegex(r, alpha).Determinize().Minimize()
 }
