@@ -73,8 +73,8 @@ func (a *Alphabet) MustIndex(sym string) int {
 	return i
 }
 
-// Contains reports whether the symbol belongs to the alphabet.
-func (a *Alphabet) Contains(sym string) bool {
+// contains reports whether the symbol belongs to the alphabet.
+func (a *Alphabet) contains(sym string) bool {
 	_, ok := a.index[sym]
 	return ok
 }
@@ -93,9 +93,9 @@ func (a *Alphabet) Equal(b *Alphabet) bool {
 	return true
 }
 
-// Union returns the alphabet containing the symbols of a followed by the
+// union returns the alphabet containing the symbols of a followed by the
 // symbols of b not already present.
-func (a *Alphabet) Union(b *Alphabet) *Alphabet {
+func (a *Alphabet) union(b *Alphabet) *Alphabet {
 	return New(append(a.Symbols(), b.Symbols()...)...)
 }
 

@@ -57,9 +57,6 @@ func Open(dir string) (*Cache, error) {
 	return &Cache{dir: dir}, nil
 }
 
-// Dir returns the cache directory.
-func (c *Cache) Dir() string { return c.dir }
-
 // entryPath returns the on-disk path of a hash's entry.
 func (c *Cache) entryPath(sum [format.HashSize]byte) string {
 	return filepath.Join(c.dir, hex.EncodeToString(sum[:])+".nwq")
@@ -68,12 +65,12 @@ func (c *Cache) entryPath(sum [format.HashSize]byte) string {
 // latestPath is the state file recording the most recently stored hash.
 func (c *Cache) latestPath() string { return filepath.Join(c.dir, "latest") }
 
-// Put stores a container under its own content hash and records it as the
+// put stores a container under its own content hash and records it as the
 // latest entry.  The bytes must parse as a container (VersionHashed bytes
 // are verified against their header hash by the parse); the entry file
 // appears atomically or not at all.  Returns the entry path and the hash
 // it was stored under.
-func (c *Cache) Put(data []byte) (string, [format.HashSize]byte, error) {
+func (c *Cache) put(data []byte) (string, [format.HashSize]byte, error) {
 	sum, _, err := format.ContentHash(data)
 	if err != nil {
 		return "", sum, fmt.Errorf("bundlecache: refusing to store: %w", err)
@@ -108,6 +105,8 @@ func (c *Cache) putSignature(sum [format.HashSize]byte, pub, envelope []byte) er
 // corrupted entry (flipped bit, truncation, wrong-name file) is reported
 // (wrapping format.ErrHashMismatch for content damage) instead of handed
 // to mmap.  os.IsNotExist distinguishes a miss from damage.
+//
+//nwvet:oracle TestDistributionRefusesToSwap reads the cached entry through it
 func (c *Cache) Get(sum [format.HashSize]byte) (string, error) {
 	path := c.entryPath(sum)
 	data, err := os.ReadFile(path)
@@ -125,7 +124,7 @@ func (c *Cache) Get(sum [format.HashSize]byte) (string, error) {
 	return path, nil
 }
 
-// latest returns the hash recorded by the most recent Put, or ok=false
+// latest returns the hash recorded by the most recent put, or ok=false
 // when the cache has never stored anything (or the state file is
 // damaged — a warm boot then just falls through to a cold fetch).
 func (c *Cache) latest() (sum [format.HashSize]byte, ok bool) {
@@ -299,7 +298,7 @@ func (s *Source) fetch() (string, error) {
 			return "", fmt.Errorf("bundlecache: bundle from %s: %w", s.url, err)
 		}
 	}
-	path, _, err := s.cache.Put(data)
+	path, _, err := s.cache.put(data)
 	if err != nil {
 		return "", err
 	}

@@ -34,7 +34,7 @@ func TestPutGetLatest(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := container(t, "one")
-	path, sum, err := c.Put(data)
+	path, sum, err := c.put(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestPutGetLatest(t *testing.T) {
 
 	// A second artifact becomes latest; the first stays retrievable.
 	data2 := container(t, "two")
-	_, sum2, err := c.Put(data2)
+	_, sum2, err := c.put(data2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestGetRejectsTamperedEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := container(t, "tamper me")
-	path, sum, err := c.Put(data)
+	path, sum, err := c.put(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,14 +111,14 @@ func TestPutRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bad := range [][]byte{nil, []byte("not a container"), container(t, "x")[:10]} {
-		if _, _, err := c.Put(bad); err == nil {
+		if _, _, err := c.put(bad); err == nil {
 			t.Fatalf("Put accepted %d bytes of garbage", len(bad))
 		}
 	}
 	// A tampered hashed container is garbage too.
 	mut := container(t, "y")
 	mut[len(mut)-1] ^= 1
-	if _, _, err := c.Put(mut); !errors.Is(err, format.ErrHashMismatch) {
+	if _, _, err := c.put(mut); !errors.Is(err, format.ErrHashMismatch) {
 		t.Fatalf("Put on tampered container = %v, want ErrHashMismatch", err)
 	}
 }
@@ -136,7 +136,7 @@ func TestPutSignature(t *testing.T) {
 	}
 	priv, _ := format.ParsePrivateKey(privFile)
 	data := container(t, "signed")
-	path, sum, err := c.Put(data)
+	path, sum, err := c.put(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +431,7 @@ func TestSourceVerificationNeverFallsBack(t *testing.T) {
 		cache, _ := Open(t.TempDir())
 		// Warm the cache out of band so a fallback, if wrongly taken,
 		// would have something to return.
-		if _, _, err := cache.Put(good); err != nil {
+		if _, _, err := cache.put(good); err != nil {
 			t.Fatal(err)
 		}
 		src := NewSource(peer.url(), cache, pubFile)

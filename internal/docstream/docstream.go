@@ -399,9 +399,3 @@ func (r *StreamingRunner) Accepting() bool { return r.automaton.IsAccepting(r.st
 
 // Depth returns the number of currently open elements.
 func (r *StreamingRunner) Depth() int { return len(r.stack) }
-
-// Reset returns the runner to the start of a new document.
-func (r *StreamingRunner) Reset() {
-	r.state = r.automaton.Start()
-	r.stack = r.stack[:0]
-}

@@ -99,7 +99,7 @@ func TestStreamingRunnerMatchesBatch(t *testing.T) {
 	if r.Depth() != 0 {
 		t.Errorf("all elements are closed at the end of the document")
 	}
-	r.Reset()
+	r = docstream.NewStreamingRunner(q)
 	r.Feed(docstream.Event{Kind: nestedword.Call, Label: "library"})
 	if r.Depth() != 1 {
 		t.Errorf("depth after one open tag should be 1")

@@ -108,7 +108,7 @@ func e27Measure(open func() adapter.Source) (eventsPerSec float64, events int) {
 	return float64(total) / time.Since(t0).Seconds(), events
 }
 
-// E27AdapterThroughput measures the real-input adapters — XML, JSON, and
+// e27AdapterThroughput measures the real-input adapters — XML, JSON, and
 // enter/exit traces — against the native tokenizer they are pinned to.  Each
 // format decodes a synthetic corpus of about `events` events through its
 // adapter with interning against a partial alphabet, the hot configuration
@@ -119,7 +119,7 @@ func e27Measure(open func() adapter.Source) (eventsPerSec float64, events int) {
 // its own Render+retokenize image event for event, and a DSL-compiled query
 // engine must reach identical verdicts on both — false anywhere invalidates
 // the row.
-func E27AdapterThroughput(events int) Table {
+func e27AdapterThroughput(events int) Table {
 	alpha := e27Alphabet()
 	corpus := e27Corpus(events)
 	eng := e27Engine(alpha)

@@ -116,7 +116,7 @@ func e28Agree(src *query.Bundle, engines []*engine.Engine, timed []*engine.Resul
 	return true
 }
 
-// E28ProductCompilation measures the query planner's product compilation
+// e28ProductCompilation measures the query planner's product compilation
 // against per-query fan-out: for n structurally similar queries, one pass
 // over the same generated document drives either n per-query runners
 // (fan-out), one forced whole-set product (plan with ClusterSize = n — at
@@ -127,7 +127,7 @@ func e28Agree(src *query.Bundle, engines []*engine.Engine, timed []*engine.Resul
 // columns make the fallback visible: the forced product reports 0 states at
 // n = 16.  Every mode must agree with the per-query serial oracle on random
 // words with pending calls/returns and out-of-alphabet labels.
-func E28ProductCompilation(size int) Table {
+func e28ProductCompilation(size int) Table {
 	rows := [][]string{}
 	for _, n := range []int{2, 4, 8, 16} {
 		src := e28Bundle(n)

@@ -4,7 +4,8 @@
 // serving stack built on top of the reproduction — on the concrete instance
 // families from the internal/generator package and returns a printable
 // table.  Registry lists them with their parameters: cmd/nwbench prints the
-// tables and the root bench_test.go times the same computations.
+// tables, the root bench_test.go times the same computations, and
+// TestExperimentsSanity checks the claims the tables print.
 package experiments
 
 import (
@@ -64,9 +65,9 @@ func itoa(v int) string     { return fmt.Sprintf("%d", v) }
 func btoa(v bool) string    { return fmt.Sprintf("%v", v) }
 func ftoa(v float64) string { return fmt.Sprintf("%.3g", v) }
 
-// E01Encodings checks the Figure 1 examples and random round trips through
+// e01Encodings checks the Figure 1 examples and random round trips through
 // the nw_w / w_nw and t_nw / nw_t encodings.
-func E01Encodings() Table {
+func e01Encodings() Table {
 	rng := rand.New(rand.NewSource(1))
 	figure1 := []string{"a b <a a <b a b> a> <a b a a>", "a a> <b a a> <a <a", "<a <a a> <b b> a>"}
 	okFig := 0
@@ -94,8 +95,9 @@ func E01Encodings() Table {
 	}
 }
 
-// E02WeakConversion measures Theorem 1: weak NWAs with s·(|Σ|+1) states.
-func E02WeakConversion() Table {
+// e02WeakConversion measures Theorem 1: weak NWAs with at most s·(|Σ|+1)
+// states, s counting the input's dead state.
+func e02WeakConversion() Table {
 	rng := rand.New(rand.NewSource(2))
 	rows := [][]string{}
 	for _, s := range []int{2, 3, 4, 6} {
@@ -108,14 +110,14 @@ func E02WeakConversion() Table {
 		})
 	}
 	return Table{
-		Name:   "E2 (Theorem 1): every NWA has an equivalent weak NWA with s(|Σ|+1) states",
+		Name:   "E2 (Theorem 1): every NWA has an equivalent weak NWA with at most s(|Σ|+1) states",
 		Header: []string{"s", "states", "weak states", "bound", "is weak", "equivalent"},
 		Rows:   rows,
 	}
 }
 
-// E03FlatEquivalence measures Theorem 2: flat NWAs ≡ word DFAs over Σ̂.
-func E03FlatEquivalence() Table {
+// e03FlatEquivalence measures Theorem 2: flat NWAs ≡ word DFAs over Σ̂.
+func e03FlatEquivalence() Table {
 	rng := rand.New(rand.NewSource(3))
 	rows := [][]string{}
 	tagged := nwa.TaggedAlphabet(generator.AB)
@@ -144,9 +146,9 @@ func E03FlatEquivalence() Table {
 	}
 }
 
-// E04NWAvsDFA measures Theorem 3: L_s = path(Σ^s) needs 2^s DFA states but
+// e04NWAvsDFA measures Theorem 3: L_s = path(Σ^s) needs 2^s DFA states but
 // O(s) NWA states.
-func E04NWAvsDFA(maxS int) Table {
+func e04NWAvsDFA(maxS int) Table {
 	rows := [][]string{}
 	for s := 2; s <= maxS; s++ {
 		a := generator.Theorem3NWA(s)
@@ -163,9 +165,9 @@ func E04NWAvsDFA(maxS int) Table {
 	}
 }
 
-// E05BottomUpConversion measures Theorem 4: bottom-up NWAs with ≤ s^s·|Σ|
+// e05BottomUpConversion measures Theorem 4: bottom-up NWAs with ≤ s^s·|Σ|
 // states equivalent on well-matched words.
-func E05BottomUpConversion() Table {
+func e05BottomUpConversion() Table {
 	rng := rand.New(rand.NewSource(5))
 	rows := [][]string{}
 	for _, s := range []int{2, 3, 4} {
@@ -190,10 +192,10 @@ func E05BottomUpConversion() Table {
 	}
 }
 
-// E06FlatVsBottomUp measures Theorem 5: the flat automaton has O(s²) states
+// e06FlatVsBottomUp measures Theorem 5: the flat automaton has O(s²) states
 // while every bottom-up NWA needs 2^s states (measured as the number of
 // pairwise-inequivalent well-matched block words).
-func E06FlatVsBottomUp(maxS int) Table {
+func e06FlatVsBottomUp(maxS int) Table {
 	rows := [][]string{}
 	for s := 2; s <= maxS; s++ {
 		dfa := generator.Theorem5FlatDFA(s)
@@ -222,11 +224,11 @@ func E06FlatVsBottomUp(maxS int) Table {
 	}
 }
 
-// E07JoinlessSeparation demonstrates Theorem 6's ingredients: the language
+// e07JoinlessSeparation demonstrates Theorem 6's ingredients: the language
 // "tree word AND contains an a-labelled position" is accepted by an NWA; its
 // two conjuncts are each accepted by one of the deterministic joinless
 // subclasses (flat / top-down) but the conjunction requires joining.
-func E07JoinlessSeparation() Table {
+func e07JoinlessSeparation() Table {
 	rng := rand.New(rand.NewSource(7))
 	alpha := generator.AB
 	treeWord := query.WellFormed(alpha) // matched tags: the tree-word shape check
@@ -252,9 +254,9 @@ func E07JoinlessSeparation() Table {
 	}
 }
 
-// E08JoinlessConversion measures Theorem 7: nondeterministic joinless NWAs
+// e08JoinlessConversion measures Theorem 7: nondeterministic joinless NWAs
 // with O(s²|Σ|) states.
-func E08JoinlessConversion() Table {
+func e08JoinlessConversion() Table {
 	rng := rand.New(rand.NewSource(8))
 	rows := [][]string{}
 	for _, s := range []int{2, 3, 4, 6} {
@@ -278,8 +280,8 @@ func E08JoinlessConversion() Table {
 	}
 }
 
-// E09PathSuccinctness measures Theorem 8 on the family L_s = Σ^s a Σ* a Σ^s.
-func E09PathSuccinctness(maxS int) Table {
+// e09PathSuccinctness measures Theorem 8 on the family L_s = Σ^s a Σ* a Σ^s.
+func e09PathSuccinctness(maxS int) Table {
 	rows := [][]string{}
 	for s := 2; s <= maxS; s++ {
 		a := generator.Theorem8NWA(s)
@@ -297,8 +299,8 @@ func E09PathSuccinctness(maxS int) Table {
 	}
 }
 
-// E10LinearOrderQuery measures the introduction's query Σ*p1Σ*...pnΣ*.
-func E10LinearOrderQuery(maxN int) Table {
+// e10LinearOrderQuery measures the introduction's query Σ*p1Σ*...pnΣ*.
+func e10LinearOrderQuery(maxN int) Table {
 	rows := [][]string{}
 	for n := 2; n <= maxN; n++ {
 		alpha := generator.LinearOrderAlphabet(n)
@@ -338,9 +340,9 @@ func E10LinearOrderQuery(maxN int) Table {
 	}
 }
 
-// E11TreeAutomataEmbedding measures Lemmas 1–3: tree automata embed into the
+// e11TreeAutomataEmbedding measures Lemmas 1–3: tree automata embed into the
 // corresponding NWA subclasses.
-func E11TreeAutomataEmbedding() Table {
+func e11TreeAutomataEmbedding() Table {
 	rng := rand.New(rand.NewSource(11))
 	// Lemma 1: stepwise bottom-up automaton for "even number of a-nodes".
 	b := treeauto.NewStepwiseBuilder(generator.AB, 2)
@@ -380,9 +382,9 @@ func E11TreeAutomataEmbedding() Table {
 	}
 }
 
-// E12PDAEmbedding measures Lemma 4: context-free word languages over Σ̂ are
+// e12PDAEmbedding measures Lemma 4: context-free word languages over Σ̂ are
 // pushdown-NWA languages.
-func E12PDAEmbedding() Table {
+func e12PDAEmbedding() Table {
 	rng := rand.New(rand.NewSource(12))
 	machine := balancedTagPDA()
 	alphaA := alphabet.New("a")
@@ -402,10 +404,10 @@ func E12PDAEmbedding() Table {
 	}
 }
 
-// E13PTAEmbedding measures Lemma 5 on the context-free tree language
+// e13PTAEmbedding measures Lemma 5 on the context-free tree language
 // { c^n(d^n(e)) }: the pushdown tree automaton and the pushdown NWA over the
 // corresponding tree words agree.
-func E13PTAEmbedding() Table {
+func e13PTAEmbedding() Table {
 	machine := stemCounterPTA()
 	pnwaMachine := stemCounterPNWA()
 	rows := [][]string{}
@@ -426,9 +428,9 @@ func E13PTAEmbedding() Table {
 	}
 }
 
-// E14CountingSeparation measures Theorem 9: "equal numbers of a's and b's"
+// e14CountingSeparation measures Theorem 9: "equal numbers of a's and b's"
 // as a pushdown NWA on the stem-plus-full-binary-tree family of Figure 2.
-func E14CountingSeparation(maxS int) Table {
+func e14CountingSeparation(maxS int) Table {
 	p := pnwa.EqualCounts()
 	rows := [][]string{}
 	addRow := func(label string, tr *tree.Tree) {
@@ -456,9 +458,9 @@ func E14CountingSeparation(maxS int) Table {
 	}
 }
 
-// E15MembershipNPReduction measures Theorem 10: CNF satisfiability reduces
+// e15MembershipNPReduction measures Theorem 10: CNF satisfiability reduces
 // to pushdown-NWA membership and agrees with DPLL.
-func E15MembershipNPReduction() Table {
+func e15MembershipNPReduction() Table {
 	rng := rand.New(rand.NewSource(15))
 	rows := [][]string{}
 	for _, size := range [][2]int{{4, 8}, {6, 12}, {8, 16}, {10, 24}} {
@@ -488,9 +490,9 @@ func E15MembershipNPReduction() Table {
 	}
 }
 
-// E16PNWAEmptiness measures Theorem 11: emptiness by R(q,U,q') saturation on
+// e16PNWAEmptiness measures Theorem 11: emptiness by R(q,U,q') saturation on
 // the automata of the other pushdown experiments.
-func E16PNWAEmptiness() Table {
+func e16PNWAEmptiness() Table {
 	equal := pnwa.EqualCounts()
 	embedded := pnwa.FromPDA(balancedTagPDA(), alphabet.New("a"))
 	emptyAutomaton := pnwa.New(alphabet.New("a"), 2)
@@ -512,8 +514,12 @@ func E16PNWAEmptiness() Table {
 	}
 }
 
-// E17Determinization measures the 2^(s²) determinization bound.
-func E17Determinization() Table {
+// e17Determinization measures the determinization bound of Section 3.2: an
+// NNWA with s states has a deterministic equivalent with 2^(s²) linear
+// states and 2^(s²)·|Σ| hierarchical states.  A DNWA here has one state set,
+// so its states, the dead state included, number at most 2^(s²)(|Σ|+1)+1;
+// the linearly reachable ones are held to the 2^(s²) linear bound.
+func e17Determinization() Table {
 	rng := rand.New(rand.NewSource(17))
 	rows := [][]string{}
 	for _, s := range []int{2, 3, 4} {
@@ -526,20 +532,27 @@ func E17Determinization() Table {
 				agree = false
 			}
 		}
+		linear := 0
+		for _, r := range nwa.ReachableStates(d) {
+			if r {
+				linear++
+			}
+		}
 		rows = append(rows, []string{
-			itoa(s), itoa(d.NumStates()), fmt.Sprintf("2^%d", s*s), btoa(agree),
+			itoa(s), itoa(d.NumStates()), itoa(1<<(s*s)*(a.Alphabet().Size()+1) + 1),
+			itoa(linear), itoa(1 << (s * s)), btoa(agree),
 		})
 	}
 	return Table{
-		Name:   "E17 (Section 3.2): determinization — reachable deterministic states vs the 2^(s²) bound",
-		Header: []string{"s", "det states (reachable)", "bound", "language preserved"},
+		Name:   "E17 (Section 3.2): determinization — reachable states vs the 2^(s²)(|Σ|+1)+1 bound",
+		Header: []string{"s", "det states (reachable)", "bound", "linear states", "linear bound", "language preserved"},
 		Rows:   rows,
 	}
 }
 
-// E19DecisionProcedures measures the linear-time membership and cubic
+// e19DecisionProcedures measures the linear-time membership and cubic
 // emptiness claims on growing inputs.
-func E19DecisionProcedures() Table {
+func e19DecisionProcedures() Table {
 	rng := rand.New(rand.NewSource(19))
 	q := query.WellFormed(generator.AB)
 	rows := [][]string{}
@@ -557,8 +570,8 @@ func E19DecisionProcedures() Table {
 	}
 }
 
-// E20Streaming measures the streaming evaluation of documents.
-func E20Streaming() Table {
+// e20Streaming measures the streaming evaluation of documents.
+func e20Streaming() Table {
 	rng := rand.New(rand.NewSource(20))
 	alpha := alphabet.New("a", "b", "c")
 	q := query.PathQuery(alpha, "a", "b")
@@ -639,7 +652,7 @@ func dnwaEngine(names []string, ds []*nwa.DNWA) *engine.Engine {
 	return eng
 }
 
-// E21MultiQueryStreaming measures the engine package's extension of the
+// e21MultiQueryStreaming measures the engine package's extension of the
 // Section 3.2 streaming claim to N simultaneous queries: a single pass fans
 // every event out to N per-query runners, versus re-scanning (re-generating)
 // the document once per query with one StreamingRunner each.  The document
@@ -647,7 +660,7 @@ func dnwaEngine(names []string, ds []*nwa.DNWA) *engine.Engine {
 // engine's memory is the batch buffer plus one depth-bounded stack per
 // query; the alloc column reports the bytes allocated during the timed
 // pooled pass.
-func E21MultiQueryStreaming(size, maxDepth int) Table {
+func e21MultiQueryStreaming(size, maxDepth int) Table {
 	alpha := alphabet.New(e21Labels...)
 	rows := [][]string{}
 	for _, n := range []int{1, 2, 4, 8, 16} {
@@ -730,7 +743,7 @@ func E21MultiQueryStreaming(size, maxDepth int) Table {
 	}
 }
 
-// E22CompiledVsMap measures the compiled query API against the map-backed
+// e22CompiledVsMap measures the compiled query API against the map-backed
 // automaton representation on multi-query fan-out: the same single pass over
 // the same generated document drives N queries either as compiled runners
 // inside the engine (dense transition tables indexed by interned symbol IDs,
@@ -739,7 +752,7 @@ func E21MultiQueryStreaming(size, maxDepth int) Table {
 // the pre-compile hot path E21 showed dominating throughput).  Both sides
 // must agree on every verdict; the speedup column is the reproduction's
 // evidence that the compile step pays for itself.
-func E22CompiledVsMap(size, maxDepth int) Table {
+func e22CompiledVsMap(size, maxDepth int) Table {
 	alpha := alphabet.New(e21Labels...)
 	rows := [][]string{}
 	for _, n := range []int{1, 2, 4, 8, 16} {
@@ -820,7 +833,7 @@ func E22CompiledVsMap(size, maxDepth int) Table {
 	}
 }
 
-// E23ShardedServing measures the serve package's multi-document layer: a
+// e23ShardedServing measures the serve package's multi-document layer: a
 // corpus of generated documents, pre-interned against the engine alphabet,
 // is answered by the same 8-query engine three ways — serially (one
 // engine.Run per document on one goroutine), by a naive goroutine-per-
@@ -832,7 +845,7 @@ func E22CompiledVsMap(size, maxDepth int) Table {
 // single-core machine all three modes collapse to the same automaton
 // work, which is exactly the point: the pool adds sharding without adding
 // per-document overhead.
-func E23ShardedServing(docs, size int) Table {
+func e23ShardedServing(docs, size int) Table {
 	alpha := alphabet.New(e21Labels...)
 	names, queries := E21Queries(alpha, 8)
 	eng := dnwaEngine(names, queries)
@@ -1005,7 +1018,7 @@ func e25Boot(boot func() *engine.Engine) (*engine.Engine, time.Duration) {
 	return eng, best
 }
 
-// E25ColdStart measures the serialized query-set cold-start path against
+// e25ColdStart measures the serialized query-set cold-start path against
 // per-process compilation: for 1–maxQueries queries, the time to construct
 // and compile the automata into a ready engine versus the time to decode a
 // bundle artifact from memory (query.UnmarshalBundle, copying the tables)
@@ -1016,7 +1029,7 @@ func e25Boot(boot func() *engine.Engine) (*engine.Engine, time.Duration) {
 // region, as `nwtool compile` writes it once for a whole fleet.  Every
 // booted engine must answer a generated document with identical verdicts;
 // the speedup column is the mmap open vs parse+compile.
-func E25ColdStart(maxQueries int) Table {
+func e25ColdStart(maxQueries int) Table {
 	alpha := alphabet.New(e21Labels...)
 	dir, err := os.MkdirTemp("", "e25-bundles-")
 	if err != nil {
@@ -1132,70 +1145,70 @@ type Experiment struct {
 // baselines all derive from it.
 var Registry = []Experiment{
 	{ID: "E1", Summary: "nested-word and tree-word encodings round-trip (Figure 1)",
-		Run: E01Encodings, Quick: E01Encodings},
-	{ID: "E2", Summary: "weak NWA conversion hits the s(|Σ|+1) state bound (Theorem 1)",
-		Run: E02WeakConversion},
+		Run: e01Encodings, Quick: e01Encodings},
+	{ID: "E2", Summary: "weak NWA conversion stays within the s(|Σ|+1) state bound (Theorem 1)",
+		Run: e02WeakConversion},
 	{ID: "E3", Summary: "flat NWAs coincide with word DFAs over the tagged alphabet (Theorem 2)",
-		Run: E03FlatEquivalence},
+		Run: e03FlatEquivalence},
 	{ID: "E4", Summary: "NWAs with O(s) states vs minimal word DFAs with ≥2^s states (Theorem 3)",
-		Run:   func() Table { return E04NWAvsDFA(10) },
-		Quick: func() Table { return E04NWAvsDFA(6) }},
+		Run:   func() Table { return e04NWAvsDFA(10) },
+		Quick: func() Table { return e04NWAvsDFA(6) }},
 	{ID: "E5", Summary: "bottom-up conversion: reachable states vs the s^s·|Σ| bound (Theorem 4)",
-		Run: E05BottomUpConversion},
+		Run: e05BottomUpConversion},
 	{ID: "E6", Summary: "flat NWAs O(s²) vs ≥2^s congruence classes for bottom-up NWAs (Theorem 5)",
-		Run:   func() Table { return E06FlatVsBottomUp(8) },
-		Quick: func() Table { return E06FlatVsBottomUp(5) }},
+		Run:   func() Table { return e06FlatVsBottomUp(8) },
+		Quick: func() Table { return e06FlatVsBottomUp(5) }},
 	{ID: "E7", Summary: "a conjunction query needs a join; an NWA product answers it (Theorem 6)",
-		Run: E07JoinlessSeparation},
+		Run: e07JoinlessSeparation},
 	{ID: "E8", Summary: "nondeterministic joinless NWAs with O(s²|Σ|) states (Theorem 7)",
-		Run: E08JoinlessConversion},
+		Run: e08JoinlessConversion},
 	{ID: "E9", Summary: "path family: NWA O(s) vs deterministic tree automata ≥2^s (Theorem 8)",
-		Run:   func() Table { return E09PathSuccinctness(10) },
-		Quick: func() Table { return E09PathSuccinctness(6) }},
+		Run:   func() Table { return e09PathSuccinctness(10) },
+		Quick: func() Table { return e09PathSuccinctness(6) }},
 	{ID: "E10", Summary: "linear-order query: linear DFA/flat NWA vs ≥2^n bottom-up classes (introduction)",
-		Run:   func() Table { return E10LinearOrderQuery(8) },
-		Quick: func() Table { return E10LinearOrderQuery(5) }},
+		Run:   func() Table { return e10LinearOrderQuery(8) },
+		Quick: func() Table { return e10LinearOrderQuery(5) }},
 	{ID: "E11", Summary: "tree automata embed into bottom-up / top-down NWAs (Lemmas 1–3)",
-		Run: E11TreeAutomataEmbedding},
+		Run: e11TreeAutomataEmbedding},
 	{ID: "E12", Summary: "pushdown word automata embed into pushdown NWAs (Lemma 4)",
-		Run: E12PDAEmbedding},
+		Run: e12PDAEmbedding},
 	{ID: "E13", Summary: "a context-free tree language as a PTA and as a pushdown NWA (Lemma 5)",
-		Run: E13PTAEmbedding},
+		Run: e13PTAEmbedding},
 	{ID: "E14", Summary: "equal-count language on stem and full-binary-tree families (Theorem 9)",
-		Run: func() Table { return E14CountingSeparation(6) }},
+		Run: func() Table { return e14CountingSeparation(6) }},
 	{ID: "E15", Summary: "CNF satisfiability via pushdown-NWA membership vs DPLL (Theorem 10)",
-		Run: E15MembershipNPReduction, Quick: E15MembershipNPReduction},
+		Run: e15MembershipNPReduction, Quick: e15MembershipNPReduction},
 	{ID: "E16", Summary: "pushdown-NWA emptiness by summary saturation (Theorem 11)",
-		Run: E16PNWAEmptiness},
-	{ID: "E17", Summary: "determinization: reachable states vs the 2^(s²) bound (Section 3.2)",
-		Run: E17Determinization},
+		Run: e16PNWAEmptiness},
+	{ID: "E17", Summary: "determinization: reachable states vs the 2^(s²)(|Σ|+1)+1 bound (Section 3.2)",
+		Run: e17Determinization},
 	{ID: "E19", Summary: "membership is single-pass with stack bounded by depth (Section 3.2)",
-		Run: E19DecisionProcedures},
+		Run: e19DecisionProcedures},
 	{ID: "E20", Summary: "streaming documents as nested words, memory bounded by depth (Section 1)",
-		Run: E20Streaming},
+		Run: e20Streaming},
 	{ID: "E21", Summary: "engine: N simultaneous queries in one pass vs one re-scan per query",
-		Run:      func() Table { return E21MultiQueryStreaming(1000000, 32) },
-		Quick:    func() Table { return E21MultiQueryStreaming(100000, 24) },
+		Run:      func() Table { return e21MultiQueryStreaming(1000000, 32) },
+		Quick:    func() Table { return e21MultiQueryStreaming(100000, 24) },
 		Artifact: true},
 	{ID: "E22", Summary: "query API: compiled dense tables + interned symbols vs map-keyed stepping",
-		Run:      func() Table { return E22CompiledVsMap(1000000, 32) },
-		Quick:    func() Table { return E22CompiledVsMap(100000, 24) },
+		Run:      func() Table { return e22CompiledVsMap(1000000, 32) },
+		Quick:    func() Table { return e22CompiledVsMap(100000, 24) },
 		Artifact: true},
 	{ID: "E23", Summary: "serve: sharded multi-document pool vs serial and goroutine-per-document",
-		Run:      func() Table { return E23ShardedServing(200, 5000) },
-		Quick:    func() Table { return E23ShardedServing(50, 1000) },
+		Run:      func() Table { return e23ShardedServing(200, 5000) },
+		Quick:    func() Table { return e23ShardedServing(50, 1000) },
 		Artifact: true},
 	{ID: "E25", Summary: "qset: serialized bundle load / mmap cold start vs parse+compile, 1–64 queries",
-		Run:      func() Table { return E25ColdStart(64) },
-		Quick:    func() Table { return E25ColdStart(64) },
+		Run:      func() Table { return e25ColdStart(64) },
+		Quick:    func() Table { return e25ColdStart(64) },
 		Artifact: true},
 	{ID: "E27", Summary: "adapter: XML/JSON/trace decode throughput vs the native tokenizer",
-		Run:      func() Table { return E27AdapterThroughput(200000) },
-		Quick:    func() Table { return E27AdapterThroughput(50000) },
+		Run:      func() Table { return e27AdapterThroughput(200000) },
+		Quick:    func() Table { return e27AdapterThroughput(50000) },
 		Artifact: true},
 	{ID: "E28", Summary: "plan: product-compiled query clusters vs fan-out, state-budget fallback at 16 queries",
-		Run:      func() Table { return E28ProductCompilation(300000) },
-		Quick:    func() Table { return E28ProductCompilation(60000) },
+		Run:      func() Table { return e28ProductCompilation(300000) },
+		Quick:    func() Table { return e28ProductCompilation(60000) },
 		Artifact: true},
 }
 

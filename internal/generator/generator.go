@@ -80,9 +80,9 @@ func RandomTree(rng *rand.Rand, size int, labels []string) *tree.Tree {
 // Theorem 3: L_s = { path(w) : w ∈ Σ^s }.
 // ---------------------------------------------------------------------------
 
-// Theorem3Member returns path(w) for a word w ∈ {a,b}^s given as a bitmask
+// theorem3Member returns path(w) for a word w ∈ {a,b}^s given as a bitmask
 // (bit i set means the i-th letter is "b").
-func Theorem3Member(s int, mask int) *nestedword.NestedWord {
+func theorem3Member(s int, mask int) *nestedword.NestedWord {
 	w := make([]string, s)
 	for i := 0; i < s; i++ {
 		if mask&(1<<i) != 0 {
@@ -145,7 +145,7 @@ func Theorem3TaggedNFA(s int) *word.NFA {
 	nfa := word.NewNFA(tagged, 1)
 	nfa.AddStart(0)
 	for mask := 0; mask < 1<<s; mask++ {
-		member := Theorem3Member(s, mask)
+		member := theorem3Member(s, mask)
 		cur := 0
 		for _, t := range nwa.TaggedWord(member) {
 			next := nfa.AddState()
@@ -184,10 +184,10 @@ func Theorem5BlockWord(s int, mask int) *nestedword.NestedWord {
 	return nestedword.New(ps...)
 }
 
-// Theorem5Word builds the full member ⟨a ⟨b⟩^m ⟨a B_1...B_s a⟩ a⟩ of the
+// theorem5Word builds the full member ⟨a ⟨b⟩^m ⟨a B_1...B_s a⟩ a⟩ of the
 // Theorem 5 family from the repeat count m and the block word; whether it
 // belongs to L_s depends on block (m mod s)+1 being ⟨a⟩.
-func Theorem5Word(m int, blocks *nestedword.NestedWord) *nestedword.NestedWord {
+func theorem5Word(m int, blocks *nestedword.NestedWord) *nestedword.NestedWord {
 	var ps []nestedword.Position
 	ps = append(ps, nestedword.Position{Symbol: "a", Kind: nestedword.Call})
 	for i := 0; i < m; i++ {
@@ -200,10 +200,10 @@ func Theorem5Word(m int, blocks *nestedword.NestedWord) *nestedword.NestedWord {
 	return nestedword.New(ps...)
 }
 
-// Theorem5Predicate reports membership in the Theorem 5 language L_s:
+// theorem5Predicate reports membership in the Theorem 5 language L_s:
 // tree words of the form ⟨a ⟨b⟩^m ⟨a L^{i-1} ⟨a⟩ L^{s-i} a⟩ a⟩ with
 // i = (m mod s) + 1.
-func Theorem5Predicate(s int, n *nestedword.NestedWord) bool {
+func theorem5Predicate(s int, n *nestedword.NestedWord) bool {
 	ps := n.Positions()
 	idx := 0
 	expect := func(sym string, kind nestedword.Kind) bool {
@@ -296,7 +296,7 @@ func Theorem5FlatDFA(s int) *word.DFA {
 // Theorem5Context wraps a block word into the distinguishing context
 // ⟨a ⟨b⟩^m ⟨a [·] a⟩ a⟩ with m = i-1, which forces the i-th block to be ⟨a⟩.
 func Theorem5Context(i int, blocks *nestedword.NestedWord) *nestedword.NestedWord {
-	return Theorem5Word(i-1, blocks)
+	return theorem5Word(i-1, blocks)
 }
 
 // ---------------------------------------------------------------------------
@@ -381,9 +381,6 @@ func Theorem8NWA(s int) *nwa.DNWA {
 	}
 	return b.Build()
 }
-
-// Theorem8PathWord returns path(w) for a word over {a, b}.
-func Theorem8PathWord(w []string) *nestedword.NestedWord { return nestedword.Path(w...) }
 
 // ---------------------------------------------------------------------------
 // Introduction / E10: linear-order query documents.

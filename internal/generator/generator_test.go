@@ -36,12 +36,12 @@ func TestTheorem3Family(t *testing.T) {
 		a := Theorem3NWA(s)
 		// Every member is accepted.
 		for mask := 0; mask < 1<<s; mask++ {
-			if !a.Accepts(Theorem3Member(s, mask)) {
+			if !a.Accepts(theorem3Member(s, mask)) {
 				t.Fatalf("s=%d: member %d rejected", s, mask)
 			}
 		}
 		// Paths of the wrong length are rejected.
-		if a.Accepts(Theorem3Member(s+1, 0)) || a.Accepts(Theorem3Member(s-1, 0)) {
+		if a.Accepts(theorem3Member(s+1, 0)) || a.Accepts(theorem3Member(s-1, 0)) {
 			t.Errorf("s=%d: wrong-length paths accepted", s)
 		}
 		// Non-path tree words are rejected.
@@ -63,7 +63,7 @@ func TestTheorem3TaggedNFA(t *testing.T) {
 	// The NFA over tagged words agrees with the NWA on members and random
 	// words.
 	for mask := 0; mask < 1<<s; mask++ {
-		member := Theorem3Member(s, mask)
+		member := theorem3Member(s, mask)
 		if !nfa.Accepts(nwa.TaggedWord(member)) {
 			t.Fatalf("member %d rejected by the tagged NFA", mask)
 		}
@@ -87,8 +87,8 @@ func TestTheorem5Family(t *testing.T) {
 	// Members and non-members according to the predicate.
 	for m := 0; m <= 2*s; m++ {
 		for mask := 0; mask < 1<<s; mask++ {
-			w := Theorem5Word(m, Theorem5BlockWord(s, mask))
-			want := Theorem5Predicate(s, w)
+			w := theorem5Word(m, Theorem5BlockWord(s, mask))
+			want := theorem5Predicate(s, w)
 			forced := (m % s) // block index forced to ⟨a⟩, 0-based: (m mod s)+1 → bit m%s
 			if (mask&(1<<forced) == 0) != want {
 				t.Fatalf("predicate inconsistent with the family definition at m=%d mask=%d", m, mask)
@@ -150,7 +150,7 @@ func TestTheorem8Family(t *testing.T) {
 			for j := range w {
 				w[j] = []string{"a", "b"}[rng.Intn(2)]
 			}
-			if got, want := a.Accepts(Theorem8PathWord(w)), dfa.Accepts(w); got != want {
+			if got, want := a.Accepts(nestedword.Path(w...)), dfa.Accepts(w); got != want {
 				t.Fatalf("s=%d: NWA and word DFA disagree on %v: got %v want %v", s, w, got, want)
 			}
 		}
@@ -207,8 +207,8 @@ func TestDocumentStream(t *testing.T) {
 			}
 			out = append(out, e)
 		}
-		if src.Emitted() != len(out) {
-			t.Fatalf("Emitted() = %d, want %d", src.Emitted(), len(out))
+		if src.emitted != len(out) {
+			t.Fatalf("emitted = %d, want %d", src.emitted, len(out))
 		}
 		return out
 	}

@@ -39,9 +39,6 @@ func NewDocumentStream(seed int64, size, maxDepth int, labels []string) *Documen
 	}
 }
 
-// Emitted returns the number of events produced so far.
-func (s *DocumentStream) Emitted() int { return s.emitted }
-
 // Next returns the next event, or io.EOF once the document is complete.
 func (s *DocumentStream) Next() (docstream.Event, error) {
 	if s.remaining <= 0 {

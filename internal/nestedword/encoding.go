@@ -64,9 +64,9 @@ func Path(symbols ...string) *NestedWord {
 	return New(ps...)
 }
 
-// PathWord inverts Path for nested words in its image: if n = path(w) for
+// pathWord inverts Path for nested words in its image: if n = path(w) for
 // some word w it returns (w, true), otherwise (nil, false).
-func PathWord(n *NestedWord) ([]string, bool) {
+func pathWord(n *NestedWord) ([]string, bool) {
 	l := n.Len()
 	if l%2 != 0 {
 		return nil, false

@@ -68,20 +68,20 @@ func TestPath(t *testing.T) {
 
 func TestPathWordInverse(t *testing.T) {
 	w := []string{"a", "b", "a", "a"}
-	back, ok := PathWord(Path(w...))
+	back, ok := pathWord(Path(w...))
 	if !ok || !reflect.DeepEqual(back, w) {
 		t.Errorf("PathWord(Path(w)) = (%v,%v), want (%v,true)", back, ok, w)
 	}
-	if _, ok := PathWord(MustParse("<a <b a> b>")); ok {
+	if _, ok := pathWord(MustParse("<a <b a> b>")); ok {
 		t.Errorf("mismatched labels should not be in the image of Path")
 	}
-	if _, ok := PathWord(MustParse("<a a> <b b>")); ok {
+	if _, ok := pathWord(MustParse("<a a> <b b>")); ok {
 		t.Errorf("non-path shape should not be in the image of Path")
 	}
-	if _, ok := PathWord(MustParse("a")); ok {
+	if _, ok := pathWord(MustParse("a")); ok {
 		t.Errorf("odd length word cannot be a path word")
 	}
-	if got, ok := PathWord(Empty()); !ok || len(got) != 0 {
+	if got, ok := pathWord(Empty()); !ok || len(got) != 0 {
 		t.Errorf("PathWord(ε) = (%v,%v), want ([] ,true)", got, ok)
 	}
 }
@@ -95,7 +95,7 @@ func TestQuickPathRoundTrip(t *testing.T) {
 		for i := range w {
 			w[i] = syms[rng.Intn(2)]
 		}
-		back, ok := PathWord(Path(w...))
+		back, ok := pathWord(Path(w...))
 		if !ok || len(back) != len(w) {
 			return false
 		}

@@ -87,10 +87,10 @@ func New(positions ...Position) *NestedWord {
 	return nw
 }
 
-// FromWord builds the nested word with the empty matching relation
+// fromWord builds the nested word with the empty matching relation
 // corresponding to a plain word: every position is internal (Section 2.2,
 // w_nw restricted to untagged words).
-func FromWord(symbols ...string) *NestedWord {
+func fromWord(symbols ...string) *NestedWord {
 	ps := make([]Position, len(symbols))
 	for i, s := range symbols {
 		ps[i] = Position{Symbol: s, Kind: Internal}
@@ -168,10 +168,10 @@ func (n *NestedWord) ReturnSuccessor(i int) (j int, ok bool) {
 	return n.match[i], true
 }
 
-// CallPredecessor returns the call-predecessor of return position j, i.e.
+// callPredecessor returns the call-predecessor of return position j, i.e.
 // the unique i with i ; j.  If j is a pending return it returns Pending,
 // and ok is false when j is not a return at all.
-func (n *NestedWord) CallPredecessor(j int) (i int, ok bool) {
+func (n *NestedWord) callPredecessor(j int) (i int, ok bool) {
 	if j < 0 || j >= len(n.positions) || n.positions[j].Kind != Return {
 		return 0, false
 	}
@@ -179,29 +179,29 @@ func (n *NestedWord) CallPredecessor(j int) (i int, ok bool) {
 	return n.match[j], true
 }
 
-// Matching returns the matching relation as a list of (call, return) pairs
+// matching returns the matching relation as a list of (call, return) pairs
 // for matched edges, using Pending for the missing endpoint of pending
 // edges.  Pairs are ordered by their defined endpoint.
-func (n *NestedWord) Matching() []Edge {
+func (n *NestedWord) matching() []edge {
 	n.ensureMatching()
-	var edges []Edge
+	var edges []edge
 	for i, p := range n.positions {
 		switch p.Kind {
 		case Call:
-			edges = append(edges, Edge{Call: i, Return: n.match[i]})
+			edges = append(edges, edge{Call: i, Return: n.match[i]})
 		case Return:
 			if n.match[i] == Pending {
-				edges = append(edges, Edge{Call: Pending, Return: i})
+				edges = append(edges, edge{Call: Pending, Return: i})
 			}
 		}
 	}
 	return edges
 }
 
-// Edge is a single hierarchical edge i ; j of the matching relation.
+// edge is a single hierarchical edge i ; j of the matching relation.
 // Pending endpoints are represented by the Pending constant (−∞ for Call,
 // +∞ for Return).
-type Edge struct {
+type edge struct {
 	Call   int
 	Return int
 }
@@ -213,11 +213,11 @@ func (n *NestedWord) Depth() int {
 	return n.depth
 }
 
-// CallParent returns the call-parent of position i as defined in Section
+// callParent returns the call-parent of position i as defined in Section
 // 2.1, translated to 0-based indexing: the call-parent of a top-level
 // position is -1 (the paper's 0), otherwise it is the smallest call position
 // whose return-successor lies strictly after i.
-func (n *NestedWord) CallParent(i int) int {
+func (n *NestedWord) callParent(i int) int {
 	if i < 0 || i >= len(n.positions) {
 		return -1
 	}

@@ -97,7 +97,7 @@ func TestFigure1N2Pending(t *testing.T) {
 	if j, ok := n2.ReturnSuccessor(2); !ok || j != 4 {
 		t.Errorf("ReturnSuccessor(2) = (%d,%v), want (4,true)", j, ok)
 	}
-	if i, ok := n2.CallPredecessor(1); !ok || i != Pending {
+	if i, ok := n2.callPredecessor(1); !ok || i != Pending {
 		t.Errorf("CallPredecessor(1) = (%d,%v), want (Pending,true)", i, ok)
 	}
 }
@@ -123,20 +123,20 @@ func TestMatchingRelationBasics(t *testing.T) {
 	if j, ok := n.ReturnSuccessor(0); !ok || j != 2 {
 		t.Errorf("ReturnSuccessor(0) = (%d,%v), want (2,true)", j, ok)
 	}
-	if i, ok := n.CallPredecessor(2); !ok || i != 0 {
+	if i, ok := n.callPredecessor(2); !ok || i != 0 {
 		t.Errorf("CallPredecessor(2) = (%d,%v), want (0,true)", i, ok)
 	}
 	if _, ok := n.ReturnSuccessor(1); ok {
 		t.Errorf("ReturnSuccessor of an internal should report ok=false")
 	}
-	if _, ok := n.CallPredecessor(3); ok {
+	if _, ok := n.callPredecessor(3); ok {
 		t.Errorf("CallPredecessor of an internal should report ok=false")
 	}
 	if _, ok := n.ReturnSuccessor(-1); ok {
 		t.Errorf("ReturnSuccessor out of range should report ok=false")
 	}
-	edges := n.Matching()
-	want := []Edge{{Call: 0, Return: 2}}
+	edges := n.matching()
+	want := []edge{{Call: 0, Return: 2}}
 	if !reflect.DeepEqual(edges, want) {
 		t.Errorf("Matching() = %v, want %v", edges, want)
 	}
@@ -144,8 +144,8 @@ func TestMatchingRelationBasics(t *testing.T) {
 
 func TestMatchingWithPendingEdges(t *testing.T) {
 	n := MustParse("a> <b")
-	edges := n.Matching()
-	want := []Edge{{Call: Pending, Return: 0}, {Call: 1, Return: Pending}}
+	edges := n.matching()
+	want := []edge{{Call: Pending, Return: 0}, {Call: 1, Return: Pending}}
 	if !reflect.DeepEqual(edges, want) {
 		t.Errorf("Matching() = %v, want %v", edges, want)
 	}
@@ -157,8 +157,8 @@ func TestNoCrossingEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
 		n := randomNested(rng, 40)
-		var matched []Edge
-		for _, e := range n.Matching() {
+		var matched []edge
+		for _, e := range n.matching() {
 			if e.Call != Pending && e.Return != Pending {
 				matched = append(matched, e)
 			}
@@ -178,11 +178,11 @@ func TestCallParent(t *testing.T) {
 	wantParents := []int{-1, 0, 0, 2, 2, 0, 0, -1}
 	// position: 0:<a 1:b 2:<b 3:c 4:c> 5:b 6:a> 7:d
 	for i, want := range wantParents {
-		if got := n.CallParent(i); got != want {
+		if got := n.callParent(i); got != want {
 			t.Errorf("CallParent(%d) = %d, want %d", i, got, want)
 		}
 	}
-	if got := n.CallParent(99); got != -1 {
+	if got := n.callParent(99); got != -1 {
 		t.Errorf("CallParent out of range = %d, want -1", got)
 	}
 }
@@ -191,10 +191,10 @@ func TestCallParentAfterPendingReturn(t *testing.T) {
 	// a> b : after a pending return, the call-parent resets to top level.
 	n := MustParse("<a a> b> b")
 	// 0:<a 1:a> 2:b> 3:b
-	if got := n.CallParent(2); got != -1 {
+	if got := n.callParent(2); got != -1 {
 		t.Errorf("CallParent(2) = %d, want -1", got)
 	}
-	if got := n.CallParent(3); got != -1 {
+	if got := n.callParent(3); got != -1 {
 		t.Errorf("CallParent(3) = %d, want -1", got)
 	}
 }
@@ -221,7 +221,7 @@ func TestDepth(t *testing.T) {
 }
 
 func TestFromWord(t *testing.T) {
-	n := FromWord("a", "b", "a")
+	n := fromWord("a", "b", "a")
 	if n.Len() != 3 {
 		t.Fatalf("len = %d, want 3", n.Len())
 	}
@@ -316,7 +316,7 @@ func TestQuickPendingCountsConsistent(t *testing.T) {
 		n := randomNested(rng, 60)
 		calls, _, returns := n.Counts()
 		matched := 0
-		for _, e := range n.Matching() {
+		for _, e := range n.matching() {
 			if e.Call != Pending && e.Return != Pending {
 				matched++
 			}

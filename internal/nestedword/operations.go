@@ -21,11 +21,11 @@ func Concat(words ...*NestedWord) *NestedWord {
 	return New(ps...)
 }
 
-// Subword returns the subword n[i, j] from 0-based position i to position j
+// subword returns the subword n[i, j] from 0-based position i to position j
 // inclusive (the paper's n[i+1, j+1]).  Following Section 2.4, out-of-range
 // or empty ranges yield the empty nested word.  Hierarchical edges with only
 // one endpoint inside the range become pending in the subword.
-func (n *NestedWord) Subword(i, j int) *NestedWord {
+func (n *NestedWord) subword(i, j int) *NestedWord {
 	if i < 0 || j >= n.Len() || i > j {
 		return Empty()
 	}
@@ -33,15 +33,15 @@ func (n *NestedWord) Subword(i, j int) *NestedWord {
 }
 
 // Prefix returns the prefix n[0, j] (empty when j < 0).
-func (n *NestedWord) Prefix(j int) *NestedWord { return n.Subword(0, j) }
+func (n *NestedWord) Prefix(j int) *NestedWord { return n.subword(0, j) }
 
-// Suffix returns the suffix n[i, ℓ-1] (empty when i ≥ ℓ).
-func (n *NestedWord) Suffix(i int) *NestedWord { return n.Subword(i, n.Len()-1) }
+// suffix returns the suffix n[i, ℓ-1] (empty when i ≥ ℓ).
+func (n *NestedWord) suffix(i int) *NestedWord { return n.subword(i, n.Len()-1) }
 
-// Reverse returns the reverse of the nested word (Section 2.4): the
+// reverse returns the reverse of the nested word (Section 2.4): the
 // underlying word is reversed and every hierarchical edge is reversed, which
 // amounts to reversing the sequence while swapping calls and returns.
-func (n *NestedWord) Reverse() *NestedWord {
+func (n *NestedWord) reverse() *NestedWord {
 	l := n.Len()
 	ps := make([]Position, l)
 	for i, p := range n.positions {
@@ -83,10 +83,10 @@ func Insert(n *NestedWord, symbol string, ins *NestedWord) *NestedWord {
 	return New(ps...)
 }
 
-// InsertAt inserts the nested word ins after 0-based position i of n
+// insertAt inserts the nested word ins after 0-based position i of n
 // (or before position 0 when i == -1).  It is the primitive from which
 // Insert and tree substitution are built.
-func InsertAt(n *NestedWord, i int, ins *NestedWord) *NestedWord {
+func insertAt(n *NestedWord, i int, ins *NestedWord) *NestedWord {
 	if i < -1 || i >= n.Len() {
 		return New(n.positions...)
 	}
@@ -97,11 +97,11 @@ func InsertAt(n *NestedWord, i int, ins *NestedWord) *NestedWord {
 	return New(ps...)
 }
 
-// DeleteSubtree removes the rooted subword headed by the call at position i
+// deleteSubtree removes the rooted subword headed by the call at position i
 // (the call, its return-successor, and everything in between).  It returns
 // the original word unchanged when i is not a matched call.  This is the
 // nested-word form of subtree deletion mentioned in Section 2.4.
-func DeleteSubtree(n *NestedWord, i int) *NestedWord {
+func deleteSubtree(n *NestedWord, i int) *NestedWord {
 	j, ok := n.ReturnSuccessor(i)
 	if !ok || j == Pending {
 		return New(n.positions...)
@@ -112,11 +112,11 @@ func DeleteSubtree(n *NestedWord, i int) *NestedWord {
 	return New(ps...)
 }
 
-// SubstituteSubtree replaces the rooted subword headed by the call at
+// substituteSubtree replaces the rooted subword headed by the call at
 // position i with the nested word repl.  It returns the original word
 // unchanged when i is not a matched call.  This is the nested-word form of
 // subtree substitution mentioned in Section 2.4.
-func SubstituteSubtree(n *NestedWord, i int, repl *NestedWord) *NestedWord {
+func substituteSubtree(n *NestedWord, i int, repl *NestedWord) *NestedWord {
 	j, ok := n.ReturnSuccessor(i)
 	if !ok || j == Pending {
 		return New(n.positions...)
@@ -128,21 +128,21 @@ func SubstituteSubtree(n *NestedWord, i int, repl *NestedWord) *NestedWord {
 	return New(ps...)
 }
 
-// RootedSubword returns the rooted subword n[i, j] headed by the matched
+// rootedSubword returns the rooted subword n[i, j] headed by the matched
 // call at position i with return-successor j, together with ok reporting
 // whether i is indeed a matched call.
-func (n *NestedWord) RootedSubword(i int) (*NestedWord, bool) {
+func (n *NestedWord) rootedSubword(i int) (*NestedWord, bool) {
 	j, ok := n.ReturnSuccessor(i)
 	if !ok || j == Pending {
 		return nil, false
 	}
-	return n.Subword(i, j), true
+	return n.subword(i, j), true
 }
 
-// Repeat returns the k-fold concatenation of n with itself (the building
+// repeat returns the k-fold concatenation of n with itself (the building
 // block of Kleene-star witnesses and of several experiment families).
-// Repeat(n, 0) is the empty nested word.
-func Repeat(n *NestedWord, k int) *NestedWord {
+// repeat(n, 0) is the empty nested word.
+func repeat(n *NestedWord, k int) *NestedWord {
 	if k <= 0 {
 		return Empty()
 	}

@@ -30,7 +30,7 @@ func TestConcat(t *testing.T) {
 func TestSubwordPendingEdges(t *testing.T) {
 	n := MustParse("<a b c a> d")
 	// Subword containing only the call: the edge becomes a pending call.
-	pre := n.Subword(0, 1)
+	pre := n.subword(0, 1)
 	if pre.IsWellMatched() {
 		t.Errorf("prefix cutting an edge should have a pending call")
 	}
@@ -38,7 +38,7 @@ func TestSubwordPendingEdges(t *testing.T) {
 		t.Errorf("prefix should have exactly one pending call, got %v", pre.PendingCalls())
 	}
 	// Subword containing only the return: the edge becomes a pending return.
-	suf := n.Subword(2, 4)
+	suf := n.subword(2, 4)
 	if len(suf.PendingReturns()) != 1 {
 		t.Errorf("suffix should have exactly one pending return, got %v", suf.PendingReturns())
 	}
@@ -47,7 +47,7 @@ func TestSubwordPendingEdges(t *testing.T) {
 func TestSubwordOutOfRange(t *testing.T) {
 	n := MustParse("a b c")
 	for _, c := range []struct{ i, j int }{{-1, 1}, {0, 3}, {2, 1}, {5, 9}} {
-		if got := n.Subword(c.i, c.j); got.Len() != 0 {
+		if got := n.subword(c.i, c.j); got.Len() != 0 {
 			t.Errorf("Subword(%d,%d) = %v, want empty", c.i, c.j, got)
 		}
 	}
@@ -58,7 +58,7 @@ func TestPrefixSuffixConcatenation(t *testing.T) {
 	// gives back n.
 	n := figure1N1()
 	for i := -1; i < n.Len(); i++ {
-		back := Concat(n.Prefix(i), n.Suffix(i+1))
+		back := Concat(n.Prefix(i), n.suffix(i+1))
 		if !back.Equal(n) {
 			t.Errorf("prefix(%d) + suffix(%d) != n", i, i+1)
 		}
@@ -73,7 +73,7 @@ func TestQuickPrefixSuffixConcatenation(t *testing.T) {
 			return true
 		}
 		i := rng.Intn(n.Len())
-		return Concat(n.Prefix(i), n.Suffix(i+1)).Equal(n)
+		return Concat(n.Prefix(i), n.suffix(i+1)).Equal(n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -82,13 +82,13 @@ func TestQuickPrefixSuffixConcatenation(t *testing.T) {
 
 func TestReverse(t *testing.T) {
 	n := MustParse("<a b a>")
-	r := n.Reverse()
+	r := n.reverse()
 	want := MustParse("<a b a>")
 	if !r.Equal(want) {
 		t.Errorf("Reverse(%v) = %v, want %v", n, r, want)
 	}
 	n2 := MustParse("<a b c> d")
-	r2 := n2.Reverse()
+	r2 := n2.reverse()
 	want2 := MustParse("d <c b a>")
 	if !r2.Equal(want2) {
 		t.Errorf("Reverse(%v) = %v, want %v", n2, r2, want2)
@@ -99,7 +99,7 @@ func TestQuickReverseInvolution(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := randomNested(rng, 50)
-		return n.Reverse().Reverse().Equal(n)
+		return n.reverse().reverse().Equal(n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -110,7 +110,7 @@ func TestQuickReversePreservesDepthAndMatching(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := randomNested(rng, 50)
-		r := n.Reverse()
+		r := n.reverse()
 		if n.Len() != r.Len() {
 			return false
 		}
@@ -159,33 +159,33 @@ func TestInsertTreeInsertion(t *testing.T) {
 func TestInsertAt(t *testing.T) {
 	n := MustParse("a b")
 	ins := MustParse("x")
-	if got, want := InsertAt(n, -1, ins), MustParse("x a b"); !got.Equal(want) {
+	if got, want := insertAt(n, -1, ins), MustParse("x a b"); !got.Equal(want) {
 		t.Errorf("InsertAt(-1) = %v, want %v", got, want)
 	}
-	if got, want := InsertAt(n, 0, ins), MustParse("a x b"); !got.Equal(want) {
+	if got, want := insertAt(n, 0, ins), MustParse("a x b"); !got.Equal(want) {
 		t.Errorf("InsertAt(0) = %v, want %v", got, want)
 	}
-	if got, want := InsertAt(n, 1, ins), MustParse("a b x"); !got.Equal(want) {
+	if got, want := insertAt(n, 1, ins), MustParse("a b x"); !got.Equal(want) {
 		t.Errorf("InsertAt(1) = %v, want %v", got, want)
 	}
-	if got := InsertAt(n, 5, ins); !got.Equal(n) {
+	if got := insertAt(n, 5, ins); !got.Equal(n) {
 		t.Errorf("InsertAt out of range should return an unchanged copy")
 	}
 }
 
 func TestDeleteSubtree(t *testing.T) {
 	n := MustParse("<a <b c b> d a>")
-	got := DeleteSubtree(n, 1)
+	got := deleteSubtree(n, 1)
 	want := MustParse("<a d a>")
 	if !got.Equal(want) {
 		t.Errorf("DeleteSubtree = %v, want %v", got, want)
 	}
 	// Deleting at a non-call or pending call is a no-op copy.
-	if got := DeleteSubtree(n, 2); !got.Equal(n) {
+	if got := deleteSubtree(n, 2); !got.Equal(n) {
 		t.Errorf("DeleteSubtree at internal should be a no-op")
 	}
 	pend := MustParse("<a b")
-	if got := DeleteSubtree(pend, 0); !got.Equal(pend) {
+	if got := deleteSubtree(pend, 0); !got.Equal(pend) {
 		t.Errorf("DeleteSubtree at pending call should be a no-op")
 	}
 }
@@ -193,39 +193,39 @@ func TestDeleteSubtree(t *testing.T) {
 func TestSubstituteSubtree(t *testing.T) {
 	n := MustParse("<a <b c b> d a>")
 	repl := MustParse("<e e>")
-	got := SubstituteSubtree(n, 1, repl)
+	got := substituteSubtree(n, 1, repl)
 	want := MustParse("<a <e e> d a>")
 	if !got.Equal(want) {
 		t.Errorf("SubstituteSubtree = %v, want %v", got, want)
 	}
-	if got := SubstituteSubtree(n, 2, repl); !got.Equal(n) {
+	if got := substituteSubtree(n, 2, repl); !got.Equal(n) {
 		t.Errorf("SubstituteSubtree at internal should be a no-op")
 	}
 }
 
 func TestRootedSubword(t *testing.T) {
 	n := MustParse("<a <b c b> d a>")
-	sub, ok := n.RootedSubword(1)
+	sub, ok := n.rootedSubword(1)
 	if !ok {
 		t.Fatalf("RootedSubword(1) should succeed")
 	}
 	if want := MustParse("<b c b>"); !sub.Equal(want) {
 		t.Errorf("RootedSubword(1) = %v, want %v", sub, want)
 	}
-	if _, ok := n.RootedSubword(2); ok {
+	if _, ok := n.rootedSubword(2); ok {
 		t.Errorf("RootedSubword at internal should fail")
 	}
 }
 
 func TestRepeat(t *testing.T) {
 	n := MustParse("<a a>")
-	if got, want := Repeat(n, 3), MustParse("<a a> <a a> <a a>"); !got.Equal(want) {
+	if got, want := repeat(n, 3), MustParse("<a a> <a a> <a a>"); !got.Equal(want) {
 		t.Errorf("Repeat = %v, want %v", got, want)
 	}
-	if Repeat(n, 0).Len() != 0 {
+	if repeat(n, 0).Len() != 0 {
 		t.Errorf("Repeat(n, 0) should be empty")
 	}
-	if Repeat(n, -1).Len() != 0 {
+	if repeat(n, -1).Len() != 0 {
 		t.Errorf("Repeat(n, -1) should be empty")
 	}
 }
@@ -261,7 +261,7 @@ func TestQuickReverseAntiHomomorphism(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		a := randomNested(rng, 25)
 		b := randomNested(rng, 25)
-		return Concat(a, b).Reverse().Equal(Concat(b.Reverse(), a.Reverse()))
+		return Concat(a, b).reverse().Equal(Concat(b.reverse(), a.reverse()))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -20,9 +20,10 @@ func TestToWeakIsWeakAndEquivalent(t *testing.T) {
 	if !Equivalent(d, w) {
 		t.Fatalf("ToWeak must preserve the language")
 	}
-	// State bound of Theorem 1 (with the top-level marker): s·(|Σ|+1) + 1.
-	want := d.NumStates()*(testAlpha.Size()+1) + 1
-	if w.NumStates() != want {
+	// Theorem 1 with the top-level marker: one state per (live state,
+	// call-parent) pair plus the dead state, inside the s·(|Σ|+1) bound.
+	want := (d.NumStates()-1)*(testAlpha.Size()+1) + 1
+	if w.NumStates() != want || want > d.NumStates()*(testAlpha.Size()+1) {
 		t.Errorf("weak automaton has %d states, want %d", w.NumStates(), want)
 	}
 }
@@ -31,6 +32,9 @@ func TestToWeakRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for trial := 0; trial < 12; trial++ {
 		d := randomDNWA(rng, 2+rng.Intn(3))
+		if trial%2 == 1 {
+			d = d.Complement() // an accepting dead state must stay accepting
+		}
 		w := d.ToWeak()
 		if !w.IsWeak() {
 			t.Fatalf("trial %d: result not weak", trial)
@@ -39,6 +43,14 @@ func TestToWeakRandom(t *testing.T) {
 			n := randomNestedWord(rng, 12)
 			if d.Accepts(n) != w.Accepts(n) {
 				t.Fatalf("trial %d: weak conversion differs on %v", trial, n)
+			}
+			// An out-of-alphabet label drives both automata to their dead
+			// states, which must agree on acceptance.
+			ps := n.Positions()
+			at := rng.Intn(len(ps) + 1)
+			ps = append(ps[:at:at], append([]nestedword.Position{{Symbol: "z", Kind: nestedword.Internal}}, ps[at:]...)...)
+			if z := nestedword.New(ps...); d.Accepts(z) != w.Accepts(z) {
+				t.Fatalf("trial %d: weak conversion differs on %v", trial, z)
 			}
 		}
 	}
@@ -93,11 +105,11 @@ func TestTaggedWordHelpers(t *testing.T) {
 			t.Fatalf("TaggedWord = %v, want %v", tw, want)
 		}
 	}
-	back := NestedFromTagged(tw)
+	back := nestedFromTagged(tw)
 	if !back.Equal(n) {
 		t.Errorf("NestedFromTagged(TaggedWord(n)) = %v, want %v", back, n)
 	}
-	if TaggedCall("a") != "<a" || TaggedInternal("a") != "a" || TaggedReturn("a") != "a>" {
+	if taggedCall("a") != "<a" || taggedInternal("a") != "a" || taggedReturn("a") != "a>" {
 		t.Errorf("tagged symbol helpers broken")
 	}
 	if TaggedAlphabet(testAlpha).Size() != 6 {
@@ -273,38 +285,38 @@ func TestJNWADirectConstruction(t *testing.T) {
 			t.Errorf("Accepts(%q) = %v, want %v", in, got, want)
 		}
 	}
-	if j.IsEmpty() {
+	if j.isEmpty() {
 		t.Errorf("the language {<a} is not empty")
 	}
 	if !j.IsDeterministic() {
 		t.Errorf("this automaton is deterministic")
 	}
-	if j.IsTopDown() || j.IsFlatJoinless() {
+	if j.IsTopDown() || j.isFlatJoinless() {
 		t.Errorf("mode predicates wrong: automaton mixes linear and hierarchical states")
 	}
 }
 
 func TestJNWAStateHelpers(t *testing.T) {
 	j := NewJNWA(testAlpha, 0)
-	lin := j.AddState()
-	hier := j.AddHierarchicalState()
-	if j.IsHierarchical(lin) || !j.IsHierarchical(hier) {
+	lin := j.addState()
+	hier := j.addHierarchicalState()
+	if j.isHierarchical(lin) || !j.isHierarchical(hier) {
 		t.Errorf("state kind bookkeeping broken")
 	}
 	j.AddStart(lin)
 	j.AddAccept(hier)
-	if got := j.StartStates(); len(got) != 1 || got[0] != lin {
+	if got := j.startStates(); len(got) != 1 || got[0] != lin {
 		t.Errorf("StartStates = %v", got)
 	}
-	if !j.IsAccepting(hier) || j.IsAccepting(lin) {
+	if !j.isAccepting(hier) || j.isAccepting(lin) {
 		t.Errorf("IsAccepting broken")
 	}
-	if j.Alphabet() != testAlpha || j.NumStates() != 2 {
+	if j.NumStates() != 2 {
 		t.Errorf("accessors broken")
 	}
 	// Nondeterminism check.
-	j.AddInternal(lin, "a", lin)
-	j.AddInternal(lin, "a", hier)
+	j.addInternal(lin, "a", lin)
+	j.addInternal(lin, "a", hier)
 	if j.IsDeterministic() {
 		t.Errorf("two internal successors should make the automaton nondeterministic")
 	}
@@ -317,13 +329,13 @@ func TestFlatAutomatonAsJoinless(t *testing.T) {
 	j := NewJNWA(testAlpha, 2)
 	j.AddStart(0)
 	j.AddAccept(0)
-	j.AddInternal(0, "a", 1).AddInternal(1, "a", 0)
-	j.AddInternal(0, "b", 0).AddInternal(1, "b", 1)
+	j.addInternal(0, "a", 1).addInternal(1, "a", 0)
+	j.addInternal(0, "b", 0).addInternal(1, "b", 1)
 	j.AddCall(0, "a", 1, 0).AddCall(1, "a", 0, 0)
 	j.AddCall(0, "b", 0, 0).AddCall(1, "b", 1, 0)
 	j.AddReturn(0, "a", 1).AddReturn(1, "a", 0)
 	j.AddReturn(0, "b", 0).AddReturn(1, "b", 1)
-	if !j.IsFlatJoinless() {
+	if !j.isFlatJoinless() {
 		t.Fatalf("all states are linear")
 	}
 	d := evenAs()

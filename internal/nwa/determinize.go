@@ -245,13 +245,13 @@ func (n *NNWA) Determinize() *DNWA {
 	return d
 }
 
-// Complement returns a deterministic NWA accepting NW(Σ) \ L(n), obtained by
+// complement returns a deterministic NWA accepting NW(Σ) \ L(n), obtained by
 // determinizing and flipping the final states (Section 3.2).
-func (n *NNWA) Complement() *DNWA { return n.Determinize().Complement() }
+func (n *NNWA) complement() *DNWA { return n.Determinize().Complement() }
 
-// UnionN returns a nondeterministic NWA accepting L(a) ∪ L(b): the disjoint
+// unionN returns a nondeterministic NWA accepting L(a) ∪ L(b): the disjoint
 // union of the two automata.
-func UnionN(a, b *NNWA) *NNWA {
+func unionN(a, b *NNWA) *NNWA {
 	if !a.alpha.Equal(b.alpha) {
 		panic("nwa: union of automata over different alphabets")
 	}

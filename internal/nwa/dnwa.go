@@ -97,21 +97,21 @@ func (b *DNWABuilder) SetAccept(states ...int) *DNWABuilder {
 
 // Call sets δc(from, sym) = (linear, hier).
 func (b *DNWABuilder) Call(from int, sym string, linear, hier int) *DNWABuilder {
-	b.a.checkState(from, linear, hier)
+	checkStates(b.a.num, from, linear, hier)
 	b.a.callT[callKey{from, b.a.alpha.MustIndex(sym)}] = callTarget{Linear: linear, Hier: hier}
 	return b
 }
 
 // Internal sets δi(from, sym) = to.
 func (b *DNWABuilder) Internal(from int, sym string, to int) *DNWABuilder {
-	b.a.checkState(from, to)
+	checkStates(b.a.num, from, to)
 	b.a.internT[callKey{from, b.a.alpha.MustIndex(sym)}] = to
 	return b
 }
 
 // Return sets δr(lin, hier, sym) = to.
 func (b *DNWABuilder) Return(lin, hier int, sym string, to int) *DNWABuilder {
-	b.a.checkState(lin, hier, to)
+	checkStates(b.a.num, lin, hier, to)
 	b.a.returnT[returnKey{lin, hier, b.a.alpha.MustIndex(sym)}] = to
 	return b
 }
@@ -119,10 +119,11 @@ func (b *DNWABuilder) Return(lin, hier int, sym string, to int) *DNWABuilder {
 // Build returns the completed automaton.
 func (b *DNWABuilder) Build() *DNWA { return b.a }
 
-func (d *DNWA) checkState(states ...int) {
+// checkStates panics unless every state lies in [0, num).
+func checkStates(num int, states ...int) {
 	for _, q := range states {
-		if q < 0 || q >= d.num {
-			panic(fmt.Sprintf("nwa: state %d out of range [0,%d)", q, d.num))
+		if q < 0 || q >= num {
+			panic(fmt.Sprintf("nwa: state %d out of range [0,%d)", q, num))
 		}
 	}
 }
@@ -142,8 +143,8 @@ func (d *DNWA) Dead() int { return d.dead }
 // IsAccepting reports whether q ∈ F.
 func (d *DNWA) IsAccepting(q int) bool { return q >= 0 && q < d.num && d.accept[q] }
 
-// AcceptingStates returns the sorted list of final states.
-func (d *DNWA) AcceptingStates() []int {
+// acceptingStates returns the sorted list of final states.
+func (d *DNWA) acceptingStates() []int {
 	var out []int
 	for q, a := range d.accept {
 		if a {
@@ -222,21 +223,21 @@ func (d *DNWA) EachInternalEdge(q, sym int, f func(to int)) { f(d.stepInternal(q
 // EachReturnEdge calls f with δr(lin, hier, sym).
 func (d *DNWA) EachReturnEdge(lin, hier, sym int, f func(to int)) { f(d.stepReturn(lin, hier, sym)) }
 
-// Run is the unique run of the automaton over the nested word: the sequence
+// run is the unique run of the automaton over the nested word: the sequence
 // of linear states q0, q1, ..., qℓ (Section 3.1).  The hierarchical states
-// are available via RunWithHierarchy.
-func (d *DNWA) Run(n *nestedword.NestedWord) []int {
-	states, _ := d.RunWithHierarchy(n)
+// are available via runWithHierarchy.
+func (d *DNWA) run(n *nestedword.NestedWord) []int {
+	states, _ := d.runWithHierarchy(n)
 	return states
 }
 
-// RunWithHierarchy returns the linear state sequence of the unique run and,
+// runWithHierarchy returns the linear state sequence of the unique run and,
 // for each position, the hierarchical state labelling its incoming or
 // outgoing hierarchical edge (-1 for internals).  For a call position the
 // entry is the state propagated along the outgoing hierarchical edge; for a
 // return position it is the state on the incoming hierarchical edge (q0 for
 // pending returns).
-func (d *DNWA) RunWithHierarchy(n *nestedword.NestedWord) (linear []int, hier []int) {
+func (d *DNWA) runWithHierarchy(n *nestedword.NestedWord) (linear []int, hier []int) {
 	l := n.Len()
 	linear = make([]int, l+1)
 	hier = make([]int, l)
@@ -334,6 +335,8 @@ func (d *DNWA) NumReturnTransitions() int { return len(d.returnT) }
 
 // ToNondeterministic converts the deterministic automaton to an equivalent
 // nondeterministic one.
+//
+//nwvet:oracle TestRunnerOutOfAlphabet, TestBundleAddErrors and TestRegisterErrors build their NNWA inputs with it
 func (d *DNWA) ToNondeterministic() *NNWA {
 	n := NewNNWA(d.alpha, d.num)
 	n.AddStart(d.start)
@@ -439,8 +442,8 @@ func Union(a, b *DNWA) *DNWA {
 	return product(a, b, func(x, y bool) bool { return x || y })
 }
 
-// Difference returns a deterministic NWA for L(a) \ L(b).
-func Difference(a, b *DNWA) *DNWA {
+// difference returns a deterministic NWA for L(a) \ L(b).
+func difference(a, b *DNWA) *DNWA {
 	return product(a, b, func(x, y bool) bool { return x && !y })
 }
 
@@ -451,19 +454,19 @@ func (d *DNWA) IsEmpty() bool { return isEmpty(d) }
 // Equivalent reports whether two deterministic NWAs over the same alphabet
 // accept the same language.  The two symmetric differences are explored as
 // virtual products, so only reachable product states are visited.
-func Equivalent(a, b *DNWA) bool { return Subset(a, b) && Subset(b, a) }
+func Equivalent(a, b *DNWA) bool { return subset(a, b) && subset(b, a) }
 
-// Subset reports whether L(a) ⊆ L(b).
-func Subset(a, b *DNWA) bool {
+// subset reports whether L(a) ⊆ L(b).
+func subset(a, b *DNWA) bool {
 	if !a.alpha.Equal(b.alpha) {
 		panic("nwa: inclusion check over different alphabets")
 	}
 	return isEmpty(&differenceAutom{a: a, b: b})
 }
 
-// Counterexample returns a nested word in L(a) \ L(b), or ok=false when
+// counterexample returns a nested word in L(a) \ L(b), or ok=false when
 // L(a) ⊆ L(b).
-func Counterexample(a, b *DNWA) (*nestedword.NestedWord, bool) {
+func counterexample(a, b *DNWA) (*nestedword.NestedWord, bool) {
 	if !a.alpha.Equal(b.alpha) {
 		panic("nwa: inclusion check over different alphabets")
 	}

@@ -145,7 +145,7 @@ func TestEvenAsIsFlatAndCorrect(t *testing.T) {
 func TestRunShape(t *testing.T) {
 	d := matchedSymbols()
 	n := nestedword.MustParse("<a <b b> a>")
-	linear, hier := d.RunWithHierarchy(n)
+	linear, hier := d.runWithHierarchy(n)
 	if len(linear) != n.Len()+1 {
 		t.Fatalf("linear run length = %d, want %d", len(linear), n.Len()+1)
 	}
@@ -162,7 +162,7 @@ func TestRunShape(t *testing.T) {
 	if hier[1] == -1 {
 		t.Errorf("call position should have a hierarchical label")
 	}
-	run := d.Run(n)
+	run := d.run(n)
 	for i := range run {
 		if run[i] != linear[i] {
 			t.Errorf("Run and RunWithHierarchy disagree at %d", i)
@@ -201,7 +201,7 @@ func TestBooleanProducts(t *testing.T) {
 	a, b := matchedSymbols(), evenAs()
 	inter := Intersect(a, b)
 	union := Union(a, b)
-	diff := Difference(a, b)
+	diff := difference(a, b)
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 200; i++ {
 		n := randomNestedWord(rng, 12)
@@ -276,16 +276,16 @@ func TestEquivalenceAndSubset(t *testing.T) {
 		t.Errorf("an automaton must not be equivalent to its complement")
 	}
 	inter := Intersect(d, evenAs())
-	if !Subset(inter, d) || !Subset(inter, evenAs()) {
+	if !subset(inter, d) || !subset(inter, evenAs()) {
 		t.Errorf("an intersection must be included in both factors")
 	}
-	if Subset(d, inter) {
+	if subset(d, inter) {
 		t.Errorf("matchedSymbols is not included in the intersection")
 	}
-	if _, ok := Counterexample(inter, d); ok {
+	if _, ok := counterexample(inter, d); ok {
 		t.Errorf("no counterexample should exist for a valid inclusion")
 	}
-	if ce, ok := Counterexample(d, inter); !ok {
+	if ce, ok := counterexample(d, inter); !ok {
 		t.Errorf("a counterexample should exist")
 	} else if !d.Accepts(ce) || inter.Accepts(ce) {
 		t.Errorf("counterexample %v does not separate the languages", ce)
@@ -299,12 +299,12 @@ func TestEquivalentPanicsOnAlphabetMismatch(t *testing.T) {
 		}
 	}()
 	other := NewDNWABuilder(alphabet.New("x"), 1).Build()
-	Subset(matchedSymbols(), other)
+	subset(matchedSymbols(), other)
 }
 
 func TestAcceptingStatesAndDead(t *testing.T) {
 	d := matchedSymbols()
-	acc := d.AcceptingStates()
+	acc := d.acceptingStates()
 	if len(acc) != 1 || acc[0] != 0 {
 		t.Errorf("AcceptingStates = %v, want [0]", acc)
 	}

@@ -343,12 +343,12 @@ func isEmpty(g StateGraph) bool {
 	return !ok
 }
 
-// IsEmpty reports whether L(n) = ∅.
-func (n *NNWA) IsEmpty() bool { return isEmpty(n) }
+// isEmpty reports whether L(n) = ∅.
+func (n *NNWA) isEmpty() bool { return isEmpty(n) }
 
-// SomeWord returns a nested word accepted by the automaton, or ok=false when
+// someWord returns a nested word accepted by the automaton, or ok=false when
 // the language is empty.
-func (n *NNWA) SomeWord() (*nestedword.NestedWord, bool) { return findAccepted(n, n.alpha) }
+func (n *NNWA) someWord() (*nestedword.NestedWord, bool) { return findAccepted(n, n.alpha) }
 
 // SomeWord returns a nested word accepted by the automaton, or ok=false when
 // the language is empty.

@@ -36,24 +36,24 @@ func (d *DNWA) IsFlat() bool {
 	return true
 }
 
-// TaggedCall renders a symbol of Σ as the call letter ⟨a of the tagged
+// taggedCall renders a symbol of Σ as the call letter ⟨a of the tagged
 // alphabet Σ̂ used by the word-automaton view of flat NWAs.
-func TaggedCall(sym string) string { return "<" + sym }
+func taggedCall(sym string) string { return "<" + sym }
 
-// TaggedInternal renders a symbol of Σ as its internal letter in the tagged
+// taggedInternal renders a symbol of Σ as its internal letter in the tagged
 // alphabet Σ̂ (the symbol itself).
-func TaggedInternal(sym string) string { return sym }
+func taggedInternal(sym string) string { return sym }
 
-// TaggedReturn renders a symbol of Σ as the return letter a⟩ of the tagged
+// taggedReturn renders a symbol of Σ as the return letter a⟩ of the tagged
 // alphabet Σ̂.
-func TaggedReturn(sym string) string { return sym + ">" }
+func taggedReturn(sym string) string { return sym + ">" }
 
 // TaggedAlphabet returns the tagged alphabet Σ̂ = {⟨a, a, a⟩ : a ∈ Σ} in the
 // string encoding used by FlatToDFA / FlatFromDFA.
 func TaggedAlphabet(alpha *alphabet.Alphabet) *alphabet.Alphabet {
 	syms := make([]string, 0, 3*alpha.Size())
 	for _, a := range alpha.Symbols() {
-		syms = append(syms, TaggedCall(a), TaggedInternal(a), TaggedReturn(a))
+		syms = append(syms, taggedCall(a), taggedInternal(a), taggedReturn(a))
 	}
 	return alphabet.New(syms...)
 }
@@ -66,20 +66,20 @@ func TaggedWord(n *nestedword.NestedWord) []string {
 		p := n.At(i)
 		switch p.Kind {
 		case nestedword.Call:
-			out[i] = TaggedCall(p.Symbol)
+			out[i] = taggedCall(p.Symbol)
 		case nestedword.Return:
-			out[i] = TaggedReturn(p.Symbol)
+			out[i] = taggedReturn(p.Symbol)
 		default:
-			out[i] = TaggedInternal(p.Symbol)
+			out[i] = taggedInternal(p.Symbol)
 		}
 	}
 	return out
 }
 
-// NestedFromTagged decodes a word over the tagged alphabet back into a
+// nestedFromTagged decodes a word over the tagged alphabet back into a
 // nested word (w_nw of Section 2.2).  Symbols that are not in the tagged
 // string encoding are treated as internals.
-func NestedFromTagged(tagged []string) *nestedword.NestedWord {
+func nestedFromTagged(tagged []string) *nestedword.NestedWord {
 	ps := make([]nestedword.Position, len(tagged))
 	for i, t := range tagged {
 		switch {
@@ -107,13 +107,13 @@ func FlatFromDFA(dfa *word.DFA, alpha *alphabet.Alphabet) *DNWA {
 			b.SetAccept(q)
 		}
 		for _, sym := range alpha.Symbols() {
-			if to, ok := dfa.Step(q, TaggedCall(sym)); ok {
+			if to, ok := dfa.Step(q, taggedCall(sym)); ok {
 				b.Call(q, sym, to, dfa.Start())
 			}
-			if to, ok := dfa.Step(q, TaggedInternal(sym)); ok {
+			if to, ok := dfa.Step(q, taggedInternal(sym)); ok {
 				b.Internal(q, sym, to)
 			}
-			if to, ok := dfa.Step(q, TaggedReturn(sym)); ok {
+			if to, ok := dfa.Step(q, taggedReturn(sym)); ok {
 				for hier := 0; hier <= n; hier++ {
 					b.Return(q, hier, sym, to)
 				}
@@ -138,9 +138,9 @@ func FlatToDFA(d *DNWA) *word.DFA {
 		}
 		for _, sym := range d.alpha.Symbols() {
 			lin, _ := d.StepCall(q, sym)
-			b.AddTransition(q, TaggedCall(sym), lin)
-			b.AddTransition(q, TaggedInternal(sym), d.StepInternal(q, sym))
-			b.AddTransition(q, TaggedReturn(sym), d.StepReturn(q, d.start, sym))
+			b.AddTransition(q, taggedCall(sym), lin)
+			b.AddTransition(q, taggedInternal(sym), d.StepInternal(q, sym))
+			b.AddTransition(q, taggedReturn(sym), d.StepReturn(q, d.start, sym))
 		}
 	}
 	return b.Build()

@@ -54,24 +54,21 @@ func NewJNWA(alpha *alphabet.Alphabet, numStates int) *JNWA {
 	}
 }
 
-// Alphabet returns the automaton's alphabet.
-func (j *JNWA) Alphabet() *alphabet.Alphabet { return j.alpha }
-
 // NumStates returns the number of states.
 func (j *JNWA) NumStates() int { return j.num }
 
-// AddState appends a fresh linear state and returns its index.
-func (j *JNWA) AddState() int {
+// addState appends a fresh linear state and returns its index.
+func (j *JNWA) addState() int {
 	q := j.num
 	j.num++
 	j.hier = append(j.hier, false)
 	return q
 }
 
-// AddHierarchicalState appends a fresh hierarchical state and returns its
+// addHierarchicalState appends a fresh hierarchical state and returns its
 // index.
-func (j *JNWA) AddHierarchicalState() int {
-	q := j.AddState()
+func (j *JNWA) addHierarchicalState() int {
+	q := j.addState()
 	j.hier[q] = true
 	return q
 }
@@ -84,8 +81,8 @@ func (j *JNWA) MarkHierarchical(states ...int) *JNWA {
 	return j
 }
 
-// IsHierarchical reports whether q ∈ Qh.
-func (j *JNWA) IsHierarchical(q int) bool { return j.hier[q] }
+// isHierarchical reports whether q ∈ Qh.
+func (j *JNWA) isHierarchical(q int) bool { return j.hier[q] }
 
 // AddStart marks states as initial.
 func (j *JNWA) AddStart(states ...int) *JNWA {
@@ -103,11 +100,11 @@ func (j *JNWA) AddAccept(states ...int) *JNWA {
 	return j
 }
 
-// IsAccepting reports whether q ∈ F.
-func (j *JNWA) IsAccepting(q int) bool { return j.accept[q] }
+// isAccepting reports whether q ∈ F.
+func (j *JNWA) isAccepting(q int) bool { return j.accept[q] }
 
-// StartStates returns the initial states, sorted.
-func (j *JNWA) StartStates() []int { return sortedStates(j.starts) }
+// startStates returns the initial states, sorted.
+func (j *JNWA) startStates() []int { return sortedStates(j.starts) }
 
 // AddCall adds the call transition (from, sym, linear, hier).  It enforces
 // the joinless typing discipline: calls from hierarchical states must target
@@ -121,8 +118,8 @@ func (j *JNWA) AddCall(from int, sym string, linear, hierTarget int) *JNWA {
 	return j
 }
 
-// AddInternal adds the internal transition (from, sym, to).
-func (j *JNWA) AddInternal(from int, sym string, to int) *JNWA {
+// addInternal adds the internal transition (from, sym, to).
+func (j *JNWA) addInternal(from int, sym string, to int) *JNWA {
 	if j.hier[from] && !j.hier[to] {
 		panic("nwa: joinless internal transition from a hierarchical state must target a hierarchical state")
 	}
@@ -146,6 +143,8 @@ func (j *JNWA) AddReturn(from int, sym string, to int) *JNWA {
 
 // IsDeterministic reports whether the automaton has a single initial state
 // and at most one transition per (state, symbol).
+//
+//nwvet:oracle TestTopDownPathJNWA checks Lemma 3's path automaton with it
 func (j *JNWA) IsDeterministic() bool {
 	if len(j.starts) != 1 {
 		return false
@@ -170,6 +169,8 @@ func (j *JNWA) IsDeterministic() bool {
 
 // IsTopDown reports whether the automaton is top-down: Ql is empty, so every
 // state is hierarchical (Section 3.5).
+//
+//nwvet:oracle TestTopDownPathJNWA checks Lemma 3's path automaton with it
 func (j *JNWA) IsTopDown() bool {
 	for q := 0; q < j.num; q++ {
 		if !j.hier[q] {
@@ -179,9 +180,9 @@ func (j *JNWA) IsTopDown() bool {
 	return true
 }
 
-// IsFlatJoinless reports whether the automaton has only linear states
+// isFlatJoinless reports whether the automaton has only linear states
 // (Ql = Q), the joinless presentation of flat automata.
-func (j *JNWA) IsFlatJoinless() bool {
+func (j *JNWA) isFlatJoinless() bool {
 	for q := 0; q < j.num; q++ {
 		if j.hier[q] {
 			return false
@@ -190,7 +191,7 @@ func (j *JNWA) IsFlatJoinless() bool {
 	return true
 }
 
-// ToNNWA converts the joinless automaton to an equivalent general
+// toNNWA converts the joinless automaton to an equivalent general
 // nondeterministic NWA over the same state set, so that membership,
 // emptiness, and equivalence reuse the NNWA algorithms.  The joinless return
 // rules become ordinary return transitions:
@@ -203,9 +204,9 @@ func (j *JNWA) IsFlatJoinless() bool {
 //     the state qh on the hierarchical edge, so it becomes (qf, qh, a, q')
 //     for every qf ∈ Qh ∩ F and every joinless transition (qh, a, q') with
 //     qh ∈ Qh.
-func (j *JNWA) ToNNWA() *NNWA {
+func (j *JNWA) toNNWA() *NNWA {
 	n := NewNNWA(j.alpha, j.num)
-	n.AddStart(j.StartStates()...)
+	n.AddStart(j.startStates()...)
 	for q := range j.accept {
 		n.AddAccept(q)
 	}
@@ -219,7 +220,7 @@ func (j *JNWA) ToNNWA() *NNWA {
 			n.AddInternal(k.state, j.alpha.Symbol(k.sym), t)
 		}
 	}
-	starts := j.StartStates()
+	starts := j.startStates()
 	var acceptingHier []int
 	for q := 0; q < j.num; q++ {
 		if j.hier[q] && j.accept[q] {
@@ -248,7 +249,7 @@ func (j *JNWA) ToNNWA() *NNWA {
 }
 
 // Accepts reports whether the joinless automaton accepts the nested word.
-func (j *JNWA) Accepts(n *nestedword.NestedWord) bool { return j.ToNNWA().Accepts(n) }
+func (j *JNWA) Accepts(n *nestedword.NestedWord) bool { return j.toNNWA().Accepts(n) }
 
-// IsEmpty reports whether the automaton accepts no nested word.
-func (j *JNWA) IsEmpty() bool { return j.ToNNWA().IsEmpty() }
+// isEmpty reports whether the automaton accepts no nested word.
+func (j *JNWA) isEmpty() bool { return j.toNNWA().isEmpty() }

@@ -25,7 +25,8 @@ type NNWA struct {
 }
 
 // NewNNWA creates an empty nondeterministic NWA over the given alphabet with
-// numStates states.
+// numStates states.  The Add methods panic on a state outside
+// [0, numStates), as DNWABuilder's setters do.
 func NewNNWA(alpha *alphabet.Alphabet, numStates int) *NNWA {
 	return &NNWA{
 		alpha:   alpha,
@@ -44,8 +45,8 @@ func (n *NNWA) Alphabet() *alphabet.Alphabet { return n.alpha }
 // NumStates returns the number of states.
 func (n *NNWA) NumStates() int { return n.num }
 
-// AddState appends a fresh state and returns its index.
-func (n *NNWA) AddState() int {
+// addState appends a fresh state and returns its index.
+func (n *NNWA) addState() int {
 	q := n.num
 	n.num++
 	return q
@@ -53,6 +54,7 @@ func (n *NNWA) AddState() int {
 
 // AddStart marks states as initial.
 func (n *NNWA) AddStart(states ...int) *NNWA {
+	checkStates(n.num, states...)
 	for _, q := range states {
 		n.starts[q] = true
 	}
@@ -61,6 +63,7 @@ func (n *NNWA) AddStart(states ...int) *NNWA {
 
 // AddAccept marks states as final.
 func (n *NNWA) AddAccept(states ...int) *NNWA {
+	checkStates(n.num, states...)
 	for _, q := range states {
 		n.accept[q] = true
 	}
@@ -69,6 +72,7 @@ func (n *NNWA) AddAccept(states ...int) *NNWA {
 
 // AddCall adds the call transition (from, sym, linear, hier) to δc.
 func (n *NNWA) AddCall(from int, sym string, linear, hier int) *NNWA {
+	checkStates(n.num, from, linear, hier)
 	k := callKey{from, n.alpha.MustIndex(sym)}
 	n.callR[k] = appendCallTarget(n.callR[k], callTarget{linear, hier})
 	return n
@@ -76,6 +80,7 @@ func (n *NNWA) AddCall(from int, sym string, linear, hier int) *NNWA {
 
 // AddInternal adds the internal transition (from, sym, to) to δi.
 func (n *NNWA) AddInternal(from int, sym string, to int) *NNWA {
+	checkStates(n.num, from, to)
 	k := callKey{from, n.alpha.MustIndex(sym)}
 	n.internR[k] = appendInt(n.internR[k], to)
 	return n
@@ -83,6 +88,7 @@ func (n *NNWA) AddInternal(from int, sym string, to int) *NNWA {
 
 // AddReturn adds the return transition (lin, hier, sym, to) to δr.
 func (n *NNWA) AddReturn(lin, hier int, sym string, to int) *NNWA {
+	checkStates(n.num, lin, hier, to)
 	k := returnKey{lin, hier, n.alpha.MustIndex(sym)}
 	n.returnR[k] = appendInt(n.returnR[k], to)
 	return n
@@ -109,8 +115,8 @@ func appendInt(list []int, v int) []int {
 // StartStates returns the initial states, sorted.
 func (n *NNWA) StartStates() []int { return sortedStates(n.starts) }
 
-// AcceptingStates returns the final states, sorted.
-func (n *NNWA) AcceptingStates() []int { return sortedStates(n.accept) }
+// acceptingStates returns the final states, sorted.
+func (n *NNWA) acceptingStates() []int { return sortedStates(n.accept) }
 
 // IsAccepting reports whether q ∈ F.
 func (n *NNWA) IsAccepting(q int) bool { return n.accept[q] }

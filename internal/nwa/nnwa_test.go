@@ -157,7 +157,7 @@ func TestNNWASimulationAgainstNaive(t *testing.T) {
 
 func TestNNWAAddStateAndAccessors(t *testing.T) {
 	a := NewNNWA(testAlpha, 1)
-	q := a.AddState()
+	q := a.addState()
 	if q != 1 || a.NumStates() != 2 {
 		t.Errorf("AddState numbering broken")
 	}
@@ -165,7 +165,7 @@ func TestNNWAAddStateAndAccessors(t *testing.T) {
 	if got := a.StartStates(); len(got) != 1 || got[0] != 0 {
 		t.Errorf("StartStates = %v", got)
 	}
-	if got := a.AcceptingStates(); len(got) != 1 || got[0] != 1 {
+	if got := a.acceptingStates(); len(got) != 1 || got[0] != 1 {
 		t.Errorf("AcceptingStates = %v", got)
 	}
 	a.AddInternal(0, "a", 1)
@@ -182,10 +182,10 @@ func TestNNWAAddStateAndAccessors(t *testing.T) {
 
 func TestNNWAEmptinessAndWitness(t *testing.T) {
 	a := someCallSomeReturnMismatch()
-	if a.IsEmpty() {
+	if a.isEmpty() {
 		t.Fatalf("mismatch gadget is not empty")
 	}
-	w, ok := a.SomeWord()
+	w, ok := a.someWord()
 	if !ok || !a.Accepts(w) {
 		t.Errorf("SomeWord witness %v not accepted", w)
 	}
@@ -197,7 +197,7 @@ func TestNNWAEmptinessAndWitness(t *testing.T) {
 	empty.AddStart(0)
 	empty.AddAccept(1)
 	empty.AddInternal(0, "a", 0)
-	if !empty.IsEmpty() {
+	if !empty.isEmpty() {
 		t.Errorf("no path to the accepting state: language must be empty")
 	}
 
@@ -207,7 +207,7 @@ func TestNNWAEmptinessAndWitness(t *testing.T) {
 	branches.AddStart(0).AddAccept(1, 2, 3)
 	branches.AddInternal(0, "a", 1).AddInternal(0, "b", 2).AddInternal(0, "c", 3)
 	for i := 0; i < 200; i++ {
-		if w, _ := branches.SomeWord(); w.String() != "a" {
+		if w, _ := branches.someWord(); w.String() != "a" {
 			t.Fatalf("call %d: SomeWord = %v, want a", i, w)
 		}
 	}
@@ -220,7 +220,7 @@ func TestQuickEmptinessAgreesWithSampling(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a := randomNNWA(rng, 1+rng.Intn(4))
-		if w, ok := a.SomeWord(); ok {
+		if w, ok := a.someWord(); ok {
 			return a.Accepts(w)
 		}
 		for i := 0; i < 40; i++ {
@@ -266,7 +266,7 @@ func TestDeterminizeMismatchGadget(t *testing.T) {
 
 func TestComplementNNWA(t *testing.T) {
 	a := someCallSomeReturnMismatch()
-	c := a.Complement()
+	c := a.complement()
 	rng := rand.New(rand.NewSource(41))
 	for i := 0; i < 200; i++ {
 		n := randomNestedWord(rng, 10)
@@ -279,7 +279,7 @@ func TestComplementNNWA(t *testing.T) {
 func TestUnionN(t *testing.T) {
 	a := someCallSomeReturnMismatch()
 	b := evenAs().ToNondeterministic()
-	u := UnionN(a, b)
+	u := unionN(a, b)
 	rng := rand.New(rand.NewSource(43))
 	for i := 0; i < 200; i++ {
 		n := randomNestedWord(rng, 10)
@@ -296,5 +296,36 @@ func TestUnionNPanicsOnAlphabetMismatch(t *testing.T) {
 		}
 	}()
 	other := NewNNWA(alphabet.New("x"), 1)
-	UnionN(someCallSomeReturnMismatch(), other)
+	unionN(someCallSomeReturnMismatch(), other)
+}
+
+// TestNNWAAddPanicsOnBadState: every constructor rejects a state outside
+// [0, NumStates) with DNWABuilder's message, so NumStates counts every
+// state the relations name.
+func TestNNWAAddPanicsOnBadState(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		add  func(*NNWA)
+		want string
+	}{
+		{"AddStart", func(a *NNWA) { a.AddStart(0, 2) }, "nwa: state 2 out of range [0,2)"},
+		{"AddAccept", func(a *NNWA) { a.AddAccept(-1) }, "nwa: state -1 out of range [0,2)"},
+		{"AddCall from", func(a *NNWA) { a.AddCall(2, "a", 0, 0) }, "nwa: state 2 out of range [0,2)"},
+		{"AddCall linear", func(a *NNWA) { a.AddCall(0, "a", 3, 0) }, "nwa: state 3 out of range [0,2)"},
+		{"AddCall hier", func(a *NNWA) { a.AddCall(0, "a", 0, 4) }, "nwa: state 4 out of range [0,2)"},
+		{"AddInternal from", func(a *NNWA) { a.AddInternal(-2, "a", 0) }, "nwa: state -2 out of range [0,2)"},
+		{"AddInternal to", func(a *NNWA) { a.AddInternal(0, "a", 5) }, "nwa: state 5 out of range [0,2)"},
+		{"AddReturn lin", func(a *NNWA) { a.AddReturn(2, 0, "a", 0) }, "nwa: state 2 out of range [0,2)"},
+		{"AddReturn hier", func(a *NNWA) { a.AddReturn(0, 7, "a", 0) }, "nwa: state 7 out of range [0,2)"},
+		{"AddReturn to", func(a *NNWA) { a.AddReturn(0, 0, "a", 2) }, "nwa: state 2 out of range [0,2)"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if got := recover(); got != c.want {
+					t.Errorf("panic = %v, want %q", got, c.want)
+				}
+			}()
+			c.add(NewNNWA(testAlpha, 2))
+		})
+	}
 }

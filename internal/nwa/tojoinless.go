@@ -100,10 +100,10 @@ func (a *NNWA) ToJoinless() *JNWA {
 		sym := a.alpha.Symbol(k.sym)
 		for _, to := range targets {
 			// Linear copies simulate A directly.
-			j.AddInternal(lay.linear(k.state), sym, lay.linear(to))
+			j.addInternal(lay.linear(k.state), sym, lay.linear(to))
 			// Obligation copies carry the obligation along.
 			for want := 0; want < lay.s; want++ {
-				j.AddInternal(lay.obligation(k.state, want), sym, lay.obligation(to, want))
+				j.addInternal(lay.obligation(k.state, want), sym, lay.obligation(to, want))
 			}
 		}
 	}

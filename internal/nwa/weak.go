@@ -30,9 +30,11 @@ func (d *DNWA) IsWeak() bool {
 	return true
 }
 
-// ToWeak implements the construction of Theorem 1: given an NWA A it builds
-// a weak NWA B with s·(|Σ|+1) states (see the package note above) such that
-// L(B) = L(A).
+// ToWeak implements the construction of Theorem 1: given an NWA A with s
+// states it builds a weak NWA B with L(B) = L(A) and at most s·(|Σ|+1)
+// states (see the package note above).  A's dead state is a rejecting sink
+// whatever call-parent it is paired with, so every pair (dead, a) is B's
+// own dead state, and B has (s-1)·(|Σ|+1) + 1 states.
 func (d *DNWA) ToWeak() *DNWA {
 	sigma := d.alpha.Size()
 	// Symbol component: 0..sigma-1 are alphabet symbols (the call-parent's
@@ -40,9 +42,18 @@ func (d *DNWA) ToWeak() *DNWA {
 	// position 0.
 	top := sigma
 	comps := sigma + 1
-	enc := func(q, a int) int { return q*comps + a }
+	dead := (d.num - 1) * comps // the builder appends its dead state here
+	enc := func(q, a int) int {
+		switch {
+		case q == d.dead:
+			return dead
+		case q > d.dead:
+			q--
+		}
+		return q*comps + a
+	}
 
-	b := NewDNWABuilder(d.alpha, d.num*comps)
+	b := NewDNWABuilder(d.alpha, dead)
 	b.SetStart(enc(d.start, top))
 	for q := 0; q < d.num; q++ {
 		if d.accept[q] {
@@ -52,6 +63,9 @@ func (d *DNWA) ToWeak() *DNWA {
 		}
 	}
 	for q := 0; q < d.num; q++ {
+		if q == d.dead {
+			continue // the builder's dead state already absorbs
+		}
 		for a := 0; a <= sigma; a++ {
 			from := enc(q, a)
 			for s := 0; s < sigma; s++ {
@@ -75,9 +89,15 @@ func (d *DNWA) ToWeak() *DNWA {
 	// return is pending and A uses its initial state as the hierarchical
 	// state.
 	for q := 0; q < d.num; q++ {
+		if q == d.dead {
+			continue
+		}
 		for a := 0; a <= sigma; a++ {
 			lin := enc(q, a)
 			for qp := 0; qp < d.num; qp++ {
+				if qp == d.dead {
+					continue // a dead hierarchical state means a dead linear one
+				}
 				for bcomp := 0; bcomp <= sigma; bcomp++ {
 					hier := enc(qp, bcomp)
 					for c := 0; c < sigma; c++ {

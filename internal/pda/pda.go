@@ -66,14 +66,11 @@ func New(alpha *alphabet.Alphabet, numStates int) *PDA {
 	}
 }
 
-// Alphabet returns the input alphabet.
-func (p *PDA) Alphabet() *alphabet.Alphabet { return p.alpha }
-
 // NumStates returns the number of states.
 func (p *PDA) NumStates() int { return p.num }
 
-// AddState appends a fresh state and returns its index.
-func (p *PDA) AddState() int {
+// addState appends a fresh state and returns its index.
+func (p *PDA) addState() int {
 	q := p.num
 	p.num++
 	return q
@@ -152,11 +149,11 @@ func topStack(stack string) (gamma string, rest string, ok bool) {
 // are driven by the input, including every automaton constructed in this
 // repository).
 func (p *PDA) Accepts(word []string) bool {
-	return p.AcceptsWithin(word, len(word)+p.num+2)
+	return p.acceptsWithin(word, len(word)+p.num+2)
 }
 
-// AcceptsWithin is Accepts with an explicit bound on the stack height.
-func (p *PDA) AcceptsWithin(word []string, maxStack int) bool {
+// acceptsWithin is Accepts with an explicit bound on the stack height.
+func (p *PDA) acceptsWithin(word []string, maxStack int) bool {
 	syms := make([]int, len(word))
 	for i, w := range word {
 		s, ok := p.alpha.Index(w)
@@ -220,10 +217,10 @@ func stackHeight(stack string) int {
 	return h
 }
 
-// Summaries returns the stackless-summary relation R ⊆ Q×Q of Section 4.4:
+// summaries returns the stackless-summary relation R ⊆ Q×Q of Section 4.4:
 // R(q, q') holds when some word takes the automaton from (q, ε) to (q', ε)
 // without popping below the starting stack level.
-func (p *PDA) Summaries() map[[2]int]bool {
+func (p *PDA) summaries() map[[2]int]bool {
 	r := make(map[[2]int]bool)
 	var worklist [][2]int
 	add := func(q, q2 int) {
@@ -273,11 +270,11 @@ func (p *PDA) Summaries() map[[2]int]bool {
 	return r
 }
 
-// IsEmpty reports whether the automaton accepts no word: L(A) is non-empty
+// isEmpty reports whether the automaton accepts no word: L(A) is non-empty
 // iff R(q0, qf) holds for some initial q0 and some qf from which ⊥ can be
 // popped.
-func (p *PDA) IsEmpty() bool {
-	r := p.Summaries()
+func (p *PDA) isEmpty() bool {
+	r := p.summaries()
 	for q0 := range p.starts {
 		for qf := 0; qf < p.num; qf++ {
 			if !r[[2]int{q0, qf}] {

@@ -101,7 +101,7 @@ func TestEqualCountsPDA(t *testing.T) {
 }
 
 func TestEmptiness(t *testing.T) {
-	if anbn().IsEmpty() {
+	if anbn().isEmpty() {
 		t.Errorf("a^n b^n is not empty")
 	}
 	// An automaton that can never empty its stack.
@@ -109,7 +109,7 @@ func TestEmptiness(t *testing.T) {
 	p.AddStart(0)
 	p.AddRead(0, "a", 1)
 	p.AddPush(1, 0, "X")
-	if !p.IsEmpty() {
+	if !p.isEmpty() {
 		t.Errorf("no pop transitions: the language must be empty")
 	}
 	// Reachability matters: the ⊥-popping state is unreachable.
@@ -117,7 +117,7 @@ func TestEmptiness(t *testing.T) {
 	q.AddStart(0)
 	q.AddRead(0, "a", 0)
 	q.AddPopBottom(2, 2)
-	if !q.IsEmpty() {
+	if !q.isEmpty() {
 		t.Errorf("the pop-⊥ state is unreachable, so the language must be empty")
 	}
 	// And non-emptiness via a push-pop round trip.
@@ -127,14 +127,14 @@ func TestEmptiness(t *testing.T) {
 	r.AddRead(1, "a", 2)
 	r.AddPop(2, "X", 3)
 	r.AddPopBottom(3, 3)
-	if r.IsEmpty() {
+	if r.isEmpty() {
 		t.Errorf("the word \"a\" is accepted, so the language is not empty")
 	}
 }
 
 func TestSummariesBasic(t *testing.T) {
 	p := anbn()
-	r := p.Summaries()
+	r := p.summaries()
 	// Reflexivity.
 	for q := 0; q < p.NumStates(); q++ {
 		if !r[[2]int{q, q}] {
@@ -150,7 +150,7 @@ func TestSummariesBasic(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	p := anbn()
-	if p.Alphabet() != ab || p.NumStates() != 5 {
+	if p.NumStates() != 5 {
 		t.Errorf("accessors broken")
 	}
 	if got := p.StartStates(); len(got) != 1 || got[0] != 0 {
@@ -165,7 +165,7 @@ func TestAccessors(t *testing.T) {
 	if len(p.Pushes()) != 1 || len(p.Pops()) != 3 {
 		t.Errorf("Pushes/Pops accessors broken: %v %v", p.Pushes(), p.Pops())
 	}
-	q := p.AddState()
+	q := p.addState()
 	if q != 5 || p.NumStates() != 6 {
 		t.Errorf("AddState broken")
 	}

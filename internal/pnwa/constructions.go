@@ -12,7 +12,7 @@ import (
 // AddPopBottom adds the ε-transition (from, ⊥ → to): popping the bottom
 // symbol is how runs reach an empty stack.
 func (p *PNWA) AddPopBottom(from, to int) *PNWA {
-	p.pop[popKey{from, Bottom}] = append(p.pop[popKey{from, Bottom}], to)
+	p.pop[popKey{from, bottom}] = append(p.pop[popKey{from, bottom}], to)
 	return p
 }
 
@@ -97,8 +97,8 @@ func EqualCounts() *PNWA {
 	return p
 }
 
-// EqualCountsPredicate is the reference semantics of EqualCounts.
-func EqualCountsPredicate(n *nestedword.NestedWord) bool {
+// equalCountsPredicate is the reference semantics of EqualCounts.
+func equalCountsPredicate(n *nestedword.NestedWord) bool {
 	a, b := 0, 0
 	for i := 0; i < n.Len(); i++ {
 		switch n.SymbolAt(i) {
@@ -157,7 +157,7 @@ func NewCNFMembershipInstance(f *sat.Formula) *CNFMembershipInstance {
 	p := New(alpha, total)
 	for c := 0; c < s; c++ {
 		for j := 0; j <= v; j++ {
-			p.MarkHierarchical(check(c, j), satTrack(c, j), read(c, j))
+			p.markHierarchical(check(c, j), satTrack(c, j), read(c, j))
 		}
 	}
 	p.AddStart(guess(0))
@@ -212,7 +212,7 @@ func NewCNFMembershipInstance(f *sat.Formula) *CNFMembershipInstance {
 	p.AddPopBottom(spine(s), done)
 	p.AddPopBottom(drain, done)
 
-	return &CNFMembershipInstance{Formula: f, Automaton: p, Word: CNFWord(v, s)}
+	return &CNFMembershipInstance{Formula: f, Automaton: p, Word: cNFWord(v, s)}
 }
 
 func bitSymbol(variable int, value bool) string {
@@ -231,8 +231,8 @@ func clauseHasLiteral(c sat.Clause, variable int, value bool) bool {
 	return false
 }
 
-// CNFWord builds the nested word (⟨a a^v a⟩)^s of the Theorem 10 reduction.
-func CNFWord(v, s int) *nestedword.NestedWord {
+// cNFWord builds the nested word (⟨a a^v a⟩)^s of the Theorem 10 reduction.
+func cNFWord(v, s int) *nestedword.NestedWord {
 	var ps []nestedword.Position
 	for c := 0; c < s; c++ {
 		ps = append(ps, nestedword.Position{Symbol: "a", Kind: nestedword.Call})
@@ -250,5 +250,5 @@ func CNFWord(v, s int) *nestedword.NestedWord {
 // (Theorem 10).
 func (inst *CNFMembershipInstance) Satisfiable() bool {
 	// The stack never grows beyond the ⊥ + one bit per variable.
-	return inst.Automaton.AcceptsWithin(inst.Word, inst.Formula.NumVars+2)
+	return inst.Automaton.acceptsWithin(inst.Word, inst.Formula.NumVars+2)
 }

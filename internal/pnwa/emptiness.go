@@ -232,7 +232,7 @@ func snapshot(r map[string]summary) []summary {
 func (p *PNWA) IsEmpty() bool {
 	r := p.saturate()
 	popBottom := make(map[int]bool)
-	for _, q := range p.PoppableBottom() {
+	for _, q := range p.poppableBottom() {
 		popBottom[q] = true
 	}
 	for _, s := range r {

@@ -46,15 +46,15 @@ func stackHeight(stack string) int {
 // Accepts reports whether the automaton accepts the nested word, using a
 // stack-height bound of len(word) + number of stack symbols + 4.
 func (p *PNWA) Accepts(n *nestedword.NestedWord) bool {
-	return p.AcceptsWithin(n, n.Len()+len(p.gamma)+4)
+	return p.acceptsWithin(n, n.Len()+len(p.gamma)+4)
 }
 
-// AcceptsWithin is Accepts with an explicit bound on the stack height
+// acceptsWithin is Accepts with an explicit bound on the stack height
 // explored during the search.
-func (p *PNWA) AcceptsWithin(n *nestedword.NestedWord, maxStack int) bool {
+func (p *PNWA) acceptsWithin(n *nestedword.NestedWord, maxStack int) bool {
 	m := &matcher{p: p, n: n, maxStack: maxStack, memo: make(map[segKey]map[config]bool)}
-	for _, q0 := range p.StartStates() {
-		start := config{state: q0, stack: pushStack("", Bottom)}
+	for _, q0 := range p.startStates() {
+		start := config{state: q0, stack: pushStack("", bottom)}
 		for end := range m.segment(0, n.Len(), start) {
 			for final := range m.epsClosure(end) {
 				if final.stack == "" {
@@ -182,8 +182,8 @@ func (m *matcher) segment(lo, hi int, cfg config) map[config]bool {
 			sym := m.n.SymbolAt(pos)
 			for c := range current {
 				for cc := range m.epsClosure(c) {
-					for _, q0 := range m.p.StartStates() {
-						def := config{state: q0, stack: pushStack("", Bottom)}
+					for _, q0 := range m.p.startStates() {
+						def := config{state: q0, stack: pushStack("", bottom)}
 						m.applyReturn(cc, def, sym, next)
 					}
 				}

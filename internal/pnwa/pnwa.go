@@ -28,7 +28,7 @@ import (
 )
 
 // Bottom is the reserved bottom-of-stack symbol ⊥.
-const Bottom = "⊥"
+const bottom = "⊥"
 
 type callKey struct {
 	state int
@@ -84,37 +84,34 @@ func New(alpha *alphabet.Alphabet, numStates int) *PNWA {
 	}
 }
 
-// Alphabet returns the input alphabet.
-func (p *PNWA) Alphabet() *alphabet.Alphabet { return p.alpha }
-
 // NumStates returns the number of states.
 func (p *PNWA) NumStates() int { return p.num }
 
-// AddState appends a fresh linear state.
-func (p *PNWA) AddState() int {
+// addState appends a fresh linear state.
+func (p *PNWA) addState() int {
 	q := p.num
 	p.num++
 	p.hier = append(p.hier, false)
 	return q
 }
 
-// AddHierarchicalState appends a fresh hierarchical state.
-func (p *PNWA) AddHierarchicalState() int {
-	q := p.AddState()
+// addHierarchicalState appends a fresh hierarchical state.
+func (p *PNWA) addHierarchicalState() int {
+	q := p.addState()
 	p.hier[q] = true
 	return q
 }
 
-// MarkHierarchical moves states into Qh.
-func (p *PNWA) MarkHierarchical(states ...int) *PNWA {
+// markHierarchical moves states into Qh.
+func (p *PNWA) markHierarchical(states ...int) *PNWA {
 	for _, q := range states {
 		p.hier[q] = true
 	}
 	return p
 }
 
-// IsHierarchical reports whether q ∈ Qh.
-func (p *PNWA) IsHierarchical(q int) bool { return p.hier[q] }
+// isHierarchical reports whether q ∈ Qh.
+func (p *PNWA) isHierarchical(q int) bool { return p.hier[q] }
 
 // AddStart marks states as initial.
 func (p *PNWA) AddStart(states ...int) *PNWA {
@@ -124,8 +121,8 @@ func (p *PNWA) AddStart(states ...int) *PNWA {
 	return p
 }
 
-// StartStates returns the initial states, sorted.
-func (p *PNWA) StartStates() []int {
+// startStates returns the initial states, sorted.
+func (p *PNWA) startStates() []int {
 	out := make([]int, 0, len(p.starts))
 	for q := range p.starts {
 		out = append(out, q)
@@ -170,7 +167,7 @@ func (p *PNWA) AddReturn(from int, sym string, to int) *PNWA {
 // AddPush adds the ε-transition (from → to, push gamma); pushing ⊥ is not
 // allowed.
 func (p *PNWA) AddPush(from, to int, gamma string) *PNWA {
-	if gamma == Bottom {
+	if gamma == bottom {
 		panic("pnwa: pushing the bottom symbol is not allowed")
 	}
 	p.gamma[gamma] = true
@@ -185,12 +182,12 @@ func (p *PNWA) AddPop(from int, gamma string, to int) *PNWA {
 	return p
 }
 
-// PoppableBottom returns the set F of states from which ⊥ can be popped,
+// poppableBottom returns the set F of states from which ⊥ can be popped,
 // used by the emptiness check of Section 4.4.
-func (p *PNWA) PoppableBottom() []int {
+func (p *PNWA) poppableBottom() []int {
 	var out []int
 	for q := 0; q < p.num; q++ {
-		if len(p.pop[popKey{q, Bottom}]) > 0 {
+		if len(p.pop[popKey{q, bottom}]) > 0 {
 			out = append(out, q)
 		}
 	}

@@ -52,7 +52,7 @@ func TestEqualCountsAgainstPredicate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 200; i++ {
 		n := randomNested(rng, 12)
-		if got, want := p.Accepts(n), EqualCountsPredicate(n); got != want {
+		if got, want := p.Accepts(n), equalCountsPredicate(n); got != want {
 			t.Fatalf("Accepts(%v) = %v, want %v", n, got, want)
 		}
 	}
@@ -70,7 +70,7 @@ func TestEqualCountsIsNotEmpty(t *testing.T) {
 
 func TestTypedConstructionPanics(t *testing.T) {
 	p := New(ab, 2)
-	p.MarkHierarchical(0)
+	p.markHierarchical(0)
 	defer func() {
 		if recover() == nil {
 			t.Errorf("a call from a hierarchical state to a linear state should panic")
@@ -81,20 +81,20 @@ func TestTypedConstructionPanics(t *testing.T) {
 
 func TestStateHelpers(t *testing.T) {
 	p := New(ab, 0)
-	lin := p.AddState()
-	hier := p.AddHierarchicalState()
-	if p.IsHierarchical(lin) || !p.IsHierarchical(hier) {
+	lin := p.addState()
+	hier := p.addHierarchicalState()
+	if p.isHierarchical(lin) || !p.isHierarchical(hier) {
 		t.Errorf("state kinds broken")
 	}
 	p.AddStart(lin)
-	if got := p.StartStates(); len(got) != 1 || got[0] != lin {
+	if got := p.startStates(); len(got) != 1 || got[0] != lin {
 		t.Errorf("StartStates = %v", got)
 	}
-	if p.Alphabet() != ab || p.NumStates() != 2 {
+	if p.NumStates() != 2 {
 		t.Errorf("accessors broken")
 	}
 	p.AddPopBottom(lin, lin)
-	if got := p.PoppableBottom(); len(got) != 1 || got[0] != lin {
+	if got := p.poppableBottom(); len(got) != 1 || got[0] != lin {
 		t.Errorf("PoppableBottom = %v", got)
 	}
 }
@@ -105,7 +105,7 @@ func TestPushBottomPanics(t *testing.T) {
 			t.Errorf("pushing ⊥ should panic")
 		}
 	}()
-	New(ab, 1).AddPush(0, 0, Bottom)
+	New(ab, 1).AddPush(0, 0, bottom)
 }
 
 // dyckPDA accepts the tagged words of well-matched nested words over {a}
@@ -198,7 +198,7 @@ func TestCNFReductionKnownInstances(t *testing.T) {
 }
 
 func TestCNFWordShape(t *testing.T) {
-	w := CNFWord(3, 2)
+	w := cNFWord(3, 2)
 	if w.Len() != 2*(3+2) {
 		t.Fatalf("word length = %d, want 10", w.Len())
 	}
@@ -206,7 +206,7 @@ func TestCNFWordShape(t *testing.T) {
 		t.Errorf("the reduction word is a sequence of flat blocks")
 	}
 	inst := NewCNFMembershipInstance(sat.New(3, sat.Clause{1}, sat.Clause{-2}))
-	if !inst.Word.Equal(CNFWord(3, 2)) {
+	if !inst.Word.Equal(cNFWord(3, 2)) {
 		t.Errorf("instance word should match CNFWord(v, s)")
 	}
 }
@@ -221,12 +221,12 @@ func TestCNFReductionWordRejectedWhenMalformed(t *testing.T) {
 	if !inst.Satisfiable() {
 		t.Fatalf("the instance is satisfiable")
 	}
-	extraBlock := CNFWord(f.NumVars, f.NumClauses()+1)
-	if inst.Automaton.AcceptsWithin(extraBlock, f.NumVars+2) {
+	extraBlock := cNFWord(f.NumVars, f.NumClauses()+1)
+	if inst.Automaton.acceptsWithin(extraBlock, f.NumVars+2) {
 		t.Errorf("a word with an extra block should not be accepted")
 	}
-	wideBlocks := CNFWord(f.NumVars+1, f.NumClauses())
-	if inst.Automaton.AcceptsWithin(wideBlocks, f.NumVars+3) {
+	wideBlocks := cNFWord(f.NumVars+1, f.NumClauses())
+	if inst.Automaton.acceptsWithin(wideBlocks, f.NumVars+3) {
 		t.Errorf("a word with over-wide blocks should not be accepted")
 	}
 }

@@ -26,7 +26,7 @@ import (
 )
 
 // Bottom is the reserved bottom-of-stack symbol ⊥.
-const Bottom = "⊥"
+const bottom = "⊥"
 
 type popKey struct {
 	state int
@@ -68,11 +68,8 @@ func New(alpha *alphabet.Alphabet, numStates int) *PTA {
 	}
 }
 
-// Alphabet returns the automaton's alphabet.
-func (p *PTA) Alphabet() *alphabet.Alphabet { return p.alpha }
-
-// NumStates returns the number of states.
-func (p *PTA) NumStates() int { return p.num }
+// numStates returns the number of states.
+func (p *PTA) numStates() int { return p.num }
 
 // AddStart marks states as initial.
 func (p *PTA) AddStart(states ...int) *PTA {
@@ -97,9 +94,9 @@ func (p *PTA) AddUnary(q int, sym string, child int) *PTA {
 	return p
 }
 
-// AddBinary adds the transition (q, sym → left, right) for nodes with two
+// addBinary adds the transition (q, sym → left, right) for nodes with two
 // children.
-func (p *PTA) AddBinary(q int, sym string, left, right int) *PTA {
+func (p *PTA) addBinary(q int, sym string, left, right int) *PTA {
 	k := [2]int{q, p.alpha.MustIndex(sym)}
 	p.binary[k] = append(p.binary[k], [2]int{left, right})
 	return p
@@ -107,7 +104,7 @@ func (p *PTA) AddBinary(q int, sym string, left, right int) *PTA {
 
 // AddPush adds the ε-transition (from → to, push gamma).
 func (p *PTA) AddPush(from, to int, gamma string) *PTA {
-	if gamma == Bottom {
+	if gamma == bottom {
 		panic("pta: pushing the bottom symbol is not allowed")
 	}
 	p.push[from] = append(p.push[from], pushTarget{state: to, gamma: gamma})
@@ -122,7 +119,7 @@ func (p *PTA) AddPop(from int, gamma string, to int) *PTA {
 
 // AddPopBottom adds the ε-transition (from, ⊥ → to).
 func (p *PTA) AddPopBottom(from, to int) *PTA {
-	p.pop[popKey{from, Bottom}] = append(p.pop[popKey{from, Bottom}], to)
+	p.pop[popKey{from, bottom}] = append(p.pop[popKey{from, bottom}], to)
 	return p
 }
 
@@ -162,14 +159,14 @@ func (p *PTA) Accepts(t *tree.Tree) bool {
 	if t == nil {
 		return false
 	}
-	return p.AcceptsWithin(t, t.Size()+2)
+	return p.acceptsWithin(t, t.Size()+2)
 }
 
-// AcceptsWithin is Accepts with an explicit bound on the stack height.
-func (p *PTA) AcceptsWithin(t *tree.Tree, maxStack int) bool {
+// acceptsWithin is Accepts with an explicit bound on the stack height.
+func (p *PTA) acceptsWithin(t *tree.Tree, maxStack int) bool {
 	m := &matcher{p: p, maxStack: maxStack, memo: make(map[string]bool)}
 	for q := range p.starts {
-		if m.node(t, config{state: q, stack: pushStack("", Bottom)}) {
+		if m.node(t, config{state: q, stack: pushStack("", bottom)}) {
 			return true
 		}
 	}
@@ -404,13 +401,13 @@ func snapshot(r map[string]summary) []summary {
 	return out
 }
 
-// IsEmpty reports whether the automaton accepts no tree: the language is
+// isEmpty reports whether the automaton accepts no tree: the language is
 // non-empty iff R(q0, U) holds for an initial q0 and a set U of states from
 // which ⊥ can be popped.
-func (p *PTA) IsEmpty() bool {
+func (p *PTA) isEmpty() bool {
 	popBottom := make(map[int]bool)
 	for q := 0; q < p.num; q++ {
-		if len(p.pop[popKey{q, Bottom}]) > 0 {
+		if len(p.pop[popKey{q, bottom}]) > 0 {
 			popBottom[q] = true
 		}
 	}
@@ -432,6 +429,6 @@ func (p *PTA) IsEmpty() bool {
 	return true
 }
 
-// SummaryCount returns the number of summaries computed by the emptiness
+// summaryCount returns the number of summaries computed by the emptiness
 // saturation.
-func (p *PTA) SummaryCount() int { return len(p.saturate()) }
+func (p *PTA) summaryCount() int { return len(p.saturate()) }

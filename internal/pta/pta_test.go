@@ -81,7 +81,7 @@ func TestBinaryForkCopiesStack(t *testing.T) {
 	)
 	p.AddStart(root)
 	p.AddPush(root, pushed, "X")
-	p.AddBinary(pushed, "r", child, child)
+	p.addBinary(pushed, "r", child, child)
 	p.AddPop(child, "X", leafEnd)
 	p.AddLeaf(leafEnd, "l", leafEnd)
 	p.AddPopBottom(leafEnd, leafEnd)
@@ -99,10 +99,10 @@ func TestBinaryForkCopiesStack(t *testing.T) {
 
 func TestEmptinessPTA(t *testing.T) {
 	p := stemCounter()
-	if p.IsEmpty() {
+	if p.isEmpty() {
 		t.Errorf("the stem-counter language is not empty")
 	}
-	if p.SummaryCount() == 0 {
+	if p.summaryCount() == 0 {
 		t.Errorf("saturation should derive summaries")
 	}
 	// An automaton whose only leaf transition leaves a non-poppable stack.
@@ -110,19 +110,19 @@ func TestEmptinessPTA(t *testing.T) {
 	q.AddStart(0)
 	q.AddPush(0, 1, "X")
 	q.AddLeaf(1, "e", 2)
-	if !q.IsEmpty() {
+	if !q.isEmpty() {
 		t.Errorf("no pop transitions: every leaf keeps X and ⊥, so the language is empty")
 	}
 	q.AddPop(2, "X", 2)
 	q.AddPopBottom(2, 2)
-	if q.IsEmpty() {
+	if q.isEmpty() {
 		t.Errorf("after adding pops the single-leaf tree e is accepted")
 	}
 }
 
 func TestAccessorsAndPanics(t *testing.T) {
 	p := stemCounter()
-	if p.Alphabet() != cde || p.NumStates() != 5 {
+	if p.numStates() != 5 {
 		t.Errorf("accessors broken")
 	}
 	defer func() {
@@ -130,5 +130,5 @@ func TestAccessorsAndPanics(t *testing.T) {
 			t.Errorf("pushing ⊥ should panic")
 		}
 	}()
-	p.AddPush(0, 0, Bottom)
+	p.AddPush(0, 0, bottom)
 }

@@ -203,15 +203,15 @@ func filled(n int, v int32) []int32 {
 // Alphabet returns the alphabet the compiled symbol IDs refer to.
 func (c *Compiled) Alphabet() *alphabet.Alphabet { return c.alpha }
 
-// NumStates returns the number of states, including the dead state.
-func (c *Compiled) NumStates() int { return c.num }
+// numStates returns the number of states, including the dead state.
+func (c *Compiled) numStates() int { return c.num }
 
-// OutOfAlphabet returns the dedicated symbol ID assigned to labels outside
+// outOfAlphabet returns the dedicated symbol ID assigned to labels outside
 // the alphabet; it equals Alphabet().Size().
-func (c *Compiled) OutOfAlphabet() int { return c.syms - 1 }
+func (c *Compiled) outOfAlphabet() int { return c.syms - 1 }
 
-// SymID interns a label: its alphabet index, or the out-of-alphabet ID.
-func (c *Compiled) SymID(label string) int {
+// symID interns a label: its alphabet index, or the out-of-alphabet ID.
+func (c *Compiled) symID(label string) int {
 	if i, ok := c.alpha.Index(label); ok {
 		return i
 	}
@@ -272,14 +272,6 @@ func (s *rowSet) id(row []int32) int32 {
 // NewRunner returns a fresh deterministic runner.
 func (c *Compiled) NewRunner() Runner {
 	return &dnwaRunner{c: c, state: c.start}
-}
-
-// Accepts runs the compiled automaton over a nested word, interning each
-// symbol on the fly.  It is the batch counterpart of NewRunner and agrees
-// with the source DNWA's Accepts on every word.
-func (c *Compiled) Accepts(n *nestedword.NestedWord) bool {
-	r := c.NewRunner()
-	return RunWord(r, c.alpha, n)
 }
 
 // dnwaRunner is the compiled deterministic runner: a linear state plus one

@@ -65,11 +65,11 @@ func TestCompiledDNWADifferential(t *testing.T) {
 	}
 	for qi, d := range queries {
 		c := Compile(d)
-		copied, err := DecodeQuery(c.Marshal(), false)
+		copied, err := DecodeQuery(c.marshal(), false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mapped, err := DecodeQuery(c.Marshal(), true)
+		mapped, err := DecodeQuery(c.marshal(), true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,15 +192,15 @@ func TestRunnerOutOfAlphabet(t *testing.T) {
 	alpha := generator.AB
 	d := WellFormed(alpha)
 	c := Compile(d)
-	if c.OutOfAlphabet() != alpha.Size() {
-		t.Fatalf("OutOfAlphabet() = %d, want %d", c.OutOfAlphabet(), alpha.Size())
+	if c.outOfAlphabet() != alpha.Size() {
+		t.Fatalf("OutOfAlphabet() = %d, want %d", c.outOfAlphabet(), alpha.Size())
 	}
-	if c.SymID("zzz") != c.OutOfAlphabet() {
+	if c.symID("zzz") != c.outOfAlphabet() {
 		t.Fatalf("SymID of an unknown label should be the out-of-alphabet ID")
 	}
 	r := c.NewRunner()
 	r.Reset()
-	r.StepInternal(c.OutOfAlphabet())
+	r.StepInternal(c.outOfAlphabet())
 	if r.Accepting() {
 		t.Fatal("deterministic runner should be dead after an out-of-alphabet event")
 	}

@@ -76,7 +76,7 @@ func Describe(b *Bundle) BundleDesc {
 	for i := 0; i < b.Len(); i++ {
 		q := QueryDesc{Name: b.Name(i), Kind: "dnwa"}
 		if c := b.queries[i]; c != nil {
-			q.States = c.NumStates()
+			q.States = c.numStates()
 		} else {
 			q.Kind, q.Group = "product-member", groupOf[i]
 		}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/docstream"
 	"repro/internal/nestedword"
 	"repro/internal/nwa"
+	"repro/internal/query"
 )
 
 // TestParseString pins the canonical spelling and its re-parse stability.
@@ -314,7 +315,7 @@ func TestCompileAgainstOracle(t *testing.T) {
 			t.Fatalf("compile(%q): %v", qs, err)
 		}
 		for i, d := range docs {
-			got := q.Accepts(d)
+			got := query.RunWord(q.NewRunner(), alpha, d)
 			want := oracle(e, d)
 			if got != want {
 				t.Errorf("query %q doc %d %q: compiled=%v oracle=%v", qs, i, docstream.Render(d), got, want)

@@ -108,7 +108,7 @@ func legacyEncodeProduct(p *CompiledProduct, sparse, includeAlpha bool, groupIdx
 	w.SetVersion(version)
 	w.Uint64s(secMeta, []uint64{uint64(p.nq), 0})
 	if includeAlpha {
-		w.Strings(secAlphabet, p.Alphabet().Symbols())
+		w.Strings(secAlphabet, p.alphabet().Symbols())
 	}
 	if groupIdx != nil {
 		w.Int32s(secGroupIdx, groupIdx)

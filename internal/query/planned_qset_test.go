@@ -35,7 +35,7 @@ func checkProductAgreement(t *testing.T, label string, p *CompiledProduct, membe
 	t.Helper()
 	rng := rand.New(rand.NewSource(321))
 	words, _ := randomWords(rng, trials, []string{"a", "b", "zz"})
-	alpha := p.Alphabet()
+	alpha := p.alphabet()
 	r := p.NewProductRunner()
 	for wi, w := range words {
 		RunWord(r, alpha, w)
@@ -69,8 +69,8 @@ func TestProductMarshalRoundTrip(t *testing.T) {
 				dec.nq, dec.NumStates(), dec.inner.hiers,
 				p.nq, p.NumStates(), p.inner.hiers)
 		}
-		if !dec.Alphabet().Equal(p.Alphabet()) {
-			t.Fatalf("decoded alphabet %v", dec.Alphabet())
+		if !dec.alphabet().Equal(p.alphabet()) {
+			t.Fatalf("decoded alphabet %v", dec.alphabet())
 		}
 		if again := dec.Marshal(); !bytes.Equal(again, data) {
 			t.Fatal("decode→re-encode changed the bytes")
@@ -90,7 +90,7 @@ func TestProductJointModeRejected(t *testing.T) {
 	}
 	w := format.NewWriter(format.KindProduct)
 	w.Uint64s(secMeta, []uint64{uint64(p.nq), 1})
-	w.Strings(secAlphabet, p.Alphabet().Symbols())
+	w.Strings(secAlphabet, p.alphabet().Symbols())
 	w.Uint64s(secAcceptMask, p.mask)
 	w.Bytes(secQuery, p.inner.encode(false, format.Version1))
 	if _, err := unmarshalProduct(w.Finish()); err == nil || !strings.Contains(err.Error(), "mode 1") {

@@ -79,8 +79,8 @@ type CompiledProduct struct {
 	maskW int
 }
 
-// Alphabet returns the shared alphabet the cluster was compiled over.
-func (p *CompiledProduct) Alphabet() *alphabet.Alphabet { return p.inner.alpha }
+// alphabet returns the shared alphabet the cluster was compiled over.
+func (p *CompiledProduct) alphabet() *alphabet.Alphabet { return p.inner.alpha }
 
 // NumStates returns the number of reachable member-state tuples, the
 // product's state count.

@@ -124,9 +124,9 @@ func boolBytes(v []bool) []byte {
 	return b
 }
 
-// Marshal serializes the compiled automaton, alphabet included, into a
+// marshal serializes the compiled automaton, alphabet included, into a
 // standalone, hashed KindDNWA container (format.VersionHashed).
-func (c *Compiled) Marshal() []byte { return c.encode(true, format.VersionHashed) }
+func (c *Compiled) marshal() []byte { return c.encode(true, format.VersionHashed) }
 
 func (c *Compiled) encode(includeAlpha bool, version uint32) []byte {
 	w := format.NewWriter(format.KindDNWA)
@@ -395,6 +395,8 @@ func readQuery(r *format.Reader, alpha *alphabet.Alphabet, zeroCopy bool) (*Comp
 // Marshal serializes the product cluster, alphabet included, into a
 // standalone KindProduct container: meta ({query count, mode 0}), the accept
 // bitmask slab, and the product automaton as an embedded KindDNWA blob.
+//
+//nwvet:oracle TestProductBytesPinned pins the bytes it writes
 func (p *CompiledProduct) Marshal() []byte {
 	return p.encode(true, nil, format.VersionHashed)
 }
@@ -404,7 +406,7 @@ func (p *CompiledProduct) encode(includeAlpha bool, groupIdx []int32, version ui
 	w.SetVersion(version)
 	w.Uint64s(secMeta, []uint64{uint64(p.nq), 0})
 	if includeAlpha {
-		w.Strings(secAlphabet, p.Alphabet().Symbols())
+		w.Strings(secAlphabet, p.alphabet().Symbols())
 	}
 	if groupIdx != nil {
 		w.Int32s(secGroupIdx, groupIdx)
@@ -650,9 +652,9 @@ func NewPlannedBundle(src *Bundle, clusters [][]int, products []*CompiledProduct
 			return nil, fmt.Errorf("query: cluster %d holds %d queries, product answers %d",
 				gi, len(cluster), p.nq)
 		}
-		if !b.alpha.Equal(p.Alphabet()) {
+		if !b.alpha.Equal(p.alphabet()) {
 			return nil, fmt.Errorf("query: cluster %d product uses alphabet %v, bundle is over %v",
-				gi, p.Alphabet(), b.alpha)
+				gi, p.alphabet(), b.alpha)
 		}
 		g := ProductGroup{Indices: make([]int32, len(cluster)), Product: p}
 		for j, idx := range cluster {

@@ -35,9 +35,9 @@ func FuzzUnmarshalCompiled(f *testing.F) {
 	seeds := [][]byte{
 		// Marshal emits VersionHashed containers; the explicit Version1
 		// encodes keep the unhashed decode path in the corpus too.
-		Compile(PathQuery(alpha, "a", "b")).Marshal(),
+		Compile(PathQuery(alpha, "a", "b")).marshal(),
 		Compile(PathQuery(alpha, "a", "b")).encode(true, 1),
-		Compile(WellFormed(alpha)).Marshal(),
+		Compile(WellFormed(alpha)).marshal(),
 		{},
 		[]byte("NWQ1"),
 	}
@@ -52,7 +52,7 @@ func FuzzUnmarshalCompiled(f *testing.F) {
 	// A product automaton whose return table is compacted to H < num, so
 	// the sixth meta value is fuzzed too.
 	compact := goldenPlannedBundle(f).Groups()[0].Product.inner
-	seeds = append(seeds, compact.Marshal(), compact.encode(true, 1))
+	seeds = append(seeds, compact.marshal(), compact.encode(true, 1))
 	// The committed factored fixtures, and the legacy-layout and NNWA
 	// rejection fixtures and legacy dense and sparse tables, which the
 	// decoder must refuse.
@@ -79,7 +79,7 @@ func FuzzUnmarshalCompiled(f *testing.F) {
 		}
 		if c, err := DecodeQuery(data, false); err == nil {
 			exerciseDecoded(c)
-			if _, err := DecodeQuery(c.Marshal(), false); err != nil {
+			if _, err := DecodeQuery(c.marshal(), false); err != nil {
 				t.Fatalf("decoded query failed to round-trip: %v", err)
 			}
 		}

@@ -106,19 +106,19 @@ func TestMarshalRoundTripCompiled(t *testing.T) {
 		LinearOrder(alpha, "a", "b", "a"),
 	} {
 		c := Compile(d)
-		data := c.Marshal()
+		data := c.marshal()
 		dec, err := DecodeQuery(data, false)
 		if err != nil {
 			t.Fatalf("DecodeQuery: %v", err)
 		}
-		if dec.NumStates() != c.NumStates() || dec.hiers != c.hiers || !slices.Equal(dec.rowID, c.rowID) || !slices.Equal(dec.rows, c.rows) {
+		if dec.numStates() != c.numStates() || dec.hiers != c.hiers || !slices.Equal(dec.rowID, c.rowID) || !slices.Equal(dec.rows, c.rows) {
 			t.Fatalf("decoded %d states, H=%d and %d rows, want %d, %d and %d",
-				dec.NumStates(), dec.hiers, len(dec.rows)/dec.syms, c.NumStates(), c.hiers, len(c.rows)/c.syms)
+				dec.numStates(), dec.hiers, len(dec.rows)/dec.syms, c.numStates(), c.hiers, len(c.rows)/c.syms)
 		}
 		if !dec.Alphabet().Equal(alpha) {
 			t.Fatalf("decoded alphabet %v, want %v", dec.Alphabet(), alpha)
 		}
-		if again := dec.Marshal(); !bytes.Equal(again, data) {
+		if again := dec.marshal(); !bytes.Equal(again, data) {
 			t.Fatalf("decode→re-encode changed the bytes: %d vs %d", len(again), len(data))
 		}
 		checkQueryAgreement(t, "copied", c, dec, 200)
@@ -142,7 +142,7 @@ func TestMarshalIgnoresSourceVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(dec.Marshal(), c.Marshal()) {
+	if !bytes.Equal(dec.marshal(), c.marshal()) {
 		t.Error("DNWA decoded from version 1 marshals differently from the compiled one")
 	}
 
@@ -274,7 +274,7 @@ func TestOpenBundle(t *testing.T) {
 // panic), and a valid prefix must never silently decode.
 func TestUnmarshalErrors(t *testing.T) {
 	c := Compile(PathQuery(goldenAlphabet(), "a", "b"))
-	data := c.Marshal()
+	data := c.marshal()
 	for i := 0; i < len(data); i += 7 {
 		if _, err := DecodeQuery(data[:i], false); err == nil {
 			t.Fatalf("truncation to %d bytes decoded successfully", i)
@@ -351,7 +351,7 @@ func TestGoldenFixtures(t *testing.T) {
 		{file: "golden_planned.nwq", verify: rejectBundle},
 		{
 			file:  "golden_dnwa_factored.nwq",
-			build: func() []byte { return Compile(PathQuery(goldenAlphabet(), "a", "b")).Marshal() },
+			build: func() []byte { return Compile(PathQuery(goldenAlphabet(), "a", "b")).marshal() },
 			verify: func(t *testing.T, data []byte) {
 				dec, err := DecodeQuery(data, false)
 				if err != nil {
@@ -360,7 +360,7 @@ func TestGoldenFixtures(t *testing.T) {
 				if dec.hiers >= dec.num {
 					t.Fatalf("golden factored DNWA decoded with H=%d of %d states", dec.hiers, dec.num)
 				}
-				if again := dec.Marshal(); !bytes.Equal(again, data) {
+				if again := dec.marshal(); !bytes.Equal(again, data) {
 					t.Fatal("golden factored DNWA re-encodes differently")
 				}
 				checkQueryAgreement(t, "golden factored dnwa", Compile(PathQuery(goldenAlphabet(), "a", "b")), dec, 200)

@@ -175,10 +175,10 @@ func TestCompactedReturnTableTamper(t *testing.T) {
 		{"call pushes state H", func(c *Compiled) *Compiled { c.callHier[c.syms] = int32(c.hiers); return c }},
 	} {
 		c := tc.mutate(fresh())
-		if _, err := DecodeQuery(c.Marshal(), false); err == nil {
+		if _, err := DecodeQuery(c.marshal(), false); err == nil {
 			t.Errorf("%s: decoder accepted the container", tc.name)
 		}
-		if rep, err := VetBytes(c.Marshal()); err == nil {
+		if rep, err := VetBytes(c.marshal()); err == nil {
 			t.Errorf("%s: VetBytes accepted the container:\n%s", tc.name, rep)
 		}
 	}
@@ -186,12 +186,12 @@ func TestCompactedReturnTableTamper(t *testing.T) {
 	// The pristine compacted automaton round-trips, and its semantic view
 	// has no return edge from a hierarchical state ≥ H.
 	c := fresh()
-	data := c.Marshal()
+	data := c.marshal()
 	dec, err := DecodeQuery(data, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.hiers != c.hiers || !bytes.Equal(dec.Marshal(), data) {
+	if dec.hiers != c.hiers || !bytes.Equal(dec.marshal(), data) {
 		t.Fatalf("compacted DNWA round trip: H=%d, want %d, or bytes changed", dec.hiers, c.hiers)
 	}
 	g := dnwaGraph{c}
@@ -244,7 +244,7 @@ func TestFactoredReturnTableTamper(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := tc.build()
 			tc.mutate(c)
-			data := c.Marshal()
+			data := c.marshal()
 			if _, err := DecodeQuery(data, false); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("decoder: got %v, want an error naming %q", err, tc.want)
 			}

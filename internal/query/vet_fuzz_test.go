@@ -21,10 +21,10 @@ func FuzzBundleVet(f *testing.F) {
 	seeds := [][]byte{
 		// Marshal emits VersionHashed containers; the explicit Version1
 		// encodes keep the unhashed-container vet path in the corpus.
-		Compile(PathQuery(alpha, "a", "b")).Marshal(),
+		Compile(PathQuery(alpha, "a", "b")).marshal(),
 		Compile(PathQuery(alpha, "a", "b")).encode(true, 1),
-		Compile(WellFormed(alpha)).Marshal(),
-		Compile(unreachableDNWA()).Marshal(),
+		Compile(WellFormed(alpha)).marshal(),
+		Compile(unreachableDNWA()).marshal(),
 		{},
 		[]byte("NWQ1"),
 	}

@@ -54,9 +54,9 @@ func New(numVars int, clauses ...Clause) *Formula {
 // NumClauses returns the number of clauses.
 func (f *Formula) NumClauses() int { return len(f.Clauses) }
 
-// Eval evaluates the formula under a complete assignment (assignment[i] is
+// eval evaluates the formula under a complete assignment (assignment[i] is
 // the value of variable i+1).
-func (f *Formula) Eval(assignment []bool) bool {
+func (f *Formula) eval(assignment []bool) bool {
 	for _, c := range f.Clauses {
 		ok := false
 		for _, l := range c {
@@ -90,9 +90,9 @@ func (f *Formula) String() string {
 	return strings.Join(parts, "∧")
 }
 
-// Solve decides satisfiability with DPLL (unit propagation + splitting) and
+// solve decides satisfiability with DPLL (unit propagation + splitting) and
 // returns a satisfying assignment when one exists.
-func (f *Formula) Solve() ([]bool, bool) {
+func (f *Formula) solve() ([]bool, bool) {
 	assignment := make([]int8, f.NumVars) // 0 unassigned, 1 true, -1 false
 	if !dpll(f, assignment) {
 		return nil, false
@@ -106,7 +106,7 @@ func (f *Formula) Solve() ([]bool, bool) {
 
 // Satisfiable reports whether the formula has a satisfying assignment.
 func (f *Formula) Satisfiable() bool {
-	_, ok := f.Solve()
+	_, ok := f.solve()
 	return ok
 }
 
@@ -160,7 +160,7 @@ func dpll(f *Formula, assignment []int8) bool {
 		for i, v := range assignment {
 			full[i] = v > 0
 		}
-		return f.Eval(full)
+		return f.eval(full)
 	}
 	for _, try := range []int8{1, -1} {
 		next := make([]int8, len(assignment))

@@ -17,10 +17,10 @@ func TestLiteralHelpers(t *testing.T) {
 
 func TestEvalAndString(t *testing.T) {
 	f := New(2, Clause{1, -2}, Clause{2})
-	if !f.Eval([]bool{true, true}) {
+	if !f.eval([]bool{true, true}) {
 		t.Errorf("x1=1,x2=1 should satisfy (x1∨¬x2)∧(x2)")
 	}
-	if f.Eval([]bool{false, false}) {
+	if f.eval([]bool{false, false}) {
 		t.Errorf("x1=0,x2=0 should falsify the second clause")
 	}
 	if f.NumClauses() != 2 {
@@ -42,11 +42,11 @@ func TestNewPanicsOnBadLiteral(t *testing.T) {
 
 func TestSolveSimpleSat(t *testing.T) {
 	f := New(3, Clause{1, 2}, Clause{-1, 3}, Clause{-2, -3})
-	model, ok := f.Solve()
+	model, ok := f.solve()
 	if !ok {
 		t.Fatalf("formula is satisfiable")
 	}
-	if !f.Eval(model) {
+	if !f.eval(model) {
 		t.Errorf("returned model %v does not satisfy the formula", model)
 	}
 	if !f.Satisfiable() {
@@ -90,11 +90,11 @@ func TestQuickSolveModelSatisfies(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		formula := Random3CNF(rng, 2+rng.Intn(6), 1+rng.Intn(10))
-		model, ok := formula.Solve()
+		model, ok := formula.solve()
 		if !ok {
 			return !bruteForce(formula)
 		}
-		return formula.Eval(model)
+		return formula.eval(model)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
@@ -134,7 +134,7 @@ func bruteForce(f *Formula) bool {
 		for i := 0; i < n; i++ {
 			assignment[i] = mask&(1<<i) != 0
 		}
-		if f.Eval(assignment) {
+		if f.eval(assignment) {
 			return true
 		}
 	}

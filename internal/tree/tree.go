@@ -44,11 +44,11 @@ func New(label string, children ...*Tree) *Tree {
 // Leaf builds the single-node tree a().
 func Leaf(label string) *Tree { return New(label) }
 
-// IsEmpty reports whether t is the empty tree ε.
-func (t *Tree) IsEmpty() bool { return t == nil }
+// isEmpty reports whether t is the empty tree ε.
+func (t *Tree) isEmpty() bool { return t == nil }
 
-// IsLeaf reports whether t is a non-empty tree with no children.
-func (t *Tree) IsLeaf() bool { return t != nil && len(t.Children) == 0 }
+// isLeaf reports whether t is a non-empty tree with no children.
+func (t *Tree) isLeaf() bool { return t != nil && len(t.Children) == 0 }
 
 // Size returns the number of nodes.
 func (t *Tree) Size() int {
@@ -62,30 +62,30 @@ func (t *Tree) Size() int {
 	return n
 }
 
-// Height returns the height of the tree: 0 for the empty tree, 1 for a leaf.
-func (t *Tree) Height() int {
+// height returns the height of the tree: 0 for the empty tree, 1 for a leaf.
+func (t *Tree) height() int {
 	if t == nil {
 		return 0
 	}
 	best := 0
 	for _, c := range t.Children {
-		if h := c.Height(); h > best {
+		if h := c.height(); h > best {
 			best = h
 		}
 	}
 	return best + 1
 }
 
-// Arity returns the maximum number of children of any node (0 for the empty
-// tree).  A tree with Arity ≤ 2 is a binary tree, Arity ≤ 1 a unary tree
+// arity returns the maximum number of children of any node (0 for the empty
+// tree).  A tree with arity ≤ 2 is a binary tree, arity ≤ 1 a unary tree
 // (a path).
-func (t *Tree) Arity() int {
+func (t *Tree) arity() int {
 	if t == nil {
 		return 0
 	}
 	best := len(t.Children)
 	for _, c := range t.Children {
-		if a := c.Arity(); a > best {
+		if a := c.arity(); a > best {
 			best = a
 		}
 	}
@@ -108,14 +108,14 @@ func (t *Tree) Equal(u *Tree) bool {
 	return true
 }
 
-// Clone returns a deep copy of the tree.
-func (t *Tree) Clone() *Tree {
+// clone returns a deep copy of the tree.
+func (t *Tree) clone() *Tree {
 	if t == nil {
 		return nil
 	}
 	children := make([]*Tree, len(t.Children))
 	for i, c := range t.Children {
-		children[i] = c.Clone()
+		children[i] = c.clone()
 	}
 	return &Tree{Label: t.Label, Children: children}
 }
@@ -143,8 +143,8 @@ func (t *Tree) writeTerm(b *strings.Builder) {
 	b.WriteByte(')')
 }
 
-// Labels returns the set of labels occurring in the tree, sorted.
-func (t *Tree) Labels() []string {
+// labels returns the set of labels occurring in the tree, sorted.
+func (t *Tree) labels() []string {
 	seen := map[string]bool{}
 	var out []string
 	var walk func(*Tree)
@@ -184,9 +184,9 @@ func (t *Tree) CountLabel(sym string) int {
 	return n
 }
 
-// PreOrder returns the node labels in depth-first left-to-right (document)
+// preOrder returns the node labels in depth-first left-to-right (document)
 // order.
-func (t *Tree) PreOrder() []string {
+func (t *Tree) preOrder() []string {
 	var out []string
 	var walk func(*Tree)
 	walk = func(u *Tree) {
@@ -202,8 +202,8 @@ func (t *Tree) PreOrder() []string {
 	return out
 }
 
-// PostOrder returns the node labels in bottom-up left-to-right order.
-func (t *Tree) PostOrder() []string {
+// postOrder returns the node labels in bottom-up left-to-right order.
+func (t *Tree) postOrder() []string {
 	var out []string
 	var walk func(*Tree)
 	walk = func(u *Tree) {
@@ -219,10 +219,10 @@ func (t *Tree) PostOrder() []string {
 	return out
 }
 
-// Path builds the unary tree (path) a1(a2(...(aℓ())...)) so that
-// ToNestedWord(Path(w)) = nestedword.Path(w) — the path encoding of
-// Section 2.2.  Path() is the empty tree.
-func Path(symbols ...string) *Tree {
+// path builds the unary tree (path) a1(a2(...(aℓ())...)) so that
+// ToNestedWord(path(w)) = nestedword.Path(w) — the path encoding of
+// Section 2.2.  path() is the empty tree.
+func path(symbols ...string) *Tree {
 	var t *Tree
 	for i := len(symbols) - 1; i >= 0; i-- {
 		if t == nil {
@@ -279,15 +279,6 @@ func ParseTerm(s string) (*Tree, error) {
 		return nil, fmt.Errorf("tree: trailing input at offset %d in %q", p.pos, p.input)
 	}
 	return t, nil
-}
-
-// MustParseTerm is ParseTerm that panics on error.
-func MustParseTerm(s string) *Tree {
-	t, err := ParseTerm(s)
-	if err != nil {
-		panic(err)
-	}
-	return t
 }
 
 type termParser struct {
@@ -363,9 +354,9 @@ func ToNestedWord(t *Tree) *nestedword.NestedWord {
 	return nestedword.New(ps...)
 }
 
-// ForestToNestedWord encodes a forest (sequence of trees) as the
+// forestToNestedWord encodes a forest (sequence of trees) as the
 // concatenation of their tree words — the hedge-word encoding.
-func ForestToNestedWord(forest ...*Tree) *nestedword.NestedWord {
+func forestToNestedWord(forest ...*Tree) *nestedword.NestedWord {
 	words := make([]*nestedword.NestedWord, 0, len(forest))
 	for _, t := range forest {
 		words = append(words, ToNestedWord(t))
@@ -391,9 +382,9 @@ func FromNestedWord(n *nestedword.NestedWord) (*Tree, error) {
 	return t, nil
 }
 
-// FromNestedWordForest decodes a hedge word (concatenation of tree words)
+// fromNestedWordForest decodes a hedge word (concatenation of tree words)
 // into the forest it represents.
-func FromNestedWordForest(n *nestedword.NestedWord) ([]*Tree, error) {
+func fromNestedWordForest(n *nestedword.NestedWord) ([]*Tree, error) {
 	if !n.IsHedgeWord() {
 		return nil, fmt.Errorf("tree: nested word %v is not a hedge word", n)
 	}

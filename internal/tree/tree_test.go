@@ -14,14 +14,14 @@ func figure1Tree() *Tree { return New("a", Leaf("a"), Leaf("b")) }
 
 func TestBasicsEmptyAndLeaf(t *testing.T) {
 	var empty *Tree
-	if !empty.IsEmpty() || empty.Size() != 0 || empty.Height() != 0 || empty.Arity() != 0 {
+	if !empty.isEmpty() || empty.Size() != 0 || empty.height() != 0 || empty.arity() != 0 {
 		t.Errorf("empty tree invariants broken")
 	}
 	if empty.String() != "ε" {
 		t.Errorf("empty tree String = %q", empty.String())
 	}
 	l := Leaf("a")
-	if l.IsEmpty() || !l.IsLeaf() || l.Size() != 1 || l.Height() != 1 {
+	if l.isEmpty() || !l.isLeaf() || l.Size() != 1 || l.height() != 1 {
 		t.Errorf("leaf invariants broken")
 	}
 }
@@ -38,8 +38,8 @@ func TestFigure1Tree(t *testing.T) {
 	if tr.String() != "a(a(),b())" {
 		t.Errorf("String = %q, want a(a(),b())", tr.String())
 	}
-	if tr.Size() != 3 || tr.Height() != 2 || tr.Arity() != 2 {
-		t.Errorf("size/height/arity = %d/%d/%d, want 3/2/2", tr.Size(), tr.Height(), tr.Arity())
+	if tr.Size() != 3 || tr.height() != 2 || tr.arity() != 2 {
+		t.Errorf("size/height/arity = %d/%d/%d, want 3/2/2", tr.Size(), tr.height(), tr.arity())
 	}
 	nw := ToNestedWord(tr)
 	want := nestedword.MustParse("<a <a a> <b b> a>")
@@ -54,7 +54,7 @@ func TestEncodingRoundTrip(t *testing.T) {
 		Leaf("a"),
 		figure1Tree(),
 		New("a", New("b", Leaf("c"), Leaf("d")), Leaf("e"), New("f", Leaf("g"))),
-		Path("a", "b", "c", "d"),
+		path("a", "b", "c", "d"),
 		FullBinary("x", 4),
 	}
 	for _, tr := range trees {
@@ -79,11 +79,11 @@ func TestFromNestedWordRejectsNonTreeWords(t *testing.T) {
 
 func TestForestEncoding(t *testing.T) {
 	forest := []*Tree{Leaf("a"), figure1Tree(), Leaf("b")}
-	nw := ForestToNestedWord(forest...)
+	nw := forestToNestedWord(forest...)
 	if !nw.IsHedgeWord() {
 		t.Fatalf("forest encoding should be a hedge word: %v", nw)
 	}
-	back, err := FromNestedWordForest(nw)
+	back, err := fromNestedWordForest(nw)
 	if err != nil {
 		t.Fatalf("FromNestedWordForest: %v", err)
 	}
@@ -95,7 +95,7 @@ func TestForestEncoding(t *testing.T) {
 			t.Errorf("forest tree %d differs: %v vs %v", i, forest[i], back[i])
 		}
 	}
-	if _, err := FromNestedWordForest(nestedword.MustParse("a")); err == nil {
+	if _, err := fromNestedWordForest(nestedword.MustParse("a")); err == nil {
 		t.Errorf("non-hedge word should be rejected")
 	}
 }
@@ -103,25 +103,25 @@ func TestForestEncoding(t *testing.T) {
 func TestPathEncodingAgreement(t *testing.T) {
 	// ToNestedWord(Path(w)) must agree with nestedword.Path(w) (Section 2.2).
 	w := []string{"a", "b", "a", "c"}
-	if got, want := ToNestedWord(Path(w...)), nestedword.Path(w...); !got.Equal(want) {
+	if got, want := ToNestedWord(path(w...)), nestedword.Path(w...); !got.Equal(want) {
 		t.Errorf("path encodings disagree: %v vs %v", got, want)
 	}
-	if Path() != nil {
+	if path() != nil {
 		t.Errorf("Path() should be the empty tree")
 	}
 }
 
 func TestFullBinaryAndStem(t *testing.T) {
 	fb := FullBinary("b", 3)
-	if fb.Size() != 7 || fb.Height() != 3 {
-		t.Errorf("FullBinary(3): size=%d height=%d, want 7,3", fb.Size(), fb.Height())
+	if fb.Size() != 7 || fb.height() != 3 {
+		t.Errorf("FullBinary(3): size=%d height=%d, want 7,3", fb.Size(), fb.height())
 	}
 	if FullBinary("b", 0) != nil {
 		t.Errorf("FullBinary(0) should be empty")
 	}
 	st := Stem("a", 4, Leaf("z"))
-	if st.Size() != 5 || st.Height() != 5 || !st.IsUnary() {
-		t.Errorf("Stem: size=%d height=%d unary=%v", st.Size(), st.Height(), st.IsUnary())
+	if st.Size() != 5 || st.height() != 5 || !st.isUnary() {
+		t.Errorf("Stem: size=%d height=%d unary=%v", st.Size(), st.height(), st.isUnary())
 	}
 	if Stem("a", 3, nil).Size() != 3 {
 		t.Errorf("Stem with nil subtree should be a bare path")
@@ -177,17 +177,17 @@ func TestParseTermStringRoundTrip(t *testing.T) {
 
 func TestPreAndPostOrder(t *testing.T) {
 	tr := New("a", New("b", Leaf("c")), Leaf("d"))
-	if got, want := tr.PreOrder(), []string{"a", "b", "c", "d"}; !reflect.DeepEqual(got, want) {
+	if got, want := tr.preOrder(), []string{"a", "b", "c", "d"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("PreOrder = %v, want %v", got, want)
 	}
-	if got, want := tr.PostOrder(), []string{"c", "b", "d", "a"}; !reflect.DeepEqual(got, want) {
+	if got, want := tr.postOrder(), []string{"c", "b", "d", "a"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("PostOrder = %v, want %v", got, want)
 	}
 }
 
 func TestLabelsAndCount(t *testing.T) {
 	tr := New("a", Leaf("b"), New("a", Leaf("c")))
-	if got, want := tr.Labels(), []string{"a", "b", "c"}; !reflect.DeepEqual(got, want) {
+	if got, want := tr.labels(), []string{"a", "b", "c"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Labels = %v, want %v", got, want)
 	}
 	if tr.CountLabel("a") != 2 || tr.CountLabel("z") != 0 {
@@ -197,13 +197,13 @@ func TestLabelsAndCount(t *testing.T) {
 
 func TestCloneIndependence(t *testing.T) {
 	tr := figure1Tree()
-	cl := tr.Clone()
+	cl := tr.clone()
 	cl.Children[0].Label = "mutated"
 	if tr.Children[0].Label != "a" {
 		t.Errorf("Clone must deep-copy")
 	}
 	var empty *Tree
-	if empty.Clone() != nil {
+	if empty.clone() != nil {
 		t.Errorf("Clone of empty tree should be nil")
 	}
 }
@@ -216,29 +216,29 @@ func TestInsertBelowMatchesNestedWordInsert(t *testing.T) {
 	// labels only one node.
 	host := New("r", Leaf("x"), Leaf("y"))
 	ins := Leaf("z")
-	got := InsertBelow(host, "x", ins)
+	got := insertBelow(host, "x", ins)
 	want := New("r", New("x", Leaf("z")), Leaf("y"))
 	if !got.Equal(want) {
 		t.Errorf("InsertBelow = %v, want %v", got, want)
 	}
-	if InsertBelow(nil, "x", ins) != nil {
+	if insertBelow(nil, "x", ins) != nil {
 		t.Errorf("InsertBelow on empty tree should be empty")
 	}
 }
 
 func TestDeleteAndSubstituteLabelled(t *testing.T) {
 	host := New("a", New("b", Leaf("c")), Leaf("d"))
-	if got, want := DeleteLabelled(host, "b"), New("a", Leaf("d")); !got.Equal(want) {
+	if got, want := deleteLabelled(host, "b"), New("a", Leaf("d")); !got.Equal(want) {
 		t.Errorf("DeleteLabelled = %v, want %v", got, want)
 	}
-	if DeleteLabelled(host, "a") != nil {
+	if deleteLabelled(host, "a") != nil {
 		t.Errorf("deleting the root should yield the empty tree")
 	}
 	repl := Leaf("z")
-	if got, want := SubstituteLabelled(host, "b", repl), New("a", Leaf("z"), Leaf("d")); !got.Equal(want) {
+	if got, want := substituteLabelled(host, "b", repl), New("a", Leaf("z"), Leaf("d")); !got.Equal(want) {
 		t.Errorf("SubstituteLabelled = %v, want %v", got, want)
 	}
-	if got := SubstituteLabelled(host, "a", repl); !got.Equal(repl) {
+	if got := substituteLabelled(host, "a", repl); !got.Equal(repl) {
 		t.Errorf("substituting the root should yield the replacement")
 	}
 }
@@ -247,16 +247,16 @@ func TestFirstChildNextSiblingRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 100; i++ {
 		tr := randomTree(rng, 3, 3)
-		enc := FirstChildNextSibling(tr)
-		if enc.Size() != tr.Size() {
-			t.Errorf("FCNS must preserve node count: %d vs %d", enc.Size(), tr.Size())
+		enc := firstChildNextSibling(tr)
+		if enc.size() != tr.Size() {
+			t.Errorf("FCNS must preserve node count: %d vs %d", enc.size(), tr.Size())
 		}
-		back := FromFirstChildNextSibling(enc)
+		back := fromFirstChildNextSibling(enc)
 		if !tr.Equal(back) {
 			t.Errorf("FCNS round trip failed for %v: got %v", tr, back)
 		}
 	}
-	if FirstChildNextSibling(nil) != nil {
+	if firstChildNextSibling(nil) != nil {
 		t.Errorf("FCNS of empty tree should be nil")
 	}
 }
@@ -264,24 +264,24 @@ func TestFirstChildNextSiblingRoundTrip(t *testing.T) {
 func TestFCNSForest(t *testing.T) {
 	forest := []*Tree{Leaf("a"), New("b", Leaf("c"))}
 	enc := fcnsForest(forest)
-	back := FromFCNSForest(enc)
+	back := fromFCNSForest(enc)
 	if len(back) != 2 || !back[0].Equal(forest[0]) || !back[1].Equal(forest[1]) {
 		t.Errorf("FCNS forest round trip failed: %v", back)
 	}
-	if enc.Height() < 1 || enc.Equal(nil) {
+	if enc.height() < 1 || enc.equal(nil) {
 		t.Errorf("binary helpers broken")
 	}
 }
 
 func TestBinaryAndUnaryPredicates(t *testing.T) {
-	if !FullBinary("a", 3).IsBinary() {
+	if !FullBinary("a", 3).isBinary() {
 		t.Errorf("full binary tree should be binary")
 	}
 	wide := New("a", Leaf("b"), Leaf("c"), Leaf("d"))
-	if wide.IsBinary() {
+	if wide.isBinary() {
 		t.Errorf("3-ary node is not binary")
 	}
-	if !Path("a", "b").IsUnary() || wide.IsUnary() {
+	if !path("a", "b").isUnary() || wide.isUnary() {
 		t.Errorf("unary predicate broken")
 	}
 }
@@ -325,7 +325,7 @@ func TestQuickEncodingSizeAndDepth(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		tr := randomTree(rng, 4, 3)
 		nw := ToNestedWord(tr)
-		return nw.Len() == 2*tr.Size() && nw.Depth() == tr.Height()
+		return nw.Len() == 2*tr.Size() && nw.Depth() == tr.height()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -336,7 +336,7 @@ func TestQuickFCNSBijection(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tr := randomTree(rng, 4, 3)
-		return tr.Equal(FromFirstChildNextSibling(FirstChildNextSibling(tr)))
+		return tr.Equal(fromFirstChildNextSibling(firstChildNextSibling(tr)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -5,10 +5,9 @@
 //     (Brüggemann-Klein/Murata/Wood, Martens/Niehren), which over tree words
 //     are exactly weak bottom-up NWAs whose return transitions ignore the
 //     return symbol (Lemma 1);
-//   - classical bottom-up tree automata for binary trees;
-//   - top-down tree automata for binary trees and for paths (unary trees),
-//     which over tree words correspond to top-down NWAs (Lemma 2) and, over
-//     paths, to word automata reading the path label sequence (Lemma 3).
+//   - top-down tree automata for paths (unary trees), which over tree
+//     words correspond to top-down NWAs (Lemma 2) and to word automata
+//     reading the path label sequence (Lemma 3).
 package treeauto
 
 import (
@@ -85,18 +84,15 @@ func (b *StepwiseBuilder) Accept(states ...int) *StepwiseBuilder {
 // Build returns the completed automaton.
 func (b *StepwiseBuilder) Build() *Stepwise { return b.a }
 
-// Alphabet returns the automaton's alphabet.
-func (s *Stepwise) Alphabet() *alphabet.Alphabet { return s.alpha }
+// numStates returns the number of states including the dead state.
+func (s *Stepwise) numStates() int { return s.num }
 
-// NumStates returns the number of states including the dead state.
-func (s *Stepwise) NumStates() int { return s.num }
+// isAccepting reports whether q is final.
+func (s *Stepwise) isAccepting(q int) bool { return q >= 0 && q < s.num && s.accept[q] }
 
-// IsAccepting reports whether q is final.
-func (s *Stepwise) IsAccepting(q int) bool { return q >= 0 && q < s.num && s.accept[q] }
-
-// Eval returns the state assigned to the root of the tree, or ok=false for
+// eval returns the state assigned to the root of the tree, or ok=false for
 // the empty tree or labels outside the alphabet.
-func (s *Stepwise) Eval(t *tree.Tree) (int, bool) {
+func (s *Stepwise) eval(t *tree.Tree) (int, bool) {
 	if t == nil {
 		return 0, false
 	}
@@ -106,7 +102,7 @@ func (s *Stepwise) Eval(t *tree.Tree) (int, bool) {
 	}
 	q := s.initState[si]
 	for _, c := range t.Children {
-		cq, ok := s.Eval(c)
+		cq, ok := s.eval(c)
 		if !ok {
 			return s.dead, true
 		}
@@ -117,7 +113,7 @@ func (s *Stepwise) Eval(t *tree.Tree) (int, bool) {
 
 // Accepts reports whether the automaton accepts the (non-empty) tree.
 func (s *Stepwise) Accepts(t *tree.Tree) bool {
-	q, ok := s.Eval(t)
+	q, ok := s.eval(t)
 	return ok && s.accept[q]
 }
 

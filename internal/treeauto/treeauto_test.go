@@ -53,25 +53,25 @@ func TestStepwiseEvenA(t *testing.T) {
 		{"b(b(b))", true},
 	}
 	for _, c := range cases {
-		tr := tree.MustParseTerm(c.term)
+		tr, err := tree.ParseTerm(c.term)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if got := s.Accepts(tr); got != c.want {
 			t.Errorf("Accepts(%s) = %v, want %v", c.term, got, c.want)
 		}
 	}
-	if _, ok := s.Eval(nil); ok {
+	if _, ok := s.eval(nil); ok {
 		t.Errorf("Eval of the empty tree should report ok=false")
 	}
 	if s.Accepts(tree.Leaf("z")) {
 		t.Errorf("labels outside the alphabet should be rejected")
 	}
-	if s.NumStates() != 3 {
-		t.Errorf("NumStates = %d, want 3 (2 + dead)", s.NumStates())
+	if s.numStates() != 3 {
+		t.Errorf("NumStates = %d, want 3 (2 + dead)", s.numStates())
 	}
-	if !s.IsAccepting(0) || s.IsAccepting(1) {
+	if !s.isAccepting(0) || s.isAccepting(1) {
 		t.Errorf("IsAccepting broken")
-	}
-	if s.Alphabet() != ab {
-		t.Errorf("Alphabet accessor broken")
 	}
 }
 
@@ -111,135 +111,6 @@ func TestStepwiseToBottomUpNWARejectsNonTreeStructure(t *testing.T) {
 	// internal transitions and must reject them.
 	if a.Accepts(nestedword.MustParse("a b")) {
 		t.Errorf("the embedding should reject words with internal positions")
-	}
-}
-
-func TestBottomUpBinary(t *testing.T) {
-	// Accept binary trees (both children possibly absent) whose leaves are
-	// all a-labelled.  States: 0 = "all leaves a so far".
-	b := NewBottomUpBinaryBuilder(ab, 1)
-	e := b.Empty()
-	b.Leaf("a", 0)
-	b.Transition(0, 0, "a", 0).Transition(0, 0, "b", 0)
-	b.Transition(0, e, "a", 0).Transition(0, e, "b", 0)
-	b.Transition(e, 0, "a", 0).Transition(e, 0, "b", 0)
-	b.Accept(0)
-	auto := b.Build()
-
-	allALeaves := func(t *tree.BinaryNode) bool {
-		var walk func(*tree.BinaryNode) bool
-		walk = func(u *tree.BinaryNode) bool {
-			if u == nil {
-				return true
-			}
-			if u.Left == nil && u.Right == nil {
-				return u.Label == "a"
-			}
-			return walk(u.Left) && walk(u.Right)
-		}
-		return walk(t)
-	}
-
-	rng := rand.New(rand.NewSource(13))
-	for i := 0; i < 300; i++ {
-		tr := tree.FirstChildNextSibling(randomTree(rng, 4, 2))
-		if got, want := auto.Accepts(tr), allALeaves(tr); got != want {
-			t.Fatalf("Accepts disagrees with the predicate on %v", tr)
-		}
-	}
-	if auto.Eval(nil) != auto.EmptyState() {
-		t.Errorf("the empty tree evaluates to the empty state")
-	}
-	if auto.Accepts(&tree.BinaryNode{Label: "z"}) {
-		t.Errorf("labels outside the alphabet must be rejected")
-	}
-	if auto.NumStates() != 3 {
-		t.Errorf("NumStates = %d, want 3", auto.NumStates())
-	}
-	// AcceptsUnranked goes through the first-child/next-sibling encoding.
-	if !auto.AcceptsUnranked(tree.MustParseTerm("a(a,a)")) {
-		t.Errorf("AcceptsUnranked should accept a tree with only a-leaves")
-	}
-}
-
-func TestTopDownBinary(t *testing.T) {
-	// Accept full binary trees of even height with all nodes labelled b:
-	// simpler — accept binary trees in which every path from the root to a
-	// leaf has the same label sequence "b...b" and leaves are b-labelled.
-	a := NewTopDownBinary(ab, 1)
-	a.AddStart(0)
-	a.AddTransition(0, "b", 0, 0)
-	a.AddLeaf(0, "b")
-	a.AllowEmpty(0)
-
-	onlyB := func(t *tree.BinaryNode) bool {
-		var walk func(*tree.BinaryNode) bool
-		walk = func(u *tree.BinaryNode) bool {
-			if u == nil {
-				return true
-			}
-			return u.Label == "b" && walk(u.Left) && walk(u.Right)
-		}
-		return walk(t)
-	}
-
-	rng := rand.New(rand.NewSource(17))
-	for i := 0; i < 300; i++ {
-		tr := tree.FirstChildNextSibling(randomTree(rng, 4, 2))
-		if got, want := a.Accepts(tr), onlyB(tr); got != want {
-			t.Fatalf("Accepts disagrees with the predicate on %v: %v vs %v", tr, got, want)
-		}
-	}
-	if !a.IsDeterministic() {
-		t.Errorf("this automaton is deterministic")
-	}
-	a.AddTransition(0, "b", 0, 0)
-	a.AddTransition(0, "a", 0, 0)
-	if a.NumStates() != 1 {
-		t.Errorf("NumStates broken")
-	}
-	if a.Accepts(&tree.BinaryNode{Label: "z"}) {
-		t.Errorf("labels outside the alphabet must be rejected")
-	}
-}
-
-func TestTopDownBinaryNondeterministic(t *testing.T) {
-	// "Some leaf is labelled a": nondeterministically guess the path to it.
-	a := NewTopDownBinary(ab, 2)
-	a.AddStart(0)
-	for _, sym := range []string{"a", "b"} {
-		// State 0 = still searching on this branch; state 1 = don't care.
-		a.AddTransition(0, sym, 0, 1)
-		a.AddTransition(0, sym, 1, 0)
-		a.AddTransition(1, sym, 1, 1)
-		a.AddLeaf(1, sym)
-	}
-	a.AddLeaf(0, "a")
-	a.AllowEmpty(1)
-
-	someALeaf := func(t *tree.BinaryNode) bool {
-		var walk func(*tree.BinaryNode) bool
-		walk = func(u *tree.BinaryNode) bool {
-			if u == nil {
-				return false
-			}
-			if u.Left == nil && u.Right == nil {
-				return u.Label == "a"
-			}
-			return walk(u.Left) || walk(u.Right)
-		}
-		return walk(t)
-	}
-
-	if a.IsDeterministic() {
-		t.Errorf("the gadget is nondeterministic")
-	}
-	rng := rand.New(rand.NewSource(19))
-	for i := 0; i < 300; i++ {
-		tr := tree.FirstChildNextSibling(randomTree(rng, 4, 2))
-		if got, want := a.Accepts(tr), someALeaf(tr); got != want {
-			t.Fatalf("Accepts disagrees with the predicate on %v: %v vs %v", tr, got, want)
-		}
 	}
 }
 

@@ -141,8 +141,8 @@ func (d *DFA) Accepts(word []string) bool {
 	return d.IsAccepting(q)
 }
 
-// IsEmpty reports whether L(d) = ∅, by reachability from the start state.
-func (d *DFA) IsEmpty() bool {
+// isEmpty reports whether L(d) = ∅, by reachability from the start state.
+func (d *DFA) isEmpty() bool {
 	visited := make([]bool, d.NumStates())
 	stack := []int{d.start}
 	visited[d.start] = true
@@ -162,9 +162,9 @@ func (d *DFA) IsEmpty() bool {
 	return true
 }
 
-// Complement returns a DFA accepting the complement language over the same
+// complement returns a DFA accepting the complement language over the same
 // alphabet.
-func (d *DFA) Complement() *DFA {
+func (d *DFA) complement() *DFA {
 	accept := make([]bool, len(d.accept))
 	for i, a := range d.accept {
 		accept[i] = !a
@@ -203,7 +203,7 @@ func product(a, b *DFA, combine func(bool, bool) bool) *DFA {
 // Equivalent reports whether two DFAs over the same alphabet accept the same
 // language (their symmetric difference is empty).
 func Equivalent(a, b *DFA) bool {
-	return product(a, b, func(x, y bool) bool { return x != y }).IsEmpty()
+	return product(a, b, func(x, y bool) bool { return x != y }).isEmpty()
 }
 
 // Minimize returns the minimal complete DFA accepting the same language,
@@ -318,11 +318,11 @@ func (d *DFA) toNFA() *NFA {
 
 // Reverse returns a DFA for the reversal language L(d)^R (via NFA reversal
 // and determinization).
-func (d *DFA) Reverse() *DFA { return d.toNFA().Reverse().Determinize() }
+func (d *DFA) Reverse() *DFA { return d.toNFA().reverse().determinize() }
 
-// SomeWord returns a shortest word accepted by the DFA, and ok=false when
+// someWord returns a shortest word accepted by the DFA, and ok=false when
 // the language is empty.
-func (d *DFA) SomeWord() ([]string, bool) {
+func (d *DFA) someWord() ([]string, bool) {
 	type entry struct {
 		state int
 		word  []string

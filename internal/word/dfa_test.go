@@ -120,7 +120,7 @@ func TestDFAStepUnknownSymbol(t *testing.T) {
 
 func TestComplement(t *testing.T) {
 	d := evenAs()
-	c := d.Complement()
+	c := d.complement()
 	for _, in := range []string{"", "a", "aa", "aba", "bbb"} {
 		if d.Accepts(w(in)) == c.Accepts(w(in)) {
 			t.Errorf("complement should disagree with original on %q", in)
@@ -182,10 +182,10 @@ func TestEquivalentAndSubset(t *testing.T) {
 	}
 	// L(a) ∩ L(endsWithAB) ⊆ L(a), but not the other way round.
 	inter := product(a, endsWithAB(), func(x, y bool) bool { return x && y })
-	if !product(inter, a, func(x, y bool) bool { return x && !y }).IsEmpty() {
+	if !product(inter, a, func(x, y bool) bool { return x && !y }).isEmpty() {
 		t.Errorf("intersection should be a subset of each factor")
 	}
-	if product(a, inter, func(x, y bool) bool { return x && !y }).IsEmpty() {
+	if product(a, inter, func(x, y bool) bool { return x && !y }).isEmpty() {
 		t.Errorf("subset should fail in the other direction")
 	}
 }
@@ -228,17 +228,17 @@ func TestMinimizeRemovesUnreachable(t *testing.T) {
 func TestIsEmptyAndSomeWord(t *testing.T) {
 	alpha := alphabet.New("a", "b")
 	empty := NewDFABuilder(alpha, 1).Build() // no accepting states
-	if !empty.IsEmpty() {
+	if !empty.isEmpty() {
 		t.Errorf("automaton without accepting states should be empty")
 	}
-	if _, ok := empty.SomeWord(); ok {
+	if _, ok := empty.someWord(); ok {
 		t.Errorf("SomeWord on an empty language should fail")
 	}
 	d := endsWithAB()
-	if d.IsEmpty() {
+	if d.isEmpty() {
 		t.Errorf("endsWithAB is not empty")
 	}
-	word, ok := d.SomeWord()
+	word, ok := d.someWord()
 	if !ok || !d.Accepts(word) {
 		t.Errorf("SomeWord returned (%v,%v), which is not accepted", word, ok)
 	}
@@ -331,7 +331,7 @@ func TestQuickComplementInvolution(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		d := randomDFA(rng, 1+rng.Intn(6))
-		cc := d.Complement().Complement()
+		cc := d.complement().complement()
 		for i := 0; i < 20; i++ {
 			word := randomWord(rng, 10)
 			if d.Accepts(word) != cc.Accepts(word) {
@@ -351,8 +351,8 @@ func TestQuickDeMorgan(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		a := randomDFA(rng, 1+rng.Intn(5))
 		b := randomDFA(rng, 1+rng.Intn(5))
-		lhs := product(a, b, func(x, y bool) bool { return x || y }).Complement()
-		rhs := product(a.Complement(), b.Complement(), func(x, y bool) bool { return x && y })
+		lhs := product(a, b, func(x, y bool) bool { return x || y }).complement()
+		rhs := product(a.complement(), b.complement(), func(x, y bool) bool { return x && y })
 		return Equivalent(lhs, rhs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

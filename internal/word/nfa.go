@@ -33,8 +33,8 @@ func NewNFA(alpha *alphabet.Alphabet, numStates int) *NFA {
 	}
 }
 
-// NumStates returns the number of states.
-func (n *NFA) NumStates() int { return len(n.start) }
+// numStates returns the number of states.
+func (n *NFA) numStates() int { return len(n.start) }
 
 // AddState appends a fresh state and returns its index.
 func (n *NFA) AddState() int {
@@ -111,7 +111,7 @@ type subsetStep struct {
 }
 
 func (n *NFA) newSubsetStep() *subsetStep {
-	return &subsetStep{n: n, mark: make([]uint32, n.NumStates())}
+	return &subsetStep{n: n, mark: make([]uint32, n.numStates())}
 }
 
 // reset empties cur.
@@ -169,6 +169,8 @@ func (n *NFA) accepting(set []int32) bool {
 }
 
 // Accepts reports whether the NFA accepts the word (subset simulation).
+//
+//nwvet:oracle TestTheorem3TaggedNFA holds the tagged NFA to the NWA through it
 func (n *NFA) Accepts(word []string) bool {
 	st := n.newSubsetStep()
 	st.starts()
@@ -187,7 +189,7 @@ func (n *NFA) Accepts(word []string) bool {
 	return n.accepting(st.cur)
 }
 
-// Determinize performs the subset construction and returns an equivalent
+// determinize performs the subset construction and returns an equivalent
 // complete DFA.  Only reachable subsets become states, so the result has at
 // most 2^s states.  Subsets are numbered in order of discovery: the start
 // set's ε-closure is 0, and each set's successors are found symbol by
@@ -196,7 +198,7 @@ func (n *NFA) Accepts(word []string) bool {
 // A subset is a sorted slice of states, gathered by subsetStep and looked
 // up by its canonical key (its states in ascending order, four
 // little-endian bytes each) without allocating unless the subset is new.
-func (n *NFA) Determinize() *DFA {
+func (n *NFA) determinize() *DFA {
 	size := n.alpha.Size()
 	st := n.newSubsetStep()
 	index := make(map[string]int)
@@ -233,12 +235,12 @@ func (n *NFA) Determinize() *DFA {
 	return &DFA{alpha: n.alpha, start: 0, accept: accept, delta: delta}
 }
 
-// Reverse returns an NFA accepting the reversal language: transitions are
+// reverse returns an NFA accepting the reversal language: transitions are
 // flipped and start/accept states are swapped.  ε-transitions are reversed
 // as well.
-func (n *NFA) Reverse() *NFA {
+func (n *NFA) reverse() *NFA {
 	size := n.alpha.Size()
-	r := NewNFA(n.alpha, n.NumStates())
+	r := NewNFA(n.alpha, n.numStates())
 	copy(r.start, n.accept)
 	copy(r.accept, n.start)
 	for i, tos := range n.succ {
@@ -255,9 +257,9 @@ func (n *NFA) Reverse() *NFA {
 	return r
 }
 
-// IsEmpty reports whether the NFA accepts no word (reachability over
+// isEmpty reports whether the NFA accepts no word (reachability over
 // symbol and ε edges).
-func (n *NFA) IsEmpty() bool {
+func (n *NFA) isEmpty() bool {
 	size := n.alpha.Size()
 	visited := slices.Clone(n.start)
 	var stack []int
@@ -291,4 +293,4 @@ func (n *NFA) IsEmpty() bool {
 // MinimalDFASize returns the number of states of the minimal complete DFA
 // for L(n).  It is the measurement primitive of the succinctness
 // experiments.
-func (n *NFA) MinimalDFASize() int { return n.Determinize().Minimize().NumStates() }
+func (n *NFA) MinimalDFASize() int { return n.determinize().Minimize().NumStates() }

@@ -43,7 +43,7 @@ func TestNFAAccepts(t *testing.T) {
 
 func TestDeterminizeMatchesNFA(t *testing.T) {
 	nfa := nthFromEndIsA(3)
-	dfa := nfa.Determinize()
+	dfa := nfa.determinize()
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 200; i++ {
 		word := randomWord(rng, 10)
@@ -79,7 +79,7 @@ func TestEpsilonTransitions(t *testing.T) {
 			t.Errorf("Accepts(%q) = %v, want %v", in, got, want)
 		}
 	}
-	d := nfa.Determinize()
+	d := nfa.determinize()
 	for in, want := range cases {
 		if got := d.Accepts(w(in)); got != want {
 			t.Errorf("Determinize().Accepts(%q) = %v, want %v", in, got, want)
@@ -103,21 +103,21 @@ func TestNFAIsEmpty(t *testing.T) {
 	alpha := alphabet.New("a")
 	empty := NewNFA(alpha, 2)
 	empty.AddStart(0).AddAccept(1) // no transition connects them
-	if !empty.IsEmpty() {
+	if !empty.isEmpty() {
 		t.Errorf("disconnected NFA should be empty")
 	}
 	empty.addEpsilon(0, 1)
-	if empty.IsEmpty() {
+	if empty.isEmpty() {
 		t.Errorf("ε-reachable accepting state means non-empty")
 	}
-	if nthFromEndIsA(2).IsEmpty() {
+	if nthFromEndIsA(2).isEmpty() {
 		t.Errorf("non-trivial NFA reported empty")
 	}
 }
 
 func TestNFAReverse(t *testing.T) {
 	nfa := nthFromEndIsA(2) // reversal: 2nd symbol (from the start) is an a
-	rev := nfa.Reverse()
+	rev := nfa.reverse()
 	cases := map[string]bool{"ba": true, "aa": true, "ab": false, "b": false, "bab": true}
 	for in, want := range cases {
 		if got := rev.Accepts(w(in)); got != want {
@@ -130,8 +130,8 @@ func TestAddStateGrows(t *testing.T) {
 	nfa := NewNFA(alphabet.New("a"), 0)
 	q0 := nfa.AddState()
 	q1 := nfa.AddState()
-	if q0 != 0 || q1 != 1 || nfa.NumStates() != 2 {
-		t.Errorf("AddState numbering broken: %d %d %d", q0, q1, nfa.NumStates())
+	if q0 != 0 || q1 != 1 || nfa.numStates() != 2 {
+		t.Errorf("AddState numbering broken: %d %d %d", q0, q1, nfa.numStates())
 	}
 }
 
@@ -139,7 +139,7 @@ func TestQuickDeterminizePreservesLanguage(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nfa := randomNFA(rng, 1+rng.Intn(6))
-		dfa := nfa.Determinize()
+		dfa := nfa.determinize()
 		for i := 0; i < 25; i++ {
 			word := randomWord(rng, 8)
 			if nfa.Accepts(word) != dfa.Accepts(word) {
@@ -157,7 +157,7 @@ func TestQuickReverseOfReverse(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nfa := randomNFA(rng, 1+rng.Intn(5))
-		rr := nfa.Reverse().Reverse()
+		rr := nfa.reverse().reverse()
 		for i := 0; i < 20; i++ {
 			word := randomWord(rng, 8)
 			if nfa.Accepts(word) != rr.Accepts(word) {
@@ -345,13 +345,13 @@ func TestDeterminizeExactStructure(t *testing.T) {
 			{"a"}, {"c"}, {"b", "b"}, {"c", "a"}, {"a", "b", "c"}, {"a", "c", "b"}, {"c", "c", "c"},
 		} {
 			n := compileRegex(LinearOrderQuery(patterns...), alpha)
-			sameStructure(t, fmt.Sprintf("%d labels, order %v", len(labels), patterns), n.Determinize(), mapDeterminize(n))
+			sameStructure(t, fmt.Sprintf("%d labels, order %v", len(labels), patterns), n.determinize(), mapDeterminize(n))
 		}
 	}
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 600; i++ {
 		n := randomWideNFA(rng, 1+rng.Intn(12))
-		sameStructure(t, fmt.Sprintf("random NFA %d", i), n.Determinize(), mapDeterminize(n))
+		sameStructure(t, fmt.Sprintf("random NFA %d", i), n.determinize(), mapDeterminize(n))
 	}
 }
 
@@ -402,7 +402,7 @@ func TestAcceptsMatchesMapReference(t *testing.T) {
 	syms := []string{"a", "b", "c"}
 	for i := 0; i < 600; i++ {
 		n := randomWideNFA(nfas, 1+nfas.Intn(12))
-		for from := range n.NumStates() {
+		for from := range n.numStates() {
 			for s, sym := range syms {
 				if tos := n.succ[from*len(syms)+s]; len(tos) > 0 && rng.Intn(2) == 0 {
 					n.AddTransition(from, sym, int(tos[rng.Intn(len(tos))]))

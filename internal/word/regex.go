@@ -93,5 +93,5 @@ func compileRegex(r Regex, alpha *alphabet.Alphabet) *NFA {
 
 // CompileRegexDFA compiles the expression to a minimal DFA.
 func CompileRegexDFA(r Regex, alpha *alphabet.Alphabet) *DFA {
-	return compileRegex(r, alpha).Determinize().Minimize()
+	return compileRegex(r, alpha).determinize().Minimize()
 }

@@ -1,4 +1,4 @@
-// The export-discipline analyzer: every exported identifier of a serving
+// The export-discipline analyzer: every exported identifier of a non-main
 // package earns its place with a production caller, a place in another
 // passing identifier's signature, or an //nwvet:oracle annotation naming the
 // test it serves.  Unlike the per-unit analyzers it reads the whole walk at
@@ -9,23 +9,9 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"regexp"
 	"strings"
 )
-
-// exportDisciplineDirs scopes the export-discipline analyzer to the serving
-// packages and internal/word, the word baseline every LinearOrder and
-// ContainsLabel query compiles through.  The other paper-reproduction
-// packages are still exempt: the experiments are their callers, and some
-// of their exports are called only through interfaces inside the package,
-// which the analyzer cannot yet see.
-var exportDisciplineDirs = []string{
-	"internal/engine", "internal/serve", "internal/server", "internal/adapter",
-	"internal/docstream", "internal/bundlecache", "internal/query",
-	"internal/query/format", "internal/query/plan", "internal/query/dsl",
-	"cmd/internal/queryset", "internal/word",
-}
 
 // oracleDirective marks an exported identifier kept for tests alone; the
 // rest of the line must name the test that uses it.
@@ -34,19 +20,9 @@ const oracleDirective = "//nwvet:oracle"
 // oracleReason matches a test, fuzz target, benchmark or example name.
 var oracleReason = regexp.MustCompile(`\b(Test|Fuzz|Benchmark|Example)\w*`)
 
-// stdlibMethods are method names the standard library calls through its own
-// interfaces (error, fmt.Stringer, io.Reader, http.Handler, ...), so a
-// method with one of these names has a caller no selector in the walk shows.
-var stdlibMethods = map[string]bool{
-	"Error": true, "Unwrap": true, "Is": true, "String": true,
-	"Read": true, "Write": true, "Close": true, "ServeHTTP": true,
-	"MarshalJSON": true, "UnmarshalJSON": true,
-}
-
-// export is one exported identifier of a scoped package.
+// export is one exported identifier of a non-main package.
 type export struct {
 	unit   *unit
-	pkg    string // package name, for reports
 	name   string // "Name", or "Type.Method" for a method
 	method string // the method name; "" for top-level identifiers
 	node   ast.Node
@@ -56,90 +32,111 @@ type export struct {
 	pass   bool
 }
 
-// analyzeExportDiscipline reports every exported identifier in the scoped
-// directories that passes none of the rules: a reference from non-test Go
-// outside its package (methods match by name, so a method is never flagged
-// while any outside selector spells its name), a mention in the signature,
-// field or declared type of a passing identifier of its package, membership
-// in a passing named type's constants, or an //nwvet:oracle reason.
-func analyzeExportDiscipline(units []*unit, scope []string, report reportFunc) {
-	byScope := map[string]*unit{} // scope entry -> unit
+// analyzeExportDiscipline reports every exported identifier of a non-main
+// package that passes none of the rules: a reference from non-test Go
+// outside its package, resolved by type, so a method is matched through its
+// receiver's named type and never by its name alone; for a method, a
+// receiver type that implements a live interface declaring it; a mention in
+// the signature, field or declared type of a passing identifier of its
+// package; membership in a passing named type's constants; or an
+// //nwvet:oracle reason.
+func analyzeExportDiscipline(units []*unit, report reportFunc) {
 	var exports []*export
 	// Build-tag variants of one declaration share their index entry.
-	index := map[*unit]map[string][]*export{}
+	byKey := map[string][]*export{} // import path + "." + name -> declarations
 	for _, u := range units {
-		s := scopeOf(filepath.ToSlash(u.dir), scope)
-		if s == "" {
+		if u.pkg.Name() == "main" {
 			continue
 		}
-		byScope[s] = u
-		index[u] = map[string][]*export{}
 		for _, e := range collectExports(u) {
 			exports = append(exports, e)
-			index[u][e.name] = append(index[u][e.name], e)
+			byKey[u.path+"."+e.name] = append(byKey[u.path+"."+e.name], e)
 		}
 	}
 
-	// One pass over the whole walk: package-qualified references mark
-	// top-level identifiers, and every selector name feeds the method rule.
-	selectedIn := map[string]map[*unit]bool{} // selector name -> units spelling it
+	// Every use of a declaration from outside its package: a qualified
+	// identifier, a field or method selection (promoted or through an
+	// interface), a method expression.  Calls through an interface are
+	// also kept per calling package, for the interface rule below.
+	ifaceCalls := map[*types.Func]map[string]bool{} // interface method -> calling packages
 	for _, u := range units {
-		for _, file := range u.files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				if selectedIn[sel.Sel.Name] == nil {
-					selectedIn[sel.Sel.Name] = map[*unit]bool{}
-				}
-				selectedIn[sel.Sel.Name][u] = true
-				id, ok := sel.X.(*ast.Ident)
-				if !ok {
-					return true
-				}
-				pn, ok := u.info.Uses[id].(*types.PkgName)
-				if !ok {
-					return true
-				}
-				if target := byScope[scopeOf(pn.Imported().Path(), scope)]; target != nil && target != u {
-					for _, e := range index[target][sel.Sel.Name] {
-						e.pass = true
+		for _, obj := range u.info.Uses {
+			f, isFunc := obj.(*types.Func)
+			if isFunc {
+				f = f.Origin()
+				obj = f
+				if recv := f.Signature().Recv(); recv != nil && types.IsInterface(recv.Type()) {
+					if ifaceCalls[f] == nil {
+						ifaceCalls[f] = map[string]bool{}
 					}
+					ifaceCalls[f][u.path] = true
 				}
-				return true
-			})
+			}
+			if obj.Pkg() == nil || obj.Pkg().Path() == u.path {
+				continue
+			}
+			if name := declName(obj); name != "" {
+				for _, e := range byKey[obj.Pkg().Path()+"."+name] {
+					e.pass = true
+				}
+			}
 		}
 	}
 
 	for _, e := range exports {
-		if e.method != "" && !e.pass {
-			e.pass = stdlibMethods[e.method] || selectedOutside(selectedIn[e.method], e.unit)
-		}
 		if reason, ok := directiveArg(e.doc, oracleDirective); ok {
 			if !oracleReason.MatchString(reason) {
 				report("%s: export-discipline: %s.%s: %s must name the test that uses it",
-					e.unit.position(e.node), e.pkg, e.name, oracleDirective)
+					e.unit.position(e.node), e.unit.pkg.Name(), e.name, oracleDirective)
 			}
 			e.pass = true // a bad annotation is reported once, as such
 		}
 	}
 
+	ifaces := interfaceMethods(units)
+	fromSource := map[*types.Package]bool{}
+	for _, u := range units {
+		fromSource[u.pkg] = true
+	}
+	// live reports whether calls through an interface method can reach a
+	// method of package home: the standard library declares the interface
+	// (and calls it), or the interface is an export that passes, or a
+	// package other than home calls the method through it.
+	live := func(im ifaceMethod, home string) bool {
+		p := im.iface.Pkg()
+		if p == nil || !fromSource[p] {
+			return true
+		}
+		if decl := byKey[p.Path()+"."+im.iface.Name()]; len(decl) > 0 && decl[0].pass {
+			return true
+		}
+		for caller := range ifaceCalls[im.m] {
+			if caller != home {
+				return true
+			}
+		}
+		return false
+	}
+
 	// Cascade to a fixpoint: a passing identifier keeps alive the
-	// same-package types its signature names, and a passing named type keeps
-	// alive its constants.
+	// same-package types its signature names, a passing named type keeps
+	// alive its constants, and a passing interface keeps alive the methods
+	// that implement it.
 	for changed := true; changed; {
 		changed = false
 		for _, e := range exports {
 			if !e.pass {
-				if t := index[e.unit][e.constT]; len(t) > 0 && t[0].pass {
+				if t := byKey[e.unit.path+"."+e.constT]; len(t) > 0 && t[0].pass {
+					e.pass, changed = true, true
+				}
+				if e.method != "" && implementsLive(e, ifaces, live) {
 					e.pass, changed = true, true
 				}
 				continue
 			}
 			for _, t := range e.sig {
 				typeNames(t, func(name string) {
-					for _, dep := range index[e.unit][name] {
+					for _, dep := range byKey[e.unit.path+"."+name] {
 						if !dep.pass {
 							dep.pass, changed = true, true
 						}
@@ -152,27 +149,92 @@ func analyzeExportDiscipline(units []*unit, scope []string, report reportFunc) {
 	for _, e := range exports {
 		if !e.pass {
 			report("%s: export-discipline: %s.%s has no caller outside its package (delete it, unexport it, or mark it %s <test>)",
-				e.unit.position(e.node), e.pkg, e.name, oracleDirective)
+				e.unit.position(e.node), e.unit.pkg.Name(), e.name, oracleDirective)
 		}
 	}
 }
 
-// scopeOf returns the scope entry an import path or slash-separated
-// directory names (matched as a path suffix), or "".
-func scopeOf(path string, scope []string) string {
-	for _, s := range scope {
-		if path == s || strings.HasSuffix(path, "/"+s) {
-			return s
+// declName returns an object's index name, "Name" or "Type.Method", or ""
+// for an object that is neither a package-level declaration nor a method of
+// a named type.
+func declName(obj types.Object) string {
+	f, ok := obj.(*types.Func)
+	if !ok || f.Signature().Recv() == nil {
+		if obj.Parent() != obj.Pkg().Scope() {
+			return "" // a field, a local
 		}
+		return obj.Name()
+	}
+	if n := namedOf(f.Signature().Recv().Type()); n != nil {
+		return n.Obj().Name() + "." + f.Name()
 	}
 	return ""
 }
 
-// selectedOutside reports whether a selector name is spelled in any unit
-// other than home.
-func selectedOutside(in map[*unit]bool, home *unit) bool {
-	for u := range in {
-		if u != home {
+// namedOf returns t, or what t points to, as a named type; nil otherwise.
+func namedOf(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, _ := t.(*types.Named)
+	return n
+}
+
+// ifaceMethod is one method of a named interface type.
+type ifaceMethod struct {
+	iface *types.TypeName
+	m     *types.Func
+	t     *types.Interface
+}
+
+// interfaceMethods indexes by method name every method of the named
+// interfaces declared in the walk's packages and the packages they import,
+// the predeclared error among them.
+func interfaceMethods(units []*unit) map[string][]ifaceMethod {
+	out := map[string][]ifaceMethod{}
+	seen := map[*types.Package]bool{}
+	addScope := func(scope *types.Scope) {
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			it, ok := tn.Type().Underlying().(*types.Interface)
+			if !ok {
+				continue
+			}
+			for i := 0; i < it.NumMethods(); i++ {
+				m := it.Method(i)
+				out[m.Name()] = append(out[m.Name()], ifaceMethod{tn, m, it})
+			}
+		}
+	}
+	addScope(types.Universe)
+	for _, u := range units {
+		for _, p := range append([]*types.Package{u.pkg}, u.pkg.Imports()...) {
+			if !seen[p] {
+				seen[p] = true
+				addScope(p.Scope())
+			}
+		}
+	}
+	return out
+}
+
+// implementsLive reports whether a method's receiver type implements a live
+// interface that declares the method.  The pointer type's method set holds
+// both receiver kinds, so it stands for the receiver type.
+func implementsLive(e *export, ifaces map[string][]ifaceMethod, live func(ifaceMethod, string) bool) bool {
+	tn, ok := e.unit.pkg.Scope().Lookup(strings.TrimSuffix(e.name, "."+e.method)).(*types.TypeName)
+	if !ok {
+		return false
+	}
+	if n := namedOf(tn.Type()); n == nil || n.TypeParams().Len() > 0 {
+		return false // a generic type implements nothing until instantiated
+	}
+	ptr := types.NewPointer(tn.Type())
+	for _, im := range ifaces[e.method] {
+		if types.Implements(ptr, im.t) && live(im, e.unit.path) {
 			return true
 		}
 	}
@@ -214,10 +276,9 @@ func typeNames(t ast.Expr, fn func(string)) {
 // collectExports lists a unit's exported functions, methods on exported
 // types, types, constants and variables.
 func collectExports(u *unit) []*export {
-	pkg := u.files[0].Name.Name // loadUnits makes no unit without a file
 	var out []*export
 	add := func(e *export) {
-		e.unit, e.pkg = u, pkg
+		e.unit = u
 		out = append(out, e)
 	}
 	for _, file := range u.files {

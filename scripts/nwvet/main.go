@@ -1,6 +1,7 @@
 // Command nwvet is the repository's static-analysis suite: a multi-analyzer
-// driver built on go/parser, go/ast, and go/types alone (no module
-// dependencies), run in CI as `go run ./scripts/nwvet ./...`.
+// driver built on go/parser, go/ast, go/types and the compiler's export data
+// for the standard library (no module dependencies), run in CI as
+// `go run ./scripts/nwvet ./...`.
 //
 // Project-specific analyzers (documented in docs/ANALYZERS.md):
 //
@@ -39,13 +40,13 @@
 //     return errors; panic is a violation unless the function is annotated
 //     //nwvet:allowpanic.
 //   - export-discipline: every exported function, method, type, constant
-//     and variable of a serving package (exportDisciplineDirs) is
-//     referenced by non-test Go outside its package — any file the walk
-//     reaches, the separate benchmark module included — or is named by a
-//     passing identifier's signature or field types, or is a constant of a
-//     passing named type, or carries //nwvet:oracle naming the test that
-//     uses it.  Methods match by name, so the rule can miss an unused
-//     method but never flags a used one.
+//     and variable of a non-main package is referenced by non-test Go
+//     outside its package — any file the walk reaches, the separate
+//     benchmark module included — or is named by a passing identifier's
+//     signature or field types, or is a constant of a passing named type,
+//     or is a method that implements a live interface, or carries
+//     //nwvet:oracle naming the test that uses it.  References resolve by
+//     type, so a method is matched through its receiver, never by name.
 //
 // The driver also carries the repository's documentation invariants, folded
 // in from the retired repolint command: package doc comments, exported-
@@ -60,27 +61,33 @@ package main
 import (
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
 // reportFunc records one formatted violation line.
 type reportFunc func(format string, args ...any)
 
-// unit is one package directory's worth of parsed, leniently type-checked
-// non-test Go files.
+// unit is one package directory's worth of parsed, type-checked non-test Go
+// files.
 type unit struct {
 	dir   string // slash-separated, relative to the walk root
+	path  string // import path, from the nearest go.mod; dir when there is none
 	fset  *token.FileSet
 	paths []string // parallel to files
 	files []*ast.File
 	info  *types.Info
+	pkg   *types.Package // nil until checked; checking marks it in progress
 }
 
 // errorDisciplineDirs scopes the error-discipline analyzer.  (The
@@ -137,7 +144,7 @@ func runNwvet(root string) ([]string, error) {
 		}
 		checkDocComments(u, report)
 	}
-	analyzeExportDiscipline(units, exportDisciplineDirs, report)
+	analyzeExportDiscipline(units, report)
 	if err := lintMarkdownLinks(root, report); err != nil {
 		return nil, err
 	}
@@ -164,8 +171,10 @@ func dirIn(dir string, targets []string) bool {
 
 // loadUnits walks root, parses every non-test Go file outside .git, hidden,
 // and testdata directories, groups them per directory, and type-checks each
-// group leniently (missing cross-package information is tolerated; the
-// analyzers degrade to their syntactic cores where types are unresolved).
+// group against real types: an import of a walked package resolves to that
+// package's own check, anything else (the standard library) to its compiler
+// export data.  Errors are tolerated; an expression that still does not
+// resolve is "no finding" to the analyzers.
 func loadUnits(root string) ([]*unit, error) {
 	fset := token.NewFileSet()
 	byDir := map[string]*unit{}
@@ -201,52 +210,150 @@ func loadUnits(root string) ([]*unit, error) {
 		return nil, err
 	}
 	units := make([]*unit, 0, len(byDir))
+	im := &walkImporter{byPath: map[string]*unit{}}
+	modules := map[string]string{} // directory -> module path ("" if none)
 	for _, u := range byDir {
-		u.typecheck()
+		if u.path, err = importPath(u.dir, modules); err != nil {
+			return nil, err
+		}
+		im.byPath[u.path] = u
 		units = append(units, u)
 	}
 	sort.Slice(units, func(i, j int) bool { return units[i].dir < units[j].dir })
+	if im.export, err = exportData(root, fset, units, im.byPath); err != nil {
+		return nil, err
+	}
+	for _, u := range units {
+		im.check(u)
+	}
 	return units, nil
 }
 
-// typecheck runs go/types over the unit with every error swallowed and all
-// imports stubbed out: same-package types resolve, cross-package ones come
-// out invalid, and the analyzers treat "unresolved" as "no finding".
-func (u *unit) typecheck() {
+// importPath names a package directory by the module path of the nearest
+// go.mod at or above it, memoizing each directory's module in modules.
+func importPath(dir string, modules map[string]string) (string, error) {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return "", err
+	}
+	for d, rel := abs, ""; ; d, rel = filepath.Dir(d), filepath.Base(d)+"/"+rel {
+		mod, ok := modules[d]
+		if !ok {
+			mod = modulePath(filepath.Join(d, "go.mod"))
+			modules[d] = mod
+		}
+		if mod != "" {
+			return strings.TrimSuffix(mod+"/"+rel, "/"), nil
+		}
+		if filepath.Dir(d) == d {
+			return filepath.ToSlash(dir), nil
+		}
+	}
+}
+
+// modulePath returns the module path a go.mod declares, or "" when the file
+// is missing or declares none.
+func modulePath(gomod string) string {
+	data, err := os.ReadFile(gomod)
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+			return strings.Trim(strings.TrimSpace(rest), `"`)
+		}
+	}
+	return ""
+}
+
+// exportData returns an importer that reads the compiler's export data for
+// every package the units import from outside the walk, located by one
+// `go list -export` run in root.  The go command builds what the build cache
+// lacks and fetches nothing: the walk imports only the standard library and
+// itself.
+func exportData(root string, fset *token.FileSet, units []*unit, walked map[string]*unit) (types.Importer, error) {
+	outside := map[string]bool{}
+	for _, u := range units {
+		for _, file := range u.files {
+			for _, spec := range file.Imports {
+				if path, err := strconv.Unquote(spec.Path.Value); err == nil && walked[path] == nil && path != "unsafe" && path != "C" {
+					outside[path] = true
+				}
+			}
+		}
+	}
+	files := map[string]string{} // import path -> export data file
+	if len(outside) > 0 {
+		args := []string{"list", "-e", "-export", "-f", "{{.ImportPath}}\t{{.Export}}", "--"}
+		for path := range outside {
+			args = append(args, path)
+		}
+		cmd := exec.Command("go", args...)
+		cmd.Dir = root
+		cmd.Env = append(os.Environ(), "GOPROXY=off")
+		cmd.Stderr = os.Stderr
+		out, err := cmd.Output()
+		if err != nil {
+			return nil, fmt.Errorf("go list -export: %w", err)
+		}
+		for _, line := range strings.Split(string(out), "\n") {
+			if path, file, ok := strings.Cut(line, "\t"); ok && file != "" {
+				files[path] = file
+			}
+		}
+	}
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := files[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(file)
+	}), nil
+}
+
+// walkImporter resolves an import of a walked package to that package's
+// own check, and any other import through export data, so one object stands
+// for each declaration across the whole walk.
+type walkImporter struct {
+	byPath map[string]*unit
+	export types.Importer
+}
+
+// Import returns the checked package for path, checking a walked package
+// first if it has not been.
+func (im *walkImporter) Import(path string) (*types.Package, error) {
+	u := im.byPath[path]
+	if u == nil {
+		return im.export.Import(path)
+	}
+	if u.pkg == nil {
+		im.check(u)
+	}
+	if !u.pkg.Complete() {
+		return nil, fmt.Errorf("import cycle through %s", path)
+	}
+	return u.pkg, nil
+}
+
+// check type-checks the unit once, with every error swallowed: a build-tag
+// variant redeclares its twin, and a fixture may import what does not exist.
+func (im *walkImporter) check(u *unit) {
+	if u.pkg != nil {
+		return
+	}
+	u.pkg = types.NewPackage(u.path, u.files[0].Name.Name) // in progress
 	u.info = &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Uses:  map[*ast.Ident]types.Object{},
 	}
 	conf := types.Config{
 		Error:       func(error) {}, // lenient: partial information is fine
-		Importer:    &stubImporter{cache: map[string]*types.Package{}},
+		Importer:    im,
 		FakeImportC: true,
 	}
-	// The returned error repeats what Error already swallowed.
-	conf.Check(u.dir, u.fset, u.files, u.info) //nolint:errcheck
-}
-
-// stubImporter satisfies every import with an empty, incomplete package:
-// references into it fail to resolve, which the lenient config tolerates.
-type stubImporter struct {
-	cache map[string]*types.Package
-}
-
-// Import returns (and memoizes) the empty stand-in package for path.
-func (im *stubImporter) Import(path string) (*types.Package, error) {
-	if p, ok := im.cache[path]; ok {
-		return p, nil
-	}
-	name := path
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		name = name[i+1:]
-	}
-	p := types.NewPackage(path, name)
-	p.MarkComplete() // go/types drops an incomplete import, and its PkgName with it
-	im.cache[path] = p
-	return p, nil
+	pkg, _ := conf.Check(u.path, u.fset, u.files, u.info) // the error repeats what Error swallowed
+	pkg.MarkComplete()
+	u.pkg = pkg
 }
 
 // position renders a file:line anchor for a node in the unit.

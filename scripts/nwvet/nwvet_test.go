@@ -35,12 +35,6 @@ func collectAll(t *testing.T, dir string, run func([]*unit, reportFunc)) []strin
 	return got
 }
 
-// exportFixture runs export-discipline over a fixture tree whose svc
-// directory is the one scoped package.
-func exportFixture(units []*unit, report reportFunc) {
-	analyzeExportDiscipline(units, []string{"svc"}, report)
-}
-
 // wantFindings asserts the exact violation count and that every expected
 // fragment appears in some finding.
 func wantFindings(t *testing.T, got []string, fragments []string) {
@@ -176,22 +170,25 @@ func TestErrorDisciplineSeededViolation(t *testing.T) {
 }
 
 // TestExportDisciplineSeededViolations: a test is not a caller, a type an
-// unexported signature names is not reachable, and an oracle annotation
-// must name its test.
+// unexported signature names is not reachable, a method is not called by
+// another type's method of the same name, and an oracle annotation must
+// name its test.
 func TestExportDisciplineSeededViolations(t *testing.T) {
-	got := collectAll(t, "testdata/export_bad", exportFixture)
+	got := collectAll(t, "testdata/export_bad", analyzeExportDiscipline)
 	wantFindings(t, got, []string{
 		"export-discipline: svc.OnlyTested has no caller outside its package",
 		"export-discipline: svc.Hidden has no caller outside its package",
+		"export-discipline: svc.Result.Size has no caller outside its package",
 		"export-discipline: svc.Bare: //nwvet:oracle must name the test that uses it",
 	})
 }
 
 // TestExportDisciplineCleanFixture: a caller in a sibling module, the
 // signature and field-type cascade, an enum's constants, a method the
-// standard library calls and a named oracle all pass.
+// standard library calls, a method reached only through a passing
+// interface and a named oracle all pass.
 func TestExportDisciplineCleanFixture(t *testing.T) {
-	if got := collectAll(t, "testdata/export_clean", exportFixture); len(got) != 0 {
+	if got := collectAll(t, "testdata/export_clean", analyzeExportDiscipline); len(got) != 0 {
 		t.Errorf("clean export fixture flagged:\n%s", strings.Join(got, "\n"))
 	}
 }

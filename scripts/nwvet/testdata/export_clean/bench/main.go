@@ -2,9 +2,13 @@
 // benchmark module drives the serving packages.
 package main
 
-import "fixture/svc"
+import (
+	"fmt"
+
+	"fixture/svc"
+)
 
 func main() {
 	e := svc.New(svc.Options{})
-	_ = e.Run()
+	fmt.Println(e.Run(), svc.Measure(e))
 }
