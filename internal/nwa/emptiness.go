@@ -20,6 +20,13 @@ import (
 // the witness maps the recorded IDs back to labels through the caller's
 // alphabet.
 
+// statePair is a summary (from, to): some run takes the automaton from
+// `from` to `to` over a stretch of the input.
+type statePair struct {
+	from int
+	to   int
+}
+
 type summaryReason struct {
 	kind    string // "base", "internal", "callreturn"
 	prev    statePair

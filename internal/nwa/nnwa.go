@@ -1,6 +1,7 @@
 package nwa
 
 import (
+	"math/bits"
 	"sort"
 
 	"repro/internal/alphabet"
@@ -187,127 +188,121 @@ func sortedStates(m map[int]bool) []int {
 	return out
 }
 
-// statePair is a pair of states used by the membership simulation and the
-// determinization: (from, to) records that some run takes the automaton from
-// `from` to `to` over a stretch of the input.
-type statePair struct {
-	from int
-	to   int
+// summarySet is the state of the subset construction that Accepts and
+// Determinize share (Section 3.2): a set S ⊆ Q×Q of summary pairs, stored as
+// an s×s bit matrix whose bit p·s+q is set when (p, q) ∈ S.  A pair (p, q)
+// means that the automaton can be in p just after the last pending call (or
+// p is initial, when no call is pending) and that some run takes it from p to
+// q over the input read since.  The states reachable over the whole prefix
+// are therefore the second components of S, and S accepts when one of them
+// is final.  Being a string, a summarySet is comparable, so Determinize keys
+// its states by it.
+type summarySet string
+
+// newSummary returns the empty bit matrix that a step fills in.
+func (n *NNWA) newSummary() []byte { return make([]byte, (n.num*n.num+7)/8) }
+
+// addPair puts (p, q) into the bit matrix S.
+func (n *NNWA) addPair(S []byte, p, q int) {
+	i := p*n.num + q
+	S[i/8] |= 1 << (i % 8)
 }
 
-// simulationState is the subset-construction state used by both Accepts and
-// Determinize: S is the set of summary pairs (q, q') such that the automaton
-// has a run from q to q' over the portion of the input read since the last
-// pending call (or since the beginning of the word when no call is pending),
-// and R is the set of states reachable from an initial state over the whole
-// prefix read so far.
-type simulationState struct {
-	S map[statePair]bool
-	R map[int]bool
+// hasPair reports whether (p, q) ∈ S.
+func (n *NNWA) hasPair(S summarySet, p, q int) bool {
+	i := p*n.num + q
+	return S[i/8]&(1<<(i%8)) != 0
 }
 
-func (n *NNWA) initialSimulation() simulationState {
-	sim := simulationState{S: make(map[statePair]bool), R: make(map[int]bool)}
-	for q := 0; q < n.num; q++ {
-		sim.S[statePair{q, q}] = true
+// eachPair calls f for every (p, q) ∈ S.
+func (n *NNWA) eachPair(S summarySet, f func(p, q int)) {
+	for i := 0; i < len(S); i++ {
+		for b := S[i]; b != 0; b &= b - 1 {
+			j := 8*i + bits.TrailingZeros8(b)
+			f(j/n.num, j%n.num)
+		}
 	}
+}
+
+// initialSummary is the identity on the initial states.
+func (n *NNWA) initialSummary() summarySet {
+	next := n.newSummary()
 	for q := range n.starts {
-		sim.R[q] = true
+		n.addPair(next, q, q)
 	}
-	return sim
+	return summarySet(next)
 }
 
-// stepInternal advances the simulation over an internal position.
-func (n *NNWA) stepInternal(sim simulationState, sym int) simulationState {
-	next := simulationState{S: make(map[statePair]bool), R: make(map[int]bool)}
-	for p := range sim.S {
-		for _, to := range n.internR[callKey{p.to, sym}] {
-			next.S[statePair{p.from, to}] = true
-		}
-	}
-	for q := range sim.R {
+// stepInternal advances S over an internal position.
+func (n *NNWA) stepInternal(S summarySet, sym int) summarySet {
+	next := n.newSummary()
+	n.eachPair(S, func(p, q int) {
 		for _, to := range n.internR[callKey{q, sym}] {
-			next.R[to] = true
+			n.addPair(next, p, to)
 		}
-	}
-	return next
+	})
+	return summarySet(next)
 }
 
-// stepCall advances the simulation over a call position.  The returned
-// simulation state is the linear successor; the previous simulation state
-// itself (together with the call symbol) is what a determinized automaton
-// propagates along the hierarchical edge, so callers keep it on a stack.
-func (n *NNWA) stepCall(sim simulationState, sym int) simulationState {
-	next := simulationState{S: make(map[statePair]bool), R: make(map[int]bool)}
-	// The new context starts just after this call, so the summary component
-	// resets to the identity.
-	for q := 0; q < n.num; q++ {
-		next.S[statePair{q, q}] = true
-	}
-	for q := range sim.R {
+// stepCall returns the linear successor of S at a call: a new context starts
+// just after the call, so the successor is the identity on the call's linear
+// targets from the second components of S.  S itself, with the call symbol,
+// is what travels along the hierarchical edge.
+func (n *NNWA) stepCall(S summarySet, sym int) summarySet {
+	next := n.newSummary()
+	n.eachPair(S, func(_, q int) {
 		for _, t := range n.callR[callKey{q, sym}] {
-			next.R[t.Linear] = true
+			n.addPair(next, t.Linear, t.Linear)
 		}
-	}
-	return next
+	})
+	return summarySet(next)
 }
 
-// stepReturnMatched advances the simulation over a return whose matching
-// call was read with simulation state below (the state pushed at the call)
-// and call symbol callSym.
-func (n *NNWA) stepReturnMatched(sim, below simulationState, callSym, sym int) simulationState {
-	next := simulationState{S: make(map[statePair]bool), R: make(map[int]bool)}
-	for p := range below.S {
-		for _, t := range n.callR[callKey{p.to, callSym}] {
-			for inner := range sim.S {
-				if inner.from != t.Linear {
-					continue
-				}
-				for _, to := range n.returnR[returnKey{inner.to, t.Hier, sym}] {
-					next.S[statePair{p.from, to}] = true
-				}
-			}
-		}
-	}
-	for q := range below.R {
+// stepReturnMatched advances S over a return whose matching call read
+// callSym in summary set below.
+func (n *NNWA) stepReturnMatched(S, below summarySet, callSym, sym int) summarySet {
+	next := n.newSummary()
+	n.eachPair(below, func(p, q int) {
 		for _, t := range n.callR[callKey{q, callSym}] {
-			for inner := range sim.S {
-				if inner.from != t.Linear {
+			for inner := 0; inner < n.num; inner++ {
+				if !n.hasPair(S, t.Linear, inner) {
 					continue
 				}
-				for _, to := range n.returnR[returnKey{inner.to, t.Hier, sym}] {
-					next.R[to] = true
+				for _, to := range n.returnR[returnKey{inner, t.Hier, sym}] {
+					n.addPair(next, p, to)
 				}
 			}
 		}
-	}
-	return next
+	})
+	return summarySet(next)
 }
 
-// stepReturnPending advances the simulation over a pending return: the
-// hierarchical edge comes from −∞ and is labelled with an initial state.
-func (n *NNWA) stepReturnPending(sim simulationState, sym int) simulationState {
-	next := simulationState{S: make(map[statePair]bool), R: make(map[int]bool)}
-	for p := range sim.S {
-		for q0 := range n.starts {
-			for _, to := range n.returnR[returnKey{p.to, q0, sym}] {
-				next.S[statePair{p.from, to}] = true
-			}
-		}
-	}
-	for q := range sim.R {
+// stepReturnPending advances S over a pending return: the hierarchical edge
+// comes from −∞ and is labelled with an initial state.
+func (n *NNWA) stepReturnPending(S summarySet, sym int) summarySet {
+	next := n.newSummary()
+	n.eachPair(S, func(p, q int) {
 		for q0 := range n.starts {
 			for _, to := range n.returnR[returnKey{q, q0, sym}] {
-				next.R[to] = true
+				n.addPair(next, p, to)
 			}
 		}
-	}
-	return next
+	})
+	return summarySet(next)
 }
 
-// stackEntry is what the simulation pushes at a call.
-type stackEntry struct {
-	sim simulationState
+// accepting reports whether some (p, f) ∈ S has f final.
+func (n *NNWA) accepting(S summarySet) bool {
+	acc := false
+	n.eachPair(S, func(_, q int) { acc = acc || n.accept[q] })
+	return acc
+}
+
+// frame is a summary set with the call symbol read after it: what Accepts
+// pushes at a call, and the hierarchical state (S, a) of the determinized
+// automaton.  Determinize keeps its linear states as frames with sym = -1.
+type frame struct {
+	S   summarySet
 	sym int
 }
 
@@ -319,8 +314,8 @@ type stackEntry struct {
 // ID once; a label outside the alphabet has no transitions, so every run
 // dies there.
 func (n *NNWA) Accepts(nw *nestedword.NestedWord) bool {
-	sim := n.initialSimulation()
-	var stack []stackEntry
+	S := n.initialSummary()
+	var stack []frame
 	for i := 0; i < nw.Len(); i++ {
 		p := nw.At(i)
 		sym, ok := n.alpha.Index(p.Symbol)
@@ -329,24 +324,19 @@ func (n *NNWA) Accepts(nw *nestedword.NestedWord) bool {
 		}
 		switch p.Kind {
 		case nestedword.Internal:
-			sim = n.stepInternal(sim, sym)
+			S = n.stepInternal(S, sym)
 		case nestedword.Call:
-			stack = append(stack, stackEntry{sim: sim, sym: sym})
-			sim = n.stepCall(sim, sym)
+			stack = append(stack, frame{S, sym})
+			S = n.stepCall(S, sym)
 		case nestedword.Return:
 			if len(stack) == 0 {
-				sim = n.stepReturnPending(sim, sym)
+				S = n.stepReturnPending(S, sym)
 			} else {
 				top := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				sim = n.stepReturnMatched(sim, top.sim, top.sym, sym)
+				S = n.stepReturnMatched(S, top.S, top.sym, sym)
 			}
 		}
 	}
-	for q := range sim.R {
-		if n.accept[q] {
-			return true
-		}
-	}
-	return false
+	return n.accepting(S)
 }

@@ -264,9 +264,44 @@ func TestDeterminizeMismatchGadget(t *testing.T) {
 	}
 }
 
+// TestDeterminizeWithinPaperBound holds Determinize to the bound of Section
+// 3.2 on 1000 random NNWAs with s ∈ {2, 3} states: at most 2^(s²) linear
+// states, which ReachableStates counts, and at most 2^(s²)(|Σ|+1)+1 states
+// in all (2^(s²)·|Σ| hierarchical states (S, a), and the dead state).  A
+// summary set cannot outgrow the bound, so the test also holds each result
+// to the naive run enumeration on a few words: a construction that loses
+// what the bound is about (summary pairs whose first state is reachable)
+// stays inside the bound and accepts the wrong words.
+func TestDeterminizeWithinPaperBound(t *testing.T) {
+	rng, words := rand.New(rand.NewSource(1)), rand.New(rand.NewSource(2))
+	for trial := 0; trial < 1000; trial++ {
+		s := 2 + rng.Intn(2)
+		a := randomNNWA(rng, s)
+		d := a.Determinize()
+		if bound := 1<<(s*s)*(testAlpha.Size()+1) + 1; d.NumStates() > bound {
+			t.Errorf("trial %d (s = %d): %d states, bound %d", trial, s, d.NumStates(), bound)
+		}
+		linear := 0
+		for _, r := range ReachableStates(d) {
+			if r {
+				linear++
+			}
+		}
+		if linear > 1<<(s*s) {
+			t.Errorf("trial %d (s = %d): %d linear states, bound %d", trial, s, linear, 1<<(s*s))
+		}
+		for i := 0; i < 10; i++ {
+			n := randomNestedWord(words, 8)
+			if got, want := d.Accepts(n), naiveAccepts(a, n); got != want {
+				t.Fatalf("trial %d: determinized=%v naive=%v on %v", trial, got, want, n)
+			}
+		}
+	}
+}
+
 func TestComplementNNWA(t *testing.T) {
 	a := someCallSomeReturnMismatch()
-	c := a.complement()
+	c := a.Determinize().Complement()
 	rng := rand.New(rand.NewSource(41))
 	for i := 0; i < 200; i++ {
 		n := randomNestedWord(rng, 10)
@@ -274,29 +309,6 @@ func TestComplementNNWA(t *testing.T) {
 			t.Fatalf("complement must disagree with the original on %v", n)
 		}
 	}
-}
-
-func TestUnionN(t *testing.T) {
-	a := someCallSomeReturnMismatch()
-	b := evenAs().ToNondeterministic()
-	u := unionN(a, b)
-	rng := rand.New(rand.NewSource(43))
-	for i := 0; i < 200; i++ {
-		n := randomNestedWord(rng, 10)
-		if u.Accepts(n) != (a.Accepts(n) || b.Accepts(n)) {
-			t.Fatalf("UnionN wrong on %v", n)
-		}
-	}
-}
-
-func TestUnionNPanicsOnAlphabetMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Errorf("UnionN over different alphabets should panic")
-		}
-	}()
-	other := NewNNWA(alphabet.New("x"), 1)
-	unionN(someCallSomeReturnMismatch(), other)
 }
 
 // TestNNWAAddPanicsOnBadState: every constructor rejects a state outside

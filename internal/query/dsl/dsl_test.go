@@ -1,6 +1,7 @@
 package dsl
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -375,6 +376,26 @@ func TestWithinDeterminizeAgrees(t *testing.T) {
 		if gen.Accepts(d) != direct.Accepts(d) {
 			t.Errorf("doc %d %q: determinized=%v direct=%v", i, docstream.Render(d), gen.Accepts(d), direct.Accepts(d))
 		}
+	}
+}
+
+// BenchmarkDeterminizeWithin times the generic determinization of Section
+// 3.2 on withinNNWA over |Σ| labels: the scope, k pattern labels and
+// fillers.  It reports the determinized automaton's states.
+func BenchmarkDeterminizeWithin(b *testing.B) {
+	for _, c := range []struct{ sigma, k int }{{4, 2}, {16, 2}, {4, 3}} {
+		b.Run(fmt.Sprintf("sigma=%d/k=%d", c.sigma, c.k), func(b *testing.B) {
+			labels := make([]string, c.sigma)
+			for i := range labels {
+				labels[i] = fmt.Sprintf("l%d", i)
+			}
+			nn := withinNNWA(alphabet.New(labels...), labels[0], labels[1:1+c.k])
+			states := 0
+			for i := 0; i < b.N; i++ {
+				states = nn.Determinize().NumStates()
+			}
+			b.ReportMetric(float64(states), "states")
+		})
 	}
 }
 

@@ -264,3 +264,47 @@ func (s *Server) generation() int64 {
 	defer s.mu.Unlock()
 	return s.cur.info.Generation
 }
+
+// TestBundleIfNoneMatch: GET /v1/bundle evaluates If-None-Match as RFC 9110
+// §13.1.2 requires — "*" matches, the comparison is weak, and every field
+// line counts — and still sends the bundle for a tag that does not match.
+func TestBundleIfNoneMatch(t *testing.T) {
+	_, ts := testServer(t, Config{Shards: 1, QueueDepth: 4})
+	get := func(fields ...string) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/bundle", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range fields {
+			req.Header.Add("If-None-Match", f)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode, resp.Header.Get("ETag")
+	}
+	code, etag := get()
+	if code != http.StatusOK || etag == "" {
+		t.Fatalf("unconditional GET: status %d, ETag %q", code, etag)
+	}
+	for _, c := range []struct {
+		name   string
+		fields []string
+		want   int
+	}{
+		{"strong", []string{etag}, http.StatusNotModified},
+		{"star", []string{"*"}, http.StatusNotModified},
+		{"weak", []string{"W/" + etag}, http.StatusNotModified},
+		{"list", []string{`"other", ` + etag}, http.StatusNotModified},
+		{"second line", []string{`"other"`, etag}, http.StatusNotModified},
+		{"no match", []string{`"other"`}, http.StatusOK},
+		{"weak no match", []string{`W/"other"`, `"another"`}, http.StatusOK},
+	} {
+		if code, _ := get(c.fields...); code != c.want {
+			t.Errorf("%s %q: status %d, want %d", c.name, c.fields, code, c.want)
+		}
+	}
+}

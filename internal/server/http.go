@@ -417,16 +417,30 @@ func (s *Server) handleBundle(w http.ResponseWriter, r *http.Request) {
 	}
 	if st.etag != "" {
 		w.Header().Set("ETag", st.etag)
-		for _, match := range strings.Split(r.Header.Get("If-None-Match"), ",") {
-			if strings.TrimSpace(match) == st.etag {
-				w.WriteHeader(http.StatusNotModified)
-				return
-			}
-		}
+	}
+	if noneMatch(r.Header.Values("If-None-Match"), st.etag) {
+		w.WriteHeader(http.StatusNotModified)
+		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(st.raw)))
 	w.Write(st.raw)
+}
+
+// noneMatch evaluates If-None-Match field lines against the current
+// representation's ETag as RFC 9110 §13.1.2 does: "*" matches any current
+// representation, and the comparison is weak, so a W/ prefix on a listed
+// tag does not matter.  A representation without an ETag matches only "*".
+func noneMatch(fields []string, etag string) bool {
+	for _, field := range fields {
+		for _, tag := range strings.Split(field, ",") {
+			tag = strings.TrimSpace(tag)
+			if tag == "*" || etag != "" && strings.TrimPrefix(tag, "W/") == etag {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // handleBundleSig serves GET /v1/bundle.sig: the detached NWS1 signature
