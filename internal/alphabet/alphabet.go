@@ -73,12 +73,6 @@ func (a *Alphabet) MustIndex(sym string) int {
 	return i
 }
 
-// contains reports whether the symbol belongs to the alphabet.
-func (a *Alphabet) contains(sym string) bool {
-	_, ok := a.index[sym]
-	return ok
-}
-
 // Equal reports whether two alphabets contain the same symbols in the same
 // order.
 func (a *Alphabet) Equal(b *Alphabet) bool {
@@ -91,12 +85,6 @@ func (a *Alphabet) Equal(b *Alphabet) bool {
 		}
 	}
 	return true
-}
-
-// union returns the alphabet containing the symbols of a followed by the
-// symbols of b not already present.
-func (a *Alphabet) union(b *Alphabet) *Alphabet {
-	return New(append(a.Symbols(), b.Symbols()...)...)
 }
 
 // String renders the alphabet as {s1,s2,...}.

@@ -1313,7 +1313,7 @@ func taggedStrings(n *nestedword.NestedWord) []string {
 // stemCounterPTA accepts the trees c^n(d^n(e)).
 func stemCounterPTA() *pta.PTA {
 	alpha := alphabet.New("c", "d", "e")
-	p := pta.New(alpha, 5)
+	p := pta.New(alpha)
 	const readC, pushed, readD, popped, leaf = 0, 1, 2, 3, 4
 	p.AddStart(readC)
 	p.AddUnary(readC, "c", pushed)

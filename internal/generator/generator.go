@@ -203,6 +203,8 @@ func theorem5Word(m int, blocks *nestedword.NestedWord) *nestedword.NestedWord {
 // theorem5Predicate reports membership in the Theorem 5 language L_s:
 // tree words of the form ⟨a ⟨b⟩^m ⟨a L^{i-1} ⟨a⟩ L^{s-i} a⟩ a⟩ with
 // i = (m mod s) + 1.
+//
+//nwvet:oracle TestTheorem5Family holds Theorem5FlatDFA, read as a flat NWA, to it
 func theorem5Predicate(s int, n *nestedword.NestedWord) bool {
 	ps := n.Positions()
 	idx := 0

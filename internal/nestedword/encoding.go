@@ -64,29 +64,6 @@ func Path(symbols ...string) *NestedWord {
 	return New(ps...)
 }
 
-// pathWord inverts Path for nested words in its image: if n = path(w) for
-// some word w it returns (w, true), otherwise (nil, false).
-func pathWord(n *NestedWord) ([]string, bool) {
-	l := n.Len()
-	if l%2 != 0 {
-		return nil, false
-	}
-	if l == 0 {
-		return []string{}, true
-	}
-	half := l / 2
-	word := make([]string, half)
-	for i := 0; i < half; i++ {
-		call := n.positions[i]
-		ret := n.positions[l-1-i]
-		if call.Kind != Call || ret.Kind != Return || call.Symbol != ret.Symbol {
-			return nil, false
-		}
-		word[i] = call.Symbol
-	}
-	return word, true
-}
-
 // Parse parses the textual tagged notation used throughout this library and
 // in Figure 1 of the paper: whitespace-separated tokens where "<a" is an
 // a-labelled call, "a>" an a-labelled return, and "a" an a-labelled internal.

@@ -2,7 +2,6 @@ package nestedword
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -63,51 +62,6 @@ func TestPath(t *testing.T) {
 	empty := Path()
 	if empty.Len() != 0 {
 		t.Errorf("Path() should be empty, got %v", empty)
-	}
-}
-
-func TestPathWordInverse(t *testing.T) {
-	w := []string{"a", "b", "a", "a"}
-	back, ok := pathWord(Path(w...))
-	if !ok || !reflect.DeepEqual(back, w) {
-		t.Errorf("PathWord(Path(w)) = (%v,%v), want (%v,true)", back, ok, w)
-	}
-	if _, ok := pathWord(MustParse("<a <b a> b>")); ok {
-		t.Errorf("mismatched labels should not be in the image of Path")
-	}
-	if _, ok := pathWord(MustParse("<a a> <b b>")); ok {
-		t.Errorf("non-path shape should not be in the image of Path")
-	}
-	if _, ok := pathWord(MustParse("a")); ok {
-		t.Errorf("odd length word cannot be a path word")
-	}
-	if got, ok := pathWord(Empty()); !ok || len(got) != 0 {
-		t.Errorf("PathWord(ε) = (%v,%v), want ([] ,true)", got, ok)
-	}
-}
-
-func TestQuickPathRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		l := rng.Intn(20)
-		syms := []string{"a", "b"}
-		w := make([]string, l)
-		for i := range w {
-			w[i] = syms[rng.Intn(2)]
-		}
-		back, ok := pathWord(Path(w...))
-		if !ok || len(back) != len(w) {
-			return false
-		}
-		for i := range w {
-			if back[i] != w[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -87,17 +87,6 @@ func New(positions ...Position) *NestedWord {
 	return nw
 }
 
-// fromWord builds the nested word with the empty matching relation
-// corresponding to a plain word: every position is internal (Section 2.2,
-// w_nw restricted to untagged words).
-func fromWord(symbols ...string) *NestedWord {
-	ps := make([]Position, len(symbols))
-	for i, s := range symbols {
-		ps[i] = Position{Symbol: s, Kind: Internal}
-	}
-	return New(ps...)
-}
-
 // Empty returns the empty nested word.
 func Empty() *NestedWord { return New() }
 
@@ -168,81 +157,11 @@ func (n *NestedWord) ReturnSuccessor(i int) (j int, ok bool) {
 	return n.match[i], true
 }
 
-// callPredecessor returns the call-predecessor of return position j, i.e.
-// the unique i with i ; j.  If j is a pending return it returns Pending,
-// and ok is false when j is not a return at all.
-func (n *NestedWord) callPredecessor(j int) (i int, ok bool) {
-	if j < 0 || j >= len(n.positions) || n.positions[j].Kind != Return {
-		return 0, false
-	}
-	n.ensureMatching()
-	return n.match[j], true
-}
-
-// matching returns the matching relation as a list of (call, return) pairs
-// for matched edges, using Pending for the missing endpoint of pending
-// edges.  Pairs are ordered by their defined endpoint.
-func (n *NestedWord) matching() []edge {
-	n.ensureMatching()
-	var edges []edge
-	for i, p := range n.positions {
-		switch p.Kind {
-		case Call:
-			edges = append(edges, edge{Call: i, Return: n.match[i]})
-		case Return:
-			if n.match[i] == Pending {
-				edges = append(edges, edge{Call: Pending, Return: i})
-			}
-		}
-	}
-	return edges
-}
-
-// edge is a single hierarchical edge i ; j of the matching relation.
-// Pending endpoints are represented by the Pending constant (−∞ for Call,
-// +∞ for Return).
-type edge struct {
-	Call   int
-	Return int
-}
-
 // Depth returns the nesting depth of the word (Section 2.1): the maximum
 // number of hierarchical edges that are simultaneously "open".
 func (n *NestedWord) Depth() int {
 	n.ensureMatching()
 	return n.depth
-}
-
-// callParent returns the call-parent of position i as defined in Section
-// 2.1, translated to 0-based indexing: the call-parent of a top-level
-// position is -1 (the paper's 0), otherwise it is the smallest call position
-// whose return-successor lies strictly after i.
-func (n *NestedWord) callParent(i int) int {
-	if i < 0 || i >= len(n.positions) {
-		return -1
-	}
-	n.ensureMatching()
-	// parent[k] for position k computed incrementally following the paper's
-	// inductive definition: parent(0) = -1; if k is a call, parent(k+1) = k;
-	// if k is internal, parent(k+1) = parent(k); if k is a return matched to
-	// j, parent(k+1) = parent(j) (or -1 when the return is pending).
-	parent := -1
-	parents := make([]int, i+1)
-	for k := 0; k <= i; k++ {
-		parents[k] = parent
-		switch n.positions[k].Kind {
-		case Call:
-			parent = k
-		case Return:
-			j := n.match[k]
-			if j == Pending {
-				parent = -1
-			} else {
-				parent = parents[j]
-			}
-		}
-	}
-	return parents[i]
 }
 
 // IsWellMatched reports whether every call has a return-successor and every
@@ -283,27 +202,6 @@ func (n *NestedWord) IsTreeWord() bool {
 		case Call:
 			j := n.match[i]
 			if j == Pending || n.positions[j].Symbol != p.Symbol {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// IsHedgeWord reports whether the nested word is a concatenation of zero or
-// more tree words: well-matched, no internals, no pending edges, and matched
-// positions agree on their symbol.  Hedge words are the images of forests.
-func (n *NestedWord) IsHedgeWord() bool {
-	if !n.IsWellMatched() {
-		return false
-	}
-	for i, p := range n.positions {
-		switch p.Kind {
-		case Internal:
-			return false
-		case Call:
-			j := n.match[i]
-			if n.positions[j].Symbol != p.Symbol {
 				return false
 			}
 		}

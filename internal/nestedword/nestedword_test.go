@@ -97,9 +97,6 @@ func TestFigure1N2Pending(t *testing.T) {
 	if j, ok := n2.ReturnSuccessor(2); !ok || j != 4 {
 		t.Errorf("ReturnSuccessor(2) = (%d,%v), want (4,true)", j, ok)
 	}
-	if i, ok := n2.callPredecessor(1); !ok || i != Pending {
-		t.Errorf("CallPredecessor(1) = (%d,%v), want (Pending,true)", i, ok)
-	}
 }
 
 func TestFigure1N3TreeWord(t *testing.T) {
@@ -123,31 +120,24 @@ func TestMatchingRelationBasics(t *testing.T) {
 	if j, ok := n.ReturnSuccessor(0); !ok || j != 2 {
 		t.Errorf("ReturnSuccessor(0) = (%d,%v), want (2,true)", j, ok)
 	}
-	if i, ok := n.callPredecessor(2); !ok || i != 0 {
-		t.Errorf("CallPredecessor(2) = (%d,%v), want (0,true)", i, ok)
-	}
 	if _, ok := n.ReturnSuccessor(1); ok {
 		t.Errorf("ReturnSuccessor of an internal should report ok=false")
-	}
-	if _, ok := n.callPredecessor(3); ok {
-		t.Errorf("CallPredecessor of an internal should report ok=false")
 	}
 	if _, ok := n.ReturnSuccessor(-1); ok {
 		t.Errorf("ReturnSuccessor out of range should report ok=false")
 	}
-	edges := n.matching()
-	want := []edge{{Call: 0, Return: 2}}
-	if !reflect.DeepEqual(edges, want) {
-		t.Errorf("Matching() = %v, want %v", edges, want)
+	if got := n.PendingReturns(); len(got) != 0 {
+		t.Errorf("PendingReturns() = %v, want none", got)
 	}
 }
 
 func TestMatchingWithPendingEdges(t *testing.T) {
 	n := MustParse("a> <b")
-	edges := n.matching()
-	want := []edge{{Call: Pending, Return: 0}, {Call: 1, Return: Pending}}
-	if !reflect.DeepEqual(edges, want) {
-		t.Errorf("Matching() = %v, want %v", edges, want)
+	if got := n.PendingReturns(); !reflect.DeepEqual(got, []int{0}) {
+		t.Errorf("PendingReturns() = %v, want [0]", got)
+	}
+	if j, ok := n.ReturnSuccessor(1); !ok || j != Pending {
+		t.Errorf("ReturnSuccessor(1) = (%d,%v), want (Pending,true)", j, ok)
 	}
 }
 
@@ -157,45 +147,14 @@ func TestNoCrossingEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
 		n := randomNested(rng, 40)
-		var matched []edge
-		for _, e := range n.matching() {
-			if e.Call != Pending && e.Return != Pending {
-				matched = append(matched, e)
-			}
-		}
+		matched := matchedEdges(n)
 		for _, e1 := range matched {
 			for _, e2 := range matched {
-				if e1.Call < e2.Call && e2.Call <= e1.Return && e1.Return < e2.Return {
+				if e1[0] < e2[0] && e2[0] <= e1[1] && e1[1] < e2[1] {
 					t.Fatalf("crossing edges %v and %v in %v", e1, e2, n)
 				}
 			}
 		}
-	}
-}
-
-func TestCallParent(t *testing.T) {
-	n := MustParse("<a b <b c c> b a> d")
-	wantParents := []int{-1, 0, 0, 2, 2, 0, 0, -1}
-	// position: 0:<a 1:b 2:<b 3:c 4:c> 5:b 6:a> 7:d
-	for i, want := range wantParents {
-		if got := n.callParent(i); got != want {
-			t.Errorf("CallParent(%d) = %d, want %d", i, got, want)
-		}
-	}
-	if got := n.callParent(99); got != -1 {
-		t.Errorf("CallParent out of range = %d, want -1", got)
-	}
-}
-
-func TestCallParentAfterPendingReturn(t *testing.T) {
-	// a> b : after a pending return, the call-parent resets to top level.
-	n := MustParse("<a a> b> b")
-	// 0:<a 1:a> 2:b> 3:b
-	if got := n.callParent(2); got != -1 {
-		t.Errorf("CallParent(2) = %d, want -1", got)
-	}
-	if got := n.callParent(3); got != -1 {
-		t.Errorf("CallParent(3) = %d, want -1", got)
 	}
 }
 
@@ -217,21 +176,6 @@ func TestDepth(t *testing.T) {
 		if got := n.Depth(); got != c.depth {
 			t.Errorf("Depth(%q) = %d, want %d", c.in, got, c.depth)
 		}
-	}
-}
-
-func TestFromWord(t *testing.T) {
-	n := fromWord("a", "b", "a")
-	if n.Len() != 3 {
-		t.Fatalf("len = %d, want 3", n.Len())
-	}
-	for i := 0; i < n.Len(); i++ {
-		if n.KindAt(i) != Internal {
-			t.Errorf("position %d kind = %v, want internal", i, n.KindAt(i))
-		}
-	}
-	if n.Depth() != 0 {
-		t.Errorf("plain word depth = %d, want 0", n.Depth())
 	}
 }
 
@@ -267,25 +211,6 @@ func TestStringRoundTrip(t *testing.T) {
 	}
 }
 
-func TestIsHedgeWord(t *testing.T) {
-	cases := []struct {
-		in   string
-		want bool
-	}{
-		{"<a a> <b b>", true},
-		{"<a <b b> a>", true},
-		{"", true},
-		{"<a a> b", false},
-		{"<a b>", false},
-		{"<a a> <b", false},
-	}
-	for _, c := range cases {
-		if got := MustParse(c.in).IsHedgeWord(); got != c.want {
-			t.Errorf("IsHedgeWord(%q) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
 func TestPositionsCopy(t *testing.T) {
 	n := MustParse("<a a>")
 	ps := n.Positions()
@@ -308,6 +233,18 @@ func randomNested(rng *rand.Rand, maxLen int) *NestedWord {
 	return New(ps...)
 }
 
+// matchedEdges lists the matched edges i ; j of n as {i, j} pairs, read
+// through ReturnSuccessor.
+func matchedEdges(n *NestedWord) [][2]int {
+	var out [][2]int
+	for i := 0; i < n.Len(); i++ {
+		if j, ok := n.ReturnSuccessor(i); ok && j != Pending {
+			out = append(out, [2]int{i, j})
+		}
+	}
+	return out
+}
+
 func TestQuickPendingCountsConsistent(t *testing.T) {
 	// Property: #pending calls = #calls - #matched edges and symmetrically
 	// for returns.
@@ -315,12 +252,7 @@ func TestQuickPendingCountsConsistent(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := randomNested(rng, 60)
 		calls, _, returns := n.Counts()
-		matched := 0
-		for _, e := range n.matching() {
-			if e.Call != Pending && e.Return != Pending {
-				matched++
-			}
-		}
+		matched := len(matchedEdges(n))
 		return len(n.PendingCalls()) == calls-matched && len(n.PendingReturns()) == returns-matched
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -58,7 +58,7 @@ func TestPrefixSuffixConcatenation(t *testing.T) {
 	// gives back n.
 	n := figure1N1()
 	for i := -1; i < n.Len(); i++ {
-		back := Concat(n.Prefix(i), n.suffix(i+1))
+		back := Concat(n.Prefix(i), n.subword(i+1, n.Len()-1))
 		if !back.Equal(n) {
 			t.Errorf("prefix(%d) + suffix(%d) != n", i, i+1)
 		}
@@ -73,49 +73,7 @@ func TestQuickPrefixSuffixConcatenation(t *testing.T) {
 			return true
 		}
 		i := rng.Intn(n.Len())
-		return Concat(n.Prefix(i), n.suffix(i+1)).Equal(n)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestReverse(t *testing.T) {
-	n := MustParse("<a b a>")
-	r := n.reverse()
-	want := MustParse("<a b a>")
-	if !r.Equal(want) {
-		t.Errorf("Reverse(%v) = %v, want %v", n, r, want)
-	}
-	n2 := MustParse("<a b c> d")
-	r2 := n2.reverse()
-	want2 := MustParse("d <c b a>")
-	if !r2.Equal(want2) {
-		t.Errorf("Reverse(%v) = %v, want %v", n2, r2, want2)
-	}
-}
-
-func TestQuickReverseInvolution(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := randomNested(rng, 50)
-		return n.reverse().reverse().Equal(n)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickReversePreservesDepthAndMatching(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := randomNested(rng, 50)
-		r := n.reverse()
-		if n.Len() != r.Len() {
-			return false
-		}
-		// Well-matchedness is preserved by reversal.
-		return n.IsWellMatched() == r.IsWellMatched()
+		return Concat(n.Prefix(i), n.subword(i+1, n.Len()-1)).Equal(n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -156,80 +114,6 @@ func TestInsertTreeInsertion(t *testing.T) {
 	}
 }
 
-func TestInsertAt(t *testing.T) {
-	n := MustParse("a b")
-	ins := MustParse("x")
-	if got, want := insertAt(n, -1, ins), MustParse("x a b"); !got.Equal(want) {
-		t.Errorf("InsertAt(-1) = %v, want %v", got, want)
-	}
-	if got, want := insertAt(n, 0, ins), MustParse("a x b"); !got.Equal(want) {
-		t.Errorf("InsertAt(0) = %v, want %v", got, want)
-	}
-	if got, want := insertAt(n, 1, ins), MustParse("a b x"); !got.Equal(want) {
-		t.Errorf("InsertAt(1) = %v, want %v", got, want)
-	}
-	if got := insertAt(n, 5, ins); !got.Equal(n) {
-		t.Errorf("InsertAt out of range should return an unchanged copy")
-	}
-}
-
-func TestDeleteSubtree(t *testing.T) {
-	n := MustParse("<a <b c b> d a>")
-	got := deleteSubtree(n, 1)
-	want := MustParse("<a d a>")
-	if !got.Equal(want) {
-		t.Errorf("DeleteSubtree = %v, want %v", got, want)
-	}
-	// Deleting at a non-call or pending call is a no-op copy.
-	if got := deleteSubtree(n, 2); !got.Equal(n) {
-		t.Errorf("DeleteSubtree at internal should be a no-op")
-	}
-	pend := MustParse("<a b")
-	if got := deleteSubtree(pend, 0); !got.Equal(pend) {
-		t.Errorf("DeleteSubtree at pending call should be a no-op")
-	}
-}
-
-func TestSubstituteSubtree(t *testing.T) {
-	n := MustParse("<a <b c b> d a>")
-	repl := MustParse("<e e>")
-	got := substituteSubtree(n, 1, repl)
-	want := MustParse("<a <e e> d a>")
-	if !got.Equal(want) {
-		t.Errorf("SubstituteSubtree = %v, want %v", got, want)
-	}
-	if got := substituteSubtree(n, 2, repl); !got.Equal(n) {
-		t.Errorf("SubstituteSubtree at internal should be a no-op")
-	}
-}
-
-func TestRootedSubword(t *testing.T) {
-	n := MustParse("<a <b c b> d a>")
-	sub, ok := n.rootedSubword(1)
-	if !ok {
-		t.Fatalf("RootedSubword(1) should succeed")
-	}
-	if want := MustParse("<b c b>"); !sub.Equal(want) {
-		t.Errorf("RootedSubword(1) = %v, want %v", sub, want)
-	}
-	if _, ok := n.rootedSubword(2); ok {
-		t.Errorf("RootedSubword at internal should fail")
-	}
-}
-
-func TestRepeat(t *testing.T) {
-	n := MustParse("<a a>")
-	if got, want := repeat(n, 3), MustParse("<a a> <a a> <a a>"); !got.Equal(want) {
-		t.Errorf("Repeat = %v, want %v", got, want)
-	}
-	if repeat(n, 0).Len() != 0 {
-		t.Errorf("Repeat(n, 0) should be empty")
-	}
-	if repeat(n, -1).Len() != 0 {
-		t.Errorf("Repeat(n, -1) should be empty")
-	}
-}
-
 func TestQuickConcatLengthAdds(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -249,19 +133,6 @@ func TestQuickConcatAssociative(t *testing.T) {
 		b := randomNested(rng, 20)
 		c := randomNested(rng, 20)
 		return Concat(Concat(a, b), c).Equal(Concat(a, Concat(b, c)))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickReverseAntiHomomorphism(t *testing.T) {
-	// reverse(ab) = reverse(b) reverse(a)
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a := randomNested(rng, 25)
-		b := randomNested(rng, 25)
-		return Concat(a, b).reverse().Equal(Concat(b.reverse(), a.reverse()))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

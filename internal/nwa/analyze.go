@@ -9,8 +9,8 @@ package nwa
 // a second implementation.
 
 // StateGraph is the one automaton view the analysis takes: DNWA, NNWA, the
-// virtual difference product of the inclusion check and query's compiled
-// tables all implement it.  Symbols are dense IDs 0..NumSymbols()-1 (a
+// virtual symmetric-difference product of the equivalence check and query's
+// compiled tables all implement it.  Symbols are dense IDs 0..NumSymbols()-1 (a
 // compiled automaton includes its out-of-alphabet column), and edges are
 // enumerated through callbacks so implementations over maps or flat tables
 // need not materialize successor slices.

@@ -105,10 +105,6 @@ func TestTaggedWordHelpers(t *testing.T) {
 			t.Fatalf("TaggedWord = %v, want %v", tw, want)
 		}
 	}
-	back := nestedFromTagged(tw)
-	if !back.Equal(n) {
-		t.Errorf("NestedFromTagged(TaggedWord(n)) = %v, want %v", back, n)
-	}
 	if taggedCall("a") != "<a" || taggedInternal("a") != "a" || taggedReturn("a") != "a>" {
 		t.Errorf("tagged symbol helpers broken")
 	}
@@ -285,31 +281,25 @@ func TestJNWADirectConstruction(t *testing.T) {
 			t.Errorf("Accepts(%q) = %v, want %v", in, got, want)
 		}
 	}
-	if j.isEmpty() {
+	if isEmpty(j.toNNWA()) {
 		t.Errorf("the language {<a} is not empty")
 	}
 	if !j.IsDeterministic() {
 		t.Errorf("this automaton is deterministic")
 	}
-	if j.IsTopDown() || j.isFlatJoinless() {
+	if j.IsTopDown() {
 		t.Errorf("mode predicates wrong: automaton mixes linear and hierarchical states")
 	}
 }
 
 func TestJNWAStateHelpers(t *testing.T) {
-	j := NewJNWA(testAlpha, 0)
-	lin := j.addState()
-	hier := j.addHierarchicalState()
-	if j.isHierarchical(lin) || !j.isHierarchical(hier) {
-		t.Errorf("state kind bookkeeping broken")
-	}
+	const lin, hier = 0, 1
+	j := NewJNWA(testAlpha, 2)
+	j.MarkHierarchical(hier)
 	j.AddStart(lin)
 	j.AddAccept(hier)
 	if got := j.startStates(); len(got) != 1 || got[0] != lin {
 		t.Errorf("StartStates = %v", got)
-	}
-	if !j.isAccepting(hier) || j.isAccepting(lin) {
-		t.Errorf("IsAccepting broken")
 	}
 	if j.NumStates() != 2 {
 		t.Errorf("accessors broken")
@@ -335,9 +325,6 @@ func TestFlatAutomatonAsJoinless(t *testing.T) {
 	j.AddCall(0, "b", 0, 0).AddCall(1, "b", 1, 0)
 	j.AddReturn(0, "a", 1).AddReturn(1, "a", 0)
 	j.AddReturn(0, "b", 0).AddReturn(1, "b", 1)
-	if !j.isFlatJoinless() {
-		t.Fatalf("all states are linear")
-	}
 	d := evenAs()
 	rng := rand.New(rand.NewSource(79))
 	for i := 0; i < 200; i++ {

@@ -4,8 +4,8 @@
 // The package provides:
 //
 //   - deterministic NWAs (type DNWA) with linear-time membership,
-//   - nondeterministic NWAs (type NNWA) with polynomial membership,
-//     determinization, emptiness, inclusion and equivalence,
+//   - nondeterministic NWAs (type NNWA) with polynomial membership and
+//     determinization, and emptiness and equivalence of deterministic ones,
 //   - boolean and word/tree closure constructions,
 //   - the restricted classes studied in the paper: weak automata
 //     (Theorem 1), flat automata (Theorem 2), bottom-up automata
@@ -143,17 +143,6 @@ func (d *DNWA) Dead() int { return d.dead }
 // IsAccepting reports whether q ∈ F.
 func (d *DNWA) IsAccepting(q int) bool { return q >= 0 && q < d.num && d.accept[q] }
 
-// acceptingStates returns the sorted list of final states.
-func (d *DNWA) acceptingStates() []int {
-	var out []int
-	for q, a := range d.accept {
-		if a {
-			out = append(out, q)
-		}
-	}
-	return out
-}
-
 // StepCall returns δc(q, sym) = (linear, hier); unknown symbols and missing
 // transitions go to the dead state.
 func (d *DNWA) StepCall(q int, sym string) (linear, hier int) {
@@ -222,57 +211,6 @@ func (d *DNWA) EachInternalEdge(q, sym int, f func(to int)) { f(d.stepInternal(q
 
 // EachReturnEdge calls f with δr(lin, hier, sym).
 func (d *DNWA) EachReturnEdge(lin, hier, sym int, f func(to int)) { f(d.stepReturn(lin, hier, sym)) }
-
-// run is the unique run of the automaton over the nested word: the sequence
-// of linear states q0, q1, ..., qℓ (Section 3.1).  The hierarchical states
-// are available via runWithHierarchy.
-func (d *DNWA) run(n *nestedword.NestedWord) []int {
-	states, _ := d.runWithHierarchy(n)
-	return states
-}
-
-// runWithHierarchy returns the linear state sequence of the unique run and,
-// for each position, the hierarchical state labelling its incoming or
-// outgoing hierarchical edge (-1 for internals).  For a call position the
-// entry is the state propagated along the outgoing hierarchical edge; for a
-// return position it is the state on the incoming hierarchical edge (q0 for
-// pending returns).
-func (d *DNWA) runWithHierarchy(n *nestedword.NestedWord) (linear []int, hier []int) {
-	l := n.Len()
-	linear = make([]int, l+1)
-	hier = make([]int, l)
-	linear[0] = d.start
-	// stack holds the states labelling the currently pending hierarchical
-	// edges; its height is bounded by the depth of the word.
-	var stack []int
-	for i := 0; i < l; i++ {
-		p := n.At(i)
-		q := linear[i]
-		switch p.Kind {
-		case nestedword.Internal:
-			linear[i+1] = d.StepInternal(q, p.Symbol)
-			hier[i] = -1
-		case nestedword.Call:
-			lin, h := d.StepCall(q, p.Symbol)
-			linear[i+1] = lin
-			hier[i] = h
-			stack = append(stack, h)
-		case nestedword.Return:
-			var h int
-			if len(stack) == 0 {
-				// Pending return: the hierarchical edge comes from −∞ and is
-				// labelled with the initial state (Section 3.1).
-				h = d.start
-			} else {
-				h = stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-			}
-			hier[i] = h
-			linear[i+1] = d.StepReturn(q, h, p.Symbol)
-		}
-	}
-	return linear, hier
-}
 
 // Accepts reports whether the automaton accepts the nested word: the last
 // linear state of the unique run is final.  Time is linear in the length of
@@ -442,33 +380,16 @@ func Union(a, b *DNWA) *DNWA {
 	return product(a, b, func(x, y bool) bool { return x || y })
 }
 
-// difference returns a deterministic NWA for L(a) \ L(b).
-func difference(a, b *DNWA) *DNWA {
-	return product(a, b, func(x, y bool) bool { return x && !y })
-}
-
 // IsEmpty reports whether L(d) = ∅ using the summary-based reachability
 // check described in Section 3.2 (cubic in the number of states).
 func (d *DNWA) IsEmpty() bool { return isEmpty(d) }
 
 // Equivalent reports whether two deterministic NWAs over the same alphabet
-// accept the same language.  The two symmetric differences are explored as
-// virtual products, so only reachable product states are visited.
-func Equivalent(a, b *DNWA) bool { return subset(a, b) && subset(b, a) }
-
-// subset reports whether L(a) ⊆ L(b).
-func subset(a, b *DNWA) bool {
+// accept the same language: one summary closure decides that their
+// symmetric difference, a virtual product, is empty.
+func Equivalent(a, b *DNWA) bool {
 	if !a.alpha.Equal(b.alpha) {
-		panic("nwa: inclusion check over different alphabets")
+		panic("nwa: equivalence check over different alphabets")
 	}
-	return isEmpty(&differenceAutom{a: a, b: b})
-}
-
-// counterexample returns a nested word in L(a) \ L(b), or ok=false when
-// L(a) ⊆ L(b).
-func counterexample(a, b *DNWA) (*nestedword.NestedWord, bool) {
-	if !a.alpha.Equal(b.alpha) {
-		panic("nwa: inclusion check over different alphabets")
-	}
-	return findAccepted(&differenceAutom{a: a, b: b}, a.alpha)
+	return isEmpty(&symmetricDifference{a: a, b: b})
 }

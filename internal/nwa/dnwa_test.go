@@ -142,34 +142,6 @@ func TestEvenAsIsFlatAndCorrect(t *testing.T) {
 	}
 }
 
-func TestRunShape(t *testing.T) {
-	d := matchedSymbols()
-	n := nestedword.MustParse("<a <b b> a>")
-	linear, hier := d.runWithHierarchy(n)
-	if len(linear) != n.Len()+1 {
-		t.Fatalf("linear run length = %d, want %d", len(linear), n.Len()+1)
-	}
-	if len(hier) != n.Len() {
-		t.Fatalf("hier labels length = %d, want %d", len(hier), n.Len())
-	}
-	if linear[0] != d.Start() {
-		t.Errorf("run must start in the initial state")
-	}
-	if d.IsAccepting(linear[n.Len()]) != d.Accepts(n) {
-		t.Errorf("final run state inconsistent with Accepts")
-	}
-	// Internal positions have no hierarchical label.
-	if hier[1] == -1 {
-		t.Errorf("call position should have a hierarchical label")
-	}
-	run := d.run(n)
-	for i := range run {
-		if run[i] != linear[i] {
-			t.Errorf("Run and RunWithHierarchy disagree at %d", i)
-		}
-	}
-}
-
 func TestPendingReturnUsesInitialState(t *testing.T) {
 	// Build an automaton that accepts exactly the single pending return "a>"
 	// by distinguishing the hierarchical initial state at returns.
@@ -201,7 +173,7 @@ func TestBooleanProducts(t *testing.T) {
 	a, b := matchedSymbols(), evenAs()
 	inter := Intersect(a, b)
 	union := Union(a, b)
-	diff := difference(a, b)
+	diff := Intersect(a, b.Complement())
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 200; i++ {
 		n := randomNestedWord(rng, 12)
@@ -275,38 +247,37 @@ func TestEquivalenceAndSubset(t *testing.T) {
 	if Equivalent(d, d.Complement()) {
 		t.Errorf("an automaton must not be equivalent to its complement")
 	}
+	// L(x) ⊆ L(y) exactly when L(x) ∩ L(y) = L(x).
 	inter := Intersect(d, evenAs())
-	if !subset(inter, d) || !subset(inter, evenAs()) {
+	if !Equivalent(Intersect(inter, d), inter) || !Equivalent(Intersect(inter, evenAs()), inter) {
 		t.Errorf("an intersection must be included in both factors")
 	}
-	if subset(d, inter) {
+	if Equivalent(Intersect(d, inter), d) {
 		t.Errorf("matchedSymbols is not included in the intersection")
 	}
-	if _, ok := counterexample(inter, d); ok {
-		t.Errorf("no counterexample should exist for a valid inclusion")
-	}
-	if ce, ok := counterexample(d, inter); !ok {
-		t.Errorf("a counterexample should exist")
+	if ce, ok := Intersect(d, inter.Complement()).SomeWord(); !ok {
+		t.Errorf("a word of L(d) outside the intersection should exist")
 	} else if !d.Accepts(ce) || inter.Accepts(ce) {
-		t.Errorf("counterexample %v does not separate the languages", ce)
+		t.Errorf("witness %v does not separate the languages", ce)
 	}
 }
 
 func TestEquivalentPanicsOnAlphabetMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Errorf("inclusion over different alphabets should panic")
+			t.Errorf("equivalence over different alphabets should panic")
 		}
 	}()
 	other := NewDNWABuilder(alphabet.New("x"), 1).Build()
-	subset(matchedSymbols(), other)
+	Equivalent(matchedSymbols(), other)
 }
 
 func TestAcceptingStatesAndDead(t *testing.T) {
 	d := matchedSymbols()
-	acc := d.acceptingStates()
-	if len(acc) != 1 || acc[0] != 0 {
-		t.Errorf("AcceptingStates = %v, want [0]", acc)
+	for q := 0; q < d.NumStates(); q++ {
+		if d.IsAccepting(q) != (q == 0) {
+			t.Errorf("IsAccepting(%d) = %v, want only state 0 accepting", q, d.IsAccepting(q))
+		}
 	}
 	if d.IsAccepting(d.Dead()) {
 		t.Errorf("the dead state must not be accepting")

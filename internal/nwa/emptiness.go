@@ -350,45 +350,39 @@ func isEmpty(g StateGraph) bool {
 	return !ok
 }
 
-// isEmpty reports whether L(n) = ∅.
-func (n *NNWA) isEmpty() bool { return isEmpty(n) }
-
-// someWord returns a nested word accepted by the automaton, or ok=false when
-// the language is empty.
-func (n *NNWA) someWord() (*nestedword.NestedWord, bool) { return findAccepted(n, n.alpha) }
-
 // SomeWord returns a nested word accepted by the automaton, or ok=false when
 // the language is empty.
 func (d *DNWA) SomeWord() (*nestedword.NestedWord, bool) { return findAccepted(d, d.alpha) }
 
-// differenceAutom is the virtual product automaton for L(a) \ L(b) of two
-// deterministic automata over the same alphabet; it implements StateGraph
-// without materializing the product, so inclusion and equivalence checks
-// only explore reachable product states.
-type differenceAutom struct {
+// symmetricDifference is the virtual product of two deterministic automata
+// over the same alphabet that accepts L(a) △ L(b): a product state accepts
+// when exactly one component does.  It implements StateGraph without
+// materializing the product, so the equivalence check explores only
+// reachable product states.
+type symmetricDifference struct {
 	a, b *DNWA
 }
 
-func (d *differenceAutom) NumStates() int  { return d.a.num * d.b.num }
-func (d *differenceAutom) NumSymbols() int { return d.a.alpha.Size() }
-func (d *differenceAutom) StartStates() []int {
+func (d *symmetricDifference) NumStates() int  { return d.a.num * d.b.num }
+func (d *symmetricDifference) NumSymbols() int { return d.a.alpha.Size() }
+func (d *symmetricDifference) StartStates() []int {
 	return []int{d.a.start*d.b.num + d.b.start}
 }
-func (d *differenceAutom) IsAccepting(q int) bool {
+func (d *symmetricDifference) IsAccepting(q int) bool {
 	qa, qb := q/d.b.num, q%d.b.num
-	return d.a.IsAccepting(qa) && !d.b.IsAccepting(qb)
+	return d.a.IsAccepting(qa) != d.b.IsAccepting(qb)
 }
-func (d *differenceAutom) EachCallEdge(q, sym int, f func(linear, hier int)) {
+func (d *symmetricDifference) EachCallEdge(q, sym int, f func(linear, hier int)) {
 	qa, qb := q/d.b.num, q%d.b.num
 	la, ha := d.a.stepCall(qa, sym)
 	lb, hb := d.b.stepCall(qb, sym)
 	f(la*d.b.num+lb, ha*d.b.num+hb)
 }
-func (d *differenceAutom) EachInternalEdge(q, sym int, f func(to int)) {
+func (d *symmetricDifference) EachInternalEdge(q, sym int, f func(to int)) {
 	qa, qb := q/d.b.num, q%d.b.num
 	f(d.a.stepInternal(qa, sym)*d.b.num + d.b.stepInternal(qb, sym))
 }
-func (d *differenceAutom) EachReturnEdge(lin, hier, sym int, f func(to int)) {
+func (d *symmetricDifference) EachReturnEdge(lin, hier, sym int, f func(to int)) {
 	la, lb := lin/d.b.num, lin%d.b.num
 	ha, hb := hier/d.b.num, hier%d.b.num
 	f(d.a.stepReturn(la, ha, sym)*d.b.num + d.b.stepReturn(lb, hb, sym))

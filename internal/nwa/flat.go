@@ -76,24 +76,6 @@ func TaggedWord(n *nestedword.NestedWord) []string {
 	return out
 }
 
-// nestedFromTagged decodes a word over the tagged alphabet back into a
-// nested word (w_nw of Section 2.2).  Symbols that are not in the tagged
-// string encoding are treated as internals.
-func nestedFromTagged(tagged []string) *nestedword.NestedWord {
-	ps := make([]nestedword.Position, len(tagged))
-	for i, t := range tagged {
-		switch {
-		case len(t) > 1 && t[0] == '<':
-			ps[i] = nestedword.Position{Symbol: t[1:], Kind: nestedword.Call}
-		case len(t) > 1 && t[len(t)-1] == '>':
-			ps[i] = nestedword.Position{Symbol: t[:len(t)-1], Kind: nestedword.Return}
-		default:
-			ps[i] = nestedword.Position{Symbol: t, Kind: nestedword.Internal}
-		}
-	}
-	return nestedword.New(ps...)
-}
-
 // FlatFromDFA interprets a deterministic word automaton over the tagged
 // alphabet Σ̂ as a flat NWA over Σ with the same number of states
 // (Theorem 2, right-to-left): δc(q, a) = (δ(q, ⟨a), q0), δi(q, a) = δ(q, a),

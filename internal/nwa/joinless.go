@@ -57,22 +57,6 @@ func NewJNWA(alpha *alphabet.Alphabet, numStates int) *JNWA {
 // NumStates returns the number of states.
 func (j *JNWA) NumStates() int { return j.num }
 
-// addState appends a fresh linear state and returns its index.
-func (j *JNWA) addState() int {
-	q := j.num
-	j.num++
-	j.hier = append(j.hier, false)
-	return q
-}
-
-// addHierarchicalState appends a fresh hierarchical state and returns its
-// index.
-func (j *JNWA) addHierarchicalState() int {
-	q := j.addState()
-	j.hier[q] = true
-	return q
-}
-
 // MarkHierarchical moves states into Qh.
 func (j *JNWA) MarkHierarchical(states ...int) *JNWA {
 	for _, q := range states {
@@ -80,9 +64,6 @@ func (j *JNWA) MarkHierarchical(states ...int) *JNWA {
 	}
 	return j
 }
-
-// isHierarchical reports whether q ∈ Qh.
-func (j *JNWA) isHierarchical(q int) bool { return j.hier[q] }
 
 // AddStart marks states as initial.
 func (j *JNWA) AddStart(states ...int) *JNWA {
@@ -99,9 +80,6 @@ func (j *JNWA) AddAccept(states ...int) *JNWA {
 	}
 	return j
 }
-
-// isAccepting reports whether q ∈ F.
-func (j *JNWA) isAccepting(q int) bool { return j.accept[q] }
 
 // startStates returns the initial states, sorted.
 func (j *JNWA) startStates() []int { return sortedStates(j.starts) }
@@ -180,17 +158,6 @@ func (j *JNWA) IsTopDown() bool {
 	return true
 }
 
-// isFlatJoinless reports whether the automaton has only linear states
-// (Ql = Q), the joinless presentation of flat automata.
-func (j *JNWA) isFlatJoinless() bool {
-	for q := 0; q < j.num; q++ {
-		if j.hier[q] {
-			return false
-		}
-	}
-	return true
-}
-
 // toNNWA converts the joinless automaton to an equivalent general
 // nondeterministic NWA over the same state set, so that membership,
 // emptiness, and equivalence reuse the NNWA algorithms.  The joinless return
@@ -250,6 +217,3 @@ func (j *JNWA) toNNWA() *NNWA {
 
 // Accepts reports whether the joinless automaton accepts the nested word.
 func (j *JNWA) Accepts(n *nestedword.NestedWord) bool { return j.toNNWA().Accepts(n) }
-
-// isEmpty reports whether the automaton accepts no nested word.
-func (j *JNWA) isEmpty() bool { return j.toNNWA().isEmpty() }

@@ -46,13 +46,6 @@ func (n *NNWA) Alphabet() *alphabet.Alphabet { return n.alpha }
 // NumStates returns the number of states.
 func (n *NNWA) NumStates() int { return n.num }
 
-// addState appends a fresh state and returns its index.
-func (n *NNWA) addState() int {
-	q := n.num
-	n.num++
-	return q
-}
-
 // AddStart marks states as initial.
 func (n *NNWA) AddStart(states ...int) *NNWA {
 	checkStates(n.num, states...)
@@ -115,9 +108,6 @@ func appendInt(list []int, v int) []int {
 
 // StartStates returns the initial states, sorted.
 func (n *NNWA) StartStates() []int { return sortedStates(n.starts) }
-
-// acceptingStates returns the final states, sorted.
-func (n *NNWA) acceptingStates() []int { return sortedStates(n.accept) }
 
 // IsAccepting reports whether q ∈ F.
 func (n *NNWA) IsAccepting(q int) bool { return n.accept[q] }

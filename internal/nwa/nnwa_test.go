@@ -156,17 +156,16 @@ func TestNNWASimulationAgainstNaive(t *testing.T) {
 }
 
 func TestNNWAAddStateAndAccessors(t *testing.T) {
-	a := NewNNWA(testAlpha, 1)
-	q := a.addState()
-	if q != 1 || a.NumStates() != 2 {
-		t.Errorf("AddState numbering broken")
+	a := NewNNWA(testAlpha, 2)
+	if a.NumStates() != 2 {
+		t.Errorf("NumStates = %d, want 2", a.NumStates())
 	}
 	a.AddStart(0).AddAccept(1)
 	if got := a.StartStates(); len(got) != 1 || got[0] != 0 {
 		t.Errorf("StartStates = %v", got)
 	}
-	if got := a.acceptingStates(); len(got) != 1 || got[0] != 1 {
-		t.Errorf("AcceptingStates = %v", got)
+	if !a.IsAccepting(1) || a.IsAccepting(0) {
+		t.Errorf("only state 1 should be accepting")
 	}
 	a.AddInternal(0, "a", 1)
 	a.AddInternal(0, "a", 1) // duplicates are collapsed
@@ -182,10 +181,10 @@ func TestNNWAAddStateAndAccessors(t *testing.T) {
 
 func TestNNWAEmptinessAndWitness(t *testing.T) {
 	a := someCallSomeReturnMismatch()
-	if a.isEmpty() {
+	if isEmpty(a) {
 		t.Fatalf("mismatch gadget is not empty")
 	}
-	w, ok := a.someWord()
+	w, ok := findAccepted(a, a.alpha)
 	if !ok || !a.Accepts(w) {
 		t.Errorf("SomeWord witness %v not accepted", w)
 	}
@@ -197,7 +196,7 @@ func TestNNWAEmptinessAndWitness(t *testing.T) {
 	empty.AddStart(0)
 	empty.AddAccept(1)
 	empty.AddInternal(0, "a", 0)
-	if !empty.isEmpty() {
+	if !isEmpty(empty) {
 		t.Errorf("no path to the accepting state: language must be empty")
 	}
 
@@ -207,7 +206,7 @@ func TestNNWAEmptinessAndWitness(t *testing.T) {
 	branches.AddStart(0).AddAccept(1, 2, 3)
 	branches.AddInternal(0, "a", 1).AddInternal(0, "b", 2).AddInternal(0, "c", 3)
 	for i := 0; i < 200; i++ {
-		if w, _ := branches.someWord(); w.String() != "a" {
+		if w, _ := findAccepted(branches, branches.alpha); w.String() != "a" {
 			t.Fatalf("call %d: SomeWord = %v, want a", i, w)
 		}
 	}
@@ -220,7 +219,7 @@ func TestQuickEmptinessAgreesWithSampling(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a := randomNNWA(rng, 1+rng.Intn(4))
-		if w, ok := a.someWord(); ok {
+		if w, ok := findAccepted(a, a.alpha); ok {
 			return a.Accepts(w)
 		}
 		for i := 0; i < 40; i++ {

@@ -9,11 +9,6 @@
 // stack unchanged.  A word is accepted if some run from an initial
 // configuration (q0, ⊥) consumes the whole word and ends with an empty
 // stack.
-//
-// The emptiness check computes the "stackless summaries" described in
-// Section 4.4: the relation R(q, q') holds when some word takes the
-// automaton from (q, ε) to (q', ε) without ever inspecting the stack below
-// the starting level.
 package pda
 
 import (
@@ -37,8 +32,6 @@ type PDA struct {
 	push map[int][]pushTarget
 	// pop[(q, stack symbol)] lists successor states.
 	pop map[popKey][]int
-	// stack symbols seen (for diagnostics).
-	gamma map[string]bool
 }
 
 type popKey struct {
@@ -62,19 +55,11 @@ func New(alpha *alphabet.Alphabet, numStates int) *PDA {
 		read:   make(map[[2]int][]int),
 		push:   make(map[int][]pushTarget),
 		pop:    make(map[popKey][]int),
-		gamma:  map[string]bool{Bottom: true},
 	}
 }
 
 // NumStates returns the number of states.
 func (p *PDA) NumStates() int { return p.num }
-
-// addState appends a fresh state and returns its index.
-func (p *PDA) addState() int {
-	q := p.num
-	p.num++
-	return q
-}
 
 // AddStart marks states as initial.
 func (p *PDA) AddStart(states ...int) *PDA {
@@ -97,14 +82,12 @@ func (p *PDA) AddPush(from, to int, gamma string) *PDA {
 	if gamma == Bottom {
 		panic("pda: pushing the bottom symbol is not allowed")
 	}
-	p.gamma[gamma] = true
 	p.push[from] = append(p.push[from], pushTarget{state: to, gamma: gamma})
 	return p
 }
 
 // AddPop adds the ε-transition (from, gamma → to), popping gamma.
 func (p *PDA) AddPop(from int, gamma string, to int) *PDA {
-	p.gamma[gamma] = true
 	k := popKey{from, gamma}
 	p.pop[k] = append(p.pop[k], to)
 	return p
@@ -215,77 +198,6 @@ func stackHeight(stack string) int {
 		}
 	}
 	return h
-}
-
-// summaries returns the stackless-summary relation R ⊆ Q×Q of Section 4.4:
-// R(q, q') holds when some word takes the automaton from (q, ε) to (q', ε)
-// without popping below the starting stack level.
-func (p *PDA) summaries() map[[2]int]bool {
-	r := make(map[[2]int]bool)
-	var worklist [][2]int
-	add := func(q, q2 int) {
-		k := [2]int{q, q2}
-		if !r[k] {
-			r[k] = true
-			worklist = append(worklist, k)
-		}
-	}
-	for q := 0; q < p.num; q++ {
-		add(q, q)
-	}
-	for len(worklist) > 0 {
-		pr := worklist[len(worklist)-1]
-		worklist = worklist[:len(worklist)-1]
-		q, q2 := pr[0], pr[1]
-		// Extend by a read transition.
-		for k, tos := range p.read {
-			if k[0] != q2 {
-				continue
-			}
-			for _, to := range tos {
-				add(q, to)
-			}
-		}
-		// Push-pop rule: q1 --push γ--> q ... q2 --pop γ--> q3.
-		for q1 := 0; q1 < p.num; q1++ {
-			for _, pg := range p.push[q1] {
-				if pg.state != q {
-					continue
-				}
-				for _, q3 := range p.pop[popKey{q2, pg.gamma}] {
-					add(q1, q3)
-				}
-			}
-		}
-		// Concatenation with existing summaries on both sides.
-		for other := range r {
-			if other[0] == q2 {
-				add(q, other[1])
-			}
-			if other[1] == q {
-				add(other[0], q2)
-			}
-		}
-	}
-	return r
-}
-
-// isEmpty reports whether the automaton accepts no word: L(A) is non-empty
-// iff R(q0, qf) holds for some initial q0 and some qf from which ⊥ can be
-// popped.
-func (p *PDA) isEmpty() bool {
-	r := p.summaries()
-	for q0 := range p.starts {
-		for qf := 0; qf < p.num; qf++ {
-			if !r[[2]int{q0, qf}] {
-				continue
-			}
-			if len(p.pop[popKey{qf, Bottom}]) > 0 {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // PushTransition is an exported view of a push ε-transition.

@@ -100,54 +100,6 @@ func TestEqualCountsPDA(t *testing.T) {
 	}
 }
 
-func TestEmptiness(t *testing.T) {
-	if anbn().isEmpty() {
-		t.Errorf("a^n b^n is not empty")
-	}
-	// An automaton that can never empty its stack.
-	p := New(ab, 2)
-	p.AddStart(0)
-	p.AddRead(0, "a", 1)
-	p.AddPush(1, 0, "X")
-	if !p.isEmpty() {
-		t.Errorf("no pop transitions: the language must be empty")
-	}
-	// Reachability matters: the ⊥-popping state is unreachable.
-	q := New(ab, 3)
-	q.AddStart(0)
-	q.AddRead(0, "a", 0)
-	q.AddPopBottom(2, 2)
-	if !q.isEmpty() {
-		t.Errorf("the pop-⊥ state is unreachable, so the language must be empty")
-	}
-	// And non-emptiness via a push-pop round trip.
-	r := New(ab, 4)
-	r.AddStart(0)
-	r.AddPush(0, 1, "X")
-	r.AddRead(1, "a", 2)
-	r.AddPop(2, "X", 3)
-	r.AddPopBottom(3, 3)
-	if r.isEmpty() {
-		t.Errorf("the word \"a\" is accepted, so the language is not empty")
-	}
-}
-
-func TestSummariesBasic(t *testing.T) {
-	p := anbn()
-	r := p.summaries()
-	// Reflexivity.
-	for q := 0; q < p.NumStates(); q++ {
-		if !r[[2]int{q, q}] {
-			t.Errorf("summaries must be reflexive at %d", q)
-		}
-	}
-	// Reading "ab" with a balanced push/pop yields a summary from the start
-	// state back to a state that can pop ⊥.
-	if !r[[2]int{0, 2}] {
-		t.Errorf("expected a summary from state 0 to state 2 (via a balanced a/b block)")
-	}
-}
-
 func TestAccessors(t *testing.T) {
 	p := anbn()
 	if p.NumStates() != 5 {
@@ -164,10 +116,6 @@ func TestAccessors(t *testing.T) {
 	}
 	if len(p.Pushes()) != 1 || len(p.Pops()) != 3 {
 		t.Errorf("Pushes/Pops accessors broken: %v %v", p.Pushes(), p.Pops())
-	}
-	q := p.addState()
-	if q != 5 || p.NumStates() != 6 {
-		t.Errorf("AddState broken")
 	}
 }
 

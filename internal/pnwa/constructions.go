@@ -98,6 +98,8 @@ func EqualCounts() *PNWA {
 }
 
 // equalCountsPredicate is the reference semantics of EqualCounts.
+//
+//nwvet:oracle TestEqualCountsAgainstPredicate holds EqualCounts to it
 func equalCountsPredicate(n *nestedword.NestedWord) bool {
 	a, b := 0, 0
 	for i := 0; i < n.Len(); i++ {

@@ -87,21 +87,6 @@ func New(alpha *alphabet.Alphabet, numStates int) *PNWA {
 // NumStates returns the number of states.
 func (p *PNWA) NumStates() int { return p.num }
 
-// addState appends a fresh linear state.
-func (p *PNWA) addState() int {
-	q := p.num
-	p.num++
-	p.hier = append(p.hier, false)
-	return q
-}
-
-// addHierarchicalState appends a fresh hierarchical state.
-func (p *PNWA) addHierarchicalState() int {
-	q := p.addState()
-	p.hier[q] = true
-	return q
-}
-
 // markHierarchical moves states into Qh.
 func (p *PNWA) markHierarchical(states ...int) *PNWA {
 	for _, q := range states {
@@ -109,9 +94,6 @@ func (p *PNWA) markHierarchical(states ...int) *PNWA {
 	}
 	return p
 }
-
-// isHierarchical reports whether q ∈ Qh.
-func (p *PNWA) isHierarchical(q int) bool { return p.hier[q] }
 
 // AddStart marks states as initial.
 func (p *PNWA) AddStart(states ...int) *PNWA {

@@ -80,12 +80,8 @@ func TestTypedConstructionPanics(t *testing.T) {
 }
 
 func TestStateHelpers(t *testing.T) {
-	p := New(ab, 0)
-	lin := p.addState()
-	hier := p.addHierarchicalState()
-	if p.isHierarchical(lin) || !p.isHierarchical(hier) {
-		t.Errorf("state kinds broken")
-	}
+	const lin = 0
+	p := New(ab, 2)
 	p.AddStart(lin)
 	if got := p.startStates(); len(got) != 1 || got[0] != lin {
 		t.Errorf("StartStates = %v", got)

@@ -1,23 +1,15 @@
 // Package pta implements top-down pushdown tree automata, the "trees"
 // baseline of Section 4 of "Marrying Words and Trees" (Alur, PODS 2007).
 //
-// A pushdown tree automaton runs top-down over an ordered tree (nodes of
-// arity 0, 1, or 2 suffice for every example in the paper, including the
-// stem-plus-full-binary-tree family of Figure 2).  Configurations pair a
-// state with a stack; the stack is updated only by ε push/pop moves; at a
-// node the configuration is copied to every child, each with its own copy of
-// the stack; the tree is accepted when every leaf configuration can reach an
-// empty stack.
-//
-// The emptiness check computes the summaries R(q, U) described in Section
-// 4.4: R(q, U) holds when some tree has a run from (q, ε) whose leaf
-// configurations all have empty stacks and states in U.  As the paper notes,
-// a push can be matched by pops along multiple branches, which is what makes
-// the procedure (and the problem) exponential.
+// A pushdown tree automaton runs top-down over an ordered tree.
+// Configurations pair a state with a stack; the stack is updated only by ε
+// push/pop moves; at a node the configuration passes to the child; the tree
+// is accepted when its leaf configuration can reach an empty stack.  The
+// automaton reads leaves and unary nodes, the stems the experiments measure
+// it on.
 package pta
 
 import (
-	"sort"
 	"strconv"
 	"strings"
 
@@ -41,35 +33,28 @@ type pushTarget struct {
 // PTA is a nondeterministic top-down pushdown tree automaton.
 type PTA struct {
 	alpha  *alphabet.Alphabet
-	num    int
 	starts map[int]bool
 	// leaf[(q, sym)] — state q may finish on a sym-labelled leaf, moving to
 	// the listed states (whose configurations must then empty their stacks).
 	leaf map[[2]int][]int
 	// unary[(q, sym)] — successors for the single child.
 	unary map[[2]int][]int
-	// binary[(q, sym)] — (left, right) successor pairs.
-	binary map[[2]int][][2]int
-	push   map[int][]pushTarget
-	pop    map[popKey][]int
+	push  map[int][]pushTarget
+	pop   map[popKey][]int
 }
 
-// New creates an empty PTA over the given alphabet with numStates states.
-func New(alpha *alphabet.Alphabet, numStates int) *PTA {
+// New creates an empty PTA over the given alphabet; states are the ints the
+// transitions name.
+func New(alpha *alphabet.Alphabet) *PTA {
 	return &PTA{
 		alpha:  alpha,
-		num:    numStates,
 		starts: make(map[int]bool),
 		leaf:   make(map[[2]int][]int),
 		unary:  make(map[[2]int][]int),
-		binary: make(map[[2]int][][2]int),
 		push:   make(map[int][]pushTarget),
 		pop:    make(map[popKey][]int),
 	}
 }
-
-// numStates returns the number of states.
-func (p *PTA) numStates() int { return p.num }
 
 // AddStart marks states as initial.
 func (p *PTA) AddStart(states ...int) *PTA {
@@ -91,14 +76,6 @@ func (p *PTA) AddLeaf(q int, sym string, to int) *PTA {
 func (p *PTA) AddUnary(q int, sym string, child int) *PTA {
 	k := [2]int{q, p.alpha.MustIndex(sym)}
 	p.unary[k] = append(p.unary[k], child)
-	return p
-}
-
-// addBinary adds the transition (q, sym → left, right) for nodes with two
-// children.
-func (p *PTA) addBinary(q int, sym string, left, right int) *PTA {
-	k := [2]int{q, p.alpha.MustIndex(sym)}
-	p.binary[k] = append(p.binary[k], [2]int{left, right})
 	return p
 }
 
@@ -232,13 +209,6 @@ func (m *matcher) node(t *tree.Tree, cfg config) bool {
 						result = true
 					}
 				}
-			case 2:
-				for _, lr := range m.p.binary[[2]int{c.state, si}] {
-					if m.node(t.Children[0], config{state: lr[0], stack: c.stack}) &&
-						m.node(t.Children[1], config{state: lr[1], stack: c.stack}) {
-						result = true
-					}
-				}
 			}
 			if result {
 				break
@@ -280,155 +250,3 @@ func treeKey(t *tree.Tree) string {
 	walk(t)
 	return b.String()
 }
-
-// stateSet is a canonical set of states.
-type stateSet []int
-
-func newStateSet(states ...int) stateSet {
-	if len(states) == 0 {
-		return nil
-	}
-	out := append(stateSet(nil), states...)
-	sort.Ints(out)
-	dedup := out[:1]
-	for _, q := range out[1:] {
-		if q != dedup[len(dedup)-1] {
-			dedup = append(dedup, q)
-		}
-	}
-	return dedup
-}
-
-func (s stateSet) union(t stateSet) stateSet {
-	return newStateSet(append(append([]int(nil), s...), t...)...)
-}
-
-func (s stateSet) key() string {
-	parts := make([]string, len(s))
-	for i, q := range s {
-		parts[i] = strconv.Itoa(q)
-	}
-	return strings.Join(parts, ",")
-}
-
-type summary struct {
-	from int
-	set  stateSet
-}
-
-func (s summary) key() string { return strconv.Itoa(s.from) + "|" + s.set.key() }
-
-// saturate computes the relation R(q, U) of Section 4.4: some tree has a run
-// from (q, ε) whose leaf configurations are (u, ε) with u ∈ U.
-func (p *PTA) saturate() map[string]summary {
-	r := make(map[string]summary)
-	var worklist []summary
-	add := func(s summary) {
-		k := s.key()
-		if _, ok := r[k]; ok {
-			return
-		}
-		r[k] = s
-		worklist = append(worklist, s)
-	}
-	for k, tos := range p.leaf {
-		for _, to := range tos {
-			add(summary{from: k[0], set: newStateSet(to)})
-		}
-	}
-	for len(worklist) > 0 {
-		s := worklist[len(worklist)-1]
-		worklist = worklist[:len(worklist)-1]
-		// Unary rule.
-		for k, children := range p.unary {
-			for _, child := range children {
-				if child == s.from {
-					add(summary{from: k[0], set: s.set})
-				}
-			}
-		}
-		// Binary rule: combine with every known summary for the sibling.
-		for k, pairs := range p.binary {
-			for _, lr := range pairs {
-				for _, other := range snapshot(r) {
-					if lr[0] == s.from && lr[1] == other.from {
-						add(summary{from: k[0], set: s.set.union(other.set)})
-					}
-					if lr[0] == other.from && lr[1] == s.from {
-						add(summary{from: k[0], set: other.set.union(s.set)})
-					}
-				}
-			}
-		}
-		// Push-pop rule.
-		for q1 := 0; q1 < p.num; q1++ {
-			for _, pg := range p.push[q1] {
-				if pg.state != s.from {
-					continue
-				}
-				for _, img := range p.leafPopImages(s.set, pg.gamma) {
-					add(summary{from: q1, set: img})
-				}
-			}
-		}
-	}
-	return r
-}
-
-func (p *PTA) leafPopImages(set stateSet, gamma string) []stateSet {
-	images := []stateSet{nil}
-	for _, u := range set {
-		succ := p.pop[popKey{u, gamma}]
-		if len(succ) == 0 {
-			return nil
-		}
-		var next []stateSet
-		for _, img := range images {
-			for _, u2 := range succ {
-				next = append(next, img.union(newStateSet(u2)))
-			}
-		}
-		images = next
-	}
-	return images
-}
-
-func snapshot(r map[string]summary) []summary {
-	out := make([]summary, 0, len(r))
-	for _, s := range r {
-		out = append(out, s)
-	}
-	return out
-}
-
-// isEmpty reports whether the automaton accepts no tree: the language is
-// non-empty iff R(q0, U) holds for an initial q0 and a set U of states from
-// which ⊥ can be popped.
-func (p *PTA) isEmpty() bool {
-	popBottom := make(map[int]bool)
-	for q := 0; q < p.num; q++ {
-		if len(p.pop[popKey{q, bottom}]) > 0 {
-			popBottom[q] = true
-		}
-	}
-	for _, s := range p.saturate() {
-		if !p.starts[s.from] {
-			continue
-		}
-		ok := true
-		for _, u := range s.set {
-			if !popBottom[u] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return false
-		}
-	}
-	return true
-}
-
-// summaryCount returns the number of summaries computed by the emptiness
-// saturation.
-func (p *PTA) summaryCount() int { return len(p.saturate()) }

@@ -206,18 +206,6 @@ func (c *Compiled) Alphabet() *alphabet.Alphabet { return c.alpha }
 // numStates returns the number of states, including the dead state.
 func (c *Compiled) numStates() int { return c.num }
 
-// outOfAlphabet returns the dedicated symbol ID assigned to labels outside
-// the alphabet; it equals Alphabet().Size().
-func (c *Compiled) outOfAlphabet() int { return c.syms - 1 }
-
-// symID interns a label: its alphabet index, or the out-of-alphabet ID.
-func (c *Compiled) symID(label string) int {
-	if i, ok := c.alpha.Index(label); ok {
-		return i
-	}
-	return c.syms - 1
-}
-
 // clampSym folds any ID outside the compiled range onto the out-of-alphabet
 // column, so a Runner fed a stray ID behaves like one fed an unknown label.
 func clampSym(sym, syms int) int {

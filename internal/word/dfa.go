@@ -162,16 +162,6 @@ func (d *DFA) isEmpty() bool {
 	return true
 }
 
-// complement returns a DFA accepting the complement language over the same
-// alphabet.
-func (d *DFA) complement() *DFA {
-	accept := make([]bool, len(d.accept))
-	for i, a := range d.accept {
-		accept[i] = !a
-	}
-	return &DFA{alpha: d.alpha, start: d.start, accept: accept, delta: d.delta}
-}
-
 // product builds the product DFA combining acceptance with the given
 // boolean function.  Both automata must share the same alphabet.
 func product(a, b *DFA, combine func(bool, bool) bool) *DFA {
@@ -319,31 +309,3 @@ func (d *DFA) toNFA() *NFA {
 // Reverse returns a DFA for the reversal language L(d)^R (via NFA reversal
 // and determinization).
 func (d *DFA) Reverse() *DFA { return d.toNFA().reverse().determinize() }
-
-// someWord returns a shortest word accepted by the DFA, and ok=false when
-// the language is empty.
-func (d *DFA) someWord() ([]string, bool) {
-	type entry struct {
-		state int
-		word  []string
-	}
-	visited := make([]bool, d.NumStates())
-	queue := []entry{{state: d.start, word: nil}}
-	visited[d.start] = true
-	for len(queue) > 0 {
-		e := queue[0]
-		queue = queue[1:]
-		if d.accept[e.state] {
-			return e.word, true
-		}
-		for s := 0; s < d.alpha.Size(); s++ {
-			next := d.delta[e.state][s]
-			if !visited[next] {
-				visited[next] = true
-				w := append(append([]string(nil), e.word...), d.alpha.Symbol(s))
-				queue = append(queue, entry{state: next, word: w})
-			}
-		}
-	}
-	return nil, false
-}

@@ -118,16 +118,6 @@ func TestDFAStepUnknownSymbol(t *testing.T) {
 	}
 }
 
-func TestComplement(t *testing.T) {
-	d := evenAs()
-	c := d.complement()
-	for _, in := range []string{"", "a", "aa", "aba", "bbb"} {
-		if d.Accepts(w(in)) == c.Accepts(w(in)) {
-			t.Errorf("complement should disagree with original on %q", in)
-		}
-	}
-}
-
 func TestBooleanOperations(t *testing.T) {
 	a, b := evenAs(), endsWithAB()
 	inter := product(a, b, func(x, y bool) bool { return x && y })
@@ -231,19 +221,9 @@ func TestIsEmptyAndSomeWord(t *testing.T) {
 	if !empty.isEmpty() {
 		t.Errorf("automaton without accepting states should be empty")
 	}
-	if _, ok := empty.someWord(); ok {
-		t.Errorf("SomeWord on an empty language should fail")
-	}
 	d := endsWithAB()
 	if d.isEmpty() {
 		t.Errorf("endsWithAB is not empty")
-	}
-	word, ok := d.someWord()
-	if !ok || !d.Accepts(word) {
-		t.Errorf("SomeWord returned (%v,%v), which is not accepted", word, ok)
-	}
-	if len(word) != 2 {
-		t.Errorf("SomeWord should be shortest; got %v", word)
 	}
 }
 
@@ -323,39 +303,6 @@ func TestQuickMinimalIsUnique(t *testing.T) {
 		return m.Minimize().NumStates() == m.NumStates()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickComplementInvolution(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		d := randomDFA(rng, 1+rng.Intn(6))
-		cc := d.complement().complement()
-		for i := 0; i < 20; i++ {
-			word := randomWord(rng, 10)
-			if d.Accepts(word) != cc.Accepts(word) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickDeMorgan(t *testing.T) {
-	// complement(A ∪ B) ≡ complement(A) ∩ complement(B)
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a := randomDFA(rng, 1+rng.Intn(5))
-		b := randomDFA(rng, 1+rng.Intn(5))
-		lhs := product(a, b, func(x, y bool) bool { return x || y }).complement()
-		rhs := product(a.complement(), b.complement(), func(x, y bool) bool { return x && y })
-		return Equivalent(lhs, rhs)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }

@@ -257,39 +257,6 @@ func (n *NFA) reverse() *NFA {
 	return r
 }
 
-// isEmpty reports whether the NFA accepts no word (reachability over
-// symbol and ε edges).
-func (n *NFA) isEmpty() bool {
-	size := n.alpha.Size()
-	visited := slices.Clone(n.start)
-	var stack []int
-	for q, ok := range n.start {
-		if ok {
-			stack = append(stack, q)
-		}
-	}
-	push := func(tos []int32) {
-		for _, to := range tos {
-			if !visited[to] {
-				visited[to] = true
-				stack = append(stack, int(to))
-			}
-		}
-	}
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if n.accept[q] {
-			return false
-		}
-		for _, tos := range n.succ[q*size : (q+1)*size] {
-			push(tos)
-		}
-		push(n.eps[q])
-	}
-	return true
-}
-
 // MinimalDFASize returns the number of states of the minimal complete DFA
 // for L(n).  It is the measurement primitive of the succinctness
 // experiments.

@@ -103,14 +103,14 @@ func TestNFAIsEmpty(t *testing.T) {
 	alpha := alphabet.New("a")
 	empty := NewNFA(alpha, 2)
 	empty.AddStart(0).AddAccept(1) // no transition connects them
-	if !empty.isEmpty() {
+	if !empty.determinize().isEmpty() {
 		t.Errorf("disconnected NFA should be empty")
 	}
 	empty.addEpsilon(0, 1)
-	if empty.isEmpty() {
+	if empty.determinize().isEmpty() {
 		t.Errorf("ε-reachable accepting state means non-empty")
 	}
-	if nthFromEndIsA(2).isEmpty() {
+	if nthFromEndIsA(2).determinize().isEmpty() {
 		t.Errorf("non-trivial NFA reported empty")
 	}
 }

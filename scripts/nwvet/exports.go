@@ -1,8 +1,9 @@
 // The export-discipline analyzer: every exported identifier of a non-main
 // package earns its place with a production caller, a place in another
 // passing identifier's signature, or an //nwvet:oracle annotation naming the
-// test it serves.  Unlike the per-unit analyzers it reads the whole walk at
-// once, because its question — who calls this? — is about other packages.
+// test it serves, and every other function or method with a reference from
+// live code.  Unlike the per-unit analyzers it reads the whole walk at once,
+// because its question — who calls this? — is about other packages.
 package main
 
 import (
@@ -13,8 +14,8 @@ import (
 	"strings"
 )
 
-// oracleDirective marks an exported identifier kept for tests alone; the
-// rest of the line must name the test that uses it.
+// oracleDirective marks an identifier kept for tests alone; the rest of the
+// line must name the tests that use it, each declared by some test file.
 const oracleDirective = "//nwvet:oracle"
 
 // oracleReason matches a test, fuzz target, benchmark or example name.
@@ -39,8 +40,9 @@ type export struct {
 // receiver type that implements a live interface declaring it; a mention in
 // the signature, field or declared type of a passing identifier of its
 // package; membership in a passing named type's constants; or an
-// //nwvet:oracle reason.
-func analyzeExportDiscipline(units []*unit, report reportFunc) {
+// //nwvet:oracle reason naming declared tests.  Then it weighs every other
+// function and method by liveness (analyzeLiveness).
+func analyzeExportDiscipline(units []*unit, tests map[string]bool, report reportFunc) {
 	var exports []*export
 	// Build-tag variants of one declaration share their index entry.
 	byKey := map[string][]*export{} // import path + "." + name -> declarations
@@ -85,10 +87,7 @@ func analyzeExportDiscipline(units []*unit, report reportFunc) {
 
 	for _, e := range exports {
 		if reason, ok := directiveArg(e.doc, oracleDirective); ok {
-			if !oracleReason.MatchString(reason) {
-				report("%s: export-discipline: %s.%s: %s must name the test that uses it",
-					e.unit.position(e.node), e.unit.pkg.Name(), e.name, oracleDirective)
-			}
+			checkOracle(e.unit, e.node, e.name, reason, tests, report)
 			e.pass = true // a bad annotation is reported once, as such
 		}
 	}
@@ -129,7 +128,7 @@ func analyzeExportDiscipline(units []*unit, report reportFunc) {
 				if t := byKey[e.unit.path+"."+e.constT]; len(t) > 0 && t[0].pass {
 					e.pass, changed = true, true
 				}
-				if e.method != "" && implementsLive(e, ifaces, live) {
+				if e.method != "" && len(implemented(e.unit, e.name, e.method, ifaces, live)) > 0 {
 					e.pass, changed = true, true
 				}
 				continue
@@ -152,6 +151,158 @@ func analyzeExportDiscipline(units []*unit, report reportFunc) {
 				e.unit.position(e.node), e.unit.pkg.Name(), e.name, oracleDirective)
 		}
 	}
+	analyzeLiveness(units, byKey, ifaces, live, tests, report)
+}
+
+// checkOracle reports an //nwvet:oracle reason that names no test, or names
+// one that no test file of the walk declares.
+func checkOracle(u *unit, n ast.Node, name, reason string, tests map[string]bool, report reportFunc) {
+	cited := oracleReason.FindAllString(reason, -1)
+	if len(cited) == 0 {
+		report("%s: export-discipline: %s.%s: %s must name the test that uses it",
+			u.position(n), u.pkg.Name(), name, oracleDirective)
+	}
+	for _, test := range cited {
+		if !tests[test] {
+			report("%s: export-discipline: %s.%s: %s names %s, which no test file declares",
+				u.position(n), u.pkg.Name(), name, oracleDirective, test)
+		}
+	}
+}
+
+// fn is one function or method declaration the liveness rule weighs.
+type fn struct {
+	unit *unit
+	decl *ast.FuncDecl
+	name string   // "name", or "Type.method" for a method
+	key  string   // its funcKey: import path + "." + name
+	refs []string // funcKey of every function and method its body names
+}
+
+// analyzeLiveness reports every unexported function and method that no
+// live code reaches.  A function is live when a root or a live function
+// names it, to a fixpoint.  The roots are the exports that pass, exported
+// names export-discipline does not weigh (a main package's, or a method of
+// an unexported type, which the standard library may reach by an interface
+// assertion it declares unexported), main and init, every function a
+// package-level var or const initializer names, and every function marked
+// //nwvet:oracle.  A method is also live when its receiver type implements
+// an interface declaring it that is live for export-discipline or whose
+// method a live function calls.
+func analyzeLiveness(units []*unit, byKey map[string][]*export, ifaces map[string][]ifaceMethod, ifaceLive func(ifaceMethod, string) bool, tests map[string]bool, report reportFunc) {
+	var fns []*fn
+	byFunc := map[string][]*fn{} // funcKey -> declarations (build-tag variants share one)
+	live := map[string]bool{}
+	var work []string
+	mark := func(key string) {
+		if !live[key] {
+			live[key] = true
+			work = append(work, key)
+		}
+	}
+	for _, u := range units {
+		for _, file := range u.files {
+			for _, decl := range file.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					f := &fn{unit: u, decl: d, name: d.Name.Name, refs: funcRefs(u, d)}
+					if d.Recv != nil {
+						f.name = receiverTypeName(d.Recv) + "." + f.name
+					}
+					key := u.path + "." + f.name
+					f.key = key
+					fns = append(fns, f)
+					byFunc[key] = append(byFunc[key], f)
+					if e := byKey[key]; d.Name.IsExported() && (len(e) == 0 || e[0].pass) {
+						mark(key) // an export that passes, or one outside export-discipline
+					}
+					if d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && u.pkg.Name() == "main") {
+						mark(key)
+					}
+					if reason, ok := directiveArg(d.Doc, oracleDirective); ok {
+						if len(byKey[key]) == 0 { // an export's annotation is checked above
+							checkOracle(u, d, f.name, reason, tests, report)
+						}
+						mark(key)
+					}
+				case *ast.GenDecl:
+					for _, key := range funcRefs(u, d) {
+						mark(key)
+					}
+				}
+			}
+		}
+	}
+
+	// The interface methods each method implements, computed once.
+	implements := map[*fn][]ifaceMethod{}
+	for _, f := range fns {
+		if f.decl.Recv != nil {
+			implements[f] = implemented(f.unit, f.name, f.decl.Name.Name, ifaces, func(ifaceMethod, string) bool { return true })
+		}
+	}
+	for {
+		for len(work) > 0 {
+			key := work[len(work)-1]
+			work = work[:len(work)-1]
+			for _, f := range byFunc[key] {
+				for _, r := range f.refs {
+					mark(r)
+				}
+			}
+		}
+		for f, ims := range implements {
+			if live[f.key] {
+				continue
+			}
+			for _, im := range ims {
+				if live[funcKey(im.m)] || ifaceLive(im, f.unit.path) {
+					mark(f.key)
+					break
+				}
+			}
+		}
+		if len(work) == 0 {
+			break
+		}
+	}
+
+	for _, f := range fns {
+		if !live[f.key] && !f.decl.Name.IsExported() {
+			report("%s: export-discipline: %s.%s is reached by no live code, only by tests or nothing (delete it, or mark it %s <test>)",
+				f.unit.position(f.decl), f.unit.pkg.Name(), f.name, oracleDirective)
+		}
+	}
+}
+
+// funcRefs returns the funcKey of every function and method a declaration
+// names, interface methods included.
+func funcRefs(u *unit, decl ast.Node) []string {
+	var out []string
+	ast.Inspect(decl, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if f, ok := u.info.Uses[id].(*types.Func); ok {
+				if key := funcKey(f); key != "" {
+					out = append(out, key)
+				}
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// funcKey names a function or method across the walk: import path + "." +
+// its declName; "" for a method of an unnamed interface.
+func funcKey(f *types.Func) string {
+	f = f.Origin()
+	if f.Pkg() == nil {
+		return "" // the predeclared error's Error
+	}
+	if name := declName(f); name != "" {
+		return f.Pkg().Path() + "." + name
+	}
+	return ""
 }
 
 // declName returns an object's index name, "Name" or "Type.Method", or ""
@@ -221,24 +372,25 @@ func interfaceMethods(units []*unit) map[string][]ifaceMethod {
 	return out
 }
 
-// implementsLive reports whether a method's receiver type implements a live
-// interface that declares the method.  The pointer type's method set holds
-// both receiver kinds, so it stands for the receiver type.
-func implementsLive(e *export, ifaces map[string][]ifaceMethod, live func(ifaceMethod, string) bool) bool {
-	tn, ok := e.unit.pkg.Scope().Lookup(strings.TrimSuffix(e.name, "."+e.method)).(*types.TypeName)
+// implemented returns the interface methods that a method, "Type.method"
+// of the unit, implements and that live accepts.  The pointer type's method
+// set holds both receiver kinds, so it stands for the receiver type.
+func implemented(u *unit, name, method string, ifaces map[string][]ifaceMethod, live func(ifaceMethod, string) bool) []ifaceMethod {
+	tn, ok := u.pkg.Scope().Lookup(strings.TrimSuffix(name, "."+method)).(*types.TypeName)
 	if !ok {
-		return false
+		return nil
 	}
 	if n := namedOf(tn.Type()); n == nil || n.TypeParams().Len() > 0 {
-		return false // a generic type implements nothing until instantiated
+		return nil // a generic type implements nothing until instantiated
 	}
 	ptr := types.NewPointer(tn.Type())
-	for _, im := range ifaces[e.method] {
-		if types.Implements(ptr, im.t) && live(im, e.unit.path) {
-			return true
+	var out []ifaceMethod
+	for _, im := range ifaces[method] {
+		if types.Implements(ptr, im.t) && live(im, u.path) {
+			out = append(out, im)
 		}
 	}
-	return false
+	return out
 }
 
 // directiveArg returns the text after a directive in a doc group, and

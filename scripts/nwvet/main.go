@@ -47,12 +47,20 @@
 //     or is a method that implements a live interface, or carries
 //     //nwvet:oracle naming the test that uses it.  References resolve by
 //     type, so a method is matched through its receiver, never by name.
+//     The same pass holds every unexported function and method to
+//     liveness: it is live when a live function refers to it, to a
+//     fixpoint from the roots (the passing exports, main and init,
+//     functions a package-level initializer names, //nwvet:oracle
+//     functions), or when it implements a live interface method; anything
+//     else only tests reach, and is a finding.  Every test an
+//     //nwvet:oracle reason names must be declared in a _test.go file.
 //
 // The driver also carries the repository's documentation invariants, folded
 // in from the retired repolint command: package doc comments, exported-
 // identifier doc comments, relative Markdown link targets, the
 // docs/EXPERIMENTS.md index table and the committed BENCH_E*.json baselines
-// against experiments.Registry.
+// against experiments.Registry; and it checks that every test a -run
+// pattern of the CI workflow names is still declared.
 //
 // It prints one line per violation and exits 1 if there are any, 2 on
 // infrastructure errors, and prints "nwvet: ok" otherwise.
@@ -129,7 +137,7 @@ func runNwvet(root string) ([]string, error) {
 		problems = append(problems, fmt.Sprintf(format, args...))
 	}
 
-	units, err := loadUnits(root)
+	units, tests, err := loadUnits(root)
 	if err != nil {
 		return nil, err
 	}
@@ -144,7 +152,7 @@ func runNwvet(root string) ([]string, error) {
 		}
 		checkDocComments(u, report)
 	}
-	analyzeExportDiscipline(units, report)
+	analyzeExportDiscipline(units, tests, report)
 	if err := lintMarkdownLinks(root, report); err != nil {
 		return nil, err
 	}
@@ -152,6 +160,9 @@ func runNwvet(root string) ([]string, error) {
 		return nil, err
 	}
 	if err := lintBenchArtifacts(root, report); err != nil {
+		return nil, err
+	}
+	if err := lintCIRunPatterns(root, tests, report); err != nil {
 		return nil, err
 	}
 	return problems, nil
@@ -174,10 +185,13 @@ func dirIn(dir string, targets []string) bool {
 // group against real types: an import of a walked package resolves to that
 // package's own check, anything else (the standard library) to its compiler
 // export data.  Errors are tolerated; an expression that still does not
-// resolve is "no finding" to the analyzers.
-func loadUnits(root string) ([]*unit, error) {
+// resolve is "no finding" to the analyzers.  Of the test files it keeps only
+// the names of their top-level functions, the tests an //nwvet:oracle
+// annotation or a CI -run pattern may cite.
+func loadUnits(root string) ([]*unit, map[string]bool, error) {
 	fset := token.NewFileSet()
 	byDir := map[string]*unit{}
+	tests := map[string]bool{}
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -189,7 +203,19 @@ func loadUnits(root string) ([]*unit, error) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		if strings.HasSuffix(path, "_test.go") {
+			file, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return fmt.Errorf("%s: %w", path, err)
+			}
+			for _, decl := range file.Decls {
+				if d, ok := decl.(*ast.FuncDecl); ok && d.Recv == nil {
+					tests[d.Name.Name] = true
+				}
+			}
 			return nil
 		}
 		file, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
@@ -207,26 +233,26 @@ func loadUnits(root string) ([]*unit, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	units := make([]*unit, 0, len(byDir))
 	im := &walkImporter{byPath: map[string]*unit{}}
 	modules := map[string]string{} // directory -> module path ("" if none)
 	for _, u := range byDir {
 		if u.path, err = importPath(u.dir, modules); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		im.byPath[u.path] = u
 		units = append(units, u)
 	}
 	sort.Slice(units, func(i, j int) bool { return units[i].dir < units[j].dir })
 	if im.export, err = exportData(root, fset, units, im.byPath); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for _, u := range units {
 		im.check(u)
 	}
-	return units, nil
+	return units, tests, nil
 }
 
 // importPath names a package directory by the module path of the nearest

@@ -2,6 +2,8 @@ package main
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -10,7 +12,7 @@ import (
 // in it, returning the violation lines.
 func collect(t *testing.T, dir string, run func(*unit, reportFunc)) []string {
 	t.Helper()
-	return collectAll(t, dir, func(units []*unit, report reportFunc) {
+	return collectAll(t, dir, func(units []*unit, _ map[string]bool, report reportFunc) {
 		for _, u := range units {
 			run(u, report)
 		}
@@ -19,9 +21,9 @@ func collect(t *testing.T, dir string, run func(*unit, reportFunc)) []string {
 
 // collectAll loads one fixture directory and runs a whole-walk analyzer
 // over its units, returning the violation lines.
-func collectAll(t *testing.T, dir string, run func([]*unit, reportFunc)) []string {
+func collectAll(t *testing.T, dir string, run func([]*unit, map[string]bool, reportFunc)) []string {
 	t.Helper()
-	units, err := loadUnits(dir)
+	units, tests, err := loadUnits(dir)
 	if err != nil {
 		t.Fatalf("loadUnits(%s): %v", dir, err)
 	}
@@ -29,7 +31,7 @@ func collectAll(t *testing.T, dir string, run func([]*unit, reportFunc)) []strin
 		t.Fatalf("loadUnits(%s): no Go files found", dir)
 	}
 	var got []string
-	run(units, func(format string, args ...any) {
+	run(units, tests, func(format string, args ...any) {
 		got = append(got, fmt.Sprintf(format, args...))
 	})
 	return got
@@ -171,8 +173,9 @@ func TestErrorDisciplineSeededViolation(t *testing.T) {
 
 // TestExportDisciplineSeededViolations: a test is not a caller, a type an
 // unexported signature names is not reachable, a method is not called by
-// another type's method of the same name, and an oracle annotation must
-// name its test.
+// another type's method of the same name, an oracle annotation must name a
+// test that a test file declares, and an unexported function or method that
+// only tests or dead code reach is dead.
 func TestExportDisciplineSeededViolations(t *testing.T) {
 	got := collectAll(t, "testdata/export_bad", analyzeExportDiscipline)
 	wantFindings(t, got, []string{
@@ -180,17 +183,67 @@ func TestExportDisciplineSeededViolations(t *testing.T) {
 		"export-discipline: svc.Hidden has no caller outside its package",
 		"export-discipline: svc.Result.Size has no caller outside its package",
 		"export-discipline: svc.Bare: //nwvet:oracle must name the test that uses it",
+		"export-discipline: svc.Stale: //nwvet:oracle names TestGone, which no test file declares",
+		"export-discipline: svc.reference: //nwvet:oracle names TestGone, which no test file declares",
+		"export-discipline: svc.helper is reached by no live code",
+		"export-discipline: svc.Result.twice is reached by no live code",
+		"export-discipline: svc.dead is reached by no live code",
+		"export-discipline: svc.deadCallee is reached by no live code",
 	})
 }
 
 // TestExportDisciplineCleanFixture: a caller in a sibling module, the
 // signature and field-type cascade, an enum's constants, a method the
 // standard library calls, a method reached only through a passing
-// interface and a named oracle all pass.
+// interface and a named oracle all pass; so do an unexported function that
+// only a package-level var initializer names, an unexported method that a
+// live function calls through an interface, and an unexported oracle whose
+// test svc_test.go declares.  Without svc_test.go's declarations both
+// oracles cite a test that does not exist.
 func TestExportDisciplineCleanFixture(t *testing.T) {
 	if got := collectAll(t, "testdata/export_clean", analyzeExportDiscipline); len(got) != 0 {
 		t.Errorf("clean export fixture flagged:\n%s", strings.Join(got, "\n"))
 	}
+	got := collectAll(t, "testdata/export_clean", func(units []*unit, _ map[string]bool, report reportFunc) {
+		analyzeExportDiscipline(units, nil, report)
+	})
+	wantFindings(t, got, []string{
+		"export-discipline: svc.Reference: //nwvet:oracle names TestReference, which no test file declares",
+		"export-discipline: svc.reference: //nwvet:oracle names TestReference, which no test file declares",
+	})
+}
+
+// TestCIRunPatternsNameDeclaredTests: a -run pattern token, quoted or
+// bare, must prefix-match a declared test, or match one exactly when the
+// pattern anchors its end.
+func TestCIRunPatternsNameDeclaredTests(t *testing.T) {
+	root := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(root, ".github", "workflows"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	workflow := `steps:
+  - run: go test -count=1 -run 'TestKept|TestGone' ./...
+  - run: go test -run=^TestPrefix$ -v ./internal/...
+  - run: go test -run '^TestPrefix|^TestKept$' ./...
+  - run: go test -run "Alloc|TestAlsoGone" ./...
+  - run: go test -run '^$' -bench . ./...
+`
+	if err := os.WriteFile(filepath.Join(root, ".github", "workflows", "ci.yml"), []byte(workflow), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tests := map[string]bool{"TestKept": true, "TestPrefixMatched": true}
+	var got []string
+	err := lintCIRunPatterns(root, tests, func(format string, args ...any) {
+		got = append(got, fmt.Sprintf(format, args...))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFindings(t, got, []string{
+		"ci.yml:2: -run pattern names TestGone, which no test file declares",
+		"ci.yml:3: -run pattern names TestPrefix, which no test file declares",
+		"ci.yml:5: -run pattern names TestAlsoGone, which no test file declares",
+	})
 }
 
 // TestCleanFixture runs every analyzer plus the doc checks over the

@@ -266,3 +266,46 @@ func lintMarkdownLinks(root string, report reportFunc) error {
 		return nil
 	})
 }
+
+// runFlag matches one -run flag of a go test command line and its pattern,
+// quoted or bare.
+var runFlag = regexp.MustCompile(`-run[ =](?:'([^']*)'|"([^"]*)"|(\S+))`)
+
+// testToken matches a test name inside a -run pattern, with the $ that
+// anchors its end if there is one.
+var testToken = regexp.MustCompile(`Test\w+\$?`)
+
+// lintCIRunPatterns checks that every test name a -run pattern of the CI
+// workflow spells prefix-matches a test some test file declares, or matches
+// one exactly when the pattern anchors its end: go test passes with "no
+// tests to run" once the test a step names is gone, so a dedicated step
+// would otherwise go on running nothing.
+func lintCIRunPatterns(root string, tests map[string]bool, report reportFunc) error {
+	path := filepath.Join(root, ".github", "workflows", "ci.yml")
+	body, err := os.ReadFile(path)
+	if err != nil {
+		return fmt.Errorf("ci run patterns: %w", err)
+	}
+	for i, line := range strings.Split(string(body), "\n") {
+		for _, m := range runFlag.FindAllStringSubmatch(line, -1) {
+			for _, token := range testToken.FindAllString(m[1]+m[2]+m[3], -1) {
+				name, anchored := strings.CutSuffix(token, "$")
+				if anchored && !tests[name] || !anchored && !declaresPrefix(tests, name) {
+					report("%s:%d: -run pattern names %s, which no test file declares", path, i+1, name)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// declaresPrefix reports whether some declared test's name starts with
+// prefix.
+func declaresPrefix(tests map[string]bool, prefix string) bool {
+	for name := range tests {
+		if strings.HasPrefix(name, prefix) {
+			return true
+		}
+	}
+	return false
+}

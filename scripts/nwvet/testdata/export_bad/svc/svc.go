@@ -19,9 +19,29 @@ func OnlyTested() {}
 // Hidden is named only by an unexported function's signature.
 type Hidden struct{}
 
+// helper is called by svc_test.go alone: a test is not live code.
 func helper(Hidden) {}
+
+// twice is a method svc_test.go alone calls.
+func (r Result) twice() int { return 2 * r.N }
+
+// dead names deadCallee, but from no live code: liveness spreads from the
+// roots, so a reference from dead code keeps nothing alive.
+func dead() { deadCallee() }
+
+func deadCallee() {}
 
 // Bare is marked as a test oracle without saying which test uses it.
 //
 //nwvet:oracle
 func Bare() {}
+
+// Stale cites a test that no test file declares.
+//
+//nwvet:oracle TestGone holds Used to it
+func Stale() {}
+
+// reference cites a test that no test file declares.
+//
+//nwvet:oracle TestGone holds Used to it
+func reference() Result { return Result{} }

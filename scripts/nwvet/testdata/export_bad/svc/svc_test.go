@@ -5,4 +5,5 @@ import "testing"
 func TestOnlyTested(t *testing.T) {
 	OnlyTested()
 	helper(Hidden{})
+	_ = Result{}.twice()
 }

@@ -9,6 +9,6 @@ import (
 )
 
 func main() {
-	e := svc.New(svc.Options{})
+	e := svc.New(svc.Presets["fast"]())
 	fmt.Println(e.Run(), svc.Measure(e))
 }
