@@ -48,7 +48,7 @@
 //	GET  /v1/status             active bundle identity (the schema `nwtool
 //	                            bundle -json` prints), pool shape, counters.
 //	GET  /metrics               Prometheus text exposition.
-//	GET  /debug/vars            expvar JSON (includes the "nwserved" var).
+//	GET  /debug/vars            expvar JSON (Go's memstats and cmdline).
 //
 // The bundle is re-opened from the same -queryset path on every reload, so
 // a deploy is: write the new bundle (atomically, e.g. rename into place),
@@ -114,7 +114,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	srv.PublishExpvar("nwserved")
 
 	httpSrv := &http.Server{
 		Addr:              *addr,

@@ -24,8 +24,7 @@
 //	                                the machine-readable schema /v1/status of
 //	                                nwserved shares), product groups included
 //	nwtool vet [-pubkey FILE [-sig FILE]] FILE
-//	                                statically verify a compiled artifact
-//	                                (bundle, standalone query, or product);
+//	                                statically verify a serialized bundle;
 //	                                with -pubkey, also require a valid
 //	                                detached signature (FILE.sig by default)
 //	nwtool keygen -o NAME           write an ed25519 keypair: NAME.key
@@ -50,10 +49,9 @@
 // determine, so a bundle-booted server answers with verdicts identical to
 // in-process compilation.
 //
-// The vet subcommand checks a serialized bundle (or standalone compiled
-// query) before any process maps it: the decoder's table shape, range and
-// demux checks, then the dead-sink and CSR/bitmask cross-representation
-// agreement, and a reachability/coaccessibility analysis reporting
+// The vet subcommand checks a serialized bundle before any process maps
+// it: the decoder's hash, table shape, range and demux checks, then the
+// dead-sink and accept-mask cross-representation agreement, and a reachability/coaccessibility analysis reporting
 // unreachable states and dead transitions.  Decode failures and violations
 // exit 1; dead-weight findings are warnings and exit 0 (see
 // docs/ANALYZERS.md for the report format).
@@ -206,7 +204,7 @@ func describeBundle(args []string) {
 	}
 }
 
-// vetArtifact runs the automaton-level verifier over a serialized artifact.
+// vetArtifact runs the automaton-level verifier over a serialized bundle.
 // The file is read (not mapped) so that a hostile artifact is vetted from a
 // private copy, and decode failures reject it before any table is indexed.
 // With -pubkey the artifact must additionally carry a valid detached
@@ -263,8 +261,8 @@ func keygen(args []string) {
 }
 
 // signBundle writes BUNDLE.sig, the detached NWS1 envelope over the
-// artifact's content hash.  The artifact must be a hashed (version 2)
-// container — everything Marshal emits since the hash was introduced.
+// bundle's content hash.  The bundle must be hashed (version 2), as
+// everything Bundle.Marshal writes is.
 func signBundle(args []string) {
 	fs := flag.NewFlagSet("nwtool sign", flag.ExitOnError)
 	keyPath := fs.String("key", "", "NWK1 private key file (from nwtool keygen)")
@@ -284,7 +282,7 @@ func signBundle(args []string) {
 	exitOn(err)
 	out := sigFile(*sigPath, path)
 	exitOn(os.WriteFile(out, sig, 0o644))
-	sum, _, err := format.ContentHash(data)
+	sum, err := format.ContentHash(data)
 	exitOn(err)
 	fmt.Printf("wrote %s: ed25519 over content hash %x\n", out, sum)
 }
@@ -308,7 +306,7 @@ func verifyBundle(args []string) {
 	data, err := os.ReadFile(path)
 	exitOn(err)
 	exitOn(format.Verify(pub, sig, data))
-	sum, _, err := format.ContentHash(data)
+	sum, err := format.ContentHash(data)
 	exitOn(err)
 	fmt.Printf("ok: %s verifies (content hash %x)\n", path, sum)
 }

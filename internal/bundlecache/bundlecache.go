@@ -1,6 +1,6 @@
 // Package bundlecache is the self-provisioning side of fleet bundle
 // distribution (docs/DISTRIBUTION.md): a content-hash-keyed on-disk cache
-// of NWQ1 containers plus an HTTP fetcher over a peer's GET /v1/bundle.
+// of hashed NWQ1 bundles plus an HTTP fetcher over a peer's GET /v1/bundle.
 //
 // The cache directory holds one file per artifact, named by its hex
 // content hash (<hash>.nwq, with an optional sibling <hash>.nwq.sig for
@@ -39,7 +39,7 @@ import (
 	"repro/internal/query/format"
 )
 
-// Cache is a content-hash-keyed store of verified NWQ1 containers on
+// Cache is a content-hash-keyed store of verified NWQ1 bundles on
 // disk.  Safe for concurrent use by multiple goroutines (and, thanks to
 // atomic renames of immutable content, by multiple processes sharing the
 // directory).
@@ -65,13 +65,13 @@ func (c *Cache) entryPath(sum [format.HashSize]byte) string {
 // latestPath is the state file recording the most recently stored hash.
 func (c *Cache) latestPath() string { return filepath.Join(c.dir, "latest") }
 
-// put stores a container under its own content hash and records it as the
-// latest entry.  The bytes must parse as a container (VersionHashed bytes
-// are verified against their header hash by the parse); the entry file
-// appears atomically or not at all.  Returns the entry path and the hash
-// it was stored under.
+// put stores a top-level artifact under its own content hash and records
+// it as the latest entry.  The bytes must be a hashed bundle, verified
+// against their header hash by format.ContentHash; the entry file appears
+// atomically or not at all.  Returns the entry path and the hash it was
+// stored under.
 func (c *Cache) put(data []byte) (string, [format.HashSize]byte, error) {
-	sum, _, err := format.ContentHash(data)
+	sum, err := format.ContentHash(data)
 	if err != nil {
 		return "", sum, fmt.Errorf("bundlecache: refusing to store: %w", err)
 	}
@@ -113,7 +113,7 @@ func (c *Cache) Get(sum [format.HashSize]byte) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	got, _, err := format.ContentHash(data)
+	got, err := format.ContentHash(data)
 	if err != nil {
 		return "", fmt.Errorf("bundlecache: entry %s: %w", filepath.Base(path), err)
 	}
@@ -278,7 +278,7 @@ func (s *Source) fetch() (string, error) {
 
 	// From here on errors are the peer's content failing verification:
 	// no warm-cache fallback, the caller must see them.
-	sum, verified, err := format.ContentHash(data)
+	sum, err := format.ContentHash(data)
 	if err != nil {
 		return "", fmt.Errorf("bundlecache: bundle from %s: %w", s.url, err)
 	}
@@ -288,9 +288,6 @@ func (s *Source) fetch() (string, error) {
 	}
 	var sig []byte
 	if len(s.publicKey) > 0 {
-		if !verified {
-			return "", fmt.Errorf("bundlecache: bundle from %s is unhashed version 1 and cannot be signature-verified", s.url)
-		}
 		if sig, err = s.fetchSignature(); err != nil {
 			return "", err
 		}

@@ -103,8 +103,8 @@ func TestGetRejectsTamperedEntry(t *testing.T) {
 	}
 }
 
-// TestPutRejectsGarbage: bytes that do not parse as a container never
-// enter the cache.
+// TestPutRejectsGarbage: bytes that are not a hashed bundle never enter
+// the cache.
 func TestPutRejectsGarbage(t *testing.T) {
 	c, err := Open(t.TempDir())
 	if err != nil {
@@ -120,6 +120,13 @@ func TestPutRejectsGarbage(t *testing.T) {
 	mut[len(mut)-1] ^= 1
 	if _, _, err := c.put(mut); !errors.Is(err, format.ErrHashMismatch) {
 		t.Fatalf("Put on tampered container = %v, want ErrHashMismatch", err)
+	}
+	// So is the same container under an unhashed version-1 header: it has
+	// no content hash to be stored under.
+	w := format.NewWriter(format.KindBundle)
+	w.Bytes(1, []byte("z"))
+	if _, _, err := c.put(w.Finish()); !errors.Is(err, format.ErrUnhashed) {
+		t.Fatalf("Put on a version-1 container = %v, want ErrUnhashed", err)
 	}
 }
 
@@ -216,7 +223,7 @@ func newBundlePeer(t *testing.T, data, sig []byte) *bundlePeer {
 }
 
 func (p *bundlePeer) set(data, sig []byte) {
-	sum, _, _ := format.ContentHash(data)
+	sum, _ := format.ContentHash(data)
 	p.mu.Lock()
 	p.data, p.sig = data, sig
 	p.etag = `"` + hexSum(sum) + `"`

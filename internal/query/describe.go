@@ -37,14 +37,12 @@ type BundleDesc struct {
 	Queries      []QueryDesc `json:"queries"`
 	Groups       []GroupDesc `json:"groups,omitempty"`
 
-	// ContentHash is the hex content hash of the container the bundle was
-	// decoded from (empty for a bundle built in memory), and HashVerified
-	// says whether it is a verified VersionHashed header hash rather than
-	// the plain checksum of an unhashed v1 container.  It is the same value
-	// GET /v1/bundle serves as the ETag, so a dashboard can tell whether a
-	// server is running the artifact the compile host published.
-	ContentHash  string `json:"content_hash,omitempty"`
-	HashVerified bool   `json:"hash_verified,omitempty"`
+	// ContentHash is the verified hex content hash of the container the
+	// bundle was decoded from (empty for a bundle built in memory).  It is
+	// the same value GET /v1/bundle serves as the ETag, so a dashboard can
+	// tell whether a server is running the artifact the compile host
+	// published.
+	ContentHash string `json:"content_hash,omitempty"`
 }
 
 // Describe summarizes a loaded bundle: shared alphabet, per query the name,
@@ -56,9 +54,8 @@ func Describe(b *Bundle) BundleDesc {
 		AlphabetSize: b.Alphabet().Size(),
 		Queries:      make([]QueryDesc, 0, b.Len()),
 	}
-	if sum, verified, ok := b.ContentHash(); ok {
-		d.ContentHash = hex.EncodeToString(sum[:])
-		d.HashVerified = verified
+	if b.raw != nil {
+		d.ContentHash = hex.EncodeToString(b.hash[:])
 	}
 	groupOf := map[int]int{} // bundle index → 1-based group number
 	for gi, g := range b.Groups() {

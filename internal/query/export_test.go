@@ -152,27 +152,22 @@ func LegacyMarshal(p *CompiledProduct) []byte {
 // a table on load allocated num² row IDs per query from a few bytes of
 // input.
 func EmptySparseBundle(n, num int) []byte {
-	w := format.NewWriter(format.KindBundle)
-	w.SetVersion(format.VersionHashed)
-	w.Strings(secAlphabet, nil)
-	names := make([]string, n)
-	for i := range names {
-		names[i] = fmt.Sprint("q", i)
-	}
-	w.Strings(secNames, names)
+	q := format.NewWriter(format.KindDNWA)
 	zeros := make([]int32, num)
-	for range n {
-		q := format.NewWriter(format.KindDNWA)
-		q.Uint64s(secMeta, []uint64{uint64(num), 1, 0, 0, legacySparse})
-		q.Bytes(secAccept, make([]byte, num))
-		q.Int32s(secCallLin, zeros)
-		q.Int32s(secCallHier, zeros)
-		q.Int32s(secInternal, zeros)
-		q.Uint64s(secLegacyKeys, nil)
-		q.Int32s(secLegacyVals, nil)
-		w.Bytes(secQuery, q.Finish())
+	q.Uint64s(secMeta, []uint64{uint64(num), 1, 0, 0, legacySparse})
+	q.Bytes(secAccept, make([]byte, num))
+	q.Int32s(secCallLin, zeros)
+	q.Int32s(secCallHier, zeros)
+	q.Int32s(secInternal, zeros)
+	q.Uint64s(secLegacyKeys, nil)
+	q.Int32s(secLegacyVals, nil)
+	blob := q.Finish()
+	names := make([]string, n)
+	blobs := make([][]byte, n)
+	for i := range names {
+		names[i], blobs[i] = fmt.Sprint("q", i), blob
 	}
-	return w.Finish()
+	return writeBundle(format.VersionHashed, nil, names, blobs...)
 }
 
 // DecodeQuery decodes a standalone compiled DNWA, zero-copy when mapped is

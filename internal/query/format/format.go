@@ -19,14 +19,17 @@
 // cleanly (an error, never a panic or an attacker-sized allocation).
 //
 // Two header versions exist (the byte-level reference is docs/FORMAT.md):
-// version 1 is the original 24-byte header, and version 2 appends a SHA-256
-// content hash over the rest of the container — the cache key and integrity
-// check that lets a fleet verify a bundle fetched from an untrusted cache
-// before mapping it.  NewReader verifies the hash of every version-2
-// container it opens and fails closed with ErrHashMismatch on any flipped
-// bit; version-1 containers still load but report themselves unhashed.  The
-// detached ed25519 signature envelope over the content hash lives in
-// sign.go.
+// version 2 appends a SHA-256 content hash over the rest of the container
+// to the original 24-byte version-1 header.  A top-level artifact — what a
+// server maps, a cache stores, a key signs and vet checks — is a version-2
+// bundle, and NewArtifactReader is the one gate that says so.  Its content
+// hash is the artifact's one identity: the cache key and integrity check
+// that lets a fleet verify a bundle fetched from an untrusted cache before
+// mapping it.  Version 1 survives only as the header of the blobs embedded
+// in a bundle, which the outer hash covers.  NewReader verifies the hash of
+// every version-2 container it opens and fails closed with ErrHashMismatch
+// on any flipped bit.  The detached ed25519 signature envelope over the
+// content hash lives in sign.go.
 package format
 
 import (
@@ -44,7 +47,8 @@ const magic = "NWQ1"
 // so the format cannot drift silently; writers emit Version1 only for blobs
 // embedded inside an outer hashed container (the outer hash covers them).
 const (
-	// Version1 is the original unhashed 24-byte header.
+	// Version1 is the original unhashed 24-byte header, which only blobs
+	// embedded in a bundle carry.
 	Version1 = 1
 	// VersionHashed is the 56-byte header carrying a SHA-256 content hash
 	// over every other byte of the container.
@@ -110,26 +114,40 @@ func contentSum(data []byte) [sha256.Size]byte {
 	return sum
 }
 
-// Checksum returns the plain SHA-256 of the raw bytes — the fallback cache
-// key for version-1 containers, which carry no verifiable content hash of
-// their own.
-func Checksum(data []byte) [sha256.Size]byte { return sha256.Sum256(data) }
+// ErrUnhashed is reported when a version-1 container is offered as a
+// top-level artifact: it carries no content hash, so there is nothing to
+// cache, sign or serve it under.
+//
+//nwvet:oracle TestUnhashedContainersRefused and TestVerifyRejections match it with errors.Is
+var ErrUnhashed = errors.New("format: unhashed version 1 container; a top-level artifact is a hashed version 2 bundle")
 
-// ContentHash identifies a serialized container for caching and signing:
-// for a version-2 container it returns the header's content hash with
-// verified=true (the bytes are re-hashed and must match, so the value is
-// trustworthy), and for a version-1 container the plain checksum of the
-// bytes with verified=false.  Bytes that do not parse as a container at all
-// are an error.
-func ContentHash(data []byte) (sum [sha256.Size]byte, verified bool, err error) {
+// NewArtifactReader is NewReader for a top-level artifact: the container
+// must be a KindBundle with a VersionHashed header, whose content hash
+// NewReader has already verified against the bytes.  It is the one place
+// that decides what a server, cache, signer or vet accepts.
+func NewArtifactReader(data []byte) (*Reader, error) {
 	r, err := NewReader(data)
 	if err != nil {
-		return sum, false, err
+		return nil, err
 	}
-	if h, ok := r.ContentHash(); ok {
-		return h, true, nil
+	if r.version != VersionHashed {
+		return nil, ErrUnhashed
 	}
-	return Checksum(data), false, nil
+	if r.kind != KindBundle {
+		return nil, fmt.Errorf("format: container kind %d is not a bundle (kind %d)", r.kind, KindBundle)
+	}
+	return r, nil
+}
+
+// ContentHash returns a top-level artifact's verified content hash, the
+// one value it is cached, signed and served under.  Bytes
+// NewArtifactReader refuses are an error.
+func ContentHash(data []byte) ([sha256.Size]byte, error) {
+	r, err := NewArtifactReader(data)
+	if err != nil {
+		return [sha256.Size]byte{}, err
+	}
+	return r.hash, nil
 }
 
 // section is one pending payload inside a Writer.
@@ -294,14 +312,9 @@ func NewReader(data []byte) (*Reader, error) {
 // Kind returns the object kind from the header.
 func (r *Reader) Kind() uint32 { return r.kind }
 
-// Version reports the container format version (Version1 or VersionHashed).
-func (r *Reader) Version() uint32 { return r.version }
-
-// ContentHash returns the verified content hash from a VersionHashed
-// header. ok is false for Version1 containers, which carry no hash.
-func (r *Reader) ContentHash() ([sha256.Size]byte, bool) {
-	return r.hash, r.version == VersionHashed
-}
+// ContentHash returns the verified content hash from the header of a
+// reader NewArtifactReader returned (zero for a Version1 container).
+func (r *Reader) ContentHash() [sha256.Size]byte { return r.hash }
 
 // Section returns the payload of the first section carrying the tag.
 func (r *Reader) Section(tag uint32) ([]byte, bool) {

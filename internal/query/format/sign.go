@@ -1,7 +1,7 @@
-// sign.go implements detached ed25519 signatures over VersionHashed
-// containers. The signature does not cover the raw container bytes
-// directly: it signs the 32-byte content hash from the v2 header, which
-// NewReader has already verified against the bytes. That keeps signing
+// sign.go implements detached ed25519 signatures over top-level artifacts,
+// hashed version-2 bundles. The signature does not cover the raw container
+// bytes directly: it signs the 32-byte content hash from the v2 header,
+// which NewReader has already verified against the bytes. That keeps signing
 // and verification O(1) once the hash is known — a server that has
 // already opened a bundle can verify a signature against the in-memory
 // hash without re-reading the file — while remaining exactly as strong,
@@ -107,17 +107,13 @@ func parsePublicKey(data []byte) (ed25519.PublicKey, error) {
 	return ed25519.PublicKey(append([]byte(nil), data[4:]...)), nil
 }
 
-// Sign produces a detached NWS1 envelope over a VersionHashed container.
-// Version1 containers carry no content hash and cannot be signed —
-// re-marshal them first.
+// Sign produces a detached NWS1 envelope over a top-level artifact's
+// content hash; anything else NewArtifactReader refuses, a Version1
+// container with ErrUnhashed.
 func Sign(priv ed25519.PrivateKey, container []byte) ([]byte, error) {
-	r, err := NewReader(container)
+	hash, err := ContentHash(container)
 	if err != nil {
 		return nil, err
-	}
-	hash, ok := r.ContentHash()
-	if !ok {
-		return nil, fmt.Errorf("format: cannot sign a version %d container (no content hash; re-marshal as version %d)", r.Version(), VersionHashed)
 	}
 	sig := ed25519.Sign(priv, hash[:])
 	env := make([]byte, sigSize)
@@ -183,17 +179,14 @@ func VerifyHash(pub []byte, envelope []byte, hash [HashSize]byte) error {
 	return nil
 }
 
-// Verify checks a detached envelope against a container. The container's
-// own content hash is verified first (NewReader), then the signature over
-// it. Version1 containers cannot be verified and return an error.
+// Verify checks a detached envelope against a top-level artifact. The
+// artifact's own content hash is verified first (NewArtifactReader, which
+// refuses a Version1 container with ErrUnhashed), then the signature over
+// it.
 func Verify(pub []byte, envelope []byte, container []byte) error {
-	r, err := NewReader(container)
+	hash, err := ContentHash(container)
 	if err != nil {
 		return err
-	}
-	hash, ok := r.ContentHash()
-	if !ok {
-		return fmt.Errorf("format: cannot verify a version %d container (no content hash)", r.Version())
 	}
 	return VerifyHash(pub, envelope, hash)
 }

@@ -43,9 +43,9 @@ func TestSignVerifyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, verified, err := ContentHash(data)
-	if err != nil || !verified {
-		t.Fatalf("ContentHash: %v verified=%v", err, verified)
+	sum, err := ContentHash(data)
+	if err != nil {
+		t.Fatalf("ContentHash: %v", err)
 	}
 	if env.Hash != sum {
 		t.Error("envelope hash differs from the container's content hash")
@@ -61,7 +61,8 @@ func TestSignVerifyRoundTrip(t *testing.T) {
 
 // TestVerifyRejections pins every way verification must fail: wrong key,
 // corrupted signature bytes, corrupted hash field, tampered container,
-// malformed envelopes, malformed keys, and unsigned v1 containers.
+// malformed envelopes, malformed keys, unhashed v1 containers and hashed
+// containers that are not bundles.
 func TestVerifyRejections(t *testing.T) {
 	privFile, pubFile, err := GenerateKey()
 	if err != nil {
@@ -107,15 +108,23 @@ func TestVerifyRejections(t *testing.T) {
 		}
 	}
 
-	// A v1 container has no hash: Sign and Verify must both refuse.
+	// A v1 container has no hash: Sign and Verify must both refuse it
+	// with ErrUnhashed.  A hashed container of another kind is no
+	// top-level artifact either.
 	w := NewWriter(KindBundle)
 	w.Uint64s(1, []uint64{1})
 	v1 := w.Finish()
-	if _, err := Sign(priv, v1); err == nil {
-		t.Error("Sign accepted an unhashed v1 container")
+	if _, err := Sign(priv, v1); !errors.Is(err, ErrUnhashed) {
+		t.Errorf("Sign of an unhashed v1 container: got %v, want ErrUnhashed", err)
 	}
-	if err := Verify(pubFile, sig, v1); err == nil {
-		t.Error("Verify accepted an unhashed v1 container")
+	if err := Verify(pubFile, sig, v1); !errors.Is(err, ErrUnhashed) {
+		t.Errorf("Verify of an unhashed v1 container: got %v, want ErrUnhashed", err)
+	}
+	w = NewWriter(KindDNWA)
+	w.SetVersion(VersionHashed)
+	w.Uint64s(1, []uint64{1})
+	if _, err := Sign(priv, w.Finish()); err == nil {
+		t.Error("Sign accepted a hashed container that is not a bundle")
 	}
 
 	if _, err := ParsePrivateKey(pubFile); err == nil {
@@ -163,7 +172,7 @@ func FuzzSignatureEnvelope(f *testing.F) {
 		if verr == nil && !bytes.Equal(envelope, sig) {
 			t.Fatal("a forged envelope verified")
 		}
-		sum, _, _ := ContentHash(data)
+		sum, _ := ContentHash(data)
 		if err := VerifyHash(pubFile, envelope, sum); err == nil && !bytes.Equal(envelope, sig) {
 			t.Fatal("a forged envelope passed VerifyHash")
 		}

@@ -17,17 +17,21 @@ import (
 // directory, 8-byte-aligned payloads) lives in the format subpackage; this
 // file owns the section registry and the semantic validation.
 //
-// Three object kinds are served:
+// One object kind is served, a Bundle (format.KindBundle): one shared
+// alphabet, the query names, and one embedded per-query blob per query,
+// plus the product clusters of a planned bundle.  It is the one top-level
+// artifact, written at format.VersionHashed and refused at any other
+// version (format.ErrUnhashed).  Its blobs keep the unhashed Version1
+// header, which the bundle's hash covers:
 //
 //   - a Compiled DNWA (format.KindDNWA): meta (with the hierarchical-state
-//     count H as an optional sixth value), alphabet, accept bytes, the dense
+//     count H as an optional sixth value), accept bytes, the dense
 //     call/internal tables, and the factored return table: num·H row IDs and
 //     the distinct rows;
-//   - a CompiledProduct (format.KindProduct): see product.go;
-//   - a Bundle (format.KindBundle): one shared alphabet, the query names,
-//     and one embedded per-query blob (a full KindDNWA container minus its
-//     alphabet section) per query, plus the product clusters of a planned
-//     bundle.
+//   - a CompiledProduct (format.KindProduct): see product.go.
+//
+// Written standalone, with their own alphabet section, the two are test
+// oracles of the blob decoder and the byte pins; nothing serves them.
 //
 // A compiled NNWA container (format.KindNNWA), standalone or embedded in a
 // bundle, decodes to ErrNNWANotServed: every NNWA has an equivalent DNWA
@@ -378,12 +382,6 @@ func decodeQuery(data []byte, alpha *alphabet.Alphabet, zeroCopy bool) (*Compile
 	if err != nil {
 		return nil, err
 	}
-	return readQuery(r, alpha, zeroCopy)
-}
-
-// readQuery is decodeQuery over a container whose header, and hash, r has
-// already checked.
-func readQuery(r *format.Reader, alpha *alphabet.Alphabet, zeroCopy bool) (*Compiled, error) {
 	switch r.Kind() {
 	case format.KindDNWA:
 		return decodeCompiled(&decodeState{r: r, alpha: alpha, zeroCopy: zeroCopy})
@@ -525,12 +523,10 @@ type Bundle struct {
 
 	// Identity of the container this bundle was decoded from, for serving
 	// and cache keying: raw aliases the decode input (the mapped region for
-	// OpenBundle), hash is the verified content hash for a VersionHashed
-	// container or the plain checksum of the bytes for a Version1 one, and
-	// hashed says which.  All three are zero for a bundle built in memory.
-	raw    []byte
-	hash   [format.HashSize]byte
-	hashed bool
+	// OpenBundle) and hash is its verified content hash.  Both are zero for
+	// a bundle built in memory.
+	raw  []byte
+	hash [format.HashSize]byte
 }
 
 // ProductGroup is one planned cluster of a bundle: a product-compiled
@@ -603,26 +599,13 @@ func (b *Bundle) Groups() []ProductGroup { return b.groups }
 // treat it as read-only and copy it before the bundle goes away.
 func (b *Bundle) Raw() []byte { return b.raw }
 
-// ContentHash identifies the container this bundle was decoded from:
-// the header's verified content hash with verified=true for a
-// VersionHashed container, the plain checksum of the bytes with
-// verified=false for a Version1 one.  ok is false for a bundle built in
-// memory, which has no serialized identity yet (Marshal it first).
-func (b *Bundle) ContentHash() (sum [format.HashSize]byte, verified, ok bool) {
-	return b.hash, b.hashed, b.raw != nil
-}
-
 // Verify checks a detached NWS1 signature envelope against the container
-// this bundle was decoded from.  The bundle must come from a
-// VersionHashed container (the hash the signature covers is already
-// verified against the bytes at decode time); pub is an NWP1 key file or
-// bare 32-byte ed25519 key.
+// this bundle was decoded from, whose content hash was verified against
+// its bytes at decode time; pub is an NWP1 key file or bare 32-byte
+// ed25519 key.
 func (b *Bundle) Verify(pub, envelope []byte) error {
 	if b.raw == nil {
 		return fmt.Errorf("query: bundle was built in memory, nothing to verify")
-	}
-	if !b.hashed {
-		return fmt.Errorf("query: version %d bundle carries no content hash to verify", format.Version1)
 	}
 	return format.VerifyHash(pub, envelope, b.hash)
 }
@@ -723,20 +706,13 @@ func (b *Bundle) Close() error {
 	return c()
 }
 
-// decodeBundle rebuilds a bundle from a KindBundle container.
+// decodeBundle rebuilds a bundle from a top-level artifact, which
+// format.NewArtifactReader checks is a hashed KindBundle container: a
+// Version1 one is refused with format.ErrUnhashed.
 func decodeBundle(data []byte, zeroCopy bool) (*Bundle, error) {
-	r, err := format.NewReader(data)
+	r, err := format.NewArtifactReader(data)
 	if err != nil {
 		return nil, err
-	}
-	return readBundle(r, data, zeroCopy)
-}
-
-// readBundle is decodeBundle over a container, data, whose header and hash
-// r has already checked.
-func readBundle(r *format.Reader, data []byte, zeroCopy bool) (*Bundle, error) {
-	if r.Kind() != format.KindBundle {
-		return nil, fmt.Errorf("query: container kind %d is not a bundle", r.Kind())
 	}
 	d := &decodeState{r: r}
 	if err := d.loadAlphabet(); err != nil {
@@ -755,12 +731,7 @@ func readBundle(r *format.Reader, data []byte, zeroCopy bool) (*Bundle, error) {
 		return nil, fmt.Errorf("query: bundle names repeat %q", dup)
 	}
 	blobs := r.Sections(secQuery)
-	b := &Bundle{alpha: alpha, names: names, raw: data}
-	if h, ok := r.ContentHash(); ok {
-		b.hash, b.hashed = h, true
-	} else {
-		b.hash = format.Checksum(data)
-	}
+	b := &Bundle{alpha: alpha, names: names, raw: data, hash: r.ContentHash()}
 	// The solo-index section pairs positionally with the embedded query
 	// blobs, product containers carry their own demux indices, and together
 	// they must cover every name exactly once — the demux-table total nwtool

@@ -132,10 +132,10 @@ func TestMarshalRoundTripCompiled(t *testing.T) {
 }
 
 // TestMarshalIgnoresSourceVersion pins that Marshal is a function of the
-// tables alone: a DNWA, a product and a bundle decoded from version-1
-// containers — the version every embedded blob keeps — re-marshal at
-// VersionHashed, byte-identical to the freshly built object's Marshal.  The
-// version-1 bundle reports itself unhashed.
+// tables alone: a DNWA and a product decoded from version-1 containers —
+// the version every embedded blob keeps — re-marshal at VersionHashed,
+// byte-identical to the freshly built object's Marshal.  (A version-1
+// bundle is no artifact at all: TestUnhashedContainersRefused.)
 func TestMarshalIgnoresSourceVersion(t *testing.T) {
 	c := Compile(PathQuery(goldenAlphabet(), "a", "b"))
 	dec, err := DecodeQuery(c.encode(true, format.Version1), false)
@@ -154,23 +154,65 @@ func TestMarshalIgnoresSourceVersion(t *testing.T) {
 	if !bytes.Equal(decP.Marshal(), p.Marshal()) {
 		t.Error("product decoded from version 1 marshals differently from the compiled one")
 	}
+}
 
-	b := goldenBundle(t)
+// writeBundle writes a bundle container at the given header version, section
+// for section as Bundle.Marshal writes an unplanned bundle: the alphabet, the
+// names, then the embedded query blobs as given.
+func writeBundle(version uint32, symbols, names []string, blobs ...[]byte) []byte {
 	w := format.NewWriter(format.KindBundle)
-	w.Strings(secAlphabet, b.alpha.Symbols())
-	w.Strings(secNames, b.names)
-	for _, q := range b.queries {
-		w.Bytes(secQuery, q.encode(false, format.Version1))
+	w.SetVersion(version)
+	w.Strings(secAlphabet, symbols)
+	w.Strings(secNames, names)
+	for _, blob := range blobs {
+		w.Bytes(secQuery, blob)
 	}
-	decB, err := UnmarshalBundle(w.Finish())
+	return w.Finish()
+}
+
+// TestUnhashedContainersRefused pins the one-artifact contract at every
+// top-level entry: the golden bundle's exact sections under a version-1
+// header — which at VersionHashed are byte for byte what Marshal writes —
+// must be refused with format.ErrUnhashed by the bundle decoders, the
+// verifier, the content hash and the signer.
+func TestUnhashedContainersRefused(t *testing.T) {
+	b := goldenBundle(t)
+	var blobs [][]byte
+	for _, q := range b.queries {
+		blobs = append(blobs, q.encode(false, format.Version1))
+	}
+	if hashed := writeBundle(format.VersionHashed, b.alpha.Symbols(), b.names, blobs...); !bytes.Equal(hashed, b.Marshal()) {
+		t.Fatal("the golden bundle's sections at VersionHashed differ from its Marshal")
+	}
+	v1 := writeBundle(format.Version1, b.alpha.Symbols(), b.names, blobs...)
+	path := filepath.Join(t.TempDir(), "v1.nwq")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	privFile, pub, err := format.GenerateKey()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, verified, ok := decB.ContentHash(); !ok || verified {
-		t.Errorf("v1 bundle ContentHash reports ok=%v verified=%v, want ok unverified", ok, verified)
+	priv, err := format.ParsePrivateKey(privFile)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(decB.Marshal(), b.Marshal()) {
-		t.Error("bundle decoded from version 1 marshals differently from the built one")
+	sig, err := format.Sign(priv, b.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := map[string]error{}
+	_, errs["UnmarshalBundle"] = UnmarshalBundle(v1)
+	_, errs["OpenBundle"] = OpenBundle(path)
+	_, errs["mapped bundle"] = decodeBundle(v1, true)
+	_, errs["VetBytes"] = VetBytes(v1)
+	_, errs["format.ContentHash"] = format.ContentHash(v1)
+	_, errs["format.Sign"] = format.Sign(priv, v1)
+	errs["format.Verify"] = format.Verify(pub, sig, v1)
+	for entry, err := range errs {
+		if !errors.Is(err, format.ErrUnhashed) {
+			t.Errorf("%s: got %v, want format.ErrUnhashed", entry, err)
+		}
 	}
 }
 
@@ -304,10 +346,8 @@ func TestUnmarshalErrors(t *testing.T) {
 	}
 	// A bundle's shared alphabet goes through the same reader as a
 	// standalone query's, duplicate check included.
-	w := format.NewWriter(format.KindBundle)
-	w.Strings(secAlphabet, []string{"a", "b", "a"})
-	w.Strings(secNames, nil)
-	if _, err := UnmarshalBundle(w.Finish()); err == nil || !strings.Contains(err.Error(), "repeats a symbol") {
+	repeated := writeBundle(format.VersionHashed, []string{"a", "b", "a"}, nil)
+	if _, err := UnmarshalBundle(repeated); err == nil || !strings.Contains(err.Error(), "repeats a symbol") {
 		t.Errorf("bundle with a repeated alphabet symbol: got %v, want a repeats-a-symbol error", err)
 	}
 }
@@ -435,10 +475,12 @@ func TestGoldenFixtures(t *testing.T) {
 }
 
 // TestGoldenFixturesV1 pins the committed version-1 fixtures, all of them
-// rejection fixtures now: the DNWA and the bundle hold return tables
-// written before the factored layout and fail with ErrLegacyLayout, the
-// NNWA with ErrNNWANotServed.  A version-1 container in the factored layout
-// still decodes (TestMarshalIgnoresSourceVersion).
+// rejection fixtures now: the DNWA holds a return table written before the
+// factored layout and fails with ErrLegacyLayout, the NNWA with
+// ErrNNWANotServed, and the bundle, unhashed, is no top-level artifact and
+// fails with format.ErrUnhashed.  A version-1 query container in the
+// factored layout still decodes (TestMarshalIgnoresSourceVersion), as
+// every blob embedded in a bundle does.
 func TestGoldenFixturesV1(t *testing.T) {
 	for file, decode := range map[string]func(data []byte) error{
 		"golden_dnwa_v1.nwq": func(data []byte) error {
@@ -457,8 +499,8 @@ func TestGoldenFixturesV1(t *testing.T) {
 		},
 		"golden_bundle_v1.nwq": func(data []byte) error {
 			_, err := UnmarshalBundle(data)
-			if !errors.Is(err, ErrLegacyLayout) {
-				return fmt.Errorf("decoded with %v, want ErrLegacyLayout", err)
+			if !errors.Is(err, format.ErrUnhashed) {
+				return fmt.Errorf("decoded with %v, want format.ErrUnhashed", err)
 			}
 			return nil
 		},
@@ -479,59 +521,66 @@ func TestGoldenFixturesV1(t *testing.T) {
 }
 
 // TestLegacyLayoutsRejected feeds return tables written before the factored
-// layout — the five committed legacy fixtures, and a product carrying a
-// dense or sparse table — to every decode entry: standalone, product- and
-// bundle-embedded, copied and mapped, and VetBytes.  Each must fail with
-// ErrLegacyLayout.
+// layout — the committed legacy fixtures, and planned bundles whose product
+// carries a dense or sparse table — to every decode entry: standalone,
+// product- and bundle-embedded, copied and mapped, and VetBytes.  Each must
+// fail with ErrLegacyLayout, except the unhashed version-1 bundle, which
+// every bundle entry refuses on its header with format.ErrUnhashed first.
 func TestLegacyLayoutsRejected(t *testing.T) {
 	queries := goldenFiles(t, "golden_dnwa.nwq", "golden_dnwa_v1.nwq")
-	bundles := goldenFiles(t, "golden_bundle.nwq", "golden_bundle_v1.nwq", "golden_planned.nwq")
-	p := goldenPlannedBundle(t).Groups()[0].Product
+	planned := goldenPlannedBundle(t)
+	p := planned.Groups()[0].Product
 	products := [][]byte{
 		legacyEncodeProduct(p, false, true, nil, format.VersionHashed),
 		legacyEncodeProduct(p, true, true, nil, format.VersionHashed),
 	}
+	bundles := append(goldenFiles(t, "golden_bundle.nwq", "golden_planned.nwq"),
+		legacyMarshalPlanned(planned, false), legacyMarshalPlanned(planned, true))
 	errs := map[string]error{}
 	for i, data := range queries {
 		_, errs[fmt.Sprint("DecodeQuery ", i)] = DecodeQuery(data, false)
 		_, errs[fmt.Sprint("mapped query ", i)] = DecodeQuery(data, true)
-		_, errs[fmt.Sprint("VetBytes query ", i)] = VetBytes(data)
 	}
 	for i, data := range products {
 		_, errs[fmt.Sprint("unmarshalProduct ", i)] = unmarshalProduct(data)
-		_, errs[fmt.Sprint("VetBytes product ", i)] = VetBytes(data)
 	}
-	for i, data := range bundles {
+	decodeBundles := func(errs map[string]error, name string, data []byte) {
 		path := filepath.Join(t.TempDir(), "legacy.nwq")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, errs[fmt.Sprint("OpenBundle ", i)] = OpenBundle(path)
-		_, errs[fmt.Sprint("UnmarshalBundle ", i)] = UnmarshalBundle(data)
-		_, errs[fmt.Sprint("mapped bundle ", i)] = decodeBundle(data, true)
-		_, errs[fmt.Sprint("VetBytes bundle ", i)] = VetBytes(data)
+		_, errs["OpenBundle "+name] = OpenBundle(path)
+		_, errs["UnmarshalBundle "+name] = UnmarshalBundle(data)
+		_, errs["mapped bundle "+name] = decodeBundle(data, true)
+		_, errs["VetBytes bundle "+name] = VetBytes(data)
+	}
+	for i, data := range bundles {
+		decodeBundles(errs, fmt.Sprint(i), data)
 	}
 	for entry, err := range errs {
 		if !errors.Is(err, ErrLegacyLayout) {
 			t.Errorf("%s: got %v, want ErrLegacyLayout", entry, err)
 		}
 	}
+	unhashed := map[string]error{}
+	decodeBundles(unhashed, "v1", goldenFiles(t, "golden_bundle_v1.nwq")[0])
+	for entry, err := range unhashed {
+		if !errors.Is(err, format.ErrUnhashed) {
+			t.Errorf("%s: got %v, want format.ErrUnhashed", entry, err)
+		}
+	}
 }
 
 // TestNNWAContainersRejected feeds compiled NNWA containers — the committed
-// rejection fixtures standalone, and embedded in a bundle next to a served
-// DNWA — to every decode entry: each must fail with ErrNNWANotServed.  The
-// bundle embeds the standalone container whole; the decoder rejects it on
-// the header kind before reading any section.
+// rejection fixtures standalone, and embedded in a hashed bundle next to a
+// served DNWA — to every decode entry: each must fail with
+// ErrNNWANotServed.  The bundle embeds the standalone container whole; the
+// decoder rejects it on the header kind before reading any section.
 func TestNNWAContainersRejected(t *testing.T) {
 	alpha := goldenAlphabet()
 	standalone := goldenFiles(t, "golden_nnwa.nwq", "golden_nnwa_v1.nwq")
-	w := format.NewWriter(format.KindBundle)
-	w.Strings(secAlphabet, alpha.Symbols())
-	w.Strings(secNames, []string{"well-formed", "nondet"})
-	w.Bytes(secQuery, Compile(WellFormed(alpha)).encode(false, format.Version1))
-	w.Bytes(secQuery, standalone[1])
-	bundle := w.Finish()
+	bundle := writeBundle(format.VersionHashed, alpha.Symbols(), []string{"well-formed", "nondet"},
+		Compile(WellFormed(alpha)).encode(false, format.Version1), standalone[1])
 	path := filepath.Join(t.TempDir(), "nnwa.nwq")
 	if err := os.WriteFile(path, bundle, 0o644); err != nil {
 		t.Fatal(err)
@@ -543,7 +592,6 @@ func TestNNWAContainersRejected(t *testing.T) {
 	_, errs["VetBytes bundle"] = VetBytes(bundle)
 	for i, data := range standalone {
 		_, errs[fmt.Sprint("DecodeQuery ", i)] = DecodeQuery(data, false)
-		_, errs[fmt.Sprint("VetBytes ", i)] = VetBytes(data)
 	}
 	for entry, err := range errs {
 		if !errors.Is(err, ErrNNWANotServed) {

@@ -152,10 +152,17 @@ func TestTamperedFileOnDisk(t *testing.T) {
 	}
 }
 
+// soloBundle embeds one query container, named "q", in a hashed bundle over
+// the golden alphabet, so VetBytes reaches the blob's decoder.
+func soloBundle(blob []byte) []byte {
+	return writeBundle(format.VersionHashed, goldenAlphabet().Symbols(), []string{"q"}, blob)
+}
+
 // TestCompactedReturnTableTamper corrupts the hierarchical-state count of a
 // product automaton (the golden planned fixture's 7-state, H=2 DNWA) in
-// each way the decoder, and so VetBytes, must refuse: H outside [1, num], a
-// start state that cannot be hierarchical, and a call pushing a state ≥ H.
+// each way the decoder, and so VetBytes of a bundle embedding it, must
+// refuse: H outside [1, num], a start state that cannot be hierarchical,
+// and a call pushing a state ≥ H.
 func TestCompactedReturnTableTamper(t *testing.T) {
 	fresh := func() *Compiled {
 		c := *goldenPlannedBundle(t).Groups()[0].Product.inner
@@ -178,7 +185,7 @@ func TestCompactedReturnTableTamper(t *testing.T) {
 		if _, err := DecodeQuery(c.marshal(), false); err == nil {
 			t.Errorf("%s: decoder accepted the container", tc.name)
 		}
-		if rep, err := VetBytes(c.marshal()); err == nil {
+		if rep, err := VetBytes(soloBundle(c.marshal())); err == nil {
 			t.Errorf("%s: VetBytes accepted the container:\n%s", tc.name, rep)
 		}
 	}
@@ -211,8 +218,8 @@ func TestCompactedReturnTableTamper(t *testing.T) {
 // containers: a row ID at or past the row count, a row target at or past
 // num, a row-ID table not sized num·H, rows not a whole number of
 // syms-wide rows, and a call pushing a state ≥ H on a single DNWA whose
-// states Compile renumbered hier-first.  The decoder, and so VetBytes, must
-// refuse each.
+// states Compile renumbered hier-first.  The decoder, and so VetBytes of a
+// bundle embedding the container, must refuse each.
 func TestFactoredReturnTableTamper(t *testing.T) {
 	product := func() *Compiled { return goldenPlannedBundle(t).Groups()[0].Product.inner }
 	solo := func() *Compiled { return Compile(LinearOrder(goldenAlphabet(), "a", "b")) }
@@ -251,7 +258,7 @@ func TestFactoredReturnTableTamper(t *testing.T) {
 			if _, err := DecodeQuery(data, true); err == nil {
 				t.Error("zero-copy decoder accepted the container")
 			}
-			if rep, err := VetBytes(data); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if rep, err := VetBytes(soloBundle(data)); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("VetBytes: got %v (report %v), want an error naming %q", err, rep, tc.want)
 			}
 		})
@@ -262,8 +269,8 @@ func TestFactoredReturnTableTamper(t *testing.T) {
 // state outside the tables — a linear state ≥ num, or a hierarchical state
 // ≥ H of a compacted product — into otherwise valid, correctly hashed
 // legacy sparse containers.  The decoder refuses the sparse layout on its
-// meta section, before a key is read, so the decoder and VetBytes both
-// fail with ErrLegacyLayout.
+// meta section, before a key is read, so the decoder and VetBytes of a
+// bundle embedding the container both fail with ErrLegacyLayout.
 func TestSparseReturnKeyTamper(t *testing.T) {
 	withLastKey := func(c *Compiled, key uint64) []byte {
 		_, keys, vals := legacyReturns(c, true)
@@ -297,7 +304,7 @@ func TestSparseReturnKeyTamper(t *testing.T) {
 			if _, err := DecodeQuery(data, false); !errors.Is(err, ErrLegacyLayout) {
 				t.Errorf("decoder: got %v, want ErrLegacyLayout", err)
 			}
-			if rep, err := VetBytes(data); !errors.Is(err, ErrLegacyLayout) {
+			if rep, err := VetBytes(soloBundle(data)); !errors.Is(err, ErrLegacyLayout) {
 				t.Errorf("VetBytes: got %v (report %v), want ErrLegacyLayout", err, rep)
 			}
 		})

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/nwa"
-	"repro/internal/query/format"
 )
 
 // This file is the automaton-level static analyzer behind `nwtool vet`: a
@@ -56,7 +55,8 @@ type VetIssue struct {
 
 // VetQueryStats summarizes the semantic analysis of one query.
 type VetQueryStats struct {
-	// Name is the query's display name in the bundle ("query" standalone).
+	// Name is the query's display name in the bundle, or "group N" for
+	// the automaton of the N-th product group.
 	Name string
 	// Form is "dnwa", or "product-dnwa" when the automaton is the shared
 	// interior of a product-compiled cluster.
@@ -78,19 +78,10 @@ type VetQueryStats struct {
 	NonCoaccessible int
 }
 
-// VetContainer describes the serialized container a report was vetted
-// from.
+// VetContainer identifies the serialized bundle a report was vetted from.
 type VetContainer struct {
-	// Version is the container header version (format.Version1 or
-	// format.VersionHashed).
-	Version uint32
-	// Kind is the container object kind (format.KindDNWA … KindProduct).
-	Kind uint32
-	// ContentHash is the hex content hash: the verified header hash of a
-	// VersionHashed container, or the plain checksum of a v1 one.
+	// ContentHash is the bundle's verified content hash, in hex.
 	ContentHash string
-	// HashVerified is true when ContentHash is the verified header hash.
-	HashVerified bool
 }
 
 // VetReport is the full result of vetting one artifact.
@@ -128,13 +119,8 @@ func (r *VetReport) count(level string) int {
 // closing tally.
 func (r *VetReport) String() string {
 	var b strings.Builder
-	if r.Container.Version != 0 {
-		verified := "unverified checksum"
-		if r.Container.HashVerified {
-			verified = "verified"
-		}
-		fmt.Fprintf(&b, "container: version %d, kind %d, content hash %s (%s)\n",
-			r.Container.Version, r.Container.Kind, r.Container.ContentHash, verified)
+	if r.Container.ContentHash != "" {
+		fmt.Fprintf(&b, "container: content hash %s\n", r.Container.ContentHash)
 	}
 	for _, s := range r.Queries {
 		fmt.Fprintf(&b, "query %q: %s, %d states, %d reachable, %d unreachable, %d dead transitions",
@@ -159,55 +145,17 @@ func (r *VetReport) String() string {
 	return b.String()
 }
 
-// VetBytes verifies a serialized artifact — a bundle or a standalone
-// compiled query container.  A container that does not decode is rejected
-// with the decoder's error; a container that decodes is vetted and the
-// findings returned in the report, never panicking on any input.  A
-// version-2 container's content hash is checked once, by the reader the
-// decode then reads from.
+// VetBytes verifies a serialized bundle.  Bytes that do not decode as a
+// bundle are rejected with the decoder's error — a Version1 container with
+// format.ErrUnhashed; a bundle that decodes is vetted and the findings
+// returned in the report, never panicking on any input.
 func VetBytes(data []byte) (*VetReport, error) {
-	r, err := format.NewReader(data)
+	b, err := UnmarshalBundle(data)
 	if err != nil {
 		return nil, err
 	}
-	container := VetContainer{Version: r.Version(), Kind: r.Kind()}
-	if h, ok := r.ContentHash(); ok {
-		container.ContentHash, container.HashVerified = hex.EncodeToString(h[:]), true
-	} else {
-		sum := format.Checksum(data)
-		container.ContentHash = hex.EncodeToString(sum[:])
-	}
-	var rep *VetReport
-	switch r.Kind() {
-	case format.KindBundle:
-		b, err := readBundle(r, data, false)
-		if err != nil {
-			return nil, err
-		}
-		rep = vetBundle(b)
-	case format.KindDNWA, format.KindNNWA:
-		c, err := readQuery(r, nil, false)
-		if err != nil {
-			return nil, err
-		}
-		rep = &VetReport{}
-		vetQuery(rep, "query", c)
-	case format.KindProduct:
-		p, _, err := decodeProduct(&decodeState{r: r})
-		if err != nil {
-			return nil, err
-		}
-		rep = &VetReport{}
-		vetProduct(rep, "product", p)
-	default:
-		return nil, fmt.Errorf("query: container kind %d is not a vettable artifact", r.Kind())
-	}
-	rep.Container = container
-	if !container.HashVerified {
-		rep.add("", vetWarning, fmt.Sprintf(
-			"container is unhashed version %d — re-marshal to version %d so fleets can verify it before mapping",
-			r.Version(), format.VersionHashed))
-	}
+	rep := vetBundle(b)
+	rep.Container.ContentHash = hex.EncodeToString(b.hash[:])
 	return rep, nil
 }
 

@@ -5,22 +5,20 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/query/format"
 )
 
 // FuzzBundleVet is the artifact-verifier fuzz target, mirroring
 // FuzzUnmarshalCompiled one layer up: arbitrary bytes and mutated-but-valid
 // marshals pushed through VetBytes must either fail with an error or come
 // back as a renderable report — never a panic.  Decoding is vet's one
-// structural gate, so VetBytes must fail exactly when the decoder for the
-// container's kind does: no input vets that does not decode, and every
-// input that decodes comes back as a report.
+// structural gate, so VetBytes must fail exactly when UnmarshalBundle does:
+// no input vets that does not decode, and every input that decodes comes
+// back as a report.
 func FuzzBundleVet(f *testing.F) {
 	alpha := goldenAlphabet()
 	seeds := [][]byte{
-		// Marshal emits VersionHashed containers; the explicit Version1
-		// encodes keep the unhashed-container vet path in the corpus.
+		// Standalone containers, which vet refuses as no bundle; the
+		// explicit Version1 encode keeps the unhashed refusal in the corpus.
 		Compile(PathQuery(alpha, "a", "b")).marshal(),
 		Compile(PathQuery(alpha, "a", "b")).encode(true, 1),
 		Compile(WellFormed(alpha)).marshal(),
@@ -66,7 +64,7 @@ func FuzzBundleVet(f *testing.F) {
 			data = data[:1<<18]
 		}
 		rep, err := VetBytes(data)
-		decErr := decodeAsKind(data)
+		_, decErr := UnmarshalBundle(data)
 		if (err == nil) != (decErr == nil) {
 			t.Fatalf("VetBytes error %v, decoder error %v: vet must fail exactly when decoding does", err, decErr)
 		}
@@ -92,21 +90,4 @@ func goldenFiles(tb testing.TB, files ...string) [][]byte {
 		out[i] = data
 	}
 	return out
-}
-
-// decodeAsKind decodes data with the decoder for its container kind.
-func decodeAsKind(data []byte) error {
-	r, err := format.NewReader(data)
-	if err != nil {
-		return err
-	}
-	switch r.Kind() {
-	case format.KindBundle:
-		_, err = UnmarshalBundle(data)
-	case format.KindProduct:
-		_, err = unmarshalProduct(data)
-	default:
-		_, err = DecodeQuery(data, false)
-	}
-	return err
 }

@@ -28,17 +28,12 @@ func TestVetReportsPinned(t *testing.T) {
 		want query.VetReport
 	}{
 		{"golden_bundle_factored.nwq", query.VetReport{
-			Container: query.VetContainer{Version: 2, Kind: 3, HashVerified: true,
+			Container: query.VetContainer{
 				ContentHash: "c61e564b8462db30f5e527aa9e6b318021e3d700912e2b04ea09ba589ff58dbd"},
 			Queries: []query.VetQueryStats{clean("well-formed", 7, 2), clean("//a//b", 7, 3), clean("//b//a", 7, 3)},
 		}},
-		{"golden_dnwa_factored.nwq", query.VetReport{
-			Container: query.VetContainer{Version: 2, Kind: 1, HashVerified: true,
-				ContentHash: "dfb6b6672e6046af30ea2c399d0c3ba363ef46a9ce8442454b9da50de3d7e041"},
-			Queries: []query.VetQueryStats{clean("query", 7, 3)},
-		}},
 		{"golden_planned_factored.nwq", query.VetReport{
-			Container: query.VetContainer{Version: 2, Kind: 3, HashVerified: true,
+			Container: query.VetContainer{
 				ContentHash: "3cc6f84287bd66799d4734a548bf219048d042bd1509579c25934956999c5244"},
 			Queries: []query.VetQueryStats{
 				{Name: "group 1", Form: "product-dnwa", States: 7, Reachable: 6, DeadTransitions: 12},

@@ -2,6 +2,7 @@ package query
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/alphabet"
 	"repro/internal/nwa"
+	"repro/internal/query/format"
 )
 
 // unreachableDNWA is a four-state automaton extended with two states the
@@ -47,18 +49,23 @@ func TestVetGoldenFixtures(t *testing.T) {
 			t.Fatal(err)
 		}
 		rep, err := VetBytes(data)
-		// Rejection fixtures: NNWA containers are not served, and every
-		// fixture but the factored ones holds a legacy return layout.
-		var reject error
+		// Rejection fixtures: version-1 containers are unhashed, standalone
+		// queries are no bundle, and every bundle but the factored ones
+		// holds a legacy return layout.
 		switch base := filepath.Base(f); {
-		case strings.HasPrefix(base, "golden_nnwa"):
-			reject = ErrNNWANotServed
+		case strings.HasSuffix(base, "_v1.nwq"):
+			if !errors.Is(err, format.ErrUnhashed) {
+				t.Errorf("%s: VetBytes: got %v, want format.ErrUnhashed", f, err)
+			}
+			continue
+		case strings.HasPrefix(base, "golden_dnwa") || strings.HasPrefix(base, "golden_nnwa"):
+			if err == nil || !strings.Contains(err.Error(), "is not a bundle") {
+				t.Errorf("%s: VetBytes: got %v, want a not-a-bundle error", f, err)
+			}
+			continue
 		case !strings.Contains(base, "_factored"):
-			reject = ErrLegacyLayout
-		}
-		if reject != nil {
-			if !errors.Is(err, reject) {
-				t.Errorf("%s: VetBytes: got %v, want %v", f, err, reject)
+			if !errors.Is(err, ErrLegacyLayout) {
+				t.Errorf("%s: VetBytes: got %v, want ErrLegacyLayout", f, err)
 			}
 			continue
 		}
@@ -195,18 +202,31 @@ func TestVetPlannedBundleClean(t *testing.T) {
 		t.Errorf("forms = %v, want [product-dnwa dnwa]", forms)
 	}
 
-	// The standalone product artifact path through VetBytes.
+	// The serialized path through VetBytes: a bundle whose one product
+	// group answers every query.
 	members, _ := detProductMembers()
 	p, err := CompileProduct(members, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err = VetBytes(p.Marshal())
+	src := NewBundle(p.alphabet())
+	cluster := make([]int, len(members))
+	for i, m := range members {
+		if err := src.Add(fmt.Sprint("q", i), m); err != nil {
+			t.Fatal(err)
+		}
+		cluster[i] = i
+	}
+	planned, err := NewPlannedBundle(src, [][]int{cluster}, []*CompiledProduct{p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err = VetBytes(planned.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Errors() != 0 {
-		t.Errorf("standalone product should vet without errors, got:\n%s", rep)
+		t.Errorf("all-product bundle should vet without errors, got:\n%s", rep)
 	}
 	if len(rep.Queries) != 1 || rep.Queries[0].Form != "product-dnwa" {
 		t.Errorf("stats = %+v, want one product-dnwa entry", rep.Queries)

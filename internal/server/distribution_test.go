@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -90,8 +91,12 @@ func TestFleetSelfProvisioning(t *testing.T) {
 	if !strings.HasPrefix(info.Path, cacheDir) {
 		t.Fatalf("host B serves from %q, want a cache entry under %q", info.Path, cacheDir)
 	}
-	if !info.Bundle.HashVerified {
-		t.Fatal("host B's bundle is not hash-verified")
+	raw, err := os.ReadFile(bundle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum, err := format.ContentHash(raw); err != nil || info.Bundle.ContentHash != hex.EncodeToString(sum[:]) {
+		t.Fatalf("host B serves content hash %q, host A published %x (%v)", info.Bundle.ContentHash, sum, err)
 	}
 
 	// Ground truth is serial evaluation of the artifact A published.
@@ -185,7 +190,7 @@ func TestDistributionRefusesToSwap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum, _, err := format.ContentHash(raw)
+		sum, err := format.ContentHash(raw)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -411,13 +411,7 @@ func (s *Server) handleBundle(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer st.release()
-	if st.raw == nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "bundle has no serialized form"})
-		return
-	}
-	if st.etag != "" {
-		w.Header().Set("ETag", st.etag)
-	}
+	w.Header().Set("ETag", st.etag)
 	if noneMatch(r.Header.Values("If-None-Match"), st.etag) {
 		w.WriteHeader(http.StatusNotModified)
 		return
@@ -430,12 +424,12 @@ func (s *Server) handleBundle(w http.ResponseWriter, r *http.Request) {
 // noneMatch evaluates If-None-Match field lines against the current
 // representation's ETag as RFC 9110 §13.1.2 does: "*" matches any current
 // representation, and the comparison is weak, so a W/ prefix on a listed
-// tag does not matter.  A representation without an ETag matches only "*".
+// tag does not matter.
 func noneMatch(fields []string, etag string) bool {
 	for _, field := range fields {
 		for _, tag := range strings.Split(field, ",") {
 			tag = strings.TrimSpace(tag)
-			if tag == "*" || etag != "" && strings.TrimPrefix(tag, "W/") == etag {
+			if tag == "*" || strings.TrimPrefix(tag, "W/") == etag {
 				return true
 			}
 		}

@@ -29,7 +29,6 @@
 package server
 
 import (
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -227,21 +226,20 @@ func (s *Server) load(gen int64, cur *serve.Pool) (*poolState, error) {
 		b.Close()
 		return nil, fmt.Errorf("server: boot pool: %w", err)
 	}
+	desc := query.Describe(b)
 	st := &poolState{
 		pool:     pool,
 		bundle:   b,
 		verdicts: newVerdictTable(eng.Names()),
 		raw:      b.Raw(),
+		etag:     `"` + desc.ContentHash + `"`,
 		sig:      sig,
 		info: BundleInfo{
 			Path:       path,
 			Generation: gen,
 			LoadedAt:   time.Now(),
-			Bundle:     query.Describe(b),
+			Bundle:     desc,
 		},
-	}
-	if sum, _, ok := b.ContentHash(); ok {
-		st.etag = `"` + hex.EncodeToString(sum[:]) + `"`
 	}
 	st.refs.Store(1)
 	return st, nil

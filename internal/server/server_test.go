@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -23,6 +25,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/generator"
 	"repro/internal/query"
+	"repro/internal/query/format"
 	"repro/internal/serve"
 )
 
@@ -628,35 +631,84 @@ func TestStatusAndMetrics(t *testing.T) {
 	}
 }
 
+// unhashedCopy rewrites a hashed container under a version-1 header: the
+// same directory and sections without the 32-byte content hash, so every
+// section offset moves 32 bytes down, as an unhashed writer lays them out.
+func unhashedCopy(data []byte) []byte {
+	const header, entry = 24, 24
+	out := append(bytes.Clone(data[:header]), data[header+format.HashSize:]...)
+	binary.LittleEndian.PutUint32(out[4:], format.Version1)
+	for i := range int(binary.LittleEndian.Uint32(out[16:])) {
+		off := out[header+entry*i+8:]
+		binary.LittleEndian.PutUint64(off, binary.LittleEndian.Uint64(off)-format.HashSize)
+	}
+	return out
+}
+
 // TestReloadBadBundleKeepsServing checks the failure half of the reload
-// contract: when the file on disk has gone bad, Reload fails and the old
-// generation keeps serving untouched.
+// contract: when a bad file is renamed over the bundle path — garbage, or
+// the served bundle's own sections under an unhashed version-1 header —
+// Reload fails and the old generation keeps serving untouched, its bytes
+// under its old ETag.  A server booted from the unhashed file refuses it
+// with format.ErrUnhashed.
 func TestReloadBadBundleKeepsServing(t *testing.T) {
 	bundle := writeTestBundle(t)
 	srv, ts := testServer(t, Config{BundlePath: bundle, Shards: 2})
 	client := ts.Client()
-
-	if err := os.WriteFile(bundle, []byte("not a bundle"), 0o644); err != nil {
-		t.Fatal(err)
+	get := func() (etag string, body []byte) {
+		t.Helper()
+		resp, err := client.Get(ts.URL + "/v1/bundle")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if body, err = io.ReadAll(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.Header.Get("ETag"), body
 	}
-	resp, err := client.Post(ts.URL+"/v1/reload", "", nil)
-	if err != nil {
-		t.Fatal(err)
+	served, good := get()
+	for _, bad := range []struct {
+		name string
+		data []byte
+	}{
+		{"corrupt", []byte("not a bundle")},
+		{"unhashed", unhashedCopy(good)},
+	} {
+		// A deploy renames the new file into place; writing over the
+		// mapped file itself would change the live generation's tables.
+		tmp := bundle + ".tmp"
+		if err := os.WriteFile(tmp, bad.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(tmp, bundle); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Post(ts.URL+"/v1/reload", "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("reload of the %s bundle: status %d, want 500", bad.name, resp.StatusCode)
+		}
+		info, err := srv.BundleInfo()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Generation != 1 {
+			t.Fatalf("generation moved to %d after a failed reload of the %s bundle", info.Generation, bad.name)
+		}
+		if code, res, body := postDocument(t, client, ts.URL, "still-up", "<a><c>x</c></a>"); code != http.StatusOK || len(res.Verdicts) != 3 {
+			t.Fatalf("old generation stopped serving after the %s bundle: status %d, body %s", bad.name, code, body)
+		}
+		if etag, body := get(); etag != served || !bytes.Equal(body, good) {
+			t.Fatalf("after the %s bundle GET /v1/bundle has ETag %q, want the old %q and bytes", bad.name, etag, served)
+		}
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("reload of a corrupt bundle: status %d, want 500", resp.StatusCode)
-	}
-	info, err := srv.BundleInfo()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Generation != 1 {
-		t.Fatalf("generation moved to %d after a failed reload", info.Generation)
-	}
-	if code, res, body := postDocument(t, client, ts.URL, "still-up", "<a><c>x</c></a>"); code != http.StatusOK || len(res.Verdicts) != 3 {
-		t.Fatalf("old generation stopped serving: status %d, body %s", code, body)
+	if _, err := New(Config{BundlePath: bundle, Shards: 1}); !errors.Is(err, format.ErrUnhashed) {
+		t.Fatalf("booting from the unhashed bundle: got %v, want format.ErrUnhashed", err)
 	}
 }
 

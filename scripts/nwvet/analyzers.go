@@ -248,7 +248,8 @@ var confinements = []confinement{
 		// internal/query/format owns hashing and signing (the NWQ1 content
 		// hash, the NWS1 envelope) and internal/bundlecache verifies
 		// fetched entries; every other package consumes hashes as opaque
-		// values through format.Checksum / ContentHash / VerifyHash.
+		// values through format.ContentHash / VerifyHash, whose one
+		// identity is a hashed bundle's verified content hash.
 		name:      "crypto-confinement",
 		imports:   []string{"crypto/ed25519", "crypto/sha256"},
 		dirs:      []string{"internal/query/format", "internal/bundlecache"},

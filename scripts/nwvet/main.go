@@ -59,8 +59,8 @@
 // in from the retired repolint command: package doc comments, exported-
 // identifier doc comments, relative Markdown link targets, the
 // docs/EXPERIMENTS.md index table and the committed BENCH_E*.json baselines
-// against experiments.Registry; and it checks that every test a -run
-// pattern of the CI workflow names is still declared.
+// against experiments.Registry; and it checks that every test or fuzz
+// target a -run or -fuzz pattern of the CI workflow names is still declared.
 //
 // It prints one line per violation and exits 1 if there are any, 2 on
 // infrastructure errors, and prints "nwvet: ok" otherwise.

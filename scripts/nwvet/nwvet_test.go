@@ -213,9 +213,9 @@ func TestExportDisciplineCleanFixture(t *testing.T) {
 	})
 }
 
-// TestCIRunPatternsNameDeclaredTests: a -run pattern token, quoted or
-// bare, must prefix-match a declared test, or match one exactly when the
-// pattern anchors its end.
+// TestCIRunPatternsNameDeclaredTests: a -run or -fuzz pattern token, quoted
+// or bare, must prefix-match a declared test or fuzz target, or match one
+// exactly when the pattern anchors its end.
 func TestCIRunPatternsNameDeclaredTests(t *testing.T) {
 	root := t.TempDir()
 	if err := os.MkdirAll(filepath.Join(root, ".github", "workflows"), 0o755); err != nil {
@@ -227,6 +227,7 @@ func TestCIRunPatternsNameDeclaredTests(t *testing.T) {
   - run: go test -run '^TestPrefix|^TestKept$' ./...
   - run: go test -run "Alloc|TestAlsoGone" ./...
   - run: go test -run '^$' -bench . ./...
+  - run: go test -run '^$' -fuzz '^FuzzNope$' -fuzztime 1s ./...
 `
 	if err := os.WriteFile(filepath.Join(root, ".github", "workflows", "ci.yml"), []byte(workflow), 0o644); err != nil {
 		t.Fatal(err)
@@ -243,6 +244,7 @@ func TestCIRunPatternsNameDeclaredTests(t *testing.T) {
 		"ci.yml:2: -run pattern names TestGone, which no test file declares",
 		"ci.yml:3: -run pattern names TestPrefix, which no test file declares",
 		"ci.yml:5: -run pattern names TestAlsoGone, which no test file declares",
+		"ci.yml:7: -fuzz pattern names FuzzNope, which no test file declares",
 	})
 }
 

@@ -267,19 +267,20 @@ func lintMarkdownLinks(root string, report reportFunc) error {
 	})
 }
 
-// runFlag matches one -run flag of a go test command line and its pattern,
-// quoted or bare.
-var runFlag = regexp.MustCompile(`-run[ =](?:'([^']*)'|"([^"]*)"|(\S+))`)
+// patternFlag matches one -run or -fuzz flag of a go test command line and
+// its pattern, quoted or bare.
+var patternFlag = regexp.MustCompile(`-(run|fuzz)[ =](?:'([^']*)'|"([^"]*)"|(\S+))`)
 
-// testToken matches a test name inside a -run pattern, with the $ that
-// anchors its end if there is one.
-var testToken = regexp.MustCompile(`Test\w+\$?`)
+// testToken matches a test or fuzz target name inside a pattern, with the $
+// that anchors its end if there is one.
+var testToken = regexp.MustCompile(`(?:Test|Fuzz)\w+\$?`)
 
-// lintCIRunPatterns checks that every test name a -run pattern of the CI
-// workflow spells prefix-matches a test some test file declares, or matches
-// one exactly when the pattern anchors its end: go test passes with "no
-// tests to run" once the test a step names is gone, so a dedicated step
-// would otherwise go on running nothing.
+// lintCIRunPatterns checks that every test or fuzz target name a -run or
+// -fuzz pattern of the CI workflow spells prefix-matches one some test file
+// declares, or matches one exactly when the pattern anchors its end: go
+// test passes with "no tests to run" once the test a step names is gone,
+// and a -fuzz pattern matching no target passes silently, so a dedicated
+// step would otherwise go on running nothing.
 func lintCIRunPatterns(root string, tests map[string]bool, report reportFunc) error {
 	path := filepath.Join(root, ".github", "workflows", "ci.yml")
 	body, err := os.ReadFile(path)
@@ -287,11 +288,11 @@ func lintCIRunPatterns(root string, tests map[string]bool, report reportFunc) er
 		return fmt.Errorf("ci run patterns: %w", err)
 	}
 	for i, line := range strings.Split(string(body), "\n") {
-		for _, m := range runFlag.FindAllStringSubmatch(line, -1) {
-			for _, token := range testToken.FindAllString(m[1]+m[2]+m[3], -1) {
+		for _, m := range patternFlag.FindAllStringSubmatch(line, -1) {
+			for _, token := range testToken.FindAllString(m[2]+m[3]+m[4], -1) {
 				name, anchored := strings.CutSuffix(token, "$")
 				if anchored && !tests[name] || !anchored && !declaresPrefix(tests, name) {
-					report("%s:%d: -run pattern names %s, which no test file declares", path, i+1, name)
+					report("%s:%d: -%s pattern names %s, which no test file declares", path, i+1, m[1], name)
 				}
 			}
 		}
